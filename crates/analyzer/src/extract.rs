@@ -350,16 +350,16 @@ impl StreamExtractor {
                 } => {
                     let path = self.ex.paths.intern(&self.path_stack);
                     let n_locs = self.n_locs;
-                    let inst = self
-                        .coll_groups
-                        .entry((comm, seq, op))
-                        .or_insert_with(|| CollInstance {
-                            op,
-                            comm,
-                            root,
-                            seq,
-                            members: Vec::with_capacity(n_locs),
-                        });
+                    let inst =
+                        self.coll_groups
+                            .entry((comm, seq, op))
+                            .or_insert_with(|| CollInstance {
+                                op,
+                                comm,
+                                root,
+                                seq,
+                                members: Vec::with_capacity(n_locs),
+                            });
                     inst.members.push(CollMember {
                         loc,
                         path,
@@ -388,8 +388,9 @@ impl StreamExtractor {
         }
         colls.sort_unstable_by_key(|c| (c.comm, c.seq));
         ex.colls = colls;
-        ex.sends
-            .sort_unstable_by_key(|s| (s.comm, s.loc, s.to, s.tag, s.post, s.exit, s.bytes, s.path));
+        ex.sends.sort_unstable_by_key(|s| {
+            (s.comm, s.loc, s.to, s.tag, s.post, s.exit, s.bytes, s.path)
+        });
         ex.recvs.sort_unstable_by_key(|r| {
             (
                 r.comm,

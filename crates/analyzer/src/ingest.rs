@@ -17,8 +17,8 @@ use crate::analyzer::detect_and_report;
 use crate::extract::StreamExtractor;
 use crate::{analyze, AnalysisReport, AnalyzerConfig};
 use ats_runtime::VDur;
-use ats_trace::binfmt::BlockReader;
 use ats_trace::binfmt::read_binary;
+use ats_trace::binfmt::BlockReader;
 use ats_trace::io::{read_path, TraceIoError};
 use ats_trace::{LocationId, Trace};
 use std::io::{BufRead, Read};
@@ -243,8 +243,7 @@ mod tests {
         let dir = ats_testutil::TempDir::new("ats-ingest-stream");
         let path = dir.path().join("composite.atsb");
         write_binary(&trace, std::fs::File::create(&path).unwrap()).unwrap();
-        let (report, stats) =
-            analyze_path_streaming(&path, &AnalyzerConfig::default()).unwrap();
+        let (report, stats) = analyze_path_streaming(&path, &AnalyzerConfig::default()).unwrap();
         assert_eq!(report.to_json(), direct.to_json());
         assert_eq!(
             stats.bytes,

@@ -38,9 +38,11 @@ pub struct MatchedPair {
 /// arise from the substrate, but a tool must tolerate truncated traces)
 /// are dropped.
 pub fn match_messages(ex: &Extract) -> Vec<MatchedPair> {
-    // Each queue carries its own consumption cursor, so pairing costs one
-    // hash lookup per receive instead of two.
-    let mut send_q: HashMap<(u32, u32, u32, i32), (Vec<&SendRec>, usize)> =
+    // Sends per `(comm, sender, receiver, tag)`. Each queue carries its own
+    // consumption cursor, so pairing costs one hash lookup per receive
+    // instead of two.
+    type Channel = (u32, u32, u32, i32);
+    let mut send_q: HashMap<Channel, (Vec<&SendRec>, usize)> =
         HashMap::with_capacity(ex.sends.len().min(64));
     for s in &ex.sends {
         send_q
@@ -135,8 +137,7 @@ pub fn wrong_order(pairs: &[MatchedPair]) -> Vec<Located> {
         }
         let mut overlap = VDur::ZERO;
         for q in by_receiver[&p.recv.loc].iter().map(|&i| &pairs[i]) {
-            if (q.recv.posted, q.recv.from, q.recv.tag)
-                == (p.recv.posted, p.recv.from, p.recv.tag)
+            if (q.recv.posted, q.recv.from, q.recv.tag) == (p.recv.posted, p.recv.from, p.recv.tag)
                 || q.recv.posted <= p.recv.posted
             {
                 continue;

@@ -195,11 +195,15 @@ fn str_field(v: &Json, field: &str) -> Result<String, Error> {
 }
 
 fn u64_field(v: &Json, field: &str) -> Result<u64, Error> {
-    v.get(field).and_then(Json::as_u64).ok_or_else(|| missing(field))
+    v.get(field)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| missing(field))
 }
 
 fn f64_field(v: &Json, field: &str) -> Result<f64, Error> {
-    v.get(field).and_then(Json::as_f64).ok_or_else(|| missing(field))
+    v.get(field)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| missing(field))
 }
 
 #[cfg(test)]
@@ -246,7 +250,12 @@ mod tests {
     #[test]
     fn missing_fields_are_named() {
         let mut v = sample().to_value();
-        v.as_obj_mut().unwrap().get_mut("findings").unwrap().as_arr_mut().unwrap()[0]
+        v.as_obj_mut()
+            .unwrap()
+            .get_mut("findings")
+            .unwrap()
+            .as_arr_mut()
+            .unwrap()[0]
             .as_obj_mut()
             .unwrap()
             .remove("wait_ns");

@@ -1,5 +1,6 @@
-//! Scheduler benchmark E-sched: throughput of the discrete-event rank
-//! scheduler against the one-OS-thread-per-rank backend.
+//! Scheduler benchmark E-sched: throughput of the scheduler's event
+//! carrier (one coroutine per rank) against its thread carrier (one OS
+//! thread per rank, passing a baton).
 //!
 //! The workload is a collective superstep — the catalog's dominant
 //! pattern (imbalance at barrier, late broadcast, early reduce): every
@@ -7,9 +8,9 @@
 //! the world at a barrier, an allreduce, a rotating-root reduce, and a
 //! closing barrier; every fourth round adds a rendezvous (`MPI_Ssend`)
 //! neighbor exchange. All virtual-time, so wall clock is pure simulator
-//! + scheduler cost. Collectives dominate deliberately: each one wakes
-//! all P members, which is where the two backends differ most (a condvar
-//! broadcast of P OS threads vs P user-space heap pops).
+//! and scheduler cost. Collectives dominate deliberately: each one wakes
+//! all P members, which is where the two carriers differ most (P OS-thread
+//! handoffs vs P user-space context switches).
 //!
 //! Each cell also times an empty (zero-round) run of the same
 //! configuration and reports *net* events/sec with that baseline
@@ -84,7 +85,7 @@ fn body(p: &mut Proc, rounds: usize) {
             let src = (me + n - 1) % n;
             // Odd ranks receive first so the rendezvous ring cannot
             // deadlock at any size.
-            if me % 2 == 0 {
+            if me.is_multiple_of(2) {
                 p.ssend(&[round as u8], dst, 1, &world);
                 let _ = p.recv(src, 1, &world);
             } else {

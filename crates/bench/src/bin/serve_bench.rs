@@ -74,12 +74,18 @@ fn main() {
     let args = CommonArgs::parse();
     let clients: usize = args.positional_or(0, 1000);
     let rounds: usize = args.positional_or(1, 4).max(1);
-    let workers: usize = args.flag("workers").and_then(|v| v.parse().ok()).unwrap_or(16);
+    let workers: usize = args
+        .flag("workers")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(16);
     let max_p99_ms: f64 = args
         .flag("max-p99-ms")
         .and_then(|v| v.parse().ok())
         .unwrap_or(2000.0);
-    let min_rps: f64 = args.flag("min-rps").and_then(|v| v.parse().ok()).unwrap_or(50.0);
+    let min_rps: f64 = args
+        .flag("min-rps")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(50.0);
     let dir = args.flag("cache-dir").unwrap_or("artifacts/serve-bench");
     let _ = std::fs::remove_dir_all(dir);
 
@@ -126,10 +132,16 @@ fn main() {
     for (spec, want) in specs.iter().zip(&expected) {
         let r = warm.analyze(spec).expect("warm replay");
         assert!(r.cached, "second pass must hit the store");
-        assert_eq!(r.report, *want, "stored report bytes must equal offline bytes");
+        assert_eq!(
+            r.report, *want,
+            "stored report bytes must equal offline bytes"
+        );
     }
     let warm_secs = warm_started.elapsed().as_secs_f64();
-    println!("warm: {} specs, {warm_misses} misses, {warm_secs:.2}s", specs.len());
+    println!(
+        "warm: {} specs, {warm_misses} misses, {warm_secs:.2}s",
+        specs.len()
+    );
 
     // Flood phase. Two barriers: `written` releases once every client has
     // its first request on the wire (main included, so it can sample the
@@ -218,7 +230,10 @@ fn main() {
     let flood_secs = flood_started.elapsed().as_secs_f64();
 
     let tallies = Arc::try_unwrap(tallies).unwrap().into_inner().unwrap();
-    let mut latencies: Vec<u64> = tallies.iter().flat_map(|t| t.latencies_ns.clone()).collect();
+    let mut latencies: Vec<u64> = tallies
+        .iter()
+        .flat_map(|t| t.latencies_ns.clone())
+        .collect();
     latencies.sort_unstable();
     let acked: usize = tallies.iter().map(|t| t.acked).sum();
     let mismatched: usize = tallies.iter().map(|t| t.mismatched).sum();

@@ -161,8 +161,7 @@ fn main() {
     let warm_speedup = cold.wall_secs / warm.wall_secs.max(1e-9);
     let store = Store::open(dir).expect("store reopens");
     let stats = store.stats();
-    let gate_passed =
-        hit_rate >= min_hit_rate && byte_identical && warm.cache_bytes_written == 0;
+    let gate_passed = hit_rate >= min_hit_rate && byte_identical && warm.cache_bytes_written == 0;
     let doc = Json::obj()
         .with("experiment", "E-store")
         .with("nprocs", nprocs)

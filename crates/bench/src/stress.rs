@@ -66,9 +66,7 @@ impl StressConfig {
 
     /// Total events across all ranks.
     pub fn events_total(&self) -> u64 {
-        (0..self.ranks)
-            .map(|r| self.rank_event_count(r))
-            .sum()
+        (0..self.ranks).map(|r| self.rank_event_count(r)).sum()
     }
 
     fn coll_reps(&self) -> u64 {
@@ -78,7 +76,7 @@ impl StressConfig {
     fn rank_event_count(&self, rank: u32) -> u64 {
         // main enter/exit + work pairs + p2p (3 events when paired) +
         // collective reps (3 events per barrier + 3 per bcast).
-        let paired = self.ranks % 2 == 0 || rank + 1 < self.ranks;
+        let paired = self.ranks.is_multiple_of(2) || rank + 1 < self.ranks;
         2 + self.reps * (2 * self.inner + if paired { 3 } else { 0 }) + self.coll_reps() * 6
     }
 
@@ -134,12 +132,20 @@ pub fn stress_location(cfg: &StressConfig, rank: u32) -> LocationTrace {
     for k in 0..cfg.reps {
         let rep = body + k * cfg.rep_slot();
         for j in 0..cfg.inner {
-            push(&mut ev, rep + 2 * j * WORK, EventKind::Enter { region: R_WORK });
-            push(&mut ev, rep + (2 * j + 1) * WORK, EventKind::Exit { region: R_WORK });
+            push(
+                &mut ev,
+                rep + 2 * j * WORK,
+                EventKind::Enter { region: R_WORK },
+            );
+            push(
+                &mut ev,
+                rep + (2 * j + 1) * WORK,
+                EventKind::Exit { region: R_WORK },
+            );
         }
         let p2p = rep + 2 * cfg.inner * WORK;
         let tag = (k % 1_000) as i32;
-        if rank % 2 == 0 && rank + 1 < n {
+        if rank.is_multiple_of(2) && rank + 1 < n {
             // Sender: posts late relative to the neighbor's receive.
             let post = p2p + 100 + SEND_LATENESS + (rank as u64 % 4) * 500;
             push(&mut ev, p2p + 100, EventKind::Enter { region: R_SEND });

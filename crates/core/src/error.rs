@@ -234,8 +234,7 @@ mod tests {
         let fmt: Error = TraceIoError::Format("bad header".into()).into();
         assert_eq!(fmt.kind(), ErrorKind::TraceFormat);
         assert!(fmt.to_string().contains("bad header"));
-        let io: Error =
-            TraceIoError::Io(std::io::Error::new(std::io::ErrorKind::Other, "disk")).into();
+        let io: Error = TraceIoError::Io(std::io::Error::other("disk")).into();
         assert_eq!(io.kind(), ErrorKind::TraceIo);
     }
 }

@@ -4,9 +4,10 @@
 //! from different parallel programming paradigms in the same program".
 //! [`with_omp`] adapts a simulated MPI rank into an [`ats_omp::Master`], so
 //! OpenMP parallel regions (and the OpenMP property functions) can run
-//! *inside* an MPI rank: the team forks at the rank's virtual clock,
-//! thread events land in per-`(rank, thread)` trace locations, and the
-//! rank's clock resumes at the join.
+//! *inside* an MPI rank: the team forks at the rank's virtual clock, its
+//! members become tasks of the rank's own scheduler run, thread events
+//! land in per-`(rank, thread)` trace locations, and the rank's clock
+//! resumes at the join.
 
 use ats_mpi::Proc;
 use ats_omp::{CriticalSpace, Master};
@@ -14,7 +15,6 @@ use ats_runtime::{MachineModel, VTime, WorkMode};
 use ats_trace::{LocalTrace, LocationId, TraceCollector};
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// An MPI rank acting as the master of OpenMP parallel regions.
 pub struct HybridMaster<'a> {
@@ -61,9 +61,6 @@ impl Master for HybridMaster<'_> {
     }
     fn criticals(&self) -> Arc<CriticalSpace> {
         self.criticals.clone()
-    }
-    fn timeout(&self) -> Duration {
-        self.proc.timeout()
     }
 }
 

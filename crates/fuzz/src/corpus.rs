@@ -153,7 +153,10 @@ pub fn persist_to_store(
         &key,
         &store_key_doc(sc),
         &[
-            (SPEC_FILE, spec_doc(sc, violations).render_pretty().as_bytes()),
+            (
+                SPEC_FILE,
+                spec_doc(sc, violations).render_pretty().as_bytes(),
+            ),
             (TRACE_FILE, &binfmt::encode(trace)),
         ],
     )
@@ -292,8 +295,7 @@ mod tests {
             detail: "unit".to_owned(),
         };
         let cache = Cache::open(dir, CacheMode::ReadWrite).unwrap();
-        let bytes =
-            persist_to_store(&cache, &sc, std::slice::from_ref(&v), &run.trace).unwrap();
+        let bytes = persist_to_store(&cache, &sc, std::slice::from_ref(&v), &run.trace).unwrap();
         assert!(bytes > 0, "first publication writes");
         assert_eq!(
             persist_to_store(&cache, &sc, std::slice::from_ref(&v), &run.trace).unwrap(),

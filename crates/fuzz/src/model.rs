@@ -8,7 +8,7 @@
 //! wait the analyzer should attribute to that phase, plus a tolerance
 //! band absorbing the places where the analyzer's attribution legitimately
 //! differs from the programmed wait (e.g. wrong-order waits partially
-//! classified as late-sender, contention order effects).
+//! classified as late-sender).
 
 use ats_core::Distr;
 use ats_harness::ParamValues;
@@ -26,9 +26,6 @@ pub struct Band {
 /// Tolerance band for `property` (catalog function name).
 pub fn band(name: &str) -> Band {
     match name {
-        // Contention serialization order depends on host scheduling of
-        // virtually-tied arrivals; aggregate wait is stable but not exact.
-        "omp_critical_contention" | "omp_lock_contention" => Band { lo: 0.05, hi: 20.0 },
         // The analyzer may split the programmed delay between the
         // wrong-order and plain late-sender classifications, or measure
         // the wait from the MPI_Wait entry rather than the post time.
@@ -124,9 +121,9 @@ pub fn nominal_wait(name: &str, v: &ParamValues, group: usize) -> Option<f64> {
                 * (v.seconds("masterwork") - v.seconds("otherwork")).max(0.0)
         }
         "omp_critical_contention" | "omp_lock_contention" => {
-            // With outsidework=0 round 1 costs b*t(t-1)/2 and each later
-            // round b*t(t-1); the generator pins outsidework to 0, the
-            // band absorbs scheduling-order variation.
+            // Contenders are granted in arrival order: with outsidework=0
+            // round 1 costs b*t(t-1)/2 and each later round b*t(t-1). The
+            // generator pins outsidework to 0.
             let t = v.count("nthreads") as f64;
             n * v.seconds("bodywork") * t * (t - 1.0) * (r() - 0.5)
         }
@@ -221,13 +218,6 @@ mod tests {
         let one = nominal_wait("imbalance_in_omp_pregion", &v, 1).unwrap();
         let four = nominal_wait("imbalance_in_omp_pregion", &v, 4).unwrap();
         assert!((four - 4.0 * one).abs() < 1e-12, "one team per rank");
-    }
-
-    #[test]
-    fn contention_band_is_wider_than_default() {
-        let c = band("omp_critical_contention");
-        let d = band("late_sender");
-        assert!(c.lo < d.lo && c.hi > d.hi);
     }
 
     #[test]

@@ -82,7 +82,9 @@ pub fn config_key(
     opts: &RunOpts,
     analyzer: &AnalyzerConfig,
 ) -> CacheKey {
-    CacheKey::of_value(&config_key_doc(property, params_cli, nprocs, opts, analyzer))
+    CacheKey::of_value(&config_key_doc(
+        property, params_cli, nprocs, opts, analyzer,
+    ))
 }
 
 fn work_mode_label(mode: WorkMode) -> &'static str {
@@ -185,9 +187,36 @@ mod tests {
         let analyzer = AnalyzerConfig::default();
         let base = base_key();
         let keys = [
-            ("property", config_key("late_receiver", "basework=0.01 extrawork=0.04 r=3", 8, &opts, &analyzer)),
-            ("params", config_key("late_sender", "basework=0.01 extrawork=0.08 r=3", 8, &opts, &analyzer)),
-            ("nprocs", config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 4, &opts, &analyzer)),
+            (
+                "property",
+                config_key(
+                    "late_receiver",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &opts,
+                    &analyzer,
+                ),
+            ),
+            (
+                "params",
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.08 r=3",
+                    8,
+                    &opts,
+                    &analyzer,
+                ),
+            ),
+            (
+                "nprocs",
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    4,
+                    &opts,
+                    &analyzer,
+                ),
+            ),
             (
                 "backend",
                 config_key(
@@ -200,35 +229,57 @@ mod tests {
             ),
             (
                 "model",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &{
-                    let mut o = RunOpts::default();
-                    o.model = MachineModel::default();
-                    o
-                }, &analyzer),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &RunOpts {
+                        model: MachineModel::default(),
+                        ..RunOpts::default()
+                    },
+                    &analyzer,
+                ),
             ),
             (
                 "seed",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &{
-                    let mut o = RunOpts::default();
-                    o.seed ^= 1;
-                    o
-                }, &analyzer),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &{
+                        let mut o = RunOpts::default();
+                        o.seed ^= 1;
+                        o
+                    },
+                    &analyzer,
+                ),
             ),
             (
                 "work_mode",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &{
-                    let mut o = RunOpts::default();
-                    o.work_mode = WorkMode::Real;
-                    o
-                }, &analyzer),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &RunOpts {
+                        work_mode: WorkMode::Real,
+                        ..RunOpts::default()
+                    },
+                    &analyzer,
+                ),
             ),
             (
                 "base_comm",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &{
-                    let mut o = RunOpts::default();
-                    o.base.count *= 2;
-                    o
-                }, &analyzer),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &{
+                        let mut o = RunOpts::default();
+                        o.base.count *= 2;
+                        o
+                    },
+                    &analyzer,
+                ),
             ),
             (
                 "init_time",
@@ -242,19 +293,30 @@ mod tests {
             ),
             (
                 "threshold",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &opts, &{
-                    let mut a = AnalyzerConfig::default();
-                    a.threshold *= 2.0;
-                    a
-                }),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &opts,
+                    &{
+                        let mut a = AnalyzerConfig::default();
+                        a.threshold *= 2.0;
+                        a
+                    },
+                ),
             ),
             (
                 "report_setup_overhead",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &opts, &{
-                    let mut a = AnalyzerConfig::default();
-                    a.report_setup_overhead = true;
-                    a
-                }),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &opts,
+                    &AnalyzerConfig {
+                        report_setup_overhead: true,
+                        ..AnalyzerConfig::default()
+                    },
+                ),
             ),
         ];
         for (what, key) in &keys {

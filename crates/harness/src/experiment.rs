@@ -273,10 +273,7 @@ impl Experiment {
             },
             config_wall_secs,
             trace_pool: trace_pool.stats(),
-            cache_mode: self
-                .cache
-                .as_ref()
-                .map_or("off", |c| c.mode.label()),
+            cache_mode: self.cache.as_ref().map_or("off", |c| c.mode.label()),
             cache_hits,
             cache_misses: rows.len() - cache_hits,
             cache_bytes_read,
@@ -301,10 +298,15 @@ impl Experiment {
         let params_cli = params.to_cli();
         // The key is computed *before* simulating: a hit replays the
         // stored row without paying for the run at all.
-        let key = self
-            .cache
-            .as_ref()
-            .map(|_| cache::config_key(&self.property, &params_cli, nprocs, &self.opts, &self.analyzer));
+        let key = self.cache.as_ref().map(|_| {
+            cache::config_key(
+                &self.property,
+                &params_cli,
+                nprocs,
+                &self.opts,
+                &self.analyzer,
+            )
+        });
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
             if let Some(entry) = cache
                 .lookup(key)
@@ -670,7 +672,7 @@ mod tests {
                 .sweep(Sweep::seconds("extrawork", [0.005, 0.01]))
                 .procs_grid([2, 4])
                 .opts(RunOpts::default().jobs(1))
-                .cache(Cache::open(&dir, mode).unwrap())
+                .cache(Cache::open(dir, mode).unwrap())
         };
         let (cold_rows, cold) = exp(CacheMode::ReadWrite).run_with_stats().unwrap();
         assert_eq!(cold.cache_mode, "rw");
@@ -680,7 +682,11 @@ mod tests {
         assert_eq!((warm.cache_hits, warm.cache_misses), (4, 0));
         assert!(warm.cache_bytes_read > 0);
         assert_eq!(warm.cache_bytes_written, 0, "hits are never re-published");
-        assert_eq!(rendered(&cold_rows), rendered(&warm_rows), "replay is byte-identical");
+        assert_eq!(
+            rendered(&cold_rows),
+            rendered(&warm_rows),
+            "replay is byte-identical"
+        );
         // `ro` replays what `rw` left behind; `off` ignores the store.
         let (_, ro) = exp(CacheMode::Read).run_with_stats().unwrap();
         assert_eq!((ro.cache_mode, ro.cache_hits), ("ro", 4));
@@ -699,7 +705,7 @@ mod tests {
             Experiment::new("late_sender")
                 .sweep(Sweep::seconds("extrawork", extras))
                 .opts(RunOpts::default().procs(2).jobs(1))
-                .cache(Cache::open(&dir, CacheMode::ReadWrite).unwrap())
+                .cache(Cache::open(dir, CacheMode::ReadWrite).unwrap())
         };
         let (_, cold) = exp([0.005, 0.01]).run_with_stats().unwrap();
         assert_eq!((cold.cache_hits, cold.cache_misses), (0, 2));
@@ -722,7 +728,7 @@ mod tests {
             Experiment::new("late_sender")
                 .sweep(Sweep::seconds("extrawork", [0.005, 0.01, 0.02]))
                 .opts(RunOpts::default().procs(2).jobs(jobs))
-                .cache(Cache::open(&dir, CacheMode::ReadWrite).unwrap())
+                .cache(Cache::open(dir, CacheMode::ReadWrite).unwrap())
         };
         let (cold_rows, _) = exp(1).run_with_stats().unwrap();
         let (warm_rows, warm) = exp(4).run_with_stats().unwrap();

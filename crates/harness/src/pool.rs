@@ -1,9 +1,10 @@
 //! A bounded worker pool for independent, index-addressed tasks.
 //!
-//! The experiment engine runs sweep configurations concurrently, but every
-//! configuration itself spawns `nprocs` virtual-rank threads inside
-//! [`ats_mpi::run`]. Naively multiplying the two axes oversubscribes the
-//! host, so the pool couples a work-stealing index queue (scoped threads
+//! The experiment engine runs sweep configurations concurrently, but on the
+//! thread carrier every configuration itself parks one OS thread per task
+//! inside [`ats_mpi::run`] — each rank and each OpenMP team member it forks.
+//! Naively multiplying the two axes oversubscribes the host, so the pool
+//! couples a work-stealing index queue (scoped threads
 //! and an atomic cursor) with an explicit *thread budget*:
 //! `jobs × threads_per_task ≤ budget`. Results come back in submission
 //! (index) order regardless of completion order, which is what makes
@@ -23,20 +24,21 @@ pub fn auto_jobs() -> usize {
 
 /// Default thread budget for the oversubscription guard.
 ///
-/// Rank threads spend most of their life blocked on virtual-time
-/// synchronization (condvars in the mailboxes), so the budget is a
-/// multiple of the hardware parallelism rather than equal to it; the
-/// floor keeps small hosts able to run at least one wide configuration
-/// next to a few narrow ones.
+/// A thread-carrier configuration runs one of its threads at a time while
+/// the rest wait for the scheduler's baton, so the budget is a multiple of
+/// the hardware parallelism rather than equal to it; the floor keeps small
+/// hosts able to run at least one wide configuration next to a few narrow
+/// ones.
 pub fn default_thread_budget() -> usize {
     (auto_jobs() * 8).max(32)
 }
 
 /// OS threads one configuration occupies under `backend`.
 ///
-/// The thread backend parks one OS thread per simulated rank, so a wide
-/// configuration eats `nprocs` budget slots. The discrete-event backend
-/// multiplexes every rank coroutine onto the worker's own thread, so an
+/// The thread carrier parks one OS thread per task, so a wide
+/// configuration eats `nprocs` budget slots, plus OpenMP team members
+/// that are not counted: the team size is up to the program. The event
+/// carrier multiplexes every task onto the worker's own thread, so an
 /// event-scheduled world counts as **one** slot no matter how many ranks
 /// it simulates — which is what lets a sweep run 10k-rank configurations
 /// at full `jobs` width.

@@ -149,12 +149,10 @@ impl SessionBuilder {
             let root = self
                 .cache_dir
                 .unwrap_or_else(|| PathBuf::from(ats_store::DEFAULT_DIR));
-            Store::open(&root)
-                .ok()
-                .map(|store| Cache {
-                    store: store.with_obs(handle.clone()),
-                    mode: self.cache_mode,
-                })
+            Store::open(&root).ok().map(|store| Cache {
+                store: store.with_obs(handle.clone()),
+                mode: self.cache_mode,
+            })
         };
         Session {
             opts,
@@ -259,7 +257,10 @@ impl Session {
             .with("backend", self.opts.backend.effective().label())
             .with("seed", self.opts.seed)
             .with("work_mode", format!("{:?}", self.opts.work_mode))
-            .with("zero_model", self.opts.model == ats_runtime::MachineModel::zero())
+            .with(
+                "zero_model",
+                self.opts.model == ats_runtime::MachineModel::zero(),
+            )
             .with("threshold", self.analyzer.threshold)
             .with("report_setup_overhead", self.analyzer.report_setup_overhead)
     }
@@ -358,17 +359,14 @@ mod tests {
             Session::builder()
                 .procs(2)
                 .cache(mode)
-                .cache_dir(&dir)
+                .cache_dir(dir)
                 .build()
         };
         let off = Session::builder().procs(2).build();
         assert!(off.result_cache().is_none(), "caching defaults to off");
         let cold = session(CacheMode::ReadWrite);
         assert_eq!(cold.result_cache().unwrap().mode, CacheMode::ReadWrite);
-        let (_, stats) = cold
-            .experiment("late_sender")
-            .run_with_stats()
-            .unwrap();
+        let (_, stats) = cold.experiment("late_sender").run_with_stats().unwrap();
         assert_eq!((stats.cache_mode, stats.cache_misses), ("rw", 1));
         let (_, warm) = session(CacheMode::Read)
             .experiment("late_sender")

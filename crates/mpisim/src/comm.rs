@@ -1,19 +1,19 @@
-//! Communicators and the collective rendezvous slot.
+//! Communicators and their collective rendezvous.
 //!
 //! A [`Comm`] is a per-process handle onto shared communicator state: the
-//! member list (global ranks in communicator-rank order) and a [`CollSlot`]
-//! through which members exchange their collective contributions. `split`
+//! member list (global ranks in communicator-rank order) and the
+//! rendezvous slot through which members exchange their collective
+//! contributions. `split`
 //! and `dup` (implemented in [`crate::proc::Proc`]) derive new communicators
 //! group-collectively, exactly like `MPI_Comm_split`/`MPI_Comm_dup` — the
 //! mechanism behind the paper's Figure 3.4 experiment where the lower and
 //! upper halves of `MPI_COMM_WORLD` run different property functions in
 //! parallel.
 
-use ats_runtime::sched::WaitSet;
+use ats_runtime::exchange::ExchangeSlot;
 use ats_runtime::unpoison;
 use ats_runtime::VTime;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 
 /// One member's contribution to a collective operation.
 #[derive(Debug, Clone, Default)]
@@ -27,160 +27,25 @@ pub struct Contrib {
     pub counts: Option<Vec<usize>>,
 }
 
+/// A single-entry memo keyed by collective round: a result that is a pure
+/// function of the round's contributions is computed by the first member
+/// through and shared by the rest.
 #[derive(Debug)]
-struct SlotState {
-    filling: bool,
-    arrived: usize,
-    departed: usize,
-    contribs: Vec<Option<Contrib>>,
-    /// Built once by the last arriver of a round and shared by every
-    /// member — O(P) per collective instead of the O(P²) of per-member
-    /// cloning, which is what makes 8k-rank collectives feasible.
-    published: Option<Arc<Vec<Contrib>>>,
-    seq: u64,
-}
+pub struct RoundMemo<T>(Mutex<Option<(u64, Arc<T>)>>);
 
-/// The rendezvous through which all members of a communicator exchange
-/// collective contributions. One logical collective = one `exchange` call
-/// per member; the slot hands every member a shared view of the full
-/// contribution vector and a per-communicator sequence number identifying
-/// the operation instance.
-#[derive(Debug)]
-pub struct CollSlot {
-    state: Mutex<SlotState>,
-    ws: WaitSet,
-    /// Single-entry memo of the exit-time vector for the most recent
-    /// collective round (keyed by `seq`): the LogGP stage walk runs once
-    /// per collective, not once per member.
-    exits: Mutex<Option<(u64, Arc<Vec<VTime>>)>>,
-    /// Same idea for the reduction result: combining P contributions is
-    /// O(P), so recomputing it per member made reduce/allreduce O(P²) per
-    /// round.
-    combined: Mutex<Option<(u64, Arc<Vec<u8>>)>>,
-}
-
-impl CollSlot {
-    fn new(size: usize) -> Self {
-        CollSlot {
-            state: Mutex::new(SlotState {
-                filling: true,
-                arrived: 0,
-                departed: 0,
-                contribs: vec![None; size],
-                published: None,
-                seq: 0,
-            }),
-            ws: WaitSet::new(),
-            exits: Mutex::new(None),
-            combined: Mutex::new(None),
-        }
-    }
-
-    /// Deposit `contrib` as member `me` of `size` and return the sequence
-    /// number of this collective plus a shared view of everyone's
-    /// contributions. `now` is the member's virtual clock on entry.
-    ///
-    /// # Panics
-    /// Panics if not all members arrive within `timeout` (collective
-    /// deadlock / mismatched membership), or if `me` deposits twice in one
-    /// round (program error).
-    pub fn exchange(
-        &self,
-        me: usize,
-        size: usize,
-        contrib: Contrib,
-        now: VTime,
-        timeout: Duration,
-    ) -> (u64, Arc<Vec<Contrib>>) {
-        let deadline = Instant::now() + timeout;
-        let mut st = unpoison(self.state.lock());
-        // Wait out the drain phase of a previous collective.
-        while !st.filling {
-            st = self.wait_or_deadlock(st, deadline, now, size);
-        }
-        assert!(
-            st.contribs[me].is_none(),
-            "member {me} entered the same collective twice"
-        );
-        st.contribs[me] = Some(contrib);
-        st.arrived += 1;
-        if st.arrived == size {
-            st.filling = false;
-            let all: Vec<Contrib> = st
-                .contribs
-                .iter_mut()
-                .map(|c| c.take().expect("all members deposited"))
-                .collect();
-            st.published = Some(Arc::new(all));
-            self.ws.notify_all(now);
-        } else {
-            while st.filling {
-                st = self.wait_or_deadlock(st, deadline, now, size);
-            }
-        }
-        let seq = st.seq;
-        let all = st.published.clone().expect("published by the last arriver");
-        st.departed += 1;
-        if st.departed == size {
-            st.arrived = 0;
-            st.departed = 0;
-            st.published = None;
-            st.seq += 1;
-            st.filling = true;
-            self.ws.notify_all(now);
-        }
-        (seq, all)
-    }
-
-    /// Exit-time vector for collective round `seq`, computing it at most
-    /// once per round: the first member through runs `compute`, the rest
-    /// reuse the memoised result. `compute` must be a pure function of the
-    /// round's contributions (it is: the LogGP stage walk).
-    pub fn cached_exits(&self, seq: u64, compute: impl FnOnce() -> Vec<VTime>) -> Arc<Vec<VTime>> {
-        let mut cache = unpoison(self.exits.lock());
+impl<T> RoundMemo<T> {
+    /// The value for round `seq`, running `compute` only for the round's
+    /// first request.
+    pub fn get(&self, seq: u64, compute: impl FnOnce() -> T) -> Arc<T> {
+        let mut cache = unpoison(self.0.lock());
         match &*cache {
-            Some((s, exits)) if *s == seq => exits.clone(),
+            Some((s, value)) if *s == seq => value.clone(),
             _ => {
-                let exits = Arc::new(compute());
-                *cache = Some((seq, exits.clone()));
-                exits
+                let value = Arc::new(compute());
+                *cache = Some((seq, value.clone()));
+                value
             }
         }
-    }
-
-    /// Combined reduction payload for collective round `seq`, computed at
-    /// most once per round (every member passes the same `op`/`dtype` by
-    /// MPI contract, so the result is a pure function of the round).
-    pub fn cached_combined(&self, seq: u64, compute: impl FnOnce() -> Vec<u8>) -> Arc<Vec<u8>> {
-        let mut cache = unpoison(self.combined.lock());
-        match &*cache {
-            Some((s, bytes)) if *s == seq => bytes.clone(),
-            _ => {
-                let bytes = Arc::new(compute());
-                *cache = Some((seq, bytes.clone()));
-                bytes
-            }
-        }
-    }
-
-    fn wait_or_deadlock<'m>(
-        &'m self,
-        st: MutexGuard<'m, SlotState>,
-        deadline: Instant,
-        now: VTime,
-        size: usize,
-    ) -> MutexGuard<'m, SlotState> {
-        let (st, timed_out) = self
-            .ws
-            .wait(&self.state, st, deadline, now, "MPI collective");
-        if timed_out {
-            panic!(
-                "collective rendezvous stalled: {}/{} members arrived before timeout \
-                 (mismatched collective call or deadlock in the simulated program?)",
-                st.arrived, size
-            );
-        }
-        st
     }
 }
 
@@ -191,18 +56,27 @@ pub struct CommShared {
     pub id: u32,
     /// Global ranks of the members, indexed by communicator-local rank.
     pub members: Vec<usize>,
-    /// Collective rendezvous.
-    pub slot: CollSlot,
+    /// Collective rendezvous: one `exchange` per member per collective
+    /// hands every member the contributions and the round's sequence
+    /// number.
+    pub slot: ExchangeSlot<Contrib>,
+    /// Exit-time vector per round: the LogGP stage walk runs once per
+    /// collective, not once per member.
+    pub exits: RoundMemo<Vec<VTime>>,
+    /// Reduction result per round: combining P contributions is O(P), so
+    /// recomputing it per member made reduce/allreduce O(P²) per round.
+    pub combined: RoundMemo<Vec<u8>>,
 }
 
 impl CommShared {
     /// Create shared state for a communicator over `members`.
     pub fn new(id: u32, members: Vec<usize>) -> Arc<Self> {
-        let n = members.len();
         Arc::new(CommShared {
             id,
+            slot: ExchangeSlot::new(members.len()),
             members,
-            slot: CollSlot::new(n),
+            exits: RoundMemo(Mutex::new(None)),
+            combined: RoundMemo(Mutex::new(None)),
         })
     }
 }
@@ -249,83 +123,77 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-
-    const T: Duration = Duration::from_secs(5);
+    use ats_testutil::{panics_alike_on_both_carriers, run_as_tasks, CARRIERS};
 
     #[test]
     fn exchange_distributes_all_contributions() {
-        let slot = Arc::new(CollSlot::new(4));
-        let mut handles = Vec::new();
-        for me in 0..4 {
-            let slot = slot.clone();
-            handles.push(thread::spawn(move || {
+        for backend in CARRIERS {
+            let comm = CommShared::new(0, vec![0, 1, 2, 3]);
+            let results = run_as_tasks(backend, 4, |me| {
+                let entry = VTime(me as u64 * 10);
                 let c = Contrib {
-                    entry: VTime(me as u64 * 10),
+                    entry,
                     data: vec![me as u8],
                     counts: None,
                 };
-                slot.exchange(me, 4, c, VTime::ZERO, T)
-            }));
-        }
-        for h in handles {
-            let (seq, all) = h.join().unwrap();
-            assert_eq!(seq, 0);
-            assert_eq!(all.len(), 4);
-            for (i, c) in all.iter().enumerate() {
-                assert_eq!(c.data, vec![i as u8]);
-                assert_eq!(c.entry, VTime(i as u64 * 10));
+                comm.slot.exchange(me, c, entry, "MPI collective")
+            });
+            assert_eq!(results.len(), 4);
+            for (seq, all) in results {
+                assert_eq!(seq, 0);
+                assert_eq!(all.len(), 4);
+                for (i, c) in all.iter().enumerate() {
+                    assert_eq!(c.data, vec![i as u8]);
+                    assert_eq!(c.entry, VTime(i as u64 * 10));
+                }
             }
         }
     }
 
     #[test]
     fn sequence_numbers_advance_per_round() {
-        let slot = Arc::new(CollSlot::new(2));
-        let mut handles = Vec::new();
-        for me in 0..2 {
-            let slot = slot.clone();
-            handles.push(thread::spawn(move || {
-                let mut seqs = Vec::new();
-                for _ in 0..5 {
-                    let (seq, _) = slot.exchange(me, 2, Contrib::default(), VTime::ZERO, T);
-                    seqs.push(seq);
-                }
-                seqs
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), vec![0, 1, 2, 3, 4]);
+        for backend in CARRIERS {
+            let comm = CommShared::new(0, vec![0, 1]);
+            let results = run_as_tasks(backend, 2, |me| {
+                (0..5)
+                    .map(|_| {
+                        let round = comm
+                            .slot
+                            .exchange(me, Contrib::default(), VTime::ZERO, "test");
+                        round.0
+                    })
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(results, vec![vec![0, 1, 2, 3, 4]; 2]);
         }
     }
 
     #[test]
-    #[should_panic(expected = "collective rendezvous stalled")]
+    #[should_panic(expected = "deadlock in the simulated program?): task 0 in MPI collective")]
     fn lone_member_times_out() {
-        let slot = CollSlot::new(2);
-        slot.exchange(
-            0,
-            2,
-            Contrib::default(),
-            VTime::ZERO,
-            Duration::from_millis(50),
-        );
+        // A member whose peers never arrive is reported at once, with its
+        // blocked site.
+        panics_alike_on_both_carriers(|| {
+            let comm = CommShared::new(0, vec![0, 1]);
+            comm.slot
+                .exchange(0, Contrib::default(), VTime::ZERO, "MPI collective");
+        });
     }
 
     #[test]
     fn cached_exits_computes_once_per_round() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let slot = CollSlot::new(2);
+        let comm = CommShared::new(0, vec![0, 1]);
         let computed = AtomicUsize::new(0);
         let compute = || {
             computed.fetch_add(1, Ordering::Relaxed);
             vec![VTime(1), VTime(2)]
         };
-        let a = slot.cached_exits(0, compute);
-        let b = slot.cached_exits(0, || unreachable!("memoised"));
+        let a = comm.exits.get(0, compute);
+        let b = comm.exits.get(0, || unreachable!("memoised"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(computed.load(Ordering::Relaxed), 1);
-        let c = slot.cached_exits(1, || vec![VTime(9), VTime(9)]);
+        let c = comm.exits.get(1, || vec![VTime(9), VTime(9)]);
         assert_eq!(*c, vec![VTime(9), VTime(9)]);
     }
 

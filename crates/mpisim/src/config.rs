@@ -1,8 +1,8 @@
 //! Simulation run configuration.
 
+use ats_runtime::sched::DEFAULT_STACK_BYTES;
 use ats_runtime::{MachineModel, SimBackend, VDur, WorkMode};
 use ats_trace::TracePool;
-use std::time::Duration;
 
 /// Configuration of one simulated MPI run.
 #[derive(Debug, Clone)]
@@ -24,10 +24,6 @@ pub struct SimConfig {
     pub finalize_time: VDur,
     /// Whether the run records a trace (instrumented) or not.
     pub instrumented: bool,
-    /// Wall-clock budget for any single blocking operation before the run
-    /// is declared deadlocked and aborted. A test *suite* must fail fast on
-    /// substrate bugs rather than hang CI.
-    pub progress_timeout: Duration,
     /// Calibrated busy-loop rate for real work mode (`None` = library
     /// default; see [`ats_runtime::work::DEFAULT_ITERS_PER_SEC`]).
     pub calibration: Option<f64>,
@@ -38,14 +34,13 @@ pub struct SimConfig {
     /// Observability registry the run records into (`None` = no
     /// recording). Like the pool, this never changes recorded traces.
     pub obs: Option<ats_obs::Handle>,
-    /// Execution backend: one coroutine per rank on a discrete-event
-    /// scheduler (default), or one OS thread per rank. Recorded traces are
-    /// byte-identical either way; the thread backend survives as a
-    /// differential-testing oracle.
+    /// The carrier of the run's scheduler tasks: one coroutine per task
+    /// (default), or one OS thread per task passing a baton. Recorded traces
+    /// are byte-identical either way.
     pub backend: SimBackend,
-    /// Stack size for each rank coroutine on the event backend (ignored by
-    /// the thread backend). Rank bodies are shallow — the default leaves
-    /// generous headroom — but deep user closures can raise it.
+    /// Stack size of every task — each rank and each OpenMP team member it
+    /// forks — on either carrier. Bodies are shallow, so the default leaves
+    /// generous headroom, but deep user closures can raise it.
     pub task_stack_bytes: usize,
 }
 
@@ -59,12 +54,11 @@ impl Default for SimConfig {
             init_time: VDur::from_millis(1),
             finalize_time: VDur::from_millis(1),
             instrumented: true,
-            progress_timeout: Duration::from_secs(30),
             calibration: None,
             trace_pool: None,
             obs: None,
             backend: SimBackend::default(),
-            task_stack_bytes: 512 * 1024,
+            task_stack_bytes: DEFAULT_STACK_BYTES,
         }
     }
 }
@@ -127,7 +121,7 @@ impl SimConfig {
         self
     }
 
-    /// Builder: set the per-rank coroutine stack size (event backend).
+    /// Builder: set the per-task stack size.
     pub fn task_stack_bytes(mut self, bytes: usize) -> Self {
         self.task_stack_bytes = bytes;
         self

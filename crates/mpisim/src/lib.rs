@@ -8,9 +8,10 @@
 //! built from scratch with the semantics that *define* the MPI performance
 //! properties:
 //!
-//! * N ranks = N coroutines on a discrete-event scheduler (default; 10k+
-//!   ranks in one process) or N OS threads — selectable via
-//!   [`SimBackend`] — each with a virtual clock ([`ats_runtime`]);
+//! * N ranks = N tasks of one virtual-time scheduler, carried as
+//!   coroutines (default; 10k+ ranks in one process) or as OS threads
+//!   passing a baton — selectable via [`SimBackend`] — each with a virtual
+//!   clock ([`ats_runtime`]);
 //! * blocking/nonblocking point-to-point with per-(communicator, source,
 //!   tag) matching, wildcards, non-overtaking order, and an eager /
 //!   rendezvous protocol switch (→ *Late Sender*, *Late Receiver*);

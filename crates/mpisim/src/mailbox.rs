@@ -4,18 +4,16 @@
 //! Every rank owns one [`Mailbox`]. A send (from any rank) pushes an
 //! [`Envelope`]; a receive scans the mailbox in arrival order for the first
 //! envelope matching `(communicator, source, tag)` — wildcards allowed —
-//! and blocks on a [`WaitSet`] until one appears: a coroutine re-enters the
-//! discrete-event queue on the event backend, an OS thread parks on a
-//! condvar on the thread backend. Because each sender pushes its envelopes
+//! and blocks on a [`WaitSet`] until one appears, re-entering the
+//! scheduler's virtual-time queue. Because each sender pushes its envelopes
 //! in program order, arrival-order scanning yields MPI's non-overtaking
 //! guarantee per (source, communicator, tag).
 
-use ats_runtime::sched::{self, WaitSet};
+use ats_runtime::sched::WaitSet;
 use ats_runtime::unpoison;
 use ats_runtime::VTime;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Rendezvous handshake cell: the receiver deposits its post time, waking
 /// the blocked (synchronous-mode) sender.
@@ -27,7 +25,7 @@ pub struct Handshake {
 
 impl Handshake {
     /// Receiver side: publish the receive post time. The blocked sender
-    /// resumes no earlier than `recv_post` on the event backend.
+    /// resumes no earlier than `recv_post`.
     pub fn complete(&self, recv_post: VTime) {
         *unpoison(self.slot.lock()) = Some(recv_post);
         self.ws.notify_all(recv_post);
@@ -35,24 +33,10 @@ impl Handshake {
 
     /// Sender side: block until the receiver posts, returning its post time.
     /// `now` is the sender's virtual clock at the blocking point.
-    ///
-    /// # Panics
-    /// Panics after `timeout` of inactivity — the test-suite's deadlock
-    /// detector (thread backend; the event backend detects structurally).
-    pub fn await_receiver(&self, now: VTime, timeout: Duration) -> VTime {
+    pub fn await_receiver(&self, now: VTime) -> VTime {
         let mut slot = unpoison(self.slot.lock());
-        let deadline = Instant::now() + timeout;
         while slot.is_none() {
-            let (guard, timed_out) =
-                self.ws
-                    .wait(&self.slot, slot, deadline, now, "rendezvous send");
-            slot = guard;
-            if timed_out {
-                panic!(
-                    "rendezvous send blocked for {timeout:?}: matching receive never posted \
-                     (deadlock in the simulated program?)"
-                );
-            }
+            slot = self.ws.wait(&self.slot, slot, now, "rendezvous send");
         }
         slot.unwrap()
     }
@@ -154,12 +138,8 @@ impl Mailbox {
     /// Remove and return the first envelope matching `spec`, blocking until
     /// one arrives. `now` is the receiver's virtual clock at the blocking
     /// point.
-    ///
-    /// # Panics
-    /// Panics after `timeout` without a match (deadlock detection).
-    pub fn take_match(&self, spec: MatchSpec, now: VTime, timeout: Duration) -> Envelope {
-        self.take_match_any(std::slice::from_ref(&spec), now, timeout)
-            .1
+    pub fn take_match(&self, spec: MatchSpec, now: VTime) -> Envelope {
+        self.take_match_any(std::slice::from_ref(&spec), now).1
     }
 
     /// Remove and return the queued envelope with the earliest virtual send
@@ -167,30 +147,13 @@ impl Mailbox {
     /// Returns the index of the spec it satisfied alongside the envelope —
     /// the matcher behind `waitany` as well as single-spec receives.
     ///
-    /// # Panics
-    /// Panics after `timeout` without a match (deadlock detection).
-    pub fn take_match_any(
-        &self,
-        specs: &[MatchSpec],
-        now: VTime,
-        timeout: Duration,
-    ) -> (usize, Envelope) {
+    /// The scheduler resumes a blocked receiver no earlier than the waking
+    /// send's post time and pops tasks in virtual-time order, so every
+    /// envelope with an earlier virtual post is already queued when this
+    /// scans: wildcard matching follows virtual-time arrival order.
+    pub fn take_match_any(&self, specs: &[MatchSpec], now: VTime) -> (usize, Envelope) {
         assert!(!specs.is_empty(), "take_match_any needs at least one spec");
         let mut q = unpoison(self.queue.lock());
-        let deadline = Instant::now() + timeout;
-        // On the event backend the scheduler resumes a blocked receiver no
-        // earlier than the waking send's post time and pops tasks in
-        // virtual-time order, so every envelope with an earlier virtual
-        // post is already queued when we scan: no real-time grace needed.
-        // On the thread backend, when matching is ambiguous (wildcard
-        // source, or several specs), grant one short real-time grace round
-        // after the first candidate appears, so messages with *earlier
-        // virtual post times* that are still in flight (their sender
-        // threads not yet scheduled) can join the selection. This keeps
-        // ANY_SOURCE matching as close to virtual-time order as an online
-        // matcher can be.
-        let coop = sched::in_task();
-        let mut graced = coop || (specs.len() == 1 && specs[0].src.is_some());
         loop {
             // Among queued matches, prefer the earliest *virtual* send
             // (ties: lowest source, then arrival order, then spec order).
@@ -203,22 +166,9 @@ impl Mailbox {
                 .min_by_key(|(i, si, e)| (e.send_post, e.src, *i, *si))
                 .map(|(i, si, _)| (i, si));
             if let Some((pos, si)) = best {
-                if !graced {
-                    graced = true;
-                    q = self.ws.wait_for_os(q, Duration::from_micros(500));
-                    continue;
-                }
                 return (si, q.remove(pos).expect("position came from iteration"));
             }
-            let (guard, timed_out) = self.ws.wait(&self.queue, q, deadline, now, "MPI receive");
-            q = guard;
-            if timed_out {
-                panic!(
-                    "receive matching {specs:?} blocked for {timeout:?} with {} queued \
-                     non-matching messages (deadlock in the simulated program?)",
-                    q.len()
-                );
-            }
+            q = self.ws.wait(&self.queue, q, now, "MPI receive");
         }
     }
 
@@ -237,6 +187,8 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ats_runtime::sched;
+    use ats_testutil::{panics_alike_on_both_carriers, run_as_tasks, CARRIERS};
 
     fn env(comm: u32, src: u32, tag: i32) -> Envelope {
         Envelope {
@@ -249,8 +201,6 @@ mod tests {
         }
     }
 
-    const T: Duration = Duration::from_secs(2);
-
     #[test]
     fn exact_match_fifo_per_source() {
         let mb = Mailbox::new();
@@ -261,7 +211,7 @@ mod tests {
             src: Some(1),
             tag: Some(5),
         };
-        let first = mb.take_match(spec, VTime::ZERO, T);
+        let first = mb.take_match(spec, VTime::ZERO);
         assert_eq!(first.send_post, VTime(1));
         assert_eq!(mb.len(), 1);
     }
@@ -278,7 +228,6 @@ mod tests {
                 tag: Some(9),
             },
             VTime::ZERO,
-            T,
         );
         assert_eq!(got.tag, 9);
         assert_eq!(mb.len(), 1, "the tag-5 message stays queued");
@@ -315,48 +264,36 @@ mod tests {
                 tag: None,
             },
             VTime::ZERO,
-            T,
         );
         assert_eq!((got.src, got.tag), (3, 42));
     }
 
     #[test]
     fn blocking_receive_wakes_on_push() {
-        // Re-expressed in virtual time (was: OS thread + sleep, racing the
-        // wall clock): the receiver blocks at t=0, the sender delivers at
-        // t=50ns, and the scheduler guarantees the wake-up ordering.
-        let mb = Mailbox::new();
-        let got = Mutex::new(None);
-        sched::run_tasks(
-            128 * 1024,
-            vec![
-                Box::new(|| {
-                    let e = mb.take_match(
-                        MatchSpec {
-                            comm: 0,
-                            src: Some(0),
-                            tag: Some(0),
-                        },
-                        VTime::ZERO,
-                        T,
-                    );
-                    *unpoison(got.lock()) = Some(e);
-                }),
-                Box::new(|| {
-                    sched::yield_at(VTime(50));
-                    mb.push(Envelope {
-                        comm: 0,
-                        src: 0,
-                        tag: 0,
-                        data: vec![9],
-                        send_post: VTime(50),
-                        handshake: None,
-                    });
-                }),
-            ],
-        );
-        let e = unpoison(got.into_inner()).expect("receive completed");
-        assert_eq!((e.src, e.send_post), (0, VTime(50)));
+        // The receiver blocks at t=0, the sender delivers at t=50ns, and
+        // the scheduler guarantees the wake-up ordering.
+        for backend in CARRIERS {
+            let mb = Mailbox::new();
+            let got = run_as_tasks(backend, 2, |i| {
+                let spec = MatchSpec {
+                    comm: 0,
+                    src: Some(0),
+                    tag: Some(0),
+                };
+                if i == 0 {
+                    let e = mb.take_match(spec, VTime::ZERO);
+                    return Some((e.src, e.send_post));
+                }
+                sched::yield_at(VTime(50));
+                mb.push(Envelope {
+                    data: vec![9],
+                    send_post: VTime(50),
+                    ..env(0, 0, 0)
+                });
+                None
+            });
+            assert_eq!(got[0], Some((0, VTime(50))));
+        }
     }
 
     #[test]
@@ -376,7 +313,7 @@ mod tests {
                 tag: None,
             },
         ];
-        let (idx, got) = mb.take_match_any(&specs, VTime::ZERO, T);
+        let (idx, got) = mb.take_match_any(&specs, VTime::ZERO);
         assert_eq!(
             (idx, got.src),
             (1, 1),
@@ -386,41 +323,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
+    #[should_panic(expected = "deadlock in the simulated program?): task 0 in MPI receive")]
     fn timeout_panics() {
-        let mb = Mailbox::new();
-        mb.take_match(
-            MatchSpec {
-                comm: 0,
-                src: Some(0),
-                tag: Some(0),
-            },
-            VTime::ZERO,
-            Duration::from_millis(50),
-        );
+        // A receive nobody sends to is reported at once, with its site.
+        panics_alike_on_both_carriers(|| {
+            Mailbox::new().take_match(
+                MatchSpec {
+                    comm: 0,
+                    src: Some(0),
+                    tag: Some(0),
+                },
+                VTime::ZERO,
+            );
+        });
     }
 
     #[test]
     fn handshake_passes_post_time() {
-        // Re-expressed in virtual time (was: OS thread + sleep).
-        let h = Handshake::default();
-        let seen = Mutex::new(None);
-        sched::run_tasks(
-            128 * 1024,
-            vec![
-                Box::new(|| *unpoison(seen.lock()) = Some(h.await_receiver(VTime::ZERO, T))),
-                Box::new(|| {
-                    sched::yield_at(VTime(123));
-                    h.complete(VTime(123));
-                }),
-            ],
-        );
-        assert_eq!(unpoison(seen.into_inner()), Some(VTime(123)));
+        for backend in CARRIERS {
+            let h = Handshake::default();
+            let seen = run_as_tasks(backend, 2, |i| {
+                if i == 0 {
+                    return Some(h.await_receiver(VTime::ZERO));
+                }
+                sched::yield_at(VTime(123));
+                h.complete(VTime(123));
+                None
+            });
+            assert_eq!(seen[0], Some(VTime(123)));
+        }
     }
 
     #[test]
-    #[should_panic(expected = "rendezvous")]
+    #[should_panic(expected = "deadlock in the simulated program?): task 0 in rendezvous send")]
     fn handshake_timeout_panics() {
-        Handshake::default().await_receiver(VTime::ZERO, Duration::from_millis(50));
+        // A synchronous send nobody receives is reported at once.
+        panics_alike_on_both_carriers(|| {
+            Handshake::default().await_receiver(VTime::ZERO);
+        });
     }
 }

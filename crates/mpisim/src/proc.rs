@@ -2,7 +2,7 @@
 //! operations, and communicator management.
 //!
 //! One [`Proc`] is handed to the user closure on each simulated rank's
-//! thread. Every MPI-like call (1) records an `Enter` event, (2) performs
+//! task. Every MPI-like call (1) records an `Enter` event, (2) performs
 //! the data movement through the shared-memory transport, (3) advances the
 //! rank's virtual clock according to the [`ats_runtime::MachineModel`], and
 //! (4) records the corresponding message/collective and `Exit` events.
@@ -17,7 +17,6 @@ use ats_runtime::{MachineModel, VDur, VTime, WorkEngine, WorkMode};
 use ats_trace::{CollOp, LocalTrace, LocationId, RegionId, RegionKind, TraceCollector};
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Handle to one simulated MPI process. See the module docs.
 pub struct Proc {
@@ -157,11 +156,6 @@ impl Proc {
         self.calibration
     }
 
-    /// The run's deadlock budget.
-    pub fn timeout(&self) -> Duration {
-        self.world.timeout
-    }
-
     /// Synchronization-context id allocator for OpenMP teams forked from
     /// this rank. Each rank owns the disjoint range `(rank+1)·2^20 ..`, so
     /// team ids are deterministic and never collide with MPI communicator
@@ -269,7 +263,7 @@ impl Proc {
         self.clock = match handshake {
             None => post + model.send_overhead,
             Some(h) => {
-                let recv_post = h.await_receiver(post, self.world.timeout);
+                let recv_post = h.await_receiver(post);
                 post.max(recv_post) + model.p2p_wire(data.len())
             }
         };
@@ -300,7 +294,7 @@ impl Proc {
         let env = self
             .world
             .mailbox(comm.global_rank(comm.rank()))
-            .take_match(spec, post, self.world.timeout);
+            .take_match(spec, post);
         let (data, status, completion) = self.complete_recv(post, env, comm);
         self.clock = completion;
         self.local.exit(self.clock, r);
@@ -416,7 +410,7 @@ impl Proc {
                 bytes,
                 handshake,
             } => {
-                let recv_post = handshake.await_receiver(at, self.world.timeout);
+                let recv_post = handshake.await_receiver(at);
                 let done = post.max(recv_post) + self.world.model.p2p_wire(bytes);
                 self.clock = at.max(done);
                 None
@@ -425,7 +419,7 @@ impl Proc {
                 let env = self
                     .world
                     .mailbox(comm.global_rank(comm.rank()))
-                    .take_match(spec, at, self.world.timeout);
+                    .take_match(spec, at);
                 let (data, status, completion) = self.complete_recv(post, env, &comm);
                 self.clock = at.max(completion);
                 Some((data, status))
@@ -476,10 +470,7 @@ impl Proc {
         }
         let specs: Vec<MatchSpec> = pending.iter().map(|&(_, s)| s).collect();
         let at = self.clock;
-        let (si, env) =
-            self.world
-                .mailbox(self.rank)
-                .take_match_any(&specs, at, self.world.timeout);
+        let (si, env) = self.world.mailbox(self.rank).take_match_any(&specs, at);
         let i = pending[si].0;
         let (post, comm) = match reqs[i].take() {
             ReqInner::Recv { post, comm, .. } => (post, comm),
@@ -508,7 +499,7 @@ impl Proc {
         // source because we re-deliver before anyone else can observe the
         // queue (we hold no other messages).
         let mb = self.world.mailbox(comm.global_rank(comm.rank()));
-        let env = mb.take_match(spec, post, self.world.timeout);
+        let env = mb.take_match(spec, post);
         let status = Status {
             source: env.src as usize,
             tag: env.tag,
@@ -550,14 +541,13 @@ impl Proc {
         let my_bytes = data.len() as u64;
         let (seq, all) = comm.shared.slot.exchange(
             comm.rank(),
-            comm.size(),
             Contrib {
                 entry,
                 data,
                 counts,
             },
             entry,
-            self.world.timeout,
+            "MPI collective",
         );
         if let Some(obs) = &self.world.obs {
             obs.mpi.collectives.inc();
@@ -566,8 +556,8 @@ impl Proc {
                 .add(self.world.model.tree_stages(comm.size()) as u64);
         }
         // One LogGP stage walk per collective, not per member: the exit
-        // vector is a pure function of the round, memoised on the slot.
-        let exits = comm.shared.slot.cached_exits(seq, || {
+        // vector is a pure function of the round, memoised on the communicator.
+        let exits = comm.shared.exits.get(seq, || {
             let entries: Vec<VTime> = all.iter().map(|c| c.entry).collect();
             let bytes = bytes_of(&all);
             collective::exits(op, &entries, root, &bytes, &self.world.model)
@@ -709,8 +699,8 @@ impl Proc {
         );
         (comm.rank() == root).then(|| {
             comm.shared
-                .slot
-                .cached_combined(seq, || combine_all(&all, op, dtype))
+                .combined
+                .get(seq, || combine_all(&all, op, dtype))
                 .to_vec()
         })
     }
@@ -734,8 +724,8 @@ impl Proc {
         );
         // O(P) per member: the first one through combines, the rest share.
         comm.shared
-            .slot
-            .cached_combined(seq, || combine_all(&all, op, dtype))
+            .combined
+            .get(seq, || combine_all(&all, op, dtype))
             .to_vec()
     }
 
@@ -823,8 +813,8 @@ impl Proc {
         );
         let combined = comm
             .shared
-            .slot
-            .cached_combined(seq, || combine_all(&all, op, dtype));
+            .combined
+            .get(seq, || combine_all(&all, op, dtype));
         let block = combined.len() / p;
         combined[comm.rank() * block..(comm.rank() + 1) * block].to_vec()
     }
@@ -873,17 +863,16 @@ impl Proc {
         payload.extend_from_slice(&key.to_le_bytes());
         let (seq, all) = comm.shared.slot.exchange(
             comm.rank(),
-            comm.size(),
             Contrib {
                 entry,
                 data: payload,
                 counts: None,
             },
             entry,
-            self.world.timeout,
+            "MPI_Comm_split",
         );
         // Split is synchronizing: price it like a barrier.
-        let exits = comm.shared.slot.cached_exits(seq, || {
+        let exits = comm.shared.exits.get(seq, || {
             let entries: Vec<VTime> = all.iter().map(|c| c.entry).collect();
             collective::exits(
                 CollOp::Barrier,
@@ -952,14 +941,13 @@ impl Proc {
         let comm = self.comm_world();
         let (_, all) = comm.shared.slot.exchange(
             comm.rank(),
-            comm.size(),
             Contrib {
                 entry,
                 data: Vec::new(),
                 counts: None,
             },
             entry,
-            self.world.timeout,
+            "MPI_Finalize",
         );
         let latest = all.iter().map(|c| c.entry).max().unwrap_or(entry);
         self.clock = latest + cost;

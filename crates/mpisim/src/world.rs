@@ -1,17 +1,16 @@
-//! The run entry points: execute the user program once per simulated rank —
-//! as coroutines on the discrete-event scheduler (default) or as one OS
-//! thread per rank — and collect the merged trace.
+//! The run entry points: execute the user program once per simulated rank,
+//! each rank a task of one scheduler run on the configured carrier, and
+//! collect the merged trace.
 
 use crate::comm::CommShared;
 use crate::config::SimConfig;
 use crate::mailbox::Mailbox;
 use crate::proc::Proc;
-use ats_runtime::{sched, unpoison, MachineModel, SimBackend, WorkEngine};
+use ats_runtime::{sched, unpoison, MachineModel, WorkEngine};
 use ats_trace::{Trace, TraceCollector};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Shared world state: the transport and the communicator broker.
 pub(crate) struct WorldShared {
@@ -21,7 +20,6 @@ pub(crate) struct WorldShared {
     /// the first member to ask creates the shared state, the rest reuse it.
     broker: Mutex<HashMap<(u32, u64, i64), Arc<CommShared>>>,
     pub(crate) model: MachineModel,
-    pub(crate) timeout: Duration,
     pub(crate) obs: Option<ats_obs::Handle>,
     collector: TraceCollector,
 }
@@ -58,15 +56,14 @@ impl WorldShared {
 
 /// Run `f` on `config.nprocs` simulated ranks and return the merged trace.
 ///
-/// The closure is executed once per rank — on a coroutine of the
-/// discrete-event scheduler or on its own OS thread, per
-/// `config.backend` — receiving that rank's [`Proc`] handle, exactly like
-/// an SPMD `main` between `MPI_Init` and `MPI_Finalize`. Recorded traces
-/// are byte-identical across backends.
+/// The closure is executed once per rank — as a scheduler task on
+/// `config.backend`'s carrier — receiving that rank's [`Proc`] handle,
+/// exactly like an SPMD `main` between `MPI_Init` and `MPI_Finalize`.
+/// Recorded traces are byte-identical across carriers.
 ///
 /// # Panics
-/// Propagates panics from ranks (including the substrate's deadlock
-/// detectors).
+/// Propagates the first panic of a rank or of an OpenMP team member it
+/// forked, or the scheduler's deadlock report.
 pub fn run<F>(config: SimConfig, f: F) -> Trace
 where
     F: Fn(&mut Proc) + Sync,
@@ -138,25 +135,44 @@ where
         next_comm_id: Arc::new(AtomicU32::new(1)),
         broker: Mutex::new(HashMap::new()),
         model: config.model.clone(),
-        timeout: config.progress_timeout,
         obs: config.obs.clone(),
         collector: collector.clone(),
     });
     collector.register_comm(0, (0..config.nprocs as u32).collect());
     let world_comm = CommShared::new(0, (0..config.nprocs).collect());
 
-    let results: Vec<R> = match config.backend.effective() {
-        SimBackend::Thread => run_threads(&config, &collector, &world, &world_comm, &f),
-        SimBackend::Event => run_event(&config, &collector, &world, &world_comm, &f),
-    };
+    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..config.nprocs).map(|_| None).collect());
+    let tasks: Vec<sched::TaskFn> = (0..config.nprocs)
+        .map(|rank| {
+            let collector = collector.clone();
+            let world = world.clone();
+            let world_comm = world_comm.clone();
+            let (config, results, f) = (&config, &results, &f);
+            Box::new(move || {
+                let result = run_rank(rank, config, collector, world, world_comm, f);
+                unpoison(results.lock())[rank] = Some(result);
+            }) as sched::TaskFn
+        })
+        .collect();
+    let stats = sched::run_tasks(config.backend.effective(), config.task_stack_bytes, tasks);
+    if let Some(obs) = &config.obs {
+        obs.mpi.sched_events.add(stats.events);
+        obs.mpi
+            .sched_ready_depth_max
+            .set_max(stats.max_ready as u64);
+    }
     // The world holds a collector handle (for communicator registration);
     // release it before finalizing the trace.
     drop(world);
+    let results = unpoison(results.into_inner())
+        .into_iter()
+        .map(|r| r.expect("every rank task completed"))
+        .collect();
     (collector.finish(), results)
 }
 
 /// One rank's whole life: engine setup, `MPI_Init`, user body,
-/// `MPI_Finalize`, trace submission. Identical on both backends.
+/// `MPI_Finalize`, trace submission.
 fn run_rank<R, F>(
     rank: usize,
     config: &SimConfig,
@@ -194,80 +210,11 @@ where
     result
 }
 
-/// The legacy backend: one OS thread per rank, kept for one release as a
-/// differential-testing oracle against the event scheduler.
-fn run_threads<R, F>(
-    config: &SimConfig,
-    collector: &TraceCollector,
-    world: &Arc<WorldShared>,
-    world_comm: &Arc<CommShared>,
-    f: &F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut Proc) -> R + Sync,
-{
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..config.nprocs)
-            .map(|rank| {
-                let collector = collector.clone();
-                let world = world.clone();
-                let world_comm = world_comm.clone();
-                s.spawn(move || run_rank(rank, config, collector, world, world_comm, f))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread panicked"))
-            .collect()
-    })
-}
-
-/// The discrete-event backend: every rank is a coroutine on one scheduler
-/// thread, a blocked receive or collective is a re-entry into the
-/// virtual-clock ready queue, and rank counts scale to 10k+ per process.
-fn run_event<R, F>(
-    config: &SimConfig,
-    collector: &TraceCollector,
-    world: &Arc<WorldShared>,
-    world_comm: &Arc<CommShared>,
-    f: &F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut Proc) -> R + Sync,
-{
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..config.nprocs).map(|_| None).collect());
-    let tasks: Vec<Box<dyn FnOnce() + '_>> = (0..config.nprocs)
-        .map(|rank| {
-            let collector = collector.clone();
-            let world = world.clone();
-            let world_comm = world_comm.clone();
-            let results = &results;
-            Box::new(move || {
-                let result = run_rank(rank, config, collector, world, world_comm, f);
-                unpoison(results.lock())[rank] = Some(result);
-            }) as Box<dyn FnOnce() + '_>
-        })
-        .collect();
-    let stats = sched::run_tasks(config.task_stack_bytes, tasks);
-    if let Some(obs) = &config.obs {
-        obs.mpi.sched_events.add(stats.events);
-        obs.mpi
-            .sched_ready_depth_max
-            .set_max(stats.max_ready as u64);
-    }
-    unpoison(results.into_inner())
-        .into_iter()
-        .map(|r| r.expect("every rank task completed"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datatype::{bytes_to_i32s, i32s_to_bytes, Datatype, ReduceOp};
-    use ats_runtime::{VDur, VTime};
+    use ats_runtime::{SimBackend, VDur, VTime};
     use ats_trace::check_wellformed;
 
     fn cfg(n: usize) -> SimConfig {
@@ -782,9 +729,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn rank_panic_propagates() {
-        // Event backend: the scheduler cancels the surviving ranks
-        // structurally (no timeout needed) and re-raises the original
-        // panic payload.
+        // The scheduler cancels the surviving ranks structurally and
+        // re-raises the original panic payload.
         run(cfg(2), |p| {
             if p.rank() == 1 {
                 panic!("boom");
@@ -793,13 +739,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank thread panicked")]
+    #[should_panic(expected = "boom")]
     fn rank_panic_propagates_thread_backend() {
-        // Short progress timeout: the surviving rank blocks in finalize
-        // once its peer dies, and must abort quickly rather than hang.
-        let mut config = cfg(2).backend(SimBackend::Thread);
-        config.progress_timeout = Duration::from_millis(100);
-        run(config, |p| {
+        // Same on the thread carrier: the surviving rank, blocked in
+        // finalize, is unwound and the rank's own payload surfaces.
+        run(cfg(2).backend(SimBackend::Thread), |p| {
             if p.rank() == 1 {
                 panic!("boom");
             }

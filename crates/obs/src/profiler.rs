@@ -51,7 +51,7 @@ pub(crate) fn on_span_enter() {
         return;
     }
     let n = ENTRIES.fetch_add(1, Ordering::Relaxed);
-    if n % every as u64 == 0 {
+    if n.is_multiple_of(every as u64) {
         let path = crate::span::current_path().join("/");
         *unpoison(SAMPLES.lock()).entry(path).or_insert(0) += 1;
     }

@@ -12,12 +12,19 @@
 //! implements OpenMP's execution model directly, on the same virtual-time
 //! discipline as the MPI substrate:
 //!
-//! * [`parallel`] forks real OS threads at `clock + fork_overhead` and
-//!   joins them at `max(end clocks) + join_overhead`;
+//! * [`parallel`] forks team members as scheduler tasks at
+//!   `clock + fork_overhead` and joins them at
+//!   `max(end clocks) + join_overhead`;
 //! * barriers release everyone at the last arriver (plus a log-tree cost);
 //! * dynamic/guided loops dispense chunks by greedy list scheduling over
 //!   *virtual* time, so schedules are host-independent;
-//! * critical sections serialize contenders in virtual time.
+//! * critical sections and locks grant contenders in virtual-time order
+//!   of arrival.
+//!
+//! Team members run on the same scheduler as the MPI ranks
+//! (`ats_runtime::sched`), so an OpenMP program replays exactly: nothing
+//! depends on host thread order, and a stuck barrier is reported as a
+//! deadlock at once.
 //!
 //! Anything that can host a region implements [`Master`] — the standalone
 //! [`SeqMaster`], a simulated MPI rank (via `ats-core`'s hybrid wrapper),
@@ -36,7 +43,6 @@
 //! assert_eq!(trace.num_locations(), 4);
 //! ```
 
-pub mod exchange;
 pub mod master;
 pub mod team;
 pub mod thread;

@@ -8,11 +8,11 @@
 //! OpenMP test programs without coupling the two substrate crates.
 
 use crate::team::CriticalSpace;
+use ats_runtime::sched::{self, SimBackend, DEFAULT_STACK_BYTES};
 use ats_runtime::{MachineModel, VDur, VTime, WorkEngine, WorkMode};
 use ats_trace::{LocalTrace, LocationId, RegionKind, Trace, TraceCollector};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A sequential context able to host parallel regions.
 pub trait Master {
@@ -45,8 +45,6 @@ pub trait Master {
     fn thread_ids(&self) -> Arc<AtomicU32>;
     /// The process's named-critical space.
     fn criticals(&self) -> Arc<CriticalSpace>;
-    /// Deadlock budget.
-    fn timeout(&self) -> Duration;
 
     /// Allocate one synchronization-context id.
     fn alloc_sync_id(&self) -> u32 {
@@ -65,8 +63,6 @@ pub struct OmpConfig {
     pub seed: u64,
     /// Record a trace?
     pub instrumented: bool,
-    /// Deadlock budget.
-    pub timeout: Duration,
     /// Real-work calibration.
     pub calibration: Option<f64>,
     /// Event-buffer pool for the run's threads (`None` = fresh vectors).
@@ -81,7 +77,6 @@ impl Default for OmpConfig {
             work_mode: WorkMode::Virtual,
             seed: 0x0907_5EED,
             instrumented: true,
-            timeout: Duration::from_secs(30),
             calibration: None,
             trace_pool: None,
         }
@@ -142,12 +137,6 @@ impl SeqMaster {
         let id = self.collector.intern(name, RegionKind::User);
         self.local.exit(self.clock, id);
     }
-
-    /// Consume the master, yielding its event stream (drops its collector
-    /// handle so the run can be finalized).
-    fn into_local(self) -> LocalTrace {
-        self.local
-    }
 }
 
 impl Master for SeqMaster {
@@ -191,15 +180,20 @@ impl Master for SeqMaster {
     fn criticals(&self) -> Arc<CriticalSpace> {
         self.criticals.clone()
     }
-    fn timeout(&self) -> Duration {
-        self.config.timeout
-    }
 }
 
 /// Run a standalone shared-memory program and return its trace.
+///
+/// The master is a scheduler task, and so is every team member it forks.
+/// Called from inside a task, the master runs on that task; otherwise it
+/// starts a scheduler run of its own on the default carrier.
+///
+/// # Panics
+/// Propagates the first panic of the master or a team member, or the
+/// scheduler's deadlock report.
 pub fn run_omp<F>(config: OmpConfig, f: F) -> Trace
 where
-    F: FnOnce(&mut SeqMaster),
+    F: FnOnce(&mut SeqMaster) + Send,
 {
     let mut collector = if config.instrumented {
         TraceCollector::new()
@@ -226,9 +220,17 @@ where
     ] {
         collector.intern(name, kind);
     }
-    let mut master = SeqMaster::new(config, collector.clone());
-    f(&mut master);
-    collector.submit(master.into_local());
+    let master = || {
+        let mut master = SeqMaster::new(config, collector.clone());
+        f(&mut master);
+        collector.submit(master.local);
+    };
+    if sched::current().is_some() {
+        master();
+    } else {
+        let backend = SimBackend::default().effective();
+        sched::run_tasks(backend, DEFAULT_STACK_BYTES, vec![Box::new(master)]);
+    }
     collector.finish()
 }
 

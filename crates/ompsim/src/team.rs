@@ -1,20 +1,17 @@
 //! Shared thread-team state: barriers, deterministic worksharing
 //! dispensers, and virtual critical sections.
 //!
-//! Team synchronization uses OS condvars, not the discrete-event
-//! scheduler: team members are real OS threads even when the enclosing
-//! MPI rank is a coroutine on `ats_runtime::sched` (the hybrid harness
-//! mode). A master blocking here parks the scheduler's worker thread for
-//! the duration of the rendezvous, which is benign — team members never
-//! call into MPI or the scheduler, so no scheduler progress is required
-//! while the master waits, and virtual-time results are unchanged.
+//! Team members are scheduler tasks (`ats_runtime::sched`), so every wait
+//! here parks a task on a [`WaitSet`] and resumes in virtual-time order;
+//! no wait holds a `std::sync` guard across anything that could block,
+//! because the tasks may share one OS thread.
 
-use crate::exchange::ExchangeSlot;
+use ats_runtime::exchange::ExchangeSlot;
+use ats_runtime::sched::{self, WaitSet};
 use ats_runtime::{unpoison, MachineModel, VDur, VTime};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU32;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Everything the members of one parallel region share.
 #[derive(Debug)]
@@ -33,8 +30,6 @@ pub struct TeamShared {
     pub loops: Mutex<HashMap<u64, Arc<DynSched>>>,
     /// Cost model.
     pub model: MachineModel,
-    /// Deadlock budget.
-    pub timeout: Duration,
     /// Named critical sections (shared with nested teams).
     pub criticals: Arc<CriticalSpace>,
     /// Sync-id allocator shared with nested teams.
@@ -73,14 +68,13 @@ impl TeamShared {
 ///
 /// Chunks are assigned by greedy list scheduling over *virtual* time: the
 /// next chunk always goes to the participating thread with the smallest
-/// virtual clock (ties to the lowest thread id), regardless of host
-/// scheduling. To make that decidable, chunk execution is serialized in
-/// real time — harmless in virtual-work mode, and documented as the cost of
-/// reproducibility in real-work mode.
+/// virtual clock (ties to the lowest thread id). To make that decidable,
+/// chunk execution is serialized — harmless in virtual-work mode, and
+/// documented as the cost of reproducibility in real-work mode.
 #[derive(Debug)]
 pub struct DynSched {
     m: Mutex<DsState>,
-    cv: Condvar,
+    ws: WaitSet,
 }
 
 #[derive(Debug)]
@@ -88,9 +82,9 @@ struct DsState {
     chunks: Vec<(usize, usize)>,
     next: usize,
     /// Clock of each thread that is waiting for a turn (`None` = not yet
-    /// registered, currently executing, or finished).
+    /// arrived, currently executing, or finished).
     waiting: Vec<Option<VTime>>,
-    registered: usize,
+    arrived: usize,
     executing: bool,
 }
 
@@ -110,81 +104,53 @@ impl DynSched {
                 chunks,
                 next: 0,
                 waiting: vec![None; size],
-                registered: 0,
+                arrived: 0,
                 executing: false,
             }),
-            cv: Condvar::new(),
+            ws: WaitSet::new(),
         }
     }
 
-    /// Register thread `tid` (with its entry clock) as a participant.
-    /// All threads must register before any chunk is granted.
-    pub fn register(&self, tid: usize, clock: VTime, timeout: Duration) {
-        let mut st = unpoison(self.m.lock());
-        st.waiting[tid] = Some(clock);
-        st.registered += 1;
-        if st.registered == st.waiting.len() {
-            self.cv.notify_all();
-        } else {
-            let deadline = std::time::Instant::now() + timeout;
-            while st.registered < st.waiting.len() {
-                let dur = deadline.saturating_duration_since(std::time::Instant::now());
-                let (guard, result) = unpoison(self.cv.wait_timeout(st, dur));
-                st = guard;
-                if result.timed_out() {
-                    panic!(
-                        "worksharing construct stalled: {}/{} threads arrived",
-                        st.registered,
-                        st.waiting.len()
-                    );
-                }
-            }
-        }
-    }
-
-    /// Ask for the first chunk as `tid` at virtual time `clock`. Returns
-    /// `None` when the iteration space is exhausted. After executing a
-    /// granted chunk, the caller must come back through
+    /// Arrive at the loop as `tid` at virtual time `clock` and ask for the
+    /// first chunk. No chunk is granted before every thread has arrived.
+    /// Returns `None` when the iteration space is exhausted. After
+    /// executing a granted chunk, the caller must come back through
     /// [`DynSched::finish_and_acquire`] — completion and the next request
     /// are a single atomic step, so a thread is always either *executing*
     /// (dispenser reserved) or *waiting with a current clock*; there is no
     /// window in which another thread could steal its greedy turn.
-    pub fn acquire(&self, tid: usize, clock: VTime, timeout: Duration) -> Option<Chunk> {
+    pub fn acquire(&self, tid: usize, clock: VTime) -> Option<Chunk> {
         let mut st = unpoison(self.m.lock());
-        st.waiting[tid] = Some(clock);
-        self.acquire_locked(st, tid, timeout)
+        st.arrived += 1;
+        self.request(st, tid, clock)
     }
 
     /// Atomically report completion of the previous chunk (ending at
     /// `new_clock`) and request the next one.
-    pub fn finish_and_acquire(
-        &self,
-        tid: usize,
-        new_clock: VTime,
-        timeout: Duration,
-    ) -> Option<Chunk> {
+    pub fn finish_and_acquire(&self, tid: usize, new_clock: VTime) -> Option<Chunk> {
         let mut st = unpoison(self.m.lock());
         debug_assert!(st.executing, "finish_and_acquire without a granted chunk");
         st.executing = false;
-        st.waiting[tid] = Some(new_clock);
-        self.cv.notify_all();
-        self.acquire_locked(st, tid, timeout)
+        self.request(st, tid, new_clock)
     }
 
-    fn acquire_locked(
-        &self,
-        mut st: MutexGuard<'_, DsState>,
+    fn request<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, DsState>,
         tid: usize,
-        timeout: Duration,
+        clock: VTime,
     ) -> Option<Chunk> {
-        let deadline = std::time::Instant::now() + timeout;
+        st.waiting[tid] = Some(clock);
+        // The waiting set changed, so the turn may have passed to another
+        // thread, or the iteration space run out.
+        self.ws.notify_all(clock);
         loop {
             if st.next >= st.chunks.len() {
                 st.waiting[tid] = None;
-                self.cv.notify_all();
                 return None;
             }
-            let my_turn = !st.executing
+            let my_turn = st.arrived == st.waiting.len()
+                && !st.executing
                 && st
                     .waiting
                     .iter()
@@ -200,12 +166,7 @@ impl DynSched {
                 st.waiting[tid] = None;
                 return Some(Chunk { start, end });
             }
-            let dur = deadline.saturating_duration_since(std::time::Instant::now());
-            let (guard, result) = unpoison(self.cv.wait_timeout(st, dur));
-            st = guard;
-            if result.timed_out() {
-                panic!("worksharing dispenser stalled (thread {tid})");
-            }
+            st = self.ws.wait(&self.m, st, clock, "omp worksharing loop");
         }
     }
 }
@@ -261,26 +222,31 @@ impl CriticalSpace {
     }
 }
 
-/// A mutex whose contention is accounted in virtual time. The real lock is
-/// held for the whole (virtually-timed) body so that `free_at` updates are
-/// race-free; acquisition order follows host scheduling when virtual
-/// arrivals race, which leaves aggregate contention — the quantity the
-/// contention property functions program — order-insensitive for the
-/// symmetric workloads the suite generates.
+/// A mutex whose contention is accounted in virtual time.
+///
+/// A contender first yields at its arrival clock, so every earlier
+/// arrival has already tried; contenders are therefore granted in
+/// virtual-time order of arrival (ties in scheduler order), and the
+/// accounted wait is exactly the serialization the program implies.
+/// While a holder's body blocks, later contenders park on a [`WaitSet`];
+/// no `std::sync` guard is held across the body, so a body may block or
+/// nest other critical sections.
 #[derive(Debug, Default)]
 pub struct VirtualMutex {
-    inner: Mutex<VmState>,
+    state: Mutex<VmState>,
+    ws: WaitSet,
 }
 
 #[derive(Debug, Default)]
 struct VmState {
+    held: bool,
     free_at: VTime,
     acquisitions: u64,
 }
 
 /// Guard-style handle produced by [`VirtualMutex::acquire`].
 pub struct VmGuard<'a> {
-    state: MutexGuard<'a, VmState>,
+    mutex: &'a VirtualMutex,
     /// Virtual time at which the caller actually obtained the lock.
     pub start: VTime,
     /// Time spent waiting for earlier holders.
@@ -295,34 +261,47 @@ impl VirtualMutex {
 
     /// Acquire at virtual `arrival`, adding `lock_overhead`. The returned
     /// guard's `start` is when the body may begin.
+    ///
+    /// # Panics
+    /// Panics when called outside a simulation task.
     pub fn acquire(&self, arrival: VTime, lock_overhead: VDur) -> VmGuard<'_> {
-        let state = unpoison(self.inner.lock());
-        let start = arrival.max(state.free_at) + lock_overhead;
+        sched::yield_at(arrival);
+        let mut st = unpoison(self.state.lock());
+        while st.held {
+            st = self.ws.wait(&self.state, st, arrival, "omp lock");
+        }
+        st.held = true;
+        let start = arrival.max(st.free_at) + lock_overhead;
         VmGuard {
+            mutex: self,
             waited: start - arrival,
             start,
-            state,
         }
     }
 
     /// Total successful acquisitions so far.
     pub fn acquisitions(&self) -> u64 {
-        unpoison(self.inner.lock()).acquisitions
+        unpoison(self.state.lock()).acquisitions
     }
 }
 
 impl VmGuard<'_> {
     /// Release at virtual time `end` (the clock after the critical body).
-    pub fn release(mut self, end: VTime) {
+    pub fn release(self, end: VTime) {
         debug_assert!(end >= self.start, "critical body ended before it began");
-        self.state.free_at = end;
-        self.state.acquisitions += 1;
+        let mut st = unpoison(self.mutex.state.lock());
+        st.held = false;
+        st.free_at = end;
+        st.acquisitions += 1;
+        drop(st);
+        self.mutex.ws.notify_all(end);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ats_testutil::{run_as_tasks, CARRIERS};
 
     fn t(ms: u64) -> VTime {
         VTime(ms * 1_000_000)
@@ -366,48 +345,47 @@ mod tests {
 
     #[test]
     fn dispenser_grants_to_min_clock_thread() {
-        let ds = Arc::new(DynSched::new(2, dynamic_chunks(3, 1)));
-        let timeout = Duration::from_secs(5);
-        let ds2 = ds.clone();
-        // Thread 1 sits at clock 100ms: it must not win a grant while
-        // thread 0 keeps presenting smaller clocks.
-        let h = std::thread::spawn(move || {
-            ds2.register(1, t(100), timeout);
-            let mut got = Vec::new();
-            let mut next = ds2.acquire(1, t(100), timeout);
-            while let Some(c) = next {
-                got.push(c);
-                next = ds2.finish_and_acquire(1, t(100), timeout);
-            }
-            got
-        });
-        ds.register(0, t(1), timeout);
-        let first = ds.acquire(0, t(1), timeout).unwrap();
-        assert_eq!(first, Chunk { start: 0, end: 1 }, "min clock wins");
-        let second = ds.finish_and_acquire(0, t(2), timeout).unwrap();
-        assert_eq!(second, Chunk { start: 1, end: 2 }, "still the min clock");
-        // Thread 0 retires at a huge clock: the final chunk goes to 1.
-        assert_eq!(
-            ds.finish_and_acquire(0, t(200), timeout),
-            None,
-            "thread 1 (100ms) outranks thread 0 (200ms) for the last chunk"
-        );
-        assert_eq!(h.join().unwrap(), vec![Chunk { start: 2, end: 3 }]);
+        for backend in CARRIERS {
+            let ds = DynSched::new(2, dynamic_chunks(3, 1));
+            let grants = run_as_tasks(backend, 2, |tid| {
+                // Thread 0 presents smaller clocks than thread 1 (100ms)
+                // until it retires at 200ms.
+                let clocks = [[t(1), t(2), t(200)], [t(100); 3]][tid];
+                let mut got = Vec::new();
+                let mut next = ds.acquire(tid, clocks[0]);
+                while let Some(c) = next {
+                    got.push(c);
+                    next = ds.finish_and_acquire(tid, clocks[got.len()]);
+                }
+                got
+            });
+            let chunk = |start| Chunk {
+                start,
+                end: start + 1,
+            };
+            // The min clock wins each grant; for the last chunk thread 1
+            // (100ms) outranks thread 0 (200ms).
+            assert_eq!(grants, [vec![chunk(0), chunk(1)], vec![chunk(2)]]);
+        }
     }
 
     #[test]
     fn virtual_mutex_serializes_in_virtual_time() {
-        let vm = VirtualMutex::new();
-        let g1 = vm.acquire(t(0), VDur::ZERO);
-        assert_eq!(g1.start, t(0));
-        assert_eq!(g1.waited, VDur::ZERO);
-        g1.release(t(10));
-        // Second contender arrived at 3 but the lock frees at 10.
-        let g2 = vm.acquire(t(3), VDur::ZERO);
-        assert_eq!(g2.start, t(10));
-        assert_eq!(g2.waited, VDur::from_millis(7));
-        g2.release(t(12));
-        assert_eq!(vm.acquisitions(), 2);
+        for backend in CARRIERS {
+            let vm = VirtualMutex::new();
+            run_as_tasks(backend, 1, |_| {
+                let g1 = vm.acquire(t(0), VDur::ZERO);
+                assert_eq!(g1.start, t(0));
+                assert_eq!(g1.waited, VDur::ZERO);
+                g1.release(t(10));
+                // Second contender arrived at 3 but the lock frees at 10.
+                let g2 = vm.acquire(t(3), VDur::ZERO);
+                assert_eq!(g2.start, t(10));
+                assert_eq!(g2.waited, VDur::from_millis(7));
+                g2.release(t(12));
+            });
+            assert_eq!(vm.acquisitions(), 2);
+        }
     }
 
     #[test]

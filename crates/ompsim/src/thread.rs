@@ -1,30 +1,30 @@
 //! Parallel regions and the per-thread handle.
 //!
-//! [`parallel`] forks a team of OS threads off any [`Master`], hands each an
+//! [`parallel`] forks a team off any [`Master`], hands each member an
 //! [`OmpThread`], and joins them back with OpenMP fork/join virtual-time
-//! semantics: threads start at `master clock + fork_overhead`, and the
-//! master resumes at `max(thread end clocks) + join_overhead` — so any
-//! imbalance among the threads becomes master-visible idle time, which is
+//! semantics: members start at `master clock + fork_overhead`, and the
+//! master resumes at `max(member end clocks) + join_overhead` — so any
+//! imbalance among the members becomes master-visible idle time, which is
 //! precisely the paper's *Imbalance in Parallel Region* property.
 //!
-//! Teams are always OS threads, regardless of the MPI layer's
-//! [`SimBackend`](ats_runtime::SimBackend): a fork from a rank coroutine
-//! OS-blocks that coroutine's scheduler thread until the join, which is
-//! safe (members never touch MPI) but means `nthreads` counts against
-//! real host parallelism. MPI calls belong in serial regions, where the
-//! master is back on the scheduler and cooperates as usual — see
+//! The master runs member 0 itself; every other member is a task spawned
+//! into the master's scheduler run (`ats_runtime::sched::scope`), with the
+//! run's carrier and stack size, so teams — nested ones included — are
+//! ordered by the same virtual-time scheduler as MPI ranks. MPI calls
+//! belong in serial regions, where only the master runs — see
 //! `mpi_in_omp_serial`.
 
 use crate::master::Master;
 use crate::team::{dynamic_chunks, guided_chunks, CriticalSpace, TeamShared};
+use ats_runtime::exchange::ExchangeSlot;
+use ats_runtime::sched;
 use ats_runtime::{MachineModel, VDur, VTime, WorkEngine, WorkMode};
 use ats_trace::{CollOp, LocalTrace, LocationId, RegionId, RegionKind, TraceCollector};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
-/// Where a thread's events go: spawned threads own their stream, the
+/// Where a member's events go: spawned members own their stream, the
 /// master (thread 0) borrows the master's.
 enum LocalSink<'t> {
     Owned(Option<LocalTrace>),
@@ -132,7 +132,7 @@ impl<'t> OmpThread<'t> {
         let (seq, entries) = self
             .team
             .barrier
-            .exchange(self.tid, entry, self.team.timeout);
+            .exchange(self.tid, entry, entry, "omp barrier");
         let exit = self.team.barrier_exit(&entries);
         self.clock = exit;
         self.local
@@ -149,10 +149,10 @@ impl<'t> OmpThread<'t> {
         let r = self.collector.intern("omp_reduction", RegionKind::OmpSync);
         let entry = self.clock;
         self.local.get().enter(entry, r);
-        let (seq, all) = self
-            .team
-            .reduction
-            .exchange(self.tid, (entry, value), self.team.timeout);
+        let (seq, all) =
+            self.team
+                .reduction
+                .exchange(self.tid, (entry, value), entry, "omp reduction");
         let entries: Vec<VTime> = all.iter().map(|(e, _)| *e).collect();
         let exit = self.team.barrier_exit(&entries);
         self.clock = exit;
@@ -250,14 +250,13 @@ impl<'t> OmpThread<'t> {
         ds: &crate::team::DynSched,
         body: &mut impl FnMut(&mut Self, usize),
     ) {
-        ds.register(self.tid, self.clock, self.team.timeout);
-        let mut next = ds.acquire(self.tid, self.clock, self.team.timeout);
+        let mut next = ds.acquire(self.tid, self.clock);
         while let Some(chunk) = next {
             self.clock += self.team.model.chunk_dispatch;
             for it in chunk.start..chunk.end {
                 body(self, it);
             }
-            next = ds.finish_and_acquire(self.tid, self.clock, self.team.timeout);
+            next = ds.finish_and_acquire(self.tid, self.clock);
         }
     }
 
@@ -333,7 +332,8 @@ impl<'t> OmpThread<'t> {
 
     /// Named critical section (`#pragma omp critical(name)`).
     ///
-    /// Contenders serialize in virtual time; the time between arrival and
+    /// Contenders are granted in virtual-time order of arrival and
+    /// serialize in virtual time; the time between arrival and
     /// acquisition is recorded as the gap between the `omp_critical` and
     /// `omp_critical_body` region entries — the signal the analyzer's
     /// contention pattern consumes.
@@ -398,17 +398,18 @@ impl Master for OmpThread<'_> {
     fn criticals(&self) -> Arc<CriticalSpace> {
         self.team.criticals.clone()
     }
-    fn timeout(&self) -> Duration {
-        self.team.timeout
-    }
 }
 
 /// Fork a team of `nthreads` (including the master as thread 0), run
 /// `body` on every member, and join.
 ///
-/// Spawned threads receive fresh trace locations `(rank, base + k)` from
+/// Spawned members receive fresh trace locations `(rank, base + k)` from
 /// the master's thread-id allocator; the master keeps its own location, so
 /// its in-region events nest inside its `omp_parallel` frame.
+///
+/// # Panics
+/// Panics outside a scheduler task; a member's panic fails the whole run
+/// with that member's payload.
 pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThread) + Sync) {
     assert!(nthreads >= 1, "a team needs at least one thread");
     let model = m.model().clone();
@@ -417,7 +418,6 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
     let seed = m.seed();
     let work_mode = m.work_mode();
     let calibration = m.calibration();
-    let timeout = m.timeout();
     let master_loc = m.location();
     let r_par = collector.intern("omp_parallel", RegionKind::OmpParallel);
     let r_work = collector.intern("do_work", RegionKind::Work);
@@ -433,11 +433,10 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
     let team = TeamShared {
         id: m.alloc_sync_id(),
         size: nthreads,
-        barrier: crate::exchange::ExchangeSlot::new(nthreads),
-        reduction: crate::exchange::ExchangeSlot::new(nthreads),
+        barrier: ExchangeSlot::new(nthreads),
+        reduction: ExchangeSlot::new(nthreads),
         loops: Mutex::new(HashMap::new()),
         model: model.clone(),
-        timeout,
         criticals: m.criticals(),
         sync_ids: m.sync_ids(),
         thread_ids: m.thread_ids(),
@@ -459,42 +458,38 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
         e
     };
 
-    let join_time = std::thread::scope(|s| {
-        let handles: Vec<_> = (1..nthreads)
-            .map(|tid| {
-                let loc = LocationId::new(rank, base + (tid as u32) - 1);
-                let collector = collector.clone();
-                let team = &team;
-                let body = &body;
-                let engine = mk_engine(loc.thread);
-                let inherited = &inherited;
-                s.spawn(move || {
-                    let mut local = collector.local(loc);
-                    for r in inherited {
-                        local.enter(start, *r);
-                    }
-                    let mut th = OmpThread {
-                        tid,
-                        location: loc,
-                        clock: start,
-                        team,
-                        local: LocalSink::Owned(Some(local)),
-                        engine,
-                        collector: collector.clone(),
-                        construct_seq: 0,
-                        r_work,
-                    };
-                    body(&mut th);
-                    let join = join_team(&mut th);
-                    for r in inherited.iter().rev() {
-                        th.local.get().exit(join, *r);
-                    }
-                    if let LocalSink::Owned(l) = &mut th.local {
-                        collector.submit(l.take().expect("not yet submitted"));
-                    }
-                })
-            })
-            .collect();
+    let join_time = sched::scope(|s| {
+        for tid in 1..nthreads {
+            let loc = LocationId::new(rank, base + (tid as u32) - 1);
+            let collector = collector.clone();
+            let (team, body, inherited) = (&team, &body, &inherited);
+            let engine = mk_engine(loc.thread);
+            s.spawn(start, move || {
+                let mut local = collector.local(loc);
+                for r in inherited {
+                    local.enter(start, *r);
+                }
+                let mut th = OmpThread {
+                    tid,
+                    location: loc,
+                    clock: start,
+                    team,
+                    local: LocalSink::Owned(Some(local)),
+                    engine,
+                    collector: collector.clone(),
+                    construct_seq: 0,
+                    r_work,
+                };
+                body(&mut th);
+                let join = join_team(&mut th);
+                for r in inherited.iter().rev() {
+                    th.local.get().exit(join, *r);
+                }
+                if let LocalSink::Owned(l) = &mut th.local {
+                    collector.submit(l.take().expect("not yet submitted"));
+                }
+            });
+        }
         let mut th0 = OmpThread {
             tid: 0,
             location: master_loc,
@@ -507,11 +502,7 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
             r_work,
         };
         body(&mut th0);
-        let join = join_team(&mut th0);
-        for h in handles {
-            h.join().expect("team thread panicked");
-        }
-        join
+        join_team(&mut th0)
     });
     m.set_clock(join_time + model.join_overhead);
     let t_end = m.clock();
@@ -522,7 +513,7 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
 /// record the join pseudo-collective, and return the join time.
 fn join_team(th: &mut OmpThread<'_>) -> VTime {
     let entry = th.clock;
-    let (seq, ends) = th.team.barrier.exchange(th.tid, entry, th.team.timeout);
+    let (seq, ends) = th.team.barrier.exchange(th.tid, entry, entry, "omp join");
     let join = ends.iter().copied().max().unwrap_or(entry);
     th.clock = join;
     th.local
@@ -536,7 +527,9 @@ mod tests {
     use super::*;
     use crate::master::{run_omp, OmpConfig};
     use ats_runtime::{unpoison, MachineModel};
+    use ats_testutil::{panic_message, panics_alike_on_both_carriers, run_as_tasks, CARRIERS};
     use ats_trace::{check_wellformed, Trace, TraceStats};
+    use std::panic::AssertUnwindSafe;
 
     fn zero_cfg() -> OmpConfig {
         OmpConfig {
@@ -856,12 +849,8 @@ mod tests {
         let a = norm(run_omp(zero_cfg(), program));
         let b = norm(run_omp(zero_cfg(), program));
         assert_eq!(a.regions, b.regions);
-        // Clocks (not event interleavings of independent locations) must be
-        // identical; compare the full per-location streams except the
-        // critical section, whose acquisition order may legally vary while
-        // total contention stays fixed.
-        assert_eq!(a.end_time(), b.end_time());
-        assert_eq!(a.total_alloc_time(), b.total_alloc_time());
+        // Every stream, critical-section acquisition order included.
+        assert_eq!(a.locations, b.locations);
     }
 
     #[test]
@@ -898,19 +887,86 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "team rendezvous stalled")]
+    #[should_panic(expected = "kaput")]
     fn member_panic_propagates() {
-        let mut cfg = zero_cfg();
-        cfg.timeout = Duration::from_millis(100);
-        run_omp(cfg, |m| {
-            parallel(m, 2, |th| {
-                if th.thread_num() == 1 {
-                    panic!("kaput");
-                }
-                // Thread 0 heads into the join barrier and must abort via
-                // the timeout rather than hang.
-                th.barrier();
+        // Thread 0 heads into a barrier its peer never reaches: it is
+        // unwound, and the member's own payload surfaces.
+        panics_alike_on_both_carriers(|| {
+            run_omp(zero_cfg(), |m| {
+                parallel(m, 2, |th| {
+                    if th.thread_num() == 1 {
+                        panic!("kaput");
+                    }
+                    th.barrier();
+                });
             });
         });
+    }
+
+    #[test]
+    fn nested_member_panic_unwinds_children_before_their_parents() {
+        struct Dropped<'a>(&'a Mutex<Vec<String>>, String);
+        impl Drop for Dropped<'_> {
+            fn drop(&mut self) {
+                unpoison(self.0.lock()).push(std::mem::take(&mut self.1));
+            }
+        }
+        for backend in CARRIERS {
+            let log = Mutex::new(Vec::new());
+            let program = |_| {
+                run_omp(zero_cfg(), |m| {
+                    let _master = Dropped(&log, "master".into());
+                    parallel(m, 2, |outer| {
+                        let o = outer.thread_num();
+                        let _outer = Dropped(&log, format!("outer{o}"));
+                        parallel(outer, 2, |inner| {
+                            let i = inner.thread_num();
+                            let _inner = Dropped(&log, format!("inner{o}.{i}"));
+                            if (o, i) == (1, 1) {
+                                // Let both masters reach their joins first.
+                                inner.do_work(VDur::from_millis(5));
+                                inner.critical("late", |_| panic!("nested member"));
+                            }
+                        });
+                    });
+                });
+            };
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_as_tasks(backend, 1, program);
+            }))
+            .expect_err("the member panic propagates");
+            assert_eq!(panic_message(&*err), "nested member", "{backend}");
+            // The other bodies returned before the panic. Still live were
+            // the panicking member, outer member 1 (its master, waiting at
+            // the inner join) and the program's master (waiting at the outer
+            // join): they unwind child first, so no frame a member borrows
+            // goes away before the member does.
+            let log = unpoison(log.into_inner());
+            assert_eq!(log.len(), 7, "{backend}: {log:?}");
+            assert_eq!(
+                log[4..],
+                ["inner1.1", "outer1", "master"],
+                "{backend}: {log:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_critical_sections_complete_across_a_team() {
+        for backend in CARRIERS {
+            run_as_tasks(backend, 1, |_| {
+                run_omp(zero_cfg(), |m| {
+                    parallel(m, 3, |th| {
+                        th.critical("a", |th| {
+                            th.do_work(VDur::from_millis(1));
+                            th.critical("b", |th| th.do_work(VDur::from_millis(2)));
+                        });
+                        th.barrier();
+                        // Three holders of "a" for 3ms each, back to back.
+                        assert_eq!(th.clock(), t(9));
+                    });
+                });
+            });
+        }
     }
 }

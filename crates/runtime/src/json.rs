@@ -546,7 +546,14 @@ mod tests {
 
     #[test]
     fn floats_round_trip_exactly() {
-        for f in [0.005, 1.0 / 3.0, 1e-12, 123456.789e300, -0.0, 2.2250738585072014e-308] {
+        for f in [
+            0.005,
+            1.0 / 3.0,
+            1e-12,
+            123456.789e300,
+            -0.0,
+            2.2250738585072014e-308,
+        ] {
             let rendered = Json::from(f).render();
             let back = Json::parse(&rendered).unwrap();
             assert_eq!(back.as_f64().unwrap().to_bits(), f.to_bits(), "{rendered}");
@@ -581,8 +588,16 @@ mod tests {
     #[test]
     fn malformed_inputs_are_rejected() {
         for bad in [
-            "", "{", "[1,", "{\"a\"}", "\"unterminated", "01x", "nul", "{\"a\":1}]",
-            "\"\\ud800\"", "-",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "\"unterminated",
+            "01x",
+            "nul",
+            "{\"a\":1}]",
+            "\"\\ud800\"",
+            "-",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} accepted");
         }
@@ -590,14 +605,19 @@ mod tests {
 
     #[test]
     fn accessors_read_expected_payloads() {
-        let doc = Json::parse(r#"{"n": 7, "s": "x", "f": 1.5, "b": true, "a": [1], "big": 18446744073709551615}"#)
-            .unwrap();
+        let doc = Json::parse(
+            r#"{"n": 7, "s": "x", "f": 1.5, "b": true, "a": [1], "big": 18446744073709551615}"#,
+        )
+        .unwrap();
         assert_eq!(doc.get("n").and_then(Json::as_u64), Some(7));
         assert_eq!(doc.get("n").and_then(Json::as_i64), Some(7));
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(doc.get("f").and_then(Json::as_f64), Some(1.5));
         assert_eq!(doc.get("b").and_then(Json::as_bool), Some(true));
-        assert_eq!(doc.get("a").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
+        assert_eq!(
+            doc.get("a").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(1)
+        );
         assert_eq!(doc.get("big").and_then(Json::as_u64), Some(u64::MAX));
         assert_eq!(doc.get("big").and_then(Json::as_i64), None);
         assert_eq!(doc.get("missing"), None);

@@ -27,13 +27,17 @@
 //! Higher layers (the MPI and OpenMP substrates) consume both: virtual mode
 //! for correctness experiments and unit tests, real mode for wall-clock
 //! benchmarking of the suite itself.
+//!
+//! A third ingredient, the **task scheduler** ([`sched`]), is the only
+//! thing that orders simulated participants: every MPI rank and OpenMP
+//! team member is a task, resumed in `(virtual clock, sequence)` order, and
+//! every collective meets in one rendezvous ([`exchange::ExchangeSlot`]).
+//! Nothing waits on a wall clock, so deadlocks are detected structurally
+//! and traces are byte-identical on either carrier ([`SimBackend`]): cheap
+//! coroutines that let one process host 10k+ ranks, or one OS thread per
+//! task passing a baton.
 
-//! A third ingredient, the **discrete-event scheduler** ([`sched`]), turns
-//! each simulated participant into a cheap coroutine driven from a
-//! virtual-clock event queue, so one process can host 10k+ ranks; the
-//! per-rank OS-thread backend remains available behind [`SimBackend`] as a
-//! differential-testing oracle.
-
+pub mod exchange;
 pub mod json;
 pub mod model;
 pub mod rng;

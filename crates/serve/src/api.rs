@@ -52,7 +52,15 @@ pub fn handle(state: &AppState, req: &Request, stream: &mut impl Write) -> io::R
         ("GET", "/healthz") => respond(state, stream, 200, "text/plain", &[], b"ok\n", keep),
         ("GET", "/v1/version") => {
             let body = wire::version_doc().render_pretty();
-            respond(state, stream, 200, "application/json", &[], body.as_bytes(), keep)
+            respond(
+                state,
+                stream,
+                200,
+                "application/json",
+                &[],
+                body.as_bytes(),
+                keep,
+            )
         }
         ("GET", "/metrics") => match state.session.prometheus() {
             Some(text) => respond(
@@ -148,7 +156,15 @@ pub fn error_response(
     keep: bool,
 ) -> io::Result<bool> {
     let body = wire::error_body(err);
-    respond(state, stream, status, "application/json", &[], body.as_bytes(), keep)
+    respond(
+        state,
+        stream,
+        status,
+        "application/json",
+        &[],
+        body.as_bytes(),
+        keep,
+    )
 }
 
 fn respond(
@@ -200,7 +216,11 @@ fn run_scenario(state: &AppState, sc: &Scenario) -> Result<AnalyzeOut, Error> {
         let mut atsb = Vec::new();
         ats_trace::binfmt::write_binary(&trace, &mut atsb).map_err(Error::from)?;
         let ingredients = wire::scenario_key_doc(sc, opts, state.session.analyzer_config());
-        cache.publish(&key, &ingredients, &[(REPORT_FILE, &report), (TRACE_FILE, &atsb)])?;
+        cache.publish(
+            &key,
+            &ingredients,
+            &[(REPORT_FILE, &report), (TRACE_FILE, &atsb)],
+        )?;
     }
     Ok(AnalyzeOut {
         key,
@@ -309,11 +329,7 @@ fn row_of(sc: &Scenario, out: &AnalyzeOut) -> Result<RowDoc, Error> {
         key: out.key.hex(),
         cached: out.cached,
         findings: doc.findings.len() as u64,
-        max_severity: doc
-            .findings
-            .iter()
-            .map(|f| f.severity)
-            .fold(0.0, f64::max),
+        max_severity: doc.findings.iter().map(|f| f.severity).fold(0.0, f64::max),
         total_wait_ns: doc.total_wait().as_nanos(),
     })
 }
@@ -340,7 +356,12 @@ fn artifact(state: &AppState, path: &str) -> Result<(&'static str, Vec<u8>), (u1
         .ok_or_else(|| (404, Error::request(format!("unknown cache key `{hex}`"))))?;
     let bytes = entry
         .file(file)
-        .ok_or_else(|| (404, Error::request(format!("entry has no artifact `{file}`"))))?
+        .ok_or_else(|| {
+            (
+                404,
+                Error::request(format!("entry has no artifact `{file}`")),
+            )
+        })?
         .to_vec();
     let content_type = if file.ends_with(".json") {
         "application/json"

@@ -331,7 +331,9 @@ fn read_response(stream: &mut impl Read, leftover: &mut Vec<u8>) -> io::Result<R
         if line.is_empty() {
             continue;
         }
-        let (k, v) = line.split_once(':').ok_or_else(|| bad("malformed header"))?;
+        let (k, v) = line
+            .split_once(':')
+            .ok_or_else(|| bad("malformed header"))?;
         headers.push((k.trim().to_ascii_lowercase(), v.trim().to_owned()));
     }
     let find = |name: &str| {
@@ -385,7 +387,8 @@ fn decode_chunked(stream: &mut impl Read, rest: &mut Vec<u8>) -> io::Result<Vec<
 fn take_line(stream: &mut impl Read, rest: &mut Vec<u8>) -> io::Result<String> {
     loop {
         if let Some(pos) = rest.windows(2).position(|w| w == b"\r\n") {
-            let line = String::from_utf8(rest[..pos].to_vec()).map_err(|_| bad("non-UTF-8 line"))?;
+            let line =
+                String::from_utf8(rest[..pos].to_vec()).map_err(|_| bad("non-UTF-8 line"))?;
             rest.drain(..pos + 2);
             return Ok(line);
         }

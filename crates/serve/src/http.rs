@@ -276,7 +276,11 @@ mod tests {
 
     fn parse(bytes: &[u8]) -> Result<Request, HttpError> {
         let mut leftover = Vec::new();
-        read_request(&mut io::Cursor::new(bytes.to_vec()), &mut leftover, &Limits::default())
+        read_request(
+            &mut io::Cursor::new(bytes.to_vec()),
+            &mut leftover,
+            &Limits::default(),
+        )
     }
 
     #[test]
@@ -309,13 +313,22 @@ mod tests {
 
     #[test]
     fn rejects_malformed_and_oversized_requests() {
-        assert!(matches!(parse(b"NOPE\r\n\r\n"), Err(HttpError::BadRequest(_))));
+        assert!(matches!(
+            parse(b"NOPE\r\n\r\n"),
+            Err(HttpError::BadRequest(_))
+        ));
         assert!(matches!(
             parse(b"GET /x SPDY/9\r\n\r\n"),
             Err(HttpError::BadRequest(_))
         ));
-        let huge = format!("POST /v1/analyze HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 1 << 30);
-        assert!(matches!(parse(huge.as_bytes()), Err(HttpError::TooLarge(_))));
+        let huge = format!(
+            "POST /v1/analyze HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            1 << 30
+        );
+        assert!(matches!(
+            parse(huge.as_bytes()),
+            Err(HttpError::TooLarge(_))
+        ));
         let mut head = b"GET /x HTTP/1.1\r\n".to_vec();
         head.extend(std::iter::repeat_n(b'a', 20 * 1024));
         assert!(matches!(parse(&head), Err(HttpError::TooLarge(_))));
@@ -324,7 +337,15 @@ mod tests {
     #[test]
     fn sized_and_chunked_responses_frame_correctly() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "text/plain", &[("x-ats-key", "k")], b"ok\n", true).unwrap();
+        write_response(
+            &mut out,
+            200,
+            "text/plain",
+            &[("x-ats-key", "k")],
+            b"ok\n",
+            true,
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("content-length: 3\r\n"));

@@ -36,14 +36,12 @@ unsafe extern "C" {
     fn close(fd: i32) -> i32;
 }
 
-/// One delivered readiness event: the registered token, and whether the
-/// peer already hung up.
+/// One delivered readiness event: the token registered with the fd. A
+/// peer that hung up is reported as readable; the read then sees EOF.
 #[derive(Debug, Clone, Copy)]
 pub struct Ready {
     /// The token passed at registration (the connection fd).
     pub token: u64,
-    /// Peer closed its end (`EPOLLRDHUP`/error).
-    pub hangup: bool,
 }
 
 /// A safe epoll handle.
@@ -102,12 +100,8 @@ impl Poller {
             return Err(err);
         }
         for ev in events.iter().take(n as usize) {
-            let events_mask = ev.events;
             let data = ev.data;
-            out.push(Ready {
-                token: data,
-                hangup: events_mask & EPOLLRDHUP != 0,
-            });
+            out.push(Ready { token: data });
         }
         Ok(n as usize)
     }
@@ -140,7 +134,6 @@ mod tests {
         poller.wait(&mut out, 1000).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].token, 7);
-        assert!(!out[0].hangup);
 
         // One-shot: armed state is consumed even though data remains.
         out.clear();
@@ -154,6 +147,6 @@ mod tests {
         poller.rearm(b.as_raw_fd(), 7).unwrap();
         out.clear();
         poller.wait(&mut out, 1000).unwrap();
-        assert!(out[0].hangup, "peer close reported as hangup");
+        assert_eq!(out.len(), 1, "peer close reported as readable");
     }
 }

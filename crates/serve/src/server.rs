@@ -80,7 +80,9 @@ impl Default for ServeConfig {
 }
 
 fn default_workers() -> usize {
-    thread::available_parallelism().map_or(4, |n| n.get() * 4).clamp(4, 64)
+    thread::available_parallelism()
+        .map_or(4, |n| n.get() * 4)
+        .clamp(4, 64)
 }
 
 /// One admitted connection and its buffered pipeline bytes.
@@ -167,7 +169,14 @@ impl ServerHandle {
             let _ = t.join();
         }
         // Whatever is still parked was idle; close it.
-        let parked: Vec<Conn> = self.inner.conns.lock().unwrap().drain().map(|(_, c)| c).collect();
+        let parked: Vec<Conn> = self
+            .inner
+            .conns
+            .lock()
+            .unwrap()
+            .drain()
+            .map(|(_, c)| c)
+            .collect();
         for conn in parked {
             self.inner.close_conn(conn);
         }
@@ -506,21 +515,23 @@ fn accept_blocking(inner: &Arc<Inner>, listener: &TcpListener, timeout: Duration
             continue;
         }
         let inner = Arc::clone(inner);
-        let _ = thread::Builder::new().name("ats-serve-conn".into()).spawn(move || {
-            let mut conn = Conn {
-                stream,
-                leftover: Vec::new(),
-            };
-            loop {
-                match serve_one(&inner, &mut conn) {
-                    Outcome::Close => return inner.close_conn(conn),
-                    Outcome::Continue | Outcome::Park => {
-                        if inner.shutdown.load(Ordering::SeqCst) {
-                            return inner.close_conn(conn);
+        let _ = thread::Builder::new()
+            .name("ats-serve-conn".into())
+            .spawn(move || {
+                let mut conn = Conn {
+                    stream,
+                    leftover: Vec::new(),
+                };
+                loop {
+                    match serve_one(&inner, &mut conn) {
+                        Outcome::Close => return inner.close_conn(conn),
+                        Outcome::Continue | Outcome::Park => {
+                            if inner.shutdown.load(Ordering::SeqCst) {
+                                return inner.close_conn(conn);
+                            }
                         }
                     }
                 }
-            }
-        });
+            });
     }
 }

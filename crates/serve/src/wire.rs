@@ -214,7 +214,10 @@ mod tests {
         hot.threshold *= 2.0;
         assert_ne!(scenario_key(&sc, &opts, &hot), base);
         // …scheduling knobs do not.
-        assert_eq!(scenario_key(&sc, &RunOpts::default().jobs(9), &analyzer), base);
+        assert_eq!(
+            scenario_key(&sc, &RunOpts::default().jobs(9), &analyzer),
+            base
+        );
         let doc = scenario_key_doc(&sc, &opts, &analyzer);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(KEY_SCHEMA));
     }

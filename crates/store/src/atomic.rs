@@ -60,7 +60,8 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ats-store-atomic-{}-{tag}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("ats-store-atomic-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -108,7 +108,9 @@ mod tests {
             base.clone().with("property", "late_receiver"),
             base.clone().with("nprocs", 4u64),
             base.clone().with("threshold", 0.01f64),
-            Json::obj().with("property", "late_sender").with("nprocs", 8u64),
+            Json::obj()
+                .with("property", "late_sender")
+                .with("nprocs", 8u64),
         ] {
             assert_ne!(k, CacheKey::of_value(&variant), "{}", variant.render());
         }

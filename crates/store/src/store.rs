@@ -89,11 +89,18 @@ impl EntryDoc {
             .to_owned();
         let ingredients = doc.get("ingredients").cloned().unwrap_or(Json::Null);
         let mut files = BTreeMap::new();
-        for (name, meta) in doc.get("files").and_then(Json::as_obj).ok_or("missing files")? {
+        for (name, meta) in doc
+            .get("files")
+            .and_then(Json::as_obj)
+            .ok_or("missing files")?
+        {
             files.insert(
                 name.clone(),
                 FileMeta {
-                    bytes: meta.get("bytes").and_then(Json::as_u64).ok_or("missing bytes")?,
+                    bytes: meta
+                        .get("bytes")
+                        .and_then(Json::as_u64)
+                        .ok_or("missing bytes")?,
                     checksum: meta
                         .get("checksum")
                         .and_then(Json::as_str)
@@ -156,9 +163,13 @@ impl Index {
         for (key, e) in &self.entries {
             entries.set(
                 key,
-                Json::obj()
-                    .with("bytes", e.bytes)
-                    .with("files", e.files.iter().map(|f| Json::from(f.as_str())).collect::<Vec<_>>()),
+                Json::obj().with("bytes", e.bytes).with(
+                    "files",
+                    e.files
+                        .iter()
+                        .map(|f| Json::from(f.as_str()))
+                        .collect::<Vec<_>>(),
+                ),
             );
         }
         Json::obj()
@@ -172,7 +183,11 @@ impl Index {
             return Err("unrecognized index schema".into());
         }
         let mut index = Index::default();
-        for (key, e) in doc.get("entries").and_then(Json::as_obj).ok_or("missing entries")? {
+        for (key, e) in doc
+            .get("entries")
+            .and_then(Json::as_obj)
+            .ok_or("missing entries")?
+        {
             let files = e
                 .get("files")
                 .and_then(Json::as_arr)
@@ -183,7 +198,10 @@ impl Index {
             index.entries.insert(
                 key.clone(),
                 IndexEntry {
-                    bytes: e.get("bytes").and_then(Json::as_u64).ok_or("missing bytes")?,
+                    bytes: e
+                        .get("bytes")
+                        .and_then(Json::as_u64)
+                        .ok_or("missing bytes")?,
                     files,
                 },
             );
@@ -493,7 +511,10 @@ mod tests {
             .put(
                 &key,
                 &ingredients(1),
-                &[("report.json", b"{}".as_slice()), ("trace.atsb", b"ATSB\x01")],
+                &[
+                    ("report.json", b"{}".as_slice()),
+                    ("trace.atsb", b"ATSB\x01"),
+                ],
             )
             .unwrap();
         assert_eq!(written, 2 + 5);
@@ -505,7 +526,13 @@ mod tests {
         assert_eq!(entry.bytes, 7);
         assert_eq!(entry.ingredients, ingredients(1));
         assert_eq!(store.len(), 1);
-        assert_eq!(store.stats(), StoreStats { entries: 1, bytes: 7 });
+        assert_eq!(
+            store.stats(),
+            StoreStats {
+                entries: 1,
+                bytes: 7
+            }
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -546,7 +573,11 @@ mod tests {
             .map(|n| {
                 let key = CacheKey::of_value(&ingredients(n));
                 store
-                    .put(&key, &ingredients(n), &[("row.json", format!("{n}").as_bytes())])
+                    .put(
+                        &key,
+                        &ingredients(n),
+                        &[("row.json", format!("{n}").as_bytes())],
+                    )
                     .unwrap();
                 key
             })
@@ -611,7 +642,9 @@ mod tests {
                         let ing = Json::obj().with("t", t).with("n", n);
                         let key = CacheKey::of_value(&ing);
                         let body = format!("{t}:{n}");
-                        store.put(&key, &ing, &[("row.json", body.as_bytes())]).unwrap();
+                        store
+                            .put(&key, &ing, &[("row.json", body.as_bytes())])
+                            .unwrap();
                         let got = store.get(&key).unwrap().expect("own put visible");
                         assert_eq!(got.file("row.json"), Some(body.as_bytes()));
                     }

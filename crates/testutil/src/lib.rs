@@ -11,8 +11,11 @@
 //!   [`Case`] (a [`SplitMix64`] stream plus a size budget); a failing case
 //!   is shrunk by halving its size and reported with the seed that
 //!   replays it.
+//! * [`run_as_tasks`] and [`panics_alike_on_both_carriers`]: drive code
+//!   that blocks on the scheduler as tasks of one run, on either carrier.
 
-use ats_runtime::SplitMix64;
+use ats_runtime::sched::{self, SimBackend};
+use ats_runtime::{unpoison, SplitMix64};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -186,6 +189,62 @@ fn run_case(prop: &impl Fn(&mut Case), seed: u64, size: usize) -> Result<(), Str
             .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_else(|| "non-string panic".to_owned())
     })
+}
+
+/// Both scheduler carriers, for tests that must hold on each.
+pub const CARRIERS: [SimBackend; 2] = [SimBackend::Event, SimBackend::Thread];
+
+/// Run `task(i)` for `i` in `0..n` as the tasks of one scheduler run on
+/// `backend`; returns their results in task order.
+pub fn run_as_tasks<R: Send>(
+    backend: SimBackend,
+    n: usize,
+    task: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let results: Vec<std::sync::Mutex<Option<R>>> =
+        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
+    let tasks: Vec<sched::TaskFn> = results
+        .iter()
+        .enumerate()
+        .map(|(i, slot)| {
+            let task = &task;
+            Box::new(move || *unpoison(slot.lock()) = Some(task(i))) as sched::TaskFn
+        })
+        .collect();
+    sched::run_tasks(backend, sched::DEFAULT_STACK_BYTES, tasks);
+    results
+        .into_iter()
+        .map(|r| unpoison(r.into_inner()).expect("every task finished"))
+        .collect()
+}
+
+/// The text of a panic payload (`panic!` with or without arguments).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// Run `body` as the lone task of a scheduler run on each carrier. Both
+/// runs must panic with the same message; the event carrier's payload is
+/// then re-raised, so one `#[should_panic(expected = ...)]` checks both.
+pub fn panics_alike_on_both_carriers(body: impl Fn() + Sync) -> ! {
+    let run = |backend| {
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            sched::run_tasks(backend, sched::DEFAULT_STACK_BYTES, vec![Box::new(&body)])
+        }))
+        .expect_err("the task must panic")
+    };
+    let thread = run(SimBackend::Thread);
+    let event = run(SimBackend::Event);
+    assert_eq!(
+        panic_message(&*thread),
+        panic_message(&*event),
+        "the carriers fail differently"
+    );
+    panic::resume_unwind(event)
 }
 
 #[cfg(test)]

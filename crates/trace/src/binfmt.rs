@@ -763,10 +763,8 @@ impl<R: Read> BlockReader<R> {
         let _flags = cur.u16_le("flags")?;
 
         let n_regions = cur.count("region count")?;
-        let mut regions = Vec::with_capacity(clamped_cap(
-            n_regions,
-            std::mem::size_of::<RegionMeta>(),
-        ));
+        let mut regions =
+            Vec::with_capacity(clamped_cap(n_regions, std::mem::size_of::<RegionMeta>()));
         let mut namebuf = Vec::new();
         for i in 0..n_regions {
             let len = cur.count("region name length")?;
@@ -1321,7 +1319,10 @@ mod tests {
         let mut got = Vec::new();
         while let Some(block) = br.next_block().unwrap() {
             assert_eq!(block.len(), block.events().len());
-            assert_eq!(block.start_time(), Some(block.to_location_trace().events[0].time));
+            assert_eq!(
+                block.start_time(),
+                Some(block.to_location_trace().events[0].time)
+            );
             got.push(block.to_location_trace());
         }
         assert_eq!(got, tr.locations);

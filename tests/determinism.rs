@@ -12,14 +12,8 @@ fn canonical(mut t: Trace) -> Trace {
 }
 
 /// Catalog entries whose traces must be bit-identical across repeated runs.
-/// `omp_critical_contention` and its lock-based twin `omp_lock_contention`
-/// are excluded by design: acquisition *order* among equal virtual
-/// arrivals follows host scheduling (documented in `ats-omp`), while total
-/// contention stays fixed — checked separately.
 fn deterministic_entries() -> impl Iterator<Item = &'static ats::core::PropertySpec> {
-    ats::core::CATALOG
-        .iter()
-        .filter(|s| !matches!(s.name, "omp_critical_contention" | "omp_lock_contention"))
+    ats::core::CATALOG.iter()
 }
 
 #[test]
@@ -100,9 +94,10 @@ fn seeds_do_not_leak_into_virtual_time() {
     assert_eq!(a.locations, b.locations);
 }
 
-/// Tentpole parity: the discrete-event scheduler must be invisible in the
-/// results — byte-identical ATSB traces and identical analyzer reports to
-/// the one-OS-thread-per-rank backend, across a catalog sample.
+/// Carrier parity: the coroutine and the OS-thread carrier run one
+/// scheduler core, so a catalog sample — OpenMP teams and hybrid entries
+/// included — gives byte-identical ATSB traces and identical analyzer
+/// reports on both.
 #[test]
 fn event_and_thread_backends_produce_identical_atsb_bytes() {
     use ats::analyzer::{analyze, AnalyzerConfig};
@@ -116,6 +111,10 @@ fn event_and_thread_backends_produce_identical_atsb_bytes() {
         "messages_in_wrong_order",
         "imbalance_at_mpi_alltoall",
         "balanced_ring",
+        "omp_critical_contention",
+        "omp_lock_contention",
+        "imbalance_in_omp_loop",
+        "omp_imbalance_at_mpi_barrier",
     ];
     for name in sample {
         let spec = ats::core::catalog::find(name).unwrap();

@@ -95,7 +95,9 @@ fn artifacts_are_fetchable_by_key_and_unknown_keys_are_404() {
         .artifact(&out.key, "report.json")
         .expect("stored report");
     assert_eq!(report, out.report, "artifact bytes equal the served body");
-    let trace = client.artifact(&out.key, "trace.atsb").expect("stored trace");
+    let trace = client
+        .artifact(&out.key, "trace.atsb")
+        .expect("stored trace");
     assert!(!trace.is_empty(), "ATSB trace is published on miss");
 
     // Unknown (but well-formed) key -> 404 with the request discriminant.
@@ -108,7 +110,10 @@ fn artifacts_are_fetchable_by_key_and_unknown_keys_are_404() {
         )
         .expect("transport ok");
     assert_eq!(resp.status, 404, "{}", resp.text());
-    assert!(resp.text().contains("\"kind\": \"request\"") || resp.text().contains("\"kind\":\"request\""));
+    assert!(
+        resp.text().contains("\"kind\": \"request\"")
+            || resp.text().contains("\"kind\":\"request\"")
+    );
 
     // Malformed key -> 400; missing file -> 404.
     let resp = client
@@ -150,7 +155,9 @@ fn full_admission_queue_sheds_new_connections_with_429() {
     assert!(resp.text().contains("capacity"), "{}", resp.text());
 
     // The holder's connection still works afterwards.
-    holder.healthz().expect("admitted connection survives the shed");
+    holder
+        .healthz()
+        .expect("admitted connection survives the shed");
     server.shutdown();
 }
 
@@ -164,9 +171,18 @@ fn campaigns_stream_rows_in_input_order() {
     let rows = client.campaign(&jsonl).expect("campaign streams");
     assert_eq!(rows.len(), 2);
     let rows: Vec<_> = rows.into_iter().map(|r| r.expect("row ok")).collect();
-    assert_eq!(rows[0].scenario, SPEC.parse::<ats::fuzz::Scenario>().unwrap().to_string());
-    assert_eq!(rows[1].scenario, SPEC2.parse::<ats::fuzz::Scenario>().unwrap().to_string());
-    assert!(rows.iter().all(|r| r.findings >= 1), "late_sender must be found");
+    assert_eq!(
+        rows[0].scenario,
+        SPEC.parse::<ats::fuzz::Scenario>().unwrap().to_string()
+    );
+    assert_eq!(
+        rows[1].scenario,
+        SPEC2.parse::<ats::fuzz::Scenario>().unwrap().to_string()
+    );
+    assert!(
+        rows.iter().all(|r| r.findings >= 1),
+        "late_sender must be found"
+    );
 
     // A second pass replays every row from the store.
     let rows = client.campaign(&jsonl).expect("warm campaign");
@@ -205,11 +221,15 @@ fn metrics_version_and_unknown_routes_behave() {
     client.healthz().expect("healthz");
     let version = client.version().expect("version doc");
     assert_eq!(
-        version.get("schema").and_then(ats::core::json::Json::as_str),
+        version
+            .get("schema")
+            .and_then(ats::core::json::Json::as_str),
         Some("ats-serve/1")
     );
     assert_eq!(
-        version.get("report_schema").and_then(ats::core::json::Json::as_str),
+        version
+            .get("report_schema")
+            .and_then(ats::core::json::Json::as_str),
         Some("ats-report/1")
     );
 

@@ -142,24 +142,27 @@ fn omp_barrier_wait_matches_cyclic_distribution() {
 
 #[test]
 fn critical_contention_wait_is_the_serialization_triangle() {
-    // T threads, zero outside work: thread k waits k*body; total =
-    // body * T(T-1)/2 per repetition... with repetitions the queue refills
-    // immediately, so each round adds (T-1)*body*T/... — test r=1 for the
-    // closed triangle.
+    // T threads, zero outside work, contenders granted in arrival order:
+    // in the first round thread k waits k*body, a triangle of
+    // body*T(T-1)/2; in every later round each thread arrives as it leaves
+    // and waits for the other T-1 bodies, body*T(T-1) per round. Total:
+    // body*T(T-1)*(r - 1/2).
     let (threads, body) = (5usize, 0.012f64);
-    let trace = run(
-        "omp_critical_contention",
-        &[
-            &format!("bodywork={body}"),
-            "outsidework=0.0",
-            &format!("nthreads={threads}"),
-            "r=1",
-        ],
-        1,
-    );
-    let expect = body * (threads * (threads - 1) / 2) as f64;
-    let got = total_wait("OmpCriticalContention", &trace);
-    assert!((got - expect).abs() < EPS, "{got} vs {expect}");
+    for r in [1usize, 3] {
+        let trace = run(
+            "omp_critical_contention",
+            &[
+                &format!("bodywork={body}"),
+                "outsidework=0.0",
+                &format!("nthreads={threads}"),
+                &format!("r={r}"),
+            ],
+            1,
+        );
+        let expect = body * (threads * (threads - 1)) as f64 * (r as f64 - 0.5);
+        let got = total_wait("OmpCriticalContention", &trace);
+        assert!((got - expect).abs() < EPS, "r={r}: {got} vs {expect}");
+    }
 }
 
 #[test]

@@ -51,7 +51,10 @@ fn warm_rerun_replays_byte_identical_rows() {
             rendered(&warm_rows),
             "{property}: replayed rows must be byte-identical"
         );
-        assert_eq!(warm.cache_bytes_written, 0, "{property}: hits publish nothing");
+        assert_eq!(
+            warm.cache_bytes_written, 0,
+            "{property}: hits publish nothing"
+        );
         total += warm.configs;
         hits += warm.cache_hits;
     }
@@ -93,8 +96,7 @@ fn single_parameter_change_invalidates_only_affected_combos() {
 fn analyzer_change_invalidates_every_combo() {
     let dir = store_dir("analyzer");
     let sweep = |threshold: f64| {
-        let mut analyzer = ats::analyzer::AnalyzerConfig::default();
-        analyzer.threshold = threshold;
+        let analyzer = ats::analyzer::AnalyzerConfig::default().threshold(threshold);
         Experiment::new("late_sender")
             .sweep(Sweep::seconds("extrawork", [0.005, 0.01]))
             .opts(RunOpts::default().procs(2).jobs(1))

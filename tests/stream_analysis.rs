@@ -35,9 +35,13 @@ fn streaming_matches_materializing_across_the_positive_catalog() {
             let ctx = format!("{} [{backend:?}] atsb", spec.name);
             let mut atsb = Vec::new();
             binfmt::write_binary(&trace, &mut atsb).unwrap();
-            let (streamed, stats) = analyze_stream(atsb.as_slice(), &config)
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            assert_eq!(direct.to_json(), streamed.to_json(), "{ctx}: report diverged");
+            let (streamed, stats) =
+                analyze_stream(atsb.as_slice(), &config).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(
+                direct.to_json(),
+                streamed.to_json(),
+                "{ctx}: report diverged"
+            );
             assert_eq!(stats.events as usize, trace.num_events(), "{ctx}");
             assert_eq!(stats.locations as usize, trace.locations.len(), "{ctx}");
             assert_eq!(stats.bytes as usize, atsb.len(), "{ctx}: bytes consumed");
