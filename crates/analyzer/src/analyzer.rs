@@ -92,7 +92,7 @@ pub(crate) fn detect_and_report(
     let m = config.obs.as_ref().map(|o| &o.analyzer);
     let mut cube = SeverityCube::new(total_alloc);
 
-    let pairs = patterns::match_messages(&ex);
+    let pairs = timed(m.map(|m| &m.match_time), || patterns::match_messages(&ex));
     cube.extend(timed(m.map(|m| &m.late_sender_time), || {
         patterns::late_sender(&pairs)
     }));

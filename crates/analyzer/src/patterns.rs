@@ -45,6 +45,7 @@ pub fn match_messages(ex: &Extract) -> Vec<MatchedPair> {
     let mut send_q: HashMap<Channel, (Vec<&SendRec>, usize)> =
         HashMap::with_capacity(ex.sends.len().min(64));
     for s in &ex.sends {
+        step();
         send_q
             .entry((s.comm, s.loc.rank, s.to, s.tag))
             .or_default()
@@ -55,6 +56,7 @@ pub fn match_messages(ex: &Extract) -> Vec<MatchedPair> {
     // FIFO already; pair receives in posted order.
     let mut pairs = Vec::with_capacity(ex.recvs.len());
     for r in &ex.recvs {
+        step();
         let key = (r.comm, r.from, r.loc.rank, r.tag);
         if let Some((q, taken)) = send_q.get_mut(&key) {
             if let Some(s) = q.get(*taken) {
@@ -117,45 +119,115 @@ pub fn late_receiver(pairs: &[MatchedPair]) -> Vec<Located> {
 /// *Messages in Wrong Order*: for a blocked receive `P`, the portion of
 /// its wait during which another message — one this receiver matches only
 /// *later* — was already available. Computed as the overlap of `P`'s
-/// blocked interval `[P.posted, P.completion]` with any other pair `Q`'s
-/// "available but unread" interval `[Q.send.post, Q.recv.posted]`, for `Q`
-/// on the same receiver with `Q.recv.posted > P.recv.posted`.
+/// blocked interval `[P.posted, P.completion)` with every pair `Q`'s
+/// "available but unread" interval `[Q.send.post, Q.recv.posted)` on the
+/// same receiver, summed over `Q` and capped at `P`'s blocked time. A `Q`
+/// posted no later than `P` closes its interval before `P` blocks, so the
+/// sum counts exactly the messages matched later.
+///
+/// The sum over `Q` is `F(P.completion) − F(P.posted)` for the receiver's
+/// [`Coverage`] integral `F`, so the pass costs O(n log n) in the pairs.
 pub fn wrong_order(pairs: &[MatchedPair]) -> Vec<Located> {
-    // Only pairs on the same receiver can interact, so group pair indices
-    // per receiver up front: the scan is then quadratic in the per-receiver
-    // pair count instead of the global one. The outer loop stays in
-    // original pair order, so the output is unchanged.
-    let mut by_receiver: HashMap<LocationId, Vec<usize>> =
+    let mut intervals: HashMap<LocationId, (Vec<u64>, Vec<u64>)> =
         HashMap::with_capacity(pairs.len().min(64));
-    for (i, p) in pairs.iter().enumerate() {
-        by_receiver.entry(p.recv.loc).or_default().push(i);
+    for p in pairs {
+        step();
+        if p.send.post < p.recv.posted {
+            let (starts, ends) = intervals.entry(p.recv.loc).or_default();
+            starts.push(p.send.post.0);
+            ends.push(p.recv.posted.0);
+        }
     }
+    let coverage: HashMap<LocationId, Coverage> = intervals
+        .into_iter()
+        .map(|(loc, (starts, ends))| (loc, Coverage::new(starts, ends)))
+        .collect();
     let mut out = Vec::new();
     for p in pairs {
-        if p.recv.completion <= p.recv.posted {
-            continue; // no blocking at all
+        step();
+        let blocked = p.recv.completion - p.recv.posted;
+        if blocked.is_zero() {
+            continue;
         }
-        let mut overlap = VDur::ZERO;
-        for q in by_receiver[&p.recv.loc].iter().map(|&i| &pairs[i]) {
-            if (q.recv.posted, q.recv.from, q.recv.tag) == (p.recv.posted, p.recv.from, p.recv.tag)
-                || q.recv.posted <= p.recv.posted
-            {
-                continue;
-            }
-            let start = q.send.post.max(p.recv.posted);
-            let end = q.recv.posted.min(p.recv.completion);
-            overlap += end - start; // saturating: zero if end <= start
-        }
-        if !overlap.is_zero() {
+        let Some(cov) = coverage.get(&p.recv.loc) else {
+            continue; // nothing was ever available early on this receiver
+        };
+        let overlap = cov.below(p.recv.completion) - cov.below(p.recv.posted);
+        if overlap != 0 {
             out.push(Located {
                 property: PropertyKind::MessagesWrongOrder,
                 path: p.recv.path,
                 loc: p.recv.loc,
-                wait: overlap.min(p.recv.completion - p.recv.posted),
+                wait: VDur(overlap.min(u128::from(blocked.0)) as u64),
             });
         }
     }
     out
+}
+
+/// The prefix integral `F(x)` of how many intervals `[start, end)` on one
+/// receiver cover each instant before `x`. Each interval adds
+/// `(x − start)⁺ − (x − end)⁺`, so `F` is the difference of two sums of
+/// ramps.
+struct Coverage {
+    starts: Ramps,
+    ends: Ramps,
+}
+
+impl Coverage {
+    /// The coverage of the intervals `[starts[i], ends[i])`, each non-empty.
+    fn new(starts: Vec<u64>, ends: Vec<u64>) -> Self {
+        Coverage {
+            starts: Ramps::new(starts),
+            ends: Ramps::new(ends),
+        }
+    }
+
+    /// `F(x)`, exactly: at most `n · 2⁶⁴` before the subtraction.
+    fn below(&self, x: VTime) -> u128 {
+        self.starts.below(x) - self.ends.below(x)
+    }
+}
+
+/// `Σ (x − t)⁺` over a set of instants `t`: a binary search for how many
+/// lie below `x`, then their prefix sum.
+struct Ramps {
+    /// The instants, ascending.
+    at: Vec<u64>,
+    /// `sums[k]` is the sum of `at[..k]`.
+    sums: Vec<u128>,
+}
+
+impl Ramps {
+    fn new(mut at: Vec<u64>) -> Self {
+        at.sort_unstable();
+        let mut sums = Vec::with_capacity(at.len() + 1);
+        let mut sum = 0u128;
+        sums.push(sum);
+        for &t in &at {
+            step();
+            sum += u128::from(t);
+            sums.push(sum);
+        }
+        Ramps { at, sums }
+    }
+
+    fn below(&self, x: VTime) -> u128 {
+        let k = self.at.partition_point(|&t| {
+            step();
+            t < x.0
+        });
+        k as u128 * u128::from(x.0) - self.sums[k]
+    }
+}
+
+/// Count one inner-loop step of a pass, for the complexity guard in this
+/// module's tests; outside tests it compiles to nothing. Library sorts are
+/// O(n log n) and go uncounted.
+#[inline(always)]
+fn step() {
+    #[cfg(test)]
+    tests::STEPS.with(|s| s.set(s.get() + 1));
 }
 
 /// Dispatch one collective instance to its wait-state pattern.
@@ -325,6 +397,142 @@ mod tests {
     use ats_core::{properties::mpi_coll, properties::mpi_p2p, BaseComm, Distr};
     use ats_mpi::SimConfig;
     use ats_runtime::MachineModel;
+
+    thread_local! {
+        /// Inner-loop steps counted by [`step`] on this test thread.
+        pub(super) static STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Run `f` and count the inner-loop steps it takes.
+    fn steps<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        STEPS.with(|s| s.set(0));
+        let out = f();
+        (out, STEPS.with(|s| s.get()))
+    }
+
+    /// The quadratic scan the sweep replaced: every blocked receive against
+    /// every pair on its receiver. Kept as the reference for degenerate
+    /// intervals the catalog never produces.
+    fn wrong_order_scan(pairs: &[MatchedPair]) -> Vec<Located> {
+        let mut by_receiver: HashMap<LocationId, Vec<usize>> = HashMap::new();
+        for (i, p) in pairs.iter().enumerate() {
+            by_receiver.entry(p.recv.loc).or_default().push(i);
+        }
+        let mut out = Vec::new();
+        for p in pairs {
+            if p.recv.completion <= p.recv.posted {
+                continue;
+            }
+            let mut overlap = VDur::ZERO;
+            for q in by_receiver[&p.recv.loc].iter().map(|&i| &pairs[i]) {
+                step();
+                if (q.recv.posted, q.recv.from, q.recv.tag)
+                    == (p.recv.posted, p.recv.from, p.recv.tag)
+                    || q.recv.posted <= p.recv.posted
+                {
+                    continue;
+                }
+                let start = q.send.post.max(p.recv.posted);
+                let end = q.recv.posted.min(p.recv.completion);
+                overlap += end - start; // saturating: zero if end <= start
+            }
+            if !overlap.is_zero() {
+                out.push(Located {
+                    property: PropertyKind::MessagesWrongOrder,
+                    path: p.recv.path,
+                    loc: p.recv.loc,
+                    wait: overlap.min(p.recv.completion - p.recv.posted),
+                });
+            }
+        }
+        out
+    }
+
+    /// A message from `from` to `to`, sent at `sent`, whose receive is
+    /// posted at `posted` and completes at `done`.
+    fn pair(from: u32, to: u32, tag: i32, sent: u64, posted: u64, done: u64) -> MatchedPair {
+        let path = PathId(tag as u32);
+        MatchedPair {
+            send: SendRec {
+                loc: LocationId::rank(from),
+                path,
+                enter: VTime(sent),
+                exit: VTime(sent),
+                post: VTime(sent),
+                to,
+                comm: 0,
+                tag,
+                bytes: 8,
+            },
+            recv: RecvRec {
+                loc: LocationId::rank(to),
+                path,
+                enter: VTime(posted),
+                exit: VTime(done),
+                posted: VTime(posted),
+                completion: VTime(done),
+                from,
+                comm: 0,
+                tag,
+                bytes: 8,
+            },
+        }
+    }
+
+    #[test]
+    fn wrong_order_sweep_equals_the_quadratic_scan() {
+        ats_testutil::check("wrong_order_sweep_equals_the_quadratic_scan", 300, |c| {
+            let receivers = c.int(1..5) as u64;
+            // A narrow clock range makes equal timestamps common.
+            let span = c.sized(2..64) as u64;
+            let pairs: Vec<MatchedPair> = (0..c.sized(1..160))
+                .map(|_| {
+                    let posted = c.below(span);
+                    let done = posted + if c.coin() { 0 } else { c.below(span) };
+                    // Sent before, at or after the receive is posted.
+                    let sent = c.below(2 * span);
+                    let from = c.below(2) as u32;
+                    let to = 2 + c.below(receivers) as u32;
+                    pair(from, to, c.int(0..3) as i32, sent, posted, done)
+                })
+                .collect();
+            assert_eq!(wrong_order(&pairs), wrong_order_scan(&pairs));
+        });
+    }
+
+    /// One receiver whose "available but unread" intervals all overlap,
+    /// like a long trace's busiest receiver: `n` sends go out first, then
+    /// `n` receives each block for `2n` ticks.
+    fn overlapping(n: u64) -> Vec<MatchedPair> {
+        (0..n)
+            .map(|i| pair(0, 1, 0, i, n + 2 * i, 3 * n + 2 * i))
+            .collect()
+    }
+
+    #[test]
+    fn pass_steps_grow_at_most_n_log_n() {
+        let count = |n| {
+            let pairs = overlapping(n);
+            let ex = Extract {
+                sends: pairs.iter().map(|p| p.send).collect(),
+                recvs: pairs.iter().map(|p| p.recv).collect(),
+                ..Extract::default()
+            };
+            let (matched, matching) = steps(|| match_messages(&ex));
+            assert_eq!(matched, pairs);
+            let (swept, sweep) = steps(|| wrong_order(&pairs));
+            let (scanned, scan) = steps(|| wrong_order_scan(&pairs));
+            assert_eq!(swept, scanned);
+            assert_eq!(swept.len() as u64, n - 1, "all but the last wait");
+            [matching, sweep, scan]
+        };
+        let (short, long) = (count(1000), count(4000));
+        let growth = |i: usize| long[i] as f64 / short[i] as f64;
+        assert!(growth(0) <= 5.0, "match_messages steps grew {}x", growth(0));
+        assert!(growth(1) <= 5.0, "wrong_order steps grew {}x", growth(1));
+        // The guard has teeth: the scan it replaced grows 16x.
+        assert!(growth(2) >= 15.0, "scan steps grew {}x", growth(2));
+    }
 
     fn cfg(n: usize) -> SimConfig {
         SimConfig {

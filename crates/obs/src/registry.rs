@@ -89,6 +89,8 @@ pub struct AnalyzerMetrics {
     pub findings: Counter,
     /// State extraction pass.
     pub extract_time: Histogram,
+    /// Point-to-point message matching.
+    pub match_time: Histogram,
     /// Late-sender pattern matching.
     pub late_sender_time: Histogram,
     /// Late-receiver pattern matching.
@@ -467,6 +469,11 @@ impl Registry {
                 "ats_analyzer_extract_seconds",
                 "State extraction pass",
                 &self.analyzer.extract_time,
+            ),
+            h(
+                "ats_analyzer_pattern_match_seconds",
+                "Message matching",
+                &self.analyzer.match_time,
             ),
             h(
                 "ats_analyzer_pattern_late_sender_seconds",

@@ -195,8 +195,9 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256 + trace.num_events() * 6);
     encode_tables(&mut buf, &trace.regions, &trace.comms);
     put_varint(&mut buf, trace.locations.len() as u64);
+    let mut columns = Columns::default();
     for loc in &trace.locations {
-        encode_location(&mut buf, loc);
+        columns.encode_location(&mut buf, loc);
     }
     if let Some(obs) = ats_obs::global_if_enabled() {
         obs.trace.binary_bytes_encoded.add(buf.len() as u64);
@@ -204,96 +205,92 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
     buf
 }
 
-fn encode_location(buf: &mut Vec<u8>, loc: &LocationTrace) {
-    put_varint(buf, loc.location.rank as u64);
-    put_varint(buf, loc.location.thread as u64);
-    put_varint(buf, loc.events.len() as u64);
-    for e in &loc.events {
-        buf.push(tag_of(&e.kind));
-    }
-    let mut prev = 0u64;
-    for e in &loc.events {
-        put_varint(buf, zigzag(e.time.0.wrapping_sub(prev) as i64));
-        prev = e.time.0;
-    }
-    for e in &loc.events {
-        if let EventKind::Enter { region } | EventKind::Exit { region } = e.kind {
-            put_varint(buf, region.0 as u64);
+/// Scratch buffers for the columns that follow a block's tag column, so
+/// one pass over the events fills them all. Reused across blocks, they
+/// stop reallocating once they reach the largest block's size.
+#[derive(Debug, Default)]
+struct Columns {
+    times: Vec<u8>,
+    regions: Vec<u8>,
+    /// to, comm, tag, bytes.
+    send: [Vec<u8>; 4],
+    /// from, comm, tag, bytes, posted.
+    recv: [Vec<u8>; 5],
+    /// op, comm, root, seq, bytes, entered.
+    coll: [Vec<u8>; 6],
+}
+
+impl Columns {
+    /// Append `loc`'s block to `buf`: the tag column straight into `buf`,
+    /// every other column into its scratch buffer, then those in layout
+    /// order.
+    fn encode_location(&mut self, buf: &mut Vec<u8>, loc: &LocationTrace) {
+        put_varint(buf, loc.location.rank as u64);
+        put_varint(buf, loc.location.thread as u64);
+        put_varint(buf, loc.events.len() as u64);
+        buf.reserve(loc.events.len());
+        let mut prev = 0u64;
+        for e in &loc.events {
+            buf.push(tag_of(&e.kind));
+            put_varint(&mut self.times, zigzag(e.time.0.wrapping_sub(prev) as i64));
+            prev = e.time.0;
+            let since = |t: VTime| zigzag(t.0.wrapping_sub(e.time.0) as i64);
+            match e.kind {
+                EventKind::Enter { region } | EventKind::Exit { region } => {
+                    put_varint(&mut self.regions, region.0 as u64);
+                }
+                EventKind::Send {
+                    to,
+                    comm,
+                    tag,
+                    bytes,
+                } => {
+                    let [c_to, c_comm, c_tag, c_bytes] = &mut self.send;
+                    put_varint(c_to, to as u64);
+                    put_varint(c_comm, comm as u64);
+                    put_varint(c_tag, zigzag(tag as i64));
+                    put_varint(c_bytes, bytes);
+                }
+                EventKind::Recv {
+                    from,
+                    comm,
+                    tag,
+                    bytes,
+                    posted,
+                } => {
+                    let [c_from, c_comm, c_tag, c_bytes, c_posted] = &mut self.recv;
+                    put_varint(c_from, from as u64);
+                    put_varint(c_comm, comm as u64);
+                    put_varint(c_tag, zigzag(tag as i64));
+                    put_varint(c_bytes, bytes);
+                    put_varint(c_posted, since(posted));
+                }
+                EventKind::CollEnd {
+                    op,
+                    comm,
+                    root,
+                    seq,
+                    bytes,
+                    entered,
+                } => {
+                    let [c_op, c_comm, c_root, c_seq, c_bytes, c_entered] = &mut self.coll;
+                    c_op.push(op_code(op));
+                    put_varint(c_comm, comm as u64);
+                    put_varint(c_root, root.map(|r| r as u64 + 1).unwrap_or(0));
+                    put_varint(c_seq, seq);
+                    put_varint(c_bytes, bytes);
+                    put_varint(c_entered, since(entered));
+                }
+            }
         }
-    }
-    for e in &loc.events {
-        if let EventKind::Send { to, .. } = e.kind {
-            put_varint(buf, to as u64);
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::Send { comm, .. } = e.kind {
-            put_varint(buf, comm as u64);
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::Send { tag, .. } = e.kind {
-            put_varint(buf, zigzag(tag as i64));
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::Send { bytes, .. } = e.kind {
-            put_varint(buf, bytes);
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::Recv { from, .. } = e.kind {
-            put_varint(buf, from as u64);
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::Recv { comm, .. } = e.kind {
-            put_varint(buf, comm as u64);
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::Recv { tag, .. } = e.kind {
-            put_varint(buf, zigzag(tag as i64));
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::Recv { bytes, .. } = e.kind {
-            put_varint(buf, bytes);
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::Recv { posted, .. } = e.kind {
-            put_varint(buf, zigzag(posted.0.wrapping_sub(e.time.0) as i64));
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::CollEnd { op, .. } = e.kind {
-            buf.push(op_code(op));
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::CollEnd { comm, .. } = e.kind {
-            put_varint(buf, comm as u64);
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::CollEnd { root, .. } = e.kind {
-            put_varint(buf, root.map(|r| r as u64 + 1).unwrap_or(0));
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::CollEnd { seq, .. } = e.kind {
-            put_varint(buf, seq);
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::CollEnd { bytes, .. } = e.kind {
-            put_varint(buf, bytes);
-        }
-    }
-    for e in &loc.events {
-        if let EventKind::CollEnd { entered, .. } = e.kind {
-            put_varint(buf, zigzag(entered.0.wrapping_sub(e.time.0) as i64));
+        let columns = [&mut self.times, &mut self.regions]
+            .into_iter()
+            .chain(&mut self.send)
+            .chain(&mut self.recv)
+            .chain(&mut self.coll);
+        for column in columns {
+            buf.extend_from_slice(column);
+            column.clear();
         }
     }
 }
@@ -326,6 +323,9 @@ struct StreamCursor<R> {
 }
 
 const CURSOR_BUF: usize = 64 * 1024;
+
+/// The most bytes a `u64` varint occupies.
+const MAX_VARINT: usize = 10;
 
 impl<R: Read> StreamCursor<R> {
     fn new(inner: R) -> Self {
@@ -370,8 +370,7 @@ impl<R: Read> StreamCursor<R> {
             return Err(self.fail(what));
         }
         let b = self.buf[self.start];
-        self.start += 1;
-        self.consumed += 1;
+        self.skip(1);
         Ok(b)
     }
 
@@ -398,14 +397,16 @@ impl<R: Read> StreamCursor<R> {
             }
             let take = left.min(self.end - self.start);
             out.extend_from_slice(&self.buf[self.start..self.start + take]);
-            self.start += take;
-            self.consumed += take as u64;
+            self.skip(take);
             left -= take;
         }
         Ok(())
     }
 
     fn varint(&mut self, what: &str) -> Result<u64, TraceIoError> {
+        if self.end - self.start >= MAX_VARINT {
+            return self.buffered_varint();
+        }
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let b = self.u8(what)?;
@@ -419,6 +420,34 @@ impl<R: Read> StreamCursor<R> {
             }
         }
         Err(self.fail("varint longer than 10 bytes"))
+    }
+
+    /// [`varint`](Self::varint) decoded in place when the buffer holds a
+    /// whole varint's worth of bytes: the same value or error, at the same
+    /// byte offset, without a refill check per byte.
+    fn buffered_varint(&mut self) -> Result<u64, TraceIoError> {
+        let bytes = &self.buf[self.start..self.start + MAX_VARINT];
+        let mut v: u64 = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let low = (b & 0x7f) as u64;
+            if i == MAX_VARINT - 1 && low > 1 {
+                self.skip(MAX_VARINT);
+                return Err(self.fail("varint overflows u64"));
+            }
+            v |= low << (7 * i);
+            if b & 0x80 == 0 {
+                self.skip(i + 1);
+                return Ok(v);
+            }
+        }
+        self.skip(MAX_VARINT);
+        Err(self.fail("varint longer than 10 bytes"))
+    }
+
+    /// Consume `n` buffered bytes.
+    fn skip(&mut self, n: usize) {
+        self.start += n;
+        self.consumed += n as u64;
     }
 
     fn varint_u32(&mut self, what: &str) -> Result<u32, TraceIoError> {
@@ -917,9 +946,9 @@ pub fn read_binary<R: Read>(r: R) -> Result<Trace, TraceIoError> {
 /// memory.
 pub struct BlockWriter<W: Write> {
     w: W,
-    /// Capacity hint for the next block buffer, tracking the largest block
-    /// seen so far.
-    cap: usize,
+    /// The block being written and its column scratch, both reused.
+    block: Vec<u8>,
+    columns: Columns,
     declared: u64,
     written: u64,
     bytes: u64,
@@ -937,12 +966,14 @@ impl<W: Write> BlockWriter<W> {
         encode_tables(&mut buf, regions, comms);
         put_varint(&mut buf, n_locations);
         w.write_all(&buf)?;
+        let bytes = buf.len() as u64;
         Ok(BlockWriter {
             w,
-            cap: 4096,
+            block: buf,
+            columns: Columns::default(),
             declared: n_locations,
             written: 0,
-            bytes: buf.len() as u64,
+            bytes,
         })
     }
 
@@ -957,11 +988,10 @@ impl<W: Write> BlockWriter<W> {
                 self.declared
             )));
         }
-        let mut buf = Vec::with_capacity(self.cap);
-        encode_location(&mut buf, loc);
-        self.w.write_all(&buf)?;
-        self.cap = self.cap.max(buf.len());
-        self.bytes += buf.len() as u64;
+        self.block.clear();
+        self.columns.encode_location(&mut self.block, loc);
+        self.w.write_all(&self.block)?;
+        self.bytes += self.block.len() as u64;
         self.written += 1;
         Ok(())
     }
@@ -1197,6 +1227,10 @@ mod tests {
                 matches!(err, TraceIoError::Format(_)),
                 "prefix of {len} bytes must be a Format error"
             );
+            // Read byte by byte, never through the buffered varint path,
+            // it fails with the same message at the same offset.
+            let by_byte = read_binary(OneByte(&full[..len])).unwrap_err();
+            assert_eq!(err.to_string(), by_byte.to_string(), "prefix of {len}");
         }
     }
 
@@ -1392,5 +1426,55 @@ mod tests {
         let data = encode(&tr);
         let back = read_binary(OneByte(&data[..])).unwrap();
         assert_traces_equal(&tr, &back);
+    }
+
+    /// Read a prefix byte and then a varint from `bytes`, byte by byte and
+    /// from a whole buffer: the value or error, and the offset after it.
+    fn varint_both_ways(bytes: &[u8]) -> (Result<u64, String>, u64) {
+        fn read<R: Read>(cur: &mut StreamCursor<R>) -> (Result<u64, String>, u64) {
+            let v = cur.varint("probe").map_err(|e| e.to_string());
+            (v, cur.consumed)
+        }
+        // Trailing bytes keep a whole varint buffered for the fast path;
+        // the byte path never sees them.
+        let input = [&[0x55], bytes, &[0; MAX_VARINT]].concat();
+        let mut slow = StreamCursor::new(OneByte(&input[..=bytes.len()]));
+        slow.u8("prefix").unwrap();
+        assert_eq!(slow.end - slow.start, 0, "the byte path reads per byte");
+        let mut fast = StreamCursor::new(&input[..]);
+        fast.u8("prefix").unwrap();
+        assert!(fast.end - fast.start >= MAX_VARINT, "fast path buffered");
+        let (slow, fast) = (read(&mut slow), read(&mut fast));
+        assert_eq!(slow, fast, "byte path vs fast path on {bytes:02x?}");
+        fast
+    }
+
+    #[test]
+    fn buffered_varints_match_the_byte_path() {
+        for len in 1..=MAX_VARINT as u32 {
+            let shortest = 1u64 << (7 * (len - 1));
+            let longest = u64::MAX >> 64u32.saturating_sub(7 * len);
+            for v in [shortest, longest, shortest | (longest / 3)] {
+                let mut bytes = Vec::new();
+                put_varint(&mut bytes, v);
+                assert_eq!(bytes.len(), len as usize);
+                assert_eq!(varint_both_ways(&bytes), (Ok(v), 1 + len as u64));
+            }
+        }
+        // Zero written long-hand is still zero.
+        assert_eq!(varint_both_ways(&[0x80, 0x80, 0]), (Ok(0), 4));
+        let at_11 = |what: &str| {
+            let msg = format!(
+                "trace format error: binary trace: truncated or corrupt at byte 11: {what}"
+            );
+            (Err(msg), 11)
+        };
+        let overflow = [[0xff; 9].as_slice(), &[0x02]].concat();
+        assert_eq!(varint_both_ways(&overflow), at_11("varint overflows u64"));
+        let eleven = [[0x80; 10].as_slice(), &[0]].concat();
+        assert_eq!(
+            varint_both_ways(&eleven),
+            at_11("varint longer than 10 bytes")
+        );
     }
 }
