@@ -55,11 +55,12 @@ impl AnalyzerConfig {
     }
 }
 
-/// Run `f`, observing its duration into `h` when observability is on.
-fn timed<T>(h: Option<&ats_obs::Histogram>, f: impl FnOnce() -> T) -> T {
+/// Run `f` as the span `name`, observing its duration into `h` when
+/// observability is on.
+fn timed<T>(h: Option<&ats_obs::Histogram>, name: &'static str, f: impl FnOnce() -> T) -> T {
     match h {
         Some(h) => {
-            let _t = h.timer();
+            let _t = h.span(name);
             f()
         }
         None => f(),
@@ -73,7 +74,9 @@ pub fn analyze(trace: &Trace, config: &AnalyzerConfig) -> AnalysisReport {
         m.analyses.inc();
         m.events_ingested.add(trace.num_events() as u64);
     }
-    let ex = timed(m.map(|m| &m.extract_time), || extract(trace));
+    let ex = timed(m.map(|m| &m.extract_time), "analyzer.extract", || {
+        extract(trace)
+    });
     detect_and_report(ex, trace, trace.total_alloc_time(), config)
 }
 
@@ -92,29 +95,39 @@ pub(crate) fn detect_and_report(
     let m = config.obs.as_ref().map(|o| &o.analyzer);
     let mut cube = SeverityCube::new(total_alloc);
 
-    let pairs = timed(m.map(|m| &m.match_time), || patterns::match_messages(&ex));
-    cube.extend(timed(m.map(|m| &m.late_sender_time), || {
-        patterns::late_sender(&pairs)
-    }));
-    cube.extend(timed(m.map(|m| &m.late_receiver_time), || {
-        patterns::late_receiver(&pairs)
-    }));
-    cube.extend(timed(m.map(|m| &m.wrong_order_time), || {
-        patterns::wrong_order(&pairs)
-    }));
-    timed(m.map(|m| &m.collective_time), || {
+    let pairs = timed(m.map(|m| &m.match_time), "analyzer.match", || {
+        patterns::match_messages(&ex)
+    });
+    cube.extend(timed(
+        m.map(|m| &m.late_sender_time),
+        "analyzer.late_sender",
+        || patterns::late_sender(&pairs),
+    ));
+    cube.extend(timed(
+        m.map(|m| &m.late_receiver_time),
+        "analyzer.late_receiver",
+        || patterns::late_receiver(&pairs),
+    ));
+    cube.extend(timed(
+        m.map(|m| &m.wrong_order_time),
+        "analyzer.wrong_order",
+        || patterns::wrong_order(&pairs),
+    ));
+    timed(m.map(|m| &m.collective_time), "analyzer.collective", || {
         for inst in &ex.colls {
             cube.extend(patterns::collective_waits(inst, trace));
         }
     });
-    cube.extend(timed(m.map(|m| &m.critical_time), || {
-        patterns::critical_waits(&ex)
-    }));
+    cube.extend(timed(
+        m.map(|m| &m.critical_time),
+        "analyzer.critical",
+        || patterns::critical_waits(&ex),
+    ));
     if config.report_setup_overhead {
         cube.extend(patterns::setup_overheads(&ex));
     }
 
-    let report = timed(m.map(|m| &m.severity_time), || {
+    let report = timed(m.map(|m| &m.severity_time), "analyzer.severity", || {
         AnalysisReport::build(cube, ex.paths, trace, config.threshold)
     });
     if let Some(m) = m {

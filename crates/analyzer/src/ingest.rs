@@ -124,7 +124,7 @@ pub fn analyze_stream<R: BufRead>(
     let mut total_alloc = VDur::ZERO;
     let mut last: Option<LocationId> = None;
     let scan: Result<(), TraceIoError> = {
-        let timer = m.map(|m| m.extract_time.timer());
+        let timer = m.map(|m| m.extract_time.span("analyzer.extract"));
         let r = (|| {
             while let Some(block) = br.next_block()? {
                 let loc = block.location();

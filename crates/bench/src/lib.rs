@@ -1,202 +1,8 @@
 //! # ats-bench
 //!
-//! Regeneration of every figure in the ATS paper's evaluation, plus the
-//! extended experiments DESIGN.md defines. The paper contains no numeric
-//! tables; its evaluation artifacts are four figures:
-//!
-//! | id   | paper artifact | binary |
-//! |------|----------------|--------|
-//! | F3.2 | Vampir timelines of two single-property runs of `imbalance_at_mpi_barrier` with different parameters | `figure32` |
-//! | F3.3 | timeline of a composite program calling all MPI property functions | `figure33` |
-//! | F3.4 | timeline of two communicators running different property sets in parallel | `figure34` |
-//! | F3.5 | EXPERT's analysis of the F3.4 program (property/call/location panes) | `figure35` |
-//!
-//! Extended experiments: `sweep_positive` (severity-tracking curves),
-//! `sweep_negative` (false-positive scan), `overhead` (instrumentation
-//! cost), `catalog` (the property-function inventory).
-//!
-//! The `*_bench` binaries (`sched_bench`, `trace_bench`, `store_bench`,
-//! `serve_bench`, `obs_overhead`) time the suite's own machinery, each
-//! writing a `BENCH_<name>.json` document.
+//! The closed-form stress-trace generator ([`stress`]) that the streaming
+//! analysis path is measured on: `ats trace gen` writes its files, `ats
+//! bench trace` gates on them, and the `perfbench` package's `stream`
+//! workload analyzes one. The `ats` binary holds every command.
 
-pub mod cli;
 pub mod stress;
-
-use ats_core::CompositeParams;
-use ats_harness::registry::{run_composite_all_mpi, run_composite_two_comms};
-use ats_harness::RunOpts;
-use ats_runtime::VDur;
-use ats_trace::Trace;
-
-/// Shared configuration for the figure binaries: the paper's programs at
-/// reproduction scale.
-pub fn paper_opts(nprocs: usize) -> RunOpts {
-    // Realistic model + visible init/finalize, as in the Vampir shots.
-    RunOpts::default().procs(nprocs).realistic()
-}
-
-/// A figure-binary [`ats_harness::Session`]: [`paper_opts`] as a builder,
-/// so the binaries inject observability before building.
-pub fn paper_session(nprocs: usize) -> ats_harness::SessionBuilder {
-    ats_harness::Session::builder().procs(nprocs).realistic()
-}
-
-/// The Figure 3.2 runs: `imbalance_at_mpi_barrier` under two different
-/// parameter sets (distribution shape and severity), as the paper's two
-/// timelines show. Returns `(label, trace)` pairs.
-pub fn figure32_runs(nprocs: usize) -> Vec<(String, Trace)> {
-    figure32_runs_with(&paper_opts(nprocs))
-}
-
-/// [`figure32_runs`] under explicit run options (a session's, usually).
-pub fn figure32_runs_with(opts: &RunOpts) -> Vec<(String, Trace)> {
-    use ats_harness::{run_single, ParamValues};
-    let spec = ats_core::catalog::find("imbalance_at_mpi_barrier").expect("in catalog");
-    let configs = [
-        ("block2 low severity", "df=block2:low=0.01,high=0.03", "r=4"),
-        (
-            "linear high severity",
-            "df=linear:low=0.01,high=0.09",
-            "r=4",
-        ),
-    ];
-    configs
-        .iter()
-        .map(|(label, df, r)| {
-            let params = ParamValues::from_args(spec, &[df, r]).expect("valid params");
-            let trace = run_single("imbalance_at_mpi_barrier", &params, opts).expect("runnable");
-            ((*label).to_owned(), trace)
-        })
-        .collect()
-}
-
-/// The Figure 3.3 program: all MPI property functions in sequence.
-pub fn figure33_trace(nprocs: usize) -> Trace {
-    figure33_trace_with(&paper_opts(nprocs))
-}
-
-/// [`figure33_trace`] under explicit run options (a session's, usually).
-pub fn figure33_trace_with(opts: &RunOpts) -> Trace {
-    let params = CompositeParams {
-        basework: 0.005,
-        extrawork: 0.02,
-        reps: 2,
-        ..Default::default()
-    };
-    run_composite_all_mpi(&params, opts)
-}
-
-/// The Figure 3.4/3.5 program: two communicators running different
-/// property sets in parallel (16 ranks, as in the paper's screenshots).
-pub fn figure34_trace(nprocs: usize) -> Trace {
-    figure34_trace_with(&paper_opts(nprocs))
-}
-
-/// [`figure34_trace`] under explicit run options (a session's, usually).
-pub fn figure34_trace_with(opts: &RunOpts) -> Trace {
-    let params = CompositeParams {
-        basework: 0.005,
-        extrawork: 0.02,
-        reps: 2,
-        ..Default::default()
-    };
-    run_composite_two_comms(&params, opts)
-}
-
-/// Default per-step work used in overhead measurements.
-pub const OVERHEAD_STEP: VDur = VDur(2_000_000); // 2ms
-
-/// Split raw CLI arguments into positionals and `--name value` flag pairs.
-///
-/// The figure and sweep binaries take a couple of positional arguments
-/// (`nprocs`, `jobs`) plus optional flags (`--svg DIR`, `--trace-dir DIR`);
-/// this keeps their hand-rolled parsing uniform. A flag without a value is
-/// a usage error (exit code 2).
-pub fn split_flags(args: Vec<String>) -> (Vec<String>, Vec<(String, String)>) {
-    let mut positionals = Vec::new();
-    let mut flags = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.strip_prefix("--") {
-            Some(name) => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("flag --{name} needs a value");
-                    std::process::exit(2);
-                });
-                flags.push((name.to_owned(), value));
-            }
-            None => positionals.push(arg),
-        }
-    }
-    (positionals, flags)
-}
-
-/// Look up a flag by name in the pairs produced by [`split_flags`].
-pub fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    flags
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
-}
-
-/// Write `trace` as the ATSB file `dir/stem.atsb` and return the path.
-/// I/O failures are fatal: an artifact run that cannot save its artifacts
-/// should fail loudly, not half-succeed.
-pub fn write_trace_artifact(trace: &Trace, dir: &str, stem: &str) -> String {
-    let path = format!("{dir}/{stem}.atsb");
-    let file = std::fs::File::create(&path).unwrap_or_else(|e| {
-        eprintln!("cannot create {path}: {e}");
-        std::process::exit(1);
-    });
-    ats_trace::binfmt::write_binary(trace, std::io::BufWriter::new(file)).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    path
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn figure_traces_are_wellformed() {
-        for (_, t) in figure32_runs(8) {
-            assert!(ats_trace::check_wellformed(&t).is_empty());
-        }
-        assert!(ats_trace::check_wellformed(&figure33_trace(8)).is_empty());
-        assert!(ats_trace::check_wellformed(&figure34_trace(16)).is_empty());
-    }
-
-    #[test]
-    fn figure34_uses_three_communicators() {
-        let t = figure34_trace(8);
-        // world + two halves.
-        assert!(t.comms.len() >= 3, "comms: {:?}", t.comms);
-    }
-
-    #[test]
-    fn split_flags_separates_positionals_and_pairs() {
-        let (pos, flags) = split_flags(vec![
-            "8".to_owned(),
-            "--svg".to_owned(),
-            "out".to_owned(),
-            "extrawork=0.02".to_owned(),
-        ]);
-        assert_eq!(pos, ["8", "extrawork=0.02"]);
-        assert_eq!(flag(&flags, "svg"), Some("out"));
-        assert_eq!(flag(&flags, "save"), None);
-    }
-
-    #[test]
-    fn trace_artifacts_round_trip() {
-        let trace = figure34_trace(4);
-        let dir = std::env::temp_dir().join(format!("ats-artifact-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = write_trace_artifact(&trace, dir.to_str().unwrap(), "figure34");
-        assert!(path.ends_with("figure34.atsb"), "{path}");
-        let loaded = ats_trace::io::read_path(&path).unwrap();
-        assert_eq!(loaded.locations, trace.locations);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}

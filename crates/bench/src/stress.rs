@@ -14,8 +14,7 @@
 //! every eighth rep a staggered barrier (Wait at Barrier) followed by a
 //! late-root broadcast (Late Broadcast). Streams are time-monotone,
 //! properly nested, and emitted in ascending `(rank, thread)` order —
-//! exactly what [`analyze_stream`](ats_analyzer::analyze_stream)
-//! requires.
+//! exactly what `ats_analyzer::analyze_stream` requires.
 
 use ats_runtime::VTime;
 use ats_trace::binfmt::BlockWriter;

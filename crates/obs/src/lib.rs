@@ -18,9 +18,7 @@
 //!   run manifest written next to artifacts, with the deterministic
 //!   counter snapshot split from the timing-dependent runtime section.
 //!
-//! [`span`] provides RAII span timers over a thread-local name stack, and
-//! [`profiler`] a sampling hook that attributes every N-th span entry to
-//! its full nesting path.
+//! [`Histogram::span`] is the RAII timer a named span records through.
 //!
 //! The crate depends only on `ats-runtime` (for the lock helper and the
 //! canonical `Json` model that manifests render through) and sits below
@@ -29,17 +27,14 @@
 pub mod export;
 pub mod manifest;
 pub mod metrics;
-pub mod profiler;
 pub mod registry;
-pub mod span;
 
 pub use export::prometheus;
 pub use manifest::{build_manifest, git_describe, process_cpu_seconds, RunManifest};
-pub use metrics::{Counter, Gauge, Histogram};
+pub use metrics::{Counter, Gauge, Histogram, SpanGuard};
 pub use registry::{
     global, global_enabled, global_if_enabled, set_global_enabled, Handle, Registry,
 };
-pub use span::SpanGuard;
 
 /// How a [`crate::registry::Handle`]-carrying session should observe
 /// itself. The default is fully off: no registry, no recording, and the
@@ -53,9 +48,6 @@ pub struct ObsConfig {
     /// global registry additionally arms [`global_enabled`] so
     /// free-function call sites (trace codec) record too.
     pub fresh_registry: bool,
-    /// Arm the sampling profiler to sample every n-th span entry
-    /// (`0` = disarmed).
-    pub sample_every: usize,
 }
 
 impl Default for ObsConfig {
@@ -70,7 +62,6 @@ impl ObsConfig {
         ObsConfig {
             enabled: false,
             fresh_registry: false,
-            sample_every: 0,
         }
     }
 
@@ -79,7 +70,6 @@ impl ObsConfig {
         ObsConfig {
             enabled: true,
             fresh_registry: false,
-            sample_every: 0,
         }
     }
 
@@ -88,24 +78,14 @@ impl ObsConfig {
         ObsConfig {
             enabled: true,
             fresh_registry: true,
-            sample_every: 0,
         }
-    }
-
-    /// Builder: arm the sampling profiler.
-    pub fn sample_every(mut self, n: usize) -> Self {
-        self.sample_every = n;
-        self
     }
 
     /// Materialize the handle this config asks for (and apply the side
-    /// effects: arming global recording / the profiler).
+    /// effect: arming global recording for the global registry).
     pub fn handle(&self) -> Option<Handle> {
         if !self.enabled {
             return None;
-        }
-        if self.sample_every > 0 {
-            profiler::set_sample_every(self.sample_every);
         }
         if self.fresh_registry {
             Some(Handle::new())

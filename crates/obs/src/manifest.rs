@@ -5,7 +5,7 @@
 //! did (the *deterministic* per-subsystem counters — reproducible bit for
 //! bit for a fixed seed at any `jobs` value), and how it went (the
 //! *runtime* section: wall/CPU time, scheduling-dependent counters,
-//! gauges, latency histograms, profiler samples). The two sections are
+//! gauges, latency histograms). The two sections are
 //! split precisely so tests and CI can diff [`RunManifest::deterministic_json`]
 //! across runs while the runtime half stays free to vary.
 
@@ -38,8 +38,6 @@ pub struct RuntimeSection {
     pub gauges: BTreeMap<&'static str, u64>,
     /// All histograms.
     pub histograms: BTreeMap<&'static str, HistSnapshot>,
-    /// Sampling-profiler hits per span path (empty when disarmed).
-    pub profile: Vec<(String, u64)>,
 }
 
 /// The manifest itself. Serialize with [`RunManifest::to_json_pretty`].
@@ -71,17 +69,12 @@ impl RunManifest {
                 .with("sum_seconds", h.sum_seconds);
             (name.to_string(), doc)
         });
-        let profile = rt
-            .profile
-            .iter()
-            .map(|(path, hits)| Json::from(vec![Json::from(path.as_str()), Json::from(*hits)]));
         let runtime = Json::obj()
             .with("wall_seconds", rt.wall_seconds)
             .with("cpu_seconds", rt.cpu_seconds.map_or(Json::Null, Json::from))
             .with("counters", counts(&rt.counters))
             .with("gauges", counts(&rt.gauges))
-            .with("histograms", Json::Obj(histograms.collect()))
-            .with("profile", Json::Arr(profile.collect()));
+            .with("histograms", Json::Obj(histograms.collect()));
         self.deterministic_doc()
             .with("git_describe", self.git_describe.as_str())
             .with("runtime", runtime)
@@ -171,7 +164,6 @@ pub fn build_manifest(
             counters: runtime_counters,
             gauges,
             histograms,
-            profile: crate::profiler::samples(),
         },
     }
 }

@@ -118,16 +118,11 @@ impl Histogram {
         self.observe_ns(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    /// Start an RAII timer that records into this histogram on drop and
-    /// maintains the thread-local span stack under `name` (see
-    /// [`crate::span`]).
-    pub fn span(&self, name: &'static str) -> crate::span::SpanGuard<'_> {
-        crate::span::SpanGuard::enter(self, name)
-    }
-
-    /// Start a plain RAII timer (no span-stack bookkeeping).
-    pub fn timer(&self) -> HistTimer<'_> {
-        HistTimer {
+    /// Start the span `name` (`layer.call`, as in `analyzer.extract`): an
+    /// RAII timer that records its elapsed time into this histogram when
+    /// dropped.
+    pub fn span(&self, _name: &'static str) -> SpanGuard<'_> {
+        SpanGuard {
             hist: self,
             start: Instant::now(),
         }
@@ -158,13 +153,13 @@ impl Histogram {
     }
 }
 
-/// RAII timer returned by [`Histogram::timer`].
-pub struct HistTimer<'a> {
+/// RAII timer returned by [`Histogram::span`].
+pub struct SpanGuard<'a> {
     hist: &'a Histogram,
     start: Instant,
 }
 
-impl Drop for HistTimer<'_> {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         self.hist.observe(self.start.elapsed());
     }
@@ -207,7 +202,7 @@ mod tests {
     fn timer_records_on_drop() {
         let h = Histogram::new();
         {
-            let _t = h.timer();
+            let _t = h.span("test.sleep");
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(h.count(), 1);

@@ -4,8 +4,8 @@
 //! exactly once on a stale-connection failure (the server may have
 //! closed an idle keep-alive socket between requests — the failure mode
 //! every HTTP client must absorb). Both the replay load driver
-//! (`serve_bench`) and the integration tests speak to the server through
-//! this type, so the client-visible contract is tested, not just the
+//! (`ats bench serve`) and the integration tests speak to the server
+//! through this type, so the client-visible contract is tested, not just the
 //! server's framing.
 
 use crate::wire::RowDoc;

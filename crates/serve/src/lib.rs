@@ -20,7 +20,7 @@
 //! tenant has an independent in-flight budget, socket timeouts bound
 //! slow clients, and shutdown drains admitted requests before closing.
 //! The wire documents are canonical JSON, so every response is
-//! byte-comparable with the offline artifacts — `serve_bench` gates on
+//! byte-comparable with the offline artifacts — `ats bench serve` gates on
 //! exactly that.
 
 pub mod api;

@@ -5,7 +5,7 @@
 //! directly comparable to offline artifacts. Reports are **not** wrapped:
 //! `/v1/analyze` returns the frozen `ats-report/1` bytes exactly as
 //! [`ats_analyzer::ReportDoc::render`] produces them, which is what the
-//! byte-identity gate in `serve_bench` checks.
+//! byte-identity gate in `ats bench serve` checks.
 
 use ats_analyzer::AnalyzerConfig;
 use ats_core::json::Json;

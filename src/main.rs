@@ -1,338 +1,8 @@
-//! The `ats` command-line interface: one entry point for the whole suite.
-//!
-//! ```text
-//! ats catalog                         list the property-function catalog
-//! ats run PROPERTY [k=v ...]         run a single-property program + analysis
-//! ats timeline PROPERTY [k=v ...]    same, but print the Vampir-style timeline
-//! ats score                           suite-wide correctness scorecard
-//! ats validate                        semantics-preservation suite
-//! ats apps                            the application collection index
-//! ats resources                       the paper's ch. 2 suite collection
-//! ats generate DIR                    emit generated single-property programs
-//! ats analyze FILE [--json]           analyze an ATSB trace file
-//! ats trace dump FILE                 print an ATSB trace readably
-//! ats profile PROPERTY [k=v ...]     flat time profile of a property run
-//! ats asl SET.asl PROPERTY [k=v ...] evaluate a declarative property set
-//! ats phases PROPERTY [k=v ...]      windowed severity series + trend
-//! ```
-
-use ats::analyzer::{analyze, AnalyzerConfig};
-use ats::harness::{correctness, generate, run_single, validation, ParamValues, RunOpts};
-use ats::trace::binfmt::BlockReader;
-use ats::trace::io::TraceIoError;
-use ats::trace::{EventKind, RegionId};
-use std::io::Write;
+//! The `ats` binary: one entry point for the whole suite. `ats` with no
+//! arguments lists the commands; `ats COMMAND --help` shows one
+//! command's flags. See [`ats::cli`].
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("catalog") => catalog(),
-        Some("run") => run_cmd(&args[1..], false),
-        Some("timeline") => run_cmd(&args[1..], true),
-        Some("score") => score(),
-        Some("validate") => validate(),
-        Some("apps") => apps(),
-        Some("resources") => print!("{}", ats::harness::resources::render()),
-        Some("generate") => generate_cmd(&args[1..]),
-        Some("analyze") => analyze_cmd(&args[1..]),
-        Some("trace") => trace_cmd(&args[1..]),
-        Some("profile") => profile_cmd(&args[1..]),
-        Some("asl") => asl_cmd(&args[1..]),
-        Some("phases") => phases_cmd(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: ats <catalog|run|timeline|profile|phases|score|validate|apps|resources|generate|analyze|trace|asl> [args]\n\
-                 see the README for details"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-fn catalog() {
-    for spec in ats::core::CATALOG {
-        println!(
-            "{:<40} {:<22} {}",
-            spec.name,
-            spec.expected_property.unwrap_or("(negative)"),
-            spec.description
-        );
-    }
-}
-
-fn run_cmd(args: &[String], timeline: bool) {
-    let Some(name) = args.first() else {
-        eprintln!("usage: ats run PROPERTY [key=value ...]");
-        std::process::exit(2);
-    };
-    let Some(spec) = ats::core::catalog::find(name) else {
-        eprintln!("unknown property `{name}`; try `ats catalog`");
-        std::process::exit(2);
-    };
-    let kv: Vec<&str> = args[1..].iter().map(String::as_str).collect();
-    let params = match ParamValues::from_args(spec, &kv) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}\n");
-            eprint!("{}", generate::usage(spec));
-            std::process::exit(2);
-        }
-    };
-    let trace = run_single(name, &params, &RunOpts::default()).expect("catalog name");
-    if timeline {
-        print!("{}", ats::harness::timeline::render_text(&trace, 100));
-        println!();
-    }
-    let report = analyze(&trace, &AnalyzerConfig::default());
-    println!("{}", report.render(&trace));
-}
-
-fn score() {
-    let summary =
-        correctness::score_catalog(&RunOpts::default().procs(8), &AnalyzerConfig::default())
-            .expect("catalog runnable");
-    print!("{}", summary.render());
-    std::process::exit(if summary.all_correct() { 0 } else { 1 });
-}
-
-fn validate() {
-    let mut ok = true;
-    for r in validation::run_validation(4) {
-        ok &= r.passed();
-        println!(
-            "{:<18} [{}]",
-            r.name,
-            if r.passed() { "ok" } else { "FAIL" }
-        );
-    }
-    std::process::exit(if ok { 0 } else { 1 });
-}
-
-fn apps() {
-    for spec in ats::apps::collection() {
-        println!("{:<16} {}", spec.name, spec.description);
-        println!("{:<16}   structure: {}", "", spec.structure);
-        println!(
-            "{:<16}   pathological mode shows: {}",
-            "",
-            spec.imbalanced_properties.join(", ")
-        );
-    }
-}
-
-fn profile_cmd(args: &[String]) {
-    let Some(name) = args.first() else {
-        eprintln!("usage: ats profile PROPERTY [key=value ...]");
-        std::process::exit(2);
-    };
-    let Some(spec) = ats::core::catalog::find(name) else {
-        eprintln!("unknown property `{name}`; try `ats catalog`");
-        std::process::exit(2);
-    };
-    let kv: Vec<&str> = args[1..].iter().map(String::as_str).collect();
-    let params = ParamValues::from_args(spec, &kv).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let trace = run_single(name, &params, &RunOpts::default()).expect("catalog name");
-    print!("{}", ats::harness::profile::render_profile(&trace));
-}
-
-fn analyze_cmd(args: &[String]) {
-    let Some(path) = args.first() else {
-        eprintln!("usage: ats analyze FILE [--json]   (an ATSB trace file)");
-        std::process::exit(2);
-    };
-    let trace = ats::trace::io::read_path(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let report = analyze(&trace, &AnalyzerConfig::default());
-    if args.iter().any(|a| a == "--json") {
-        println!("{}", report.to_json());
-    } else {
-        println!("{}", report.render(&trace));
-    }
-}
-
-fn trace_cmd(args: &[String]) {
-    let [cmd, path] = args else {
-        eprintln!("usage: ats trace dump FILE");
-        std::process::exit(2);
-    };
-    if cmd != "dump" {
-        eprintln!("usage: ats trace dump FILE");
-        std::process::exit(2);
-    }
-    let out = std::io::BufWriter::new(std::io::stdout().lock());
-    if let Err(e) = dump_trace(path, out) {
-        let err = ats::core::Error::from(e);
-        eprintln!("cannot dump {path}: {err} [{}]", err.kind().as_str());
-        std::process::exit(1);
-    }
-}
-
-/// Stream the ATSB file at `path` block by block: the region and
-/// communicator tables, then one line per event — location, time in ns,
-/// kind and fields, with region names resolved.
-fn dump_trace(path: &str, mut out: impl Write) -> Result<(), TraceIoError> {
-    let file = std::fs::File::open(path)?;
-    let mut br = BlockReader::new(std::io::BufReader::new(file))?;
-    let regions = br.regions().to_vec();
-    writeln!(out, "regions {}", regions.len())?;
-    for (id, r) in regions.iter().enumerate() {
-        writeln!(out, "  {id} {} {:?}", r.name, r.kind)?;
-    }
-    writeln!(out, "comms {}", br.comms().len())?;
-    for c in br.comms() {
-        writeln!(out, "  {} members {:?}", c.id, c.members)?;
-    }
-    writeln!(out, "events of {} locations", br.n_locations())?;
-    let name = |r: RegionId| regions.get(r.0 as usize).map_or("?", |m| m.name.as_str());
-    while let Some(block) = br.next_block()? {
-        let loc = block.location();
-        for e in block.events() {
-            let t = e.time.0;
-            match e.kind {
-                EventKind::Enter { region } => {
-                    writeln!(out, "{loc} {t} enter region={} {}", region.0, name(region))
-                }
-                EventKind::Exit { region } => {
-                    writeln!(out, "{loc} {t} exit region={} {}", region.0, name(region))
-                }
-                EventKind::Send {
-                    to,
-                    comm,
-                    tag,
-                    bytes,
-                } => writeln!(out, "{loc} {t} send to={to} comm={comm} tag={tag} bytes={bytes}"),
-                EventKind::Recv {
-                    from,
-                    comm,
-                    tag,
-                    bytes,
-                    posted,
-                } => writeln!(
-                    out,
-                    "{loc} {t} recv from={from} comm={comm} tag={tag} bytes={bytes} posted={}",
-                    posted.0
-                ),
-                EventKind::CollEnd {
-                    op,
-                    comm,
-                    root,
-                    seq,
-                    bytes,
-                    entered,
-                } => writeln!(
-                    out,
-                    "{loc} {t} coll_end {op} comm={comm} root={} seq={seq} bytes={bytes} entered={}",
-                    root.map_or("-".to_owned(), |r| r.to_string()),
-                    entered.0
-                ),
-            }?;
-        }
-    }
-    br.finish()?;
-    out.flush()?;
-    Ok(())
-}
-
-fn phases_cmd(args: &[String]) {
-    let Some(name) = args.first() else {
-        eprintln!("usage: ats phases PROPERTY [key=value ...]");
-        std::process::exit(2);
-    };
-    let Some(spec) = ats::core::catalog::find(name) else {
-        eprintln!("unknown property `{name}`; try `ats catalog`");
-        std::process::exit(2);
-    };
-    let kv: Vec<&str> = args[1..].iter().map(String::as_str).collect();
-    let params = ParamValues::from_args(spec, &kv).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let trace = run_single(name, &params, &RunOpts::default()).expect("catalog name");
-    let report = ats::analyzer::analyze_phases(&trace, 8);
-    println!(
-        "windowed analysis: {} windows of {}",
-        report.windows, report.window_len
-    );
-    for s in &report.series {
-        let bars: String = s
-            .severities
-            .iter()
-            .map(|v| match (v * 10.0) as usize {
-                0 => '.',
-                1..=2 => ':',
-                3..=5 => '|',
-                _ => '#',
-            })
-            .collect();
-        println!(
-            "  {:<24} [{bars}] trend {:+.2}  severities {:?}",
-            s.property,
-            s.trend,
-            s.severities
-                .iter()
-                .map(|v| format!("{v:.2}"))
-                .collect::<Vec<_>>()
-        );
-    }
-}
-
-fn asl_cmd(args: &[String]) {
-    let (Some(set_path), Some(name)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: ats asl SET.asl PROPERTY [key=value ...]");
-        std::process::exit(2);
-    };
-    let src = std::fs::read_to_string(set_path).unwrap_or_else(|e| {
-        eprintln!("cannot read {set_path}: {e}");
-        std::process::exit(2);
-    });
-    let set = ats::analyzer::asl::parse(&src).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let Some(spec) = ats::core::catalog::find(name) else {
-        eprintln!("unknown property `{name}`; try `ats catalog`");
-        std::process::exit(2);
-    };
-    let kv: Vec<&str> = args[2..].iter().map(String::as_str).collect();
-    let params = ParamValues::from_args(spec, &kv).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let trace = run_single(name, &params, &RunOpts::default()).expect("catalog name");
-    let ex = ats::analyzer::extract::extract(&trace);
-    let findings = ats::analyzer::asl::evaluate(&set, &ex, &trace).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let totals = ats::analyzer::asl::totals(&findings);
-    println!(
-        "{} findings from {} declared properties:",
-        findings.len(),
-        set.properties.len()
-    );
-    let mut names: Vec<_> = totals.keys().collect();
-    names.sort();
-    for n in names {
-        println!("  {:<28} total wait {}", n, totals[n]);
-    }
-}
-
-fn generate_cmd(args: &[String]) {
-    let Some(dir) = args.first() else {
-        eprintln!("usage: ats generate DIR");
-        std::process::exit(2);
-    };
-    std::fs::create_dir_all(dir).expect("create dir");
-    for (name, src) in generate::generate_all() {
-        std::fs::write(format!("{dir}/{name}"), src).expect("write");
-    }
-    println!(
-        "generated {} single-property programs in {dir}",
-        ats::core::CATALOG.len()
-    );
+    std::process::exit(ats::cli::run(&args));
 }

@@ -1,0 +1,87 @@
+//! The `ats` command line fails cleanly: an unknown flag, a malformed
+//! value or a missing value exits 2 naming it, an output path that cannot
+//! be written exits 1 naming the path, and nothing panics. A bad command
+//! line fails while it is checked, before any simulation, server or
+//! flood starts.
+
+use std::process::{Command, Output};
+
+fn ats(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_ats"))
+        .args(args)
+        .output()
+        .expect("ats runs")
+}
+
+/// `ats args` exits `code` with `needle` on stderr, and does not panic.
+fn fails(args: &[&str], code: i32, needle: &str) {
+    let out = ats(args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "ats {args:?}: {err}");
+    assert!(
+        err.contains(needle),
+        "ats {args:?} does not name {needle:?}: {err}"
+    );
+    assert!(!err.contains("panicked"), "ats {args:?} panicked: {err}");
+}
+
+#[test]
+fn malformed_values_are_usage_errors() {
+    fails(&["figure", "32", "eight"], 2, "bad nprocs `eight`");
+    fails(
+        &["bench", "serve", "--workers", "abc"],
+        2,
+        "bad --workers `abc`",
+    );
+    fails(&["bench", "obs", "x"], 2, "bad reps `x`");
+    fails(&["fuzz", "5", "0xZZ", "1"], 2, "bad seed `0xZZ`");
+    fails(&["figure", "34", "--backend", "bogus"], 2, "bogus");
+    fails(&["sweep", "positive", "--cache", "bogus"], 2, "bogus");
+    fails(&["run", "no_such_property"], 2, "no_such_property");
+}
+
+#[test]
+fn unknown_flags_and_arguments_are_usage_errors() {
+    fails(&["figure", "33", "--svgdir", "/tmp/x", "8"], 2, "--svgdir");
+    fails(&["sweep", "negative", "--jobs", "2"], 2, "--jobs");
+    // Gate bounds are constants, not flags.
+    fails(&["bench", "sched", "--min-ratio", "1"], 2, "--min-ratio");
+    fails(&["bench", "serve", "--min-rps", "1"], 2, "--min-rps");
+    fails(&["figure", "32", "8", "16"], 2, "unexpected argument `16`");
+    fails(&["figure", "36"], 2, "unknown command `figure 36`");
+    fails(&[], 2, "usage: ats COMMAND");
+    // A boolean flag does not swallow the next word, so `8` is a surplus
+    // positional here rather than the value of `--realistic`.
+    fails(&["serve", "--realistic", "8"], 2, "unexpected argument `8`");
+}
+
+#[test]
+fn missing_values_are_usage_errors() {
+    fails(&["figure", "34", "--svg"], 2, "--svg needs a value");
+    fails(&["generate"], 2, "missing DIR");
+    fails(&["trace", "gen"], 2, "missing OUT.atsb");
+}
+
+#[test]
+fn unwritable_outputs_fail_naming_the_path() {
+    let dir = ats_testutil::TempDir::new("ats-cli-unwritable");
+    let missing = dir.path().join("no").join("such").join("dir");
+    let missing = missing.to_str().unwrap();
+    fails(&["figure", "33", "4", "--svg", missing], 1, missing);
+    std::fs::write(dir.file("plain"), "a file, not a directory").unwrap();
+    let under_file = format!("{}/x", dir.file("plain").display());
+    fails(&["generate", &under_file], 1, &under_file);
+    let out = format!("{missing}/t.atsb");
+    fails(&["trace", "gen", &out, "--mb", "1"], 1, &out);
+}
+
+#[test]
+fn help_prints_the_command_usage() {
+    let out = ats(&["bench", "serve", "--help"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("ats bench serve [clients] [rounds]"),
+        "{text}"
+    );
+}

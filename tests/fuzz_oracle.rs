@@ -42,9 +42,9 @@ fn campaign_verdicts_are_identical_across_worker_counts() {
 
 /// With the honest default analyzer, a 200-scenario campaign is clean:
 /// zero violations, zero generator nondeterminism. This is the same run
-/// the CI smoke job performs through the `fuzz` binary.
+/// the CI smoke job performs through `ats fuzz`.
 #[test]
-#[ignore = "minutes-long; run explicitly or via the fuzz bench binary"]
+#[ignore = "minutes-long; run explicitly or via `ats fuzz`"]
 fn honest_analyzer_survives_two_hundred_scenarios() {
     let cfg = FuzzConfig {
         count: 200,

@@ -14,7 +14,7 @@ use ats::trace::{binfmt, io, Trace, TracePool};
 
 /// The Figure 3.4 composite: two communicators running different property
 /// sets in parallel, at reproduction scale (realistic model, visible
-/// init/finalize — the same program `ats-bench` renders).
+/// init/finalize — the same program `ats figure 34` renders).
 fn composite(nprocs: usize) -> Trace {
     let params = CompositeParams {
         basework: 0.005,
