@@ -128,6 +128,21 @@ pub fn late_receiver(pairs: &[MatchedPair]) -> Vec<Located> {
 /// The sum over `Q` is `F(P.completion) − F(P.posted)` for the receiver's
 /// [`Coverage`] integral `F`, so the pass costs O(n log n) in the pairs.
 pub fn wrong_order(pairs: &[MatchedPair]) -> Vec<Located> {
+    wrong_order_charges(pairs)
+        .into_iter()
+        .map(|(p, wait)| Located {
+            property: PropertyKind::MessagesWrongOrder,
+            path: p.recv.path,
+            loc: p.recv.loc,
+            wait,
+        })
+        .collect()
+}
+
+/// The [`wrong_order`] charge of each blocked receive that has one, with
+/// its pair, in pair order (the windowed analysis needs the receive's
+/// instants, not just its location).
+pub(crate) fn wrong_order_charges(pairs: &[MatchedPair]) -> Vec<(&MatchedPair, VDur)> {
     let mut intervals: HashMap<LocationId, (Vec<u64>, Vec<u64>)> =
         HashMap::with_capacity(pairs.len().min(64));
     for p in pairs {
@@ -154,12 +169,7 @@ pub fn wrong_order(pairs: &[MatchedPair]) -> Vec<Located> {
         };
         let overlap = cov.below(p.recv.completion) - cov.below(p.recv.posted);
         if overlap != 0 {
-            out.push(Located {
-                property: PropertyKind::MessagesWrongOrder,
-                path: p.recv.path,
-                loc: p.recv.loc,
-                wait: VDur(overlap.min(u128::from(blocked.0)) as u64),
-            });
+            out.push((p, VDur(overlap.min(u128::from(blocked.0)) as u64)));
         }
     }
     out

@@ -5,10 +5,10 @@
 //! reports whole-run aggregates cannot distinguish a constant 10%
 //! imbalance from one that grows from 0% to 20% — yet the second is the
 //! one that kills scalability. This module splits the run into equal time
-//! windows, attributes every located wait to the window containing its
-//! *end* (when the waiting became observable), and reports per-window
-//! severities plus a rank-correlation trend — the instrument that makes
-//! the progressive property functions testable.
+//! windows, spreads every located wait over the windows its interval
+//! overlaps (so each property's windowed waits sum to its aggregate), and
+//! reports per-window severities plus a rank-correlation trend — the
+//! instrument that makes the progressive property functions testable.
 
 use crate::extract::extract;
 use crate::patterns;
@@ -133,6 +133,17 @@ pub fn analyze_phases(trace: &Trace, windows: usize) -> PhaseReport {
             &mut buckets,
         );
     }
+    // Wrong order: the charge is a share of the receive's blocked time
+    // with no instants of its own, so bin it as the interval of that
+    // length from the post; windowed totals stay exact.
+    for (p, wait) in patterns::wrong_order_charges(&pairs) {
+        add(
+            PropertyKind::MessagesWrongOrder,
+            p.recv.posted,
+            p.recv.posted + wait,
+            &mut buckets,
+        );
+    }
     for inst in &ex.colls {
         for l in patterns::collective_waits(inst, trace) {
             // The member waits from its entry for `wait`.
@@ -188,7 +199,10 @@ pub fn analyze_phases(trace: &Trace, windows: usize) -> PhaseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ats_core::{properties::mpi_coll, Distr};
+    use ats_core::{
+        properties::{mpi_coll, mpi_p2p},
+        BaseComm, Distr,
+    };
     use ats_mpi::SimConfig;
     use ats_runtime::MachineModel;
 
@@ -287,6 +301,42 @@ mod tests {
             .by_property(PropertyKind::WaitAtBarrier)
             .as_secs();
         assert!((windowed - aggregate).abs() < 1e-9);
+    }
+
+    #[test]
+    fn every_property_of_wrong_order_messages_is_binned_exactly() {
+        let trace = ats_mpi::run(
+            SimConfig {
+                nprocs: 8,
+                ..Default::default()
+            },
+            |p| {
+                let c = p.comm_world();
+                mpi_p2p::messages_in_wrong_order(p, &BaseComm::default(), 0.002, 0.02, 4, &c)
+            },
+        );
+        let phases = analyze_phases(&trace, 8);
+        let report = crate::analyze(&trace, &crate::AnalyzerConfig::default().threshold(0.0));
+        let mut checked = Vec::new();
+        for &prop in PropertyKind::leaves() {
+            let aggregate = report.cube.by_property(prop).as_secs();
+            if aggregate == 0.0 {
+                continue;
+            }
+            let windowed: f64 = phases
+                .series_for(prop.name())
+                .unwrap_or_else(|| panic!("{} has no series", prop.name()))
+                .waits
+                .iter()
+                .sum();
+            assert!(
+                (windowed - aggregate).abs() < 1e-9,
+                "{}: windowed {windowed} vs aggregate {aggregate}",
+                prop.name()
+            );
+            checked.push(prop.name());
+        }
+        assert!(checked.contains(&"MessagesWrongOrder"), "{checked:?}");
     }
 
     #[test]

@@ -37,10 +37,6 @@ pub struct FuzzConfig {
     pub shrink: bool,
     /// Persist minimized violating scenarios (spec + trace) here.
     pub corpus_dir: Option<PathBuf>,
-    /// Artifact store to additionally publish witnesses into (spec +
-    /// trace, content-addressed by the scenario's text form). `None` or a
-    /// read-only mode publishes nothing.
-    pub cache: Option<ats_store::Cache>,
 }
 
 impl Default for FuzzConfig {
@@ -54,7 +50,6 @@ impl Default for FuzzConfig {
             opts: RunOpts::default(),
             shrink: true,
             corpus_dir: None,
-            cache: None,
         }
     }
 }
@@ -74,7 +69,6 @@ impl FuzzConfig {
                 ..GenConfig::default()
             },
             opts,
-            cache: session.result_cache().cloned(),
             ..FuzzConfig::default()
         }
     }
@@ -142,9 +136,6 @@ pub struct Minimized {
     pub violations: Vec<Violation>,
     /// Where the spec was persisted (`None` if no corpus dir was set).
     pub persisted: Option<PathBuf>,
-    /// Store key the witness was published under (`None` without a
-    /// writable cache).
-    pub stored: Option<ats_store::CacheKey>,
 }
 
 /// Full campaign outcome.
@@ -233,30 +224,17 @@ pub fn run_campaign(cfg: &FuzzConfig) -> Result<CampaignResult, Error> {
         } else {
             (sc, violations)
         };
-        let store = cfg.cache.as_ref().filter(|c| c.mode.writes());
-        let trace = if cfg.corpus_dir.is_some() || store.is_some() {
-            Some(oracle::check(&min_sc, &cfg.oracle, &cfg.opts)?.trace)
-        } else {
-            None
-        };
-        let persisted = match (&cfg.corpus_dir, &trace) {
-            (Some(dir), Some(trace)) => {
-                Some(corpus::persist(dir, &min_sc, &min_violations, trace)?)
+        let persisted = match &cfg.corpus_dir {
+            Some(dir) => {
+                let trace = oracle::check(&min_sc, &cfg.oracle, &cfg.opts)?.trace;
+                Some(corpus::persist(dir, &min_sc, &min_violations, &trace)?)
             }
-            _ => None,
-        };
-        let stored = match (store, &trace) {
-            (Some(cache), Some(trace)) => {
-                corpus::persist_to_store(cache, &min_sc, &min_violations, trace)?;
-                Some(corpus::store_key(&min_sc))
-            }
-            _ => None,
+            None => None,
         };
         minimized.push(Minimized {
             scenario: min_sc,
             violations: min_violations,
             persisted,
-            stored,
         });
     }
 

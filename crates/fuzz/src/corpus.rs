@@ -10,15 +10,12 @@
 //!
 //! Both files are written through [`ats_store::atomic`] (temp file +
 //! rename), so an interrupted campaign can never leave a truncated
-//! corpus entry. Campaigns with a result cache additionally publish each
-//! witness into the content-addressed artifact store
-//! ([`persist_to_store`]), keyed by the scenario's complete text form —
-//! the same integrity-checked tree experiment sweeps replay from.
+//! corpus entry. These files are the one record of a witness.
 
 use crate::oracle::{self, OracleConfig, Violation, ViolationKind};
 use crate::scenario::Scenario;
 use ats_core::Error;
-use ats_store::{atomic, Cache, CacheKey, Json};
+use ats_store::{atomic, Json};
 use ats_trace::{binfmt, Trace};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -63,28 +60,9 @@ pub fn persist(
     Ok(json_path)
 }
 
-/// Schema tag of store-published corpus entries.
-pub const STORE_SCHEMA: &str = "ats-store-fuzz-corpus/1";
-/// Spec artifact name inside a store entry.
-pub const SPEC_FILE: &str = "scenario.json";
-/// Trace artifact name inside a store entry.
-pub const TRACE_FILE: &str = "trace.atsb";
-
-/// Key ingredients for a store-published witness: the scenario's
-/// complete one-line text form (seed, nprocs, every slot, split, phase
-/// and parameter) is its identity — two scenarios with the same text are
-/// the same scenario, shrunk or not.
-pub fn store_key_doc(sc: &Scenario) -> Json {
-    Json::obj()
-        .with("schema", STORE_SCHEMA)
-        .with("engine", "fuzz-corpus")
-        .with("scenario", sc.to_string())
-}
-
-/// The store key for a scenario.
-pub fn store_key(sc: &Scenario) -> CacheKey {
-    CacheKey::of_value(&store_key_doc(sc))
-}
+/// Schema tag of a corpus spec document. Existing corpus files carry
+/// this exact tag, so it must not change.
+pub const SPEC_SCHEMA: &str = "ats-store-fuzz-corpus/1";
 
 fn violation_json(v: &Violation) -> Json {
     Json::obj()
@@ -111,55 +89,29 @@ fn violation_from_json(doc: &Json) -> Option<Violation> {
     })
 }
 
-/// The spec document a corpus entry carries, on disk and in the store:
-/// enough to re-generate, grep and triage the witness without touching
-/// the binary trace.
+/// The spec document a corpus entry carries on disk: enough to
+/// re-generate, grep and triage the witness without touching the binary
+/// trace.
 pub fn spec_doc(sc: &Scenario, violations: &[Violation]) -> Json {
     let mut vs = Json::arr();
     for v in violations {
         vs.push(violation_json(v));
     }
     Json::obj()
-        .with("schema", STORE_SCHEMA)
+        .with("schema", SPEC_SCHEMA)
         .with("seed", sc.seed)
         .with("nprocs", sc.nprocs)
         .with("text", sc.to_string())
         .with("violations", vs)
 }
 
-/// Parse the violations back out of a store entry's spec document.
+/// Parse the violations back out of a spec document.
 pub fn spec_violations(doc: &Json) -> Option<Vec<Violation>> {
     doc.get("violations")?
         .as_arr()?
         .iter()
         .map(violation_from_json)
         .collect()
-}
-
-/// Publish a minimized witness (spec + trace) into the artifact store,
-/// honoring the cache mode. Returns bytes written (0 when the mode
-/// forbids writes or the entry already exists).
-pub fn persist_to_store(
-    cache: &Cache,
-    sc: &Scenario,
-    violations: &[Violation],
-    trace: &Trace,
-) -> Result<u64, Error> {
-    let key = store_key(sc);
-    if cache.mode.reads() && cache.store.get(&key)?.is_some() {
-        return Ok(0);
-    }
-    cache.publish(
-        &key,
-        &store_key_doc(sc),
-        &[
-            (
-                SPEC_FILE,
-                spec_doc(sc, violations).render_pretty().as_bytes(),
-            ),
-            (TRACE_FILE, &binfmt::encode(trace)),
-        ],
-    )
 }
 
 /// Load every `.json` spec under `dir`, sorted by file name. A missing
@@ -244,11 +196,20 @@ mod tests {
         let cfg = OracleConfig::default();
         let opts = RunOpts::default();
         let run = oracle::check(&sc, &cfg, &opts).unwrap();
-        persist(dir, &sc, &run.violations, &run.trace).unwrap();
+        // A fabricated violation exercises the spec round trip.
+        let v = Violation {
+            kind: ViolationKind::Missed,
+            phase: 0,
+            region: "fz00".to_owned(),
+            property: "late_sender".to_owned(),
+            detail: "unit".to_owned(),
+        };
+        persist(dir, &sc, std::slice::from_ref(&v), &run.trace).unwrap();
 
         let entries = load(dir).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].scenario, sc);
+        assert_eq!(entries[0].violations, vec![v]);
 
         // The binary trace decodes to the executed trace.
         let atsb = dir.join(format!("{}.atsb", stem(&sc)));
@@ -277,48 +238,6 @@ mod tests {
             names.iter().all(|n| !n.ends_with(".tmp")),
             "temp files left behind: {names:?}"
         );
-    }
-
-    #[test]
-    fn store_publication_round_trips() {
-        use ats_store::{Cache, CacheMode};
-        let tmp = tmp_dir("store");
-        let dir = tmp.path();
-        let sc = generate(11, &GenConfig::default());
-        let run = oracle::check(&sc, &OracleConfig::default(), &RunOpts::default()).unwrap();
-        // A fabricated violation exercises the spec round trip.
-        let v = Violation {
-            kind: ViolationKind::Missed,
-            phase: 0,
-            region: "fz00".to_owned(),
-            property: "late_sender".to_owned(),
-            detail: "unit".to_owned(),
-        };
-        let cache = Cache::open(dir, CacheMode::ReadWrite).unwrap();
-        let bytes = persist_to_store(&cache, &sc, std::slice::from_ref(&v), &run.trace).unwrap();
-        assert!(bytes > 0, "first publication writes");
-        assert_eq!(
-            persist_to_store(&cache, &sc, std::slice::from_ref(&v), &run.trace).unwrap(),
-            0,
-            "re-publishing an existing witness is a no-op"
-        );
-        let entry = cache.lookup(&store_key(&sc)).unwrap().unwrap();
-        let spec_text = std::str::from_utf8(entry.file(SPEC_FILE).unwrap()).unwrap();
-        let spec = Json::parse(spec_text).unwrap();
-        assert_eq!(
-            spec.get("text").and_then(Json::as_str),
-            Some(sc.to_string().as_str()),
-            "spec carries the scenario's full text form"
-        );
-        assert_eq!(spec_violations(&spec).unwrap(), vec![v]);
-        let decoded = binfmt::decode(entry.file(TRACE_FILE).unwrap()).unwrap();
-        assert_eq!(decoded.num_events(), run.trace.num_events());
-        // Read-only caches never publish.
-        let ro = Cache::open(dir, CacheMode::Read).unwrap();
-        let other = generate(12, &GenConfig::default());
-        let run2 = oracle::check(&other, &OracleConfig::default(), &RunOpts::default()).unwrap();
-        assert_eq!(persist_to_store(&ro, &other, &[], &run2.trace).unwrap(), 0);
-        assert!(ro.lookup(&store_key(&other)).unwrap().is_none());
     }
 
     #[test]

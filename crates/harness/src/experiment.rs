@@ -100,7 +100,8 @@ pub struct ExperimentStats {
     /// Per-configuration wall-clock, in cartesian-combo order.
     pub config_wall_secs: Vec<f64>,
     /// Event-buffer pool counters for the sweep (reuse hits/misses and
-    /// buffers recycled). Capacity reuse only — rows are unaffected.
+    /// buffers recycled; all zero unless the options carry a pool).
+    /// Capacity reuse only — rows are unaffected.
     pub trace_pool: PoolStats,
     /// Result-cache mode label (`"off"`, `"ro"`, `"rw"`).
     pub cache_mode: &'static str,
@@ -232,16 +233,11 @@ impl Experiment {
         let threads_per_config = pool::threads_per_config(self.opts.backend, max_nprocs);
         let jobs = pool::effective_jobs(jobs_requested, threads_per_config, thread_budget)
             .min(configs.len().max(1));
-        // All workers share one event-buffer pool: each finished (analyzed)
-        // trace donates its grown vectors to whichever configuration runs
-        // next. Capacity reuse only — rows stay byte-identical for any
-        // `jobs` value.
-        let trace_pool = self.opts.trace_pool.clone().unwrap_or_default();
         let started = Instant::now();
         let outcomes = pool::run_indexed_with(jobs, configs.len(), self.opts.obs.clone(), |i| {
             let (nprocs, combo) = configs[i];
             let config_started = Instant::now();
-            let row = self.run_config(spec, nprocs, combo, &trace_pool);
+            let row = self.run_config(spec, nprocs, combo);
             (row, config_started.elapsed().as_secs_f64())
         });
         let wall_secs = started.elapsed().as_secs_f64();
@@ -272,7 +268,11 @@ impl Experiment {
                 0.0
             },
             config_wall_secs,
-            trace_pool: trace_pool.stats(),
+            trace_pool: self
+                .opts
+                .trace_pool
+                .as_ref()
+                .map_or_else(PoolStats::default, TracePool::stats),
             cache_mode: self.cache.as_ref().map_or("off", |c| c.mode.label()),
             cache_hits,
             cache_misses: rows.len() - cache_hits,
@@ -289,7 +289,6 @@ impl Experiment {
         spec: &'static PropertySpec,
         nprocs: usize,
         combo: &[(String, ParamValue)],
-        trace_pool: &TracePool,
     ) -> Result<(ExperimentRow, CacheOutcome), RunError> {
         let mut params = ParamValues::defaults(spec);
         for (name, value) in combo {
@@ -331,11 +330,7 @@ impl Experiment {
                 }
             }
         }
-        let opts = self
-            .opts
-            .clone()
-            .procs(nprocs)
-            .trace_pool(trace_pool.clone());
+        let opts = self.opts.clone().procs(nprocs);
         // Attribute any failure to this exact configuration so a failing
         // combo inside a pool-parallel sweep is identifiable from the
         // error alone.
@@ -398,8 +393,11 @@ impl Experiment {
             }
         }
         // The trace has been fully scored (and, in `rw` mode, persisted);
-        // donate its event buffers to the next configuration.
-        trace_pool.recycle(trace);
+        // with a pool in the options (shared by every worker), donate its
+        // event buffers to whichever configuration runs next.
+        if let Some(pool) = &self.opts.trace_pool {
+            pool.recycle(trace);
+        }
         Ok((
             row,
             CacheOutcome {
@@ -646,8 +644,7 @@ mod tests {
         assert_eq!(s.misses, 4, "only the first config allocates");
         assert_eq!(s.hits, 2 * 4, "configs 2 and 3 reuse config 1's buffers");
         assert_eq!(stats.trace_pool, s);
-        // Identical rows without an external pool (the engine then uses a
-        // private one internally).
+        // Identical rows without a pool (the engine then pools nothing).
         let baseline = Experiment::new("late_sender")
             .sweep(Sweep::seconds("extrawork", [0.005, 0.01, 0.02]))
             .opts(RunOpts::default().procs(4).jobs(1))

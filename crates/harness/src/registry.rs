@@ -45,9 +45,10 @@ pub struct RunOpts {
     /// auto-derived budget (see `pool::default_thread_budget`).
     pub thread_budget: Option<usize>,
     /// Event-buffer pool handed to every run launched through these
-    /// options (`None` = the experiment engine creates a private one per
-    /// sweep; single runs allocate fresh vectors). Pooling reuses capacity
-    /// only — traces and sweep rows are byte-identical with or without it.
+    /// options, and refilled by the experiment engine after each
+    /// configuration (`None` = every run allocates fresh vectors). Pooling
+    /// reuses capacity only — traces and sweep rows are byte-identical with
+    /// or without it.
     pub trace_pool: Option<TracePool>,
     /// Observability registry every run launched through these options
     /// records into (`None` = no recording). Like the pool, recording

@@ -1,8 +1,8 @@
 //! A small, self-contained JSON value — the suite's canonical document
 //! representation.
 //!
-//! The suite's wire and on-disk documents (the store's `entry.json` and
-//! `index.json`, the key-ingredient documents its cache keys hash, the
+//! The suite's wire and on-disk documents (the store's `entry.json`
+//! manifests, the key-ingredient documents its cache keys hash, the
 //! `ats-report/1` analyzer wire schema, every `ats-serve` response body)
 //! must render *canonically*: the same content always produces the same
 //! bytes, on every platform, forever — a cache key is only as stable as

@@ -202,6 +202,7 @@ pub fn start(session: Session, config: ServeConfig) -> io::Result<ServerHandle> 
 
     #[cfg(target_os = "linux")]
     {
+        widen_backlog(&listener, config.max_conns)?;
         let poller = Poller::new()?;
         let (wake_r, wake_w) = std::os::unix::net::UnixStream::pair()?;
         wake_r.set_nonblocking(true)?;
@@ -271,6 +272,26 @@ pub fn start(session: Session, config: ServeConfig) -> io::Result<ServerHandle> 
             threads,
         })
     }
+}
+
+#[cfg(target_os = "linux")]
+unsafe extern "C" {
+    fn listen(fd: i32, backlog: i32) -> i32;
+}
+
+/// Listen again with a backlog of `max_conns` (std listens with 128; the
+/// kernel caps the value at `somaxconn`), so a burst of up to `max_conns`
+/// clients waits in the accept queue instead of losing SYNs that the
+/// clients retransmit only a second later.
+#[cfg(target_os = "linux")]
+fn widen_backlog(listener: &TcpListener, max_conns: usize) -> io::Result<()> {
+    let backlog = i32::try_from(max_conns.max(1)).unwrap_or(i32::MAX);
+    // SAFETY: `listen` reads only its two integer arguments, and the fd
+    // is the listener's, which the borrow keeps open during the call.
+    if unsafe { listen(listener.as_raw_fd(), backlog) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 /// Answer a shed connection with 429 and close it (short write timeout —

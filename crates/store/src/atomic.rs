@@ -7,6 +7,12 @@
 //! worst an orphaned temp file, never a corrupt artifact. The temp file
 //! lives in the *destination* directory because `rename(2)` is only
 //! atomic within one filesystem.
+//!
+//! The contract stops there: a write is atomic for concurrent readers
+//! and for a killed process, but not durable across power loss. Nothing
+//! is `fsync`ed, so after an operating-system crash a renamed file may be
+//! missing or torn. The store reads such a file as a miss (a torn one as
+//! a counted integrity miss) and re-executes it; see `store.rs`.
 
 use crate::json::Json;
 use ats_core::Error;

@@ -19,9 +19,10 @@
 //! * [`CacheKey`] — a stable 128-bit hash (two-lane [`hash::xxh64`]) of a
 //!   canonical JSON ingredients document;
 //! * [`Store`] — the sharded on-disk object tree with per-entry
-//!   manifests, checksums, an index file and atomic commit;
-//! * [`CacheMode`] / [`Cache`] — the `off`/`ro`/`rw` policy knob engines
-//!   thread through sweeps and fuzz campaigns;
+//!   manifests, checksums and atomic commit; the tree is the store's one
+//!   record of what it holds;
+//! * [`CacheMode`] / [`Cache`] — the `off`/`ro`/`rw` policy knob that
+//!   experiment sweeps and the campaign service thread through;
 //! * [`atomic`] — temp-file + rename write primitives, also used by the
 //!   fuzz corpus so interrupted campaigns cannot truncate artifacts.
 
@@ -49,7 +50,7 @@ use std::path::Path;
 pub const DEFAULT_DIR: &str = "artifacts/store";
 
 /// A [`Store`] paired with the [`CacheMode`] governing its use — what a
-/// caching-aware engine (experiment sweeps, fuzz campaigns) carries.
+/// caching-aware engine (experiment sweeps, the campaign service) carries.
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// The underlying store.

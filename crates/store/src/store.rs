@@ -4,11 +4,14 @@
 //!
 //! ```text
 //! <root>/
-//!   index.json                      # acceleration + stats (rebuildable)
 //!   objects/<kk>/<key-hex>/         # kk = first hex byte of the key
 //!     report.json  trace.atsb  …    # the entry's artifacts
 //!     entry.json                    # manifest: ingredients + checksums
 //! ```
+//!
+//! The object tree is the store's only record of what it holds: there is
+//! no index, so every handle on a root sees every committed entry, and
+//! [`Store::len`] and [`Store::stats`] scan the tree when called.
 //!
 //! Commit protocol: artifacts are written first (each atomically, temp +
 //! rename), `entry.json` last. An entry *exists* iff its `entry.json`
@@ -18,9 +21,14 @@
 //! Integrity: `entry.json` records the size and 128-bit checksum of every
 //! artifact; [`Store::get`] re-hashes what it reads and treats any
 //! mismatch as a miss (counted in the observability registry), never as
-//! silently-trusted data. The index is an acceleration structure only —
-//! lookups go straight to the object tree, so a stale or deleted
-//! `index.json` can cost statistics but never correctness.
+//! silently-trusted data.
+//!
+//! Crash contract: a write is atomic for concurrent readers but not
+//! durable across power loss ([`write_atomic`] renames without `fsync`).
+//! After a crash an entry may be missing or torn. A missing entry is a
+//! miss; a torn one (a manifest or artifact that fails to parse or
+//! verify) is a counted integrity miss, which a `rw` campaign
+//! re-executes and overwrites.
 
 use crate::atomic::{write_atomic, write_atomic_json};
 use crate::json::Json;
@@ -29,12 +37,10 @@ use ats_core::Error;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Schema tag of `entry.json` documents.
 const ENTRY_SCHEMA: &str = "ats-store-entry/1";
-/// Schema tag of `index.json`.
-const INDEX_SCHEMA: &str = "ats-store-index/1";
 
 /// Size and checksum of one stored artifact, as recorded in `entry.json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,8 +143,8 @@ impl StoredEntry {
     }
 }
 
-/// Aggregate store statistics (from the index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Aggregate store statistics, from a scan of the object tree.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Number of committed entries.
     pub entries: usize,
@@ -146,115 +152,30 @@ pub struct StoreStats {
     pub bytes: u64,
 }
 
-#[derive(Debug, Clone)]
-struct IndexEntry {
-    bytes: u64,
-    files: Vec<String>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Index {
-    entries: BTreeMap<String, IndexEntry>,
-}
-
-impl Index {
-    fn to_json(&self) -> Json {
-        let mut entries = Json::obj();
-        for (key, e) in &self.entries {
-            entries.set(
-                key,
-                Json::obj().with("bytes", e.bytes).with(
-                    "files",
-                    e.files
-                        .iter()
-                        .map(|f| Json::from(f.as_str()))
-                        .collect::<Vec<_>>(),
-                ),
-            );
-        }
-        Json::obj()
-            .with("schema", INDEX_SCHEMA)
-            .with("entries", entries)
-    }
-
-    fn from_text(text: &str) -> Result<Index, String> {
-        let doc = Json::parse(text)?;
-        if doc.get("schema").and_then(Json::as_str) != Some(INDEX_SCHEMA) {
-            return Err("unrecognized index schema".into());
-        }
-        let mut index = Index::default();
-        for (key, e) in doc
-            .get("entries")
-            .and_then(Json::as_obj)
-            .ok_or("missing entries")?
-        {
-            let files = e
-                .get("files")
-                .and_then(Json::as_arr)
-                .ok_or("missing files")?
-                .iter()
-                .filter_map(|f| f.as_str().map(str::to_owned))
-                .collect();
-            index.entries.insert(
-                key.clone(),
-                IndexEntry {
-                    bytes: e
-                        .get("bytes")
-                        .and_then(Json::as_u64)
-                        .ok_or("missing bytes")?,
-                    files,
-                },
-            );
-        }
-        Ok(index)
-    }
-}
-
-#[derive(Debug)]
-struct Inner {
-    root: PathBuf,
-    index: Mutex<Index>,
-}
-
-/// A handle to one on-disk store. Cloning shares the same root and
-/// in-process index; all methods are safe to call from pool workers
-/// concurrently.
+/// A handle to one on-disk store. Handles hold no state beyond the root,
+/// so any number of them (cloned, or opened separately, in one process
+/// or several) see the same entries; all methods are safe to call from
+/// pool workers concurrently.
 #[derive(Debug, Clone)]
 pub struct Store {
-    inner: Arc<Inner>,
+    root: Arc<Path>,
     obs: Option<ats_obs::Handle>,
 }
 
 impl Store {
-    /// Open (creating if needed) the store rooted at `root`. An existing
-    /// `index.json` is loaded; if it is missing or unreadable but
-    /// committed objects exist (say, after a crash between commit and
-    /// index update), the index is rebuilt by scanning the object tree.
+    /// Open (creating if needed) the store rooted at `root`.
     pub fn open(root: impl AsRef<Path>) -> Result<Store, Error> {
-        let root = root.as_ref().to_path_buf();
+        let root = root.as_ref();
         fs::create_dir_all(root.join("objects"))
             .map_err(|e| Error::store(format!("create {}: {e}", root.display())))?;
-        let index_path = root.join("index.json");
-        let index = match fs::read_to_string(&index_path) {
-            Ok(text) => match Index::from_text(&text) {
-                Ok(index) => index,
-                // A torn or stale index is repairable, not fatal.
-                Err(_) => rebuild_index(&root)?,
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => rebuild_index(&root)?,
-            Err(e) => return Err(Error::store(format!("read {}: {e}", index_path.display()))),
-        };
         Ok(Store {
-            inner: Arc::new(Inner {
-                root,
-                index: Mutex::new(index),
-            }),
+            root: Arc::from(root),
             obs: None,
         })
     }
 
     /// This store, recording hit/miss/byte counters into `obs` (`None`
-    /// detaches). The underlying root and index stay shared.
+    /// detaches).
     pub fn with_obs(mut self, obs: Option<ats_obs::Handle>) -> Store {
         self.obs = obs;
         self
@@ -262,21 +183,11 @@ impl Store {
 
     /// The store's root directory.
     pub fn root(&self) -> &Path {
-        &self.inner.root
+        &self.root
     }
 
     fn entry_dir(&self, key: &CacheKey) -> PathBuf {
-        self.inner
-            .root
-            .join("objects")
-            .join(key.shard())
-            .join(key.hex())
-    }
-
-    /// Is an entry committed under `key`? (Manifest presence only — no
-    /// integrity verification; use [`Store::get`] before trusting it.)
-    pub fn contains(&self, key: &CacheKey) -> bool {
-        self.entry_dir(key).join("entry.json").is_file()
+        self.root.join("objects").join(key.shard()).join(key.hex())
     }
 
     /// Load and verify the entry under `key`. `Ok(None)` means *miss*:
@@ -339,9 +250,8 @@ impl Store {
     }
 
     /// Commit `files` under `key`. Artifacts are written atomically, the
-    /// `entry.json` manifest last (the commit point), then the index is
-    /// updated. Re-putting an existing key replaces it. Returns total
-    /// artifact bytes written.
+    /// `entry.json` manifest last (the commit point). Re-putting an
+    /// existing key replaces it. Returns total artifact bytes written.
     pub fn put(
         &self,
         key: &CacheKey,
@@ -371,17 +281,6 @@ impl Store {
             files: metas,
         };
         write_atomic_json(&dir.join("entry.json"), &doc.to_json())?;
-        {
-            let mut index = self.inner.index.lock().expect("index lock");
-            index.entries.insert(
-                key.hex(),
-                IndexEntry {
-                    bytes: total,
-                    files: doc.files.keys().cloned().collect(),
-                },
-            );
-            write_atomic_json(&self.inner.root.join("index.json"), &index.to_json())?;
-        }
         if let Some(obs) = &self.obs {
             obs.store.puts.inc();
             obs.store.bytes_written.add(total);
@@ -389,25 +288,9 @@ impl Store {
         Ok(total)
     }
 
-    /// Remove the entry under `key` (from disk and index). Returns
-    /// whether anything was removed.
-    pub fn remove(&self, key: &CacheKey) -> Result<bool, Error> {
-        let dir = self.entry_dir(key);
-        let existed = dir.is_dir();
-        if existed {
-            fs::remove_dir_all(&dir)
-                .map_err(|e| Error::store(format!("remove {}: {e}", dir.display())))?;
-        }
-        let mut index = self.inner.index.lock().expect("index lock");
-        if index.entries.remove(&key.hex()).is_some() || existed {
-            write_atomic_json(&self.inner.root.join("index.json"), &index.to_json())?;
-        }
-        Ok(existed)
-    }
-
-    /// Committed entry count (from the index).
+    /// Committed entry count (a scan of the object tree).
     pub fn len(&self) -> usize {
-        self.inner.index.lock().expect("index lock").entries.len()
+        self.stats().entries
     }
 
     /// Is the store empty?
@@ -415,74 +298,31 @@ impl Store {
         self.len() == 0
     }
 
-    /// All committed keys, sorted (from the index).
-    pub fn keys(&self) -> Vec<CacheKey> {
-        self.inner
-            .index
-            .lock()
-            .expect("index lock")
-            .entries
-            .keys()
-            .filter_map(|k| CacheKey::from_hex(k))
-            .collect()
-    }
-
-    /// Aggregate statistics (from the index).
+    /// Aggregate statistics over the committed entries: those whose
+    /// `entry.json` parses. Scans the object tree, reading each manifest
+    /// but no artifact; an unreadable directory counts as empty.
     pub fn stats(&self) -> StoreStats {
-        let index = self.inner.index.lock().expect("index lock");
-        StoreStats {
-            entries: index.entries.len(),
-            bytes: index.entries.values().map(|e| e.bytes).sum(),
-        }
-    }
-
-    /// Re-scan the object tree and rewrite the index from what is
-    /// actually committed — the repair path for a crashed writer or an
-    /// externally-modified store.
-    pub fn rebuild_index(&self) -> Result<StoreStats, Error> {
-        let rebuilt = rebuild_index(&self.inner.root)?;
-        let stats = StoreStats {
-            entries: rebuilt.entries.len(),
-            bytes: rebuilt.entries.values().map(|e| e.bytes).sum(),
+        let mut stats = StoreStats::default();
+        let Ok(shards) = fs::read_dir(self.root.join("objects")) else {
+            return stats;
         };
-        let mut index = self.inner.index.lock().expect("index lock");
-        *index = rebuilt;
-        write_atomic_json(&self.inner.root.join("index.json"), &index.to_json())?;
-        Ok(stats)
-    }
-}
-
-/// Scan `objects/` for committed entries (those with a parseable
-/// `entry.json`) and build a fresh index.
-fn rebuild_index(root: &Path) -> Result<Index, Error> {
-    let mut index = Index::default();
-    let objects = root.join("objects");
-    let shards = match fs::read_dir(&objects) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(index),
-        Err(e) => return Err(Error::store(format!("read {}: {e}", objects.display()))),
-    };
-    for shard in shards.filter_map(|e| e.ok()) {
-        let Ok(entries) = fs::read_dir(shard.path()) else {
-            continue;
-        };
-        for entry in entries.filter_map(|e| e.ok()) {
-            let Ok(text) = fs::read_to_string(entry.path().join("entry.json")) else {
+        for shard in shards.filter_map(|e| e.ok()) {
+            let Ok(entries) = fs::read_dir(shard.path()) else {
                 continue;
             };
-            let Ok(doc) = EntryDoc::from_text(&text) else {
-                continue;
-            };
-            index.entries.insert(
-                doc.key.clone(),
-                IndexEntry {
-                    bytes: doc.files.values().map(|m| m.bytes).sum(),
-                    files: doc.files.keys().cloned().collect(),
-                },
-            );
+            for entry in entries.filter_map(|e| e.ok()) {
+                let Ok(text) = fs::read_to_string(entry.path().join("entry.json")) else {
+                    continue;
+                };
+                let Ok(doc) = EntryDoc::from_text(&text) else {
+                    continue;
+                };
+                stats.entries += 1;
+                stats.bytes += doc.files.values().map(|m| m.bytes).sum::<u64>();
+            }
         }
+        stats
     }
-    Ok(index)
 }
 
 #[cfg(test)]
@@ -505,7 +345,6 @@ mod tests {
         let (dir, store) = tmp_store("roundtrip");
         let key = CacheKey::of_value(&ingredients(1));
         assert!(store.get(&key).unwrap().is_none());
-        assert!(!store.contains(&key));
 
         let written = store
             .put(
@@ -518,7 +357,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(written, 2 + 5);
-        assert!(store.contains(&key));
 
         let entry = store.get(&key).unwrap().expect("hit");
         assert_eq!(entry.file("report.json"), Some(b"{}".as_slice()));
@@ -566,55 +404,87 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn reopening_and_rebuilding_preserve_entries() {
-        let (dir, store) = tmp_store("reopen");
-        let keys: Vec<CacheKey> = (0..4)
-            .map(|n| {
-                let key = CacheKey::of_value(&ingredients(n));
-                store
-                    .put(
-                        &key,
-                        &ingredients(n),
-                        &[("row.json", format!("{n}").as_bytes())],
-                    )
-                    .unwrap();
-                key
-            })
-            .collect();
-        drop(store);
+    fn entry_json(dir: &Path, key: &CacheKey) -> PathBuf {
+        dir.join("objects")
+            .join(key.shard())
+            .join(key.hex())
+            .join("entry.json")
+    }
 
-        // Reopen with the index present.
-        let reopened = Store::open(&dir).unwrap();
-        assert_eq!(reopened.len(), 4);
-        // Delete the index: open() rebuilds from the object tree.
-        fs::remove_file(dir.join("index.json")).unwrap();
-        let rebuilt = Store::open(&dir).unwrap();
-        assert_eq!(rebuilt.len(), 4);
-        let mut expected: Vec<CacheKey> = keys.clone();
-        expected.sort();
-        assert_eq!(rebuilt.keys(), expected);
-        for key in &keys {
-            assert!(rebuilt.get(key).unwrap().is_some());
-        }
-        // A torn index is repaired on open, not fatal.
-        fs::write(dir.join("index.json"), b"{\"schema\": \"ats-st").unwrap();
-        assert_eq!(Store::open(&dir).unwrap().len(), 4);
+    #[test]
+    fn torn_manifest_is_a_counted_miss_that_a_put_repairs() {
+        let (dir, store) = tmp_store("torn");
+        let obs = ats_obs::Handle::new();
+        let store = store.with_obs(Some(obs.clone()));
+        let key = CacheKey::of_value(&ingredients(3));
+        store
+            .put(&key, &ingredients(3), &[("row.json", b"row")])
+            .unwrap();
+        // A crash before the manifest reached the disk leaves it torn.
+        let manifest = entry_json(&dir, &key);
+        let text = fs::read(&manifest).unwrap();
+        fs::write(&manifest, &text[..text.len() / 2]).unwrap();
+        assert!(store.get(&key).unwrap().is_none(), "a torn manifest misses");
+        assert_eq!(obs.store.integrity_failures.get(), 1);
+        assert_eq!(store.len(), 0, "a torn entry is not committed");
+        store
+            .put(&key, &ingredients(3), &[("row.json", b"row")])
+            .unwrap();
+        let entry = store.get(&key).unwrap().expect("the put repairs it");
+        assert_eq!(entry.file("row.json"), Some(b"row".as_slice()));
+        assert_eq!(obs.store.integrity_failures.get(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn remove_deletes_entry_and_index_row() {
-        let (dir, store) = tmp_store("remove");
-        let key = CacheKey::of_value(&ingredients(9));
-        store
-            .put(&key, &ingredients(9), &[("row.json", b"x")])
-            .unwrap();
-        assert!(store.remove(&key).unwrap());
-        assert!(!store.contains(&key));
-        assert!(store.get(&key).unwrap().is_none());
-        assert_eq!(store.len(), 0);
-        assert!(!store.remove(&key).unwrap());
+    fn the_object_tree_is_the_only_record() {
+        let (dir, store) = tmp_store("tree");
+        for n in 0..4 {
+            store
+                .put(
+                    &CacheKey::of_value(&ingredients(n)),
+                    &ingredients(n),
+                    &[("row.json", format!("row {n}").as_bytes())],
+                )
+                .unwrap();
+        }
+        assert!(!dir.join("index.json").exists(), "no index is written");
+        assert_eq!(
+            store.stats(),
+            StoreStats {
+                entries: 4,
+                bytes: 4 * 5
+            }
+        );
+        assert_eq!(store.len(), 4);
+        // A directory without a parseable manifest is not an entry.
+        let torn = entry_json(&dir, &CacheKey::of_value(&ingredients(9)));
+        fs::create_dir_all(torn.parent().unwrap()).unwrap();
+        fs::write(&torn, b"{\"schema\": \"ats-st").unwrap();
+        assert_eq!(store.len(), 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn separate_handles_see_every_committed_entry() {
+        let (dir, first) = tmp_store("handles");
+        let second = Store::open(&dir).unwrap();
+        let keys: Vec<CacheKey> = [(&first, 1), (&second, 2)]
+            .into_iter()
+            .map(|(store, n)| {
+                let key = CacheKey::of_value(&ingredients(n));
+                store
+                    .put(&key, &ingredients(n), &[("row.json", b"r")])
+                    .unwrap();
+                key
+            })
+            .collect();
+        let third = Store::open(&dir).unwrap();
+        assert_eq!(third.len(), 2);
+        assert_eq!((first.len(), second.len()), (2, 2));
+        for key in &keys {
+            assert!(third.get(key).unwrap().is_some());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

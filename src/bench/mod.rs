@@ -21,20 +21,21 @@ pub mod trace;
 use std::time::Instant;
 
 /// Best-of-`reps` wall seconds of `f` (the least scheduler-noisy estimate
-/// on a shared host; at least one run), plus its last result.
+/// on a shared host; at least one run), plus its last result. Each result
+/// is dropped before the next run starts, so every run allocates into the
+/// same memory state and a run's peak RSS is not doubled by the result
+/// of the run before it.
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut run = || {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..reps.max(1) {
+        drop(last.take());
         let start = Instant::now();
         let r = std::hint::black_box(f());
-        (start.elapsed().as_secs_f64(), r)
-    };
-    let (mut best, mut last) = run();
-    for _ in 1..reps {
-        let (secs, r) = run();
-        best = best.min(secs);
-        last = r;
+        best = best.min(start.elapsed().as_secs_f64());
+        last = Some(r);
     }
-    (best, last)
+    (best, last.expect("at least one run"))
 }
 
 /// The verdict line every gate ends with.

@@ -2,7 +2,7 @@
 //! columnar format on the Figure 3.4 composite trace, plus a
 //! streaming-analysis stress section that generates a large synthetic
 //! ATSB file and compares the streaming ingest path against the
-//! materializing one (events/second and peak RSS). Writes
+//! materializing one (best-of-`reps` events/second, and peak RSS). Writes
 //! `BENCH_trace.json`. Gates: the codec round-trips losslessly, the
 //! streaming and materializing reports are identical, and streaming
 //! analysis holds [`EPS_FLOOR`] events/s and [`MIN_SPEEDUP`] ×
@@ -28,11 +28,11 @@ struct StressDoc {
     generate_secs: f64,
     streaming_secs: f64,
     streaming_events_per_sec: f64,
-    /// Peak RSS sampled after the streaming pass (which runs first).
+    /// Peak RSS sampled after the streaming passes (which run first).
     streaming_peak_rss_bytes: Option<u64>,
     materializing_secs: f64,
     materializing_events_per_sec: f64,
-    /// Peak RSS sampled after the materializing pass (process-wide high
+    /// Peak RSS sampled after the materializing passes (process-wide high
     /// water, so it subsumes the streaming peak).
     materializing_peak_rss_bytes: Option<u64>,
     /// `streaming_events_per_sec / materializing_events_per_sec`.
@@ -77,7 +77,7 @@ fn mb_per_sec(bytes: usize, secs: f64) -> f64 {
     }
 }
 
-fn run_stress(ranks: u32, mb: u64) -> Result<StressDoc, CliError> {
+fn run_stress(ranks: u32, mb: u64, reps: usize) -> Result<StressDoc, CliError> {
     let cfg = StressConfig::sized_mb(ranks, mb);
     let path = std::env::temp_dir().join(format!(
         "ats-trace-bench-stress-{}.atsb",
@@ -89,17 +89,14 @@ fn run_stress(ranks: u32, mb: u64) -> Result<StressDoc, CliError> {
         write_stress(&cfg, std::io::BufWriter::new(file)).map_err(|e| cannot_write(&path, e))?;
     let generate_secs = start.elapsed().as_secs_f64();
 
-    // Streaming first: VmHWM is a process-wide high water, so sampling in
-    // ascending-cost order attributes each phase's peak correctly.
+    // Each pass is timed best-of-`reps`, like the codec. Streaming first:
+    // VmHWM is a process-wide high water, so sampling in ascending-cost
+    // order attributes each phase's peak correctly.
     let analyzer_cfg = AnalyzerConfig::default();
-    let start = Instant::now();
-    let streamed = analyze_path_streaming(&path, &analyzer_cfg);
-    let streaming_secs = start.elapsed().as_secs_f64();
+    let (streaming_secs, streamed) = best_of(reps, || analyze_path_streaming(&path, &analyzer_cfg));
     let streaming_peak_rss_bytes = peak_rss_bytes();
 
-    let start = Instant::now();
-    let materialized = analyze_path(&path, &analyzer_cfg);
-    let materializing_secs = start.elapsed().as_secs_f64();
+    let (materializing_secs, materialized) = best_of(reps, || analyze_path(&path, &analyzer_cfg));
     let materializing_peak_rss_bytes = peak_rss_bytes();
     let _ = std::fs::remove_file(&path);
     let (streamed, stats) = streamed.map_err(|e| failed(format!("streaming analysis: {e}")))?;
@@ -147,7 +144,7 @@ pub fn run(args: &CommonArgs) -> Result<bool, CliError> {
 
     let stress = match stress_mb {
         0 => None,
-        mb => Some(run_stress(stress_ranks, mb)?),
+        mb => Some(run_stress(stress_ranks, mb, reps)?),
     };
 
     println!(

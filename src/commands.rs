@@ -24,14 +24,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// The value flags of a figure command that writes timelines.
-const FIGURE: &[(&str, &str)] = &[
-    BACKEND,
-    CACHE,
-    CACHE_DIR,
-    METRICS,
-    ("svg", "DIR"),
-    ("trace-dir", "DIR"),
-];
+const FIGURE: &[(&str, &str)] = &[BACKEND, METRICS, ("svg", "DIR"), ("trace-dir", "DIR")];
 
 /// The positionals of a command that runs one catalog property.
 const PROPERTY: &[&str] = &["PROPERTY", "[key=value...]"];
@@ -98,7 +91,7 @@ pub const COMMANDS: &[Command] = &[
         .about("Fig. 3.4: two communicators, different property sets in parallel"),
     Command::new("figure 35", figures::figure35)
         .positionals(&["[nprocs]"])
-        .values(&[BACKEND, CACHE, CACHE_DIR, METRICS, ("trace", "FILE")])
+        .values(&[BACKEND, METRICS, ("trace", "FILE")])
         .bools(&[MANIFEST])
         .about("Fig. 3.5: the EXPERT-style analysis of the Fig. 3.4 program"),
     Command::new("sweep positive", experiments::sweep_positive)
@@ -121,8 +114,6 @@ pub const COMMANDS: &[Command] = &[
         .positionals(&["[count]", "[seed]", "[jobs]"])
         .values(&[
             BACKEND,
-            CACHE,
-            CACHE_DIR,
             METRICS,
             ("nprocs", "N"),
             ("corpus", "DIR"),

@@ -47,6 +47,10 @@ fn unknown_flags_and_arguments_are_usage_errors() {
     // Gate bounds are constants, not flags.
     fails(&["bench", "sched", "--min-ratio", "1"], 2, "--min-ratio");
     fails(&["bench", "serve", "--min-rps", "1"], 2, "--min-rps");
+    // Figures and fuzz campaigns never read the result cache, so they
+    // take no cache flags.
+    fails(&["figure", "33", "--cache", "rw"], 2, "--cache");
+    fails(&["fuzz", "5", "--cache-dir", "d"], 2, "--cache-dir");
     fails(&["figure", "32", "8", "16"], 2, "unexpected argument `16`");
     fails(&["figure", "36"], 2, "unknown command `figure 36`");
     fails(&[], 2, "usage: ats COMMAND");
