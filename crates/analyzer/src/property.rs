@@ -56,6 +56,31 @@ pub enum PropertyKind {
 }
 
 impl PropertyKind {
+    /// Every property in declaration order: the four interior nodes, then
+    /// the leaves.
+    const ALL: [PropertyKind; 17] = {
+        use PropertyKind::*;
+        [
+            Time,
+            MpiTime,
+            MpiCommunication,
+            OmpTime,
+            LateSender,
+            LateReceiver,
+            MessagesWrongOrder,
+            WaitAtBarrier,
+            WaitAtNxN,
+            LateBroadcast,
+            LateScatter,
+            EarlyReduce,
+            EarlyGather,
+            MpiSetupOverhead,
+            OmpImbalanceInRegion,
+            OmpWaitAtBarrier,
+            OmpCriticalContention,
+        ]
+    };
+
     /// The parent in the property tree (`None` for the root).
     pub fn parent(self) -> Option<PropertyKind> {
         use PropertyKind::*;
@@ -63,10 +88,39 @@ impl PropertyKind {
             Time => return None,
             MpiTime | OmpTime => Time,
             MpiCommunication | MpiSetupOverhead => MpiTime,
-            LateSender | LateReceiver | MessagesWrongOrder | WaitAtBarrier | WaitAtNxN
-            | LateBroadcast | LateScatter | EarlyReduce | EarlyGather => MpiCommunication,
+            LateSender | LateReceiver | WaitAtBarrier | WaitAtNxN | LateBroadcast | LateScatter
+            | EarlyReduce | EarlyGather => MpiCommunication,
+            // As in EXPERT: a receive blocked while a later message already
+            // waited is a late-sender wait in the wrong order, so the
+            // interior totals count its time once, as its parent's.
+            MessagesWrongOrder => LateSender,
             OmpImbalanceInRegion | OmpWaitAtBarrier | OmpCriticalContention => OmpTime,
         })
+    }
+
+    /// The children in the property tree, in declaration order.
+    pub(crate) fn children(self) -> impl Iterator<Item = PropertyKind> {
+        Self::ALL
+            .into_iter()
+            .filter(move |p| p.parent() == Some(self))
+    }
+
+    /// Is this an aggregate time category (`Time`, `MPI`,
+    /// `Communication`, `OpenMP`) rather than a detectable wait state?
+    pub(crate) fn is_interior(self) -> bool {
+        !Self::leaves().contains(&self)
+    }
+
+    /// Is this `node` or a descendant of it?
+    pub(crate) fn is_within(self, node: PropertyKind) -> bool {
+        let mut cur = Some(self);
+        while let Some(c) = cur {
+            if c == node {
+                return true;
+            }
+            cur = c.parent();
+        }
+        false
     }
 
     /// Stable name (matches `ats-core`'s catalog `expected_property`).
@@ -117,24 +171,10 @@ impl PropertyKind {
         }
     }
 
-    /// All leaf properties (the detectable wait states).
+    /// All leaf properties (the detectable wait states). A leaf may
+    /// refine another: `MessagesWrongOrder` sits under `LateSender`.
     pub fn leaves() -> &'static [PropertyKind] {
-        use PropertyKind::*;
-        &[
-            LateSender,
-            LateReceiver,
-            MessagesWrongOrder,
-            WaitAtBarrier,
-            WaitAtNxN,
-            LateBroadcast,
-            LateScatter,
-            EarlyReduce,
-            EarlyGather,
-            MpiSetupOverhead,
-            OmpImbalanceInRegion,
-            OmpWaitAtBarrier,
-            OmpCriticalContention,
-        ]
+        &Self::ALL[4..]
     }
 
     /// Depth in the tree (root = 0).
@@ -170,29 +210,9 @@ impl std::error::Error for ParsePropertyError {}
 impl FromStr for PropertyKind {
     type Err = ParsePropertyError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        use PropertyKind::*;
-        let all = [
-            Time,
-            MpiTime,
-            MpiCommunication,
-            OmpTime,
-            LateSender,
-            LateReceiver,
-            MessagesWrongOrder,
-            WaitAtBarrier,
-            WaitAtNxN,
-            LateBroadcast,
-            LateScatter,
-            EarlyReduce,
-            EarlyGather,
-            MpiSetupOverhead,
-            OmpImbalanceInRegion,
-            OmpWaitAtBarrier,
-            OmpCriticalContention,
-        ];
-        all.iter()
+        Self::ALL
+            .into_iter()
             .find(|p| p.name() == s)
-            .copied()
             .ok_or_else(|| ParsePropertyError(s.to_owned()))
     }
 }
@@ -220,7 +240,24 @@ mod tests {
         assert_eq!(PropertyKind::Time.depth(), 0);
         assert_eq!(PropertyKind::MpiTime.depth(), 1);
         assert_eq!(PropertyKind::LateSender.depth(), 3);
+        assert_eq!(PropertyKind::MessagesWrongOrder.depth(), 4);
         assert_eq!(PropertyKind::OmpWaitAtBarrier.depth(), 2);
+    }
+
+    #[test]
+    fn interior_nodes_are_the_four_time_categories() {
+        let interior: Vec<_> = PropertyKind::ALL
+            .into_iter()
+            .filter(|p| p.is_interior())
+            .collect();
+        use PropertyKind::*;
+        assert_eq!(interior, [Time, MpiTime, MpiCommunication, OmpTime]);
+        assert!(MessagesWrongOrder.is_within(LateSender));
+        assert!(!LateSender.is_within(MessagesWrongOrder));
+        assert_eq!(
+            LateSender.children().collect::<Vec<_>>(),
+            [MessagesWrongOrder]
+        );
     }
 
     #[test]

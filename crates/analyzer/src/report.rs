@@ -35,7 +35,6 @@ pub struct AnalysisReport {
     pub findings: Vec<Finding>,
     /// The threshold used.
     pub threshold: f64,
-    pub(crate) property_order: Vec<PropertyKind>,
 }
 
 impl AnalysisReport {
@@ -74,14 +73,11 @@ impl AnalysisReport {
                     .collect(),
             })
             .collect();
-        let mut property_order: Vec<PropertyKind> = PropertyKind::leaves().to_vec();
-        property_order.sort();
         AnalysisReport {
             cube,
             paths,
             findings,
             threshold,
-            property_order,
         }
     }
 
@@ -146,39 +142,7 @@ impl AnalysisReport {
             self.threshold * 100.0
         );
         let _ = writeln!(out, "\n-- performance properties --");
-        // Interior nodes first, in tree order.
-        for node in [
-            PropertyKind::Time,
-            PropertyKind::MpiTime,
-            PropertyKind::MpiCommunication,
-            PropertyKind::OmpTime,
-        ] {
-            let w = self.cube.subtree_total(node);
-            let _ = writeln!(
-                out,
-                "{:indent$}{:<24} {:>8.3}%  {}",
-                "",
-                node.name(),
-                self.cube.fraction(w) * 100.0,
-                w,
-                indent = node.depth() * 2
-            );
-        }
-        for leaf in &self.property_order {
-            let w = self.cube.by_property(*leaf);
-            if w.is_zero() {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{:indent$}{:<24} {:>8.3}%  {}",
-                "",
-                leaf.name(),
-                self.cube.fraction(w) * 100.0,
-                w,
-                indent = leaf.depth() * 2
-            );
-        }
+        self.render_tree(PropertyKind::Time, &mut out);
         let _ = writeln!(out, "\n-- findings (ranked) --");
         if self.findings.is_empty() {
             let _ = writeln!(out, "(none above threshold)");
@@ -197,6 +161,31 @@ impl AnalysisReport {
         }
         let _ = write!(out, "\n({} locations analyzed)", trace.num_locations());
         out
+    }
+
+    /// The property tree depth first, so every row follows its parent:
+    /// each interior node with its subtree total, and each leaf that
+    /// holds any time.
+    fn render_tree(&self, node: PropertyKind, out: &mut String) {
+        let w = if node.is_interior() {
+            self.cube.subtree_total(node)
+        } else {
+            self.cube.by_property(node)
+        };
+        if node.is_interior() || !w.is_zero() {
+            let _ = writeln!(
+                out,
+                "{:indent$}{:<24} {:>8.3}%  {}",
+                "",
+                node.name(),
+                self.cube.fraction(w) * 100.0,
+                w,
+                indent = node.depth() * 2
+            );
+        }
+        for child in node.children() {
+            self.render_tree(child, out);
+        }
     }
 }
 
@@ -305,6 +294,48 @@ mod tests {
         let text = report.render(&trace);
         assert!(text.contains("LateSender"));
         assert!(text.contains("findings"));
+    }
+
+    /// The property tree prints each row after its parent: a wrong-order
+    /// run's leaves sit under `Communication`, `MessagesWrongOrder` under
+    /// `LateSender`, and `OpenMP` after the whole MPI subtree. The
+    /// interior totals count the wrong-order time once.
+    #[test]
+    fn property_tree_renders_depth_first() {
+        let trace = ats_mpi::run(cfg(4), |p| {
+            let c = p.comm_world();
+            mpi_p2p::messages_in_wrong_order(p, &BaseComm::default(), 0.01, 0.12, 1, &c);
+        });
+        let report = analyze(&trace, &AnalyzerConfig::default());
+        let text = report.render(&trace);
+        let tree: Vec<&str> = text
+            .lines()
+            .skip_while(|l| *l != "-- performance properties --")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        let names: Vec<&str> = tree
+            .iter()
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "Time",
+                "MPI",
+                "Communication",
+                "LateSender",
+                "MessagesWrongOrder",
+                "OpenMP"
+            ],
+            "{text}"
+        );
+        let indent = |i: usize| tree[i].len() - tree[i].trim_start().len();
+        assert!(indent(4) > indent(3), "{text}");
+        assert_eq!(indent(5), indent(1), "{text}");
+        let late = report.cube.by_property(PropertyKind::LateSender);
+        assert_eq!(late, VDur::from_millis(2 * 120));
+        assert_eq!(report.cube.subtree_total(PropertyKind::Time), late);
     }
 
     #[test]

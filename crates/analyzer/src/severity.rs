@@ -101,21 +101,16 @@ impl SeverityCube {
         v
     }
 
-    /// Interior-node totals: the waiting time of a property subtree
-    /// (leaf times roll up to ancestors).
+    /// Interior-node totals: the waiting time of a property subtree. Leaf
+    /// times roll up to their ancestors, except a leaf under another leaf:
+    /// `MessagesWrongOrder` charges part of the `LateSender` time of the
+    /// same receives, so adding it again would count one blocked
+    /// nanosecond twice.
     pub fn subtree_total(&self, node: PropertyKind) -> VDur {
         PropertyKind::leaves()
             .iter()
-            .filter(|leaf| {
-                let mut cur = Some(**leaf);
-                while let Some(c) = cur {
-                    if c == node {
-                        return true;
-                    }
-                    cur = c.parent();
-                }
-                false
-            })
+            .filter(|leaf| leaf.parent().is_some_and(PropertyKind::is_interior))
+            .filter(|leaf| leaf.is_within(node))
             .map(|leaf| self.by_property(*leaf))
             .sum()
     }
@@ -182,6 +177,8 @@ mod tests {
         let mut cube = SeverityCube::new(VDur::from_millis(1000));
         cube.extend([
             l(PropertyKind::LateSender, 0, 0, 10),
+            // Part of the late-sender wait of the same receive: counted once.
+            l(PropertyKind::MessagesWrongOrder, 0, 0, 10),
             l(PropertyKind::LateBroadcast, 1, 1, 20),
             l(PropertyKind::OmpWaitAtBarrier, 2, 0, 5),
         ]);

@@ -180,14 +180,10 @@ pub fn run_index(cfg: &FuzzConfig, i: usize) -> Result<(Scenario, ScenarioVerdic
 
 /// Run a whole campaign.
 pub fn run_campaign(cfg: &FuzzConfig) -> Result<CampaignResult, Error> {
-    let budget = cfg
-        .opts
-        .thread_budget
-        .unwrap_or_else(pool::default_thread_budget);
     let jobs = pool::effective_jobs(
         cfg.jobs,
-        pool::threads_per_config(cfg.opts.backend, cfg.gen.nprocs),
-        budget,
+        pool::threads_per_config(cfg.gen.nprocs),
+        pool::default_thread_budget(),
     );
     let start = std::time::Instant::now();
     let runs = pool::run_indexed_with(jobs, cfg.count, cfg.opts.obs.clone(), |i| run_index(cfg, i));

@@ -5,15 +5,18 @@
 //! therefore its analyzer report and [`ExperimentRow`] — is a pure
 //! function of *what* is run (property + parameters + process count),
 //! *how the simulated machine behaves* (machine model, seed, work mode,
-//! message shape, init/finalize costs, backend) and *how the result is
+//! message shape, init/finalize costs) and *how the result is
 //! interpreted* (analyzer version + configuration). [`config_key`] hashes
-//! exactly that set into an [`ats_store::CacheKey`].
+//! exactly that set into an [`ats_store::CacheKey`]. The machine and the
+//! interpretation are listed once, in [`execution_key_doc`], which the
+//! campaign service's key documents build on too.
 //!
 //! Knobs that only change how fast a result is computed — `jobs`,
-//! `thread_budget`, `trace_pool`, `obs` — are deliberately **excluded**:
-//! the engine's determinism guarantee (rows byte-identical at any worker
-//! count, either backend hosting mode, pooled or not) is what makes
-//! replaying a cached row provably equivalent to re-executing it.
+//! `trace_pool`, `obs` — are deliberately **excluded**, and so is the
+//! scheduler's carrier, which the platform picks: the engine's
+//! determinism guarantee (rows byte-identical at any worker count, on
+//! either carrier, pooled or not) is what makes replaying a cached row
+//! provably equivalent to re-executing it.
 //!
 //! The full ingredients document is stored verbatim next to each entry
 //! (`entry.json`), so every cached artifact is self-describing.
@@ -26,7 +29,7 @@ use ats_store::{CacheKey, Json};
 
 /// Schema tag of experiment-engine key-ingredient documents. Bump on any
 /// change to the document layout itself.
-pub const KEY_SCHEMA: &str = "ats-store-key/1";
+pub const KEY_SCHEMA: &str = "ats-store-key/2";
 
 /// Artifact name of the cached row document.
 pub const ROW_FILE: &str = "row.json";
@@ -35,25 +38,15 @@ pub const REPORT_FILE: &str = "report.json";
 /// Artifact name of the cached binary trace.
 pub const TRACE_FILE: &str = "trace.atsb";
 
-/// The canonical key-ingredients document for one experiment
-/// configuration. Everything that determines the result bytes is in
-/// here; nothing that merely schedules the work is.
-pub fn config_key_doc(
-    property: &str,
-    params_cli: &str,
-    nprocs: usize,
-    opts: &RunOpts,
-    analyzer: &AnalyzerConfig,
-) -> Json {
+/// The key ingredients every engine shares: how the simulated machine
+/// behaves (machine model, work mode, message shape, init/finalize
+/// costs), how the result is interpreted (analyzer version and
+/// configuration) and the trace format. Each key document adds what it
+/// runs to this object ([`config_key_doc`], and the campaign service's
+/// scenario keys).
+pub fn execution_key_doc(opts: &RunOpts, analyzer: &AnalyzerConfig) -> Json {
     Json::obj()
-        .with("schema", KEY_SCHEMA)
-        .with("engine", "experiment")
-        .with("property", property)
-        .with("params", params_cli)
-        .with("nprocs", nprocs)
-        .with("backend", opts.backend.label())
         .with("model", model_json(&opts.model))
-        .with("seed", opts.seed)
         .with("work_mode", work_mode_label(opts.work_mode))
         .with(
             "base",
@@ -71,6 +64,25 @@ pub fn config_key_doc(
                 .with("report_setup_overhead", analyzer.report_setup_overhead),
         )
         .with("trace_format", "atsb")
+}
+
+/// The canonical key-ingredients document for one experiment
+/// configuration. Everything that determines the result bytes is in
+/// here; nothing that merely schedules the work is.
+pub fn config_key_doc(
+    property: &str,
+    params_cli: &str,
+    nprocs: usize,
+    opts: &RunOpts,
+    analyzer: &AnalyzerConfig,
+) -> Json {
+    execution_key_doc(opts, analyzer)
+        .with("schema", KEY_SCHEMA)
+        .with("engine", "experiment")
+        .with("property", property)
+        .with("params", params_cli)
+        .with("nprocs", nprocs)
+        .with("seed", opts.seed)
 }
 
 /// The cache key for one experiment configuration
@@ -95,9 +107,8 @@ fn work_mode_label(mode: WorkMode) -> &'static str {
 }
 
 /// Every [`MachineModel`] field, exactly (virtual durations in integer
-/// nanoseconds). Public so other key-document producers (the campaign
-/// service) describe the model identically.
-pub fn model_json(m: &MachineModel) -> Json {
+/// nanoseconds).
+fn model_json(m: &MachineModel) -> Json {
     Json::obj()
         .with("latency_ns", m.latency.0)
         .with("send_overhead_ns", m.send_overhead.0)
@@ -167,7 +178,6 @@ pub fn row_from_json(doc: &Json) -> Result<ExperimentRow, RunError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ats_runtime::SimBackend;
 
     fn base_key() -> CacheKey {
         config_key(
@@ -214,16 +224,6 @@ mod tests {
                     "basework=0.01 extrawork=0.04 r=3",
                     4,
                     &opts,
-                    &analyzer,
-                ),
-            ),
-            (
-                "backend",
-                config_key(
-                    "late_sender",
-                    "basework=0.01 extrawork=0.04 r=3",
-                    8,
-                    &RunOpts::default().backend(SimBackend::Thread),
                     &analyzer,
                 ),
             ),
@@ -331,13 +331,12 @@ mod tests {
     }
 
     /// Execution-only knobs must NOT perturb the key: identical work at a
-    /// different worker count / budget / pool / obs replays from cache.
+    /// different worker count / pool / obs replays from cache.
     #[test]
     fn scheduling_knobs_are_excluded_from_the_key() {
         let base = base_key();
         for opts in [
             RunOpts::default().jobs(7),
-            RunOpts::default().thread_budget(3),
             RunOpts::default().trace_pool(ats_trace::TracePool::new()),
             RunOpts::default().obs(ats_obs::Handle::new()),
         ] {
@@ -365,6 +364,7 @@ mod tests {
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(KEY_SCHEMA));
         assert_eq!(doc.get("trace_format").and_then(Json::as_str), Some("atsb"));
         assert!(doc.get("jobs").is_none(), "jobs must not be an ingredient");
+        assert!(doc.get("backend").is_none(), "the carrier is no ingredient");
     }
 
     #[test]

@@ -83,14 +83,10 @@ pub struct ExperimentStats {
     pub configs: usize,
     /// Worker count requested (after `0 = auto` resolution).
     pub jobs_requested: usize,
-    /// Worker count actually used after the oversubscription guard.
+    /// Worker count actually used after the oversubscription guard
+    /// (`jobs × threads_per_config ≤ default_thread_budget`, see
+    /// [`pool::effective_jobs`]).
     pub jobs: usize,
-    /// Thread budget the guard enforced
-    /// (`jobs × threads_per_config ≤ budget`).
-    pub thread_budget: usize,
-    /// Rank-execution backend label (`"event"` or `"thread"`). Rows are
-    /// identical either way; the label records how the sweep was hosted.
-    pub backend: &'static str,
     /// Largest process count among the configurations.
     pub max_nprocs: usize,
     /// End-to-end wall-clock for the whole sweep, in seconds.
@@ -200,10 +196,10 @@ impl Experiment {
     ///
     /// Workers (`opts.jobs`, `0 = available parallelism`) pull
     /// configurations from a shared queue; the oversubscription guard
-    /// clamps the worker count so `jobs × nprocs` — each configuration
-    /// spawns `nprocs` virtual-rank threads internally — stays within
-    /// `opts.thread_budget`. Rows come back in cartesian-combo order
-    /// (process grid outer, parameter axes inner) regardless of
+    /// clamps the worker count so the OS threads the configurations
+    /// occupy ([`pool::threads_per_config`]) stay within
+    /// [`pool::default_thread_budget`]. Rows come back in cartesian-combo
+    /// order (process grid outer, parameter axes inner) regardless of
     /// completion order, so any `jobs` setting yields the same sequence.
     pub fn run_with_stats(&self) -> Result<(Vec<ExperimentRow>, ExperimentStats), RunError> {
         let spec = spec_of(&self.property)?;
@@ -218,21 +214,20 @@ impl Experiment {
             .flat_map(|&p| param_combos.iter().map(move |c| (p, c.as_slice())))
             .collect();
         let max_nprocs = procs.iter().copied().max().unwrap_or(1);
-        let thread_budget = self
-            .opts
-            .thread_budget
-            .unwrap_or_else(pool::default_thread_budget);
         let jobs_requested = if self.opts.jobs == 0 {
             pool::auto_jobs()
         } else {
             self.opts.jobs
         };
-        // The guard budgets *OS threads*, not ranks: under the discrete-
-        // event backend every configuration occupies one worker thread
-        // regardless of nprocs, so wide configs no longer throttle jobs.
-        let threads_per_config = pool::threads_per_config(self.opts.backend, max_nprocs);
-        let jobs = pool::effective_jobs(jobs_requested, threads_per_config, thread_budget)
-            .min(configs.len().max(1));
+        // The guard budgets *OS threads*, not ranks: on the coroutine
+        // carrier every configuration occupies one worker thread
+        // regardless of nprocs, so wide configs do not throttle jobs.
+        let jobs = pool::effective_jobs(
+            jobs_requested,
+            pool::threads_per_config(max_nprocs),
+            pool::default_thread_budget(),
+        )
+        .min(configs.len().max(1));
         let started = Instant::now();
         let outcomes = pool::run_indexed_with(jobs, configs.len(), self.opts.obs.clone(), |i| {
             let (nprocs, combo) = configs[i];
@@ -258,8 +253,6 @@ impl Experiment {
             configs: rows.len(),
             jobs_requested,
             jobs,
-            thread_budget,
-            backend: self.opts.backend.effective().label(),
             max_nprocs,
             wall_secs,
             configs_per_sec: if wall_secs > 0.0 {
@@ -581,7 +574,7 @@ mod tests {
         assert_eq!(stats.max_nprocs, 4);
         assert!(stats.wall_secs > 0.0);
         assert!(stats.configs_per_sec > 0.0);
-        assert!(stats.jobs * stats.max_nprocs <= stats.thread_budget);
+        assert_eq!(stats.jobs, 2, "two workers requested, four configs");
         // Grid is the outer axis: rows 0-1 at P=2, rows 2-3 at P=4.
         assert_eq!(
             rows.iter().map(|r| r.nprocs).collect::<Vec<_>>(),
@@ -589,42 +582,21 @@ mod tests {
         );
     }
 
-    #[test]
-    fn oversubscription_guard_clamps_wide_configs() {
-        use ats_runtime::SimBackend;
-        // Pinned to the thread backend: only there does a configuration
-        // occupy nprocs budget slots.
-        let (_, stats) = Experiment::new("late_sender")
-            .sweep(Sweep::seconds("extrawork", [0.005, 0.01]))
-            .opts(
-                RunOpts::default()
-                    .backend(SimBackend::Thread)
-                    .procs(8)
-                    .jobs(64)
-                    .thread_budget(16),
-            )
-            .run_with_stats()
-            .unwrap();
-        assert_eq!(stats.jobs_requested, 64);
-        assert_eq!(stats.jobs, 2, "64 workers × 8 ranks clamped to 16/8 = 2");
-        assert_eq!(stats.backend, "thread");
-    }
-
-    /// Under the event backend a configuration is one budget slot, so the
-    /// same tight budget that clamps the thread backend leaves the worker
-    /// count alone (bounded only by the number of configurations).
+    /// Where the coroutine carrier runs, a configuration is one budget
+    /// slot, so configurations wider than the 32-thread floor budget still
+    /// get every requested worker (bounded only by the number of
+    /// configurations).
     #[test]
     fn event_backend_configs_count_as_one_slot() {
         let (_, stats) = Experiment::new("late_sender")
             .sweep(Sweep::seconds("extrawork", [0.005, 0.01, 0.02, 0.04]))
-            .opts(RunOpts::default().procs(8).jobs(4).thread_budget(4))
+            .opts(RunOpts::default().procs(64).jobs(4))
             .run_with_stats()
             .unwrap();
-        assert_eq!(stats.backend, "event");
-        assert_eq!(
-            stats.jobs, 4,
-            "4 workers × 1 slot fit a 4-thread budget even at 8 ranks each"
-        );
+        assert_eq!(stats.jobs_requested, 4);
+        if ats_runtime::SimBackend::event_supported() {
+            assert_eq!(stats.jobs, 4, "4 workers × 1 slot, even at 64 ranks each");
+        }
     }
 
     /// The engine pools event buffers between configurations: after the

@@ -1,14 +1,15 @@
 //! A bounded worker pool for independent, index-addressed tasks.
 //!
-//! The experiment engine runs sweep configurations concurrently, but on the
-//! thread carrier every configuration itself parks one OS thread per task
-//! inside [`ats_mpi::run`] — each rank and each OpenMP team member it forks.
-//! Naively multiplying the two axes oversubscribes the host, so the pool
-//! couples a work-stealing index queue (scoped threads
-//! and an atomic cursor) with an explicit *thread budget*:
-//! `jobs × threads_per_task ≤ budget`. Results come back in submission
-//! (index) order regardless of completion order, which is what makes
-//! parallel sweeps byte-identical to serial ones.
+//! The experiment engine runs sweep configurations concurrently. On a
+//! target without the coroutine context switch, every configuration
+//! itself parks one OS thread per task inside [`ats_mpi::run`] — each
+//! rank and each OpenMP team member it forks — and naively multiplying
+//! the two axes would oversubscribe the host. So the pool couples a
+//! work-stealing index queue (scoped threads and an atomic cursor) with
+//! a *thread budget*: `jobs × threads_per_config ≤ budget`, where
+//! [`threads_per_config`] reads the platform's carrier. Results come back
+//! in submission (index) order regardless of completion order, which is
+//! what makes parallel sweeps byte-identical to serial ones.
 
 use ats_runtime::SimBackend;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,7 +23,7 @@ pub fn auto_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Default thread budget for the oversubscription guard.
+/// The thread budget of the oversubscription guard.
 ///
 /// A thread-carrier configuration runs one of its threads at a time while
 /// the rest wait for the scheduler's baton, so the budget is a multiple of
@@ -33,19 +34,19 @@ pub fn default_thread_budget() -> usize {
     (auto_jobs() * 8).max(32)
 }
 
-/// OS threads one configuration occupies under `backend`.
+/// OS threads one `nprocs`-rank configuration occupies on this platform.
 ///
-/// The thread carrier parks one OS thread per task, so a wide
-/// configuration eats `nprocs` budget slots, plus OpenMP team members
-/// that are not counted: the team size is up to the program. The event
-/// carrier multiplexes every task onto the worker's own thread, so an
-/// event-scheduled world counts as **one** slot no matter how many ranks
-/// it simulates — which is what lets a sweep run 10k-rank configurations
-/// at full `jobs` width.
-pub fn threads_per_config(backend: SimBackend, nprocs: usize) -> usize {
-    match backend.effective() {
-        SimBackend::Thread => nprocs.max(1),
+/// Where the coroutine carrier runs, every task is multiplexed onto the
+/// worker's own thread, so a world counts as **one** slot no matter how
+/// many ranks it simulates — which is what lets a sweep run 10k-rank
+/// configurations at full `jobs` width. Where threads are the only
+/// carrier, each task parks one OS thread, so a configuration eats
+/// `nprocs` slots, plus OpenMP team members that are not counted: the
+/// team size is up to the program.
+pub fn threads_per_config(nprocs: usize) -> usize {
+    match SimBackend::default().effective() {
         SimBackend::Event => 1,
+        SimBackend::Thread => nprocs.max(1),
     }
 }
 
@@ -200,16 +201,16 @@ mod tests {
 
     #[test]
     fn event_backend_configs_occupy_one_slot() {
-        assert_eq!(threads_per_config(SimBackend::Thread, 8), 8);
-        assert_eq!(threads_per_config(SimBackend::Thread, 0), 1);
-        // The event scheduler multiplexes all ranks onto the worker thread.
-        assert_eq!(threads_per_config(SimBackend::Event, 8), 1);
-        assert_eq!(threads_per_config(SimBackend::Event, 8192), 1);
-        // So the guard no longer clamps wide configs under the event backend.
-        assert_eq!(
-            effective_jobs(16, threads_per_config(SimBackend::Event, 8192), 32),
-            16
-        );
+        if SimBackend::event_supported() {
+            // The coroutine carrier multiplexes all ranks onto the worker
+            // thread, so the guard does not clamp wide configs.
+            assert_eq!(threads_per_config(8), 1);
+            assert_eq!(threads_per_config(8192), 1);
+            assert_eq!(effective_jobs(16, threads_per_config(8192), 32), 16);
+        } else {
+            assert_eq!(threads_per_config(8), 8);
+            assert_eq!(threads_per_config(0), 1);
+        }
     }
 
     #[test]

@@ -11,19 +11,19 @@ use ats_core::catalog::{self, Paradigm, PropertySpec};
 use ats_core::{composite, properties, with_omp, BaseComm, CompositeParams};
 use ats_mpi::SimConfig;
 use ats_omp::OmpConfig;
-use ats_runtime::{MachineModel, SimBackend, VDur, WorkMode};
+use ats_runtime::{MachineModel, VDur, WorkMode};
 use ats_trace::{Trace, TracePool};
 
 /// How to execute a generated test program.
+///
+/// Every run executes on the platform's scheduler carrier (coroutines
+/// where the context switch exists, OS threads elsewhere; see
+/// [`crate::pool::threads_per_config`]). The carrier cannot change a
+/// trace, so it is not an option here.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// MPI process count for MPI/hybrid/sequential properties.
     pub nprocs: usize,
-    /// Rank-execution backend: discrete-event coroutines (default) or one
-    /// OS thread per rank. Traces are byte-identical either way; the
-    /// backend only changes how many host threads a run occupies (see
-    /// [`crate::pool::threads_per_config`]).
-    pub backend: SimBackend,
     /// Machine model.
     pub model: MachineModel,
     /// RNG seed.
@@ -37,13 +37,11 @@ pub struct RunOpts {
     /// `MPI_Finalize` cost.
     pub finalize_time: VDur,
     /// Experiment-engine worker count: how many configurations a sweep
-    /// may execute concurrently. `0` = the host's available parallelism.
-    /// Single runs ([`run_single`]) ignore this.
+    /// may execute concurrently. `0` = the host's available parallelism;
+    /// the pool's oversubscription guard may grant fewer (see
+    /// [`crate::pool::effective_jobs`]). Single runs ([`run_single`])
+    /// ignore this.
     pub jobs: usize,
-    /// Oversubscription guard for sweeps: total simulated-rank threads
-    /// allowed at once (`jobs × nprocs ≤ budget`). `None` = an
-    /// auto-derived budget (see `pool::default_thread_budget`).
-    pub thread_budget: Option<usize>,
     /// Event-buffer pool handed to every run launched through these
     /// options, and refilled by the experiment engine after each
     /// configuration (`None` = every run allocates fresh vectors). Pooling
@@ -60,7 +58,6 @@ impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
             nprocs: 8,
-            backend: SimBackend::default(),
             model: MachineModel::zero(),
             seed: 0xA75_5EED,
             base: BaseComm::default(),
@@ -68,7 +65,6 @@ impl Default for RunOpts {
             init_time: VDur::ZERO,
             finalize_time: VDur::ZERO,
             jobs: 0,
-            thread_budget: None,
             trace_pool: None,
             obs: None,
         }
@@ -82,21 +78,9 @@ impl RunOpts {
         self
     }
 
-    /// Builder: select the rank-execution backend.
-    pub fn backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Builder: set the experiment-engine worker count (`0` = auto).
     pub fn jobs(mut self, n: usize) -> Self {
         self.jobs = n;
-        self
-    }
-
-    /// Builder: cap total simulated-rank threads across workers.
-    pub fn thread_budget(mut self, budget: usize) -> Self {
-        self.thread_budget = Some(budget);
         self
     }
 
@@ -127,7 +111,6 @@ impl RunOpts {
     pub fn sim_config(&self) -> SimConfig {
         SimConfig {
             nprocs: self.nprocs,
-            backend: self.backend,
             model: self.model.clone(),
             work_mode: self.work_mode,
             seed: self.seed,
@@ -498,13 +481,6 @@ mod tests {
                 spec.name
             );
         }
-    }
-
-    #[test]
-    fn backend_flows_into_sim_config() {
-        assert_eq!(RunOpts::default().sim_config().backend, SimBackend::Event);
-        let opts = RunOpts::default().backend(SimBackend::Thread);
-        assert_eq!(opts.sim_config().backend, SimBackend::Thread);
     }
 
     #[test]

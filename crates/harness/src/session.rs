@@ -57,23 +57,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Select the rank-execution backend (discrete-event coroutines by
-    /// default; one OS thread per rank with
-    /// [`SimBackend::Thread`](ats_runtime::SimBackend::Thread)).
-    pub fn backend(mut self, backend: ats_runtime::SimBackend) -> Self {
-        self.opts.backend = backend;
-        self
-    }
-
     /// Set the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.opts.seed = seed;
-        self
-    }
-
-    /// Cap total simulated-rank threads across workers.
-    pub fn thread_budget(mut self, budget: usize) -> Self {
-        self.opts.thread_budget = Some(budget);
         self
     }
 
@@ -246,15 +232,11 @@ impl Session {
 
     /// The session's workload configuration as JSON for manifests:
     /// everything that determines *results* (seed, procs, model choice,
-    /// threshold), deliberately excluding execution details (`jobs`,
-    /// thread budget) so manifests diff clean across worker counts. The
-    /// rank-execution backend *is* recorded — results are identical
-    /// either way, but knowing how a run was hosted matters when reading
-    /// its runtime section.
+    /// threshold), deliberately excluding execution details (`jobs`) so
+    /// manifests diff clean across worker counts.
     pub fn config_json(&self) -> Json {
         Json::obj()
             .with("nprocs", self.opts.nprocs)
-            .with("backend", self.opts.backend.effective().label())
             .with("seed", self.opts.seed)
             .with("work_mode", format!("{:?}", self.opts.work_mode))
             .with(
@@ -346,9 +328,8 @@ mod tests {
         let session = Session::builder().procs(4).jobs(8).build();
         let cfg = session.config_json();
         assert_eq!(cfg.get("nprocs").and_then(Json::as_u64), Some(4));
-        assert_eq!(cfg.get("backend").and_then(Json::as_str), Some("event"));
         assert!(cfg.get("jobs").is_none());
-        assert!(cfg.get("thread_budget").is_none());
+        assert!(cfg.get("backend").is_none());
     }
 
     #[test]
@@ -373,17 +354,5 @@ mod tests {
             .run_with_stats()
             .unwrap();
         assert_eq!((warm.cache_mode, warm.cache_hits), ("ro", 1));
-    }
-
-    #[test]
-    fn builder_selects_the_thread_backend() {
-        use ats_runtime::SimBackend;
-        let session = Session::builder()
-            .procs(2)
-            .backend(SimBackend::Thread)
-            .build();
-        assert_eq!(session.opts().backend, SimBackend::Thread);
-        let cfg = session.config_json();
-        assert_eq!(cfg.get("backend").and_then(Json::as_str), Some("thread"));
     }
 }

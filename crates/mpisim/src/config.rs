@@ -1,6 +1,5 @@
 //! Simulation run configuration.
 
-use ats_runtime::sched::DEFAULT_STACK_BYTES;
 use ats_runtime::{MachineModel, SimBackend, VDur, WorkMode};
 use ats_trace::TracePool;
 
@@ -35,13 +34,11 @@ pub struct SimConfig {
     /// recording). Like the pool, this never changes recorded traces.
     pub obs: Option<ats_obs::Handle>,
     /// The carrier of the run's scheduler tasks: one coroutine per task
-    /// (default), or one OS thread per task passing a baton. Recorded traces
-    /// are byte-identical either way.
+    /// (the default, falling back to threads on targets without the
+    /// context switch), or one OS thread per task passing a baton. Recorded
+    /// traces are byte-identical either way, so only the scheduler bench
+    /// and the carrier-parity tests choose it.
     pub backend: SimBackend,
-    /// Stack size of every task — each rank and each OpenMP team member it
-    /// forks — on either carrier. Bodies are shallow, so the default leaves
-    /// generous headroom, but deep user closures can raise it.
-    pub task_stack_bytes: usize,
 }
 
 impl Default for SimConfig {
@@ -58,7 +55,6 @@ impl Default for SimConfig {
             trace_pool: None,
             obs: None,
             backend: SimBackend::default(),
-            task_stack_bytes: DEFAULT_STACK_BYTES,
         }
     }
 }
@@ -115,15 +111,9 @@ impl SimConfig {
         self
     }
 
-    /// Builder: select the execution backend.
+    /// Builder: select the scheduler's carrier.
     pub fn backend(mut self, backend: SimBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Builder: set the per-task stack size.
-    pub fn task_stack_bytes(mut self, bytes: usize) -> Self {
-        self.task_stack_bytes = bytes;
         self
     }
 }
@@ -139,7 +129,6 @@ mod tests {
         assert!(c.instrumented);
         assert_eq!(c.work_mode, WorkMode::Virtual);
         assert_eq!(c.backend, SimBackend::Event);
-        assert!(c.task_stack_bytes >= 64 * 1024);
     }
 
     #[test]

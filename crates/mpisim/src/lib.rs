@@ -8,10 +8,10 @@
 //! built from scratch with the semantics that *define* the MPI performance
 //! properties:
 //!
-//! * N ranks = N tasks of one virtual-time scheduler, carried as
-//!   coroutines (default; 10k+ ranks in one process) or as OS threads
-//!   passing a baton — selectable via [`SimBackend`] — each with a virtual
-//!   clock ([`ats_runtime`]);
+//! * N ranks = N tasks of one virtual-time scheduler, each with a virtual
+//!   clock ([`ats_runtime`]), carried as coroutines (10k+ ranks in one
+//!   process) or, on targets without the coroutine context switch, as OS
+//!   threads passing a baton ([`SimBackend`]);
 //! * blocking/nonblocking point-to-point with per-(communicator, source,
 //!   tag) matching, wildcards, non-overtaking order, and an eager /
 //!   rendezvous protocol switch (→ *Late Sender*, *Late Receiver*);

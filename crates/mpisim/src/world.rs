@@ -154,7 +154,11 @@ where
             }) as sched::TaskFn
         })
         .collect();
-    let stats = sched::run_tasks(config.backend.effective(), config.task_stack_bytes, tasks);
+    let stats = sched::run_tasks(
+        config.backend.effective(),
+        sched::DEFAULT_STACK_BYTES,
+        tasks,
+    );
     if let Some(obs) = &config.obs {
         obs.mpi.sched_events.add(stats.events);
         obs.mpi

@@ -34,8 +34,9 @@
 //! every collective meets in one rendezvous ([`exchange::ExchangeSlot`]).
 //! Nothing waits on a wall clock, so deadlocks are detected structurally
 //! and traces are byte-identical on either carrier ([`SimBackend`]): cheap
-//! coroutines that let one process host 10k+ ranks, or one OS thread per
-//! task passing a baton.
+//! coroutines that let one process host 10k+ ranks, or, on targets
+//! without the coroutine context switch, one OS thread per task passing a
+//! baton.
 
 pub mod exchange;
 pub mod json;

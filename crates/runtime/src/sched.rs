@@ -21,6 +21,9 @@
 //!   It is the only carrier on targets without a context switch.
 //!
 //! Both pop the same keys in the same order, so traces are byte-identical.
+//! The platform picks the carrier ([`SimBackend::effective`] of the
+//! default); [`run_tasks`] takes it as an argument so that the scheduler
+//! bench can measure both and the parity tests can compare them.
 //!
 //! # Task states and event-queue ordering
 //!
@@ -541,7 +544,7 @@ unsafe fn resume(core: *mut SchedCore, id: usize) {
                 if !stack.canary_ok() {
                     eprintln!(
                         "fatal: simulation task {id} overflowed its {}-byte stack \
-                         (raise SimConfig::task_stack_bytes)",
+                         (raise sched::DEFAULT_STACK_BYTES)",
                         stack.size()
                     );
                     std::process::abort();

@@ -284,11 +284,9 @@ fn campaign(
         keep,
     )?;
     let max_nprocs = scenarios.iter().map(|s| s.nprocs).max().unwrap_or(1);
-    let jobs = state.gov.campaign_jobs(
-        state.session.opts().jobs,
-        state.session.opts().backend,
-        max_nprocs,
-    );
+    let jobs = state
+        .gov
+        .campaign_jobs(state.session.opts().jobs, max_nprocs);
     for chunk in scenarios.chunks(self::chunk_size(state)) {
         let results = run_indexed(jobs.min(chunk.len()).max(1), chunk.len(), |i| {
             run_scenario(state, &chunk[i])

@@ -12,7 +12,6 @@
 //! bounded however many tenants stream campaigns concurrently.
 
 use ats_harness::pool::{default_thread_budget, effective_jobs, threads_per_config};
-use ats_runtime::SimBackend;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -75,13 +74,14 @@ impl TenantGov {
             .unwrap_or(0)
     }
 
-    /// The worker count a campaign for this tenant may use right now:
-    /// the session's requested jobs, clamped by the process thread budget
-    /// split evenly across currently active tenants.
-    pub fn campaign_jobs(&self, requested: usize, backend: SimBackend, nprocs: usize) -> usize {
+    /// The worker count a campaign of `nprocs`-rank scenarios for this
+    /// tenant may use right now: the session's requested jobs, clamped by
+    /// the process thread budget split evenly across currently active
+    /// tenants.
+    pub fn campaign_jobs(&self, requested: usize, nprocs: usize) -> usize {
         let tenants = self.active_tenants().max(1);
         let budget = (default_thread_budget() / tenants).max(1);
-        effective_jobs(requested, threads_per_config(backend, nprocs), budget)
+        effective_jobs(requested, threads_per_config(nprocs), budget)
     }
 }
 
@@ -125,11 +125,11 @@ mod tests {
     #[test]
     fn campaign_jobs_shrink_with_active_tenants() {
         let gov = TenantGov::new(8);
-        let solo = gov.campaign_jobs(4, SimBackend::Event, 8);
+        let solo = gov.campaign_jobs(4, 8);
         let _a = gov.admit("a").unwrap();
         let _b = gov.admit("b").unwrap();
         let _c = gov.admit("c").unwrap();
-        let shared = gov.campaign_jobs(4, SimBackend::Event, 8);
+        let shared = gov.campaign_jobs(4, 8);
         assert!(shared <= solo, "{shared} > {solo}");
         assert!(shared >= 1);
     }

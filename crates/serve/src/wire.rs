@@ -11,7 +11,7 @@ use ats_analyzer::AnalyzerConfig;
 use ats_core::json::Json;
 use ats_core::{Error, ErrorKind};
 use ats_fuzz::Scenario;
-use ats_harness::cache::model_json;
+use ats_harness::cache::execution_key_doc;
 use ats_harness::RunOpts;
 use ats_store::CacheKey;
 
@@ -22,7 +22,7 @@ pub const ROW_SCHEMA: &str = "ats-serve-row/1";
 /// Schema tag of error bodies.
 pub const ERROR_SCHEMA: &str = "ats-serve-error/1";
 /// Schema tag of the service's cache-key ingredient documents.
-pub const KEY_SCHEMA: &str = "ats-serve-key/1";
+pub const KEY_SCHEMA: &str = "ats-serve-key/2";
 
 /// An error body: the stable `ats_core::ErrorKind` discriminant plus the
 /// rendered message.
@@ -55,33 +55,15 @@ pub fn status_of(kind: ErrorKind) -> u16 {
 
 /// The key-ingredients document for one scenario under one session
 /// configuration: everything that determines the report bytes (scenario
-/// text form, execution model, analyzer version + config), nothing that
-/// merely schedules the work — the same contract as
+/// text form, plus the execution model, analyzer version + config and
+/// trace format of [`execution_key_doc`]), nothing that merely schedules
+/// the work — the same contract as
 /// [`ats_harness::cache::config_key_doc`].
 pub fn scenario_key_doc(sc: &Scenario, opts: &RunOpts, analyzer: &AnalyzerConfig) -> Json {
-    Json::obj()
+    execution_key_doc(opts, analyzer)
         .with("schema", KEY_SCHEMA)
         .with("engine", "serve")
         .with("scenario", sc.to_string())
-        .with("backend", opts.backend.label())
-        .with("model", model_json(&opts.model))
-        .with("work_mode", format!("{:?}", opts.work_mode))
-        .with(
-            "base",
-            Json::obj()
-                .with("dtype", format!("{:?}", opts.base.dtype))
-                .with("count", opts.base.count),
-        )
-        .with("init_time_ns", opts.init_time.0)
-        .with("finalize_time_ns", opts.finalize_time.0)
-        .with(
-            "analyzer",
-            Json::obj()
-                .with("version", ats_analyzer::ANALYSIS_VERSION)
-                .with("threshold", analyzer.threshold)
-                .with("report_setup_overhead", analyzer.report_setup_overhead),
-        )
-        .with("trace_format", "atsb")
 }
 
 /// The cache key for one scenario (see [`scenario_key_doc`]).
@@ -220,6 +202,34 @@ mod tests {
         );
         let doc = scenario_key_doc(&sc, &opts, &analyzer);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(KEY_SCHEMA));
+    }
+
+    /// The service and the experiment engine describe one execution with
+    /// the same ingredients, and neither names the scheduler's carrier.
+    #[test]
+    fn key_documents_share_the_execution_model() {
+        let opts = RunOpts::default().realistic();
+        let analyzer = AnalyzerConfig::default();
+        let serve = scenario_key_doc(&sample_scenario(), &opts, &analyzer);
+        let experiment =
+            ats_harness::cache::config_key_doc("late_sender", "r=3", 8, &opts, &analyzer);
+        for field in [
+            "model",
+            "work_mode",
+            "base",
+            "init_time_ns",
+            "finalize_time_ns",
+            "analyzer",
+            "trace_format",
+        ] {
+            assert!(serve.get(field).is_some(), "{field}");
+            assert_eq!(serve.get(field), experiment.get(field), "{field}");
+        }
+        assert_eq!(
+            serve.get("work_mode").and_then(Json::as_str),
+            Some("virtual")
+        );
+        assert!(serve.get("backend").is_none());
     }
 
     #[test]

@@ -19,8 +19,6 @@ use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-/// `--backend event|thread`: the rank-execution backend.
-pub const BACKEND: (&str, &str) = ("backend", "event|thread");
 /// `--cache off|ro|rw`: the result-cache policy.
 pub const CACHE: (&str, &str) = ("cache", "off|ro|rw");
 /// `--cache-dir DIR`: where the artifact store lives.
@@ -239,15 +237,12 @@ impl CommonArgs {
     }
 
     /// Finish `builder` into a [`Session`], applying each session flag
-    /// that is present: `--backend`, `--cache`, `--cache-dir`, and the
+    /// that is present: `--cache`, `--cache-dir`, and the
     /// process-wide registry when `--metrics` or `--manifest` asks for
     /// observability (so free-function sites like the trace codec record
     /// too). An absent flag leaves the builder's own setting alone.
     pub fn session(&self, builder: SessionBuilder) -> Result<Session, CliError> {
         let mut builder = builder;
-        if let Some(backend) = self.parsed(BACKEND.0)? {
-            builder = builder.backend(backend);
-        }
         if let Some(mode) = self.parsed(CACHE.0)? {
             builder = builder.cache(mode);
         }
@@ -391,7 +386,7 @@ mod tests {
     const CMD: Command = Command {
         name: "test",
         positionals: &["[nprocs]", "[key=value...]"],
-        values: &[BACKEND, METRICS, ("trace-dir", "DIR"), ("save", "FILE")],
+        values: &[CACHE, METRICS, ("trace-dir", "DIR"), ("save", "FILE")],
         bools: &[MANIFEST, "replay"],
         about: "a command line to parse",
         run: |_| Ok(true),
@@ -434,7 +429,7 @@ mod tests {
         };
         assert!(err(&["--svgdir", "x"]).contains("--svgdir"));
         assert!(err(&["8", "--save"]).contains("--save needs a value"));
-        let a = args(&["eight", "--backend", "bogus"]).unwrap();
+        let a = args(&["eight", "--cache", "bogus"]).unwrap();
         let Err(CliError::Usage(msg)) = a.pos_or(0, 8usize) else {
             panic!("`eight` parsed as a count")
         };
@@ -452,17 +447,6 @@ mod tests {
         };
         assert!(matches!(parse(&[]), Err(CliError::Usage(m)) if m == "missing FILE"));
         assert!(matches!(parse(&["a", "b"]), Err(CliError::Usage(m)) if m.contains("`b`")));
-    }
-
-    #[test]
-    fn backend_flag_selects_the_thread_backend() {
-        use crate::runtime::SimBackend;
-        let default = args(&["8"]).unwrap().session(Session::builder().procs(2));
-        assert_eq!(default.unwrap().opts().backend, SimBackend::default());
-        let a = args(&["--backend", "thread"]).unwrap();
-        assert_eq!(a.parsed("backend"), Ok(Some(SimBackend::Thread)));
-        let session = a.session(Session::builder().procs(2)).unwrap();
-        assert_eq!(session.opts().backend, SimBackend::Thread);
     }
 
     #[test]

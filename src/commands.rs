@@ -6,8 +6,8 @@
 
 use crate::analyzer::asl;
 use crate::cli::{
-    cannot_write, failed, write_file, write_trace, CliError, Command, CommonArgs, BACKEND, CACHE,
-    CACHE_DIR, MANIFEST, METRICS,
+    cannot_write, failed, write_file, write_trace, CliError, Command, CommonArgs, CACHE, CACHE_DIR,
+    MANIFEST, METRICS,
 };
 use crate::harness::{correctness, generate, validation, ParamValues, Session};
 use crate::obs::ObsConfig;
@@ -24,13 +24,13 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// The value flags of a figure command that writes timelines.
-const FIGURE: &[(&str, &str)] = &[BACKEND, METRICS, ("svg", "DIR"), ("trace-dir", "DIR")];
+const FIGURE: &[(&str, &str)] = &[METRICS, ("svg", "DIR"), ("trace-dir", "DIR")];
 
 /// The positionals of a command that runs one catalog property.
 const PROPERTY: &[&str] = &["PROPERTY", "[key=value...]"];
 
 /// The value flags of a sweep.
-const SWEEP: &[(&str, &str)] = &[BACKEND, CACHE, CACHE_DIR, METRICS, ("trace-dir", "DIR")];
+const SWEEP: &[(&str, &str)] = &[CACHE, CACHE_DIR, METRICS, ("trace-dir", "DIR")];
 
 /// Every `ats` subcommand.
 pub const COMMANDS: &[Command] = &[
@@ -41,7 +41,7 @@ pub const COMMANDS: &[Command] = &[
         .about("write the single-property test programs (Rust, or Fortran) to DIR"),
     Command::new("run", run_cmd)
         .positionals(PROPERTY)
-        .values(&[("procs", "N"), ("save", "FILE"), BACKEND, METRICS])
+        .values(&[("procs", "N"), ("save", "FILE"), METRICS])
         .bools(&[MANIFEST])
         .about("run one single-property program and analyze it"),
     Command::new("timeline", timeline_cmd)
@@ -91,7 +91,7 @@ pub const COMMANDS: &[Command] = &[
         .about("Fig. 3.4: two communicators, different property sets in parallel"),
     Command::new("figure 35", figures::figure35)
         .positionals(&["[nprocs]"])
-        .values(&[BACKEND, METRICS, ("trace", "FILE")])
+        .values(&[METRICS, ("trace", "FILE")])
         .bools(&[MANIFEST])
         .about("Fig. 3.5: the EXPERT-style analysis of the Fig. 3.4 program"),
     Command::new("sweep positive", experiments::sweep_positive)
@@ -113,7 +113,6 @@ pub const COMMANDS: &[Command] = &[
     Command::new("fuzz", experiments::fuzz)
         .positionals(&["[count]", "[seed]", "[jobs]"])
         .values(&[
-            BACKEND,
             METRICS,
             ("nprocs", "N"),
             ("corpus", "DIR"),
@@ -130,7 +129,7 @@ pub const COMMANDS: &[Command] = &[
         .about("gate: lossless ATSB, streaming analysis >= 1M events/s and >= 2x"),
     Command::new("bench store", bench::store::run)
         .positionals(&["[nprocs]", "[jobs]"])
-        .values(&[BACKEND, CACHE_DIR, METRICS])
+        .values(&[CACHE_DIR, METRICS])
         .bools(&[MANIFEST])
         .about("gate: warm campaign replays >= 95% byte-identically, 0 writes"),
     Command::new("bench serve", bench::serve::run)

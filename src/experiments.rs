@@ -252,7 +252,11 @@ pub fn ablation(args: &CommonArgs) -> Result<bool, CliError> {
     // harness worker pool (4 ranks each → budgeted like a sweep) and
     // print in threshold order afterwards.
     let thresholds = [0usize, 1 << 10, 1 << 16, 1 << 20];
-    let eff_jobs = pool::effective_jobs(jobs, 4, pool::default_thread_budget());
+    let eff_jobs = pool::effective_jobs(
+        jobs,
+        pool::threads_per_config(4),
+        pool::default_thread_budget(),
+    );
     let severities = pool::run_indexed(eff_jobs, thresholds.len(), |i| {
         let mut model = MachineModel::zero();
         model.eager_threshold = thresholds[i];

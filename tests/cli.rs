@@ -35,7 +35,6 @@ fn malformed_values_are_usage_errors() {
     );
     fails(&["bench", "obs", "x"], 2, "bad reps `x`");
     fails(&["fuzz", "5", "0xZZ", "1"], 2, "bad seed `0xZZ`");
-    fails(&["figure", "34", "--backend", "bogus"], 2, "bogus");
     fails(&["sweep", "positive", "--cache", "bogus"], 2, "bogus");
     fails(&["run", "no_such_property"], 2, "no_such_property");
 }
@@ -51,6 +50,20 @@ fn unknown_flags_and_arguments_are_usage_errors() {
     // take no cache flags.
     fails(&["figure", "33", "--cache", "rw"], 2, "--cache");
     fails(&["fuzz", "5", "--cache-dir", "d"], 2, "--cache-dir");
+    // The scheduler's carrier follows the platform, so no command takes
+    // a backend.
+    fails(
+        &["figure", "34", "--backend", "bogus"],
+        2,
+        "unknown flag --backend",
+    );
+    fails(
+        &["run", "late_sender", "--backend", "thread"],
+        2,
+        "--backend",
+    );
+    fails(&["sweep", "positive", "--backend", "event"], 2, "--backend");
+    fails(&["fuzz", "5", "--backend", "thread"], 2, "--backend");
     fails(&["figure", "32", "8", "16"], 2, "unexpected argument `16`");
     fails(&["figure", "36"], 2, "unknown command `figure 36`");
     fails(&[], 2, "usage: ats COMMAND");

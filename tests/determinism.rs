@@ -97,11 +97,16 @@ fn seeds_do_not_leak_into_virtual_time() {
 /// Carrier parity: the coroutine and the OS-thread carrier run one
 /// scheduler core, so a catalog sample — OpenMP teams and hybrid entries
 /// included — gives byte-identical ATSB traces and identical analyzer
-/// reports on both.
+/// reports on both. MPI and hybrid entries run on `ats::mpi::run` with
+/// the carrier set; a pure OpenMP program runs inline inside a lone task
+/// of the carrier, and its team inherits that task's carrier.
 #[test]
 fn event_and_thread_backends_produce_identical_atsb_bytes() {
     use ats::analyzer::{analyze, AnalyzerConfig};
+    use ats::core::catalog::Paradigm;
+    use ats::harness::run_in_comm;
     use ats::mpi::SimBackend;
+    use ats_testutil::run_as_tasks;
     let sample = [
         "late_sender",
         "late_receiver",
@@ -120,10 +125,18 @@ fn event_and_thread_backends_produce_identical_atsb_bytes() {
         let spec = ats::core::catalog::find(name).unwrap();
         let mut params = ParamValues::defaults(spec);
         params.set("r", ParamValue::Count(2));
-        let run_on = |backend: SimBackend| {
-            canonical(
-                run_single(name, &params, &RunOpts::default().procs(8).backend(backend)).unwrap(),
-            )
+        let opts = RunOpts::default().procs(8);
+        let run_on = |carrier: SimBackend| {
+            canonical(match spec.paradigm {
+                Paradigm::Omp => {
+                    run_as_tasks(carrier, 1, |_| run_single(name, &params, &opts).unwrap())
+                        .remove(0)
+                }
+                _ => ats::mpi::run(opts.sim_config().backend(carrier), |p| {
+                    let world = p.comm_world();
+                    run_in_comm(name, &params, &opts.base, p, &world);
+                }),
+            })
         };
         let event = run_on(SimBackend::Event);
         let thread = run_on(SimBackend::Thread);
@@ -141,38 +154,25 @@ fn event_and_thread_backends_produce_identical_atsb_bytes() {
     }
 }
 
-/// Backend parity holds through the experiment engine at any worker
-/// count: rows are byte-identical for (event, thread) × (jobs 1, jobs 8).
+/// Parity holds through the experiment engine at any worker count: rows
+/// are byte-identical at jobs 1 and jobs 8 (the carriers' parity is the
+/// test above).
 #[test]
 fn backend_parity_holds_for_any_jobs_value() {
     use ats::harness::cache::row_to_json;
     use ats::harness::experiment::{Experiment, Sweep};
-    use ats::mpi::SimBackend;
-    let rows = |backend: SimBackend, jobs: usize| {
-        let (rows, stats) = Experiment::new("late_sender")
+    let rows = |jobs: usize| {
+        let rows = Experiment::new("late_sender")
             .sweep(Sweep::seconds("extrawork", [0.005, 0.01, 0.02]))
             .procs_grid([2, 4])
-            .opts(RunOpts::default().backend(backend).jobs(jobs))
-            .run_with_stats()
+            .opts(RunOpts::default().jobs(jobs))
+            .run()
             .unwrap();
-        assert_eq!(stats.backend, backend.effective().label());
         rows.iter()
             .map(|r| row_to_json(r).render())
             .collect::<Vec<_>>()
     };
-    let baseline = rows(SimBackend::Event, 1);
-    for (backend, jobs) in [
-        (SimBackend::Event, 8),
-        (SimBackend::Thread, 1),
-        (SimBackend::Thread, 8),
-    ] {
-        assert_eq!(
-            baseline,
-            rows(backend, jobs),
-            "{}/jobs={jobs} diverges from event/jobs=1",
-            backend.label()
-        );
-    }
+    assert_eq!(rows(1), rows(8), "jobs=8 diverges from jobs=1");
 }
 
 #[test]

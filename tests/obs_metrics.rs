@@ -134,7 +134,7 @@ fn manifest_config_excludes_execution_details() {
     );
     assert!(!config.contains("jobs"), "config leaked jobs: {config}");
     assert!(
-        !config.contains("thread_budget"),
-        "config leaked budget: {config}"
+        !config.contains("backend"),
+        "config leaked the carrier: {config}"
     );
 }

@@ -33,8 +33,8 @@ fn sixty_four_rank_two_communicator_composite() {
 }
 
 /// Tentpole smoke: 4096 simulated ranks in one process — a scale only
-/// the discrete-event backend (the default) can host; one OS thread per
-/// rank would exhaust a CI runner's thread and memory limits.
+/// the coroutine carrier can host; one OS thread per rank would exhaust
+/// a CI runner's thread and memory limits.
 #[test]
 fn four_thousand_ranks_run_in_one_process() {
     use ats::runtime::VDur;
