@@ -14,7 +14,7 @@ use crate::pool;
 use crate::registry::{run_single, spec_of, RunError, RunOpts};
 use ats_analyzer::{analyze, AnalyzerConfig};
 use ats_core::catalog::PropertySpec;
-use ats_store::{Cache, Json};
+use ats_store::{Cache, CacheKey, Json};
 use ats_trace::{PoolStats, TracePool};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -79,13 +79,15 @@ pub struct ExperimentRow {
 /// guarantee) while throughput remains observable.
 #[derive(Debug, Clone)]
 pub struct ExperimentStats {
-    /// Number of configurations executed.
+    /// Number of configurations, replayed and executed.
     pub configs: usize,
     /// Worker count requested (after `0 = auto` resolution).
     pub jobs_requested: usize,
-    /// Worker count actually used after the oversubscription guard
+    /// Worker count the oversubscription guard grants
     /// (`jobs × threads_per_config ≤ default_thread_budget`, see
-    /// [`pool::effective_jobs`]).
+    /// [`pool::effective_jobs`]). Only misses run on these workers: hits
+    /// replay on the calling thread, so a sweep whose every configuration
+    /// is stored starts none of them.
     pub jobs: usize,
     /// Largest process count among the configurations.
     pub max_nprocs: usize,
@@ -114,14 +116,6 @@ pub struct ExperimentStats {
     pub cache_bytes_written: u64,
 }
 
-/// Per-configuration cache accounting, folded into [`ExperimentStats`].
-#[derive(Debug, Clone, Copy, Default)]
-struct CacheOutcome {
-    hit: bool,
-    bytes_read: u64,
-    bytes_written: u64,
-}
-
 /// A family of runs over one property.
 #[derive(Debug, Clone)]
 pub struct Experiment {
@@ -138,7 +132,8 @@ pub struct Experiment {
     pub analyzer: AnalyzerConfig,
     /// Result cache (`None` = no caching). In `ro`/`rw` modes each
     /// configuration's key is computed *before* simulating; hits replay
-    /// the stored row, only misses execute (and, in `rw`, publish).
+    /// the stored row on the calling thread, only misses reach the worker
+    /// pool and execute (and, in `rw`, publish).
     pub cache: Option<Cache>,
 }
 
@@ -191,16 +186,22 @@ impl Experiment {
         self.run_with_stats().map(|(rows, _)| rows)
     }
 
-    /// Execute all configurations on a bounded worker pool and return the
-    /// rows plus throughput statistics.
+    /// Replay every stored configuration, execute the rest on a bounded
+    /// worker pool, and return the rows plus throughput statistics.
     ///
-    /// Workers (`opts.jobs`, `0 = available parallelism`) pull
-    /// configurations from a shared queue; the oversubscription guard
-    /// clamps the worker count so the OS threads the configurations
-    /// occupy ([`pool::threads_per_config`]) stay within
+    /// The replay step runs on the calling thread, in cartesian-combo
+    /// order: it derives each configuration's key, probes the store once
+    /// and decodes a hit's stored row there. Only the misses reach the
+    /// pool, so a sweep whose every configuration is stored starts no
+    /// worker thread. Workers (`opts.jobs`, `0 = available parallelism`)
+    /// pull misses from a shared queue; the oversubscription guard clamps
+    /// the worker count so the OS threads the configurations occupy
+    /// ([`pool::threads_per_config`]) stay within
     /// [`pool::default_thread_budget`]. Rows come back in cartesian-combo
     /// order (process grid outer, parameter axes inner) regardless of
     /// completion order, so any `jobs` setting yields the same sequence.
+    /// A failure is attributed to its configuration; when several fail,
+    /// the first in combo order is returned.
     pub fn run_with_stats(&self) -> Result<(Vec<ExperimentRow>, ExperimentStats), RunError> {
         let spec = spec_of(&self.property)?;
         let procs: Vec<usize> = if self.procs_grid.is_empty() {
@@ -229,23 +230,41 @@ impl Experiment {
         )
         .min(configs.len().max(1));
         let started = Instant::now();
-        let outcomes = pool::run_indexed_with(jobs, configs.len(), self.opts.obs.clone(), |i| {
-            let (nprocs, combo) = configs[i];
-            let config_started = Instant::now();
-            let row = self.run_config(spec, nprocs, combo);
-            (row, config_started.elapsed().as_secs_f64())
-        });
+        let replayed: Vec<(Result<Replay, RunError>, f64)> = configs
+            .iter()
+            .map(|&(nprocs, combo)| timed(|| self.replay(spec, nprocs, combo)))
+            .collect();
+        let misses: Vec<&Miss> = replayed
+            .iter()
+            .filter_map(|(step, _)| match step {
+                Ok(Replay::Miss(miss)) => Some(miss),
+                _ => None,
+            })
+            .collect();
+        let mut executed = pool::run_indexed_with(jobs, misses.len(), self.opts.obs.clone(), |m| {
+            timed(|| self.run_config(spec, misses[m]))
+        })
+        .into_iter();
         let wall_secs = started.elapsed().as_secs_f64();
-        let mut rows = Vec::with_capacity(outcomes.len());
-        let mut config_wall_secs = Vec::with_capacity(outcomes.len());
+        let mut rows = Vec::with_capacity(replayed.len());
+        let mut config_wall_secs = Vec::with_capacity(replayed.len());
         let mut cache_hits = 0usize;
         let mut cache_bytes_read = 0u64;
         let mut cache_bytes_written = 0u64;
-        for (row, secs) in outcomes {
-            let (row, outcome) = row?;
-            cache_hits += outcome.hit as usize;
-            cache_bytes_read += outcome.bytes_read;
-            cache_bytes_written += outcome.bytes_written;
+        for (step, replay_secs) in replayed {
+            let (row, secs) = match step? {
+                Replay::Hit { row, bytes_read } => {
+                    cache_hits += 1;
+                    cache_bytes_read += bytes_read;
+                    (row, replay_secs)
+                }
+                Replay::Miss(_) => {
+                    let (outcome, run_secs) = executed.next().expect("the pool runs every miss");
+                    let (row, bytes_written) = outcome?;
+                    cache_bytes_written += bytes_written;
+                    (row, replay_secs + run_secs)
+                }
+            };
             rows.push(row);
             config_wall_secs.push(secs);
         }
@@ -275,33 +294,35 @@ impl Experiment {
         Ok((rows, stats))
     }
 
-    /// Run and score one configuration: consult the cache, else
-    /// run → trace → analyze → row (→ publish).
-    fn run_config(
+    /// The replay step for one configuration: build its parameters and,
+    /// with a cache, its key, then probe the store once. A verified entry
+    /// whose row decodes is a hit; anything else is a miss for
+    /// [`Experiment::run_config`] to execute.
+    fn replay(
         &self,
         spec: &'static PropertySpec,
         nprocs: usize,
         combo: &[(String, ParamValue)],
-    ) -> Result<(ExperimentRow, CacheOutcome), RunError> {
+    ) -> Result<Replay, RunError> {
         let mut params = ParamValues::defaults(spec);
         for (name, value) in combo {
             params.set(name, value.clone());
         }
         let params_cli = params.to_cli();
-        // The key is computed *before* simulating: a hit replays the
-        // stored row without paying for the run at all.
-        let key = self.cache.as_ref().map(|_| {
-            cache::config_key(
+        let mut key = None;
+        if let Some(cache) = &self.cache {
+            // The key is computed *before* simulating: a hit replays the
+            // stored row without paying for the run at all.
+            let key_doc = cache::config_key_doc(
                 &self.property,
                 &params_cli,
                 nprocs,
                 &self.opts,
                 &self.analyzer,
-            )
-        });
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
+            );
+            let hash = CacheKey::of_value(&key_doc);
             if let Some(entry) = cache
-                .lookup(key)
+                .lookup(&hash)
                 .map_err(|e| e.in_config(&self.property, &params_cli))?
             {
                 // A verified entry missing or corrupting its row document
@@ -312,23 +333,36 @@ impl Experiment {
                     .and_then(|text| Json::parse(text).ok())
                     .and_then(|doc| row_from_json(&doc).ok());
                 if let Some(row) = cached_row {
-                    return Ok((
+                    return Ok(Replay::Hit {
                         row,
-                        CacheOutcome {
-                            hit: true,
-                            bytes_read: entry.bytes,
-                            bytes_written: 0,
-                        },
-                    ));
+                        bytes_read: entry.bytes,
+                    });
                 }
             }
+            key = Some((hash, key_doc));
         }
-        let opts = self.opts.clone().procs(nprocs);
+        Ok(Replay::Miss(Miss {
+            nprocs,
+            params,
+            params_cli,
+            key,
+        }))
+    }
+
+    /// Execute and score one configuration the store could not replay:
+    /// run → trace → analyze → row (→ publish under the miss's key).
+    /// Returns the row and the artifact bytes published.
+    fn run_config(
+        &self,
+        spec: &'static PropertySpec,
+        miss: &Miss,
+    ) -> Result<(ExperimentRow, u64), RunError> {
+        let opts = self.opts.clone().procs(miss.nprocs);
         // Attribute any failure to this exact configuration so a failing
         // combo inside a pool-parallel sweep is identifiable from the
         // error alone.
-        let trace = run_single(&self.property, &params, &opts)
-            .map_err(|e| e.in_config(&self.property, &params_cli))?;
+        let trace = run_single(&self.property, &miss.params, &opts)
+            .map_err(|e| e.in_config(&self.property, &miss.params_cli))?;
         let report = analyze(&trace, &self.analyzer);
         let total_alloc = trace.total_alloc_time().as_secs();
         let (detected_severity, localized, unexpected) = match spec.expected_property {
@@ -349,8 +383,8 @@ impl Experiment {
         let events = trace.num_events();
         let row = ExperimentRow {
             property: self.property.clone(),
-            params: params_cli,
-            nprocs,
+            params: miss.params_cli.clone(),
+            nprocs: miss.nprocs,
             detected_severity,
             detected_wait_secs: detected_severity * total_alloc,
             localized,
@@ -358,7 +392,7 @@ impl Experiment {
             events,
         };
         let mut bytes_written = 0;
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
+        if let (Some(cache), Some((key, key_doc))) = (&self.cache, &miss.key) {
             if cache.mode.writes() {
                 // Persist the full result set: the replayable row, the
                 // analyzer report (the byte-identity artifact) and the
@@ -369,13 +403,7 @@ impl Experiment {
                 bytes_written = cache
                     .publish(
                         key,
-                        &cache::config_key_doc(
-                            &row.property,
-                            &row.params,
-                            nprocs,
-                            &self.opts,
-                            &self.analyzer,
-                        ),
+                        key_doc,
                         &[
                             (cache::ROW_FILE, row_bytes.as_bytes()),
                             (cache::REPORT_FILE, report_bytes.as_bytes()),
@@ -391,15 +419,34 @@ impl Experiment {
         if let Some(pool) = &self.opts.trace_pool {
             pool.recycle(trace);
         }
-        Ok((
-            row,
-            CacheOutcome {
-                hit: false,
-                bytes_read: 0,
-                bytes_written,
-            },
-        ))
+        Ok((row, bytes_written))
     }
+}
+
+/// What the replay step found for one configuration.
+enum Replay {
+    /// The store held a verified row: `bytes_read` artifact bytes loaded.
+    Hit { row: ExperimentRow, bytes_read: u64 },
+    /// Nothing to replay: the configuration must be executed.
+    Miss(Miss),
+}
+
+/// A configuration the store could not replay, with the parameters and
+/// key the replay step built for it.
+struct Miss {
+    nprocs: usize,
+    params: ParamValues,
+    params_cli: String,
+    /// The cache key and the ingredients document it hashes (`None`
+    /// without a cache).
+    key: Option<(CacheKey, Json)>,
+}
+
+/// `f`'s result and its wall time in seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let started = Instant::now();
+    let out = f();
+    (out, started.elapsed().as_secs_f64())
 }
 
 /// Cartesian product of sweep axes (a single empty assignment when there
@@ -636,19 +683,32 @@ mod tests {
         use ats_store::{Cache, CacheMode};
         let dir = ats_testutil::TempDir::new("ats-exp-cache");
         let dir = dir.path();
-        let exp = |mode: CacheMode| {
+        let exp = |mode: CacheMode, obs: &ats_obs::Handle| {
             Experiment::new("late_sender")
                 .sweep(Sweep::seconds("extrawork", [0.005, 0.01]))
                 .procs_grid([2, 4])
-                .opts(RunOpts::default().jobs(1))
+                .opts(RunOpts::default().jobs(1).obs(obs.clone()))
                 .cache(Cache::open(dir, mode).unwrap())
         };
-        let (cold_rows, cold) = exp(CacheMode::ReadWrite).run_with_stats().unwrap();
+        let cold_obs = ats_obs::Handle::new();
+        let (cold_rows, cold) = exp(CacheMode::ReadWrite, &cold_obs)
+            .run_with_stats()
+            .unwrap();
         assert_eq!(cold.cache_mode, "rw");
         assert_eq!((cold.cache_hits, cold.cache_misses), (0, 4));
         assert!(cold.cache_bytes_written > 0, "cold rw publishes");
-        let (warm_rows, warm) = exp(CacheMode::ReadWrite).run_with_stats().unwrap();
+        assert_eq!(cold_obs.pool.tasks.get(), 4, "every miss is a pool task");
+        let warm_obs = ats_obs::Handle::new();
+        let (warm_rows, warm) = exp(CacheMode::ReadWrite, &warm_obs)
+            .run_with_stats()
+            .unwrap();
         assert_eq!((warm.cache_hits, warm.cache_misses), (4, 0));
+        assert_eq!(
+            warm_obs.pool.tasks.get(),
+            0,
+            "hits replay on the calling thread, never in the pool"
+        );
+        assert_eq!(warm_obs.pool.jobs_occupancy.get(), 0, "no worker starts");
         assert!(warm.cache_bytes_read > 0);
         assert_eq!(warm.cache_bytes_written, 0, "hits are never re-published");
         assert_eq!(
@@ -657,9 +717,10 @@ mod tests {
             "replay is byte-identical"
         );
         // `ro` replays what `rw` left behind; `off` ignores the store.
-        let (_, ro) = exp(CacheMode::Read).run_with_stats().unwrap();
+        let obs = ats_obs::Handle::new();
+        let (_, ro) = exp(CacheMode::Read, &obs).run_with_stats().unwrap();
         assert_eq!((ro.cache_mode, ro.cache_hits), ("ro", 4));
-        let (_, off) = exp(CacheMode::Off).run_with_stats().unwrap();
+        let (_, off) = exp(CacheMode::Off, &obs).run_with_stats().unwrap();
         assert_eq!((off.cache_mode, off.cache_hits), ("off", 0));
     }
 
@@ -670,19 +731,33 @@ mod tests {
         use ats_store::{Cache, CacheMode};
         let dir = ats_testutil::TempDir::new("ats-exp-inval");
         let dir = dir.path();
-        let exp = |extras: [f64; 2]| {
+        let exp = |extras: [f64; 2], obs: &ats_obs::Handle| {
             Experiment::new("late_sender")
                 .sweep(Sweep::seconds("extrawork", extras))
-                .opts(RunOpts::default().procs(2).jobs(1))
+                .opts(RunOpts::default().procs(2).jobs(1).obs(obs.clone()))
                 .cache(Cache::open(dir, CacheMode::ReadWrite).unwrap())
         };
-        let (_, cold) = exp([0.005, 0.01]).run_with_stats().unwrap();
+        let (_, cold) = exp([0.005, 0.01], &ats_obs::Handle::new())
+            .run_with_stats()
+            .unwrap();
         assert_eq!((cold.cache_hits, cold.cache_misses), (0, 2));
-        let (_, shifted) = exp([0.005, 0.02]).run_with_stats().unwrap();
+        let obs = ats_obs::Handle::new();
+        let (shifted_rows, shifted) = exp([0.005, 0.02], &obs).run_with_stats().unwrap();
         assert_eq!(
             (shifted.cache_hits, shifted.cache_misses),
             (1, 1),
             "the shared value hits, the changed one misses"
+        );
+        assert_eq!(obs.pool.tasks.get(), 1, "only the miss reaches the pool");
+        let uncached = Experiment::new("late_sender")
+            .sweep(Sweep::seconds("extrawork", [0.005, 0.02]))
+            .opts(RunOpts::default().procs(2).jobs(1))
+            .run()
+            .unwrap();
+        assert_eq!(
+            rendered(&shifted_rows),
+            rendered(&uncached),
+            "a replayed hit and an executed miss keep combo order"
         );
     }
 

@@ -1,6 +1,7 @@
 //! A bounded worker pool for independent, index-addressed tasks.
 //!
-//! The experiment engine runs sweep configurations concurrently. On a
+//! The experiment engine runs the sweep configurations its store cannot
+//! replay concurrently (hits are replayed on the calling thread). On a
 //! target without the coroutine context switch, every configuration
 //! itself parks one OS thread per task inside [`ats_mpi::run`] — each
 //! rank and each OpenMP team member it forks — and naively multiplying

@@ -267,7 +267,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -355,8 +355,21 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a 100 KB run of `[` in a
+/// request body overflows a serve worker's stack; the suite's own
+/// documents nest at most 5 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one value that `depth` arrays and objects enclose.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -372,7 +385,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -397,7 +410,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                map.insert(key, parse_value(bytes, pos)?);
+                map.insert(key, parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -482,6 +495,10 @@ fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
     let chunk = bytes
         .get(at..at + 4)
         .ok_or_else(|| "truncated \\u escape".to_owned())?;
+    // Four hex digits exactly: `from_str_radix` alone would take a sign.
+    if !chunk.iter().all(u8::is_ascii_hexdigit) {
+        return Err(format!("bad \\u escape at byte {at}"));
+    }
     let s = std::str::from_utf8(chunk).map_err(|e| e.to_string())?;
     u32::from_str_radix(s, 16).map_err(|e| format!("bad \\u escape: {e}"))
 }
@@ -587,6 +604,7 @@ mod tests {
 
     #[test]
     fn malformed_inputs_are_rejected() {
+        let deep = format!("{{\"seed\":{}", "[".repeat(100_000));
         for bad in [
             "",
             "{",
@@ -598,9 +616,21 @@ mod tests {
             "{\"a\":1}]",
             "\"\\ud800\"",
             "-",
+            &deep,
+            "\"\\u+041\"",
         ] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} accepted");
+            assert!(Json::parse(bad).is_err(), "{bad:.40?} accepted");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

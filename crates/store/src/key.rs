@@ -2,13 +2,15 @@
 //!
 //! A [`CacheKey`] is the 128-bit identity of one unit of cacheable work:
 //! the stable hash of a *canonical* JSON document enumerating everything
-//! that determines the result bytes — scenario spec or property + full
-//! parameter assignment, analyzer configuration and version, machine
-//! model, rank-execution backend, trace format. Anything that only
-//! changes *how* a result is computed (worker count, thread budget,
-//! buffer pooling, observability) must stay out of the document: two runs
-//! that provably produce the same bytes must map to the same key, or the
-//! cache never hits.
+//! that determines the result bytes — the scenario spec or property and
+//! full parameter assignment, plus the execution ingredients that
+//! `harness::cache::execution_key_doc` lists once for every engine
+//! (machine model, work mode, message shape, analyzer version and
+//! configuration, trace format). Anything that only changes *how* a
+//! result is computed (worker count, scheduler carrier, buffer pooling,
+//! observability) must stay out of the document: two runs that provably
+//! produce the same bytes must map to the same key, or the cache never
+//! hits.
 //!
 //! Canonicalization rides on [`Json::render`]: object members render in
 //! sorted key order with exact integers and shortest-round-trip floats,

@@ -4,10 +4,12 @@
 //! results — the persistence layer behind the suite's incremental
 //! campaign engine.
 //!
-//! The suite's runs are deterministic: for a fixed (scenario spec,
-//! property parameters, analyzer configuration and version, machine
-//! model, backend, trace format) the simulator produces byte-identical
-//! traces and the analyzer byte-identical reports, at any worker count.
+//! The suite's runs are deterministic: for fixed key ingredients (what
+//! runs, how the simulated machine behaves and how the result is
+//! interpreted; `harness::cache::execution_key_doc` is the one list) the
+//! simulator produces byte-identical traces and the analyzer
+//! byte-identical reports, at any worker count and on either scheduler
+//! carrier.
 //! That makes replaying a cached result *provably* equivalent to
 //! re-executing it — so a campaign only needs to execute combinations
 //! whose key has never been seen. This crate provides the pieces:

@@ -191,25 +191,30 @@ impl Store {
     }
 
     /// Load and verify the entry under `key`. `Ok(None)` means *miss*:
-    /// absent, or present but failing size/checksum verification (the
-    /// latter is counted as an integrity failure in the observability
+    /// absent, or present but failing to parse or verify (a manifest that
+    /// is not UTF-8 or not an entry document, a size or checksum
+    /// mismatch; counted as an integrity failure in the observability
     /// registry — a caching engine re-executes and, in `rw` mode,
-    /// overwrites the damaged entry).
+    /// overwrites the damaged entry). `Err` is left for a manifest the
+    /// store cannot read at all.
     pub fn get(&self, key: &CacheKey) -> Result<Option<StoredEntry>, Error> {
         let dir = self.entry_dir(key);
-        let doc_text = match fs::read_to_string(dir.join("entry.json")) {
-            Ok(t) => t,
+        let manifest = dir.join("entry.json");
+        let doc_bytes = match fs::read(&manifest) {
+            Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 if let Some(obs) = &self.obs {
                     obs.store.misses.inc();
                 }
                 return Ok(None);
             }
-            Err(e) => return Err(Error::store(format!("read {}: {e}", dir.display()))),
+            Err(e) => return Err(Error::store(format!("read {}: {e}", manifest.display()))),
         };
-        let doc = match EntryDoc::from_text(&doc_text) {
-            Ok(d) => d,
-            Err(_) => return Ok(self.integrity_failure()),
+        let Some(doc) = std::str::from_utf8(&doc_bytes)
+            .ok()
+            .and_then(|text| EntryDoc::from_text(text).ok())
+        else {
+            return Ok(self.integrity_failure());
         };
         if doc.key != key.hex() {
             return Ok(self.integrity_failure());
@@ -433,6 +438,23 @@ mod tests {
         let entry = store.get(&key).unwrap().expect("the put repairs it");
         assert_eq!(entry.file("row.json"), Some(b"row".as_slice()));
         assert_eq!(obs.store.integrity_failures.get(), 1);
+        // A manifest byte flipped to 0xFF is no longer UTF-8: a counted
+        // miss too, never an error that stops a campaign from repairing it.
+        let mut text = fs::read(&manifest).unwrap();
+        let mid = text.len() / 2;
+        text[mid] = 0xFF;
+        fs::write(&manifest, &text).unwrap();
+        assert!(
+            store.get(&key).unwrap().is_none(),
+            "a non-UTF-8 manifest misses"
+        );
+        assert_eq!(obs.store.integrity_failures.get(), 2);
+        assert_eq!(store.len(), 0);
+        store
+            .put(&key, &ingredients(3), &[("row.json", b"row")])
+            .unwrap();
+        assert!(store.get(&key).unwrap().is_some(), "the put repairs it");
+        assert_eq!(obs.store.integrity_failures.get(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

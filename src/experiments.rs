@@ -137,7 +137,8 @@ pub fn sweep_positive(args: &CommonArgs) -> Result<bool, CliError> {
 /// `ats sweep negative`: every balanced (negative) property function,
 /// across process counts, work amounts and repetitions, must produce
 /// zero findings. The process-count axis rides the experiment engine's
-/// `procs_grid`, so a property's 18 configurations share the worker pool.
+/// `procs_grid`, so a property's 18 configurations share the worker pool
+/// (the ones a cache cannot replay).
 pub fn sweep_negative(args: &CommonArgs) -> Result<bool, CliError> {
     let jobs: usize = args.pos_or(0, 0)?;
     let session = args.session(Session::builder().procs(4).jobs(jobs))?;

@@ -84,6 +84,31 @@ fn malformed_specs_are_400_with_the_error_discriminant() {
     server.shutdown();
 }
 
+/// A body nested 100,000 levels deep is a scenario error, not a stack
+/// overflow that takes the whole server down.
+#[test]
+fn a_deeply_nested_body_is_a_400_and_the_server_keeps_answering() {
+    let dir = TempDir::new("serve-deep");
+    let server = default_boot(&dir);
+    let mut client = Client::new(server.addr());
+
+    let body = format!("{{\"seed\":{}", "[".repeat(100_000));
+    assert_eq!(body.len(), 100_008);
+    let resp = client
+        .request("POST", "/v1/analyze", Some("text/plain"), body.as_bytes())
+        .expect("transport ok");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    let doc = ats::core::json::Json::parse(resp.text().trim()).expect("error body is JSON");
+    assert_eq!(
+        doc.get("kind").and_then(ats::core::json::Json::as_str),
+        Some("scenario")
+    );
+
+    let ok = client.analyze(SPEC).expect("the server still answers");
+    assert_eq!(ok.report, offline_report(SPEC));
+    server.shutdown();
+}
+
 #[test]
 fn artifacts_are_fetchable_by_key_and_unknown_keys_are_404() {
     let dir = TempDir::new("serve-artifacts");
