@@ -335,6 +335,30 @@ mod tests {
     }
 
     #[test]
+    fn an_expression_at_the_nesting_bound_evaluates() {
+        // LateSender's wait is two levels deep (a clamp under a
+        // subtraction); 126 parentheses put it at the 128-level bound.
+        let wait = format!(
+            "{}clamp(send_post, recv_posted, recv_completion) - recv_posted{}",
+            "(".repeat(126),
+            ")".repeat(126)
+        );
+        let deep = super::super::parse(&format!(
+            "PROPERTY Deep OVER p2p_pair {{ WAIT {wait}; CONDITION wait > 0; LOCATE receiver; }}"
+        ))
+        .unwrap();
+        let trace = ats_mpi::run(cfg(4), |p| {
+            let c = p.comm_world();
+            mpi_p2p::late_sender(p, &BaseComm::default(), 0.002, 0.02, 2, &c);
+        });
+        let ex = extract(&trace);
+        let deep = totals(&evaluate(&deep, &ex, &trace).unwrap())["Deep"];
+        let flat = totals(&evaluate(&default_property_set(), &ex, &trace).unwrap())["LateSender"];
+        assert!(deep > VDur::ZERO);
+        assert_eq!(deep, flat);
+    }
+
+    #[test]
     fn negative_programs_trigger_nothing() {
         let trace = ats_mpi::run(cfg(4), |p| {
             let c = p.comm_world();

@@ -3,6 +3,13 @@
 use super::ast::{AslError, BinOp, Context, Expr, Locate, Property, PropertySet};
 use ats_trace::CollOp;
 
+/// How many levels an expression may nest, as `Json::parse` caps its
+/// nesting: every parenthesis, unary minus, function call and binary
+/// operator above a leaf is one level. Evaluating, printing and dropping
+/// an [`Expr`] recurse once per level, so an unbounded tree would
+/// overflow the stack.
+const MAX_LEVELS: usize = 128;
+
 /// Parse a property-set source text.
 pub fn parse(src: &str) -> Result<PropertySet, AslError> {
     let tokens = lex(src)?;
@@ -151,15 +158,15 @@ impl Parser {
                 Some(Tok::Ident(kw)) => match kw.as_str() {
                     "LET" => {
                         self.pos += 1;
-                        let name = self.ident()?;
+                        let var = self.ident()?;
                         self.expect_sym('=')?;
-                        let e = self.expr()?;
+                        let e = self.expr_of(&name)?;
                         self.expect_sym(';')?;
-                        lets.push((name, e));
+                        lets.push((var, e));
                     }
                     "WAIT" => {
                         self.pos += 1;
-                        let e = self.expr()?;
+                        let e = self.expr_of(&name)?;
                         self.expect_sym(';')?;
                         if wait.replace(e).is_some() {
                             return Err(AslError::new(format!("{name}: duplicate WAIT")));
@@ -167,7 +174,7 @@ impl Parser {
                     }
                     "CONDITION" => {
                         self.pos += 1;
-                        let e = self.expr()?;
+                        let e = self.expr_of(&name)?;
                         self.expect_sym(';')?;
                         conditions.push(e);
                     }
@@ -255,10 +262,19 @@ impl Parser {
         }
     }
 
+    /// One expression of property `name`; an error names the property.
+    fn expr_of(&mut self, name: &str) -> Result<Expr, AslError> {
+        self.expr(MAX_LEVELS)
+            .map(|(e, _)| e)
+            .map_err(|e| AslError::new(format!("{name}: {}", e.message)))
+    }
+
     // expr := cmp ; cmp := sum ((>|<|>=|<=|==) sum)? ; sum := term ((+|-) term)* ;
     // term := factor ((*|/) factor)* ; factor := NUM | IDENT | call | (expr) | -factor
-    fn expr(&mut self) -> Result<Expr, AslError> {
-        let lhs = self.sum()?;
+    //
+    // Each returns the expression and its height, at most `levels`.
+    fn expr(&mut self, levels: usize) -> Result<(Expr, usize), AslError> {
+        let lhs = self.sum(levels)?;
         let op = match self.peek() {
             Some(Tok::Sym('>')) => Some(BinOp::Gt),
             Some(Tok::Sym('<')) => Some(BinOp::Lt),
@@ -269,15 +285,15 @@ impl Parser {
         };
         if let Some(op) = op {
             self.pos += 1;
-            let rhs = self.sum()?;
-            Ok(Expr::Bin(Box::new(lhs), op, Box::new(rhs)))
+            let rhs = self.sum(levels)?;
+            bin(lhs, op, rhs, levels)
         } else {
             Ok(lhs)
         }
     }
 
-    fn sum(&mut self) -> Result<Expr, AslError> {
-        let mut e = self.term()?;
+    fn sum(&mut self, levels: usize) -> Result<(Expr, usize), AslError> {
+        let mut e = self.term(levels)?;
         loop {
             let op = match self.peek() {
                 Some(Tok::Sym('+')) => BinOp::Add,
@@ -285,14 +301,14 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
-            let rhs = self.term()?;
-            e = Expr::Bin(Box::new(e), op, Box::new(rhs));
+            let rhs = self.term(levels)?;
+            e = bin(e, op, rhs, levels)?;
         }
         Ok(e)
     }
 
-    fn term(&mut self) -> Result<Expr, AslError> {
-        let mut e = self.factor()?;
+    fn term(&mut self, levels: usize) -> Result<(Expr, usize), AslError> {
+        let mut e = self.factor(levels)?;
         loop {
             let op = match self.peek() {
                 Some(Tok::Sym('*')) => BinOp::Mul,
@@ -300,27 +316,34 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
-            let rhs = self.factor()?;
-            e = Expr::Bin(Box::new(e), op, Box::new(rhs));
+            let rhs = self.factor(levels)?;
+            e = bin(e, op, rhs, levels)?;
         }
         Ok(e)
     }
 
-    fn factor(&mut self) -> Result<Expr, AslError> {
+    fn factor(&mut self, levels: usize) -> Result<(Expr, usize), AslError> {
         match self.next()? {
-            Tok::Num(n) => Ok(Expr::Num(n)),
-            Tok::Sym('-') => Ok(Expr::Neg(Box::new(self.factor()?))),
+            Tok::Num(n) => Ok((Expr::Num(n), 0)),
+            Tok::Sym('-') => {
+                let (e, height) = self.factor(below(levels)?)?;
+                Ok((Expr::Neg(Box::new(e)), height + 1))
+            }
             Tok::Sym('(') => {
-                let e = self.expr()?;
+                let (e, height) = self.expr(below(levels)?)?;
                 self.expect_sym(')')?;
-                Ok(e)
+                Ok((e, height + 1))
             }
             Tok::Ident(name) => {
                 if self.peek() == Some(&Tok::Sym('(')) {
                     self.pos += 1;
+                    let inner = below(levels)?;
                     let mut args = Vec::new();
+                    let mut height = 0;
                     loop {
-                        args.push(self.expr()?);
+                        let (arg, h) = self.expr(inner)?;
+                        args.push(arg);
+                        height = height.max(h + 1);
                         match self.next()? {
                             Tok::Sym(',') => continue,
                             Tok::Sym(')') => break,
@@ -331,40 +354,66 @@ impl Parser {
                             }
                         }
                     }
-                    match (name.as_str(), args.len()) {
+                    let call = match (name.as_str(), args.len()) {
                         ("max", 2) => {
                             let mut it = args.into_iter();
-                            Ok(Expr::Max(
+                            Expr::Max(
                                 Box::new(it.next().expect("len 2")),
                                 Box::new(it.next().expect("len 2")),
-                            ))
+                            )
                         }
                         ("min", 2) => {
                             let mut it = args.into_iter();
-                            Ok(Expr::Min(
+                            Expr::Min(
                                 Box::new(it.next().expect("len 2")),
                                 Box::new(it.next().expect("len 2")),
-                            ))
+                            )
                         }
                         ("clamp", 3) => {
                             let mut it = args.into_iter();
-                            Ok(Expr::Clamp(
+                            Expr::Clamp(
                                 Box::new(it.next().expect("len 3")),
                                 Box::new(it.next().expect("len 3")),
                                 Box::new(it.next().expect("len 3")),
-                            ))
+                            )
                         }
-                        (other, n) => Err(AslError::new(format!(
-                            "unknown function `{other}` with {n} arguments"
-                        ))),
-                    }
+                        (other, n) => {
+                            return Err(AslError::new(format!(
+                                "unknown function `{other}` with {n} arguments"
+                            )))
+                        }
+                    };
+                    Ok((call, height))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), 0))
                 }
             }
             other => Err(AslError::new(format!("unexpected token {other:?}"))),
         }
     }
+}
+
+/// The levels left beneath a node that takes one of `levels`.
+fn below(levels: usize) -> Result<usize, AslError> {
+    levels.checked_sub(1).ok_or_else(too_deep)
+}
+
+/// `lhs op rhs` as one node, if it fits in `levels`.
+fn bin(
+    (lhs, lh): (Expr, usize),
+    op: BinOp,
+    (rhs, rh): (Expr, usize),
+    levels: usize,
+) -> Result<(Expr, usize), AslError> {
+    let height = lh.max(rh) + 1;
+    if height > levels {
+        return Err(too_deep());
+    }
+    Ok((Expr::Bin(Box::new(lhs), op, Box::new(rhs)), height))
+}
+
+fn too_deep() -> AslError {
+    AslError::new(format!("expression nests deeper than {MAX_LEVELS} levels"))
 }
 
 fn coll_op(name: &str) -> Result<CollOp, AslError> {
@@ -457,6 +506,34 @@ mod tests {
         let printed = set.to_string();
         let reparsed = parse(&printed).unwrap_or_else(|e| panic!("{e}\n---\n{printed}"));
         assert_eq!(set, reparsed);
+    }
+
+    /// A set of one property, `Deep`, whose WAIT is `wait`.
+    fn with_wait(wait: &str) -> Result<PropertySet, AslError> {
+        parse(&format!(
+            "PROPERTY Deep OVER p2p_pair {{ WAIT {wait}; LOCATE receiver; }}"
+        ))
+    }
+
+    #[test]
+    fn expression_nesting_is_capped_at_max_levels() {
+        let parens = |n: usize| format!("{}recv_posted{}", "(".repeat(n), ")".repeat(n));
+        // The subtraction is one level; each `+ 0` adds one more.
+        let chain = |n: usize| format!("recv_completion - recv_posted{}", " + 0".repeat(n));
+        let negations = |n: usize| format!("{}1", "-".repeat(n));
+        assert!(with_wait(&parens(MAX_LEVELS)).is_ok());
+        assert!(with_wait(&chain(MAX_LEVELS - 1)).is_ok());
+        assert!(with_wait(&negations(MAX_LEVELS)).is_ok());
+        for deep in [
+            parens(MAX_LEVELS + 1),
+            chain(MAX_LEVELS),
+            negations(MAX_LEVELS + 1),
+            parens(100_000),
+            chain(100_000),
+        ] {
+            let err = with_wait(&deep).unwrap_err();
+            assert_eq!(err.message, "Deep: expression nests deeper than 128 levels");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Two paths lead from bytes to a report:
 //!
-//! * **Materializing** ([`analyze_path`] / [`analyze_reader`]): decode the
-//!   whole trace into a [`Trace`] first, then [`analyze`] it. Peak memory
+//! * **Materializing** ([`analyze_path`]): decode the whole trace into a
+//!   [`Trace`] first, then [`analyze`] it. Peak memory
 //!   is the full event-vector set — fine for experiment-sized traces, and
 //!   the caller keeps the `Trace` for rendering.
 //! * **Streaming** ([`analyze_path_streaming`] / [`analyze_stream`]): feed
@@ -17,28 +17,11 @@ use crate::analyzer::detect_and_report;
 use crate::extract::StreamExtractor;
 use crate::{analyze, AnalysisReport, AnalyzerConfig};
 use ats_runtime::VDur;
-use ats_trace::binfmt::read_binary;
-use ats_trace::binfmt::BlockReader;
-use ats_trace::io::{read_path, TraceIoError};
+use ats_trace::binfmt::{read_binary, BlockReader};
+use ats_trace::io::TraceIoError;
 use ats_trace::{LocationId, Trace};
 use std::io::{BufRead, Read};
 use std::path::Path;
-
-/// Load the ATSB trace at `path`.
-pub fn load_trace(path: impl AsRef<Path>) -> Result<Trace, TraceIoError> {
-    read_path(path)
-}
-
-/// Read an ATSB trace from `r` and analyze it, returning both the trace
-/// and the report (rendering a report needs the trace).
-pub fn analyze_reader<R: BufRead>(
-    r: R,
-    config: &AnalyzerConfig,
-) -> Result<(Trace, AnalysisReport), TraceIoError> {
-    let trace = read_binary(r)?;
-    let report = analyze(&trace, config);
-    Ok((trace, report))
-}
 
 /// Pass-through reader counting the bytes actually consumed, so ingestion
 /// metrics reflect what was read — not what a pre-read `stat` promised.
@@ -55,7 +38,8 @@ impl<R: Read> Read for CountRead<R> {
     }
 }
 
-/// [`analyze_reader`] for a file path.
+/// Read the ATSB trace at `path` and analyze it, returning both the trace
+/// and the report (rendering a report needs the trace).
 pub fn analyze_path(
     path: impl AsRef<Path>,
     config: &AnalyzerConfig,
@@ -209,16 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_reader_round_trips_binary_in_memory() {
-        let trace = late_sender_trace();
-        let mut buf = Vec::new();
-        ats_trace::binfmt::write_binary(&trace, &mut buf).unwrap();
-        let (loaded, report) = analyze_reader(buf.as_slice(), &AnalyzerConfig::default()).unwrap();
-        assert_eq!(loaded.locations, trace.locations);
-        assert!(report.severity_of("LateSender") > 0.0);
-    }
-
-    #[test]
     fn streaming_report_matches_materializing() {
         let trace = composite_trace();
         let direct = analyze(&trace, &AnalyzerConfig::default());
@@ -280,7 +254,8 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let err = load_trace("/nonexistent/ats-trace.atsb").unwrap_err();
+        let err =
+            analyze_path("/nonexistent/ats-trace.atsb", &AnalyzerConfig::default()).unwrap_err();
         assert!(matches!(err, TraceIoError::Io(_)));
     }
 }

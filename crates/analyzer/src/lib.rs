@@ -53,9 +53,7 @@ pub mod wire;
 
 pub use analyzer::{analyze, AnalyzerConfig};
 pub use callpath::{PathId, PathTable};
-pub use ingest::{
-    analyze_path, analyze_path_streaming, analyze_reader, analyze_stream, load_trace, StreamStats,
-};
+pub use ingest::{analyze_path, analyze_path_streaming, analyze_stream, StreamStats};
 pub use phases::{analyze_phases, PhaseReport, PhaseSeries};
 pub use property::PropertyKind;
 pub use report::{diff, AnalysisReport, DiffEntry, Finding};

@@ -126,7 +126,7 @@ pub fn late_receiver(pairs: &[MatchedPair]) -> Vec<Located> {
 /// sum counts exactly the messages matched later.
 ///
 /// The sum over `Q` is `F(P.completion) − F(P.posted)` for the receiver's
-/// [`Coverage`] integral `F`, so the pass costs O(n log n) in the pairs.
+/// `Coverage` integral `F`, so the pass costs O(n log n) in the pairs.
 pub fn wrong_order(pairs: &[MatchedPair]) -> Vec<Located> {
     wrong_order_charges(pairs)
         .into_iter()

@@ -103,6 +103,30 @@ pub struct PropertySpec {
     pub in_paper_prototype: bool,
 }
 
+/// The parameters that set how much an entry programs: a positive
+/// entry's severity, a negative entry's balanced `work`. An entry has at
+/// most one of them.
+const KNOBS: &[&str] = &[
+    "extrawork",
+    "baseextrawork",
+    "singlework",
+    "masterwork",
+    "bodywork",
+    "delay",
+    "growth",
+    "extrastep",
+    "work",
+];
+
+impl PropertySpec {
+    /// The entry's knob: the one parameter that sets how much
+    /// inefficiency it programs (`work` for a negative entry). `None`
+    /// when a distribution is the entry's only knob.
+    pub fn knob(&self) -> Option<&'static ParamSpec> {
+        self.params.iter().find(|p| KNOBS.contains(&p.name))
+    }
+}
+
 const P_REPS: ParamSpec = ParamSpec {
     name: "r",
     kind: ParamKind::Count,
@@ -645,16 +669,6 @@ pub fn find(name: &str) -> Option<&'static PropertySpec> {
     CATALOG.iter().find(|p| p.name == name)
 }
 
-/// All properties of one paradigm.
-pub fn by_paradigm(paradigm: Paradigm) -> Vec<&'static PropertySpec> {
-    CATALOG.iter().filter(|p| p.paradigm == paradigm).collect()
-}
-
-/// The 13 functions of the paper's prototype (§3.1.5).
-pub fn paper_prototype() -> Vec<&'static PropertySpec> {
-    CATALOG.iter().filter(|p| p.in_paper_prototype).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,7 +676,8 @@ mod tests {
     #[test]
     fn paper_prototype_has_exactly_thirteen_functions() {
         // 2 p2p + 8 collective + 3 OpenMP, as listed in §3.1.5.
-        assert_eq!(paper_prototype().len(), 13);
+        let prototype = CATALOG.iter().filter(|p| p.in_paper_prototype);
+        assert_eq!(prototype.count(), 13);
     }
 
     #[test]
@@ -676,7 +691,7 @@ mod tests {
 
     #[test]
     fn negative_cases_expect_nothing() {
-        for p in by_paradigm(Paradigm::Negative) {
+        for p in CATALOG.iter().filter(|p| p.paradigm == Paradigm::Negative) {
             assert!(p.expected_property.is_none(), "{}", p.name);
         }
     }
@@ -686,6 +701,28 @@ mod tests {
         for p in CATALOG.iter().filter(|p| p.paradigm != Paradigm::Negative) {
             assert!(p.expected_property.is_some(), "{}", p.name);
         }
+    }
+
+    #[test]
+    fn every_entry_has_at_most_one_knob() {
+        for spec in CATALOG {
+            let knobs: Vec<_> = spec
+                .params
+                .iter()
+                .filter(|p| KNOBS.contains(&p.name))
+                .collect();
+            assert!(knobs.len() <= 1, "{}: knobs {knobs:?}", spec.name);
+            assert!(knobs.iter().all(|p| p.kind == ParamKind::Seconds));
+            assert_eq!(spec.knob(), knobs.first().copied());
+        }
+        let named = |name| find(name).unwrap().knob().map(|p| p.name);
+        assert_eq!(named("growing_imbalance_at_mpi_barrier"), Some("extrastep"));
+        assert_eq!(named("balanced_ring"), Some("work"));
+        assert_eq!(named("imbalance_at_mpi_barrier"), None);
+        let swept = CATALOG
+            .iter()
+            .filter(|p| p.expected_property.is_some() && p.knob().is_some());
+        assert_eq!(swept.count(), 20);
     }
 
     #[test]

@@ -231,20 +231,6 @@ impl Distr {
         let v = self.values(sz, 1.0);
         v.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-12)
     }
-
-    /// A short shape name (`"same"`, `"cyclic2"`, ...).
-    pub fn shape_name(&self) -> &'static str {
-        match self {
-            Distr::Same { .. } => "same",
-            Distr::Cyclic2 { .. } => "cyclic2",
-            Distr::Block2 { .. } => "block2",
-            Distr::Linear { .. } => "linear",
-            Distr::Peak { .. } => "peak",
-            Distr::Cyclic3 { .. } => "cyclic3",
-            Distr::Block3 { .. } => "block3",
-            Distr::Custom(_) => "custom",
-        }
-    }
 }
 
 /// Error from parsing a distribution specification string.
@@ -407,7 +393,6 @@ mod tests {
     fn custom_shape() {
         let d = Distr::custom(|me, sz| (me * sz) as f64);
         assert_eq!(d.values(3, 1.0), vec![0.0, 3.0, 6.0]);
-        assert_eq!(d.shape_name(), "custom");
     }
 
     #[test]

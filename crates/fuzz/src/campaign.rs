@@ -223,7 +223,13 @@ pub fn run_campaign(cfg: &FuzzConfig) -> Result<CampaignResult, Error> {
         let persisted = match &cfg.corpus_dir {
             Some(dir) => {
                 let trace = oracle::check(&min_sc, &cfg.oracle, &cfg.opts)?.trace;
-                Some(corpus::persist(dir, &min_sc, &min_violations, &trace)?)
+                Some(corpus::persist(
+                    dir,
+                    &min_sc,
+                    &min_violations,
+                    &trace,
+                    &cfg.opts,
+                )?)
             }
             None => None,
         };

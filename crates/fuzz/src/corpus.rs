@@ -40,13 +40,15 @@ pub fn stem(sc: &Scenario) -> String {
     format!("s{:016x}", sc.seed)
 }
 
-/// Persist a minimized scenario and its trace under `dir`. Returns the
-/// path of the JSON spec.
+/// Persist a minimized scenario and its trace under `dir`, counting the
+/// trace's ATSB bytes into the registry of `opts`. Returns the path of
+/// the JSON spec.
 pub fn persist(
     dir: &Path,
     sc: &Scenario,
     violations: &[Violation],
     trace: &Trace,
+    opts: &ats_harness::RunOpts,
 ) -> Result<PathBuf, Error> {
     fs::create_dir_all(dir).map_err(|e| Error::corpus(format!("create {}: {e}", dir.display())))?;
     let stem = stem(sc);
@@ -56,7 +58,11 @@ pub fn persist(
     // campaign) can never observe a half-written spec or trace.
     atomic::write_atomic(&json_path, json.as_bytes())?;
     let atsb_path = dir.join(format!("{stem}.atsb"));
-    atomic::write_atomic(&atsb_path, &binfmt::encode(trace))?;
+    let atsb = binfmt::encode(trace);
+    atomic::write_atomic(&atsb_path, &atsb)?;
+    if let Some(obs) = &opts.obs {
+        obs.trace.binary_bytes_encoded.add(atsb.len() as u64);
+    }
     Ok(json_path)
 }
 
@@ -204,7 +210,7 @@ mod tests {
             property: "late_sender".to_owned(),
             detail: "unit".to_owned(),
         };
-        persist(dir, &sc, std::slice::from_ref(&v), &run.trace).unwrap();
+        persist(dir, &sc, std::slice::from_ref(&v), &run.trace, &opts).unwrap();
 
         let entries = load(dir).unwrap();
         assert_eq!(entries.len(), 1);
@@ -227,8 +233,9 @@ mod tests {
         let tmp = tmp_dir("atomic");
         let dir = tmp.path();
         let sc = generate(7, &GenConfig::default());
-        let run = oracle::check(&sc, &OracleConfig::default(), &RunOpts::default()).unwrap();
-        persist(dir, &sc, &[], &run.trace).unwrap();
+        let opts = RunOpts::default();
+        let run = oracle::check(&sc, &OracleConfig::default(), &opts).unwrap();
+        persist(dir, &sc, &[], &run.trace, &opts).unwrap();
         let names: Vec<String> = fs::read_dir(dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())

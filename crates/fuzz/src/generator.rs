@@ -113,6 +113,7 @@ fn draw_params(
     cfg: &GenConfig,
 ) -> BTreeMap<String, String> {
     let spec = catalog::find(property).expect("generator draws catalog names");
+    let knob = spec.knob().map(|p| p.name);
     let mut out = BTreeMap::new();
     for p in spec.params {
         let value = match (p.name, p.kind) {
@@ -126,12 +127,8 @@ fn draw_params(
                 let (lo, hi) = clamped(p.range_f64(), 0.1, 0.9);
                 draw_seconds(rng, lo, hi)
             }
-            // Severity knobs: the programmed inefficiency magnitude.
-            (
-                "extrawork" | "baseextrawork" | "delay" | "singlework" | "masterwork" | "bodywork"
-                | "extrastep" | "work",
-                ParamKind::Seconds,
-            ) => {
+            // The knob: the programmed inefficiency magnitude.
+            (name, ParamKind::Seconds) if Some(name) == knob => {
                 let (lo, hi) = clamped(p.range_f64(), 0.02, 0.06);
                 draw_seconds(rng, lo, hi)
             }

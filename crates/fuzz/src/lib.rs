@@ -14,14 +14,14 @@
 //!
 //! The pieces:
 //!
-//! * [`scenario`] — the serializable scenario spec (JSONL and a compact
-//!   one-line text form, both byte-stable round trips);
+//! * [`scenario`] — the serializable scenario spec (one JSON line and a
+//!   compact one-line text form, both byte-stable round trips);
 //! * [`generator`] — seeded scenario generation (same seed ⇒ the
 //!   byte-identical scenario, at any worker count);
 //! * [`model`] — closed-form nominal-wait models per catalog property;
 //! * [`oracle`] — execution on the simulator plus report scoring
 //!   (missed / spurious / wait-out-of-band violations);
-//! * [`shrink`] — greedy minimization of violating scenarios;
+//! * [`shrink`](mod@shrink) — greedy minimization of violating scenarios;
 //! * [`corpus`] — persistence and replay of minimized witnesses;
 //! * [`campaign`] — pool-parallel fuzzing runs with aggregate stats.
 

@@ -404,27 +404,6 @@ impl Scenario {
             t.parse()
         }
     }
-
-    /// Serialize one scenario per line (JSONL, canonical rendering).
-    pub fn to_jsonl(scenarios: &[Scenario]) -> String {
-        let mut out = String::new();
-        for s in scenarios {
-            out.push_str(&s.to_json_value().render());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse a JSONL corpus (blank lines skipped).
-    pub fn from_jsonl(text: &str) -> Result<Vec<Scenario>, Error> {
-        text.lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty())
-            .map(|(i, l)| {
-                Scenario::parse_line(l).map_err(|e| Error::scenario(format!("line {}: {e}", i + 1)))
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for Scenario {
@@ -636,11 +615,11 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips() {
-        let scenarios = vec![sample(), sample()];
-        let text = Scenario::to_jsonl(&scenarios);
-        assert_eq!(text.lines().count(), 2);
-        let back = Scenario::from_jsonl(&text).unwrap();
-        assert_eq!(back, scenarios);
+        // A campaign body is one scenario per line: each line renders
+        // as canonical JSON and parses back.
+        let line = sample().to_json_value().render();
+        assert!(!line.contains('\n'));
+        assert_eq!(Scenario::parse_line(&line).unwrap(), sample());
     }
 
     #[test]

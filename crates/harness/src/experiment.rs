@@ -16,7 +16,6 @@ use ats_analyzer::{analyze, AnalyzerConfig};
 use ats_core::catalog::PropertySpec;
 use ats_store::{Cache, CacheKey, Json};
 use ats_trace::{PoolStats, TracePool};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One axis of a sweep: a parameter name and the values it takes.
@@ -400,6 +399,9 @@ impl Experiment {
                 let row_bytes = row_to_json(&row).render();
                 let report_bytes = report.to_json();
                 let trace_bytes = ats_trace::binfmt::encode(&trace);
+                if let Some(obs) = &self.opts.obs {
+                    obs.trace.binary_bytes_encoded.add(trace_bytes.len() as u64);
+                }
                 bytes_written = cache
                     .publish(
                         key,
@@ -465,24 +467,6 @@ fn cartesian(sweeps: &[Sweep]) -> Vec<Vec<(String, ParamValue)>> {
         combos = next;
     }
     combos
-}
-
-/// Render rows as a Markdown table (the format EXPERIMENTS.md embeds).
-pub fn to_markdown(rows: &[ExperimentRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "| property | params | procs | severity | localized | unexpected |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "| {} | `{}` | {} | {:.4} | {} | {} |",
-            r.property, r.params, r.nprocs, r.detected_severity, r.localized, r.unexpected_findings
-        );
-    }
-    out
 }
 
 /// Kendall rank-correlation between two sequences — the statistic used to
@@ -563,16 +547,6 @@ mod tests {
             assert!(r.localized, "negative rows are 'localized' when clean");
             assert_eq!(r.unexpected_findings, 0);
         }
-    }
-
-    #[test]
-    fn markdown_table_shape() {
-        let exp = Experiment::new("late_broadcast").opts(RunOpts::default().procs(4));
-        let rows = exp.run().unwrap();
-        let md = to_markdown(&rows);
-        assert!(md.starts_with("| property |"));
-        assert!(md.contains("late_broadcast"));
-        assert_eq!(md.lines().count(), 2 + rows.len());
     }
 
     #[test]

@@ -442,15 +442,6 @@ pub fn run_composite_two_comms(params: &CompositeParams, opts: &RunOpts) -> Trac
     })
 }
 
-/// Run the hybrid composite.
-pub fn run_composite_hybrid(nthreads: usize, params: &CompositeParams, opts: &RunOpts) -> Trace {
-    let params = params.clone();
-    ats_mpi::run(opts.sim_config(), move |p| {
-        let c = p.comm_world();
-        composite::hybrid_composite(p, nthreads, &params, &c);
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,8 +585,7 @@ mod tests {
         };
         let t1 = run_composite_all_mpi(&params, &opts);
         let t2 = run_composite_two_comms(&params, &opts);
-        let t3 = run_composite_hybrid(2, &params, &opts);
-        for t in [&t1, &t2, &t3] {
+        for t in [&t1, &t2] {
             assert!(ats_trace::check_wellformed(t).is_empty());
         }
     }

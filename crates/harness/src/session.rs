@@ -3,14 +3,14 @@
 //!
 //! Before sessions, every caller (bins, the fuzzer, the experiment
 //! engine, examples) assembled the same three structs by hand —
-//! [`RunOpts`], [`AnalyzerConfig`](ats_analyzer::AnalyzerConfig) and
-//! [`ObsConfig`](ats_obs::ObsConfig) — and had to remember to thread the
-//! same observability [`Handle`](ats_obs::Handle) through all of them.
-//! A [`Session`] materializes the handle once at [`SessionBuilder::build`]
-//! and injects it everywhere, so metrics from the simulator, the codec,
-//! the worker pool, the analyzer and the fuzzer all land in one registry,
-//! exportable as Prometheus text ([`Session::prometheus`]) or a JSON run
-//! manifest ([`Session::manifest`]).
+//! [`RunOpts`], [`AnalyzerConfig`] and [`ObsConfig`] — and had to
+//! remember to thread the same observability [`Handle`] through all of
+//! them. A [`Session`] materializes the handle once at
+//! [`SessionBuilder::build`] and injects it everywhere, so metrics from
+//! the simulator, the worker pool, the store, the analyzer, the fuzzer
+//! and the session's ATSB writers all land in one registry of the
+//! session's own, exportable as Prometheus text ([`Session::prometheus`])
+//! or a JSON run manifest ([`Session::manifest`]).
 //!
 //! ```
 //! use ats_harness::{ParamValues, Session};

@@ -92,13 +92,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder: set init/finalize overheads.
-    pub fn setup_costs(mut self, init: VDur, finalize: VDur) -> Self {
-        self.init_time = init;
-        self.finalize_time = finalize;
-        self
-    }
-
     /// Builder: draw event buffers from `pool` instead of allocating.
     pub fn trace_pool(mut self, pool: TracePool) -> Self {
         self.trace_pool = Some(pool);
@@ -140,15 +133,10 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = SimConfig::with_procs(8)
-            .seed(7)
-            .uninstrumented()
-            .setup_costs(VDur::from_millis(50), VDur::from_millis(20));
+        let c = SimConfig::with_procs(8).seed(7).uninstrumented();
         assert_eq!(c.nprocs, 8);
         assert_eq!(c.seed, 7);
         assert!(!c.instrumented);
-        assert_eq!(c.init_time, VDur::from_millis(50));
-        assert_eq!(c.finalize_time, VDur::from_millis(20));
     }
 
     #[test]

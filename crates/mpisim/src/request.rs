@@ -54,21 +54,6 @@ impl Request {
         matches!(self.0, ReqInner::Done)
     }
 
-    /// True if this is a receive request.
-    pub fn is_recv(&self) -> bool {
-        matches!(self.0, ReqInner::Recv { .. })
-    }
-
-    /// The virtual time at which the operation was posted (zero if done).
-    pub fn post_time(&self) -> VTime {
-        match &self.0 {
-            ReqInner::SendEager { post }
-            | ReqInner::SendRendezvous { post, .. }
-            | ReqInner::Recv { post, .. } => *post,
-            ReqInner::Done => VTime::ZERO,
-        }
-    }
-
     pub(crate) fn take(&mut self) -> ReqInner {
         std::mem::replace(&mut self.0, ReqInner::Done)
     }
@@ -96,17 +81,14 @@ mod tests {
     fn done_request_properties() {
         let r = Request(ReqInner::Done);
         assert!(r.is_done());
-        assert!(!r.is_recv());
-        assert_eq!(r.post_time(), VTime::ZERO);
     }
 
     #[test]
     fn send_request_reports_post_time() {
         let mut r = Request(ReqInner::SendEager { post: VTime(42) });
         assert!(!r.is_done());
-        assert_eq!(r.post_time(), VTime(42));
         let inner = r.take();
-        assert!(matches!(inner, ReqInner::SendEager { .. }));
+        assert!(matches!(inner, ReqInner::SendEager { post: VTime(42) }));
         assert!(r.is_done());
     }
 

@@ -209,7 +209,7 @@ mod tests {
     fn sample_handle() -> Handle {
         let h = Handle::new();
         h.mpi.events.add(123);
-        h.trace.pool_hits.add(7); // runtime-classified
+        h.store.hits.add(7); // runtime-classified
         h.analyzer.findings.add(4);
         h
     }
@@ -220,11 +220,11 @@ mod tests {
         let m = build_manifest("unit", Json::obj().with("seed", 1u64), &h, 0.5);
         assert_eq!(m.metrics["ats_mpisim_events_total"], 123);
         assert_eq!(m.metrics["ats_analyzer_findings_total"], 4);
-        assert!(!m.metrics.contains_key("ats_trace_pool_hits_total"));
-        assert_eq!(m.runtime.counters["ats_trace_pool_hits_total"], 7);
+        assert!(!m.metrics.contains_key("ats_store_hits_total"));
+        assert_eq!(m.runtime.counters["ats_store_hits_total"], 7);
         let det = m.deterministic_json();
         assert!(det.contains("ats_mpisim_events_total"));
-        assert!(!det.contains("pool_hits"));
+        assert!(!det.contains("store_hits"));
         assert!(!det.contains("wall_seconds"));
     }
 

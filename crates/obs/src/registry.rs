@@ -9,16 +9,16 @@
 //!
 //! A *deterministic* counter is one whose value is a pure function of the
 //! workload (seed, parameters): simulated events, messages, findings,
-//! encoded bytes. Everything timing- or scheduling-dependent (pool reuse,
-//! mailbox depth, latencies) is *runtime*: real under the same roof, but
-//! excluded from the manifest's reproducibility-checked section because
-//! two byte-identical runs legitimately differ there.
+//! encoded bytes. Everything that depends on timing, scheduling or what
+//! earlier runs left on disk (mailbox depth, latencies, store hits) is
+//! *runtime*: real under the same roof, but excluded from the manifest's
+//! reproducibility-checked section because two byte-identical runs
+//! legitimately differ there.
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use std::fmt;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// `mpisim`: the virtual-time MPI substrate.
 #[derive(Debug, Default)]
@@ -44,19 +44,12 @@ pub struct MpiMetrics {
     pub sched_ready_depth_max: Gauge,
 }
 
-/// `trace`: codecs and the event-buffer pool.
+/// `trace`: the ATSB artifacts a session writes.
 #[derive(Debug, Default)]
 pub struct TraceMetrics {
-    /// Bytes produced by the ATSB binary encoder.
+    /// ATSB bytes written by the writers that hold the session's handle
+    /// (store publishes, trace artifacts, the fuzz corpus).
     pub binary_bytes_encoded: Counter,
-    /// Bytes consumed by the ATSB binary decoder.
-    pub binary_bytes_decoded: Counter,
-    /// Event-buffer pool takes satisfied from the pool.
-    pub pool_hits: Counter,
-    /// Event-buffer pool takes that allocated fresh.
-    pub pool_misses: Counter,
-    /// Buffers recycled back into the pool.
-    pub pool_recycled: Counter,
 }
 
 /// `harness::pool`: the bounded sweep worker pool.
@@ -255,30 +248,6 @@ impl Registry {
                 "ATSB bytes encoded",
                 true,
                 &self.trace.binary_bytes_encoded,
-            ),
-            c(
-                "ats_trace_binary_bytes_decoded_total",
-                "ATSB bytes decoded",
-                true,
-                &self.trace.binary_bytes_decoded,
-            ),
-            c(
-                "ats_trace_pool_hits_total",
-                "Event-buffer pool reuse hits",
-                false,
-                &self.trace.pool_hits,
-            ),
-            c(
-                "ats_trace_pool_misses_total",
-                "Event-buffer pool misses",
-                false,
-                &self.trace.pool_misses,
-            ),
-            c(
-                "ats_trace_pool_recycled_total",
-                "Event buffers recycled",
-                false,
-                &self.trace.pool_recycled,
             ),
             c(
                 "ats_pool_tasks_total",
@@ -526,12 +495,9 @@ impl Registry {
 
 /// A cloneable, shareable reference to a [`Registry`].
 ///
-/// Configs thread a `Handle` the same way they thread a trace-buffer
-/// pool: `Option<Handle>` defaulting to `None`
-/// (no instrumentation, near-zero cost). A *fresh* handle gives a test or
-/// session its own registry, immune to concurrent pollution; the
-/// process-wide [`global`] handle is what free-function call sites (the
-/// trace codec) record into when [`global_enabled`] is armed.
+/// Configs thread an `Option<Handle>` defaulting to `None` (no
+/// instrumentation, near-zero cost). Each handle a session builds points
+/// at a registry of its own, immune to concurrent pollution.
 #[derive(Clone, Default)]
 pub struct Handle(Arc<Registry>);
 
@@ -557,38 +523,6 @@ impl Deref for Handle {
 impl fmt::Debug for Handle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "obs::Handle({:p})", Arc::as_ptr(&self.0))
-    }
-}
-
-static GLOBAL: OnceLock<Handle> = OnceLock::new();
-static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// The process-wide registry handle (created on first use).
-pub fn global() -> &'static Handle {
-    GLOBAL.get_or_init(Handle::new)
-}
-
-/// Should free-function call sites (trace codec, pools without an explicit
-/// handle) record into [`global`]? Default `false`: one relaxed load and
-/// out.
-#[inline]
-pub fn global_enabled() -> bool {
-    GLOBAL_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Arm or disarm global recording.
-pub fn set_global_enabled(enabled: bool) {
-    GLOBAL_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// `Some(global handle)` when armed, `None` otherwise — the one-liner for
-/// free-function instrumentation sites.
-#[inline]
-pub fn global_if_enabled() -> Option<&'static Handle> {
-    if global_enabled() {
-        Some(global())
-    } else {
-        None
     }
 }
 
@@ -639,10 +573,5 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), names.len(), "duplicate metric name");
-    }
-
-    #[test]
-    fn global_recording_is_gated() {
-        assert!(global_if_enabled().is_none() || global_enabled());
     }
 }

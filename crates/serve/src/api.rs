@@ -215,6 +215,9 @@ fn run_scenario(state: &AppState, sc: &Scenario) -> Result<AnalyzeOut, Error> {
     if let Some(cache) = state.session.result_cache() {
         let mut atsb = Vec::new();
         ats_trace::binfmt::write_binary(&trace, &mut atsb).map_err(Error::from)?;
+        if let Some(obs) = state.session.obs() {
+            obs.trace.binary_bytes_encoded.add(atsb.len() as u64);
+        }
         let ingredients = wire::scenario_key_doc(sc, opts, state.session.analyzer_config());
         cache.publish(
             &key,

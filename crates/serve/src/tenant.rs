@@ -63,17 +63,6 @@ impl TenantGov {
         self.state.lock().unwrap().inflight.len()
     }
 
-    /// In-flight requests for `tenant` right now.
-    pub fn inflight_of(&self, tenant: &str) -> usize {
-        self.state
-            .lock()
-            .unwrap()
-            .inflight
-            .get(tenant)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// The worker count a campaign of `nprocs`-rank scenarios for this
     /// tenant may use right now: the session's requested jobs, clamped by
     /// the process thread budget split evenly across currently active
@@ -116,9 +105,7 @@ mod tests {
         assert!(gov.admit("a").is_none(), "tenant a is at its cap");
         let _b1 = gov.admit("b").unwrap();
         assert_eq!(gov.active_tenants(), 2);
-        assert_eq!(gov.inflight_of("a"), 2);
         drop(a1);
-        assert_eq!(gov.inflight_of("a"), 1);
         assert!(gov.admit("a").is_some(), "slot released on drop");
     }
 

@@ -199,9 +199,6 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
     for loc in &trace.locations {
         columns.encode_location(&mut buf, loc);
     }
-    if let Some(obs) = ats_obs::global_if_enabled() {
-        obs.trace.binary_bytes_encoded.add(buf.len() as u64);
-    }
     buf
 }
 
@@ -896,19 +893,7 @@ impl<R: Read> BlockReader<R> {
 
 /// Decode a binary trace from an in-memory buffer.
 pub fn decode(data: &[u8]) -> Result<Trace, TraceIoError> {
-    if let Some(obs) = ats_obs::global_if_enabled() {
-        obs.trace.binary_bytes_decoded.add(data.len() as u64);
-    }
-    let mut br = BlockReader::new(data)?;
-    let mut locations = Vec::with_capacity(clamped_cap(
-        br.n_locations() as usize,
-        std::mem::size_of::<LocationTrace>(),
-    ));
-    while let Some(block) = br.next_block()? {
-        locations.push(block.to_location_trace());
-    }
-    let (regions, comms) = br.take_tables();
-    Ok(Trace::with_comms(regions, comms, locations))
+    read_binary(data)
 }
 
 /// Write a trace in binary form.
@@ -918,9 +903,8 @@ pub fn write_binary<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoErro
     Ok(())
 }
 
-/// Read a trace written by [`write_binary`]. Unlike [`decode`], this never
-/// buffers the whole file: blocks stream through one reused
-/// [`LocationBlock`].
+/// Read a trace written by [`write_binary`]. This never buffers the whole
+/// file: blocks stream through one reused [`LocationBlock`].
 pub fn read_binary<R: Read>(r: R) -> Result<Trace, TraceIoError> {
     let mut br = BlockReader::new(r)?;
     let mut locations = Vec::with_capacity(clamped_cap(
@@ -931,19 +915,15 @@ pub fn read_binary<R: Read>(r: R) -> Result<Trace, TraceIoError> {
         locations.push(block.to_location_trace());
     }
     let (regions, comms) = br.take_tables();
-    let bytes = br.finish()?;
-    if let Some(obs) = ats_obs::global_if_enabled() {
-        obs.trace.binary_bytes_decoded.add(bytes);
-    }
     Ok(Trace::with_comms(regions, comms, locations))
 }
 
 /// Streaming writer mirroring [`BlockReader`]: emits the header and tables
-/// up front, then one location block per [`write_location`]
-/// (Self::write_location) call. The byte stream is identical to
-/// [`encode`] over the same trace, so readers cannot tell the two writers
-/// apart — which is what lets a generator produce traces far larger than
-/// memory.
+/// up front, then one location block per
+/// [`write_location`](Self::write_location) call. The byte stream is
+/// identical to [`encode`] over the same trace, so readers cannot tell the
+/// two writers apart — which is what lets a generator produce traces far
+/// larger than memory.
 pub struct BlockWriter<W: Write> {
     w: W,
     /// The block being written and its column scratch, both reused.
@@ -1006,9 +986,6 @@ impl<W: Write> BlockWriter<W> {
             )));
         }
         self.w.flush()?;
-        if let Some(obs) = ats_obs::global_if_enabled() {
-            obs.trace.binary_bytes_encoded.add(self.bytes);
-        }
         Ok(self.bytes)
     }
 }

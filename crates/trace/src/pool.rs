@@ -64,17 +64,11 @@ impl TracePool {
         match unpoison(self.inner.buffers.lock()).pop() {
             Some(buf) => {
                 self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = ats_obs::global_if_enabled() {
-                    obs.trace.pool_hits.inc();
-                }
                 debug_assert!(buf.is_empty());
                 buf
             }
             None => {
                 self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = ats_obs::global_if_enabled() {
-                    obs.trace.pool_misses.inc();
-                }
                 Vec::new()
             }
         }
@@ -88,9 +82,6 @@ impl TracePool {
         }
         buf.clear();
         self.inner.recycled.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = ats_obs::global_if_enabled() {
-            obs.trace.pool_recycled.inc();
-        }
         let mut buffers = unpoison(self.inner.buffers.lock());
         if buffers.len() < MAX_POOLED_BUFFERS {
             buffers.push(buf);

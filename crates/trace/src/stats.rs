@@ -113,15 +113,6 @@ impl TraceStats {
         total
     }
 
-    /// Exclusive time of `region` at one location (zero if absent).
-    pub fn exclusive_at(&self, location: LocationId, region: RegionId) -> VDur {
-        self.profiles
-            .get(&location)
-            .and_then(|m| m.get(&region))
-            .map(|p| p.exclusive)
-            .unwrap_or(VDur::ZERO)
-    }
-
     /// Total messages sent across all locations.
     pub fn total_sends(&self) -> u64 {
         self.messages.values().map(|m| m.sends).sum()
@@ -304,14 +295,5 @@ mod tests {
         let total = stats.region_total(RegionId(0));
         assert_eq!(total.visits, 2);
         assert_eq!(total.inclusive, VDur::from_millis(8));
-    }
-
-    #[test]
-    fn exclusive_at_missing_is_zero() {
-        let stats = TraceStats::compute(&nested_trace());
-        assert_eq!(
-            stats.exclusive_at(LocationId::rank(9), RegionId(0)),
-            VDur::ZERO
-        );
     }
 }

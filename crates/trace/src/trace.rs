@@ -1,7 +1,7 @@
 //! The merged global trace.
 
 use crate::event::{Event, EventKind, LocationId};
-use crate::region::{RegionId, RegionKind, RegionMeta, RegionTable};
+use crate::region::{RegionId, RegionKind, RegionMeta};
 use ats_runtime::{VDur, VTime};
 
 /// Definition record for one communicator / synchronization context: its
@@ -90,11 +90,6 @@ impl Trace {
             .map(|i| self.comms[i].members.as_slice())
     }
 
-    /// A [`RegionTable`] view over this trace's region metadata.
-    pub fn region_table(&self) -> RegionTable {
-        RegionTable::from_snapshot(self.regions.clone())
-    }
-
     /// The name of a region id.
     pub fn region_name(&self, id: RegionId) -> &str {
         self.regions
@@ -159,18 +154,6 @@ impl Trace {
             .iter()
             .map(|l| l.end_time() - l.start_time())
             .sum()
-    }
-
-    /// Iterate all events of all locations merged into global time order
-    /// (ties broken by location, then original order).
-    pub fn merged_events(&self) -> Vec<(LocationId, Event)> {
-        let mut all: Vec<(LocationId, Event)> = self
-            .locations
-            .iter()
-            .flat_map(|l| l.events.iter().map(move |e| (l.location, *e)))
-            .collect();
-        all.sort_by(|a, b| a.1.time.cmp(&b.1.time).then(a.0.cmp(&b.0)));
-        all
     }
 
     /// Remap region ids so the region table is sorted by name. Two traces
@@ -261,16 +244,6 @@ mod tests {
         let tr = sample();
         assert!(tr.location(LocationId::rank(1)).is_some());
         assert!(tr.location(LocationId::rank(7)).is_none());
-    }
-
-    #[test]
-    fn merged_events_time_ordered() {
-        let tr = sample();
-        let merged = tr.merged_events();
-        assert_eq!(merged.len(), 4);
-        for w in merged.windows(2) {
-            assert!(w[0].1.time <= w[1].1.time);
-        }
     }
 
     #[test]

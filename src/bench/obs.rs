@@ -37,8 +37,6 @@ pub fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let (disabled_best, events) = best_of(reps, || composite_pass(&off));
     println!("observability off: best {disabled_best:.4}s ({events} events)");
 
-    // A fresh registry per measured session: the measurement must not
-    // accumulate into (or depend on) process-global state.
     let on = paper_session(nprocs).obs(ObsConfig::fresh()).build();
     let (enabled_best, _) = best_of(reps, || composite_pass(&on));
     println!("observability on:  best {enabled_best:.4}s");

@@ -19,7 +19,6 @@
 //! pass is honestly cold.
 
 use crate::cli::{failed, write_bench_doc, CliError, CommonArgs};
-use crate::experiments::severity_knob;
 use crate::harness::cache::row_to_json;
 use crate::harness::experiment::Sweep;
 use crate::harness::Session;
@@ -74,8 +73,8 @@ fn campaign(session: &Session, phase: &'static str) -> Result<(Vec<String>, Phas
             continue;
         }
         let mut exp = session.experiment(spec.name);
-        if let Some(k) = severity_knob(spec) {
-            exp = exp.sweep(Sweep::seconds(k, knobs));
+        if let Some(k) = spec.knob() {
+            exp = exp.sweep(Sweep::seconds(k.name, knobs));
         }
         let (rows, stats) = exp.run_with_stats().map_err(failed)?;
         renders.extend(rows.iter().map(|r| row_to_json(r).render()));
@@ -102,25 +101,23 @@ pub fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let dir = args.value("cache-dir").unwrap_or("artifacts/store-bench");
     // An honest cold pass starts from nothing.
     let _ = std::fs::remove_dir_all(dir);
-    let session = |label: &str| {
-        println!("--- {label} pass ---");
-        args.session(
-            Session::builder()
-                .procs(nprocs)
-                .jobs(jobs)
-                .cache(CacheMode::ReadWrite)
-                .cache_dir(dir),
-        )
-    };
+    // One session runs both passes, so `--metrics` counts them both.
+    let session = args.session(
+        Session::builder()
+            .procs(nprocs)
+            .jobs(jobs)
+            .cache(CacheMode::ReadWrite)
+            .cache_dir(dir),
+    )?;
     println!("=== E-store: cold-vs-warm incremental campaign ===\n");
-    let cold_session = session("cold")?;
-    let (cold_rows, cold) = campaign(&cold_session, "cold")?;
+    println!("--- cold pass ---");
+    let (cold_rows, cold) = campaign(&session, "cold")?;
     println!(
         "cold: {} configs, {} misses, {} bytes published, {:.2}s",
         cold.configs, cold.cache_misses, cold.cache_bytes_written, cold.wall_secs
     );
-    let warm_session = session("warm")?;
-    let (warm_rows, warm) = campaign(&warm_session, "warm")?;
+    println!("--- warm pass ---");
+    let (warm_rows, warm) = campaign(&session, "warm")?;
     println!(
         "warm: {} configs, {} hits, {} bytes replayed, {:.2}s",
         warm.configs, warm.cache_hits, warm.cache_bytes_read, warm.wall_secs
@@ -157,6 +154,6 @@ pub fn run(args: &CommonArgs) -> Result<bool, CliError> {
         100.0 * hit_rate,
         100.0 * MIN_HIT_RATE,
     );
-    args.emit(&warm_session, "store_bench", &[])?;
+    args.emit(&session, "store_bench", &[])?;
     Ok(super::verdict("incremental-campaign", gate_passed))
 }

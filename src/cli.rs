@@ -237,10 +237,10 @@ impl CommonArgs {
     }
 
     /// Finish `builder` into a [`Session`], applying each session flag
-    /// that is present: `--cache`, `--cache-dir`, and the
-    /// process-wide registry when `--metrics` or `--manifest` asks for
-    /// observability (so free-function sites like the trace codec record
-    /// too). An absent flag leaves the builder's own setting alone.
+    /// that is present: `--cache`, `--cache-dir`, and a registry of the
+    /// session's own when `--metrics` or `--manifest` asks for
+    /// observability. An absent flag leaves the builder's own setting
+    /// alone.
     pub fn session(&self, builder: SessionBuilder) -> Result<Session, CliError> {
         let mut builder = builder;
         if let Some(mode) = self.parsed(CACHE.0)? {
@@ -250,7 +250,7 @@ impl CommonArgs {
             builder = builder.cache_dir(dir);
         }
         if self.obs_requested() {
-            builder = builder.obs(ObsConfig::on());
+            builder = builder.obs(ObsConfig::fresh());
         }
         Ok(builder.build())
     }
@@ -308,17 +308,26 @@ pub fn write_file(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> Result<
     std::fs::write(&path, contents).map_err(|e| cannot_write(path, e))
 }
 
-/// Write `trace` as the ATSB file `path`.
-pub fn write_trace(trace: &Trace, path: &Path) -> Result<(), CliError> {
-    let file = std::fs::File::create(path).map_err(|e| cannot_write(path, e))?;
-    crate::trace::binfmt::write_binary(trace, std::io::BufWriter::new(file))
-        .map_err(|e| cannot_write(path, e))
+/// Write `trace` as the ATSB file `path`, counting its bytes into the
+/// session's registry.
+pub fn write_trace(session: &Session, trace: &Trace, path: &Path) -> Result<(), CliError> {
+    let atsb = crate::trace::binfmt::encode(trace);
+    write_file(path, &atsb)?;
+    if let Some(obs) = session.obs() {
+        obs.trace.binary_bytes_encoded.add(atsb.len() as u64);
+    }
+    Ok(())
 }
 
 /// Write `trace` as the ATSB file `dir/stem.atsb` and return the path.
-pub fn write_trace_artifact(trace: &Trace, dir: &str, stem: &str) -> Result<PathBuf, CliError> {
+pub fn write_trace_artifact(
+    session: &Session,
+    trace: &Trace,
+    dir: &str,
+    stem: &str,
+) -> Result<PathBuf, CliError> {
     let path = Path::new(dir).join(format!("{stem}.atsb"));
-    write_trace(trace, &path)?;
+    write_trace(session, trace, &path)?;
     Ok(path)
 }
 

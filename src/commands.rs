@@ -220,7 +220,7 @@ fn run_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     let trace = property_trace(args, 0, &session)?;
     let mut artifacts = Vec::new();
     if let Some(path) = args.value("save") {
-        write_trace(&trace, Path::new(path))?;
+        write_trace(&session, &trace, Path::new(path))?;
         eprintln!("saved ATSB trace to {path}");
         artifacts.push(PathBuf::from(path));
     }
@@ -299,10 +299,9 @@ fn asl_cmd(args: &CommonArgs) -> Result<bool, CliError> {
 
 fn analyze_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     let path = args.pos(0).unwrap_or_default();
-    let trace = crate::trace::io::read_path(path)
-        .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
     let session = args.session(Session::builder())?;
-    let report = session.analyze(&trace);
+    let (trace, report) = crate::analyzer::analyze_path(path, session.analyzer_config())
+        .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
     if args.has("json") {
         println!("{}", report.to_json());
     } else {
@@ -479,14 +478,14 @@ fn apps(_: &CommonArgs) -> Result<bool, CliError> {
 }
 
 /// `ats serve`: the campaign service over a read-write artifact store,
-/// with observability always on (`GET /metrics` serves the session
+/// with observability always on (`GET /metrics` serves the session's
 /// registry). Runs until killed.
 fn serve(args: &CommonArgs) -> Result<bool, CliError> {
     let mut builder = Session::builder()
         .procs(args.value_or("procs", 4)?)
         .jobs(args.value_or("jobs", 0)?)
         .threshold(args.value_or("threshold", 0.005)?)
-        .obs(ObsConfig::on())
+        .obs(ObsConfig::fresh())
         .cache(CacheMode::ReadWrite);
     if args.has("realistic") {
         builder = builder.realistic();

@@ -18,25 +18,6 @@ use crate::mpi::SimConfig;
 use crate::runtime::{MachineModel, VDur};
 use std::path::PathBuf;
 
-/// The severity knob of a positive property, picked by parameter name.
-pub fn severity_knob(spec: &PropertySpec) -> Option<&'static str> {
-    spec.params
-        .iter()
-        .find(|p| {
-            matches!(
-                p.name,
-                "extrawork"
-                    | "baseextrawork"
-                    | "singlework"
-                    | "masterwork"
-                    | "bodywork"
-                    | "delay"
-                    | "growth"
-            )
-        })
-        .map(|p| p.name)
-}
-
 /// Under `--trace-dir DIR`, run `spec` with its default parameters and
 /// store the trace as `DIR/<name>.atsb`.
 fn store_default_trace(
@@ -51,7 +32,7 @@ fn store_default_trace(
     let trace = session
         .run(spec.name, &ParamValues::defaults(spec))
         .map_err(failed)?;
-    let path = write_trace_artifact(&trace, dir, spec.name)?;
+    let path = write_trace_artifact(session, &trace, dir, spec.name)?;
     println!("  wrote {}", path.display());
     artifacts.push(path);
     Ok(())
@@ -78,8 +59,8 @@ pub fn sweep_positive(args: &CommonArgs) -> Result<bool, CliError> {
             continue;
         }
         let mut exp = session.experiment(spec.name);
-        if let Some(k) = severity_knob(spec) {
-            exp = exp.sweep(Sweep::seconds(k, knobs));
+        if let Some(k) = spec.knob() {
+            exp = exp.sweep(Sweep::seconds(k.name, knobs));
         }
         let (rows, stats) = exp.run_with_stats().map_err(failed)?;
         properties += 1;
@@ -151,10 +132,11 @@ pub fn sweep_negative(args: &CommonArgs) -> Result<bool, CliError> {
         if spec.expected_property.is_some() {
             continue;
         }
-        let (rows, stats) = session
-            .experiment(spec.name)
-            .procs_grid([2, 4, 8])
-            .sweep(Sweep::seconds("work", [0.001, 0.01, 0.05]))
+        let mut exp = session.experiment(spec.name).procs_grid([2, 4, 8]);
+        if let Some(k) = spec.knob() {
+            exp = exp.sweep(Sweep::seconds(k.name, [0.001, 0.01, 0.05]));
+        }
+        let (rows, stats) = exp
             .sweep(Sweep::counts("r", [1, 4]))
             .run_with_stats()
             .map_err(failed)?;

@@ -8,7 +8,7 @@
 //! | F3.4 | timeline of two communicators running different property sets in parallel | `ats figure 34` |
 //! | F3.5 | EXPERT's analysis of the F3.4 program (property/call/location panes) | `ats figure 35` |
 
-use crate::analyzer::AnalyzerConfig;
+use crate::analyzer::{analyze_path, AnalyzerConfig};
 use crate::cli::{failed, write_file, write_trace_artifact, CliError, CommonArgs};
 use crate::core::CompositeParams;
 use crate::harness::registry::{run_composite_all_mpi, run_composite_two_comms};
@@ -68,6 +68,7 @@ pub fn figure34_trace(session: &Session) -> Trace {
 /// figure trace, printing each path; the ATSB path joins `artifacts`.
 fn write_outputs(
     args: &CommonArgs,
+    session: &Session,
     trace: &Trace,
     stem: &str,
     columns: usize,
@@ -79,7 +80,7 @@ fn write_outputs(
         println!("wrote {path}");
     }
     if let Some(dir) = args.value("trace-dir") {
-        let path = write_trace_artifact(trace, dir, stem)?;
+        let path = write_trace_artifact(session, trace, dir, stem)?;
         println!("wrote {}", path.display());
         artifacts.push(path);
     }
@@ -110,7 +111,7 @@ pub fn figure32(args: &CommonArgs) -> Result<bool, CliError> {
             "(the paper notes the init/finalize overhead property is 'hard to avoid\n in the view of the small sizes of the test programs')\n"
         );
         let stem = format!("figure32_run{}", idx + 1);
-        write_outputs(args, &trace, &stem, 400, &mut artifacts)?;
+        write_outputs(args, &session, &trace, &stem, 400, &mut artifacts)?;
     }
     args.emit(&session, "figure32", &artifacts)?;
     Ok(true)
@@ -144,7 +145,7 @@ pub fn figure33(args: &CommonArgs) -> Result<bool, CliError> {
         );
     }
     let mut artifacts = Vec::new();
-    write_outputs(args, &trace, "figure33", 500, &mut artifacts)?;
+    write_outputs(args, &session, &trace, "figure33", 500, &mut artifacts)?;
     args.emit(&session, "figure33", &artifacts)?;
     Ok(true)
 }
@@ -171,7 +172,7 @@ pub fn figure34(args: &CommonArgs) -> Result<bool, CliError> {
         println!("  comm {:>2}: members {:?}", c.id, c.members);
     }
     let mut artifacts = Vec::new();
-    write_outputs(args, &trace, "figure34", 500, &mut artifacts)?;
+    write_outputs(args, &session, &trace, "figure34", 500, &mut artifacts)?;
     args.emit(&session, "figure34", &artifacts)?;
     Ok(true)
 }
@@ -187,9 +188,9 @@ pub fn figure34(args: &CommonArgs) -> Result<bool, CliError> {
 pub fn figure35(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs_arg = args.pos_or(0, 16usize)?;
     let session = args.session(paper_session(nprocs_arg))?;
-    let (trace, nprocs) = match args.value("trace") {
+    let (trace, report, nprocs) = match args.value("trace") {
         Some(path) => {
-            let trace = crate::trace::io::read_path(path)
+            let (trace, report) = analyze_path(path, session.analyzer_config())
                 .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
             let nprocs = trace
                 .locations
@@ -197,11 +198,14 @@ pub fn figure35(args: &CommonArgs) -> Result<bool, CliError> {
                 .map(|l| l.location.rank as usize + 1)
                 .max()
                 .unwrap_or(0);
-            (trace, nprocs)
+            (trace, report, nprocs)
         }
-        None => (figure34_trace(&session), nprocs_arg),
+        None => {
+            let trace = figure34_trace(&session);
+            let report = session.analyze(&trace);
+            (trace, report, nprocs_arg)
+        }
     };
-    let report = session.analyze(&trace);
     println!("{}", report.render(&trace));
 
     println!("\n=== paper's correctness checks for this figure ===");

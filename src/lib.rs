@@ -52,13 +52,16 @@ mod tests {
 
     #[test]
     fn trace_artifacts_round_trip() {
-        let trace = figure34_trace(&paper_session(4).build());
+        let session = paper_session(4).obs(crate::obs::ObsConfig::fresh()).build();
+        let trace = figure34_trace(&session);
         let dir = ats_testutil::TempDir::new("ats-artifact");
-        let path =
-            crate::cli::write_trace_artifact(&trace, dir.path().to_str().unwrap(), "figure34")
-                .unwrap();
+        let dir = dir.path().to_str().unwrap();
+        let path = crate::cli::write_trace_artifact(&session, &trace, dir, "figure34").unwrap();
         assert!(path.ends_with("figure34.atsb"), "{}", path.display());
         let loaded = crate::trace::io::read_path(&path).unwrap();
         assert_eq!(loaded.locations, trace.locations);
+        // The session counts the bytes it wrote.
+        let written = session.obs().unwrap().trace.binary_bytes_encoded.get();
+        assert_eq!(written, std::fs::metadata(&path).unwrap().len());
     }
 }

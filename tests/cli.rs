@@ -2,7 +2,8 @@
 //! value or a missing value exits 2 naming it, an output path that cannot
 //! be written exits 1 naming the path, and nothing panics. A bad command
 //! line fails while it is checked, before any simulation, server or
-//! flood starts.
+//! flood starts. Under `--metrics`, a command counts the trace bytes it
+//! wrote and read.
 
 use std::process::{Command, Output};
 
@@ -93,6 +94,24 @@ fn unwritable_outputs_fail_naming_the_path() {
 }
 
 #[test]
+fn deeply_nested_asl_fails_naming_the_property() {
+    let dir = ats_testutil::TempDir::new("ats-cli-asl");
+    let parens = format!("{}recv_posted{}", "(".repeat(100_000), ")".repeat(100_000));
+    let chain = format!("recv_completion - recv_posted{}", " + 0".repeat(100_000));
+    for (name, wait) in [("parens.asl", parens), ("chain.asl", chain)] {
+        let path = dir.file(name);
+        let set = format!("PROPERTY Deep OVER p2p_pair {{ WAIT {wait}; LOCATE receiver; }}");
+        std::fs::write(&path, set).unwrap();
+        let path = path.to_str().unwrap();
+        fails(
+            &["asl", path, "late_sender"],
+            1,
+            "Deep: expression nests deeper than 128 levels",
+        );
+    }
+}
+
+#[test]
 fn help_prints_the_command_usage() {
     let out = ats(&["bench", "serve", "--help"]);
     assert!(out.status.success());
@@ -100,5 +119,46 @@ fn help_prints_the_command_usage() {
     assert!(
         text.contains("ats bench serve [clients] [rounds]"),
         "{text}"
+    );
+}
+
+/// The value of the Prometheus sample `name` in `text`.
+fn sample(text: &str, name: &str) -> Option<u64> {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+#[test]
+fn metrics_count_the_trace_bytes_written_and_read() {
+    let dir = ats_testutil::TempDir::new("ats-cli-metrics");
+    let file = dir.file("late_sender.atsb");
+    let file = file.to_str().unwrap();
+    let run = ats(&[
+        "run",
+        "late_sender",
+        "--procs",
+        "4",
+        "--save",
+        file,
+        "--metrics",
+        "-",
+    ]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let size = std::fs::metadata(file).unwrap().len();
+    let written = String::from_utf8_lossy(&run.stdout);
+    assert_eq!(
+        sample(&written, "ats_trace_binary_bytes_encoded_total"),
+        Some(size)
+    );
+    let analyze = ats(&["analyze", file, "--metrics", "-"]);
+    assert!(analyze.status.success());
+    let read = String::from_utf8_lossy(&analyze.stdout);
+    assert_eq!(
+        sample(&read, "ats_analyzer_bytes_ingested_total"),
+        Some(size)
     );
 }

@@ -93,7 +93,7 @@ fn broken_analyzer_is_caught_shrunk_persisted_and_reproduced() {
     let _ = std::fs::remove_dir_all(&dir);
     let run = ats_fuzz::check(&out.scenario, &broken, &opts).expect("check minimized");
     let spec_path: PathBuf =
-        corpus::persist(&dir, &out.scenario, &out.violations, &run.trace).expect("persist");
+        corpus::persist(&dir, &out.scenario, &out.violations, &run.trace, &opts).expect("persist");
     assert!(spec_path.exists());
 
     // Replay from disk with the same broken analyzer: the failure

@@ -1,10 +1,15 @@
 //! Integration contract of the self-observability layer: manifests are
 //! deterministic where they promise to be, recording never changes
-//! results, and every instrumented subsystem shows up in the exports.
+//! results, every instrumented subsystem shows up in the exports, and
+//! each count lands in the registry of the session that recorded it.
 
+use ats::harness::cache::TRACE_FILE;
+use ats::harness::experiment::Sweep;
 use ats::harness::{ParamValues, Session};
+use ats::store::CacheMode;
 use ats_fuzz::campaign::{run_campaign, FuzzConfig};
 use ats_obs::ObsConfig;
+use std::path::Path;
 
 fn fresh_session(jobs: usize) -> Session {
     Session::builder()
@@ -136,5 +141,55 @@ fn manifest_config_excludes_execution_details() {
     assert!(
         !config.contains("backend"),
         "config leaked the carrier: {config}"
+    );
+}
+
+/// Total size of the `trace.atsb` artifacts in the store rooted at `root`.
+fn stored_trace_bytes(root: &Path) -> u64 {
+    let mut total = 0;
+    for shard in std::fs::read_dir(root.join("objects")).unwrap() {
+        for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+            let atsb = entry.unwrap().path().join(TRACE_FILE);
+            total += std::fs::metadata(atsb).unwrap().len();
+        }
+    }
+    total
+}
+
+#[test]
+fn encoded_bytes_belong_to_the_session_that_published_them() {
+    let rw_session = |dir: &Path| {
+        Session::builder()
+            .procs(4)
+            .obs(ObsConfig::fresh())
+            .cache(CacheMode::ReadWrite)
+            .cache_dir(dir)
+            .build()
+    };
+    let sweep = |session: &Session| {
+        session
+            .experiment("late_sender")
+            .sweep(Sweep::seconds("extrawork", [0.01, 0.02, 0.04]))
+            .run()
+            .unwrap()
+    };
+    let first_dir = ats_testutil::TempDir::new("ats-obs-publish-first");
+    let first = rw_session(first_dir.path());
+    sweep(&first);
+    let encoded = first.obs().unwrap().trace.binary_bytes_encoded.get();
+    assert!(encoded > 0, "a cold rw sweep publishes traces");
+    assert_eq!(encoded, stored_trace_bytes(first_dir.path()));
+
+    // A second session's publishes count in its own registry only.
+    let second_dir = ats_testutil::TempDir::new("ats-obs-publish-second");
+    let second = rw_session(second_dir.path());
+    sweep(&second);
+    assert_eq!(
+        second.obs().unwrap().trace.binary_bytes_encoded.get(),
+        stored_trace_bytes(second_dir.path())
+    );
+    assert_eq!(
+        first.obs().unwrap().trace.binary_bytes_encoded.get(),
+        encoded
     );
 }
