@@ -104,28 +104,72 @@ impl PropertySet {
     }
 }
 
+/// Binding strength of a leaf, call or negation: above every operator.
+const ATOM: u8 = 4;
+
+impl BinOp {
+    /// Binding strength: comparisons 1, `+ -` 2, `* /` 3.
+    fn precedence(self) -> u8 {
+        match self {
+            BinOp::Gt | BinOp::Lt | BinOp::Ge | BinOp::Le | BinOp::Eq => 1,
+            BinOp::Add | BinOp::Sub => 2,
+            BinOp::Mul | BinOp::Div => 3,
+        }
+    }
+
+    fn symbol(self) -> &'static str {
+        match self {
+            BinOp::Add => "+",
+            BinOp::Sub => "-",
+            BinOp::Mul => "*",
+            BinOp::Div => "/",
+            BinOp::Gt => ">",
+            BinOp::Lt => "<",
+            BinOp::Ge => ">=",
+            BinOp::Le => "<=",
+            BinOp::Eq => "==",
+        }
+    }
+}
+
+/// An operand printed in parentheses only when it binds looser than its
+/// place needs. The parser counts each parenthesis as a nesting level,
+/// so printing no more of them than the tree needs keeps every parsed
+/// expression within the cap when it is printed and parsed again.
+struct Operand<'a>(&'a Expr, u8);
+
+impl fmt::Display for Operand<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Operand(e, needs) = *self;
+        let binds = match e {
+            Expr::Bin(_, op, _) => op.precedence(),
+            _ => ATOM,
+        };
+        if binds < needs {
+            write!(f, "({e})")
+        } else {
+            write!(f, "{e}")
+        }
+    }
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Expr::Num(n) => write!(f, "{n}"),
             Expr::Var(v) => write!(f, "{v}"),
-            Expr::Neg(e) => write!(f, "-({e})"),
+            Expr::Neg(e) => write!(f, "-{}", Operand(e, ATOM)),
             Expr::Max(a, b) => write!(f, "max({a}, {b})"),
             Expr::Min(a, b) => write!(f, "min({a}, {b})"),
             Expr::Clamp(x, lo, hi) => write!(f, "clamp({x}, {lo}, {hi})"),
             Expr::Bin(a, op, b) => {
-                let sym = match op {
-                    BinOp::Add => "+",
-                    BinOp::Sub => "-",
-                    BinOp::Mul => "*",
-                    BinOp::Div => "/",
-                    BinOp::Gt => ">",
-                    BinOp::Lt => "<",
-                    BinOp::Ge => ">=",
-                    BinOp::Le => "<=",
-                    BinOp::Eq => "==",
-                };
-                write!(f, "({a} {sym} {b})")
+                // Arithmetic associates to the left, so only a left
+                // operand may share the node's level; comparisons do not
+                // chain, so neither of theirs may.
+                let p = op.precedence();
+                let left = if p == 1 { 2 } else { p };
+                let (a, b) = (Operand(a, left), Operand(b, p + 1));
+                write!(f, "{a} {} {b}", op.symbol())
             }
         }
     }

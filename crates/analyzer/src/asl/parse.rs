@@ -500,27 +500,60 @@ mod tests {
         assert!(parse("PROPERTY X OVER collective(Bogus) { WAIT 1; LOCATE member; }").is_err());
     }
 
-    #[test]
-    fn default_set_roundtrips_through_display() {
-        let set = parse(super::super::DEFAULT_PROPERTY_SET).unwrap();
-        let printed = set.to_string();
-        let reparsed = parse(&printed).unwrap_or_else(|e| panic!("{e}\n---\n{printed}"));
-        assert_eq!(set, reparsed);
+    /// `recv_posted` inside `n` pairs of parentheses.
+    fn parens(n: usize) -> String {
+        format!("{}recv_posted{}", "(".repeat(n), ")".repeat(n))
     }
 
-    /// A set of one property, `Deep`, whose WAIT is `wait`.
+    /// A subtraction (one level) followed by `n` times `+ 0` (one level
+    /// each).
+    fn chain(n: usize) -> String {
+        format!("recv_completion - recv_posted{}", " + 0".repeat(n))
+    }
+
+    /// `n` unary minuses before `1`.
+    fn negations(n: usize) -> String {
+        format!("{}1", "-".repeat(n))
+    }
+
+    /// The source of a set of one property, `Deep`, whose WAIT is `wait`.
+    fn deep_source(wait: &str) -> String {
+        format!("PROPERTY Deep OVER p2p_pair {{ WAIT {wait}; LOCATE receiver; }}")
+    }
+
     fn with_wait(wait: &str) -> Result<PropertySet, AslError> {
-        parse(&format!(
-            "PROPERTY Deep OVER p2p_pair {{ WAIT {wait}; LOCATE receiver; }}"
-        ))
+        parse(&deep_source(wait))
+    }
+
+    /// Every set that parses prints to a source that parses back to it,
+    /// including sets at the nesting cap and operands that need their
+    /// parentheses.
+    #[test]
+    fn default_set_roundtrips_through_display() {
+        let mut sources = vec![
+            super::super::DEFAULT_PROPERTY_SET.to_owned(),
+            include_str!("../../../../examples/custom_properties.asl").to_owned(),
+            "PROPERTY Mixed OVER setup { WAIT (time - (1 + 2)) * -(3 - 1) / (4 * 5); \
+             CONDITION (wait > 0) == (1 - -1 >= 2); LOCATE self; }"
+                .to_owned(),
+        ];
+        for wait in [
+            chain(MAX_LEVELS - 1),
+            parens(MAX_LEVELS),
+            negations(MAX_LEVELS),
+        ] {
+            sources.push(deep_source(&wait));
+        }
+        for src in &sources {
+            let set = parse(src).unwrap_or_else(|e| panic!("{e}\n---\n{src}"));
+            let printed = set.to_string();
+            let reparsed = parse(&printed).unwrap_or_else(|e| panic!("{e}\n---\n{printed}"));
+            assert_eq!(set, reparsed);
+        }
     }
 
     #[test]
     fn expression_nesting_is_capped_at_max_levels() {
-        let parens = |n: usize| format!("{}recv_posted{}", "(".repeat(n), ")".repeat(n));
-        // The subtraction is one level; each `+ 0` adds one more.
-        let chain = |n: usize| format!("recv_completion - recv_posted{}", " + 0".repeat(n));
-        let negations = |n: usize| format!("{}1", "-".repeat(n));
         assert!(with_wait(&parens(MAX_LEVELS)).is_ok());
         assert!(with_wait(&chain(MAX_LEVELS - 1)).is_ok());
         assert!(with_wait(&negations(MAX_LEVELS)).is_ok());

@@ -50,9 +50,6 @@ impl Master for HybridMaster<'_> {
     fn seed(&self) -> u64 {
         self.proc.seed()
     }
-    fn calibration(&self) -> Option<f64> {
-        self.proc.calibration()
-    }
     fn sync_ids(&self) -> Arc<AtomicU32> {
         self.proc.sync_ids()
     }

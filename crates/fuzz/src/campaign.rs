@@ -66,7 +66,6 @@ impl FuzzConfig {
             jobs: opts.jobs,
             gen: GenConfig {
                 nprocs: opts.nprocs,
-                ..GenConfig::default()
             },
             opts,
             ..FuzzConfig::default()
@@ -157,7 +156,7 @@ pub fn run_index(cfg: &FuzzConfig, i: usize) -> Result<(Scenario, ScenarioVerdic
     let seed = scenario_seed(cfg.base_seed, i);
     let sc = generator::generate(seed, &cfg.gen);
     let again = generator::generate(seed, &cfg.gen);
-    let regen_mismatch = sc.to_json_value().render() != again.to_json_value().render();
+    let regen_mismatch = sc.to_string() != again.to_string();
     let oracle_started = std::time::Instant::now();
     let run = oracle::check(&sc, &cfg.oracle, &cfg.opts)?;
     if let Some(obs) = obs {

@@ -18,27 +18,22 @@ use std::collections::BTreeMap;
 pub struct GenConfig {
     /// World size of generated scenarios.
     pub nprocs: usize,
-    /// Minimum number of slots.
-    pub min_slots: usize,
-    /// Maximum number of slots.
-    pub max_slots: usize,
-    /// Maximum repetition count drawn for `r` parameters.
-    pub max_reps: usize,
-    /// Chance (percent) that a drawn phase is well-tuned padding.
-    pub padding_percent: u64,
 }
 
 impl Default for GenConfig {
     fn default() -> Self {
-        GenConfig {
-            nprocs: 8,
-            min_slots: 2,
-            max_slots: 5,
-            max_reps: 3,
-            padding_percent: 30,
-        }
+        GenConfig { nprocs: 8 }
     }
 }
+
+/// Fewest slots a scenario draws (before the role guarantees add any).
+const MIN_SLOTS: u64 = 2;
+/// Most slots a scenario draws.
+const MAX_SLOTS: u64 = 5;
+/// Largest repetition count drawn for `r` parameters.
+const MAX_REPS: u64 = 3;
+/// Chance (percent) that a drawn phase is well-tuned padding.
+const PADDING_PERCENT: u64 = 30;
 
 /// Positive properties the generator places. All 23 positive catalog
 /// entries are eligible.
@@ -110,14 +105,13 @@ fn draw_params(
     rng: &mut SplitMix64,
     property: &str,
     group_size: usize,
-    cfg: &GenConfig,
 ) -> BTreeMap<String, String> {
     let spec = catalog::find(property).expect("generator draws catalog names");
     let knob = spec.knob().map(|p| p.name);
     let mut out = BTreeMap::new();
     for p in spec.params {
         let value = match (p.name, p.kind) {
-            ("r", _) => format!("{}", 1 + rng.next_below(cfg.max_reps as u64)),
+            ("r", _) => format!("{}", 1 + rng.next_below(MAX_REPS)),
             ("root", _) => format!("{}", rng.next_below(group_size as u64)),
             ("nthreads", _) => format!("{}", 2 + rng.next_below(3)),
             ("df", _) => draw_distr(rng, property == "imbalance_at_mpi_scan"),
@@ -146,13 +140,7 @@ fn draw_params(
 }
 
 /// Draw one phase on `group` (of `group_size` ranks).
-fn draw_phase(
-    rng: &mut SplitMix64,
-    group: usize,
-    group_size: usize,
-    padding: bool,
-    cfg: &GenConfig,
-) -> Phase {
+fn draw_phase(rng: &mut SplitMix64, group: usize, group_size: usize, padding: bool) -> Phase {
     let names = if padding {
         padding_names()
     } else {
@@ -162,7 +150,7 @@ fn draw_phase(
     Phase {
         group,
         property: property.to_owned(),
-        params: draw_params(rng, property, group_size, cfg),
+        params: draw_params(rng, property, group_size),
     }
 }
 
@@ -187,18 +175,16 @@ fn draw_split(rng: &mut SplitMix64, nprocs: usize) -> Split {
 /// always exercised.
 pub fn generate(seed: u64, cfg: &GenConfig) -> Scenario {
     assert!(cfg.nprocs >= 2, "scenarios need at least 2 ranks");
-    assert!(cfg.min_slots >= 1 && cfg.max_slots >= cfg.min_slots);
     let mut rng = SplitMix64::split(seed, 0);
-    let num_slots =
-        cfg.min_slots + rng.next_below((cfg.max_slots - cfg.min_slots + 1) as u64) as usize;
+    let num_slots = (MIN_SLOTS + rng.next_below(MAX_SLOTS - MIN_SLOTS + 1)) as usize;
     let mut slots = Vec::with_capacity(num_slots + 2);
     for _ in 0..num_slots {
         let split = draw_split(&mut rng, cfg.nprocs);
         let groups = split.num_groups();
         let mut phases = Vec::new();
         if groups == 1 {
-            let padding = rng.next_below(100) < cfg.padding_percent;
-            phases.push(draw_phase(&mut rng, 0, cfg.nprocs, padding, cfg));
+            let padding = rng.next_below(100) < PADDING_PERCENT;
+            phases.push(draw_phase(&mut rng, 0, cfg.nprocs, padding));
         } else {
             // 1–2 phases on distinct groups, starting at a rotated group so
             // all colors see both roles across a campaign.
@@ -206,13 +192,12 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> Scenario {
             let start = rng.next_below(groups as u64) as usize;
             for i in 0..count.min(groups) {
                 let g = (start + i) % groups;
-                let padding = rng.next_below(100) < cfg.padding_percent;
+                let padding = rng.next_below(100) < PADDING_PERCENT;
                 phases.push(draw_phase(
                     &mut rng,
                     g,
                     split.group_size(g, cfg.nprocs),
                     padding,
-                    cfg,
                 ));
             }
         }
@@ -224,7 +209,7 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> Scenario {
         .flat_map(|s| &s.phases)
         .any(|p| !p.is_padding());
     if !has_positive {
-        let ph = draw_phase(&mut rng, 0, cfg.nprocs, false, cfg);
+        let ph = draw_phase(&mut rng, 0, cfg.nprocs, false);
         slots.push(Slot {
             split: Split::Whole,
             phases: vec![ph],
@@ -232,7 +217,7 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> Scenario {
     }
     let has_padding = slots.iter().flat_map(|s| &s.phases).any(Phase::is_padding);
     if !has_padding {
-        let ph = draw_phase(&mut rng, 0, cfg.nprocs, true, cfg);
+        let ph = draw_phase(&mut rng, 0, cfg.nprocs, true);
         slots.push(Slot {
             split: Split::Whole,
             phases: vec![ph],
@@ -256,8 +241,8 @@ mod tests {
     fn same_seed_same_scenario_bytes() {
         let cfg = GenConfig::default();
         for seed in [0u64, 1, 42, 0xDEAD_BEEF, u64::MAX] {
-            let a = generate(seed, &cfg).to_json_value().render();
-            let b = generate(seed, &cfg).to_json_value().render();
+            let a = generate(seed, &cfg).to_string();
+            let b = generate(seed, &cfg).to_string();
             assert_eq!(a, b, "seed {seed:#x}");
         }
     }
@@ -265,8 +250,8 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let cfg = GenConfig::default();
-        let a = generate(1, &cfg).to_json_value().render();
-        let b = generate(2, &cfg).to_json_value().render();
+        let a = generate(1, &cfg).to_string();
+        let b = generate(2, &cfg).to_string();
         assert_ne!(a, b);
     }
 
@@ -297,10 +282,7 @@ mod tests {
 
     #[test]
     fn small_worlds_only_use_whole_splits() {
-        let cfg = GenConfig {
-            nprocs: 3,
-            ..GenConfig::default()
-        };
+        let cfg = GenConfig { nprocs: 3 };
         for seed in 0..50u64 {
             let sc = generate(seed, &cfg);
             assert!(
@@ -312,14 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn text_and_json_round_trip_generated_scenarios() {
+    fn text_round_trips_generated_scenarios() {
         let cfg = GenConfig::default();
         for seed in 0..50u64 {
             let sc = generate(seed, &cfg);
-            let text: Scenario = sc.to_string().parse().unwrap();
-            assert_eq!(text, sc, "text round trip, seed {seed}");
-            let json = Scenario::parse_line(&sc.to_json_value().render()).unwrap();
-            assert_eq!(json, sc, "json round trip, seed {seed}");
+            let text = sc.to_string();
+            let back = Scenario::parse_line(&text).unwrap();
+            assert_eq!(back, sc, "text round trip, seed {seed}");
+            assert_eq!(back.to_string(), text, "seed {seed}");
         }
     }
 

@@ -14,8 +14,8 @@
 //!
 //! The pieces:
 //!
-//! * [`scenario`] — the serializable scenario spec (one JSON line and a
-//!   compact one-line text form, both byte-stable round trips);
+//! * [`scenario`] — the scenario spec and its one wire form, a
+//!   byte-stable single text line;
 //! * [`generator`] — seeded scenario generation (same seed ⇒ the
 //!   byte-identical scenario, at any worker count);
 //! * [`model`] — closed-form nominal-wait models per catalog property;

@@ -7,19 +7,16 @@
 //! concurrently on disjoint groups; slots are separated by a world
 //! barrier, so every slot starts from aligned clocks.
 //!
-//! Scenarios have two interchangeable wire forms: JSON (one object per
-//! line in JSONL corpora, rendered through the canonical
-//! [`ats_core::json::Json`] model) and a compact single-line text form
-//! (`Display` / `FromStr`) for log output and quick manual authoring.
-//! [`Scenario::parse_line`] accepts either, so every spec-accepting
-//! surface (CLI flags, corpus replay, the campaign service) understands
-//! the same union. Both forms round-trip exactly, and serialization is
-//! byte-stable: parameters live in a `BTreeMap` and the canonical model
-//! sorts object keys, so the same scenario value always serializes to the
-//! same bytes — the property the determinism gate in CI checks.
+//! A scenario has one wire form: a single text line (`Display` /
+//! `FromStr`, read through [`Scenario::parse_line`]) such as
+//! `seed=0x2a nprocs=4 | stride2 g0:late_sender r=1 + g1:balanced_mpi_barrier`.
+//! The campaign service's bodies and rows, the fuzz corpus, log output and
+//! cache keys all carry it. It round-trips exactly, and it is
+//! byte-stable: parameters live in a `BTreeMap`, so the same scenario
+//! value always prints the same bytes — the property the determinism
+//! gate in CI checks.
 
 use ats_core::catalog::{self, Paradigm};
-use ats_core::json::Json;
 use ats_core::Error;
 use ats_harness::ParamValues;
 use std::collections::BTreeMap;
@@ -71,51 +68,6 @@ impl Split {
             Split::Whole => nprocs,
             Split::Block { groups } => (g + 1) * nprocs / groups - g * nprocs / groups,
             Split::Stride { groups } => nprocs / groups + usize::from(g < nprocs % groups),
-        }
-    }
-}
-
-impl Split {
-    /// Canonical JSON value (`"whole"`, `{"block":{"groups":n}}`,
-    /// `{"stride":{"groups":n}}`).
-    pub fn to_json_value(&self) -> Json {
-        match self {
-            Split::Whole => Json::from("whole"),
-            Split::Block { groups } => {
-                Json::obj().with("block", Json::obj().with("groups", *groups))
-            }
-            Split::Stride { groups } => {
-                Json::obj().with("stride", Json::obj().with("groups", *groups))
-            }
-        }
-    }
-
-    /// Parse the canonical JSON layout back (string forms like `block2`
-    /// are accepted too, via [`FromStr`]).
-    pub fn from_json_value(v: &Json) -> Result<Split, Error> {
-        if let Some(s) = v.as_str() {
-            return s.parse();
-        }
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| Error::scenario("split must be a string or a tagged object"))?;
-        let groups = |tag: &str| {
-            obj.get(tag)
-                .and_then(|t| t.get("groups"))
-                .and_then(Json::as_u64)
-                .map(|g| g as usize)
-                .ok_or_else(|| Error::scenario(format!("split `{tag}` needs integer `groups`")))
-        };
-        if obj.contains_key("block") {
-            Ok(Split::Block {
-                groups: groups("block")?,
-            })
-        } else if obj.contains_key("stride") {
-            Ok(Split::Stride {
-                groups: groups("stride")?,
-            })
-        } else {
-            Err(Error::scenario("unknown split variant"))
         }
     }
 }
@@ -299,110 +251,11 @@ impl Scenario {
         Ok(())
     }
 
-    /// The canonical JSON value of this scenario (the JSONL wire layout:
-    /// sorted keys, byte-stable for equal scenarios).
-    pub fn to_json_value(&self) -> Json {
-        let mut slots = Json::arr();
-        for slot in &self.slots {
-            let mut phases = Json::arr();
-            for ph in &slot.phases {
-                let mut params = Json::obj();
-                for (k, v) in &ph.params {
-                    params.set(k, v.clone());
-                }
-                phases.push(
-                    Json::obj()
-                        .with("group", ph.group)
-                        .with("params", params)
-                        .with("property", ph.property.clone()),
-                );
-            }
-            slots.push(
-                Json::obj()
-                    .with("phases", phases)
-                    .with("split", slot.split.to_json_value()),
-            );
-        }
-        Json::obj()
-            .with("nprocs", self.nprocs)
-            .with("seed", self.seed)
-            .with("slots", slots)
-    }
-
-    /// Parse the canonical JSON layout back (field lookup by name, so any
-    /// member order is accepted).
-    pub fn from_json_value(v: &Json) -> Result<Scenario, Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| Error::scenario(format!("scenario missing `{name}`")))
-        };
-        let mut slots = Vec::new();
-        for (si, sv) in field("slots")?
-            .as_arr()
-            .ok_or_else(|| Error::scenario("`slots` must be an array"))?
-            .iter()
-            .enumerate()
-        {
-            let split = Split::from_json_value(
-                sv.get("split")
-                    .ok_or_else(|| Error::scenario(format!("slot {si} missing `split`")))?,
-            )?;
-            let mut phases = Vec::new();
-            for pv in sv
-                .get("phases")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| Error::scenario(format!("slot {si} missing `phases` array")))?
-            {
-                let property = pv
-                    .get("property")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| Error::scenario(format!("slot {si}: phase without property")))?
-                    .to_owned();
-                let group = pv.get("group").and_then(Json::as_u64).ok_or_else(|| {
-                    Error::scenario(format!("slot {si}: phase `{property}` without group"))
-                })? as usize;
-                let mut params = BTreeMap::new();
-                if let Some(pobj) = pv.get("params").and_then(Json::as_obj) {
-                    for (k, val) in pobj {
-                        let s = val
-                            .as_str()
-                            .map(str::to_owned)
-                            .unwrap_or_else(|| val.render());
-                        params.insert(k.clone(), s);
-                    }
-                }
-                phases.push(Phase {
-                    group,
-                    property,
-                    params,
-                });
-            }
-            slots.push(Slot { split, phases });
-        }
-        Ok(Scenario {
-            seed: field("seed")?
-                .as_u64()
-                .ok_or_else(|| Error::scenario("`seed` must be an unsigned integer"))?,
-            nprocs: field("nprocs")?
-                .as_u64()
-                .ok_or_else(|| Error::scenario("`nprocs` must be an unsigned integer"))?
-                as usize,
-            slots,
-        })
-    }
-
-    /// Parse one spec line: a JSON object (the JSONL corpus form) or the
-    /// compact text form — the union every spec-accepting surface (CLI,
-    /// corpus replay, the campaign service) understands.
+    /// Parse one spec line: the text form, with surrounding whitespace
+    /// ignored. Every spec-accepting surface (CLI, the campaign service,
+    /// perfbench) reads scenarios through here.
     pub fn parse_line(line: &str) -> Result<Scenario, Error> {
-        let t = line.trim();
-        if t.starts_with('{') {
-            let v = Json::parse(t)
-                .map_err(|e| Error::scenario(format!("invalid scenario JSON: {e}")))?;
-            Scenario::from_json_value(&v)
-        } else {
-            t.parse()
-        }
+        line.trim().parse()
     }
 }
 
@@ -584,24 +437,17 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_byte_stable() {
+    fn parse_line_reads_only_the_text_form() {
         let s = sample();
-        let a = s.to_json_value().render();
-        let back = Scenario::from_json_value(&Json::parse(&a).unwrap()).unwrap();
-        assert_eq!(back, s);
-        let b = back.to_json_value().render();
-        assert_eq!(a, b, "serialization must be byte-stable");
-    }
-
-    #[test]
-    fn parse_line_accepts_both_wire_forms() {
-        let s = sample();
-        let from_json = Scenario::parse_line(&s.to_json_value().render()).unwrap();
-        assert_eq!(from_json, s);
-        let from_text = Scenario::parse_line(&s.to_string()).unwrap();
+        let from_text = Scenario::parse_line(&format!("  {s}\n")).unwrap();
         assert_eq!(from_text, s);
-        let err = Scenario::parse_line("{not json").unwrap_err();
-        assert_eq!(err.kind(), ats_core::ErrorKind::Scenario);
+        for line in [
+            "{not json",
+            r#"{"nprocs":2,"seed":7,"slots":[{"phases":[],"split":"whole"}]}"#,
+        ] {
+            let err = Scenario::parse_line(line).unwrap_err();
+            assert_eq!(err.kind(), ats_core::ErrorKind::Scenario, "{line}");
+        }
     }
 
     #[test]
@@ -609,17 +455,13 @@ mod tests {
         let s = sample();
         let text = s.to_string();
         assert!(text.starts_with("seed=0xdeadbeef nprocs=8 | stride2 g0:late_sender"));
+        assert!(
+            !text.contains('\n'),
+            "a campaign body holds one scenario per line"
+        );
         let back: Scenario = text.parse().unwrap_or_else(|e| panic!("{e}: {text}"));
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        // A campaign body is one scenario per line: each line renders
-        // as canonical JSON and parses back.
-        let line = sample().to_json_value().render();
-        assert!(!line.contains('\n'));
-        assert_eq!(Scenario::parse_line(&line).unwrap(), sample());
+        assert_eq!(back.to_string(), text, "printing must be byte-stable");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The suite's runs are deterministic: a configuration's trace — and
 //! therefore its analyzer report and [`ExperimentRow`] — is a pure
 //! function of *what* is run (property + parameters + process count),
-//! *how the simulated machine behaves* (machine model, seed, work mode,
-//! message shape, init/finalize costs) and *how the result is
+//! *how the simulated machine behaves* (machine model, seed, message
+//! shape, init/finalize costs) and *how the result is
 //! interpreted* (analyzer version + configuration). [`config_key`] hashes
 //! exactly that set into an [`ats_store::CacheKey`]. The machine and the
 //! interpretation are listed once, in [`execution_key_doc`], which the
@@ -13,7 +13,9 @@
 //!
 //! Knobs that only change how fast a result is computed — `jobs`,
 //! `trace_pool`, `obs` — are deliberately **excluded**, and so is the
-//! scheduler's carrier, which the platform picks: the engine's
+//! scheduler's carrier, which the platform picks. No work mode is
+//! listed: every cached run does virtual work (only E-over runs real
+//! work, and it caches nothing). The engine's
 //! determinism guarantee (rows byte-identical at any worker count, on
 //! either carrier, pooled or not) is what makes replaying a cached row
 //! provably equivalent to re-executing it.
@@ -24,12 +26,12 @@
 use crate::experiment::ExperimentRow;
 use crate::registry::{RunError, RunOpts};
 use ats_analyzer::AnalyzerConfig;
-use ats_runtime::{MachineModel, WorkMode};
+use ats_runtime::MachineModel;
 use ats_store::{CacheKey, Json};
 
 /// Schema tag of experiment-engine key-ingredient documents. Bump on any
 /// change to the document layout itself.
-pub const KEY_SCHEMA: &str = "ats-store-key/2";
+pub const KEY_SCHEMA: &str = "ats-store-key/3";
 
 /// Artifact name of the cached row document.
 pub const ROW_FILE: &str = "row.json";
@@ -39,15 +41,14 @@ pub const REPORT_FILE: &str = "report.json";
 pub const TRACE_FILE: &str = "trace.atsb";
 
 /// The key ingredients every engine shares: how the simulated machine
-/// behaves (machine model, work mode, message shape, init/finalize
-/// costs), how the result is interpreted (analyzer version and
-/// configuration) and the trace format. Each key document adds what it
+/// behaves (machine model, message shape, init/finalize costs), how the
+/// result is interpreted (analyzer version and configuration) and the
+/// trace format. Each key document adds what it
 /// runs to this object ([`config_key_doc`], and the campaign service's
 /// scenario keys).
 pub fn execution_key_doc(opts: &RunOpts, analyzer: &AnalyzerConfig) -> Json {
     Json::obj()
         .with("model", model_json(&opts.model))
-        .with("work_mode", work_mode_label(opts.work_mode))
         .with(
             "base",
             Json::obj()
@@ -97,13 +98,6 @@ pub fn config_key(
     CacheKey::of_value(&config_key_doc(
         property, params_cli, nprocs, opts, analyzer,
     ))
-}
-
-fn work_mode_label(mode: WorkMode) -> &'static str {
-    match mode {
-        WorkMode::Virtual => "virtual",
-        WorkMode::Real => "real",
-    }
 }
 
 /// Every [`MachineModel`] field, exactly (virtual durations in integer
@@ -250,19 +244,6 @@ mod tests {
                         let mut o = RunOpts::default();
                         o.seed ^= 1;
                         o
-                    },
-                    &analyzer,
-                ),
-            ),
-            (
-                "work_mode",
-                config_key(
-                    "late_sender",
-                    "basework=0.01 extrawork=0.04 r=3",
-                    8,
-                    &RunOpts {
-                        work_mode: WorkMode::Real,
-                        ..RunOpts::default()
                     },
                     &analyzer,
                 ),

@@ -11,7 +11,7 @@ use ats_core::catalog::{self, Paradigm, PropertySpec};
 use ats_core::{composite, properties, with_omp, BaseComm, CompositeParams};
 use ats_mpi::SimConfig;
 use ats_omp::OmpConfig;
-use ats_runtime::{MachineModel, VDur, WorkMode};
+use ats_runtime::{MachineModel, VDur};
 use ats_trace::{Trace, TracePool};
 
 /// How to execute a generated test program.
@@ -30,8 +30,6 @@ pub struct RunOpts {
     pub seed: u64,
     /// Default message shape.
     pub base: BaseComm,
-    /// Virtual or calibrated-real work.
-    pub work_mode: WorkMode,
     /// `MPI_Init` cost.
     pub init_time: VDur,
     /// `MPI_Finalize` cost.
@@ -61,7 +59,6 @@ impl Default for RunOpts {
             model: MachineModel::zero(),
             seed: 0xA75_5EED,
             base: BaseComm::default(),
-            work_mode: WorkMode::Virtual,
             init_time: VDur::ZERO,
             finalize_time: VDur::ZERO,
             jobs: 0,
@@ -112,7 +109,6 @@ impl RunOpts {
         SimConfig {
             nprocs: self.nprocs,
             model: self.model.clone(),
-            work_mode: self.work_mode,
             seed: self.seed,
             init_time: self.init_time,
             finalize_time: self.finalize_time,
@@ -126,7 +122,6 @@ impl RunOpts {
     pub fn omp_config(&self) -> OmpConfig {
         OmpConfig {
             model: self.model.clone(),
-            work_mode: self.work_mode,
             seed: self.seed,
             trace_pool: self.trace_pool.clone(),
             ..Default::default()

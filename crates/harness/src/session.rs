@@ -238,7 +238,6 @@ impl Session {
         Json::obj()
             .with("nprocs", self.opts.nprocs)
             .with("seed", self.opts.seed)
-            .with("work_mode", format!("{:?}", self.opts.work_mode))
             .with(
                 "zero_model",
                 self.opts.model == ats_runtime::MachineModel::zero(),

@@ -355,9 +355,9 @@ pub fn measure_overhead(nprocs: usize, work_per_step: VDur, reps: usize) -> Over
             p.barrier(&c);
         }
     };
-    let rate = ats_runtime::work::calibrate();
-    let mut config = SimConfig::with_procs(nprocs).real_work();
-    config.calibration = Some(rate);
+    // Calibrate before the clock starts, so neither timed run pays for it.
+    ats_runtime::work::iters_per_sec();
+    let config = SimConfig::with_procs(nprocs).real_work();
 
     let t0 = Instant::now();
     let _ = ats_mpi::run(config.clone().uninstrumented(), body);

@@ -23,9 +23,6 @@ pub struct SimConfig {
     pub finalize_time: VDur,
     /// Whether the run records a trace (instrumented) or not.
     pub instrumented: bool,
-    /// Calibrated busy-loop rate for real work mode (`None` = library
-    /// default; see [`ats_runtime::work::DEFAULT_ITERS_PER_SEC`]).
-    pub calibration: Option<f64>,
     /// Event-buffer pool the run's ranks draw from (`None` = fresh
     /// vectors). Pooling reuses capacity only; recorded traces are
     /// identical either way.
@@ -51,7 +48,6 @@ impl Default for SimConfig {
             init_time: VDur::from_millis(1),
             finalize_time: VDur::from_millis(1),
             instrumented: true,
-            calibration: None,
             trace_pool: None,
             obs: None,
             backend: SimBackend::default(),
@@ -80,7 +76,8 @@ impl SimConfig {
         self
     }
 
-    /// Builder: run with real (calibrated busy-loop) work.
+    /// Builder: run with real work: the busy loop at the rate
+    /// [`ats_runtime::work::iters_per_sec`] measures once per process.
     pub fn real_work(mut self) -> Self {
         self.work_mode = WorkMode::Real;
         self

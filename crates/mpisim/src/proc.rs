@@ -34,15 +34,12 @@ pub struct Proc {
     /// duplicated across codegen units at worst add a second entry — the
     /// table's ids stay consistent either way.
     interned: Vec<(usize, RegionId)>,
-    work_mode: WorkMode,
     seed: u64,
-    calibration: Option<f64>,
     thread_ids: Arc<AtomicU32>,
     omp_sync_ids: Arc<AtomicU32>,
 }
 
 impl Proc {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         rank: usize,
         nprocs: usize,
@@ -50,9 +47,7 @@ impl Proc {
         collector: TraceCollector,
         world: Arc<WorldShared>,
         world_comm: Arc<CommShared>,
-        work_mode: WorkMode,
         seed: u64,
-        calibration: Option<f64>,
     ) -> Self {
         let local = collector.local(LocationId::rank(rank as u32));
         let r_work = collector.intern("do_work", RegionKind::Work);
@@ -67,9 +62,7 @@ impl Proc {
             world_comm,
             r_work,
             interned: Vec::new(),
-            work_mode,
             seed,
-            calibration,
             thread_ids: Arc::new(AtomicU32::new(1)),
             // Per-rank OpenMP sync-id space, disjoint from MPI comm ids
             // (which stay far below 2^20) and from other ranks' spaces, so
@@ -143,17 +136,12 @@ impl Proc {
 
     /// The run's work mode.
     pub fn work_mode(&self) -> WorkMode {
-        self.work_mode
+        self.engine.mode()
     }
 
     /// The run's RNG root seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The run's real-work calibration, if any.
-    pub fn calibration(&self) -> Option<f64> {
-        self.calibration
     }
 
     /// Synchronization-context id allocator for OpenMP teams forked from

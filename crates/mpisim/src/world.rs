@@ -188,10 +188,7 @@ fn run_rank<R, F>(
 where
     F: Fn(&mut Proc) -> R,
 {
-    let mut engine = WorkEngine::new(config.work_mode, config.seed, rank as u64);
-    if let Some(rate) = config.calibration {
-        engine.set_calibration(rate);
-    }
+    let engine = WorkEngine::new(config.work_mode, config.seed, rank as u64);
     let mut proc = Proc::new(
         rank,
         config.nprocs,
@@ -199,9 +196,7 @@ where
         collector.clone(),
         world,
         world_comm,
-        config.work_mode,
         config.seed,
-        config.calibration,
     );
     proc.sim_init(config.init_time);
     let result = f(&mut proc);

@@ -35,8 +35,6 @@ pub trait Master {
     fn work_mode(&self) -> WorkMode;
     /// RNG root seed.
     fn seed(&self) -> u64;
-    /// Real-work calibration, if any.
-    fn calibration(&self) -> Option<f64>;
     /// Run-unique synchronization-context id allocator (shared with
     /// nested teams so every barrier/team gets a distinct `comm` id in the
     /// trace).
@@ -57,14 +55,10 @@ pub trait Master {
 pub struct OmpConfig {
     /// Cost model.
     pub model: MachineModel,
-    /// Work mode.
-    pub work_mode: WorkMode,
     /// RNG root seed.
     pub seed: u64,
     /// Record a trace?
     pub instrumented: bool,
-    /// Real-work calibration.
-    pub calibration: Option<f64>,
     /// Event-buffer pool for the run's threads (`None` = fresh vectors).
     /// Pooling reuses capacity only; recorded traces are identical.
     pub trace_pool: Option<ats_trace::TracePool>,
@@ -74,10 +68,8 @@ impl Default for OmpConfig {
     fn default() -> Self {
         OmpConfig {
             model: MachineModel::default(),
-            work_mode: WorkMode::Virtual,
             seed: 0x0907_5EED,
             instrumented: true,
-            calibration: None,
             trace_pool: None,
         }
     }
@@ -98,10 +90,7 @@ pub struct SeqMaster {
 impl SeqMaster {
     fn new(config: OmpConfig, collector: TraceCollector) -> Self {
         let local = collector.local(LocationId::rank(0));
-        let mut engine = WorkEngine::new(config.work_mode, config.seed, 0);
-        if let Some(rate) = config.calibration {
-            engine.set_calibration(rate);
-        }
+        let engine = WorkEngine::new(WorkMode::Virtual, config.seed, 0);
         SeqMaster {
             clock: VTime::ZERO,
             collector,
@@ -163,13 +152,10 @@ impl Master for SeqMaster {
         &self.config.model
     }
     fn work_mode(&self) -> WorkMode {
-        self.config.work_mode
+        self.engine.mode()
     }
     fn seed(&self) -> u64 {
         self.config.seed
-    }
-    fn calibration(&self) -> Option<f64> {
-        self.config.calibration
     }
     fn sync_ids(&self) -> Arc<AtomicU32> {
         self.sync_ids.clone()

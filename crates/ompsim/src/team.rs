@@ -38,8 +38,6 @@ pub struct TeamShared {
     pub thread_ids: Arc<AtomicU32>,
     /// RNG root seed inherited by team members.
     pub seed: u64,
-    /// Real-work calibration inherited by team members.
-    pub calibration: Option<f64>,
 }
 
 impl TeamShared {

@@ -386,9 +386,6 @@ impl Master for OmpThread<'_> {
     fn seed(&self) -> u64 {
         self.team.seed
     }
-    fn calibration(&self) -> Option<f64> {
-        self.team.calibration
-    }
     fn sync_ids(&self) -> Arc<AtomicU32> {
         self.team.sync_ids.clone()
     }
@@ -417,7 +414,6 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
     let rank = m.rank();
     let seed = m.seed();
     let work_mode = m.work_mode();
-    let calibration = m.calibration();
     let master_loc = m.location();
     let r_par = collector.intern("omp_parallel", RegionKind::OmpParallel);
     let r_work = collector.intern("do_work", RegionKind::Work);
@@ -441,7 +437,6 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
         sync_ids: m.sync_ids(),
         thread_ids: m.thread_ids(),
         seed,
-        calibration,
     };
     let base = if nthreads > 1 {
         team.thread_ids
@@ -450,13 +445,8 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
         0
     };
 
-    let mk_engine = |thread_id: u32| {
-        let mut e = WorkEngine::new(work_mode, seed, ((rank as u64) << 32) | thread_id as u64);
-        if let Some(rate) = calibration {
-            e.set_calibration(rate);
-        }
-        e
-    };
+    let mk_engine =
+        |thread_id: u32| WorkEngine::new(work_mode, seed, ((rank as u64) << 32) | thread_id as u64);
 
     let join_time = sched::scope(|s| {
         for tid in 1..nthreads {

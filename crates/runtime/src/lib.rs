@@ -22,7 +22,9 @@
 //! * **Calibrated real work** ([`work::WorkEngine`] in `Real` mode): a
 //!   faithful port of the paper's `do_work` busy loop — random reads and
 //!   writes over two large arrays, driven by a lock-free splittable RNG
-//!   ([`rng::SplitMix64`]), with an installation-time calibration phase.
+//!   ([`rng::SplitMix64`]), at a rate measured once per process
+//!   ([`work::iters_per_sec`]), as the paper calibrates once at
+//!   installation.
 //!
 //! Higher layers (the MPI and OpenMP substrates) consume both: virtual mode
 //! for correctness experiments and unit tests, real mode for wall-clock

@@ -15,9 +15,15 @@
 //!   wall-clock benchmarking of the suite and for overhead experiments.
 //!   Each engine owns its RNG ([`crate::SplitMix64`]), reproducing the
 //!   paper's lock-free-parallel-RNG fix.
+//!
+//! The loop's rate is the paper's installation-time calibration, taken
+//! once per process: [`iters_per_sec`] measures it on first use (the
+//! first real-mode `do_work`, or an explicit call before a timed run) and
+//! every engine reads the same value after that.
 
 use crate::rng::SplitMix64;
 use crate::time::VDur;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// How `do_work` consumes the requested time.
@@ -45,8 +51,6 @@ const PROBE_ITERS: u64 = 200_000;
 pub struct WorkEngine {
     mode: WorkMode,
     rng: SplitMix64,
-    /// Calibrated busy-loop iterations per virtual second (real mode only).
-    iters_per_sec: f64,
     scratch: Option<Box<Scratch>>,
     /// Total virtual work consumed through this engine.
     consumed: VDur,
@@ -65,7 +69,6 @@ impl WorkEngine {
         WorkEngine {
             mode,
             rng: SplitMix64::split(seed, stream),
-            iters_per_sec: DEFAULT_ITERS_PER_SEC,
             scratch: None,
             consumed: VDur::ZERO,
         }
@@ -76,16 +79,6 @@ impl WorkEngine {
         self.mode
     }
 
-    /// Install a calibration result (iterations per second) obtained from
-    /// [`calibrate`]. Only meaningful in real mode.
-    pub fn set_calibration(&mut self, iters_per_sec: f64) {
-        assert!(
-            iters_per_sec.is_finite() && iters_per_sec > 0.0,
-            "calibration must be positive and finite"
-        );
-        self.iters_per_sec = iters_per_sec;
-    }
-
     /// Consume `amount` of work and return the duration by which the
     /// caller's virtual clock must advance (always exactly `amount`).
     ///
@@ -94,7 +87,7 @@ impl WorkEngine {
     pub fn do_work(&mut self, amount: VDur) -> VDur {
         self.consumed += amount;
         if self.mode == WorkMode::Real && !amount.is_zero() {
-            let iters = (amount.as_secs() * self.iters_per_sec).round() as u64;
+            let iters = (amount.as_secs() * iters_per_sec()).round() as u64;
             self.burn(iters);
         }
         amount
@@ -140,15 +133,17 @@ impl WorkEngine {
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Fallback iterations-per-second used before calibration: deliberately
-/// conservative (a ~2002 CPU) so uncalibrated real runs err on the side of
-/// too much work rather than vanishing workloads.
-pub const DEFAULT_ITERS_PER_SEC: f64 = 5.0e7;
+/// The real-mode loop rate on this host, in iterations per second: the
+/// ATS "configuration phase during installation", measured by the first
+/// call in the process and returned unchanged by every later one.
+pub fn iters_per_sec() -> f64 {
+    static RATE: OnceLock<f64> = OnceLock::new();
+    *RATE.get_or_init(calibrate)
+}
 
-/// Measure the real-mode loop rate on this host: the ATS "configuration
-/// phase during installation". Runs a handful of probes and returns the
-/// median iterations-per-second.
-pub fn calibrate() -> f64 {
+/// Measure the loop rate: a handful of probes, and their median
+/// iterations per second.
+fn calibrate() -> f64 {
     let mut engine = WorkEngine::new(WorkMode::Real, 0xCA11_B8A7E, 0);
     // Warm up: allocate scratch and fault pages in.
     engine.burn(PROBE_ITERS / 4);
@@ -192,7 +187,7 @@ mod tests {
     #[test]
     fn real_mode_burns_measurable_time() {
         let mut e = WorkEngine::new(WorkMode::Real, 1, 0);
-        e.set_calibration(calibrate());
+        iters_per_sec(); // calibrate outside the timed span
         let t0 = Instant::now();
         e.do_work(VDur::from_millis(20));
         let elapsed = t0.elapsed().as_millis();
@@ -205,15 +200,9 @@ mod tests {
 
     #[test]
     fn calibration_is_positive() {
-        let rate = calibrate();
+        let rate = iters_per_sec();
         assert!(rate > 1e5, "implausibly slow host: {rate} iters/s");
-    }
-
-    #[test]
-    #[should_panic(expected = "calibration must be positive")]
-    fn rejects_nonpositive_calibration() {
-        let mut e = WorkEngine::new(WorkMode::Real, 1, 0);
-        e.set_calibration(0.0);
+        assert_eq!(iters_per_sec().to_bits(), rate.to_bits());
     }
 
     #[test]

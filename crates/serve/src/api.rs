@@ -2,8 +2,8 @@
 //!
 //! | Route | Semantics |
 //! |---|---|
-//! | `POST /v1/analyze` | one scenario spec line in, `ats-report/1` bytes out (read-through cached) |
-//! | `POST /v1/campaign` | JSONL spec in, streamed `ats-serve-row/1` JSONL out |
+//! | `POST /v1/analyze` | one scenario text line in, `ats-report/1` bytes out (read-through cached) |
+//! | `POST /v1/campaign` | one scenario text line per spec in, streamed `ats-serve-row/1` JSONL out |
 //! | `GET /v1/artifacts/{key}/{file}` | raw cached artifact (`row.json`, `report.json`, `trace.atsb`) |
 //! | `GET /metrics` | Prometheus text exposition of the session registry |
 //! | `GET /v1/version` | schema + analysis version document |
@@ -26,6 +26,10 @@ use ats_harness::Session;
 use ats_store::CacheKey;
 use std::io::{self, Write};
 
+/// Scenarios per pool batch when streaming a campaign: rows are written
+/// as each batch completes.
+const CAMPAIGN_CHUNK: usize = 32;
+
 /// Everything a request handler needs, shared across workers.
 #[derive(Debug, Clone)]
 pub struct AppState {
@@ -33,8 +37,6 @@ pub struct AppState {
     pub session: Session,
     /// Per-tenant budgets.
     pub gov: TenantGov,
-    /// Scenarios per pool batch when streaming a campaign.
-    pub campaign_chunk: usize,
 }
 
 impl AppState {
@@ -290,7 +292,7 @@ fn campaign(
     let jobs = state
         .gov
         .campaign_jobs(state.session.opts().jobs, max_nprocs);
-    for chunk in scenarios.chunks(self::chunk_size(state)) {
+    for chunk in scenarios.chunks(CAMPAIGN_CHUNK) {
         let results = run_indexed(jobs.min(chunk.len()).max(1), chunk.len(), |i| {
             run_scenario(state, &chunk[i])
         });
@@ -312,10 +314,6 @@ fn campaign(
     }
     http::finish_chunked(stream)?;
     Ok(keep)
-}
-
-fn chunk_size(state: &AppState) -> usize {
-    state.campaign_chunk.max(1)
 }
 
 /// Summarize a finished scenario as a streamed row. The summary is read

@@ -244,16 +244,11 @@ impl Client {
         })
     }
 
-    /// `POST /v1/campaign` with a JSONL spec body; one result per
-    /// streamed line (a row, or the error the server reported for that
-    /// scenario).
-    pub fn campaign(&mut self, jsonl: &str) -> Result<Vec<Result<RowDoc, Error>>, Error> {
-        let resp = self.request(
-            "POST",
-            "/v1/campaign",
-            Some("application/jsonl"),
-            jsonl.as_bytes(),
-        )?;
+    /// `POST /v1/campaign` with one scenario text line per spec; one
+    /// result per streamed line (a row, or the error the server reported
+    /// for that scenario).
+    pub fn campaign(&mut self, specs: &str) -> Result<Vec<Result<RowDoc, Error>>, Error> {
+        let resp = self.request("POST", "/v1/campaign", Some("text/plain"), specs.as_bytes())?;
         let resp = expect_status(resp, 200)?;
         let text = resp.text();
         Ok(text

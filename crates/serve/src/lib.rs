@@ -6,11 +6,12 @@
 //! versioned HTTP surface so many clients can share one warm artifact
 //! store:
 //!
-//! - `POST /v1/analyze` — one scenario spec (text or JSON form) in, the
-//!   frozen `ats-report/1` report bytes out, read-through against the
+//! - `POST /v1/analyze` — one scenario text line in, the frozen
+//!   `ats-report/1` report bytes out, read-through against the
 //!   content-addressed store (`x-ats-cache: hit|miss`, `x-ats-key`).
-//! - `POST /v1/campaign` — a JSONL campaign in, `ats-serve-row/1` rows
-//!   streamed back as each pool batch completes.
+//! - `POST /v1/campaign` — one scenario text line per spec in,
+//!   `ats-serve-row/1` JSONL rows streamed back as each pool batch
+//!   completes.
 //! - `GET /v1/artifacts/{key}/{file}` — raw stored artifacts
 //!   (`report.json`, `trace.atsb`).
 //! - `GET /metrics` — Prometheus text for the shared session registry.

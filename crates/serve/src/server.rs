@@ -61,8 +61,6 @@ pub struct ServeConfig {
     pub request_timeout: Duration,
     /// HTTP framing limits.
     pub limits: Limits,
-    /// Scenarios per pool batch when streaming campaigns.
-    pub campaign_chunk: usize,
 }
 
 impl Default for ServeConfig {
@@ -74,7 +72,6 @@ impl Default for ServeConfig {
             tenant_inflight: 256,
             request_timeout: Duration::from_secs(10),
             limits: Limits::default(),
-            campaign_chunk: 32,
         }
     }
 }
@@ -188,11 +185,7 @@ pub fn start(session: Session, config: ServeConfig) -> io::Result<ServerHandle> 
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let gov = TenantGov::new(config.tenant_inflight);
-    let state = AppState {
-        session,
-        gov,
-        campaign_chunk: config.campaign_chunk,
-    };
+    let state = AppState { session, gov };
     let workers = if config.workers == 0 {
         default_workers()
     } else {

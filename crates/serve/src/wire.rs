@@ -22,7 +22,7 @@ pub const ROW_SCHEMA: &str = "ats-serve-row/1";
 /// Schema tag of error bodies.
 pub const ERROR_SCHEMA: &str = "ats-serve-error/1";
 /// Schema tag of the service's cache-key ingredient documents.
-pub const KEY_SCHEMA: &str = "ats-serve-key/2";
+pub const KEY_SCHEMA: &str = "ats-serve-key/3";
 
 /// An error body: the stable `ats_core::ErrorKind` discriminant plus the
 /// rendered message.
@@ -205,7 +205,8 @@ mod tests {
     }
 
     /// The service and the experiment engine describe one execution with
-    /// the same ingredients, and neither names the scheduler's carrier.
+    /// the same ingredients, and neither names the scheduler's carrier or
+    /// a work mode.
     #[test]
     fn key_documents_share_the_execution_model() {
         let opts = RunOpts::default().realistic();
@@ -215,7 +216,6 @@ mod tests {
             ats_harness::cache::config_key_doc("late_sender", "r=3", 8, &opts, &analyzer);
         for field in [
             "model",
-            "work_mode",
             "base",
             "init_time_ns",
             "finalize_time_ns",
@@ -225,10 +225,7 @@ mod tests {
             assert!(serve.get(field).is_some(), "{field}");
             assert_eq!(serve.get(field), experiment.get(field), "{field}");
         }
-        assert_eq!(
-            serve.get("work_mode").and_then(Json::as_str),
-            Some("virtual")
-        );
+        assert!(serve.get("work_mode").is_none());
         assert!(serve.get("backend").is_none());
     }
 

@@ -14,7 +14,7 @@
 //! missing or torn. The store reads such a file as a miss (a torn one as
 //! a counted integrity miss) and re-executes it; see `store.rs`.
 
-use crate::json::Json;
+use crate::Json;
 use ats_core::Error;
 use std::fs;
 use std::path::Path;

@@ -5,8 +5,8 @@
 //! that determines the result bytes — the scenario spec or property and
 //! full parameter assignment, plus the execution ingredients that
 //! `harness::cache::execution_key_doc` lists once for every engine
-//! (machine model, work mode, message shape, analyzer version and
-//! configuration, trace format). Anything that only changes *how* a
+//! (machine model, message shape, init/finalize costs, analyzer version
+//! and configuration, trace format). Anything that only changes *how* a
 //! result is computed (worker count, scheduler carrier, buffer pooling,
 //! observability) must stay out of the document: two runs that provably
 //! produce the same bytes must map to the same key, or the cache never
@@ -18,7 +18,7 @@
 //! regardless of insertion order or platform.
 
 use crate::hash::xxh64;
-use crate::json::Json;
+use crate::Json;
 use std::fmt;
 
 /// Seed for the second key lane (the golden-ratio constant); lane one

@@ -34,12 +34,6 @@ pub mod key;
 pub mod mode;
 pub mod store;
 
-/// The canonical JSON model (`ats_core::json`; re-exported here for the
-/// store's original callers).
-pub mod json {
-    pub use ats_core::json::*;
-}
-
 pub use ats_core::json::Json;
 pub use key::CacheKey;
 pub use mode::CacheMode;

@@ -31,8 +31,8 @@
 //! re-executes and overwrites.
 
 use crate::atomic::{write_atomic, write_atomic_json};
-use crate::json::Json;
 use crate::key::CacheKey;
+use crate::Json;
 use ats_core::Error;
 use std::collections::BTreeMap;
 use std::fs;

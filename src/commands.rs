@@ -503,7 +503,7 @@ fn serve(args: &CommonArgs) -> Result<bool, CliError> {
         crate::serve::start(session, config).map_err(|e| failed(format!("cannot start: {e}")))?;
     println!("ats-serve listening on http://{}", handle.addr());
     println!("  POST /v1/analyze    one scenario spec line -> ats-report/1");
-    println!("  POST /v1/campaign   JSONL specs -> streamed ats-serve-row/1");
+    println!("  POST /v1/campaign   spec lines -> streamed ats-serve-row/1");
     println!("  GET  /v1/artifacts/{{key}}/{{file}}");
     println!("  GET  /metrics | /v1/version | /healthz");
     loop {

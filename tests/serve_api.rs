@@ -15,6 +15,8 @@ use ats_testutil::TempDir;
 
 const SPEC: &str = "seed=7 nprocs=2 | whole g0:late_sender r=1";
 const SPEC2: &str = "seed=8 nprocs=2 | whole g0:late_sender r=1";
+/// `SPEC` in the JSON object layout, which is not a scenario wire form.
+const SPEC_JSON: &str = r#"{"nprocs":2,"seed":7,"slots":[{"phases":[{"group":0,"params":{"r":"1"},"property":"late_sender"}],"split":"whole"}]}"#;
 
 fn boot(dir: &TempDir, config: ServeConfig) -> ServerHandle {
     let session = Session::builder()
@@ -65,7 +67,7 @@ fn malformed_specs_are_400_with_the_error_discriminant() {
     let server = default_boot(&dir);
     let mut client = Client::new(server.addr());
 
-    for body in ["{not json", "", "seed=1 nprocs=0 |"] {
+    for body in ["{not json", "", "seed=1 nprocs=0 |", SPEC_JSON] {
         let resp = client
             .request("POST", "/v1/analyze", Some("text/plain"), body.as_bytes())
             .expect("transport ok");
@@ -192,8 +194,8 @@ fn campaigns_stream_rows_in_input_order() {
     let server = default_boot(&dir);
     let mut client = Client::new(server.addr());
 
-    let jsonl = format!("{SPEC}\n{SPEC2}\n");
-    let rows = client.campaign(&jsonl).expect("campaign streams");
+    let body = format!("{SPEC}\n{SPEC2}\n");
+    let rows = client.campaign(&body).expect("campaign streams");
     assert_eq!(rows.len(), 2);
     let rows: Vec<_> = rows.into_iter().map(|r| r.expect("row ok")).collect();
     assert_eq!(
@@ -210,7 +212,7 @@ fn campaigns_stream_rows_in_input_order() {
     );
 
     // A second pass replays every row from the store.
-    let rows = client.campaign(&jsonl).expect("warm campaign");
+    let rows = client.campaign(&body).expect("warm campaign");
     for row in rows {
         assert!(row.expect("row ok").cached, "warm campaign rows replay");
     }
@@ -223,17 +225,14 @@ fn campaign_with_a_bad_line_fails_whole_request_naming_the_line() {
     let server = default_boot(&dir);
     let mut client = Client::new(server.addr());
 
-    let jsonl = format!("{SPEC}\n{{broken\n");
-    let resp = client
-        .request(
-            "POST",
-            "/v1/campaign",
-            Some("application/jsonl"),
-            jsonl.as_bytes(),
-        )
-        .expect("transport ok");
-    assert_eq!(resp.status, 400, "{}", resp.text());
-    assert!(resp.text().contains("line 2"), "{}", resp.text());
+    for bad in ["{broken", SPEC_JSON] {
+        let body = format!("{SPEC}\n{bad}\n");
+        let resp = client
+            .request("POST", "/v1/campaign", Some("text/plain"), body.as_bytes())
+            .expect("transport ok");
+        assert_eq!(resp.status, 400, "{bad}: {}", resp.text());
+        assert!(resp.text().contains("line 2"), "{bad}: {}", resp.text());
+    }
     server.shutdown();
 }
 
