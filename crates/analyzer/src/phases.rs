@@ -42,13 +42,6 @@ pub struct PhaseReport {
     pub series: Vec<PhaseSeries>,
 }
 
-impl PhaseReport {
-    /// The series for `property`, if it produced any waiting.
-    pub fn series_for(&self, property: &str) -> Option<&PhaseSeries> {
-        self.series.iter().find(|s| s.property == property)
-    }
-}
-
 /// Kendall tau between a sequence and its index order.
 fn trend_of(values: &[f64]) -> f64 {
     let n = values.len();
@@ -205,6 +198,13 @@ mod tests {
     };
     use ats_mpi::SimConfig;
     use ats_runtime::MachineModel;
+
+    impl PhaseReport {
+        /// The series for `property`, if it produced any waiting.
+        fn series_for(&self, property: &str) -> Option<&PhaseSeries> {
+            self.series.iter().find(|s| s.property == property)
+        }
+    }
 
     fn cfg(n: usize) -> SimConfig {
         SimConfig {

@@ -147,30 +147,6 @@ impl PropertyKind {
         }
     }
 
-    /// Human-readable description.
-    pub fn describe(self) -> &'static str {
-        use PropertyKind::*;
-        match self {
-            Time => "total allocated time",
-            MpiTime => "time in MPI operations",
-            MpiCommunication => "time in MPI communication",
-            OmpTime => "time in OpenMP constructs",
-            LateSender => "receiver blocked by a late sender",
-            LateReceiver => "sender blocked by a late receiver",
-            MessagesWrongOrder => "receiver blocked while a later message already waits",
-            WaitAtBarrier => "waiting for the last arriver at a barrier",
-            WaitAtNxN => "waiting for the last arriver at an N-to-N collective",
-            LateBroadcast => "waiting for a late root in a broadcast",
-            LateScatter => "waiting for a late root in a scatter",
-            EarlyReduce => "root waiting for late members in a reduction",
-            EarlyGather => "root waiting for late members in a gather",
-            MpiSetupOverhead => "MPI initialization/finalization overhead",
-            OmpImbalanceInRegion => "idle threads at the parallel-region join",
-            OmpWaitAtBarrier => "waiting at an OpenMP barrier",
-            OmpCriticalContention => "waiting to enter a contended critical section",
-        }
-    }
-
     /// All leaf properties (the detectable wait states). A leaf may
     /// refine another: `MessagesWrongOrder` sits under `LateSender`.
     pub fn leaves() -> &'static [PropertyKind] {

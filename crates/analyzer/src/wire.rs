@@ -141,7 +141,7 @@ impl ReportDoc {
     }
 
     /// Parse a canonical value back, verifying the schema tag.
-    pub fn from_value(v: &Json) -> Result<ReportDoc, Error> {
+    fn from_value(v: &Json) -> Result<ReportDoc, Error> {
         let schema = str_field(v, "schema")?;
         if schema != REPORT_SCHEMA {
             return Err(Error::report(format!(

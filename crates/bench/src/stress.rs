@@ -304,6 +304,29 @@ mod tests {
         }
     }
 
+    /// The correctness half of `ats bench trace`'s stress section: the
+    /// streaming pass over a stress file reports what the materializing
+    /// pass reports, over the same number of events.
+    #[test]
+    fn streaming_the_stress_file_matches_the_materializing_report() {
+        use ats_analyzer::{analyze, analyze_stream, AnalyzerConfig};
+        let mut buf = Vec::new();
+        let cfg = StressConfig {
+            ranks: 8,
+            reps: 16,
+            inner: 2,
+        };
+        write_stress(&cfg, &mut buf).unwrap();
+        let config = AnalyzerConfig::default();
+        let (streamed, stats) = analyze_stream(buf.as_slice(), &config).unwrap();
+        let trace = ats_trace::binfmt::decode(&buf).unwrap();
+        assert_eq!(stats.events, trace.num_events() as u64);
+        assert_eq!(stats.events, cfg.events_total());
+        let materialized = analyze(&trace, &config);
+        assert!(!materialized.findings.is_empty(), "planted properties");
+        assert_eq!(streamed.to_json(), materialized.to_json());
+    }
+
     #[test]
     fn sized_config_lands_near_the_requested_size() {
         let cfg = StressConfig::sized_mb(16, 2);

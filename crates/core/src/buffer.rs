@@ -34,16 +34,6 @@ impl MpiBuf {
         &self.data
     }
 
-    /// Mutable payload bytes.
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
-    /// Payload size in bytes.
-    pub fn len_bytes(&self) -> usize {
-        self.data.len()
-    }
-
     /// Overwrite the payload from raw bytes (must match the buffer size).
     pub fn fill_from(&mut self, bytes: &[u8]) {
         assert_eq!(
@@ -53,14 +43,6 @@ impl MpiBuf {
             self.data.len()
         );
         self.data.copy_from_slice(bytes);
-    }
-
-    /// Fill with a deterministic per-element pattern (for validation
-    /// kernels that check data integrity through communication).
-    pub fn fill_pattern(&mut self, seed: u8) {
-        for (i, b) in self.data.iter_mut().enumerate() {
-            *b = seed.wrapping_add(i as u8);
-        }
     }
 }
 
@@ -114,18 +96,6 @@ impl MpiVBuf {
     pub fn byte_counts(&self) -> Vec<usize> {
         self.counts.iter().map(|&c| c * self.dtype.size()).collect()
     }
-
-    /// Total payload bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// The byte range belonging to `rank`.
-    pub fn slice_for(&self, rank: usize) -> &[u8] {
-        let s = self.displs[rank] * self.dtype.size();
-        let e = s + self.counts[rank] * self.dtype.size();
-        &self.data[s..e]
-    }
 }
 
 /// The suite-wide default message shape (the paper's `set_base_comm`
@@ -169,7 +139,7 @@ mod tests {
     #[test]
     fn alloc_zeroes_and_sizes() {
         let b = alloc_mpi_buf(Datatype::Int32, 10);
-        assert_eq!(b.len_bytes(), 40);
+        assert_eq!(b.bytes().len(), 40);
         assert!(b.bytes().iter().all(|&x| x == 0));
     }
 
@@ -178,8 +148,6 @@ mod tests {
         let mut b = alloc_mpi_buf(Datatype::Byte, 4);
         b.fill_from(&[1, 2, 3, 4]);
         assert_eq!(b.bytes(), &[1, 2, 3, 4]);
-        b.fill_pattern(10);
-        assert_eq!(b.bytes(), &[10, 11, 12, 13]);
     }
 
     #[test]
@@ -194,7 +162,7 @@ mod tests {
         let v = alloc_mpi_vbuf(Datatype::Float64, &df, 1.0, 0, 4);
         assert_eq!(v.counts, vec![1, 2, 3, 4]);
         assert_eq!(v.displs, vec![0, 1, 3, 6]);
-        assert_eq!(v.total_bytes(), 10 * 8);
+        assert_eq!(v.data.len(), 10 * 8);
         assert_eq!(v.byte_counts(), vec![8, 16, 24, 32]);
     }
 
@@ -202,17 +170,18 @@ mod tests {
     fn vbuf_slices_partition_payload() {
         let df = Distr::cyclic2(2.0, 3.0);
         let v = alloc_mpi_vbuf(Datatype::Int32, &df, 1.0, 1, 3);
-        let total: usize = (0..3).map(|r| v.slice_for(r).len()).sum();
-        assert_eq!(total, v.total_bytes());
-        assert_eq!(v.slice_for(0).len(), 8);
-        assert_eq!(v.slice_for(1).len(), 12);
+        // The per-rank byte counts `scatterv` takes cover the payload.
+        let counts = v.byte_counts();
+        assert_eq!(counts.iter().sum::<usize>(), v.data.len());
+        assert_eq!(counts[0], 8);
+        assert_eq!(counts[1], 12);
     }
 
     #[test]
     fn base_comm_default_is_eager_sized() {
         let base = BaseComm::default();
         assert_eq!(base.bytes(), 2048);
-        assert_eq!(base.alloc().len_bytes(), 2048);
+        assert_eq!(base.alloc().bytes().len(), 2048);
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl ParamSpec {
     }
 
     /// True if either bound is declared.
-    pub fn has_range(&self) -> bool {
+    fn has_range(&self) -> bool {
         !self.min.is_empty() || !self.max.is_empty()
     }
 

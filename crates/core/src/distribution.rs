@@ -9,6 +9,7 @@
 //! to reproduce in a typed language; custom shapes plug in through
 //! [`Distr::Custom`]).
 
+use crate::error::quote;
 use ats_runtime::VDur;
 use std::fmt;
 use std::str::FromStr;
@@ -141,11 +142,6 @@ impl Distr {
         Distr::Block3 { low, med, high }
     }
 
-    /// A custom shape.
-    pub fn custom(f: impl Fn(usize, usize) -> f64 + Send + Sync + 'static) -> Self {
-        Distr::Custom(Arc::new(f))
-    }
-
     /// The value assigned to participant `me` of `sz`, scaled by `scale`.
     /// This is the paper's `df(me, sz, sf, dd)`.
     pub fn value(&self, me: usize, sz: usize, scale: f64) -> f64 {
@@ -261,10 +257,11 @@ impl FromStr for Distr {
         for kv in rest.split(',').filter(|p| !p.is_empty()) {
             let (k, v) = kv
                 .split_once('=')
-                .ok_or_else(|| ParseDistrError(format!("missing '=' in `{kv}`")))?;
+                .ok_or_else(|| ParseDistrError(format!("missing '=' in {}", quote(kv))))?;
             let parse_f = || {
-                v.parse::<f64>()
-                    .map_err(|_| ParseDistrError(format!("bad number `{v}` for `{k}`")))
+                v.parse::<f64>().map_err(|_| {
+                    ParseDistrError(format!("bad number {} for {}", quote(v), quote(k)))
+                })
             };
             match k.trim() {
                 "low" => low = Some(parse_f()?),
@@ -272,16 +269,14 @@ impl FromStr for Distr {
                 "med" => med = Some(parse_f()?),
                 "val" => val = Some(parse_f()?),
                 "n" => {
-                    n = Some(
-                        v.parse::<usize>()
-                            .map_err(|_| ParseDistrError(format!("bad index `{v}` for `n`")))?,
-                    )
+                    let bad = || ParseDistrError(format!("bad index {} for `n`", quote(v)));
+                    n = Some(v.parse::<usize>().map_err(|_| bad())?);
                 }
-                other => return Err(ParseDistrError(format!("unknown key `{other}`"))),
+                other => return Err(ParseDistrError(format!("unknown key {}", quote(other)))),
             }
         }
         let req = |o: Option<f64>, k: &str| {
-            o.ok_or_else(|| ParseDistrError(format!("{shape} requires `{k}`")))
+            o.ok_or_else(|| ParseDistrError(format!("{} requires `{k}`", quote(shape))))
         };
         match shape.trim() {
             "same" => Ok(Distr::same(req(val, "val")?)),
@@ -303,7 +298,7 @@ impl FromStr for Distr {
                 req(med, "med")?,
                 req(high, "high")?,
             )),
-            other => Err(ParseDistrError(format!("unknown shape `{other}`"))),
+            other => Err(ParseDistrError(format!("unknown shape {}", quote(other)))),
         }
     }
 }
@@ -391,7 +386,7 @@ mod tests {
 
     #[test]
     fn custom_shape() {
-        let d = Distr::custom(|me, sz| (me * sz) as f64);
+        let d = Distr::Custom(Arc::new(|me, sz| (me * sz) as f64));
         assert_eq!(d.values(3, 1.0), vec![0.0, 3.0, 6.0]);
     }
 

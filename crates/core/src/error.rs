@@ -6,13 +6,31 @@
 //! CI scripts, the fuzz campaign) can branch on a stable machine-readable
 //! [`ErrorKind`] discriminant instead of string-matching rendered messages.
 //!
-//! The attribution contract of the old harness `RunError` is preserved:
 //! [`Error::in_config`] attaches the property name and full parameter
 //! assignment exactly once, so a failing configuration inside a
 //! pool-parallel sweep is identifiable from the error alone, without
 //! re-running the sweep serially.
+//!
+//! Messages quote offending input through [`quote`], so an error stays
+//! small however large the input that caused it.
 
 use ats_trace::io::TraceIoError;
+
+/// The most bytes of offending input an error message quotes.
+const QUOTE_LIMIT: usize = 64;
+
+/// Quote offending input for an error message: in backticks, cut to at
+/// most 64 bytes on a char boundary, and stating the full length when cut.
+pub fn quote(text: &str) -> String {
+    if text.len() <= QUOTE_LIMIT {
+        return format!("`{text}`");
+    }
+    let mut end = QUOTE_LIMIT;
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("`{}…` ({} bytes)", &text[..end], text.len())
+}
 
 /// Stable failure category. The [`ErrorKind::as_str`] discriminants are a
 /// compatibility surface: scripts may match on them, so variants may be
@@ -100,7 +118,7 @@ impl Error {
     pub fn unknown_property(name: &str) -> Self {
         Error::new(
             ErrorKind::UnknownProperty,
-            format!("unknown property function `{name}`"),
+            format!("unknown property function {}", quote(name)),
         )
     }
 

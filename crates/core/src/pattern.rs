@@ -129,7 +129,7 @@ mod tests {
         run(cfg(4), |p| {
             let c = p.comm_world();
             let mut buf = alloc_mpi_buf(Datatype::Byte, 8);
-            buf.fill_pattern(p.rank() as u8);
+            buf.fill_from(&[p.rank() as u8; 8]);
             sendrecv(p, &buf, Dir::Up, PatternMode::default(), &c);
             // The pattern itself checks nothing about payloads (receive
             // data is pattern-internal); what matters is that it completes

@@ -73,37 +73,6 @@ pub fn mpi_in_omp_serial(
     });
 }
 
-/// *Nested Imbalance*: an imbalanced inner team inside each member of an
-/// imbalanced outer team, inside every rank — the stress case the paper
-/// sketches for testing tools on "several OpenMP thread groups, each
-/// executing different or the same sets of performance property functions
-/// in parallel".
-pub fn nested_omp_imbalance(
-    p: &mut Proc,
-    outer_threads: usize,
-    inner_threads: usize,
-    df: &Distr,
-    r: usize,
-    comm: &Comm,
-) {
-    let _ = comm;
-    frame_mpi(p, "nested_omp_imbalance", |p| {
-        for _ in 0..r {
-            with_omp(p, |m| {
-                parallel(m, outer_threads, |outer| {
-                    let outer_id = outer.thread_num();
-                    let outer_n = outer.num_threads();
-                    parallel(outer, inner_threads, |inner| {
-                        let scale = df.value(outer_id, outer_n, 1.0);
-                        let w = df.work(inner.thread_num(), inner.num_threads(), scale);
-                        inner.do_work(w);
-                    });
-                });
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,16 +126,5 @@ mod tests {
             assert_eq!(p.clock(), VTime::from_secs(0.034));
         });
         assert!(trace.find_region("mpi_in_omp_serial").is_some());
-    }
-
-    #[test]
-    fn nested_imbalance_completes_wellformed() {
-        let df = Distr::linear(0.001, 0.004);
-        let trace = ats_mpi::run(cfg(2), |p| {
-            let c = p.comm_world();
-            nested_omp_imbalance(p, 2, 2, &df, 2, &c);
-        });
-        assert!(check_wellformed(&trace).is_empty());
-        assert!(trace.find_region("nested_omp_imbalance").is_some());
     }
 }

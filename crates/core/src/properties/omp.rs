@@ -10,8 +10,8 @@
 //!
 //! plus the worksharing/synchronization properties the ASL catalog lists
 //! as required for a complete OpenMP suite: sections imbalance,
-//! `single`/`master` serialization, critical-section contention, and
-//! frequent-synchronization overhead.
+//! `single`/`master` serialization, and critical-section and lock
+//! contention.
 //!
 //! All functions take any [`Master`] — a standalone program, an MPI rank
 //! (hybrid), or an enclosing thread (nested parallelism) — plus the team
@@ -80,30 +80,6 @@ pub fn imbalance_in_omp_loop<M: Master>(m: &mut M, nthreads: usize, df: &Distr, 
             for _ in 0..r {
                 th.for_loop(n, Schedule::Static(Some(1)), |th, i| {
                     th.do_work(df.work(i, n, 1.0));
-                });
-            }
-        });
-    });
-}
-
-/// *Imbalance in OpenMP Loop (dynamic)* — extension: the same shaped loop
-/// under `schedule(dynamic)`, which *repairs* most of the imbalance; the
-/// pair (static, dynamic) gives an analyzer a positive/negative contrast
-/// on the same code shape.
-pub fn imbalance_in_omp_loop_dynamic<M: Master>(
-    m: &mut M,
-    nthreads: usize,
-    df: &Distr,
-    iters_per_thread: usize,
-    r: usize,
-) {
-    frame_omp(m, "imbalance_in_omp_loop_dynamic", |m| {
-        parallel(m, nthreads, |th| {
-            let n = th.num_threads();
-            let iters = n * iters_per_thread;
-            for _ in 0..r {
-                th.for_loop(iters, Schedule::Dynamic(1), |th, i| {
-                    th.do_work(df.work(i % n, n, 1.0));
                 });
             }
         });
@@ -222,20 +198,6 @@ pub fn omp_lock_contention<M: Master>(
     });
 }
 
-/// *Frequent Synchronization* — extension: almost no work between many
-/// barriers, so the barrier overhead itself dominates. Only visible with a
-/// non-zero machine model.
-pub fn omp_frequent_barrier<M: Master>(m: &mut M, nthreads: usize, work: f64, r: usize) {
-    frame_omp(m, "omp_frequent_barrier", |m| {
-        parallel(m, nthreads, |th| {
-            for _ in 0..r {
-                th.do_work(VDur::from_secs(work));
-                th.barrier();
-            }
-        });
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,25 +243,6 @@ mod tests {
             imbalance_in_omp_loop(m, 4, &df, 1);
             assert_eq!(m.clock(), t(30), "peak iteration dominates");
         });
-    }
-
-    #[test]
-    fn dynamic_variant_balances_the_same_shape() {
-        // Same total work, many chunks: dynamic scheduling packs it.
-        let df = Distr::cyclic2(0.004, 0.012);
-        let (mut static_end, mut dynamic_end) = (VTime::ZERO, VTime::ZERO);
-        run_omp(zero_cfg(), |m| {
-            imbalance_in_omp_loop(m, 4, &df, 4);
-            static_end = m.clock();
-        });
-        run_omp(zero_cfg(), |m| {
-            imbalance_in_omp_loop_dynamic(m, 4, &df, 4, 1);
-            dynamic_end = m.clock();
-        });
-        assert!(
-            dynamic_end < static_end,
-            "dynamic ({dynamic_end}) must beat static ({static_end})"
-        );
     }
 
     #[test]
@@ -356,20 +299,6 @@ mod tests {
         run_omp(zero_cfg(), |m| {
             omp_lock_contention(m, 4, 0.010, 0.0, 1);
             assert_eq!(m.clock(), t(40));
-        });
-    }
-
-    #[test]
-    fn frequent_barrier_only_costs_with_nonzero_model() {
-        run_omp(zero_cfg(), |m| {
-            omp_frequent_barrier(m, 4, 0.0, 100);
-            assert_eq!(m.clock(), VTime::ZERO, "free under the zero model");
-        });
-        let mut cfg = zero_cfg();
-        cfg.model.barrier_stage = ats_runtime::VDur::from_micros(10);
-        run_omp(cfg, |m| {
-            omp_frequent_barrier(m, 4, 0.0, 100);
-            assert!(m.clock() > VTime::ZERO, "barrier overhead accumulates");
         });
     }
 

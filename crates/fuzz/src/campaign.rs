@@ -148,9 +148,8 @@ pub struct CampaignResult {
     pub minimized: Vec<Minimized>,
 }
 
-/// Generate, execute, and score one campaign index. Public so the
-/// cross-jobs determinism test can compare single indices directly.
-pub fn run_index(cfg: &FuzzConfig, i: usize) -> Result<(Scenario, ScenarioVerdict), Error> {
+/// Generate, execute, and score one campaign index.
+fn run_index(cfg: &FuzzConfig, i: usize) -> Result<(Scenario, ScenarioVerdict), Error> {
     let obs = cfg.opts.obs.as_ref();
     let scenario_started = std::time::Instant::now();
     let seed = scenario_seed(cfg.base_seed, i);

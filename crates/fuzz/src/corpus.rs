@@ -1,7 +1,7 @@
 //! The on-disk corpus of minimized violating scenarios.
 //!
 //! Every violating scenario the shrinker minimizes is persisted twice:
-//! the spec as pretty JSON (`s<seed-hex>.json`, the [`spec_doc`] carrying
+//! the spec as pretty JSON (`s<seed-hex>.json`, a document carrying
 //! the compact text form and the violations for human triage) and the
 //! executed trace in the ATSB binary format (`s<seed-hex>.atsb`). The JSON
 //! spec is the replayable artifact — `replay` re-executes the scenario
@@ -36,7 +36,7 @@ pub struct CorpusEntry {
 
 /// File stem for a scenario: the seed in fixed-width hex, so corpus
 /// listings sort deterministically.
-pub fn stem(sc: &Scenario) -> String {
+fn stem(sc: &Scenario) -> String {
     format!("s{:016x}", sc.seed)
 }
 
@@ -98,7 +98,7 @@ fn violation_from_json(doc: &Json) -> Option<Violation> {
 /// The spec document a corpus entry carries on disk: enough to
 /// re-generate, grep and triage the witness without touching the binary
 /// trace.
-pub fn spec_doc(sc: &Scenario, violations: &[Violation]) -> Json {
+fn spec_doc(sc: &Scenario, violations: &[Violation]) -> Json {
     let mut vs = Json::arr();
     for v in violations {
         vs.push(violation_json(v));
@@ -112,7 +112,7 @@ pub fn spec_doc(sc: &Scenario, violations: &[Violation]) -> Json {
 }
 
 /// Parse the violations back out of a spec document.
-pub fn spec_violations(doc: &Json) -> Option<Vec<Violation>> {
+fn spec_violations(doc: &Json) -> Option<Vec<Violation>> {
     doc.get("violations")?
         .as_arr()?
         .iter()

@@ -35,6 +35,6 @@ pub mod shrink;
 
 pub use campaign::{run_campaign, scenario_seed, CampaignResult, FuzzConfig, FuzzStats};
 pub use generator::{generate, GenConfig};
-pub use oracle::{check, predict, OracleConfig, OracleRun, Violation, ViolationKind};
+pub use oracle::{check, OracleConfig, OracleRun, Violation, ViolationKind};
 pub use scenario::{Phase, Scenario, Slot, Split};
 pub use shrink::{shrink, ShrinkOutcome};

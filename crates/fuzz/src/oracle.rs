@@ -125,7 +125,7 @@ pub struct Prediction {
 
 /// Compose the catalog's expectations with the scenario's topology into
 /// one prediction per phase. The scenario must be valid.
-pub fn predict(sc: &Scenario) -> Result<Vec<Prediction>, Error> {
+fn predict(sc: &Scenario) -> Result<Vec<Prediction>, Error> {
     sc.validate()?;
     let mut out = Vec::with_capacity(sc.num_phases());
     for (idx, slot_idx, ph) in sc.indexed_phases() {

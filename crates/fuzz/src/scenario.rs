@@ -17,6 +17,7 @@
 //! gate in CI checks.
 
 use ats_core::catalog::{self, Paradigm};
+use ats_core::error::quote;
 use ats_core::Error;
 use ats_harness::ParamValues;
 use std::collections::BTreeMap;
@@ -91,7 +92,7 @@ impl FromStr for Split {
         }
         let parse_groups = |rest: &str| {
             rest.parse::<usize>()
-                .map_err(|_| Error::scenario(format!("bad group count in split `{s}`")))
+                .map_err(|_| Error::scenario(format!("bad group count in split {}", quote(s))))
         };
         if let Some(rest) = s.strip_prefix("block") {
             return Ok(Split::Block {
@@ -103,7 +104,7 @@ impl FromStr for Split {
                 groups: parse_groups(rest)?,
             });
         }
-        Err(Error::scenario(format!("unknown split `{s}`")))
+        Err(Error::scenario(format!("unknown split {}", quote(s))))
     }
 }
 
@@ -297,15 +298,16 @@ impl FromStr for Scenario {
                 } else {
                     v.parse()
                 };
-                seed = Some(parsed.map_err(|_| Error::scenario(format!("bad seed `{v}`")))?);
+                seed = Some(parsed.map_err(|_| Error::scenario(format!("bad seed {}", quote(v))))?);
             } else if let Some(v) = tok.strip_prefix("nprocs=") {
                 nprocs = Some(
                     v.parse()
-                        .map_err(|_| Error::scenario(format!("bad nprocs `{v}`")))?,
+                        .map_err(|_| Error::scenario(format!("bad nprocs {}", quote(v))))?,
                 );
             } else {
                 return Err(Error::scenario(format!(
-                    "unexpected token `{tok}` in scenario header"
+                    "unexpected token {} in scenario header",
+                    quote(tok)
                 )));
             }
         }
@@ -330,15 +332,17 @@ impl FromStr for Scenario {
                 let (g, prop) = header
                     .strip_prefix('g')
                     .and_then(|h| h.split_once(':'))
-                    .ok_or_else(|| Error::scenario(format!("bad phase header `{header}`")))?;
+                    .ok_or_else(|| {
+                        Error::scenario(format!("bad phase header {}", quote(header)))
+                    })?;
                 let group = g
                     .parse()
-                    .map_err(|_| Error::scenario(format!("bad group in `{header}`")))?;
+                    .map_err(|_| Error::scenario(format!("bad group in {}", quote(header))))?;
                 let mut params = BTreeMap::new();
                 for kv in &chunk[1..] {
                     let (k, v) = kv
                         .split_once('=')
-                        .ok_or_else(|| Error::scenario(format!("bad parameter `{kv}`")))?;
+                        .ok_or_else(|| Error::scenario(format!("bad parameter {}", quote(kv))))?;
                     params.insert(k.to_owned(), v.to_owned());
                 }
                 phases.push(Phase {
@@ -448,6 +452,27 @@ mod tests {
             let err = Scenario::parse_line(line).unwrap_err();
             assert_eq!(err.kind(), ats_core::ErrorKind::Scenario, "{line}");
         }
+    }
+
+    #[test]
+    fn errors_quote_at_most_64_bytes_of_the_offending_text() {
+        let huge = "x".repeat(100_000);
+        for line in [
+            format!("{{\"seed\":{}", "[".repeat(100_000)),
+            format!("seed=1 nprocs=2 | whole g0:late_sender extrawork={huge}"),
+            format!("seed=1 nprocs=2 | whole g0:imbalance_at_mpi_barrier df={huge}"),
+        ] {
+            let err = Scenario::parse_line(&line)
+                .and_then(|sc| sc.validate())
+                .unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.len() < 256, "{} bytes: {msg}", msg.len());
+            assert!(msg.contains(" bytes)"), "{msg}");
+        }
+        // A multi-byte character across the cut is dropped whole.
+        let text = format!("{}é", "a".repeat(63));
+        assert_eq!(quote(&text), format!("`{}…` (65 bytes)", "a".repeat(63)));
+        assert_eq!(quote("short"), "`short`");
     }
 
     #[test]

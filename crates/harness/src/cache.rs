@@ -24,8 +24,9 @@
 //! (`entry.json`), so every cached artifact is self-describing.
 
 use crate::experiment::ExperimentRow;
-use crate::registry::{RunError, RunOpts};
+use crate::registry::RunOpts;
 use ats_analyzer::AnalyzerConfig;
+use ats_core::Error;
 use ats_runtime::MachineModel;
 use ats_store::{CacheKey, Json};
 
@@ -133,27 +134,27 @@ pub fn row_to_json(row: &ExperimentRow) -> Json {
 }
 
 /// Reconstruct a row from a cached `row.json` artifact.
-pub fn row_from_json(doc: &Json) -> Result<ExperimentRow, RunError> {
+pub fn row_from_json(doc: &Json) -> Result<ExperimentRow, Error> {
     let field = |name: &str| {
         doc.get(name)
-            .ok_or_else(|| RunError::store(format!("cached row missing `{name}`")))
+            .ok_or_else(|| Error::store(format!("cached row missing `{name}`")))
     };
     let count = |name: &str| {
         field(name)?
             .as_u64()
             .map(|v| v as usize)
-            .ok_or_else(|| RunError::store(format!("cached row `{name}` is not a count")))
+            .ok_or_else(|| Error::store(format!("cached row `{name}` is not a count")))
     };
     let float = |name: &str| {
         field(name)?
             .as_f64()
-            .ok_or_else(|| RunError::store(format!("cached row `{name}` is not a number")))
+            .ok_or_else(|| Error::store(format!("cached row `{name}` is not a number")))
     };
     let string = |name: &str| {
         field(name)?
             .as_str()
             .map(str::to_owned)
-            .ok_or_else(|| RunError::store(format!("cached row `{name}` is not a string")))
+            .ok_or_else(|| Error::store(format!("cached row `{name}` is not a string")))
     };
     Ok(ExperimentRow {
         property: string("property")?,
@@ -163,7 +164,7 @@ pub fn row_from_json(doc: &Json) -> Result<ExperimentRow, RunError> {
         detected_wait_secs: float("detected_wait_secs")?,
         localized: field("localized")?
             .as_bool()
-            .ok_or_else(|| RunError::store("cached row `localized` is not a bool"))?,
+            .ok_or_else(|| Error::store("cached row `localized` is not a bool"))?,
         unexpected_findings: count("unexpected_findings")?,
         events: count("events")?,
     })

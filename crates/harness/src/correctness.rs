@@ -7,9 +7,10 @@
 //! verdict suite-wide.
 
 use crate::params::ParamValues;
-use crate::registry::{run_single, spec_of, RunError, RunOpts};
+use crate::registry::{run_single, spec_of, RunOpts};
 use ats_analyzer::{analyze, AnalyzerConfig};
 use ats_core::catalog::{Paradigm, PropertySpec};
+use ats_core::Error;
 use std::fmt::Write as _;
 
 /// Verdict for one property function under one configuration.
@@ -31,7 +32,7 @@ pub struct Verdict {
 
 impl Verdict {
     /// The tool behaved correctly on this test case.
-    pub fn correct(&self) -> bool {
+    fn correct(&self) -> bool {
         match &self.expected {
             Some(_) => self.detected && self.localized,
             None => self.extra_findings.is_empty(),
@@ -40,12 +41,12 @@ impl Verdict {
 }
 
 /// Score one positive test case.
-pub fn score_positive(
+fn score_positive(
     spec: &PropertySpec,
     params: &ParamValues,
     opts: &RunOpts,
     analyzer: &AnalyzerConfig,
-) -> Result<Verdict, RunError> {
+) -> Result<Verdict, Error> {
     let expected = spec
         .expected_property
         .expect("score_positive needs a positive case");
@@ -74,12 +75,12 @@ pub fn score_positive(
 }
 
 /// Score one negative test case.
-pub fn score_negative(
+fn score_negative(
     spec: &PropertySpec,
     params: &ParamValues,
     opts: &RunOpts,
     analyzer: &AnalyzerConfig,
-) -> Result<Verdict, RunError> {
+) -> Result<Verdict, Error> {
     assert!(
         spec.expected_property.is_none(),
         "score_negative needs a negative case"
@@ -159,7 +160,7 @@ impl SuiteSummary {
 }
 
 /// Run the full catalog at defaults and score everything.
-pub fn score_catalog(opts: &RunOpts, analyzer: &AnalyzerConfig) -> Result<SuiteSummary, RunError> {
+pub fn score_catalog(opts: &RunOpts, analyzer: &AnalyzerConfig) -> Result<SuiteSummary, Error> {
     let mut verdicts = Vec::new();
     for spec in ats_core::CATALOG {
         let _ = spec_of(spec.name)?; // sanity

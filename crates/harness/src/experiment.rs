@@ -11,9 +11,10 @@
 use crate::cache::{self, row_from_json, row_to_json};
 use crate::params::{ParamValue, ParamValues};
 use crate::pool;
-use crate::registry::{run_single, spec_of, RunError, RunOpts};
+use crate::registry::{run_single, spec_of, RunOpts};
 use ats_analyzer::{analyze, AnalyzerConfig};
 use ats_core::catalog::PropertySpec;
+use ats_core::Error;
 use ats_store::{Cache, CacheKey, Json};
 use ats_trace::{PoolStats, TracePool};
 use std::time::Instant;
@@ -181,7 +182,7 @@ impl Experiment {
     }
 
     /// Execute all configurations (see [`Experiment::run_with_stats`]).
-    pub fn run(&self) -> Result<Vec<ExperimentRow>, RunError> {
+    pub fn run(&self) -> Result<Vec<ExperimentRow>, Error> {
         self.run_with_stats().map(|(rows, _)| rows)
     }
 
@@ -201,7 +202,7 @@ impl Experiment {
     /// completion order, so any `jobs` setting yields the same sequence.
     /// A failure is attributed to its configuration; when several fail,
     /// the first in combo order is returned.
-    pub fn run_with_stats(&self) -> Result<(Vec<ExperimentRow>, ExperimentStats), RunError> {
+    pub fn run_with_stats(&self) -> Result<(Vec<ExperimentRow>, ExperimentStats), Error> {
         let spec = spec_of(&self.property)?;
         let procs: Vec<usize> = if self.procs_grid.is_empty() {
             vec![self.opts.nprocs]
@@ -229,7 +230,7 @@ impl Experiment {
         )
         .min(configs.len().max(1));
         let started = Instant::now();
-        let replayed: Vec<(Result<Replay, RunError>, f64)> = configs
+        let replayed: Vec<(Result<Replay, Error>, f64)> = configs
             .iter()
             .map(|&(nprocs, combo)| timed(|| self.replay(spec, nprocs, combo)))
             .collect();
@@ -302,7 +303,7 @@ impl Experiment {
         spec: &'static PropertySpec,
         nprocs: usize,
         combo: &[(String, ParamValue)],
-    ) -> Result<Replay, RunError> {
+    ) -> Result<Replay, Error> {
         let mut params = ParamValues::defaults(spec);
         for (name, value) in combo {
             params.set(name, value.clone());
@@ -355,7 +356,7 @@ impl Experiment {
         &self,
         spec: &'static PropertySpec,
         miss: &Miss,
-    ) -> Result<(ExperimentRow, u64), RunError> {
+    ) -> Result<(ExperimentRow, u64), Error> {
         let opts = self.opts.clone().procs(miss.nprocs);
         // Attribute any failure to this exact configuration so a failing
         // combo inside a pool-parallel sweep is identifiable from the

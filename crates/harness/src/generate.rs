@@ -42,7 +42,7 @@ pub fn usage(spec: &PropertySpec) -> String {
 
 /// Generate the complete Rust source of a standalone single-property test
 /// program for `spec`.
-pub fn generate_program(spec: &PropertySpec) -> String {
+fn generate_program(spec: &PropertySpec) -> String {
     let mut src = String::new();
     let _ = writeln!(
         src,
@@ -122,7 +122,7 @@ pub fn generate_all() -> Vec<(String, String)> {
 /// `key=value` command line and calls the property function through the
 /// (hypothetical) `ats` Fortran module; it documents the calling
 /// convention for groups porting the suite to a real MPI + Fortran stack.
-pub fn generate_fortran(spec: &PropertySpec) -> String {
+fn generate_fortran(spec: &PropertySpec) -> String {
     let mut src = String::new();
     let _ = writeln!(
         src,

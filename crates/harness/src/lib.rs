@@ -38,8 +38,8 @@ pub mod session;
 pub mod timeline;
 pub mod validation;
 
-pub use correctness::{score_negative, score_positive, SuiteSummary, Verdict};
+pub use correctness::{SuiteSummary, Verdict};
 pub use experiment::{Experiment, ExperimentRow, ExperimentStats, Sweep};
 pub use params::{ParamValue, ParamValues};
-pub use registry::{run_in_comm, run_single, spec_of, RunError, RunOpts};
+pub use registry::{run_in_comm, run_single, spec_of, RunOpts};
 pub use session::{Session, SessionBuilder};

@@ -6,6 +6,7 @@
 //! [`ParamSpec`](ats_core::ParamSpec)s, with
 //! defaults filled in.
 
+use ats_core::error::quote;
 use ats_core::{Distr, ParamKind, PropertySpec};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -45,10 +46,12 @@ pub enum ParamError {
 impl fmt::Display for ParamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ParamError::Malformed(t) => write!(f, "malformed parameter `{t}` (expected key=value)"),
-            ParamError::UnknownKey(k) => write!(f, "unknown parameter `{k}`"),
+            ParamError::Malformed(t) => {
+                write!(f, "malformed parameter {} (expected key=value)", quote(t))
+            }
+            ParamError::UnknownKey(k) => write!(f, "unknown parameter {}", quote(k)),
             ParamError::BadValue { key, value } => {
-                write!(f, "bad value `{value}` for parameter `{key}`")
+                write!(f, "bad value {} for parameter {}", quote(value), quote(key))
             }
         }
     }

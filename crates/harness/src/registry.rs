@@ -8,7 +8,7 @@
 
 use crate::params::ParamValues;
 use ats_core::catalog::{self, Paradigm, PropertySpec};
-use ats_core::{composite, properties, with_omp, BaseComm, CompositeParams};
+use ats_core::{composite, properties, with_omp, BaseComm, CompositeParams, Error};
 use ats_mpi::SimConfig;
 use ats_omp::OmpConfig;
 use ats_runtime::{MachineModel, VDur};
@@ -119,7 +119,7 @@ impl RunOpts {
     }
 
     /// The [`OmpConfig`] these options induce (see [`RunOpts::sim_config`]).
-    pub fn omp_config(&self) -> OmpConfig {
+    fn omp_config(&self) -> OmpConfig {
         OmpConfig {
             model: self.model.clone(),
             seed: self.seed,
@@ -129,23 +129,15 @@ impl RunOpts {
     }
 }
 
-/// Errors from dispatching a property run: the suite-wide
-/// [`ats_core::Error`]. A failure attributed to one concrete configuration
-/// (kind [`ats_core::ErrorKind::Config`]) carries the property name and the
-/// full parameter assignment, so a failing configuration inside a
-/// pool-parallel sweep is identifiable from the error alone, without
-/// re-running the sweep serially — see [`ats_core::Error::in_config`].
-pub type RunError = ats_core::Error;
-
 /// Look up the catalog entry for `name`.
-pub fn spec_of(name: &str) -> Result<&'static PropertySpec, RunError> {
-    catalog::find(name).ok_or_else(|| RunError::unknown_property(name))
+pub fn spec_of(name: &str) -> Result<&'static PropertySpec, Error> {
+    catalog::find(name).ok_or_else(|| Error::unknown_property(name))
 }
 
 /// Execute the single-property test program for `name` with `params`,
 /// returning its trace. This is exactly what a generated standalone binary
 /// does after parsing its command line.
-pub fn run_single(name: &str, params: &ParamValues, opts: &RunOpts) -> Result<Trace, RunError> {
+pub fn run_single(name: &str, params: &ParamValues, opts: &RunOpts) -> Result<Trace, Error> {
     let spec = spec_of(name)?;
     let p = params.clone();
     let base = opts.base;
@@ -486,8 +478,7 @@ mod tests {
     fn config_error_displays_property_and_params() {
         let spec = spec_of("late_sender").unwrap();
         let params = ParamValues::defaults(spec);
-        let err =
-            RunError::unknown_property("late_sender").in_config("late_sender", &params.to_cli());
+        let err = Error::unknown_property("late_sender").in_config("late_sender", &params.to_cli());
         assert_eq!(err.kind(), ats_core::ErrorKind::Config);
         let msg = err.to_string();
         assert!(msg.contains("late_sender"), "{msg}");

@@ -166,7 +166,7 @@ pub const RESOURCES: &[Resource] = &[
 ];
 
 /// All resources of a kind.
-pub fn by_kind(kind: ResourceKind) -> Vec<&'static Resource> {
+fn by_kind(kind: ResourceKind) -> Vec<&'static Resource> {
     RESOURCES.iter().filter(|r| r.kind == kind).collect()
 }
 

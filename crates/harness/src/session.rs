@@ -24,8 +24,9 @@
 
 use crate::experiment::Experiment;
 use crate::params::ParamValues;
-use crate::registry::{run_single, RunError, RunOpts};
+use crate::registry::{run_single, RunOpts};
 use ats_analyzer::{analyze, AnalysisReport, AnalyzerConfig};
+use ats_core::Error;
 use ats_obs::{build_manifest, prometheus, Handle, ObsConfig, RunManifest};
 use ats_store::{Cache, CacheMode, Json, Store};
 use ats_trace::Trace;
@@ -198,7 +199,7 @@ impl Session {
     }
 
     /// Execute the single-property test program `name` with `params`.
-    pub fn run(&self, name: &str, params: &ParamValues) -> Result<Trace, RunError> {
+    pub fn run(&self, name: &str, params: &ParamValues) -> Result<Trace, Error> {
         run_single(name, params, &self.opts)
     }
 
@@ -212,7 +213,7 @@ impl Session {
         &self,
         name: &str,
         params: &ParamValues,
-    ) -> Result<(Trace, AnalysisReport), RunError> {
+    ) -> Result<(Trace, AnalysisReport), Error> {
         let trace = self.run(name, params)?;
         let report = self.analyze(&trace);
         Ok((trace, report))
@@ -234,7 +235,7 @@ impl Session {
     /// everything that determines *results* (seed, procs, model choice,
     /// threshold), deliberately excluding execution details (`jobs`) so
     /// manifests diff clean across worker counts.
-    pub fn config_json(&self) -> Json {
+    fn config_json(&self) -> Json {
         Json::obj()
             .with("nprocs", self.opts.nprocs)
             .with("seed", self.opts.seed)

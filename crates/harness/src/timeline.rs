@@ -33,7 +33,7 @@ pub enum State {
 
 impl State {
     /// Glyph used in text timelines.
-    pub fn glyph(self) -> char {
+    fn glyph(self) -> char {
         match self {
             State::Absent => ' ',
             State::Idle => '.',
@@ -86,7 +86,7 @@ pub struct Timeline {
 /// Sample the trace into `columns` time bins. Each bin shows the state the
 /// location is in at the bin's start instant (piecewise-constant
 /// interpolation, like a zoomed-out Vampir view).
-pub fn sample(trace: &Trace, columns: usize) -> Timeline {
+fn sample(trace: &Trace, columns: usize) -> Timeline {
     assert!(columns > 0, "need at least one column");
     let t0 = trace.start_time();
     let t1 = trace.end_time();
@@ -159,7 +159,7 @@ pub fn render_svg(trace: &Trace, columns: usize) -> String {
 }
 
 /// SVG rendering with the message arrows optional.
-pub fn render_svg_opts(trace: &Trace, columns: usize, arrows: bool) -> String {
+fn render_svg_opts(trace: &Trace, columns: usize, arrows: bool) -> String {
     let tl = sample(trace, columns);
     let cell_w = 4;
     let cell_h = 14;

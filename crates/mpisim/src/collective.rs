@@ -14,7 +14,7 @@
 //!   waits for late members (→ *Early Reduce*, *Early Gather*).
 //!
 //! All models are pure functions, unit-tested in isolation from the
-//! threaded runtime.
+//! scheduler.
 
 use ats_runtime::{MachineModel, VDur, VTime};
 use ats_trace::CollOp;
@@ -68,14 +68,6 @@ pub fn exits(
         *x = (*x).max(*e);
     }
     out
-}
-
-/// Per-member waiting time implied by a set of entries/exits: the portion of
-/// the member's occupancy spent before the operation could possibly
-/// complete. Used by unit tests and by severity cross-checks.
-pub fn imbalance_waits(entries: &[VTime]) -> Vec<VDur> {
-    let latest = last(entries);
-    entries.iter().map(|e| latest - *e).collect()
 }
 
 fn req_root(op: CollOp, root: Option<usize>) -> usize {
@@ -221,6 +213,13 @@ mod tests {
 
     fn t(ms: u64) -> VTime {
         VTime(ms * 1_000_000)
+    }
+
+    /// Per-member wait implied by a set of entries: the time from its own
+    /// entry to the latest one.
+    fn imbalance_waits(entries: &[VTime]) -> Vec<VDur> {
+        let latest = last(entries);
+        entries.iter().map(|e| latest - *e).collect()
     }
 
     fn zero() -> MachineModel {

@@ -12,13 +12,16 @@
 //!   clock ([`ats_runtime`]), carried as coroutines (10k+ ranks in one
 //!   process) or, on targets without the coroutine context switch, as OS
 //!   threads passing a baton ([`SimBackend`]);
-//! * blocking/nonblocking point-to-point with per-(communicator, source,
-//!   tag) matching, wildcards, non-overtaking order, and an eager /
-//!   rendezvous protocol switch (→ *Late Sender*, *Late Receiver*);
-//! * communicators with `split`/`dup` (→ the paper's Figure 3.4 two-
-//!   communicator experiment);
-//! * tree-modelled collectives (→ *Wait at Barrier*, *Late Broadcast*,
-//!   *Early Reduce*, *Wait at N×N*, ...);
+//! * blocking/nonblocking point-to-point (`send`/`ssend`/`recv`,
+//!   `isend`/`irecv` with `wait`/`waitany`/`waitall`, `sendrecv`) with
+//!   per-(communicator, source, tag) matching, non-overtaking order,
+//!   wildcards matched in virtual-time order, and an eager / rendezvous
+//!   protocol switch (→ *Late Sender*, *Late Receiver*);
+//! * communicators with `split`/`dup` and Cartesian topologies (→ the
+//!   paper's Figure 3.4 two-communicator experiment);
+//! * tree-modelled collectives — barrier, bcast, scatter\[v\],
+//!   gather\[v\], reduce, allreduce, alltoall, scan (→ *Wait at Barrier*,
+//!   *Late Broadcast*, *Early Reduce*, *Wait at N×N*, ...);
 //! * every operation records EPILOG-style events into [`ats_trace`].
 //!
 //! Entry points: [`run`] / [`run_collect`] with a [`SimConfig`].

@@ -2,11 +2,12 @@
 //! semantics.
 //!
 //! Every rank owns one [`Mailbox`]. A send (from any rank) pushes an
-//! [`Envelope`]; a receive scans the mailbox in arrival order for the first
-//! envelope matching `(communicator, source, tag)` — wildcards allowed —
-//! and blocks on a [`WaitSet`] until one appears, re-entering the
-//! scheduler's virtual-time queue. Because each sender pushes its envelopes
-//! in program order, arrival-order scanning yields MPI's non-overtaking
+//! [`Envelope`]; a receive takes the queued envelope matching
+//! `(communicator, source, tag)` — wildcards allowed — with the earliest
+//! virtual send post, and blocks on a [`WaitSet`] until one appears,
+//! re-entering the scheduler's virtual-time queue. Each sender pushes its
+//! envelopes in program order with non-decreasing post times, and ties
+//! fall back to arrival order, so this keeps MPI's non-overtaking
 //! guarantee per (source, communicator, tag).
 
 use ats_runtime::sched::WaitSet;
@@ -116,15 +117,6 @@ impl Mailbox {
         self.ws.notify_all(at);
     }
 
-    /// Re-deliver an envelope at the *front* of the queue (used by probe,
-    /// which must observe without disturbing matching order). Not counted
-    /// as a new message — it was counted when first pushed.
-    pub fn push_front(&self, env: Envelope) {
-        let at = env.send_post;
-        unpoison(self.queue.lock()).push_front(env);
-        self.ws.notify_all(at);
-    }
-
     /// Number of queued messages (diagnostics only).
     pub fn len(&self) -> usize {
         unpoison(self.queue.lock()).len()
@@ -135,7 +127,8 @@ impl Mailbox {
         unpoison(self.queue.lock()).is_empty()
     }
 
-    /// Remove and return the first envelope matching `spec`, blocking until
+    /// Remove and return the envelope matching `spec` with the earliest
+    /// virtual send post (see [`Mailbox::take_match_any`]), blocking until
     /// one arrives. `now` is the receiver's virtual clock at the blocking
     /// point.
     pub fn take_match(&self, spec: MatchSpec, now: VTime) -> Envelope {
@@ -170,17 +163,6 @@ impl Mailbox {
             }
             q = self.ws.wait(&self.queue, q, now, "MPI receive");
         }
-    }
-
-    /// Nonblocking variant of [`Mailbox::take_match`].
-    pub fn try_take_match(&self, spec: MatchSpec) -> Option<Envelope> {
-        let mut q = unpoison(self.queue.lock());
-        q.iter()
-            .enumerate()
-            .filter(|(_, e)| spec.matches(e))
-            .min_by_key(|(i, e)| (e.send_post, e.src, *i))
-            .map(|(i, _)| i)
-            .and_then(|pos| q.remove(pos))
     }
 }
 
@@ -237,20 +219,16 @@ mod tests {
     fn communicator_isolation() {
         let mb = Mailbox::new();
         mb.push(env(7, 0, 1));
-        assert!(mb
-            .try_take_match(MatchSpec {
-                comm: 8,
-                src: Some(0),
-                tag: Some(1)
-            })
-            .is_none());
-        assert!(mb
-            .try_take_match(MatchSpec {
-                comm: 7,
-                src: Some(0),
-                tag: Some(1)
-            })
-            .is_some());
+        mb.push(env(8, 0, 1));
+        let spec = |comm| MatchSpec {
+            comm,
+            src: Some(0),
+            tag: Some(1),
+        };
+        // The comm-7 message is older, but a comm-8 receive must skip it.
+        assert_eq!(mb.take_match(spec(8), VTime::ZERO).comm, 8);
+        assert_eq!(mb.take_match(spec(7), VTime::ZERO).comm, 7);
+        assert!(mb.is_empty());
     }
 
     #[test]

@@ -472,38 +472,6 @@ impl Proc {
         (i, Some((data, status)))
     }
 
-    /// `MPI_Probe`: block until a matching message is available and return
-    /// its status without receiving it.
-    pub fn probe(&mut self, src: Option<usize>, tag: Option<i32>, comm: &Comm) -> Status {
-        let r = self.intern_static("MPI_Probe", RegionKind::MpiP2p);
-        let post = self.clock;
-        self.local.enter(post, r);
-        let spec = MatchSpec {
-            comm: comm.id(),
-            src: src.map(|s| s as u32),
-            tag,
-        };
-        // Take and immediately put back: the mailbox keeps FIFO order per
-        // source because we re-deliver before anyone else can observe the
-        // queue (we hold no other messages).
-        let mb = self.world.mailbox(comm.global_rank(comm.rank()));
-        let env = mb.take_match(spec, post);
-        let status = Status {
-            source: env.src as usize,
-            tag: env.tag,
-            bytes: env.data.len(),
-        };
-        // The probe observes the message's arrival: clock advances to when
-        // the message is available.
-        let arrival = env.send_post
-            + self.world.model.send_overhead
-            + self.world.model.p2p_wire(env.data.len());
-        mb.push_front(env);
-        self.clock = self.clock.max(arrival);
-        self.local.exit(self.clock, r);
-        status
-    }
-
     /// Complete a set of requests in order (`MPI_Waitall`).
     pub fn waitall(&mut self, reqs: &mut [Request]) -> Vec<Option<(Vec<u8>, Status)>> {
         reqs.iter_mut().map(|r| self.wait(r)).collect()
@@ -717,15 +685,6 @@ impl Proc {
             .to_vec()
     }
 
-    /// `MPI_Allgather`.
-    pub fn allgather(&mut self, mine: &[u8], comm: &Comm) -> Vec<u8> {
-        let (_, all) =
-            self.coll_exchange(CollOp::Allgather, comm, None, mine.to_vec(), None, |all| {
-                all.iter().map(|c| c.data.len() as u64).collect()
-            });
-        all.iter().flat_map(|c| c.data.iter().copied()).collect()
-    }
-
     /// `MPI_Alltoall` with equal chunks: each rank's buffer is split into
     /// `size` chunks; rank `i` receives chunk `i` of every sender,
     /// concatenated in sender order.
@@ -743,68 +702,6 @@ impl Proc {
             out.extend_from_slice(&c.data[me * chunk..(me + 1) * chunk]);
         }
         out
-    }
-
-    /// `MPI_Alltoallv`: fully irregular exchange. `send` is this rank's
-    /// flattened buffer; `counts[d]` is the number of bytes destined to
-    /// communicator rank `d`. Returns the received bytes concatenated in
-    /// sender order. All ranks must agree on the (global) count matrix
-    /// implicitly: rank `r` receives exactly what each sender addressed to
-    /// it.
-    pub fn alltoallv(&mut self, send: &[u8], counts: &[usize], comm: &Comm) -> Vec<u8> {
-        let p = comm.size();
-        assert_eq!(counts.len(), p, "one byte count per destination");
-        assert_eq!(
-            counts.iter().sum::<usize>(),
-            send.len(),
-            "counts must cover the send buffer"
-        );
-        let (_, all) = self.coll_exchange(
-            CollOp::Alltoallv,
-            comm,
-            None,
-            send.to_vec(),
-            Some(counts.to_vec()),
-            |all| all.iter().map(|c| c.data.len() as u64).collect(),
-        );
-        let me = comm.rank();
-        let mut out = Vec::new();
-        for c in all.iter() {
-            let counts = c.counts.as_ref().expect("every member supplies counts");
-            let offset: usize = counts[..me].iter().sum();
-            out.extend_from_slice(&c.data[offset..offset + counts[me]]);
-        }
-        out
-    }
-
-    /// `MPI_Reduce_scatter_block`: elementwise reduction of equal-sized
-    /// blocks, with block `i` delivered to rank `i`.
-    pub fn reduce_scatter_block(
-        &mut self,
-        mine: &[u8],
-        op: ReduceOp,
-        dtype: Datatype,
-        comm: &Comm,
-    ) -> Vec<u8> {
-        let p = comm.size();
-        assert_eq!(mine.len() % p, 0, "buffer not divisible by size");
-        // Priced like an allreduce (reduce + scatter phases share the
-        // tree); data-wise it is a full reduction followed by block
-        // extraction.
-        let (seq, all) = self.coll_exchange(
-            CollOp::Allreduce,
-            comm,
-            None,
-            mine.to_vec(),
-            None,
-            move |all| vec![all.iter().map(|c| c.data.len() as u64).max().unwrap_or(0); p],
-        );
-        let combined = comm
-            .shared
-            .combined
-            .get(seq, || combine_all(&all, op, dtype));
-        let block = combined.len() / p;
-        combined[comm.rank() * block..(comm.rank() + 1) * block].to_vec()
     }
 
     /// `MPI_Scan`: inclusive prefix reduction over ranks `0..=me`.

@@ -51,16 +51,6 @@ pub fn dims_create(nnodes: usize, ndims: usize) -> Vec<usize> {
 }
 
 impl CartComm {
-    /// The grid dimensions.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// Per-dimension periodicity.
-    pub fn periodic(&self) -> &[bool] {
-        &self.periodic
-    }
-
     /// The underlying communicator.
     pub fn comm(&self) -> &Comm {
         &self.comm
@@ -72,7 +62,7 @@ impl CartComm {
     }
 
     /// Coordinates of any communicator rank (row-major, like MPI).
-    pub fn coords_of(&self, rank: usize) -> Vec<usize> {
+    fn coords_of(&self, rank: usize) -> Vec<usize> {
         assert!(rank < self.comm.size(), "rank out of range");
         let mut rest = rank;
         let mut coords = vec![0; self.dims.len()];
@@ -85,7 +75,7 @@ impl CartComm {
 
     /// Rank of grid coordinates (`MPI_Cart_rank`). Out-of-range coordinates
     /// wrap in periodic dimensions and return `None` otherwise.
-    pub fn rank_of(&self, coords: &[isize]) -> Option<usize> {
+    fn rank_of(&self, coords: &[isize]) -> Option<usize> {
         assert_eq!(coords.len(), self.dims.len(), "one coordinate per dim");
         let mut rank = 0usize;
         for (i, (&c, &d)) in coords.iter().zip(&self.dims).enumerate() {

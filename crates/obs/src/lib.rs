@@ -32,7 +32,7 @@ pub mod metrics;
 pub mod registry;
 
 pub use export::prometheus;
-pub use manifest::{build_manifest, git_describe, process_cpu_seconds, RunManifest};
+pub use manifest::{build_manifest, RunManifest};
 pub use metrics::{Counter, Gauge, Histogram, SpanGuard};
 pub use registry::{Handle, Registry};
 

@@ -169,7 +169,7 @@ pub fn build_manifest(
 }
 
 /// `git describe --always --dirty`, or "unknown" outside a work tree.
-pub fn git_describe() -> String {
+fn git_describe() -> String {
     std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])
         .output()
@@ -182,7 +182,7 @@ pub fn git_describe() -> String {
 
 /// User+system CPU seconds of this process, from `/proc/self/stat`
 /// (Linux only; `None` elsewhere or on parse failure).
-pub fn process_cpu_seconds() -> Option<f64> {
+fn process_cpu_seconds() -> Option<f64> {
     #[cfg(target_os = "linux")]
     {
         let stat = std::fs::read_to_string("/proc/self/stat").ok()?;

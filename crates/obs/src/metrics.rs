@@ -132,7 +132,7 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    pub fn sum_ns(&self) -> u64 {
+    fn sum_ns(&self) -> u64 {
         self.sum_ns.load(Ordering::Relaxed)
     }
 

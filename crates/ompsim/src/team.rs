@@ -239,7 +239,6 @@ pub struct VirtualMutex {
 struct VmState {
     held: bool,
     free_at: VTime,
-    acquisitions: u64,
 }
 
 /// Guard-style handle produced by [`VirtualMutex::acquire`].
@@ -276,11 +275,6 @@ impl VirtualMutex {
             start,
         }
     }
-
-    /// Total successful acquisitions so far.
-    pub fn acquisitions(&self) -> u64 {
-        unpoison(self.state.lock()).acquisitions
-    }
 }
 
 impl VmGuard<'_> {
@@ -290,7 +284,6 @@ impl VmGuard<'_> {
         let mut st = unpoison(self.mutex.state.lock());
         st.held = false;
         st.free_at = end;
-        st.acquisitions += 1;
         drop(st);
         self.mutex.ws.notify_all(end);
     }
@@ -382,7 +375,6 @@ mod tests {
                 assert_eq!(g2.waited, VDur::from_millis(7));
                 g2.release(t(12));
             });
-            assert_eq!(vm.acquisitions(), 2);
         }
     }
 

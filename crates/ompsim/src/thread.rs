@@ -175,33 +175,12 @@ impl<'t> OmpThread<'t> {
     }
 
     /// Worksharing loop (`#pragma omp for`) over `0..iters` with the given
-    /// schedule, ending in the implicit barrier (use
-    /// [`OmpThread::for_loop_nowait`] to skip it).
+    /// schedule, ending in the implicit barrier.
     pub fn for_loop(
         &mut self,
         iters: usize,
         schedule: Schedule,
-        body: impl FnMut(&mut Self, usize),
-    ) {
-        self.for_impl(iters, schedule, body, true);
-    }
-
-    /// Worksharing loop with the `nowait` clause.
-    pub fn for_loop_nowait(
-        &mut self,
-        iters: usize,
-        schedule: Schedule,
-        body: impl FnMut(&mut Self, usize),
-    ) {
-        self.for_impl(iters, schedule, body, false);
-    }
-
-    fn for_impl(
-        &mut self,
-        iters: usize,
-        schedule: Schedule,
         mut body: impl FnMut(&mut Self, usize),
-        implicit_barrier: bool,
     ) {
         let r = self.collector.intern("omp_for", RegionKind::OmpWorkshare);
         let t0 = self.clock;
@@ -238,9 +217,7 @@ impl<'t> OmpThread<'t> {
                 self.run_dispensed(&ds, &mut body);
             }
         }
-        if implicit_barrier {
-            self.barrier();
-        }
+        self.barrier();
         let t1 = self.clock;
         self.local.get().exit(t1, r);
     }
@@ -518,7 +495,7 @@ mod tests {
     use crate::master::{run_omp, OmpConfig};
     use ats_runtime::{unpoison, MachineModel};
     use ats_testutil::{panic_message, panics_alike_on_both_carriers, run_as_tasks, CARRIERS};
-    use ats_trace::{check_wellformed, Trace, TraceStats};
+    use ats_trace::{check_wellformed, TraceStats};
     use std::panic::AssertUnwindSafe;
 
     fn zero_cfg() -> OmpConfig {
@@ -672,21 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn nowait_skips_the_implicit_barrier() {
-        run_omp(zero_cfg(), |m| {
-            parallel(m, 2, |th| {
-                th.for_loop_nowait(2, Schedule::Static(Some(1)), |th, _| {
-                    th.do_work(VDur::from_millis(if th.thread_num() == 0 { 10 } else { 1 }));
-                });
-                if th.thread_num() == 1 {
-                    assert_eq!(th.clock(), t(1), "no barrier: fast thread runs ahead");
-                }
-                th.barrier();
-            });
-        });
-    }
-
-    #[test]
     fn single_runs_once_with_barrier() {
         use std::sync::atomic::AtomicUsize;
         let runs = AtomicUsize::new(0);
@@ -832,12 +794,8 @@ mod tests {
                 th.barrier();
             });
         };
-        let norm = |mut tr: Trace| {
-            tr.canonicalize();
-            tr
-        };
-        let a = norm(run_omp(zero_cfg(), program));
-        let b = norm(run_omp(zero_cfg(), program));
+        let a = run_omp(zero_cfg(), program);
+        let b = run_omp(zero_cfg(), program);
         assert_eq!(a.regions, b.regions);
         // Every stream, critical-section acquisition order included.
         assert_eq!(a.locations, b.locations);

@@ -159,14 +159,6 @@ impl Json {
         }
     }
 
-    /// Integer payload as `i64`, if this is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => i64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
     /// Numeric payload as `f64` (integers convert).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -640,7 +632,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(doc.get("n").and_then(Json::as_u64), Some(7));
-        assert_eq!(doc.get("n").and_then(Json::as_i64), Some(7));
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(doc.get("f").and_then(Json::as_f64), Some(1.5));
         assert_eq!(doc.get("b").and_then(Json::as_bool), Some(true));
@@ -649,7 +640,6 @@ mod tests {
             Some(1)
         );
         assert_eq!(doc.get("big").and_then(Json::as_u64), Some(u64::MAX));
-        assert_eq!(doc.get("big").and_then(Json::as_i64), None);
         assert_eq!(doc.get("missing"), None);
     }
 }

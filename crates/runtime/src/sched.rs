@@ -316,7 +316,7 @@ unsafe fn unwind_if_cancelled(core: *mut SchedCore, id: usize) {
 /// # Panics
 /// Panics (via a silent cancellation unwind) if the scheduler is tearing
 /// the run down; must be called from inside a task.
-pub fn block(clock: VTime, site: &'static str) {
+fn block(clock: VTime, site: &'static str) {
     let (core, id) = running("sched::block");
     // SAFETY: this thread holds the core; no reference into it is held
     // across the switch.
@@ -349,7 +349,7 @@ pub fn yield_at(clock: VTime) {
 /// (the waker's clock): the task re-enters the heap at
 /// `max(its block clock, at)`. Waking an already-Ready task with an
 /// earlier bound lowers its key; anything else is a no-op.
-pub fn wake(id: TaskId, at: VTime) {
+fn wake(id: TaskId, at: VTime) {
     let core = active();
     assert!(
         !core.is_null(),

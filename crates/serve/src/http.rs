@@ -186,7 +186,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Standard reason phrase for the status codes the service uses.
-pub fn reason(status: u16) -> &'static str {
+fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

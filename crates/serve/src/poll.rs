@@ -39,20 +39,20 @@ unsafe extern "C" {
 /// One delivered readiness event: the token registered with the fd. A
 /// peer that hung up is reported as readable; the read then sees EOF.
 #[derive(Debug, Clone, Copy)]
-pub struct Ready {
+pub(crate) struct Ready {
     /// The token passed at registration (the connection fd).
     pub token: u64,
 }
 
 /// A safe epoll handle.
 #[derive(Debug)]
-pub struct Poller {
+pub(crate) struct Poller {
     epfd: RawFd,
 }
 
 impl Poller {
     /// A new epoll instance.
-    pub fn new() -> io::Result<Poller> {
+    pub(crate) fn new() -> io::Result<Poller> {
         let epfd = unsafe { epoll_create1(0) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -72,23 +72,23 @@ impl Poller {
     }
 
     /// Register `fd` for one read-readiness delivery carrying `token`.
-    pub fn add_oneshot(&self, fd: RawFd, token: u64) -> io::Result<()> {
+    pub(crate) fn add_oneshot(&self, fd: RawFd, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, token, true)
     }
 
     /// Re-arm an fd previously registered with [`Poller::add_oneshot`].
-    pub fn rearm(&self, fd: RawFd, token: u64) -> io::Result<()> {
+    pub(crate) fn rearm(&self, fd: RawFd, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, token, true)
     }
 
     /// Register a permanently-armed fd (the wake channel).
-    pub fn add_level(&self, fd: RawFd, token: u64) -> io::Result<()> {
+    pub(crate) fn add_level(&self, fd: RawFd, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, token, false)
     }
 
     /// Block up to `timeout_ms` (`-1` = forever) and append delivered
     /// events to `out`. Returns the number delivered.
-    pub fn wait(&self, out: &mut Vec<Ready>, timeout_ms: i32) -> io::Result<usize> {
+    pub(crate) fn wait(&self, out: &mut Vec<Ready>, timeout_ms: i32) -> io::Result<usize> {
         const MAX: usize = 256;
         let mut events: [EpollEvent; MAX] = unsafe { std::mem::zeroed() };
         let n = unsafe { epoll_wait(self.epfd, events.as_mut_ptr(), MAX as i32, timeout_ms) };

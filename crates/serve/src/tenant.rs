@@ -59,7 +59,7 @@ impl TenantGov {
     }
 
     /// Number of tenants with at least one in-flight request.
-    pub fn active_tenants(&self) -> usize {
+    fn active_tenants(&self) -> usize {
         self.state.lock().unwrap().inflight.len()
     }
 

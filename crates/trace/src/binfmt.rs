@@ -547,7 +547,7 @@ impl LocationBlock {
     }
 
     /// Materialize the block as an owned [`LocationTrace`].
-    pub fn to_location_trace(&self) -> LocationTrace {
+    fn to_location_trace(&self) -> LocationTrace {
         LocationTrace {
             location: self.location(),
             events: self.events().collect(),

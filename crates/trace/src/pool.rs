@@ -103,7 +103,7 @@ impl TracePool {
     }
 
     /// Number of buffers currently parked.
-    pub fn available(&self) -> usize {
+    fn available(&self) -> usize {
         unpoison(self.inner.buffers.lock()).len()
     }
 

@@ -132,18 +132,6 @@ impl RegionTable {
     pub fn snapshot(&self) -> Vec<RegionMeta> {
         unpoison(self.inner.read()).metas.clone()
     }
-
-    /// Rebuild a table from a snapshot (when deserializing a trace).
-    pub fn from_snapshot(metas: Vec<RegionMeta>) -> Self {
-        let by_name = metas
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.clone(), RegionId(i as u32)))
-            .collect();
-        RegionTable {
-            inner: Arc::new(RwLock::new(TableInner { by_name, metas })),
-        }
-    }
 }
 
 impl fmt::Display for RegionId {
@@ -211,11 +199,11 @@ mod tests {
         let t = RegionTable::new();
         t.intern("x", RegionKind::Work);
         t.intern("y", RegionKind::OmpSync);
-        let snap = t.snapshot();
-        let t2 = RegionTable::from_snapshot(snap);
-        assert_eq!(t2.lookup("x"), Some(RegionId(0)));
-        assert_eq!(t2.lookup("y"), Some(RegionId(1)));
-        assert_eq!(t2.kind(RegionId(1)), Some(RegionKind::OmpSync));
+        // The collector's path: the snapshot becomes a trace's region list.
+        let trace = crate::Trace::new(t.snapshot(), vec![]);
+        assert_eq!(trace.find_region("x"), Some(RegionId(0)));
+        assert_eq!(trace.find_region("y"), Some(RegionId(1)));
+        assert_eq!(trace.region_kind(RegionId(1)), Some(RegionKind::OmpSync));
     }
 
     #[test]

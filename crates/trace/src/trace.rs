@@ -1,6 +1,6 @@
 //! The merged global trace.
 
-use crate::event::{Event, EventKind, LocationId};
+use crate::event::{Event, LocationId};
 use crate::region::{RegionId, RegionKind, RegionMeta};
 use ats_runtime::{VDur, VTime};
 
@@ -155,48 +155,6 @@ impl Trace {
             .map(|l| l.end_time() - l.start_time())
             .sum()
     }
-
-    /// Remap region ids so the region table is sorted by name. Two traces
-    /// of the same program then compare equal even if their threads raced
-    /// while interning region names.
-    pub fn canonicalize(&mut self) {
-        let mut order: Vec<usize> = (0..self.regions.len()).collect();
-        order.sort_by(|&a, &b| self.regions[a].name.cmp(&self.regions[b].name));
-        // old id -> new id
-        let mut remap = vec![RegionId(0); self.regions.len()];
-        for (new, &old) in order.iter().enumerate() {
-            remap[old] = RegionId(new as u32);
-        }
-        self.regions = order.iter().map(|&o| self.regions[o].clone()).collect();
-        for loc in &mut self.locations {
-            for ev in &mut loc.events {
-                match &mut ev.kind {
-                    EventKind::Enter { region } | EventKind::Exit { region } => {
-                        *region = remap[region.0 as usize];
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    /// All distinct communicator ids appearing in message/collective events.
-    pub fn communicators(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self
-            .locations
-            .iter()
-            .flat_map(|l| l.events.iter())
-            .filter_map(|e| match e.kind {
-                EventKind::Send { comm, .. }
-                | EventKind::Recv { comm, .. }
-                | EventKind::CollEnd { comm, .. } => Some(comm),
-                _ => None,
-            })
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
 }
 
 #[cfg(test)]
@@ -260,7 +218,6 @@ mod tests {
         let tr = Trace::new(vec![], vec![]);
         assert_eq!(tr.end_time(), VTime::ZERO);
         assert_eq!(tr.total_alloc_time(), VDur::ZERO);
-        assert!(tr.communicators().is_empty());
         assert_eq!(tr.num_events(), 0);
     }
 }

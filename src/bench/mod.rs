@@ -12,11 +12,11 @@
 //! | `ats bench serve` | every request acked 200 with identical bytes, 0 shed, p99 ≤ 2000 ms, ≥ 50 req/s, live connections ≥ clients |
 //! | `ats bench obs` | observability costs ≤ 2% on the Fig. 3.4 composite |
 
-pub mod obs;
-pub mod sched;
-pub mod serve;
-pub mod store;
-pub mod trace;
+pub(crate) mod obs;
+pub(crate) mod sched;
+pub(crate) mod serve;
+pub(crate) mod store;
+pub(crate) mod trace;
 
 use std::time::Instant;
 

@@ -18,7 +18,7 @@ use crate::obs::ObsConfig;
 
 /// The gate: observability-on over observability-off wall time, in
 /// percent above 100.
-pub const BUDGET_PCT: f64 = 2.0;
+pub(crate) const BUDGET_PCT: f64 = 2.0;
 
 fn composite_pass(session: &Session) -> usize {
     let trace = figure34_trace(session);
@@ -28,7 +28,7 @@ fn composite_pass(session: &Session) -> usize {
 }
 
 /// `ats bench obs [reps] [nprocs]`.
-pub fn run(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let reps = args.pos_or(0, 5usize)?.max(1);
     let nprocs: usize = args.pos_or(1, 16)?;
 

@@ -35,7 +35,7 @@ use crate::runtime::VDur;
 use std::time::Instant;
 
 /// The gate: event over thread net events/sec at 256 ranks.
-pub const MIN_RATIO: f64 = 10.0;
+pub(crate) const MIN_RATIO: f64 = 10.0;
 
 /// One timed configuration.
 struct SchedRow {
@@ -177,7 +177,7 @@ fn print_row(row: &SchedRow) {
 }
 
 /// `ats bench sched [rounds]`.
-pub fn run(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let rounds: usize = args.pos_or(0, 12)?;
     println!("=== E-sched: discrete-event scheduler throughput ===\n");
     println!(

@@ -34,11 +34,11 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// The gate: p99 latency of the timed rounds.
-pub const MAX_P99_MS: f64 = 2000.0;
+pub(crate) const MAX_P99_MS: f64 = 2000.0;
 /// The gate: acked requests per second of flood wall time.
-pub const MIN_RPS: f64 = 50.0;
+pub(crate) const MIN_RPS: f64 = 50.0;
 /// How long the concurrency sample waits for the acceptor.
-pub const ADMIT_DEADLINE: Duration = Duration::from_secs(10);
+pub(crate) const ADMIT_DEADLINE: Duration = Duration::from_secs(10);
 
 /// The warm scenario set: one template, distinct seeds, so every spec has
 /// its own cache key but the same cheap execution cost.
@@ -87,7 +87,7 @@ fn live_connections_when(handle: &ServerHandle, done: impl Fn(usize) -> bool) ->
 }
 
 /// `ats bench serve [clients] [rounds] [--cache-dir DIR] [--workers N]`.
-pub fn run(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let clients: usize = args.pos_or(0, 1000)?;
     let rounds = args.pos_or(1, 4usize)?.max(1);
     let workers: usize = args.value_or("workers", 16)?;

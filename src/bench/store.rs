@@ -26,7 +26,7 @@ use crate::store::{CacheMode, Json, Store};
 use std::time::Instant;
 
 /// The gate: warm hits over warm configurations.
-pub const MIN_HIT_RATE: f64 = 0.95;
+pub(crate) const MIN_HIT_RATE: f64 = 0.95;
 
 /// Aggregated campaign counters for one pass over the catalog.
 #[derive(Debug, Default)]
@@ -95,7 +95,7 @@ fn campaign(session: &Session, phase: &'static str) -> Result<(Vec<String>, Phas
 }
 
 /// `ats bench store [nprocs] [jobs] [--cache-dir DIR]`.
-pub fn run(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs: usize = args.pos_or(0, 4)?;
     let jobs: usize = args.pos_or(1, 0)?;
     let dir = args.value("cache-dir").unwrap_or("artifacts/store-bench");

@@ -17,9 +17,9 @@ use ats_bench::stress::{peak_rss_bytes, write_stress, StressConfig};
 use std::time::Instant;
 
 /// The gate: streaming analysis events per second.
-pub const EPS_FLOOR: f64 = 1e6;
+pub(crate) const EPS_FLOOR: f64 = 1e6;
 /// The gate: streaming over materializing events per second.
-pub const MIN_SPEEDUP: f64 = 2.0;
+pub(crate) const MIN_SPEEDUP: f64 = 2.0;
 
 struct StressDoc {
     ranks: u32,
@@ -124,7 +124,7 @@ fn run_stress(ranks: u32, mb: u64, reps: usize) -> Result<StressDoc, CliError> {
 
 /// `ats bench trace [nprocs] [reps] [--stress-ranks N] [--stress-mb N]`
 /// (defaults: 16 ranks, 5 reps, 64 stress ranks, 8 MB stress trace).
-pub fn run(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs: usize = args.pos_or(0, 16)?;
     let reps = args.pos_or(1, 5usize)?.max(1);
     let stress_ranks = args.value_or("stress-ranks", 64u64)?.clamp(2, 1 << 16) as u32;

@@ -232,7 +232,7 @@ impl CommonArgs {
     }
 
     /// Did the command line ask for any observability output?
-    pub fn obs_requested(&self) -> bool {
+    fn obs_requested(&self) -> bool {
         self.value(METRICS.0).is_some() || self.has(MANIFEST)
     }
 

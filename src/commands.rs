@@ -33,7 +33,7 @@ const PROPERTY: &[&str] = &["PROPERTY", "[key=value...]"];
 const SWEEP: &[(&str, &str)] = &[CACHE, CACHE_DIR, METRICS, ("trace-dir", "DIR")];
 
 /// Every `ats` subcommand.
-pub const COMMANDS: &[Command] = &[
+pub(crate) const COMMANDS: &[Command] = &[
     Command::new("catalog", catalog).about("the property-function catalog"),
     Command::new("generate", generate_cmd)
         .positionals(&["DIR"])

@@ -42,7 +42,7 @@ fn store_default_trace(
 /// severity knob and check the detected waiting time tracks it
 /// monotonically (Kendall tau = 1), localized, with every severity above
 /// zero. Writes `BENCH_sweep.json` with the sweep's throughput.
-pub fn sweep_positive(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn sweep_positive(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs: usize = args.pos_or(0, 8)?;
     let jobs: usize = args.pos_or(1, 0)?;
     let session = args.session(Session::builder().procs(nprocs).jobs(jobs))?;
@@ -120,7 +120,7 @@ pub fn sweep_positive(args: &CommonArgs) -> Result<bool, CliError> {
 /// zero findings. The process-count axis rides the experiment engine's
 /// `procs_grid`, so a property's 18 configurations share the worker pool
 /// (the ones a cache cannot replay).
-pub fn sweep_negative(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn sweep_negative(args: &CommonArgs) -> Result<bool, CliError> {
     let jobs: usize = args.pos_or(0, 0)?;
     let session = args.session(Session::builder().procs(4).jobs(jobs))?;
     println!("=== E-neg: false-positive scan over the negative catalog ===\n");
@@ -173,7 +173,7 @@ pub fn sweep_negative(args: &CommonArgs) -> Result<bool, CliError> {
 /// count grows, per property family — the crossover shapes a tool
 /// developer needs to set thresholds that survive scale. Each property's
 /// process-count grid runs on the experiment engine's worker pool.
-pub fn scaling(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn scaling(args: &CommonArgs) -> Result<bool, CliError> {
     let jobs: usize = args.pos_or(0, 0)?;
     let session = Session::builder().jobs(jobs).threshold(0.0).build();
     let procs = [4usize, 8, 16, 32];
@@ -223,7 +223,7 @@ pub fn scaling(args: &CommonArgs) -> Result<bool, CliError> {
 ///    ablation shows what a tool would see if it relied on message size.
 /// 2. **Analyzer threshold vs. finding count** — the sensitivity knob
 ///    the paper says every tool has.
-pub fn ablation(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn ablation(args: &CommonArgs) -> Result<bool, CliError> {
     let jobs: usize = args.pos_or(0, 0)?;
     println!("=== Ablation 1: eager threshold vs. LateReceiver visibility ===");
     println!("(standard-mode sends of 2 KiB; receiver 40ms late; 4 ranks)\n");
@@ -328,7 +328,7 @@ fn parse_seed(s: &str) -> Result<u64, CliError> {
 /// corpus directory instead: the regression guard for analyzer defects
 /// found before. `--threshold` mis-calibrates the analyzer under test, to
 /// watch the oracle catch a broken tool (never in CI).
-pub fn fuzz(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn fuzz(args: &CommonArgs) -> Result<bool, CliError> {
     let count: usize = args.pos_or(0, 200)?;
     let seed = args.pos(1).map_or(Ok(0xA75_F022), parse_seed)?;
     let jobs: usize = args.pos_or(2, 0)?;

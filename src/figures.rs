@@ -19,14 +19,14 @@ use std::path::PathBuf;
 /// A figure session: the paper's programs at reproduction scale, on the
 /// realistic machine model with visible init/finalize, as in the Vampir
 /// shots.
-pub fn paper_session(nprocs: usize) -> SessionBuilder {
+pub(crate) fn paper_session(nprocs: usize) -> SessionBuilder {
     Session::builder().procs(nprocs).realistic()
 }
 
 /// The Figure 3.2 runs: `imbalance_at_mpi_barrier` under two different
 /// parameter sets (distribution shape and severity), as the paper's two
 /// timelines show. Returns `(label, trace)` pairs.
-pub fn figure32_runs(session: &Session) -> Result<Vec<(String, Trace)>, CliError> {
+pub(crate) fn figure32_runs(session: &Session) -> Result<Vec<(String, Trace)>, CliError> {
     let name = "imbalance_at_mpi_barrier";
     let spec = crate::harness::spec_of(name).map_err(failed)?;
     let configs = [
@@ -54,13 +54,13 @@ fn composite_params() -> CompositeParams {
 }
 
 /// The Figure 3.3 program: all MPI property functions in sequence.
-pub fn figure33_trace(session: &Session) -> Trace {
+pub(crate) fn figure33_trace(session: &Session) -> Trace {
     run_composite_all_mpi(&composite_params(), session.opts())
 }
 
 /// The Figure 3.4/3.5 program: two communicators running different
 /// property sets in parallel (16 ranks, as in the paper's screenshots).
-pub fn figure34_trace(session: &Session) -> Trace {
+pub(crate) fn figure34_trace(session: &Session) -> Trace {
     run_composite_two_comms(&composite_params(), session.opts())
 }
 
@@ -90,7 +90,7 @@ fn write_outputs(
 /// `ats figure 32`: Vampir timeline displays of two executions of the
 /// single-property test program for `imbalance_at_mpi_barrier` with
 /// different parameters.
-pub fn figure32(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn figure32(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs = args.pos_or(0, 8usize)?;
     let session = args
         .session(paper_session(nprocs).analyzer(AnalyzerConfig::default().with_setup_overhead()))?;
@@ -121,7 +121,7 @@ pub fn figure32(args: &CommonArgs) -> Result<bool, CliError> {
 /// all MPI property functions with staggered severities — "to quickly
 /// determine how many different performance properties can be detected
 /// by a performance tool".
-pub fn figure33(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn figure33(args: &CommonArgs) -> Result<bool, CliError> {
     let session = args.session(paper_session(args.pos_or(0, 8)?))?;
     println!("=== Figure 3.3: all MPI property functions in one program ===\n");
     let trace = figure33_trace(&session);
@@ -153,7 +153,7 @@ pub fn figure33(args: &CommonArgs) -> Result<bool, CliError> {
 /// `ats figure 34`: two collections of MPI property functions executing
 /// in parallel in different communicators (lower half: point-to-point
 /// set; upper half: collective set).
-pub fn figure34(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn figure34(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs = args.pos_or(0, 16usize)?;
     let session = args.session(paper_session(nprocs))?;
     println!("=== Figure 3.4: two communicators, different property sets in parallel ===");
@@ -185,7 +185,7 @@ pub fn figure34(args: &CommonArgs) -> Result<bool, CliError> {
 /// (communicator-local root 1). With `--trace FILE` the analysis runs on
 /// a stored ATSB trace (one `ats figure 34 --trace-dir` wrote, say)
 /// instead of re-executing the program.
-pub fn figure35(args: &CommonArgs) -> Result<bool, CliError> {
+pub(crate) fn figure35(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs_arg = args.pos_or(0, 16usize)?;
     let session = args.session(paper_session(nprocs_arg))?;
     let (trace, report, nprocs) = match args.value("trace") {

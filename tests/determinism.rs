@@ -6,11 +6,6 @@
 use ats::harness::{run_single, ParamValue, ParamValues, RunOpts};
 use ats::trace::Trace;
 
-fn canonical(mut t: Trace) -> Trace {
-    t.canonicalize();
-    t
-}
-
 /// Catalog entries whose traces must be bit-identical across repeated runs.
 fn deterministic_entries() -> impl Iterator<Item = &'static ats::core::PropertySpec> {
     ats::core::CATALOG.iter()
@@ -22,8 +17,8 @@ fn every_catalog_trace_is_bit_reproducible() {
     for spec in deterministic_entries() {
         let mut params = ParamValues::defaults(spec);
         params.set("r", ParamValue::Count(2));
-        let a = canonical(run_single(spec.name, &params, &opts).unwrap());
-        let b = canonical(run_single(spec.name, &params, &opts).unwrap());
+        let a = run_single(spec.name, &params, &opts).unwrap();
+        let b = run_single(spec.name, &params, &opts).unwrap();
         assert_eq!(a.regions, b.regions, "{}: region tables differ", spec.name);
         assert_eq!(a.comms, b.comms, "{}: comm defs differ", spec.name);
         assert_eq!(
@@ -35,9 +30,11 @@ fn every_catalog_trace_is_bit_reproducible() {
 }
 
 #[test]
-fn contention_totals_are_stable_even_if_order_is_not() {
+fn contention_totals_repeat_across_runs() {
     use ats::analyzer::{analyze, AnalyzerConfig};
-    // Both contention flavors report as OmpCriticalContention.
+    // Both contention flavors report as OmpCriticalContention. One
+    // scheduler orders every acquisition, so repeated runs must report
+    // the same contention total.
     for (name, property) in [
         ("omp_critical_contention", "OmpCriticalContention"),
         ("omp_lock_contention", "OmpCriticalContention"),
@@ -58,7 +55,7 @@ fn contention_totals_are_stable_even_if_order_is_not() {
         }
         assert!(
             totals.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-9),
-            "{name}: aggregate contention must be schedule-independent: {totals:?}"
+            "{name}: contention totals must repeat across runs: {totals:?}"
         );
     }
 }
@@ -69,28 +66,24 @@ fn seeds_do_not_leak_into_virtual_time() {
     // only affects real-mode memory access patterns.
     let spec = ats::core::catalog::find("late_broadcast").unwrap();
     let params = ParamValues::defaults(spec);
-    let a = canonical(
-        run_single(
-            spec.name,
-            &params,
-            &RunOpts {
-                seed: 1,
-                ..RunOpts::default().procs(4)
-            },
-        )
-        .unwrap(),
-    );
-    let b = canonical(
-        run_single(
-            spec.name,
-            &params,
-            &RunOpts {
-                seed: 0xDEAD_BEEF,
-                ..RunOpts::default().procs(4)
-            },
-        )
-        .unwrap(),
-    );
+    let a = run_single(
+        spec.name,
+        &params,
+        &RunOpts {
+            seed: 1,
+            ..RunOpts::default().procs(4)
+        },
+    )
+    .unwrap();
+    let b = run_single(
+        spec.name,
+        &params,
+        &RunOpts {
+            seed: 0xDEAD_BEEF,
+            ..RunOpts::default().procs(4)
+        },
+    )
+    .unwrap();
     assert_eq!(a.locations, b.locations);
 }
 
@@ -126,17 +119,14 @@ fn event_and_thread_backends_produce_identical_atsb_bytes() {
         let mut params = ParamValues::defaults(spec);
         params.set("r", ParamValue::Count(2));
         let opts = RunOpts::default().procs(8);
-        let run_on = |carrier: SimBackend| {
-            canonical(match spec.paradigm {
-                Paradigm::Omp => {
-                    run_as_tasks(carrier, 1, |_| run_single(name, &params, &opts).unwrap())
-                        .remove(0)
-                }
-                _ => ats::mpi::run(opts.sim_config().backend(carrier), |p| {
-                    let world = p.comm_world();
-                    run_in_comm(name, &params, &opts.base, p, &world);
-                }),
-            })
+        let run_on = |carrier: SimBackend| match spec.paradigm {
+            Paradigm::Omp => {
+                run_as_tasks(carrier, 1, |_| run_single(name, &params, &opts).unwrap()).remove(0)
+            }
+            _ => ats::mpi::run(opts.sim_config().backend(carrier), |p| {
+                let world = p.comm_world();
+                run_in_comm(name, &params, &opts.base, p, &world);
+            }),
         };
         let event = run_on(SimBackend::Event);
         let thread = run_on(SimBackend::Thread);
@@ -187,10 +177,10 @@ fn composites_are_reproducible() {
     };
     let run = || {
         let params = params.clone();
-        canonical(ats::mpi::run(SimConfig::with_procs(8), move |p| {
+        ats::mpi::run(SimConfig::with_procs(8), move |p| {
             let world = p.comm_world();
             composite::two_communicator_composite(p, &params, &world);
-        }))
+        })
     };
     let a = run();
     let b = run();

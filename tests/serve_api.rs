@@ -100,6 +100,12 @@ fn a_deeply_nested_body_is_a_400_and_the_server_keeps_answering() {
         .request("POST", "/v1/analyze", Some("text/plain"), body.as_bytes())
         .expect("transport ok");
     assert_eq!(resp.status, 400, "{}", resp.text());
+    // The error quotes a bounded prefix of the offending token.
+    assert!(
+        resp.body.len() < 1024,
+        "{}-byte error body",
+        resp.body.len()
+    );
     let doc = ats::core::json::Json::parse(resp.text().trim()).expect("error body is JSON");
     assert_eq!(
         doc.get("kind").and_then(ats::core::json::Json::as_str),
