@@ -255,10 +255,10 @@ mod tests {
             );
             // Localization: some finding for the property sits at a call
             // path containing both the property frame and the MPI call.
-            let hits = report.findings_for(expected);
             assert!(
-                hits.iter()
-                    .any(|f| f.call_path.contains(name) && f.call_path.contains(spec.localized_at)),
+                !report
+                    .findings_at(expected, name, spec.localized_at)
+                    .is_empty(),
                 "{name}: no finding localized at {}/{}; findings: {:?}",
                 name,
                 spec.localized_at,

@@ -56,7 +56,7 @@ pub use callpath::{PathId, PathTable};
 pub use ingest::{analyze_path, analyze_path_streaming, analyze_stream, StreamStats};
 pub use phases::{analyze_phases, PhaseReport, PhaseSeries};
 pub use property::PropertyKind;
-pub use report::{diff, AnalysisReport, DiffEntry, Finding};
+pub use report::{AnalysisReport, Finding};
 pub use severity::SeverityCube;
 pub use wire::{FindingDoc, ReportDoc, REPORT_SCHEMA};
 

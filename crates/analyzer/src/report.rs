@@ -95,6 +95,21 @@ impl AnalysisReport {
             .collect()
     }
 
+    /// The findings of `property` localized where a catalog entry
+    /// expects them: the rendered call path contains both `frame` (the
+    /// property function's own region, or any enclosing region) and
+    /// `call` (the entry's `localized_at`). This is the suite's one
+    /// localization test; the experiment engine and the fuzz oracle both
+    /// score through it.
+    pub fn findings_at(&self, property: &str, frame: &str, call: &str) -> Vec<&Finding> {
+        self.findings
+            .iter()
+            .filter(|f| {
+                f.property == property && f.call_path.contains(frame) && f.call_path.contains(call)
+            })
+            .collect()
+    }
+
     /// Total severity of a property across all call paths.
     pub fn severity_of(&self, property: &str) -> f64 {
         property
@@ -189,78 +204,6 @@ impl AnalysisReport {
     }
 }
 
-/// One difference between two analysis results.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DiffEntry {
-    /// A property reported by `new` but not by `old`.
-    Appeared {
-        /// Property name.
-        property: String,
-        /// Its severity in the new report.
-        severity: f64,
-    },
-    /// A property reported by `old` but not by `new`.
-    Vanished {
-        /// Property name.
-        property: String,
-        /// Its severity in the old report.
-        severity: f64,
-    },
-    /// Severity moved by more than the tolerance.
-    Changed {
-        /// Property name.
-        property: String,
-        /// Old severity.
-        old: f64,
-        /// New severity.
-        new: f64,
-    },
-}
-
-/// Compare two reports property-by-property — the regression check a tool
-/// team runs between tool versions over the same recorded traces.
-/// `tolerance` is the allowed absolute severity drift.
-pub fn diff(old: &AnalysisReport, new: &AnalysisReport, tolerance: f64) -> Vec<DiffEntry> {
-    let mut out = Vec::new();
-    let names = |r: &AnalysisReport| -> Vec<String> {
-        let mut v: Vec<String> = r.findings.iter().map(|f| f.property.clone()).collect();
-        v.sort();
-        v.dedup();
-        v
-    };
-    let old_names = names(old);
-    let new_names = names(new);
-    for p in &new_names {
-        if !old_names.contains(p) {
-            out.push(DiffEntry::Appeared {
-                property: p.clone(),
-                severity: new.severity_of(p),
-            });
-        }
-    }
-    for p in &old_names {
-        if !new_names.contains(p) {
-            out.push(DiffEntry::Vanished {
-                property: p.clone(),
-                severity: old.severity_of(p),
-            });
-        }
-    }
-    for p in &old_names {
-        if new_names.contains(p) {
-            let (o, n) = (old.severity_of(p), new.severity_of(p));
-            if (o - n).abs() > tolerance {
-                out.push(DiffEntry::Changed {
-                    property: p.clone(),
-                    old: o,
-                    new: n,
-                });
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,39 +295,6 @@ mod tests {
         assert_eq!(doc.findings[0].property, "LateSender");
         assert!(doc.findings[0].severity > 0.0);
         assert_eq!(doc.findings[0].wait_ns, report.findings[0].wait.as_nanos());
-    }
-
-    #[test]
-    fn diff_flags_regressions() {
-        let mk = |extra: f64| {
-            let trace = ats_mpi::run(cfg(2), move |p| {
-                let c = p.comm_world();
-                mpi_p2p::late_sender(p, &BaseComm::default(), 0.002, extra, 2, &c);
-            });
-            analyze(&trace, &AnalyzerConfig::default())
-        };
-        let a = mk(0.03);
-        let b = mk(0.03);
-        assert!(diff(&a, &b, 1e-9).is_empty(), "identical runs diff clean");
-        let c = mk(0.09);
-        let d = diff(&a, &c, 0.01);
-        assert!(
-            d.iter().any(
-                |e| matches!(e, DiffEntry::Changed { property, .. } if property == "LateSender")
-            ),
-            "{d:?}"
-        );
-        // A vanished property: compare against a clean run.
-        let clean_trace = ats_mpi::run(cfg(2), |p| {
-            let c = p.comm_world();
-            ats_core::properties::negative::balanced_mpi_barrier(p, 0.01, 2, &c);
-        });
-        let clean = analyze(&clean_trace, &AnalyzerConfig::default());
-        let d2 = diff(&a, &clean, 0.01);
-        assert!(
-            d2.iter().any(|e| matches!(e, DiffEntry::Vanished { .. })),
-            "{d2:?}"
-        );
     }
 
     #[test]

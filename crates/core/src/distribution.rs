@@ -123,7 +123,7 @@ impl Distr {
     }
 
     /// Linear ramp.
-    pub fn linear(low: f64, high: f64) -> Self {
+    pub const fn linear(low: f64, high: f64) -> Self {
         Distr::Linear { low, high }
     }
 

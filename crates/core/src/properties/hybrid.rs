@@ -16,6 +16,12 @@ use ats_mpi::{Comm, Proc};
 use ats_omp::parallel;
 use ats_runtime::VDur;
 
+/// The rank-level work scale the catalog entry
+/// `omp_imbalance_at_mpi_barrier` passes as `rank_df`: spreading the
+/// ranks' team loads makes the thread imbalance also skew the ranks
+/// against each other at the MPI barrier.
+pub const CATALOG_RANK_SCALE: Distr = Distr::linear(0.5, 1.5);
+
 /// *OpenMP Imbalance feeding an MPI Barrier*: every rank runs a thread
 /// team whose load depends on the rank (`rank_df`) and thread (`thread_df`),
 /// then all ranks synchronize. Detectable at two levels: imbalance at the

@@ -35,8 +35,8 @@ const MAX_REPS: u64 = 3;
 /// Chance (percent) that a drawn phase is well-tuned padding.
 const PADDING_PERCENT: u64 = 30;
 
-/// Positive properties the generator places. All 23 positive catalog
-/// entries are eligible.
+/// Positive properties the generator places: every positive catalog
+/// entry (29 today) is eligible.
 fn positive_names() -> Vec<&'static str> {
     catalog::CATALOG
         .iter()

@@ -10,6 +10,7 @@
 //! differs from the programmed wait (e.g. wrong-order waits partially
 //! classified as late-sender).
 
+use ats_core::properties::hybrid::CATALOG_RANK_SCALE;
 use ats_core::Distr;
 use ats_harness::ParamValues;
 
@@ -129,11 +130,10 @@ pub fn nominal_wait(name: &str, v: &ParamValues, group: usize) -> Option<f64> {
         }
         // ---- Hybrid ------------------------------------------------------
         "omp_imbalance_at_mpi_barrier" => {
-            // Rank i's team finishes at maxv * scale_i (scales hardwired
-            // to linear(0.5, 1.5) in the registry dispatch).
+            // Rank i's team finishes at maxv * scale_i.
             let team = v.distr("df").values(v.count("nthreads"), 1.0);
             let maxv = team.iter().cloned().fold(0.0, f64::max);
-            let scales = Distr::linear(0.5, 1.5).values(group, 1.0);
+            let scales = CATALOG_RANK_SCALE.values(group, 1.0);
             let max_scale = scales.iter().cloned().fold(0.0, f64::max);
             let spread: f64 = scales.iter().map(|s| max_scale - s).sum();
             r() * maxv * spread

@@ -239,15 +239,7 @@ pub fn score(
                 }
             }
             Some(expected) => {
-                let matching: Vec<_> = report
-                    .findings
-                    .iter()
-                    .filter(|f| {
-                        f.property == *expected
-                            && f.call_path.contains(&tag)
-                            && f.call_path.contains(&pred.localized_at)
-                    })
-                    .collect();
+                let matching = report.findings_at(expected, &tag, &pred.localized_at);
                 let predicted_severity = if total_alloc_secs > 0.0 {
                     pred.nominal_wait / total_alloc_secs
                 } else {

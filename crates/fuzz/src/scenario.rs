@@ -171,6 +171,12 @@ pub fn region_name(idx: usize) -> String {
     format!("fz{idx:02}")
 }
 
+/// The widest world a scenario may ask for: the widest the suite
+/// simulates (`ats bench sched`'s top row). Every rank is a task with a
+/// stack of its own, so the bound keeps one text line from asking for
+/// unbounded memory.
+const MAX_NPROCS: usize = 8192;
+
 /// Name of the region wrapping the inter-slot world barrier. Waits inside
 /// it are expected by construction (groups finish at different times) and
 /// are never counted as oracle violations.
@@ -193,13 +199,20 @@ impl Scenario {
         self.slots.iter().map(|s| s.phases.len()).sum()
     }
 
-    /// Structural validity: catalog names, group indices in range, at
-    /// most one phase per group, parseable parameters, roots inside their
-    /// group, and every group of at least two ranks (MPI properties need
-    /// a partner). Returns the first problem found.
+    /// Structural validity: a world of 1 to 8192 ranks, catalog
+    /// names, group indices in range, at most one phase per group,
+    /// parameters of the right kind inside their declared ranges, roots
+    /// inside their group, and every group of at least two ranks (MPI
+    /// properties need a partner). Returns the first problem found.
     pub fn validate(&self) -> Result<(), Error> {
         if self.nprocs == 0 {
             return Err(Error::scenario("nprocs must be positive"));
+        }
+        if self.nprocs > MAX_NPROCS {
+            return Err(Error::scenario(format!(
+                "nprocs {} exceeds the widest world, {MAX_NPROCS} ranks",
+                self.nprocs
+            )));
         }
         if self.slots.is_empty() {
             return Err(Error::scenario("scenario has no slots"));
@@ -237,16 +250,8 @@ impl Scenario {
                 let v = ph
                     .param_values()
                     .map_err(|e| Error::scenario(format!("slot {si}: {e}")))?;
-                if ph.params.contains_key("root") {
-                    let sz = slot.split.group_size(ph.group, self.nprocs);
-                    if v.count("root") >= sz {
-                        return Err(Error::scenario(format!(
-                            "slot {si}: {} root {} outside group of {sz}",
-                            ph.property,
-                            v.count("root")
-                        )));
-                    }
-                }
+                v.check_root(slot.split.group_size(ph.group, self.nprocs))
+                    .map_err(|e| Error::scenario(format!("slot {si}: {}: {e}", ph.property)))?;
             }
         }
         Ok(())
@@ -512,6 +517,30 @@ mod tests {
         let mut bad = sample();
         bad.slots[1].phases[0] = phase(0, "late_broadcast", &[("root", "9")]);
         assert!(bad.validate().is_err(), "root outside the group");
+    }
+
+    #[test]
+    fn validate_bounds_the_world_and_every_parameter() {
+        let mut wide = sample();
+        wide.nprocs = MAX_NPROCS;
+        assert_eq!(wide.validate(), Ok(()), "the widest world is legal");
+        for (line, needle) in [
+            ("seed=1 nprocs=1000000000 | whole g0:late_sender", "8192"),
+            (
+                "seed=1 nprocs=2 | whole g0:imbalance_at_omp_barrier nthreads=0",
+                "[1, 16]",
+            ),
+            (
+                "seed=1 nprocs=2 | whole g0:late_sender r=1000000000",
+                "[1, 64]",
+            ),
+        ] {
+            let err = Scenario::parse_line(line)
+                .and_then(|sc| sc.validate())
+                .unwrap_err();
+            assert_eq!(err.kind(), ats_core::ErrorKind::Scenario, "{line}");
+            assert!(err.to_string().contains(needle), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -368,9 +368,9 @@ impl Experiment {
         let (detected_severity, localized, unexpected) = match spec.expected_property {
             Some(expected) => {
                 let sev = report.severity_of(expected);
-                let localized = report.findings_for(expected).iter().any(|f| {
-                    f.call_path.contains(spec.name) && f.call_path.contains(spec.localized_at)
-                });
+                let localized = !report
+                    .findings_at(expected, spec.name, spec.localized_at)
+                    .is_empty();
                 let unexpected = report
                     .findings
                     .iter()

@@ -23,7 +23,8 @@
 //!   compare results, report overhead;
 //! * [`resources`]: the paper's chapter-2 suite collection as data;
 //! * [`correctness`]: positive/negative correctness scoring of an
-//!   analyzer against the catalog's expectations.
+//!   analyzer against the catalog's expectations, read from the
+//!   experiment engine's rows.
 
 pub mod cache;
 pub mod correctness;
@@ -38,7 +39,7 @@ pub mod session;
 pub mod timeline;
 pub mod validation;
 
-pub use correctness::{SuiteSummary, Verdict};
+pub use correctness::SuiteSummary;
 pub use experiment::{Experiment, ExperimentRow, ExperimentStats, Sweep};
 pub use params::{ParamValue, ParamValues};
 pub use registry::{run_in_comm, run_single, spec_of, RunOpts};

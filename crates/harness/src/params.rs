@@ -3,8 +3,8 @@
 //! The paper's generated test programs "read the necessary property
 //! parameters from the command line"; this module is that command line:
 //! `key=value` tokens validated against the catalog's
-//! [`ParamSpec`](ats_core::ParamSpec)s, with
-//! defaults filled in.
+//! [`ParamSpec`](ats_core::ParamSpec)s — each value's kind and declared
+//! range — with defaults filled in.
 
 use ats_core::error::quote;
 use ats_core::{Distr, ParamKind, PropertySpec};
@@ -39,8 +39,17 @@ pub enum ParamError {
     Malformed(String),
     /// The key is not a parameter of this property.
     UnknownKey(String),
-    /// The value failed to parse under the parameter's kind.
-    BadValue { key: String, value: String },
+    /// The value failed to parse under the parameter's kind; `reason`
+    /// quotes it and says why.
+    BadValue { key: String, reason: String },
+    /// The value lies outside the parameter's declared `range`.
+    OutOfRange {
+        key: String,
+        value: String,
+        range: String,
+    },
+    /// A `root` rank outside the `group`-rank communicator it roots.
+    RootOutsideGroup { root: usize, group: usize },
 }
 
 impl fmt::Display for ParamError {
@@ -50,9 +59,19 @@ impl fmt::Display for ParamError {
                 write!(f, "malformed parameter {} (expected key=value)", quote(t))
             }
             ParamError::UnknownKey(k) => write!(f, "unknown parameter {}", quote(k)),
-            ParamError::BadValue { key, value } => {
-                write!(f, "bad value {} for parameter {}", quote(value), quote(key))
+            ParamError::BadValue { key, reason } => {
+                write!(f, "bad value for parameter {}: {reason}", quote(key))
             }
+            ParamError::OutOfRange { key, value, range } => write!(
+                f,
+                "value {} for parameter {} is outside its range {range}",
+                quote(value),
+                quote(key)
+            ),
+            ParamError::RootOutsideGroup { root, group } => write!(
+                f,
+                "parameter `root` = {root} is outside the communicator of {group} ranks"
+            ),
         }
     }
 }
@@ -66,8 +85,9 @@ pub struct ParamValues {
 }
 
 impl ParamValues {
-    /// Build from `key=value` tokens, validating against `spec` and
-    /// filling unspecified parameters with their catalog defaults.
+    /// Build from `key=value` tokens, validating each value's kind and
+    /// declared range against `spec`, and filling unspecified parameters
+    /// with their catalog defaults.
     pub fn from_args(spec: &PropertySpec, args: &[&str]) -> Result<Self, ParamError> {
         let mut values = BTreeMap::new();
         // Defaults first.
@@ -87,10 +107,23 @@ impl ParamValues {
                 .iter()
                 .find(|p| p.name == k)
                 .ok_or_else(|| ParamError::UnknownKey(k.to_owned()))?;
-            let value = parse_value(param.kind, v).ok_or_else(|| ParamError::BadValue {
+            let value = parse_value(param.kind, v).map_err(|reason| ParamError::BadValue {
                 key: k.to_owned(),
-                value: v.to_owned(),
+                reason,
             })?;
+            let (lo, hi) = param.range_f64();
+            let in_range = match value {
+                ParamValue::Seconds(x) => lo <= x && x <= hi,
+                ParamValue::Count(n) => lo <= n as f64 && n as f64 <= hi,
+                ParamValue::Distr(_) => true,
+            };
+            if !in_range {
+                return Err(ParamError::OutOfRange {
+                    key: k.to_owned(),
+                    value: v.to_owned(),
+                    range: param.range_display().unwrap_or_default(),
+                });
+            }
             values.insert(k.to_owned(), value);
         }
         Ok(ParamValues { values })
@@ -101,7 +134,20 @@ impl ParamValues {
         Self::from_args(spec, &[]).expect("defaults are valid")
     }
 
-    /// Override one parameter (used by sweeps).
+    /// Check that the `root` parameter, if the entry has one, names a
+    /// rank of the `group`-rank communicator the entry runs on. The
+    /// catalog cannot declare this bound: it depends on where the entry
+    /// runs.
+    pub fn check_root(&self, group: usize) -> Result<(), ParamError> {
+        match self.values.get("root") {
+            Some(&ParamValue::Count(root)) if root >= group => {
+                Err(ParamError::RootOutsideGroup { root, group })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Override one parameter (used by sweeps; unchecked).
     pub fn set(&mut self, key: &str, value: ParamValue) {
         self.values.insert(key.to_owned(), value);
     }
@@ -145,15 +191,23 @@ impl ParamValues {
     }
 }
 
-fn parse_value(kind: ParamKind, s: &str) -> Option<ParamValue> {
+/// Parse `s` under `kind`, or say why it does not parse.
+fn parse_value(kind: ParamKind, s: &str) -> Result<ParamValue, String> {
     match kind {
         ParamKind::Seconds => s
             .parse::<f64>()
             .ok()
             .filter(|v| v.is_finite() && *v >= 0.0)
-            .map(ParamValue::Seconds),
-        ParamKind::Count => s.parse::<usize>().ok().map(ParamValue::Count),
-        ParamKind::Distribution => s.parse::<Distr>().ok().map(ParamValue::Distr),
+            .map(ParamValue::Seconds)
+            .ok_or_else(|| format!("{} is not a number of seconds, at least 0", quote(s))),
+        ParamKind::Count => s
+            .parse::<usize>()
+            .map(ParamValue::Count)
+            .map_err(|_| format!("{} is not a whole number", quote(s))),
+        ParamKind::Distribution => s
+            .parse::<Distr>()
+            .map(ParamValue::Distr)
+            .map_err(|e| e.to_string()),
     }
 }
 
@@ -206,6 +260,25 @@ mod tests {
             ParamValues::from_args(spec, &["basework=-1"]),
             Err(ParamError::BadValue { .. })
         ));
+        let err = ParamValues::from_args(spec, &["r=65"]).unwrap_err();
+        assert!(matches!(err, ParamError::OutOfRange { .. }), "{err:?}");
+        assert!(err.to_string().contains("[1, 64]"), "{err}");
+        let spec = catalog::find("imbalance_at_mpi_barrier").unwrap();
+        let err = ParamValues::from_args(spec, &["df=cyclic2:low=1"]).unwrap_err();
+        assert!(err.to_string().contains("requires `high`"), "{err}");
+    }
+
+    #[test]
+    fn roots_must_lie_inside_the_group() {
+        let spec = catalog::find("late_broadcast").unwrap();
+        let v = ParamValues::from_args(spec, &["root=3"]).unwrap();
+        assert_eq!(v.check_root(4), Ok(()));
+        assert_eq!(
+            v.check_root(3),
+            Err(ParamError::RootOutsideGroup { root: 3, group: 3 })
+        );
+        let omp = ParamValues::defaults(catalog::find("imbalance_at_omp_barrier").unwrap());
+        assert_eq!(omp.check_root(1), Ok(()), "an entry without a root");
     }
 
     #[test]

@@ -116,27 +116,6 @@ impl ReduceOp {
             Datatype::Float64 => reduce_typed!(f64, acc, input, self),
         }
     }
-
-    /// The identity element for this operator and type, as bytes.
-    pub fn identity(self, dtype: Datatype) -> Vec<u8> {
-        macro_rules! ident {
-            ($ty:ty, $zero:expr, $one:expr, $min:expr, $max:expr) => {
-                match self {
-                    ReduceOp::Sum => ($zero as $ty).to_le_bytes().to_vec(),
-                    ReduceOp::Prod => ($one as $ty).to_le_bytes().to_vec(),
-                    ReduceOp::Max => ($min as $ty).to_le_bytes().to_vec(),
-                    ReduceOp::Min => ($max as $ty).to_le_bytes().to_vec(),
-                }
-            };
-        }
-        match dtype {
-            Datatype::Byte => ident!(u8, 0, 1, u8::MIN, u8::MAX),
-            Datatype::Int32 => ident!(i32, 0, 1, i32::MIN, i32::MAX),
-            Datatype::Int64 => ident!(i64, 0, 1, i64::MIN, i64::MAX),
-            Datatype::Float32 => ident!(f32, 0.0, 1.0, f32::NEG_INFINITY, f32::INFINITY),
-            Datatype::Float64 => ident!(f64, 0.0, 1.0, f64::NEG_INFINITY, f64::INFINITY),
-        }
-    }
 }
 
 /// Encode a slice of `i32` as a little-endian byte vector.
@@ -205,16 +184,6 @@ mod tests {
         inp.extend(21i64.to_le_bytes());
         ReduceOp::Prod.combine(Datatype::Int64, &mut acc, &inp);
         assert_eq!(i64::from_le_bytes(acc.try_into().unwrap()), 42);
-    }
-
-    #[test]
-    fn identities_are_neutral() {
-        for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min] {
-            let mut acc = op.identity(Datatype::Int32);
-            let inp = i32s_to_bytes(&[17]);
-            op.combine(Datatype::Int32, &mut acc, &inp);
-            assert_eq!(bytes_to_i32s(&acc), vec![17], "op {op:?}");
-        }
     }
 
     #[test]

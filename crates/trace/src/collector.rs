@@ -94,11 +94,6 @@ impl TraceCollector {
         unpoison(self.done.lock()).push(LocationTrace { location, events });
     }
 
-    /// Number of streams submitted so far.
-    pub fn submitted(&self) -> usize {
-        unpoison(self.done.lock()).len()
-    }
-
     /// Consume the collector, producing the merged trace.
     ///
     /// # Panics
@@ -195,13 +190,5 @@ mod tests {
         // … and recorded exactly the same trace as an unpooled collector.
         assert_eq!(second.locations, fresh.locations);
         assert_eq!(second.regions, fresh.regions);
-    }
-
-    #[test]
-    fn submitted_counter() {
-        let c = TraceCollector::new();
-        assert_eq!(c.submitted(), 0);
-        c.submit(c.local(LocationId::rank(0)));
-        assert_eq!(c.submitted(), 1);
     }
 }

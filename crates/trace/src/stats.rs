@@ -45,10 +45,6 @@ pub struct TraceStats {
     pub profiles: HashMap<LocationId, HashMap<RegionId, RegionProfile>>,
     /// Per-location traffic.
     pub messages: HashMap<LocationId, MessageStats>,
-    /// Point-to-point traffic matrix: `(sender rank, receiver rank) ->
-    /// (messages, bytes)`, from the senders' Send events — the classic
-    /// communication-matrix view of trace browsers.
-    pub matrix: HashMap<(u32, u32), (u64, u64)>,
 }
 
 impl TraceStats {
@@ -56,11 +52,7 @@ impl TraceStats {
     pub fn compute(trace: &Trace) -> Self {
         let mut stats = TraceStats::default();
         for loc in &trace.locations {
-            let TraceStats {
-                profiles,
-                messages,
-                matrix,
-            } = &mut stats;
+            let TraceStats { profiles, messages } = &mut stats;
             let profile = profiles.entry(loc.location).or_default();
             let msg = messages.entry(loc.location).or_default();
             // (region, enter time, time spent in children)
@@ -82,12 +74,9 @@ impl TraceStats {
                             parent.2 += incl;
                         }
                     }
-                    EventKind::Send { to, bytes, .. } => {
+                    EventKind::Send { bytes, .. } => {
                         msg.sends += 1;
                         msg.bytes_sent += bytes;
-                        let cell = matrix.entry((loc.location.rank, to)).or_default();
-                        cell.0 += 1;
-                        cell.1 += bytes;
                     }
                     EventKind::Recv { bytes, .. } => {
                         msg.recvs += 1;
@@ -121,11 +110,6 @@ impl TraceStats {
     /// Total messages received across all locations.
     pub fn total_recvs(&self) -> u64 {
         self.messages.values().map(|m| m.recvs).sum()
-    }
-
-    /// Bytes sent from `from` to `to` (zero if no traffic).
-    pub fn traffic(&self, from: u32, to: u32) -> (u64, u64) {
-        self.matrix.get(&(from, to)).copied().unwrap_or((0, 0))
     }
 }
 
@@ -221,50 +205,6 @@ mod tests {
         assert_eq!(m.bytes_received, 200);
         assert_eq!(stats.total_sends(), 1);
         assert_eq!(stats.total_recvs(), 1);
-    }
-
-    #[test]
-    fn traffic_matrix_accumulates_per_pair() {
-        let events = vec![
-            Event::new(
-                t(0),
-                EventKind::Send {
-                    to: 1,
-                    comm: 0,
-                    tag: 0,
-                    bytes: 100,
-                },
-            ),
-            Event::new(
-                t(1),
-                EventKind::Send {
-                    to: 1,
-                    comm: 0,
-                    tag: 0,
-                    bytes: 50,
-                },
-            ),
-            Event::new(
-                t(2),
-                EventKind::Send {
-                    to: 2,
-                    comm: 0,
-                    tag: 0,
-                    bytes: 7,
-                },
-            ),
-        ];
-        let trace = Trace::new(
-            vec![],
-            vec![LocationTrace {
-                location: LocationId::rank(0),
-                events,
-            }],
-        );
-        let stats = TraceStats::compute(&trace);
-        assert_eq!(stats.traffic(0, 1), (2, 150));
-        assert_eq!(stats.traffic(0, 2), (1, 7));
-        assert_eq!(stats.traffic(1, 0), (0, 0));
     }
 
     #[test]

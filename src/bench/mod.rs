@@ -40,7 +40,7 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
 
 /// The verdict line every gate ends with.
 fn verdict(gate: &str, passed: bool) -> bool {
-    println!(
+    outln!(
         "\n{gate} gate: {}",
         if passed { "OK" } else { "REGRESSION" }
     );

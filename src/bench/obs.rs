@@ -32,21 +32,21 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let reps = args.pos_or(0, 5usize)?.max(1);
     let nprocs: usize = args.pos_or(1, 16)?;
 
-    println!("=== obs_overhead: figure-3.4 composite + analysis, {reps} reps ===\n");
+    outln!("=== obs_overhead: figure-3.4 composite + analysis, {reps} reps ===\n");
     let off = paper_session(nprocs).build();
     let (disabled_best, events) = best_of(reps, || composite_pass(&off));
-    println!("observability off: best {disabled_best:.4}s ({events} events)");
+    outln!("observability off: best {disabled_best:.4}s ({events} events)");
 
     let on = paper_session(nprocs).obs(ObsConfig::fresh()).build();
     let (enabled_best, _) = best_of(reps, || composite_pass(&on));
-    println!("observability on:  best {enabled_best:.4}s");
+    outln!("observability on:  best {enabled_best:.4}s");
 
     let overhead_pct = if disabled_best > 0.0 {
         (enabled_best - disabled_best) / disabled_best * 100.0
     } else {
         0.0
     };
-    println!("overhead: {overhead_pct:+.2}% (budget {BUDGET_PCT}%)");
+    outln!("overhead: {overhead_pct:+.2}% (budget {BUDGET_PCT}%)");
 
     let doc = Json::obj()
         .with("experiment", "obs_overhead")
@@ -61,7 +61,7 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     if let Some(manifest) = on.manifest("obs_overhead") {
         let path = "obs_overhead.manifest.json";
         write_file(path, manifest.to_json_pretty())?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(super::verdict("observability", overhead_pct <= BUDGET_PCT))
 }

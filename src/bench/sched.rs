@@ -163,7 +163,7 @@ fn measure(backend: SimBackend, nprocs: usize, rounds: usize, reps: usize) -> Sc
 }
 
 fn print_row(row: &SchedRow) {
-    println!(
+    outln!(
         "{:<8} {:>7} {:>12} {:>12} {:>10.3} {:>14.0} {:>14.0} {:>12.0}",
         row.backend,
         row.nprocs,
@@ -179,8 +179,8 @@ fn print_row(row: &SchedRow) {
 /// `ats bench sched [rounds]`.
 pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let rounds: usize = args.pos_or(0, 12)?;
-    println!("=== E-sched: discrete-event scheduler throughput ===\n");
-    println!(
+    outln!("=== E-sched: discrete-event scheduler throughput ===\n");
+    outln!(
         "{:<8} {:>7} {:>12} {:>12} {:>10} {:>14} {:>14} {:>12}",
         "backend",
         "ranks",
@@ -232,13 +232,13 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
         .with("ratio_at_256", ratio_at_256)
         .with("min_ratio", MIN_RATIO)
         .with("gate_passed", gate_passed);
-    println!();
+    outln!();
     write_bench_doc("sched", &doc)?;
-    println!(
+    outln!(
         "event/thread net events-per-sec ratio at 256 ranks: {ratio_at_256:.1}x (gate: >= {MIN_RATIO}x)"
     );
     if !gate_applies {
-        println!("gate skipped: no coroutine backend on this target");
+        outln!("gate skipped: no coroutine backend on this target");
     }
     Ok(super::verdict("scheduler", gate_passed))
 }

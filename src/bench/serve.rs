@@ -94,7 +94,7 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let dir = args.value("cache-dir").unwrap_or("artifacts/serve-bench");
     let _ = std::fs::remove_dir_all(dir);
 
-    println!("=== E-serve: {clients} concurrent clients x {rounds} rounds ===\n");
+    outln!("=== E-serve: {clients} concurrent clients x {rounds} rounds ===\n");
 
     // Offline ground truth: the same analysis with no service in the way.
     let specs = spec_set(8);
@@ -123,7 +123,7 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let handle = crate::serve::start(session, config)
         .map_err(|e| failed(format!("cannot start the server: {e}")))?;
     let addr = handle.addr();
-    println!("server on {addr} ({workers} workers)");
+    outln!("server on {addr} ({workers} workers)");
 
     // Warm phase: every spec executed and published once, then replayed.
     let warm_started = Instant::now();
@@ -141,12 +141,12 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
         warm_ok &= r.cached && r.report == *want;
     }
     let warm_secs = warm_started.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "warm: {} specs, {warm_misses} misses, {warm_secs:.2}s",
         specs.len()
     );
     if !warm_ok {
-        eprintln!("FAIL: a warm replay missed the store or differs from the offline bytes");
+        errln!("FAIL: a warm replay missed the store or differs from the offline bytes");
     }
     // Close the warm client's keep-alive connection and let the server
     // retire it; whatever stays open is left out of the flood's
@@ -308,7 +308,7 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
         .with("min_rps", MIN_RPS)
         .with("gate_passed", gate_passed);
     write_bench_doc("serve", &doc)?;
-    println!(
+    outln!(
         "\nflood: {acked}/{total} acked in {flood_secs:.2}s ({rps:.0} req/s) | in-flight peak {concurrent_peak} (gate >= {clients}) | p50 {p50_ms:.1}ms p99 {p99_ms:.1}ms (gate <= {MAX_P99_MS:.0}ms) | shed {shed} | byte-identical: {gate_bytes}"
     );
     Ok(super::verdict("serve", gate_passed))

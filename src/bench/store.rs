@@ -109,18 +109,24 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
             .cache(CacheMode::ReadWrite)
             .cache_dir(dir),
     )?;
-    println!("=== E-store: cold-vs-warm incremental campaign ===\n");
-    println!("--- cold pass ---");
+    outln!("=== E-store: cold-vs-warm incremental campaign ===\n");
+    outln!("--- cold pass ---");
     let (cold_rows, cold) = campaign(&session, "cold")?;
-    println!(
+    outln!(
         "cold: {} configs, {} misses, {} bytes published, {:.2}s",
-        cold.configs, cold.cache_misses, cold.cache_bytes_written, cold.wall_secs
+        cold.configs,
+        cold.cache_misses,
+        cold.cache_bytes_written,
+        cold.wall_secs
     );
-    println!("--- warm pass ---");
+    outln!("--- warm pass ---");
     let (warm_rows, warm) = campaign(&session, "warm")?;
-    println!(
+    outln!(
         "warm: {} configs, {} hits, {} bytes replayed, {:.2}s",
-        warm.configs, warm.cache_hits, warm.cache_bytes_read, warm.wall_secs
+        warm.configs,
+        warm.cache_hits,
+        warm.cache_bytes_read,
+        warm.wall_secs
     );
 
     let hit_rate = if warm.configs > 0 {
@@ -147,7 +153,7 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
         .with("warm_speedup", warm_speedup)
         .with("gate_passed", gate_passed);
     write_bench_doc("store", &doc)?;
-    println!(
+    outln!(
         "\nstore: {} entries, {} bytes | warm hit rate {:.1}% (gate >= {:.1}%) | byte-identical: {byte_identical} | warm speedup {warm_speedup:.1}x",
         stats.entries,
         stats.bytes,

@@ -129,7 +129,7 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let reps = args.pos_or(1, 5usize)?.max(1);
     let stress_ranks = args.value_or("stress-ranks", 64u64)?.clamp(2, 1 << 16) as u32;
     let stress_mb = args.value_or("stress-mb", 8u64)?;
-    println!("=== trace codec: ATSB on the figure-3.4 composite ===\n");
+    outln!("=== trace codec: ATSB on the figure-3.4 composite ===\n");
     let trace = crate::figures::figure34_trace(&crate::figures::paper_session(nprocs).build());
     let events = trace.num_events();
 
@@ -147,47 +147,48 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
         mb => Some(run_stress(stress_ranks, mb, reps)?),
     };
 
-    println!(
+    outln!(
         "{nprocs} ranks, {events} events: {} B ({:.2} B/event)",
         binary.len(),
         binary.len() as f64 / events.max(1) as f64
     );
-    println!(
+    outln!(
         "encode: {:.3} ms ({encode_mb_per_sec:.0} MB/s)",
         encode_secs * 1e3
     );
-    println!(
+    outln!(
         "decode: {:.3} ms ({decode_mb_per_sec:.0} MB/s)",
         decode_secs * 1e3
     );
-    println!("round-trip lossless: {lossless}");
+    outln!("round-trip lossless: {lossless}");
     if let Some(s) = &stress {
         let gb = |b: Option<u64>| {
             b.map(|b| format!("{:.0} MB", b as f64 / 1e6))
                 .unwrap_or_else(|| "n/a".to_owned())
         };
-        println!(
+        outln!(
             "\nstress: {} ranks, {} events, {:.1} MB file (generated in {:.2} s)",
             s.ranks,
             s.events,
             s.file_bytes as f64 / 1e6,
             s.generate_secs
         );
-        println!(
+        outln!(
             "streaming:     {:.3} s, {:.2}M events/s, peak RSS {}",
             s.streaming_secs,
             s.streaming_events_per_sec / 1e6,
             gb(s.streaming_peak_rss_bytes)
         );
-        println!(
+        outln!(
             "materializing: {:.3} s, {:.2}M events/s, peak RSS {}",
             s.materializing_secs,
             s.materializing_events_per_sec / 1e6,
             gb(s.materializing_peak_rss_bytes)
         );
-        println!(
+        outln!(
             "streaming speedup: {:.2}x, reports identical: {}",
-            s.streaming_speedup, s.reports_identical
+            s.streaming_speedup,
+            s.reports_identical
         );
     }
 
@@ -213,22 +214,22 @@ pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     // gated as ratios/floors loose enough for noisy CI machines.
     let mut ok = lossless;
     if !ok {
-        eprintln!("FAIL: the ATSB round trip is lossy");
+        errln!("FAIL: the ATSB round trip is lossy");
     }
     if let Some(s) = &stress {
         if !s.reports_identical {
-            eprintln!("FAIL: streaming and materializing reports diverge");
+            errln!("FAIL: streaming and materializing reports diverge");
             ok = false;
         }
         if s.streaming_events_per_sec < EPS_FLOOR {
-            eprintln!(
+            errln!(
                 "FAIL: streaming analysis {:.0} events/s below floor {EPS_FLOOR:.0}",
                 s.streaming_events_per_sec
             );
             ok = false;
         }
         if s.streaming_speedup < MIN_SPEEDUP {
-            eprintln!(
+            errln!(
                 "FAIL: streaming speedup {:.2}x below required {MIN_SPEEDUP:.2}x",
                 s.streaming_speedup
             );

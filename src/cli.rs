@@ -16,6 +16,7 @@ use crate::obs::ObsConfig;
 use crate::runtime::Json;
 use crate::trace::Trace;
 use std::fmt::Display;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
@@ -268,10 +269,10 @@ impl CommonArgs {
     ) -> Result<(), CliError> {
         if let (Some(path), Some(text)) = (self.value(METRICS.0), session.prometheus()) {
             if path == "-" {
-                print!("{text}");
+                out!("{text}");
             } else {
                 write_file(path, text)?;
-                println!("wrote {path}");
+                outln!("wrote {path}");
             }
         }
         if !self.has(MANIFEST) {
@@ -283,7 +284,7 @@ impl CommonArgs {
         if artifacts.is_empty() {
             let path = format!("{label}.manifest.json");
             write_file(&path, manifest.to_json_pretty())?;
-            println!("wrote {path}");
+            outln!("wrote {path}");
         }
         for artifact in artifacts {
             let path = manifest.write_beside(artifact).map_err(|e| {
@@ -292,7 +293,7 @@ impl CommonArgs {
                     artifact.display()
                 ))
             })?;
-            println!("wrote {}", path.display());
+            outln!("wrote {}", path.display());
         }
         Ok(())
     }
@@ -337,8 +338,29 @@ pub fn write_trace_artifact(
 pub fn write_bench_doc(name: &str, doc: &Json) -> Result<(), CliError> {
     let path = format!("BENCH_{name}.json");
     write_file(&path, doc.render_pretty())?;
-    eprintln!("wrote {path}");
+    errln!("wrote {path}");
     Ok(())
+}
+
+/// Write a command's output to stdout. The std print macros panic when
+/// stdout is closed (`ats catalog | head -1`), which ends the command
+/// with a panic message and exit code 101. Here a failed write ends the
+/// process with exit code 1 instead: quietly when the reader hung up
+/// (`BrokenPipe`), naming the error otherwise. SIGPIPE stays ignored, so
+/// `ats serve` still outlives a client that hangs up.
+pub(crate) fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            errln!("ats: cannot write to stdout: {e}");
+        }
+        std::process::exit(1);
+    }
+}
+
+/// Write a diagnostic to stderr. A closed stderr has no reader left to
+/// tell, so a failed write is dropped.
+pub(crate) fn write_stderr(args: std::fmt::Arguments<'_>) {
+    let _ = std::io::stderr().write_fmt(args);
 }
 
 /// Run `ats ARGS...` and return the exit code: 0 on success, 1 when a
@@ -357,11 +379,11 @@ pub fn run(args: &[String]) -> i32 {
     });
     let Some((cmd, rest)) = found else {
         if !args.is_empty() {
-            eprintln!("ats: unknown command `{}`", args.join(" "));
+            errln!("ats: unknown command `{}`", args.join(" "));
         }
-        eprintln!("usage: ats COMMAND [ARGS]   (`ats COMMAND --help` lists its flags)\n");
+        errln!("usage: ats COMMAND [ARGS]   (`ats COMMAND --help` lists its flags)\n");
         for cmd in commands {
-            eprintln!(
+            errln!(
                 "  {:<16} {:<32} {}",
                 cmd.name,
                 cmd.positionals.join(" "),
@@ -371,18 +393,18 @@ pub fn run(args: &[String]) -> i32 {
         return 2;
     };
     if rest.iter().any(|a| a == "--help" || a == "-h") {
-        println!("usage: {}\n{}", cmd.usage(), cmd.about);
+        outln!("usage: {}\n{}", cmd.usage(), cmd.about);
         return 0;
     }
     match CommonArgs::parse(cmd, rest).and_then(|args| (cmd.run)(&args)) {
         Ok(true) => 0,
         Ok(false) => 1,
         Err(CliError::Usage(msg)) => {
-            eprintln!("ats {}: {msg}\nusage: {}", cmd.name, cmd.usage());
+            errln!("ats {}: {msg}\nusage: {}", cmd.name, cmd.usage());
             2
         }
         Err(CliError::Failed(msg)) => {
-            eprintln!("ats {}: {msg}", cmd.name);
+            errln!("ats {}: {msg}", cmd.name);
             1
         }
     }

@@ -157,13 +157,16 @@ pub(crate) const COMMANDS: &[Command] = &[
 
 fn catalog(_: &CommonArgs) -> Result<bool, CliError> {
     let catalog = crate::core::CATALOG;
-    println!(
+    outln!(
         "{:<32} {:<14} {:<22} {:<14} paper?",
-        "property function", "paradigm", "expected property", "localized at"
+        "property function",
+        "paradigm",
+        "expected property",
+        "localized at"
     );
-    println!("{}", "-".repeat(100));
+    outln!("{}", "-".repeat(100));
     for spec in catalog {
-        println!(
+        outln!(
             "{:<32} {:<14} {:<22} {:<14} {}",
             spec.name,
             format!("{:?}", spec.paradigm),
@@ -176,7 +179,7 @@ fn catalog(_: &CommonArgs) -> Result<bool, CliError> {
             }
         );
     }
-    println!(
+    outln!(
         "\n{} property functions ({} from the paper's prototype)",
         catalog.len(),
         catalog.iter().filter(|s| s.in_paper_prototype).count()
@@ -195,7 +198,7 @@ fn generate_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     for (name, src) in &programs {
         write_file(Path::new(dir).join(name), src)?;
     }
-    println!(
+    outln!(
         "generated {} {language} single-property programs in {dir}",
         programs.len()
     );
@@ -203,14 +206,15 @@ fn generate_cmd(args: &CommonArgs) -> Result<bool, CliError> {
 }
 
 /// Run the catalog property named by positional `idx`, with the
-/// `key=value` parameters after it, in `session`. An unknown name or a
-/// bad parameter is a usage error.
+/// `key=value` parameters after it, in `session`. An unknown name, a bad
+/// parameter or a root outside the session's world is a usage error.
 fn property_trace(args: &CommonArgs, idx: usize, session: &Session) -> Result<Trace, CliError> {
     let name = args.pos(idx).unwrap_or_default();
     let spec = crate::core::catalog::find(name)
         .ok_or_else(|| CliError::Usage(format!("unknown property `{name}`; try `ats catalog`")))?;
     let kv: Vec<&str> = args.rest(idx + 1).iter().map(String::as_str).collect();
     let params = ParamValues::from_args(spec, &kv)
+        .and_then(|params| params.check_root(session.opts().nprocs).map(|()| params))
         .map_err(|e| CliError::Usage(format!("{e}\n\n{}", generate::usage(spec))))?;
     session.run(spec.name, &params).map_err(failed)
 }
@@ -221,11 +225,11 @@ fn run_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     let mut artifacts = Vec::new();
     if let Some(path) = args.value("save") {
         write_trace(&session, &trace, Path::new(path))?;
-        eprintln!("saved ATSB trace to {path}");
+        errln!("saved ATSB trace to {path}");
         artifacts.push(PathBuf::from(path));
     }
     let report = session.analyze(&trace);
-    println!("{}", report.render(&trace));
+    outln!("{}", report.render(&trace));
     args.emit(&session, "run", &artifacts)?;
     Ok(true)
 }
@@ -233,23 +237,24 @@ fn run_cmd(args: &CommonArgs) -> Result<bool, CliError> {
 fn timeline_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     let session = Session::default();
     let trace = property_trace(args, 0, &session)?;
-    println!("{}", crate::harness::timeline::render_text(&trace, 100));
-    println!("{}", session.analyze(&trace).render(&trace));
+    outln!("{}", crate::harness::timeline::render_text(&trace, 100));
+    outln!("{}", session.analyze(&trace).render(&trace));
     Ok(true)
 }
 
 fn profile_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     let trace = property_trace(args, 0, &Session::default())?;
-    print!("{}", crate::harness::profile::render_profile(&trace));
+    out!("{}", crate::harness::profile::render_profile(&trace));
     Ok(true)
 }
 
 fn phases_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     let trace = property_trace(args, 0, &Session::default())?;
     let report = crate::analyzer::analyze_phases(&trace, 8);
-    println!(
+    outln!(
         "windowed analysis: {} windows of {}",
-        report.windows, report.window_len
+        report.windows,
+        report.window_len
     );
     for s in &report.series {
         let bars: String = s
@@ -262,7 +267,7 @@ fn phases_cmd(args: &CommonArgs) -> Result<bool, CliError> {
                 _ => '#',
             })
             .collect();
-        println!(
+        outln!(
             "  {:<24} [{bars}] trend {:+.2}  severities {:?}",
             s.property,
             s.trend,
@@ -284,7 +289,7 @@ fn asl_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     let ex = crate::analyzer::extract::extract(&trace);
     let findings = asl::evaluate(&set, &ex, &trace).map_err(failed)?;
     let totals = asl::totals(&findings);
-    println!(
+    outln!(
         "{} findings from {} declared properties:",
         findings.len(),
         set.properties.len()
@@ -292,7 +297,7 @@ fn asl_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     let mut names: Vec<_> = totals.keys().collect();
     names.sort();
     for n in names {
-        println!("  {:<28} total wait {}", n, totals[n]);
+        outln!("  {:<28} total wait {}", n, totals[n]);
     }
     Ok(true)
 }
@@ -303,9 +308,9 @@ fn analyze_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     let (trace, report) = crate::analyzer::analyze_path(path, session.analyzer_config())
         .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
     if args.has("json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
-        println!("{}", report.render(&trace));
+        outln!("{}", report.render(&trace));
     }
     args.emit(&session, "analyze", &[])?;
     Ok(true)
@@ -403,7 +408,7 @@ fn trace_gen(args: &CommonArgs) -> Result<bool, CliError> {
     let bytes =
         write_stress(&cfg, std::io::BufWriter::new(file)).map_err(|e| cannot_write(path, e))?;
     let secs = start.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "{path}: {} ranks, {} events, {:.1} MB in {:.2} s ({:.0} MB/s)",
         cfg.ranks,
         cfg.events_total(),
@@ -416,9 +421,8 @@ fn trace_gen(args: &CommonArgs) -> Result<bool, CliError> {
 
 fn score(_: &CommonArgs) -> Result<bool, CliError> {
     let session = Session::builder().procs(8).build();
-    let summary =
-        correctness::score_catalog(session.opts(), session.analyzer_config()).map_err(failed)?;
-    print!("{}", summary.render());
+    let summary = correctness::score_catalog(&session).map_err(failed)?;
+    out!("{}", summary.render());
     Ok(summary.all_correct())
 }
 
@@ -428,13 +432,13 @@ fn score(_: &CommonArgs) -> Result<bool, CliError> {
 /// command.
 fn validate(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs = args.pos_or(0, 4usize)?;
-    println!("=== E-over: semantics preservation + instrumentation overhead ===\n");
-    println!("validation suite ({nprocs} procs):");
+    outln!("=== E-over: semantics preservation + instrumentation overhead ===\n");
+    outln!("validation suite ({nprocs} procs):");
     let mut all = true;
     let mut rows = |results: Vec<validation::KernelResult>| {
         for r in results {
             all &= r.passed();
-            println!(
+            outln!(
                 "  {:<18} plain={} instrumented={} outputs-equal={}  [{}]",
                 r.name,
                 r.correct_plain,
@@ -445,11 +449,11 @@ fn validate(args: &CommonArgs) -> Result<bool, CliError> {
         }
     };
     rows(validation::run_validation(nprocs));
-    println!("\nOpenMP validation suite (4 threads):");
+    outln!("\nOpenMP validation suite (4 threads):");
     rows(validation::run_omp_validation(4));
-    println!("\noverhead (real calibrated work, 50 x 2ms steps):");
+    outln!("\noverhead (real calibrated work, 50 x 2ms steps):");
     let o = validation::measure_overhead(nprocs, VDur::from_millis(2), 50);
-    println!(
+    outln!(
         "  uninstrumented {:.3}s, instrumented {:.3}s, slowdown {:.3}x, {} events",
         o.plain_secs,
         o.instrumented_secs,
@@ -460,15 +464,15 @@ fn validate(args: &CommonArgs) -> Result<bool, CliError> {
 }
 
 fn resources(_: &CommonArgs) -> Result<bool, CliError> {
-    print!("{}", crate::harness::resources::render());
+    out!("{}", crate::harness::resources::render());
     Ok(true)
 }
 
 fn apps(_: &CommonArgs) -> Result<bool, CliError> {
     for spec in crate::apps::collection() {
-        println!("{:<16} {}", spec.name, spec.description);
-        println!("{:<16}   structure: {}", "", spec.structure);
-        println!(
+        outln!("{:<16} {}", spec.name, spec.description);
+        outln!("{:<16}   structure: {}", "", spec.structure);
+        outln!(
             "{:<16}   pathological mode shows: {}",
             "",
             spec.imbalanced_properties.join(", ")
@@ -501,11 +505,11 @@ fn serve(args: &CommonArgs) -> Result<bool, CliError> {
     };
     let handle =
         crate::serve::start(session, config).map_err(|e| failed(format!("cannot start: {e}")))?;
-    println!("ats-serve listening on http://{}", handle.addr());
-    println!("  POST /v1/analyze    one scenario spec line -> ats-report/1");
-    println!("  POST /v1/campaign   spec lines -> streamed ats-serve-row/1");
-    println!("  GET  /v1/artifacts/{{key}}/{{file}}");
-    println!("  GET  /metrics | /v1/version | /healthz");
+    outln!("ats-serve listening on http://{}", handle.addr());
+    outln!("  POST /v1/analyze    one scenario spec line -> ats-report/1");
+    outln!("  POST /v1/campaign   spec lines -> streamed ats-serve-row/1");
+    outln!("  GET  /v1/artifacts/{{key}}/{{file}}");
+    outln!("  GET  /metrics | /v1/version | /healthz");
     loop {
         std::thread::park();
     }

@@ -33,7 +33,7 @@ fn store_default_trace(
         .run(spec.name, &ParamValues::defaults(spec))
         .map_err(failed)?;
     let path = write_trace_artifact(session, &trace, dir, spec.name)?;
-    println!("  wrote {}", path.display());
+    outln!("  wrote {}", path.display());
     artifacts.push(path);
     Ok(())
 }
@@ -47,7 +47,7 @@ pub(crate) fn sweep_positive(args: &CommonArgs) -> Result<bool, CliError> {
     let jobs: usize = args.pos_or(1, 0)?;
     let session = args.session(Session::builder().procs(nprocs).jobs(jobs))?;
     let knobs = [0.005, 0.01, 0.02, 0.04, 0.08];
-    println!("=== E-pos: severity tracking across the positive catalog ===\n");
+    outln!("=== E-pos: severity tracking across the positive catalog ===\n");
     let mut all_ok = true;
     let mut properties = 0usize;
     let mut configs = 0usize;
@@ -80,7 +80,7 @@ pub(crate) fn sweep_positive(args: &CommonArgs) -> Result<bool, CliError> {
         let localized = rows.iter().all(|r| r.localized);
         let ok = tau == 1.0 && localized && sev.iter().all(|s| *s > 0.0);
         all_ok &= ok;
-        println!(
+        outln!(
             "{:<32} severities {:?} wait-tau={tau:+.2} localized={localized} [{}]",
             spec.name,
             sev.iter().map(|s| format!("{s:.3}")).collect::<Vec<_>>(),
@@ -93,7 +93,7 @@ pub(crate) fn sweep_positive(args: &CommonArgs) -> Result<bool, CliError> {
     } else {
         0.0
     };
-    eprintln!(
+    errln!(
         "\n{configs} configs in {wall_secs:.2}s = {configs_per_sec:.1} configs/sec (jobs={jobs_effective})"
     );
     let doc = Json::obj()
@@ -108,7 +108,7 @@ pub(crate) fn sweep_positive(args: &CommonArgs) -> Result<bool, CliError> {
         .with("configs_per_sec", configs_per_sec);
     write_bench_doc("sweep", &doc)?;
     args.emit(&session, "sweep_positive", &artifacts)?;
-    println!(
+    outln!(
         "\npositive correctness sweep: {}",
         if all_ok { "ALL OK" } else { "FAILURES" }
     );
@@ -123,7 +123,7 @@ pub(crate) fn sweep_positive(args: &CommonArgs) -> Result<bool, CliError> {
 pub(crate) fn sweep_negative(args: &CommonArgs) -> Result<bool, CliError> {
     let jobs: usize = args.pos_or(0, 0)?;
     let session = args.session(Session::builder().procs(4).jobs(jobs))?;
-    println!("=== E-neg: false-positive scan over the negative catalog ===\n");
+    outln!("=== E-neg: false-positive scan over the negative catalog ===\n");
     let mut all_ok = true;
     let mut total_configs = 0usize;
     let mut total_secs = 0.0f64;
@@ -145,7 +145,7 @@ pub(crate) fn sweep_negative(args: &CommonArgs) -> Result<bool, CliError> {
         let fps: usize = rows.iter().map(|r| r.unexpected_findings).sum();
         let ok = fps == 0;
         all_ok &= ok;
-        println!(
+        outln!(
             "{:<28} procs={{2,4,8}} configs={} false positives={fps} [{}]",
             spec.name,
             rows.len(),
@@ -153,7 +153,7 @@ pub(crate) fn sweep_negative(args: &CommonArgs) -> Result<bool, CliError> {
         );
         store_default_trace(args, &session, spec, &mut artifacts)?;
     }
-    eprintln!(
+    errln!(
         "\n{total_configs} configs in {total_secs:.2}s = {:.1} configs/sec",
         if total_secs > 0.0 {
             total_configs as f64 / total_secs
@@ -162,7 +162,7 @@ pub(crate) fn sweep_negative(args: &CommonArgs) -> Result<bool, CliError> {
         }
     );
     args.emit(&session, "sweep_negative", &artifacts)?;
-    println!(
+    outln!(
         "\nnegative correctness sweep: {}",
         if all_ok { "ALL OK" } else { "FAILURES" }
     );
@@ -184,12 +184,12 @@ pub(crate) fn scaling(args: &CommonArgs) -> Result<bool, CliError> {
         "early_reduce",
         "imbalance_at_mpi_alltoall",
     ];
-    println!("=== E-scale: severity vs process count (fixed per-property defaults) ===\n");
-    print!("{:<28}", "property");
+    outln!("=== E-scale: severity vs process count (fixed per-property defaults) ===\n");
+    out!("{:<28}", "property");
     for p in procs {
-        print!(" P={p:<6}");
+        out!(" P={p:<6}");
     }
-    println!();
+    outln!();
     let mut total_secs = 0.0f64;
     for name in props {
         let (rows, stats) = session
@@ -198,14 +198,14 @@ pub(crate) fn scaling(args: &CommonArgs) -> Result<bool, CliError> {
             .run_with_stats()
             .map_err(failed)?;
         total_secs += stats.wall_secs;
-        print!("{name:<28}");
+        out!("{name:<28}");
         for r in &rows {
-            print!(" {:<8.4}", r.detected_severity);
+            out!(" {:<8.4}", r.detected_severity);
         }
-        println!();
+        outln!();
     }
-    eprintln!("\n({} property grids in {total_secs:.2}s)", props.len());
-    println!(
+    errln!("\n({} property grids in {total_secs:.2}s)", props.len());
+    outln!(
         "\nreading: rooted 'late' properties intensify with P (more waiters per\n\
          late root); pairwise properties stay flat (the waiting fraction is\n\
          per-pair); 'early' root properties dilute with P (one waiting root\n\
@@ -225,11 +225,12 @@ pub(crate) fn scaling(args: &CommonArgs) -> Result<bool, CliError> {
 ///    the paper says every tool has.
 pub(crate) fn ablation(args: &CommonArgs) -> Result<bool, CliError> {
     let jobs: usize = args.pos_or(0, 0)?;
-    println!("=== Ablation 1: eager threshold vs. LateReceiver visibility ===");
-    println!("(standard-mode sends of 2 KiB; receiver 40ms late; 4 ranks)\n");
-    println!(
+    outln!("=== Ablation 1: eager threshold vs. LateReceiver visibility ===");
+    outln!("(standard-mode sends of 2 KiB; receiver 40ms late; 4 ranks)\n");
+    outln!(
         "{:<18} {:<10} LateReceiver severity",
-        "eager threshold", "protocol"
+        "eager threshold",
+        "protocol"
     );
     // The four protocol configurations are independent: run them on the
     // harness worker pool (4 ranks each → budgeted like a sweep) and
@@ -277,15 +278,13 @@ pub(crate) fn ablation(args: &CommonArgs) -> Result<bool, CliError> {
         } else {
             "rendezvous"
         };
-        println!("{threshold:<18} {protocol:<10} {severity:.4}");
+        outln!("{threshold:<18} {protocol:<10} {severity:.4}");
     }
-    println!("\n(with eager sends the sender never blocks: the property vanishes,");
-    println!(" which is why the catalog's late_receiver uses MPI_Ssend)");
+    outln!("\n(with eager sends the sender never blocks: the property vanishes,");
+    outln!(" which is why the catalog's late_receiver uses MPI_Ssend)");
 
-    println!("\n=== Ablation 2: analyzer threshold vs. reported findings ===");
-    println!(
-        "(the paper: 'automatic performance tools have different thresholds/sensitivities')\n"
-    );
+    outln!("\n=== Ablation 2: analyzer threshold vs. reported findings ===");
+    outln!("(the paper: 'automatic performance tools have different thresholds/sensitivities')\n");
     let config = SimConfig {
         nprocs: 8,
         model: MachineModel::zero(),
@@ -301,10 +300,10 @@ pub(crate) fn ablation(args: &CommonArgs) -> Result<bool, CliError> {
         crate::core::properties::mpi_coll::late_broadcast(p, &base, 0.005, 0.0005, 0, 1, &c);
         // faint
     });
-    println!("{:<12} findings", "threshold");
+    outln!("{:<12} findings", "threshold");
     for threshold in [0.0, 0.001, 0.01, 0.1, 0.5] {
         let report = analyze(&trace, &AnalyzerConfig::default().threshold(threshold));
-        println!("{threshold:<12} {}", report.findings.len());
+        outln!("{threshold:<12} {}", report.findings.len());
     }
     Ok(true)
 }
@@ -352,13 +351,15 @@ pub(crate) fn fuzz(args: &CommonArgs) -> Result<bool, CliError> {
         corpus_dir,
         ..FuzzConfig::for_session(&session)
     };
-    println!(
+    outln!(
         "=== fuzz: {} scenarios, seed {:#x}, {} ranks ===\n",
-        cfg.count, cfg.base_seed, nprocs
+        cfg.count,
+        cfg.base_seed,
+        nprocs
     );
     let result = run_campaign(&cfg).map_err(|e| failed(format!("campaign failed: {e}")))?;
     let stats = &result.stats;
-    println!(
+    outln!(
         "{} scenarios ({} phases, {} events) in {:.2}s with {} worker(s): {:.1} scenarios/s",
         stats.scenarios,
         stats.phases_executed,
@@ -367,17 +368,19 @@ pub(crate) fn fuzz(args: &CommonArgs) -> Result<bool, CliError> {
         stats.jobs,
         stats.scenarios_per_sec
     );
-    println!(
+    outln!(
         "violations: {} across {} scenario(s); regen mismatches: {}",
-        stats.violations, stats.violating_scenarios, stats.regen_mismatches
+        stats.violations,
+        stats.violating_scenarios,
+        stats.regen_mismatches
     );
     for m in &result.minimized {
-        println!("\nminimized witness: {}", m.scenario);
+        outln!("\nminimized witness: {}", m.scenario);
         for v in &m.violations {
-            println!("  {}: {}", v.kind, v.detail);
+            outln!("  {}: {}", v.kind, v.detail);
         }
         if let Some(path) = &m.persisted {
-            println!("  -> {}", path.display());
+            outln!("  -> {}", path.display());
         }
     }
 
@@ -399,9 +402,10 @@ pub(crate) fn fuzz(args: &CommonArgs) -> Result<bool, CliError> {
 
     let ok = stats.violations == 0 && stats.regen_mismatches == 0;
     if !ok {
-        eprintln!(
+        errln!(
             "FAIL: {} violation(s), {} regen mismatch(es)",
-            stats.violations, stats.regen_mismatches
+            stats.violations,
+            stats.regen_mismatches
         );
     }
     Ok(ok)
@@ -415,7 +419,7 @@ fn replay_corpus(
     let dir = dir.unwrap_or_else(|| PathBuf::from(corpus::DEFAULT_DIR));
     let results = corpus::replay(&dir, oracle, session.opts())
         .map_err(|e| failed(format!("replay failed: {e}")))?;
-    println!(
+    outln!(
         "=== replaying {} corpus entries from {} ===\n",
         results.len(),
         dir.display()
@@ -427,16 +431,16 @@ fn replay_corpus(
         } else {
             "VIOLATES"
         };
-        println!("{:10} {}", status, r.entry.scenario);
+        outln!("{:10} {}", status, r.entry.scenario);
         for v in &r.violations {
-            println!("           {}: {}", v.kind, v.detail);
+            outln!("           {}: {}", v.kind, v.detail);
             failing += 1;
         }
     }
     if failing > 0 {
-        eprintln!("\nFAIL: {failing} violation(s) across the corpus");
+        errln!("\nFAIL: {failing} violation(s) across the corpus");
     } else {
-        println!("\nall corpus entries clean");
+        outln!("\nall corpus entries clean");
     }
     Ok(failing == 0)
 }

@@ -77,11 +77,11 @@ fn write_outputs(
     if let Some(dir) = args.value("svg") {
         let path = format!("{dir}/{stem}.svg");
         write_file(&path, timeline::render_svg(trace, columns))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     if let Some(dir) = args.value("trace-dir") {
         let path = write_trace_artifact(session, trace, dir, stem)?;
-        println!("wrote {}", path.display());
+        outln!("wrote {}", path.display());
         artifacts.push(path);
     }
     Ok(())
@@ -94,20 +94,20 @@ pub(crate) fn figure32(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs = args.pos_or(0, 8usize)?;
     let session = args
         .session(paper_session(nprocs).analyzer(AnalyzerConfig::default().with_setup_overhead()))?;
-    println!("=== Figure 3.2: single-property test program, two parameterizations ===");
-    println!("(program: imbalance_at_mpi_barrier; {nprocs} ranks; realistic model");
-    println!(" with visible MPI_Init/MPI_Finalize phases, as in the paper)\n");
+    outln!("=== Figure 3.2: single-property test program, two parameterizations ===");
+    outln!("(program: imbalance_at_mpi_barrier; {nprocs} ranks; realistic model");
+    outln!(" with visible MPI_Init/MPI_Finalize phases, as in the paper)\n");
     let mut artifacts = Vec::new();
     for (idx, (label, trace)) in figure32_runs(&session)?.into_iter().enumerate() {
-        println!("--- run {}: {label} ---", idx + 1);
-        print!("{}", timeline::render_text(&trace, 100));
+        outln!("--- run {}: {label} ---", idx + 1);
+        out!("{}", timeline::render_text(&trace, 100));
         let report = session.analyze(&trace);
-        println!(
+        outln!(
             "WaitAtBarrier severity: {:.2}%   MpiSetupOverhead severity: {:.2}%",
             report.severity_of("WaitAtBarrier") * 100.0,
             report.severity_of("MpiSetupOverhead") * 100.0,
         );
-        println!(
+        outln!(
             "(the paper notes the init/finalize overhead property is 'hard to avoid\n in the view of the small sizes of the test programs')\n"
         );
         let stem = format!("figure32_run{}", idx + 1);
@@ -123,11 +123,11 @@ pub(crate) fn figure32(args: &CommonArgs) -> Result<bool, CliError> {
 /// by a performance tool".
 pub(crate) fn figure33(args: &CommonArgs) -> Result<bool, CliError> {
     let session = args.session(paper_session(args.pos_or(0, 8)?))?;
-    println!("=== Figure 3.3: all MPI property functions in one program ===\n");
+    outln!("=== Figure 3.3: all MPI property functions in one program ===\n");
     let trace = figure33_trace(&session);
-    print!("{}", timeline::render_text(&trace, 120));
+    out!("{}", timeline::render_text(&trace, 120));
     let report = session.analyze(&trace);
-    println!("\nproperties detectable in this single program:");
+    outln!("\nproperties detectable in this single program:");
     for prop in [
         "LateSender",
         "LateReceiver",
@@ -138,7 +138,7 @@ pub(crate) fn figure33(args: &CommonArgs) -> Result<bool, CliError> {
         "EarlyReduce",
         "EarlyGather",
     ] {
-        println!(
+        outln!(
             "  {:<16} severity {:>7.3}%",
             prop,
             report.severity_of(prop) * 100.0
@@ -156,20 +156,20 @@ pub(crate) fn figure33(args: &CommonArgs) -> Result<bool, CliError> {
 pub(crate) fn figure34(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs = args.pos_or(0, 16usize)?;
     let session = args.session(paper_session(nprocs))?;
-    println!("=== Figure 3.4: two communicators, different property sets in parallel ===");
-    println!(
+    outln!("=== Figure 3.4: two communicators, different property sets in parallel ===");
+    outln!(
         "(lower ranks 0..{}: late_sender + late_receiver;",
         nprocs / 2
     );
-    println!(
+    outln!(
         " upper ranks {}..{nprocs}: late_broadcast(root 1) + early_reduce + barrier imbalance)\n",
         nprocs / 2
     );
     let trace = figure34_trace(&session);
-    print!("{}", timeline::render_text(&trace, 120));
-    println!("\ncommunicators recorded in the trace:");
+    out!("{}", timeline::render_text(&trace, 120));
+    outln!("\ncommunicators recorded in the trace:");
     for c in &trace.comms {
-        println!("  comm {:>2}: members {:?}", c.id, c.members);
+        outln!("  comm {:>2}: members {:?}", c.id, c.members);
     }
     let mut artifacts = Vec::new();
     write_outputs(args, &session, &trace, "figure34", 500, &mut artifacts)?;
@@ -206,26 +206,26 @@ pub(crate) fn figure35(args: &CommonArgs) -> Result<bool, CliError> {
             (trace, report, nprocs_arg)
         }
     };
-    println!("{}", report.render(&trace));
+    outln!("{}", report.render(&trace));
 
-    println!("\n=== paper's correctness checks for this figure ===");
+    outln!("\n=== paper's correctness checks for this figure ===");
     let hits = report.findings_for("LateBroadcast");
     let localized = hits
         .iter()
         .any(|f| f.call_path.contains("late_broadcast") && f.call_path.contains("MPI_Bcast"));
-    println!(
+    outln!(
         "LateBroadcast detected:                    {}",
         !hits.is_empty()
     );
-    println!("localized at late_broadcast/MPI_Bcast:     {localized}");
+    outln!("localized at late_broadcast/MPI_Bcast:     {localized}");
     let locs = report.locations_for("LateBroadcast");
     let expected: Vec<_> = (nprocs as u32 / 2..nprocs as u32)
         .filter(|&r| r != nprocs as u32 / 2 + 1)
         .collect();
     let got: Vec<u32> = locs.iter().map(|l| l.rank).collect();
-    println!("blamed ranks: {got:?}");
-    println!("expected (upper half minus its local root): {expected:?}");
-    println!(
+    outln!("blamed ranks: {got:?}");
+    outln!("expected (upper half minus its local root): {expected:?}");
+    outln!(
         "machine localization correct:              {}",
         got == expected
     );

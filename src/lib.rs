@@ -22,6 +22,32 @@ pub use ats_serve as serve;
 pub use ats_store as store;
 pub use ats_trace as trace;
 
+/// `print!` for the command line: writes through [`cli::write_stdout`],
+/// so a closed stdout ends the command instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for the command line (see `out!`).
+macro_rules! outln {
+    () => {
+        $crate::cli::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `eprintln!` for the command line: writes through
+/// [`cli::write_stderr`], so a closed stderr never panics.
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stderr(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod bench;
 pub mod cli;
 mod commands;

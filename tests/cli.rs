@@ -41,6 +41,49 @@ fn malformed_values_are_usage_errors() {
 }
 
 #[test]
+fn parameters_outside_their_range_are_usage_errors() {
+    // A team of zero threads used to panic inside the simulator.
+    fails(
+        &["run", "imbalance_at_omp_barrier", "nthreads=0"],
+        2,
+        "`nthreads` is outside its range [1, 16]",
+    );
+    fails(
+        &["run", "late_sender", "r=65"],
+        2,
+        "`r` is outside its range [1, 64]",
+    );
+    // The distribution parser's own reason survives.
+    fails(
+        &["run", "imbalance_at_mpi_barrier", "df=cyclic2:low=1"],
+        2,
+        "`cyclic2` requires `high`",
+    );
+    fails(
+        &["run", "late_broadcast", "root=9", "--procs", "4"],
+        2,
+        "`root` = 9 is outside the communicator of 4 ranks",
+    );
+}
+
+/// A reader that hangs up ends the command without a panic. The pipe's
+/// read end is closed before `ats` starts: a reader that took one line
+/// first would leave room in the pipe buffer for the whole listing.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_ats"))
+        .arg("catalog")
+        .stdout(writer)
+        .output()
+        .expect("ats runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_ne!(out.status.code(), Some(101), "{err}");
+}
+
+#[test]
 fn unknown_flags_and_arguments_are_usage_errors() {
     fails(&["figure", "33", "--svgdir", "/tmp/x", "8"], 2, "--svgdir");
     fails(&["sweep", "negative", "--jobs", "2"], 2, "--jobs");

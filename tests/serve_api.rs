@@ -117,6 +117,48 @@ fn a_deeply_nested_body_is_a_400_and_the_server_keeps_answering() {
     server.shutdown();
 }
 
+/// A phase outside its declared ranges, or a world wider than the suite
+/// simulates, is a 400 before anything runs. A team of zero threads used
+/// to panic the worker that ran it, so a one-worker server must still
+/// answer the next request.
+#[test]
+fn out_of_range_scenarios_are_400_and_the_worker_survives() {
+    let dir = TempDir::new("serve-range");
+    let server = boot(
+        &dir,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let mut client = Client::new(server.addr());
+    for (body, needle) in [
+        (
+            "seed=7 nprocs=2 | whole g0:imbalance_at_omp_barrier nthreads=0",
+            "[1, 16]",
+        ),
+        (
+            "seed=7 nprocs=1000000000 | whole g0:late_sender r=1",
+            "8192",
+        ),
+    ] {
+        let resp = client
+            .request("POST", "/v1/analyze", Some("text/plain"), body.as_bytes())
+            .expect("transport ok");
+        assert_eq!(resp.status, 400, "{body:?} -> {}", resp.text());
+        let doc = ats::core::json::Json::parse(resp.text().trim()).expect("error body is JSON");
+        assert_eq!(
+            doc.get("kind").and_then(ats::core::json::Json::as_str),
+            Some("scenario"),
+            "{body:?}"
+        );
+        assert!(resp.text().contains(needle), "{body:?} -> {}", resp.text());
+    }
+    let ok = client.analyze(SPEC).expect("the one worker still answers");
+    assert_eq!(ok.report, offline_report(SPEC));
+    server.shutdown();
+}
+
 #[test]
 fn artifacts_are_fetchable_by_key_and_unknown_keys_are_404() {
     let dir = TempDir::new("serve-artifacts");
