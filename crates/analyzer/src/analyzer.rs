@@ -1,7 +1,9 @@
 //! The analysis driver.
 
+use crate::asl::default_property_set;
 use crate::extract::extract;
 use crate::patterns;
+use crate::property::PropertyKind;
 use crate::report::AnalysisReport;
 use crate::severity::SeverityCube;
 use ats_trace::Trace;
@@ -80,8 +82,8 @@ pub fn analyze(trace: &Trace, config: &AnalyzerConfig) -> AnalysisReport {
     detect_and_report(ex, trace, trace.total_alloc_time(), config)
 }
 
-/// Run the pattern detectors over an [`Extract`] and build the ranked
-/// report. Shared by [`analyze`] and the streaming ingest path
+/// Evaluate the default property set over an [`Extract`] and build the
+/// ranked report. Shared by [`analyze`] and the streaming ingest path
 /// ([`crate::ingest::analyze_stream`]): given equal extracts and equal
 /// `total_alloc`, both produce byte-identical reports. `trace` only
 /// supplies the region and communicator tables (for call-path rendering
@@ -98,34 +100,15 @@ pub(crate) fn detect_and_report(
     let pairs = timed(m.map(|m| &m.match_time), "analyzer.match", || {
         patterns::match_messages(&ex)
     });
-    cube.extend(timed(
-        m.map(|m| &m.late_sender_time),
-        "analyzer.late_sender",
-        || patterns::late_sender(&pairs),
-    ));
-    cube.extend(timed(
-        m.map(|m| &m.late_receiver_time),
-        "analyzer.late_receiver",
-        || patterns::late_receiver(&pairs),
-    ));
-    cube.extend(timed(
-        m.map(|m| &m.wrong_order_time),
-        "analyzer.wrong_order",
-        || patterns::wrong_order(&pairs),
-    ));
-    timed(m.map(|m| &m.collective_time), "analyzer.collective", || {
-        for inst in &ex.colls {
-            cube.extend(patterns::collective_waits(inst, trace));
-        }
-    });
-    cube.extend(timed(
-        m.map(|m| &m.critical_time),
-        "analyzer.critical",
-        || patterns::critical_waits(&ex),
-    ));
-    if config.report_setup_overhead {
-        cube.extend(patterns::setup_overheads(&ex));
-    }
+    let set = default_property_set();
+    timed(m.map(|m| &m.detect_time), "analyzer.detect", || {
+        set.each_finding(&ex, &pairs, trace, |f| match set.kind(f.property) {
+            Some(PropertyKind::MpiSetupOverhead) if !config.report_setup_overhead => {}
+            Some(kind) => cube.add(kind, f.path, f.loc, f.wait),
+            None => {}
+        })
+    })
+    .expect("the default set cannot overflow: each wait is a difference of trace times");
 
     let report = timed(m.map(|m| &m.severity_time), "analyzer.severity", || {
         AnalysisReport::build(cube, ex.paths, trace, config.threshold)
@@ -139,22 +122,12 @@ pub(crate) fn detect_and_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfg;
     use ats_core::composite::{two_communicator_composite, CompositeParams};
     use ats_core::properties::{mpi_coll, mpi_p2p, negative, omp};
     use ats_core::{with_omp, BaseComm, Distr};
-    use ats_mpi::SimConfig;
-    use ats_runtime::{MachineModel, VDur};
+    use ats_runtime::VDur;
     use ats_trace::LocationId;
-
-    fn cfg(n: usize) -> SimConfig {
-        SimConfig {
-            nprocs: n,
-            model: MachineModel::zero(),
-            init_time: VDur::ZERO,
-            finalize_time: VDur::ZERO,
-            ..Default::default()
-        }
-    }
 
     fn base() -> BaseComm {
         BaseComm::default()

@@ -1,5 +1,6 @@
 //! ASL abstract syntax.
 
+use super::eval::Program;
 use ats_trace::CollOp;
 use std::fmt;
 
@@ -30,10 +31,24 @@ pub enum Locate {
     SelfLoc,
 }
 
+impl Context {
+    /// Can one record belong to both contexts? Two declarations of one
+    /// name must range over disjoint records, so that no wait counts
+    /// twice.
+    pub(super) fn overlaps(&self, other: &Context) -> bool {
+        match (self, other) {
+            (Context::Collective(a), Context::Collective(b)) => {
+                a.is_empty() || b.is_empty() || a.iter().any(|op| b.contains(op))
+            }
+            _ => self == other,
+        }
+    }
+}
+
 /// An ASL expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
-    /// Numeric literal (seconds).
+    /// Numeric literal: seconds next to a time, a plain number otherwise.
     Num(f64),
     /// Context variable or LET binding.
     Var(String),
@@ -54,13 +69,13 @@ pub enum Expr {
 pub enum BinOp {
     /// Addition.
     Add,
-    /// Subtraction (saturating at 0 is NOT implied; ASL works in f64).
+    /// Subtraction (not saturating: a wait may come out negative).
     Sub,
     /// Multiplication.
     Mul,
     /// Division.
     Div,
-    /// Greater-than (1.0 / 0.0).
+    /// Greater-than (1 or 0).
     Gt,
     /// Less-than.
     Lt,
@@ -90,17 +105,19 @@ pub struct Property {
     pub locate: Locate,
 }
 
-/// A parsed set of property declarations.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A parsed and compiled set of property declarations.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PropertySet {
     /// The declarations, in source order.
-    pub properties: Vec<Property>,
+    pub(super) properties: Vec<Property>,
+    /// Each declaration compiled, in the same order.
+    pub(super) programs: Vec<Program>,
 }
 
 impl PropertySet {
-    /// Find a property by name.
-    pub fn find(&self, name: &str) -> Option<&Property> {
-        self.properties.iter().find(|p| p.name == name)
+    /// The declarations, in source order.
+    pub fn properties(&self) -> &[Property] {
+        &self.properties
     }
 }
 
@@ -217,7 +234,7 @@ impl fmt::Display for PropertySet {
     }
 }
 
-/// Parse or evaluation errors.
+/// Parse, compile or evaluation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AslError {
     /// Human-readable message with position information.

@@ -1,6 +1,7 @@
 //! A hand-rolled recursive-descent parser for the ASL subset.
 
 use super::ast::{AslError, BinOp, Context, Expr, Locate, Property, PropertySet};
+use super::eval::compile;
 use ats_trace::CollOp;
 
 /// How many levels an expression may nest, as `Json::parse` caps its
@@ -10,22 +11,28 @@ use ats_trace::CollOp;
 /// overflow the stack.
 const MAX_LEVELS: usize = 128;
 
-/// Parse a property-set source text.
+/// Parse and compile a property-set source text. Every error, from an
+/// unknown variable to a WAIT that is not a time, surfaces here, naming
+/// the property.
 pub fn parse(src: &str) -> Result<PropertySet, AslError> {
     let tokens = lex(src)?;
     let mut p = Parser { tokens, pos: 0 };
     let mut properties = Vec::new();
     while !p.at_end() {
-        properties.push(p.property()?);
-    }
-    let set = PropertySet { properties };
-    // Reject duplicate names early.
-    for (i, a) in set.properties.iter().enumerate() {
-        if set.properties[..i].iter().any(|b| b.name == a.name) {
-            return Err(AslError::new(format!("duplicate property `{}`", a.name)));
+        let next = p.property()?;
+        // One name may be declared again only over other records.
+        let clash = |b: &Property| b.name == next.name && b.context.overlaps(&next.context);
+        if properties.iter().any(clash) {
+            let dup = format!("duplicate property `{}` over the same records", next.name);
+            return Err(AslError::new(dup));
         }
+        properties.push(next);
     }
-    Ok(set)
+    let programs = properties.iter().map(compile).collect::<Result<_, _>>()?;
+    Ok(PropertySet {
+        properties,
+        programs,
+    })
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -354,29 +361,13 @@ impl Parser {
                             }
                         }
                     }
-                    let call = match (name.as_str(), args.len()) {
-                        ("max", 2) => {
-                            let mut it = args.into_iter();
-                            Expr::Max(
-                                Box::new(it.next().expect("len 2")),
-                                Box::new(it.next().expect("len 2")),
-                            )
-                        }
-                        ("min", 2) => {
-                            let mut it = args.into_iter();
-                            Expr::Min(
-                                Box::new(it.next().expect("len 2")),
-                                Box::new(it.next().expect("len 2")),
-                            )
-                        }
-                        ("clamp", 3) => {
-                            let mut it = args.into_iter();
-                            Expr::Clamp(
-                                Box::new(it.next().expect("len 3")),
-                                Box::new(it.next().expect("len 3")),
-                                Box::new(it.next().expect("len 3")),
-                            )
-                        }
+                    let n = args.len();
+                    let mut args = args.into_iter().map(Box::new);
+                    let mut arg = || args.next().expect("counted");
+                    let call = match (name.as_str(), n) {
+                        ("max", 2) => Expr::Max(arg(), arg()),
+                        ("min", 2) => Expr::Min(arg(), arg()),
+                        ("clamp", 3) => Expr::Clamp(arg(), arg(), arg()),
                         (other, n) => {
                             return Err(AslError::new(format!(
                                 "unknown function `{other}` with {n} arguments"
@@ -445,7 +436,11 @@ mod tests {
     fn parses_the_default_set() {
         let set = parse(super::super::DEFAULT_PROPERTY_SET).unwrap();
         assert!(set.properties.len() >= 12);
-        let ls = set.find("LateSender").unwrap();
+        let ls = set
+            .properties
+            .iter()
+            .find(|p| p.name == "LateSender")
+            .unwrap();
         assert_eq!(ls.context, Context::P2pPair);
         assert_eq!(ls.locate, Locate::Receiver);
         assert_eq!(ls.lets.len(), 1);
@@ -498,6 +493,16 @@ mod tests {
         )
         .is_err());
         assert!(parse("PROPERTY X OVER collective(Bogus) { WAIT 1; LOCATE member; }").is_err());
+        // A name may be declared again only over disjoint records.
+        let twice = |a: &str, b: &str| {
+            parse(&format!(
+                "PROPERTY X OVER {a} {{ WAIT 1; LOCATE member; }} \
+                 PROPERTY X OVER {b} {{ WAIT 1; LOCATE member; }}"
+            ))
+        };
+        assert!(twice("collective(Barrier)", "collective(Scan)").is_ok());
+        assert!(twice("collective(Barrier, Scan)", "collective(Scan)").is_err());
+        assert!(twice("collective", "collective(Scan)").is_err());
     }
 
     /// `recv_posted` inside `n` pairs of parentheses.

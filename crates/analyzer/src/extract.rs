@@ -1,5 +1,6 @@
 //! First analysis pass: scan every location's event stream once and
-//! extract the typed operation records the pattern detectors consume.
+//! extract the typed operation records the property declarations range
+//! over.
 
 use crate::callpath::{PathId, PathTable};
 use ats_runtime::{VDur, VTime};
@@ -87,15 +88,6 @@ pub struct CollInstance {
 }
 
 impl CollInstance {
-    /// The latest entry among members.
-    pub fn last_entry(&self) -> VTime {
-        self.members
-            .iter()
-            .map(|m| m.entered)
-            .max()
-            .unwrap_or(VTime::ZERO)
-    }
-
     /// The member record belonging to the root, resolved through the
     /// trace's communicator definitions.
     pub fn root_member<'a>(&'a self, trace: &Trace) -> Option<&'a CollMember> {
@@ -130,11 +122,14 @@ pub struct SetupRec {
     pub loc: LocationId,
     /// Path of the setup call.
     pub path: PathId,
+    /// Entry into the call.
+    pub entered: VTime,
     /// Inclusive duration.
     pub time: VDur,
 }
 
-/// Everything the detectors need, extracted in one pass.
+/// Every record the property declarations range over, extracted in one
+/// pass.
 #[derive(Debug, Default)]
 pub struct Extract {
     /// All send calls.
@@ -290,6 +285,7 @@ impl StreamExtractor {
                         self.ex.setup.push(SetupRec {
                             loc,
                             path,
+                            entered,
                             time: ev.time - entered,
                         });
                     }
@@ -433,19 +429,10 @@ pub fn extract(trace: &Trace) -> Extract {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfg;
     use ats_core::{properties::mpi_coll, properties::mpi_p2p, BaseComm, Distr};
     use ats_mpi::SimConfig;
     use ats_runtime::{MachineModel, VDur};
-
-    fn cfg(n: usize) -> SimConfig {
-        SimConfig {
-            nprocs: n,
-            model: MachineModel::zero(),
-            init_time: VDur::ZERO,
-            finalize_time: VDur::ZERO,
-            ..Default::default()
-        }
-    }
 
     fn cfg_with_setup(n: usize) -> SimConfig {
         SimConfig {

@@ -9,10 +9,13 @@
 //!
 //! 1. [`extract()`](extract::extract) reconstructs call paths and typed
 //!    operation records from the event trace;
-//! 2. [`patterns`] implements the compound-event definitions of the
-//!    ASL/EXPERT property catalog (Late Sender, Late Receiver, Wait at
-//!    Barrier, Wait at N×N, Late Broadcast/Scatter, Early Reduce/Gather,
-//!    OpenMP imbalance/barrier/critical contention, MPI setup overhead);
+//! 2. [`asl::DEFAULT_PROPERTY_SET`] declares the compound-event
+//!    definitions of the ASL/EXPERT property catalog (Late Sender, Late
+//!    Receiver, Messages in Wrong Order, Wait at Barrier, Wait at N×N,
+//!    Late Broadcast/Scatter, Early Reduce/Gather, OpenMP
+//!    imbalance/barrier/critical contention, MPI setup overhead), one
+//!    declaration per property, compiled once and evaluated over the
+//!    records and the message pairs [`patterns`] matches;
 //! 3. the [`SeverityCube`] accumulates waiting
 //!    times over property × call path × location;
 //! 4. the [`AnalysisReport`] ranks findings by
@@ -62,3 +65,16 @@ pub use wire::{FindingDoc, ReportDoc, REPORT_SCHEMA};
 
 // Convenience re-exports for the ASL layer.
 pub use asl::{default_property_set, AslFinding, PropertySet};
+
+/// `n` ranks on the zero-cost machine model with no setup time: the
+/// configuration the unit tests run their programs on.
+#[cfg(test)]
+fn cfg(n: usize) -> ats_mpi::SimConfig {
+    ats_mpi::SimConfig {
+        nprocs: n,
+        model: ats_runtime::MachineModel::zero(),
+        init_time: ats_runtime::VDur::ZERO,
+        finalize_time: ats_runtime::VDur::ZERO,
+        ..Default::default()
+    }
+}

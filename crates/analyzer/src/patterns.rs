@@ -1,28 +1,14 @@
-//! Pattern detectors: from operation records to located waiting times.
+//! The p2p facts that take more than one record: message matching, and
+//! the sweep behind each receive's `early_overlap`.
 //!
-//! Each detector reproduces a compound-event pattern from the EXPERT /
-//! ASL catalog. The output unit is a [`Located`] waiting time: property ×
-//! call path × location × duration, which the severity cube aggregates.
+//! The property definitions themselves are ASL declarations
+//! ([`crate::asl::DEFAULT_PROPERTY_SET`]); this module supplies only the
+//! pairs the p2p ones range over and that one fact.
 
-use crate::callpath::PathId;
-use crate::extract::{CollInstance, Extract, RecvRec, SendRec};
-use crate::property::PropertyKind;
-use ats_runtime::{VDur, VTime};
-use ats_trace::{CollOp, LocationId, Trace};
+use crate::extract::{Extract, RecvRec, SendRec};
+use ats_runtime::VTime;
+use ats_trace::LocationId;
 use std::collections::HashMap;
-
-/// One located waiting-time contribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Located {
-    /// The diagnosed property.
-    pub property: PropertyKind,
-    /// Where in the call tree.
-    pub path: PathId,
-    /// Where in the machine.
-    pub loc: LocationId,
-    /// How much time was lost.
-    pub wait: VDur,
-}
 
 /// A matched point-to-point message pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,108 +57,44 @@ pub fn match_messages(ex: &Extract) -> Vec<MatchedPair> {
     pairs
 }
 
-/// *Late Sender*: the receiver blocks from its receive post until the
-/// matching send starts.
-///
-/// EXPERT definition: the part of the receive occupancy that elapses
-/// before the send is even posted — `wait = clamp(send_post, recv_posted,
-/// recv_completion) − recv_posted`. Located at the receive call on the
-/// receiver. (Transport time after the send starts is communication, not
-/// waiting.)
-pub fn late_sender(pairs: &[MatchedPair]) -> Vec<Located> {
-    pairs
-        .iter()
-        .filter_map(|p| {
-            let blocked_until = p.send.post.max(p.recv.posted).min(p.recv.completion);
-            let wait = blocked_until - p.recv.posted;
-            (!wait.is_zero()).then_some(Located {
-                property: PropertyKind::LateSender,
-                path: p.recv.path,
-                loc: p.recv.loc,
-                wait,
-            })
-        })
-        .collect()
-}
+/// Where messages arrived early: for each receiver, the intervals
+/// `[Q.send.post, Q.recv.posted)` during which a message `Q` was
+/// available but not yet read.
+pub(crate) struct EarlyArrivals(HashMap<LocationId, Coverage>);
 
-/// *Late Receiver*: a (synchronous/rendezvous) sender blocks from its send
-/// post until the matching receive is posted — `wait = clamp(recv_posted,
-/// send_post, send_exit) − send_post`. Eager sends return immediately
-/// (`exit ≈ post`), so they naturally contribute nothing. Located at the
-/// send call on the sender.
-pub fn late_receiver(pairs: &[MatchedPair]) -> Vec<Located> {
-    pairs
-        .iter()
-        .filter_map(|p| {
-            let blocked_until = p.recv.posted.max(p.send.post).min(p.send.exit);
-            let wait = blocked_until - p.send.post;
-            (!wait.is_zero()).then_some(Located {
-                property: PropertyKind::LateReceiver,
-                path: p.send.path,
-                loc: p.send.loc,
-                wait,
-            })
-        })
-        .collect()
-}
+impl EarlyArrivals {
+    pub(crate) fn new(pairs: &[MatchedPair]) -> Self {
+        let mut intervals: HashMap<LocationId, (Vec<u64>, Vec<u64>)> =
+            HashMap::with_capacity(pairs.len().min(64));
+        for p in pairs {
+            step();
+            if p.send.post < p.recv.posted {
+                let (starts, ends) = intervals.entry(p.recv.loc).or_default();
+                starts.push(p.send.post.0);
+                ends.push(p.recv.posted.0);
+            }
+        }
+        EarlyArrivals(
+            intervals
+                .into_iter()
+                .map(|(loc, (starts, ends))| (loc, Coverage::new(starts, ends)))
+                .collect(),
+        )
+    }
 
-/// *Messages in Wrong Order*: for a blocked receive `P`, the portion of
-/// its wait during which another message — one this receiver matches only
-/// *later* — was already available. Computed as the overlap of `P`'s
-/// blocked interval `[P.posted, P.completion)` with every pair `Q`'s
-/// "available but unread" interval `[Q.send.post, Q.recv.posted)` on the
-/// same receiver, summed over `Q` and capped at `P`'s blocked time. A `Q`
-/// posted no later than `P` closes its interval before `P` blocks, so the
-/// sum counts exactly the messages matched later.
-///
-/// The sum over `Q` is `F(P.completion) − F(P.posted)` for the receiver's
-/// `Coverage` integral `F`, so the pass costs O(n log n) in the pairs.
-pub fn wrong_order(pairs: &[MatchedPair]) -> Vec<Located> {
-    wrong_order_charges(pairs)
-        .into_iter()
-        .map(|(p, wait)| Located {
-            property: PropertyKind::MessagesWrongOrder,
-            path: p.recv.path,
-            loc: p.recv.loc,
-            wait,
-        })
-        .collect()
-}
-
-/// The [`wrong_order`] charge of each blocked receive that has one, with
-/// its pair, in pair order (the windowed analysis needs the receive's
-/// instants, not just its location).
-pub(crate) fn wrong_order_charges(pairs: &[MatchedPair]) -> Vec<(&MatchedPair, VDur)> {
-    let mut intervals: HashMap<LocationId, (Vec<u64>, Vec<u64>)> =
-        HashMap::with_capacity(pairs.len().min(64));
-    for p in pairs {
-        step();
-        if p.send.post < p.recv.posted {
-            let (starts, ends) = intervals.entry(p.recv.loc).or_default();
-            starts.push(p.send.post.0);
-            ends.push(p.recv.posted.0);
+    /// The p2p fact `early_overlap`: the overlap of `p`'s blocked
+    /// interval `[p.recv.posted, p.recv.completion)` with every early
+    /// interval on its receiver, summed — only messages matched later
+    /// overlap it. It is `F(completion) − F(posted)` for the receiver's
+    /// [`Coverage`] integral `F`, so a pass costs O(n log n) in the pairs.
+    pub(crate) fn overlap(&self, p: &MatchedPair) -> u128 {
+        match self.0.get(&p.recv.loc) {
+            Some(cov) if p.recv.posted < p.recv.completion => {
+                cov.below(p.recv.completion) - cov.below(p.recv.posted)
+            }
+            _ => 0,
         }
     }
-    let coverage: HashMap<LocationId, Coverage> = intervals
-        .into_iter()
-        .map(|(loc, (starts, ends))| (loc, Coverage::new(starts, ends)))
-        .collect();
-    let mut out = Vec::new();
-    for p in pairs {
-        step();
-        let blocked = p.recv.completion - p.recv.posted;
-        if blocked.is_zero() {
-            continue;
-        }
-        let Some(cov) = coverage.get(&p.recv.loc) else {
-            continue; // nothing was ever available early on this receiver
-        };
-        let overlap = cov.below(p.recv.completion) - cov.below(p.recv.posted);
-        if overlap != 0 {
-            out.push((p, VDur(overlap.min(u128::from(blocked.0)) as u64)));
-        }
-    }
-    out
 }
 
 /// The prefix integral `F(x)` of how many intervals `[start, end)` on one
@@ -240,173 +162,17 @@ fn step() {
     tests::STEPS.with(|s| s.set(s.get() + 1));
 }
 
-/// Dispatch one collective instance to its wait-state pattern.
-pub fn collective_waits(inst: &CollInstance, trace: &Trace) -> Vec<Located> {
-    match inst.op {
-        CollOp::Barrier => last_arriver_waits(inst, PropertyKind::WaitAtBarrier),
-        CollOp::OmpBarrier => last_arriver_waits(inst, PropertyKind::OmpWaitAtBarrier),
-        CollOp::Alltoall | CollOp::Alltoallv | CollOp::Allreduce | CollOp::Allgather => {
-            last_arriver_waits(inst, PropertyKind::WaitAtNxN)
-        }
-        CollOp::Scan => prefix_waits(inst, PropertyKind::WaitAtNxN),
-        CollOp::Bcast => root_gated_waits(inst, trace, PropertyKind::LateBroadcast),
-        CollOp::Scatter | CollOp::Scatterv => {
-            root_gated_waits(inst, trace, PropertyKind::LateScatter)
-        }
-        CollOp::Reduce => early_root_waits(inst, trace, PropertyKind::EarlyReduce),
-        CollOp::Gather | CollOp::Gatherv => {
-            early_root_waits(inst, trace, PropertyKind::EarlyGather)
-        }
-        CollOp::OmpJoin => join_waits(inst),
-        CollOp::OmpFork => Vec::new(),
-    }
-}
-
-/// Everyone waits for the last arriver: `wait_i = max_j(entry_j) − entry_i`.
-fn last_arriver_waits(inst: &CollInstance, property: PropertyKind) -> Vec<Located> {
-    let latest = inst.last_entry();
-    inst.members
-        .iter()
-        .filter_map(|m| {
-            let wait = latest - m.entered;
-            (!wait.is_zero()).then_some(Located {
-                property,
-                path: m.path,
-                loc: m.loc,
-                wait,
-            })
-        })
-        .collect()
-}
-
-/// Prefix synchronization (scan): member `i` waits for the latest entry
-/// among communicator ranks `0..=i`.
-fn prefix_waits(inst: &CollInstance, property: PropertyKind) -> Vec<Located> {
-    // Members are sorted by location; communicator order for our traces is
-    // ascending global rank, which matches.
-    let mut latest = VTime::ZERO;
-    let mut out = Vec::new();
-    for m in &inst.members {
-        latest = latest.max(m.entered);
-        let wait = latest - m.entered;
-        if !wait.is_zero() {
-            out.push(Located {
-                property,
-                path: m.path,
-                loc: m.loc,
-                wait,
-            });
-        }
-    }
-    out
-}
-
-/// Root-to-members data flow (bcast/scatter): a non-root member waits if
-/// the root entered later: `wait_i = max(0, entry_root − entry_i)`.
-fn root_gated_waits(inst: &CollInstance, trace: &Trace, property: PropertyKind) -> Vec<Located> {
-    let Some(root) = inst.root_member(trace) else {
-        return Vec::new();
-    };
-    let root_entry = root.entered;
-    let root_loc = root.loc;
-    inst.members
-        .iter()
-        .filter_map(|m| {
-            if m.loc == root_loc {
-                return None;
-            }
-            let wait = root_entry - m.entered;
-            (!wait.is_zero()).then_some(Located {
-                property,
-                path: m.path,
-                loc: m.loc,
-                wait,
-            })
-        })
-        .collect()
-}
-
-/// Members-to-root data flow (reduce/gather): the root waits if any member
-/// entered later: `wait_root = max(0, max_{i≠root}(entry_i) − entry_root)`.
-fn early_root_waits(inst: &CollInstance, trace: &Trace, property: PropertyKind) -> Vec<Located> {
-    let Some(root) = inst.root_member(trace) else {
-        return Vec::new();
-    };
-    let root_loc = root.loc;
-    let latest_member = inst
-        .members
-        .iter()
-        .filter(|m| m.loc != root_loc)
-        .map(|m| m.entered)
-        .max()
-        .unwrap_or(root.entered);
-    let wait = latest_member - root.entered;
-    if wait.is_zero() {
-        return Vec::new();
-    }
-    vec![Located {
-        property,
-        path: root.path,
-        loc: root_loc,
-        wait,
-    }]
-}
-
-/// Parallel-region join: each member's wait is the gap between its own end
-/// of work and the team-wide join.
-fn join_waits(inst: &CollInstance) -> Vec<Located> {
-    inst.members
-        .iter()
-        .filter_map(|m| {
-            let wait = m.exit - m.entered;
-            (!wait.is_zero()).then_some(Located {
-                property: PropertyKind::OmpImbalanceInRegion,
-                path: m.path,
-                loc: m.loc,
-                wait,
-            })
-        })
-        .collect()
-}
-
-/// Critical-section contention: arrival-to-acquisition gaps.
-pub fn critical_waits(ex: &Extract) -> Vec<Located> {
-    ex.criticals
-        .iter()
-        .filter_map(|v| {
-            let wait = v.acquired - v.arrive;
-            (!wait.is_zero()).then_some(Located {
-                property: PropertyKind::OmpCriticalContention,
-                path: v.path,
-                loc: v.loc,
-                wait,
-            })
-        })
-        .collect()
-}
-
-/// MPI setup overhead: all time in init/finalize.
-pub fn setup_overheads(ex: &Extract) -> Vec<Located> {
-    ex.setup
-        .iter()
-        .filter_map(|s| {
-            (!s.time.is_zero()).then_some(Located {
-                property: PropertyKind::MpiSetupOverhead,
-                path: s.path,
-                loc: s.loc,
-                wait: s.time,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asl::{default_property_set, AslFinding};
+    use crate::callpath::PathId;
+    use crate::cfg;
     use crate::extract::extract;
+    use crate::property::PropertyKind;
     use ats_core::{properties::mpi_coll, properties::mpi_p2p, BaseComm, Distr};
-    use ats_mpi::SimConfig;
-    use ats_runtime::MachineModel;
+    use ats_runtime::VDur;
+    use ats_trace::Trace;
 
     thread_local! {
         /// Inner-loop steps counted by [`step`] on this test thread.
@@ -420,10 +186,38 @@ mod tests {
         (out, STEPS.with(|s| s.get()))
     }
 
+    /// The default set's findings on `trace`, of `kind` or of any.
+    fn waits(trace: &Trace, kind: Option<PropertyKind>) -> Vec<AslFinding> {
+        let set = default_property_set();
+        let all = set.evaluate(&extract(trace), trace).unwrap();
+        let of_kind = |f: &AslFinding| kind.is_none_or(|k| set.kind(f.property) == Some(k));
+        all.into_iter().filter(of_kind).collect()
+    }
+
+    fn total(waits: &[AslFinding]) -> VDur {
+        waits.iter().map(|w| w.wait).sum()
+    }
+
+    /// A wrong-order charge: the receive's path, location, post and wait.
+    type Charge = (PathId, LocationId, VTime, VDur);
+
+    /// The default set's `MessagesWrongOrder` findings on `pairs`.
+    fn wrong_order(pairs: &[MatchedPair]) -> Vec<Charge> {
+        let set = default_property_set();
+        let mut out = Vec::new();
+        set.each_pair_finding(pairs, &mut |f| {
+            if set.kind(f.property) == Some(PropertyKind::MessagesWrongOrder) {
+                out.push((f.path, f.loc, f.start, f.wait));
+            }
+        })
+        .unwrap();
+        out
+    }
+
     /// The quadratic scan the sweep replaced: every blocked receive against
     /// every pair on its receiver. Kept as the reference for degenerate
     /// intervals the catalog never produces.
-    fn wrong_order_scan(pairs: &[MatchedPair]) -> Vec<Located> {
+    fn wrong_order_scan(pairs: &[MatchedPair]) -> Vec<Charge> {
         let mut by_receiver: HashMap<LocationId, Vec<usize>> = HashMap::new();
         for (i, p) in pairs.iter().enumerate() {
             by_receiver.entry(p.recv.loc).or_default().push(i);
@@ -447,12 +241,8 @@ mod tests {
                 overlap += end - start; // saturating: zero if end <= start
             }
             if !overlap.is_zero() {
-                out.push(Located {
-                    property: PropertyKind::MessagesWrongOrder,
-                    path: p.recv.path,
-                    loc: p.recv.loc,
-                    wait: overlap.min(p.recv.completion - p.recv.posted),
-                });
+                let wait = overlap.min(p.recv.completion - p.recv.posted);
+                out.push((p.recv.path, p.recv.loc, p.recv.posted, wait));
             }
         }
         out
@@ -544,16 +334,6 @@ mod tests {
         assert!(growth(2) >= 15.0, "scan steps grew {}x", growth(2));
     }
 
-    fn cfg(n: usize) -> SimConfig {
-        SimConfig {
-            nprocs: n,
-            model: MachineModel::zero(),
-            init_time: VDur::ZERO,
-            finalize_time: VDur::ZERO,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn matching_pairs_every_message() {
         let trace = ats_mpi::run(cfg(4), |p| {
@@ -578,16 +358,13 @@ mod tests {
             let c = p.comm_world();
             mpi_p2p::late_sender(p, &BaseComm::default(), 0.002, 0.030, 2, &c);
         });
-        let ex = extract(&trace);
-        let pairs = match_messages(&ex);
-        let waits = late_sender(&pairs);
-        let total: VDur = waits.iter().map(|w| w.wait).sum();
-        assert_eq!(total, VDur::from_millis(60), "2 reps x 30ms");
-        for w in &waits {
+        let late = waits(&trace, Some(PropertyKind::LateSender));
+        assert_eq!(total(&late), VDur::from_millis(60), "2 reps x 30ms");
+        for w in &late {
             assert_eq!(w.loc.rank, 1, "wait sits on the receiver");
         }
         // No late receiver in this program.
-        assert!(late_receiver(&pairs).is_empty());
+        assert!(waits(&trace, Some(PropertyKind::LateReceiver)).is_empty());
     }
 
     #[test]
@@ -596,15 +373,12 @@ mod tests {
             let c = p.comm_world();
             mpi_p2p::late_receiver(p, &BaseComm::default(), 0.002, 0.025, 2, &c);
         });
-        let ex = extract(&trace);
-        let pairs = match_messages(&ex);
-        let waits = late_receiver(&pairs);
-        let total: VDur = waits.iter().map(|w| w.wait).sum();
-        assert_eq!(total, VDur::from_millis(50));
-        for w in &waits {
+        let late = waits(&trace, Some(PropertyKind::LateReceiver));
+        assert_eq!(total(&late), VDur::from_millis(50));
+        for w in &late {
             assert_eq!(w.loc.rank, 0, "wait sits on the sender");
         }
-        assert!(late_sender(&pairs).is_empty());
+        assert!(waits(&trace, Some(PropertyKind::LateSender)).is_empty());
     }
 
     #[test]
@@ -614,16 +388,10 @@ mod tests {
             let c = p.comm_world();
             mpi_coll::imbalance_at_mpi_barrier(p, &df, 1, &c);
         });
-        let ex = extract(&trace);
-        let mut total = VDur::ZERO;
-        for inst in ex.colls.iter().filter(|c| c.op == CollOp::Barrier) {
-            for w in collective_waits(inst, &trace) {
-                assert_eq!(w.property, PropertyKind::WaitAtBarrier);
-                total += w.wait;
-            }
-        }
+        let barrier = waits(&trace, Some(PropertyKind::WaitAtBarrier));
+        assert_eq!(waits(&trace, None), barrier);
         // Waits: 30 + 20 + 10 + 0 = 60ms.
-        assert_eq!(total, VDur::from_millis(60));
+        assert_eq!(total(&barrier), VDur::from_millis(60));
     }
 
     #[test]
@@ -632,12 +400,9 @@ mod tests {
             let c = p.comm_world();
             mpi_coll::late_broadcast(p, &BaseComm::default(), 0.001, 0.020, 1, 1, &c);
         });
-        let ex = extract(&trace);
-        let bcast = ex.colls.iter().find(|c| c.op == CollOp::Bcast).unwrap();
-        let waits = collective_waits(bcast, &trace);
-        assert_eq!(waits.len(), 3);
-        for w in &waits {
-            assert_eq!(w.property, PropertyKind::LateBroadcast);
+        let late = waits(&trace, Some(PropertyKind::LateBroadcast));
+        assert_eq!(late.len(), 3);
+        for w in &late {
             assert_ne!(w.loc.rank, 1, "root never waits for itself");
             assert_eq!(w.wait, VDur::from_millis(20));
         }
@@ -649,13 +414,10 @@ mod tests {
             let c = p.comm_world();
             mpi_coll::early_reduce(p, &BaseComm::default(), 0.001, 0.015, 2, 1, &c);
         });
-        let ex = extract(&trace);
-        let red = ex.colls.iter().find(|c| c.op == CollOp::Reduce).unwrap();
-        let waits = collective_waits(red, &trace);
-        assert_eq!(waits.len(), 1);
-        assert_eq!(waits[0].loc.rank, 2);
-        assert_eq!(waits[0].property, PropertyKind::EarlyReduce);
-        assert_eq!(waits[0].wait, VDur::from_millis(15));
+        let early = waits(&trace, Some(PropertyKind::EarlyReduce));
+        assert_eq!(early.len(), 1);
+        assert_eq!(early[0].loc.rank, 2);
+        assert_eq!(early[0].wait, VDur::from_millis(15));
     }
 
     #[test]
@@ -665,12 +427,6 @@ mod tests {
             ats_core::properties::negative::balanced_mpi_barrier(p, 0.010, 3, &c);
             ats_core::properties::negative::balanced_mpi_p2p(p, &BaseComm::default(), 0.005, 2, &c);
         });
-        let ex = extract(&trace);
-        let pairs = match_messages(&ex);
-        assert!(late_sender(&pairs).is_empty());
-        assert!(late_receiver(&pairs).is_empty());
-        for inst in &ex.colls {
-            assert!(collective_waits(inst, &trace).is_empty());
-        }
+        assert!(waits(&trace, None).is_empty());
     }
 }

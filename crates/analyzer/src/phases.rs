@@ -5,15 +5,17 @@
 //! reports whole-run aggregates cannot distinguish a constant 10%
 //! imbalance from one that grows from 0% to 20% — yet the second is the
 //! one that kills scalability. This module splits the run into equal time
-//! windows, spreads every located wait over the windows its interval
-//! overlaps (so each property's windowed waits sum to its aggregate), and
-//! reports per-window severities plus a rank-correlation trend — the
-//! instrument that makes the progressive property functions testable.
+//! windows, evaluates the analyzer's property set, spreads every
+//! finding's wait over the windows its interval overlaps (so each
+//! property's windowed waits sum to its aggregate), and reports
+//! per-window severities plus a rank-correlation trend — the instrument
+//! that makes the progressive property functions testable.
 
+use crate::asl::default_property_set;
 use crate::extract::extract;
-use crate::patterns;
+use crate::patterns::match_messages;
 use crate::property::PropertyKind;
-use ats_runtime::{VDur, VTime};
+use ats_runtime::VDur;
 use ats_trace::Trace;
 use std::collections::HashMap;
 
@@ -63,10 +65,11 @@ fn trend_of(values: &[f64]) -> f64 {
     (concordant - discordant) as f64 / (n * (n - 1) / 2) as f64
 }
 
-/// Run the pattern detectors and bin every located wait into `windows`
-/// equal time windows. Each wait *interval* is spread proportionally over
-/// the windows it overlaps (so densities are alias-free); the window's
-/// allocation denominator is `locations × window length`.
+/// Evaluate the default property set and bin every finding's wait
+/// interval `[start, start + wait)` into `windows` equal time windows,
+/// spreading it proportionally over the windows it overlaps (so
+/// densities are alias-free); the window's allocation denominator is
+/// `locations × window length`. Setup overhead is not binned.
 pub fn analyze_phases(trace: &Trace, windows: usize) -> PhaseReport {
     assert!(windows > 0, "need at least one window");
     let ex = extract(trace);
@@ -74,26 +77,21 @@ pub fn analyze_phases(trace: &Trace, windows: usize) -> PhaseReport {
     let t1 = trace.end_time();
     let span = (t1 - t0).as_nanos().max(1);
     let window_len = VDur::from_nanos(span / windows as u64 + 1);
-
-    // Collect located waits with an attribution instant. The built-in
-    // detectors don't expose completion instants directly, so re-derive
-    // them: for pairs/collectives/criticals the record's end time is the
-    // natural attribution point. We re-run the detectors and pair each
-    // Located with its source record end.
-    let mut buckets: HashMap<PropertyKind, Vec<VDur>> = HashMap::new();
     let wl = window_len.as_nanos().max(1);
-    let add = |prop: PropertyKind,
-               start: VTime,
-               end: VTime,
-               buckets: &mut HashMap<PropertyKind, Vec<VDur>>| {
-        if end <= start {
+
+    let mut buckets: HashMap<PropertyKind, Vec<VDur>> = HashMap::new();
+    let set = default_property_set();
+    let pairs = match_messages(&ex);
+    set.each_finding(&ex, &pairs, trace, |f| {
+        let kind = set.kind(f.property);
+        let Some(prop) = kind.filter(|k| *k != PropertyKind::MpiSetupOverhead) else {
             return;
-        }
+        };
         let b = buckets
             .entry(prop)
             .or_insert_with(|| vec![VDur::ZERO; windows]);
-        let s = (start - t0).as_nanos();
-        let e = (end - t0).as_nanos();
+        let s = (f.start - t0).as_nanos();
+        let e = (f.start + f.wait - t0).as_nanos();
         let first = (s / wl) as usize;
         let last = ((e.saturating_sub(1)) / wl) as usize;
         let last = last.min(windows - 1);
@@ -103,60 +101,8 @@ pub fn analyze_phases(trace: &Trace, windows: usize) -> PhaseReport {
             let overlap = e.min(w_end).saturating_sub(s.max(w_start));
             *bucket += VDur::from_nanos(overlap);
         }
-    };
-
-    // Work from the records directly (mirrors patterns.rs but keeps the
-    // attribution instants).
-    let pairs = patterns::match_messages(&ex);
-    for p in &pairs {
-        // Late sender: the receiver blocks over [posted, blocked_until].
-        let blocked_until = p.send.post.max(p.recv.posted).min(p.recv.completion);
-        add(
-            PropertyKind::LateSender,
-            p.recv.posted,
-            blocked_until,
-            &mut buckets,
-        );
-        // Late receiver: the sender blocks over [post, lr_until].
-        let lr_until = p.recv.posted.max(p.send.post).min(p.send.exit);
-        add(
-            PropertyKind::LateReceiver,
-            p.send.post,
-            lr_until,
-            &mut buckets,
-        );
-    }
-    // Wrong order: the charge is a share of the receive's blocked time
-    // with no instants of its own, so bin it as the interval of that
-    // length from the post; windowed totals stay exact.
-    for (p, wait) in patterns::wrong_order_charges(&pairs) {
-        add(
-            PropertyKind::MessagesWrongOrder,
-            p.recv.posted,
-            p.recv.posted + wait,
-            &mut buckets,
-        );
-    }
-    for inst in &ex.colls {
-        for l in patterns::collective_waits(inst, trace) {
-            // The member waits from its entry for `wait`.
-            let entered = inst
-                .members
-                .iter()
-                .find(|m| m.loc == l.loc)
-                .map(|m| m.entered)
-                .unwrap_or(t1);
-            add(l.property, entered, entered + l.wait, &mut buckets);
-        }
-    }
-    for v in &ex.criticals {
-        add(
-            PropertyKind::OmpCriticalContention,
-            v.arrive,
-            v.acquired,
-            &mut buckets,
-        );
-    }
+    })
+    .expect("the default set cannot overflow: each wait is a difference of trace times");
 
     let window_alloc = window_len.as_secs() * trace.num_locations() as f64;
     let mut series: Vec<PhaseSeries> = buckets
@@ -192,27 +138,17 @@ pub fn analyze_phases(trace: &Trace, windows: usize) -> PhaseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfg;
     use ats_core::{
         properties::{mpi_coll, mpi_p2p},
         BaseComm, Distr,
     };
     use ats_mpi::SimConfig;
-    use ats_runtime::MachineModel;
 
     impl PhaseReport {
         /// The series for `property`, if it produced any waiting.
         fn series_for(&self, property: &str) -> Option<&PhaseSeries> {
             self.series.iter().find(|s| s.property == property)
-        }
-    }
-
-    fn cfg(n: usize) -> SimConfig {
-        SimConfig {
-            nprocs: n,
-            model: MachineModel::zero(),
-            init_time: VDur::ZERO,
-            finalize_time: VDur::ZERO,
-            ..Default::default()
         }
     }
 

@@ -208,19 +208,8 @@ impl AnalysisReport {
 mod tests {
     use super::*;
     use crate::analyzer::{analyze, AnalyzerConfig};
+    use crate::cfg;
     use ats_core::{properties::mpi_p2p, BaseComm};
-    use ats_mpi::SimConfig;
-    use ats_runtime::MachineModel;
-
-    fn cfg(n: usize) -> SimConfig {
-        SimConfig {
-            nprocs: n,
-            model: MachineModel::zero(),
-            init_time: VDur::ZERO,
-            finalize_time: VDur::ZERO,
-            ..Default::default()
-        }
-    }
 
     #[test]
     fn findings_are_ranked_and_rendered() {

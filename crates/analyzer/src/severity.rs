@@ -7,7 +7,6 @@
 //! marginalizations of this cube.
 
 use crate::callpath::PathId;
-use crate::patterns::Located;
 use crate::property::PropertyKind;
 use ats_runtime::VDur;
 use ats_trace::LocationId;
@@ -31,15 +30,8 @@ impl SeverityCube {
     }
 
     /// Accumulate one located waiting time.
-    pub fn add(&mut self, l: Located) {
-        *self.cells.entry((l.property, l.path, l.loc)).or_default() += l.wait;
-    }
-
-    /// Accumulate many.
-    pub fn extend(&mut self, ls: impl IntoIterator<Item = Located>) {
-        for l in ls {
-            self.add(l);
-        }
+    pub fn add(&mut self, property: PropertyKind, path: PathId, loc: LocationId, wait: VDur) {
+        *self.cells.entry((property, path, loc)).or_default() += wait;
     }
 
     /// The severity denominator.
@@ -120,21 +112,18 @@ impl SeverityCube {
 mod tests {
     use super::*;
 
-    fn l(p: PropertyKind, path: u32, rank: u32, ms: u64) -> Located {
-        Located {
-            property: p,
-            path: PathId(path),
-            loc: LocationId::rank(rank),
-            wait: VDur::from_millis(ms),
-        }
+    /// Add `ms` of `p` at path `path` on rank `rank`.
+    fn add(cube: &mut SeverityCube, p: PropertyKind, path: u32, rank: u32, ms: u64) {
+        let wait = VDur::from_millis(ms);
+        cube.add(p, PathId(path), LocationId::rank(rank), wait);
     }
 
     #[test]
     fn accumulates_cells() {
         let mut cube = SeverityCube::new(VDur::from_millis(1000));
-        cube.add(l(PropertyKind::LateSender, 0, 1, 10));
-        cube.add(l(PropertyKind::LateSender, 0, 1, 5));
-        cube.add(l(PropertyKind::LateSender, 0, 2, 7));
+        add(&mut cube, PropertyKind::LateSender, 0, 1, 10);
+        add(&mut cube, PropertyKind::LateSender, 0, 1, 5);
+        add(&mut cube, PropertyKind::LateSender, 0, 2, 7);
         assert_eq!(cube.len(), 2);
         assert_eq!(
             cube.by_property(PropertyKind::LateSender),
@@ -153,11 +142,9 @@ mod tests {
     #[test]
     fn property_path_aggregation() {
         let mut cube = SeverityCube::new(VDur::from_millis(1000));
-        cube.extend([
-            l(PropertyKind::WaitAtBarrier, 3, 0, 4),
-            l(PropertyKind::WaitAtBarrier, 3, 1, 6),
-            l(PropertyKind::WaitAtBarrier, 4, 0, 1),
-        ]);
+        add(&mut cube, PropertyKind::WaitAtBarrier, 3, 0, 4);
+        add(&mut cube, PropertyKind::WaitAtBarrier, 3, 1, 6);
+        add(&mut cube, PropertyKind::WaitAtBarrier, 4, 0, 1);
         let agg = cube.by_property_path();
         assert_eq!(
             agg[&(PropertyKind::WaitAtBarrier, PathId(3))],
@@ -175,13 +162,11 @@ mod tests {
     #[test]
     fn subtree_rollup() {
         let mut cube = SeverityCube::new(VDur::from_millis(1000));
-        cube.extend([
-            l(PropertyKind::LateSender, 0, 0, 10),
-            // Part of the late-sender wait of the same receive: counted once.
-            l(PropertyKind::MessagesWrongOrder, 0, 0, 10),
-            l(PropertyKind::LateBroadcast, 1, 1, 20),
-            l(PropertyKind::OmpWaitAtBarrier, 2, 0, 5),
-        ]);
+        add(&mut cube, PropertyKind::LateSender, 0, 0, 10);
+        // Part of the late-sender wait of the same receive: counted once.
+        add(&mut cube, PropertyKind::MessagesWrongOrder, 0, 0, 10);
+        add(&mut cube, PropertyKind::LateBroadcast, 1, 1, 20);
+        add(&mut cube, PropertyKind::OmpWaitAtBarrier, 2, 0, 5);
         assert_eq!(
             cube.subtree_total(PropertyKind::MpiCommunication),
             VDur::from_millis(30)

@@ -45,8 +45,8 @@ pub struct ParamSpec {
     /// Default value (in the command-line syntax).
     pub default: &'static str,
     /// Inclusive lower bound of the legal range (command-line syntax);
-    /// `""` means unbounded below. Distribution parameters leave both
-    /// bounds empty.
+    /// `""` means unbounded below. A distribution's bounds hold for each
+    /// seconds value it names.
     pub min: &'static str,
     /// Inclusive upper bound of the legal range; `""` means unbounded
     /// above (e.g. a root rank, bounded only by the communicator size).
@@ -57,8 +57,7 @@ pub struct ParamSpec {
 
 impl ParamSpec {
     /// The declared `[min, max]` range as floats, substituting `0` /
-    /// `+inf` for missing bounds. Meaningful for `Seconds` and `Count`
-    /// parameters; `Distribution` parameters report the full range.
+    /// `+inf` for missing bounds.
     pub fn range_f64(&self) -> (f64, f64) {
         let lo = self.min.parse::<f64>().unwrap_or(0.0);
         let hi = self.max.parse::<f64>().unwrap_or(f64::INFINITY);
@@ -179,8 +178,8 @@ const P_DISTR: ParamSpec = ParamSpec {
     name: "df",
     kind: ParamKind::Distribution,
     default: "block2:low=0.01,high=0.05",
-    min: "",
-    max: "",
+    min: "0",
+    max: "1",
     help: "work distribution over the group",
 };
 const P_NTHREADS: ParamSpec = ParamSpec {
@@ -354,8 +353,8 @@ pub const CATALOG: &[PropertySpec] = &[
                 name: "df",
                 kind: ParamKind::Distribution,
                 default: "block2:low=0.05,high=0.01",
-                min: "",
-                max: "",
+                min: "0",
+                max: "1",
                 help: "work distribution (descending shapes produce prefix waits)",
             },
             P_REPS,
@@ -736,32 +735,30 @@ mod tests {
     fn every_numeric_param_declares_a_range_containing_its_default() {
         for p in CATALOG {
             for param in p.params {
-                match param.kind {
-                    ParamKind::Seconds | ParamKind::Count => {
-                        assert!(
-                            param.has_range(),
-                            "{}.{} has no range metadata",
-                            p.name,
-                            param.name
-                        );
-                        let (lo, hi) = param.range_f64();
-                        let d: f64 = param.default.parse().unwrap();
-                        assert!(
-                            lo <= d && d <= hi,
-                            "{}.{}: default {d} outside [{lo}, {hi}]",
-                            p.name,
-                            param.name
-                        );
-                    }
+                assert!(
+                    param.has_range(),
+                    "{}.{} has no range metadata",
+                    p.name,
+                    param.name
+                );
+                let (lo, hi) = param.range_f64();
+                let defaults = match param.kind {
+                    ParamKind::Seconds | ParamKind::Count => vec![param.default.parse().unwrap()],
                     ParamKind::Distribution => {
-                        assert!(
-                            !param.has_range(),
-                            "{}.{}: distributions take no numeric range",
-                            p.name,
-                            param.name
-                        );
-                        assert_eq!(param.range_f64(), (0.0, f64::INFINITY));
+                        // A distribution holds seconds: the range of every
+                        // seconds parameter.
+                        assert_eq!((lo, hi), (0.0, 1.0), "{}.{}", p.name, param.name);
+                        let d: crate::distribution::Distr = param.default.parse().unwrap();
+                        d.levels()
                     }
+                };
+                for d in defaults {
+                    assert!(
+                        lo <= d && d <= hi,
+                        "{}.{}: default {d} outside [{lo}, {hi}]",
+                        p.name,
+                        param.name
+                    );
                 }
             }
         }
@@ -771,7 +768,7 @@ mod tests {
     fn range_display_renders_bounds() {
         assert_eq!(P_REPS.range_display().unwrap(), "[1, 64]");
         assert_eq!(P_ROOT.range_display().unwrap(), "[0, ..]");
-        assert!(P_DISTR.range_display().is_none());
+        assert_eq!(P_DISTR.range_display().unwrap(), "[0, 1]");
     }
 
     #[test]

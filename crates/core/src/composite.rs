@@ -68,6 +68,10 @@ pub fn all_mpi_properties(p: &mut Proc, params: &CompositeParams, comm: &Comm) {
     mpi_coll::early_gatherv(p, &base, w, sev(9), 0, reps, comm);
 }
 
+/// The fewest ranks [`two_communicator_composite`] runs on: two halves
+/// of at least two ranks each.
+pub const TWO_COMMUNICATOR_RANKS: usize = 4;
+
 /// The paper's Figure 3.4/3.5 program: after initialization, the lower and
 /// upper halves of the processes form separate communicators; the lower
 /// half runs the point-to-point property set while the upper half runs the
@@ -85,11 +89,11 @@ pub fn two_communicator_composite(p: &mut Proc, params: &CompositeParams, world:
         extrawork,
         reps,
     } = params.clone();
-    let half = world.size() / 2;
     assert!(
-        half >= 2,
-        "need at least 4 ranks for the two-communicator test"
+        world.size() >= TWO_COMMUNICATOR_RANKS,
+        "need at least {TWO_COMMUNICATOR_RANKS} ranks for the two-communicator test"
     );
+    let half = world.size() / 2;
     let lower = p.rank() < half;
     let color = if lower { 0 } else { 1 };
     let sub = p

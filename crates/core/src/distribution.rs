@@ -142,6 +142,22 @@ impl Distr {
         Distr::Block3 { low, med, high }
     }
 
+    /// The values the spec names (`val`, or `low`, `med` and `high`);
+    /// none for a custom shape.
+    pub fn levels(&self) -> Vec<f64> {
+        match *self {
+            Distr::Same { val } => vec![val],
+            Distr::Cyclic2 { low, high }
+            | Distr::Block2 { low, high }
+            | Distr::Linear { low, high }
+            | Distr::Peak { low, high, .. } => vec![low, high],
+            Distr::Cyclic3 { low, med, high } | Distr::Block3 { low, med, high } => {
+                vec![low, med, high]
+            }
+            Distr::Custom(_) => Vec::new(),
+        }
+    }
+
     /// The value assigned to participant `me` of `sz`, scaled by `scale`.
     /// This is the paper's `df(me, sz, sf, dd)`.
     pub fn value(&self, me: usize, sz: usize, scale: f64) -> f64 {

@@ -20,6 +20,7 @@ use ats_core::catalog::{self, Paradigm};
 use ats_core::error::quote;
 use ats_core::Error;
 use ats_harness::ParamValues;
+use ats_mpi::MAX_NPROCS;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
@@ -170,12 +171,6 @@ pub struct Scenario {
 pub fn region_name(idx: usize) -> String {
     format!("fz{idx:02}")
 }
-
-/// The widest world a scenario may ask for: the widest the suite
-/// simulates (`ats bench sched`'s top row). Every rank is a task with a
-/// stack of its own, so the bound keeps one text line from asking for
-/// unbounded memory.
-const MAX_NPROCS: usize = 8192;
 
 /// Name of the region wrapping the inter-slot world barrier. Waits inside
 /// it are expected by construction (groups finish at different times) and

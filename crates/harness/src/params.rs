@@ -4,7 +4,8 @@
 //! parameters from the command line"; this module is that command line:
 //! `key=value` tokens validated against the catalog's
 //! [`ParamSpec`](ats_core::ParamSpec)s — each value's kind and declared
-//! range — with defaults filled in.
+//! range, which for a distribution bounds every seconds value it names —
+//! with defaults filled in.
 
 use ats_core::error::quote;
 use ats_core::{Distr, ParamKind, PropertySpec};
@@ -112,10 +113,11 @@ impl ParamValues {
                 reason,
             })?;
             let (lo, hi) = param.range_f64();
-            let in_range = match value {
-                ParamValue::Seconds(x) => lo <= x && x <= hi,
-                ParamValue::Count(n) => lo <= n as f64 && n as f64 <= hi,
-                ParamValue::Distr(_) => true,
+            let in_range = |x: f64| lo <= x && x <= hi;
+            let in_range = match &value {
+                ParamValue::Seconds(x) => in_range(*x),
+                ParamValue::Count(n) => in_range(*n as f64),
+                ParamValue::Distr(d) => d.levels().into_iter().all(in_range),
             };
             if !in_range {
                 return Err(ParamError::OutOfRange {
@@ -266,6 +268,21 @@ mod tests {
         let spec = catalog::find("imbalance_at_mpi_barrier").unwrap();
         let err = ParamValues::from_args(spec, &["df=cyclic2:low=1"]).unwrap_err();
         assert!(err.to_string().contains("requires `high`"), "{err}");
+        // Each seconds value of a distribution is finite and in [0, 1].
+        for df in [
+            "df=linear:low=0,high=2e10",
+            "df=linear:low=-1,high=0.05",
+            "df=same:val=nan",
+            "df=same:val=inf",
+        ] {
+            let err = ParamValues::from_args(spec, &[df]).unwrap_err();
+            assert!(
+                matches!(&err, ParamError::OutOfRange { key, range, .. }
+                    if key == "df" && range == "[0, 1]"),
+                "{df}: {err:?}"
+            );
+        }
+        assert!(ParamValues::from_args(spec, &["df=peak:low=0,high=1,n=9"]).is_ok());
     }
 
     #[test]

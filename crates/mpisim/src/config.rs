@@ -3,6 +3,11 @@
 use ats_runtime::{MachineModel, SimBackend, VDur, WorkMode};
 use ats_trace::TracePool;
 
+/// The widest world the suite simulates (`ats bench sched`'s top row).
+/// Every rank is a task with a stack of its own, so a scenario line or a
+/// command line that names more ranks is rejected before any run starts.
+pub const MAX_NPROCS: usize = 8192;
+
 /// Configuration of one simulated MPI run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {

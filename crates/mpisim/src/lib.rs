@@ -55,7 +55,7 @@ pub mod world;
 
 pub use ats_runtime::SimBackend;
 pub use comm::Comm;
-pub use config::SimConfig;
+pub use config::{SimConfig, MAX_NPROCS};
 pub use datatype::{Datatype, ReduceOp};
 pub use proc::Proc;
 pub use request::{Request, Status};

@@ -84,16 +84,8 @@ pub struct AnalyzerMetrics {
     pub extract_time: Histogram,
     /// Point-to-point message matching.
     pub match_time: Histogram,
-    /// Late-sender pattern matching.
-    pub late_sender_time: Histogram,
-    /// Late-receiver pattern matching.
-    pub late_receiver_time: Histogram,
-    /// Wrong-order pattern matching.
-    pub wrong_order_time: Histogram,
-    /// Collective wait-state matching.
-    pub collective_time: Histogram,
-    /// Critical-wait (progress/serialization) matching.
-    pub critical_time: Histogram,
+    /// Property evaluation: the ASL default set over every record.
+    pub detect_time: Histogram,
     /// Severity cube → report build.
     pub severity_time: Histogram,
 }
@@ -445,29 +437,9 @@ impl Registry {
                 &self.analyzer.match_time,
             ),
             h(
-                "ats_analyzer_pattern_late_sender_seconds",
-                "Late-sender matching",
-                &self.analyzer.late_sender_time,
-            ),
-            h(
-                "ats_analyzer_pattern_late_receiver_seconds",
-                "Late-receiver matching",
-                &self.analyzer.late_receiver_time,
-            ),
-            h(
-                "ats_analyzer_pattern_wrong_order_seconds",
-                "Wrong-order matching",
-                &self.analyzer.wrong_order_time,
-            ),
-            h(
-                "ats_analyzer_pattern_collective_seconds",
-                "Collective wait matching",
-                &self.analyzer.collective_time,
-            ),
-            h(
-                "ats_analyzer_pattern_critical_seconds",
-                "Critical-wait matching",
-                &self.analyzer.critical_time,
+                "ats_analyzer_detect_seconds",
+                "Property evaluation",
+                &self.analyzer.detect_time,
             ),
             h(
                 "ats_analyzer_severity_seconds",

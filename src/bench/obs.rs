@@ -11,6 +11,7 @@
 
 use super::best_of;
 use crate::cli::{write_bench_doc, write_file, CliError, CommonArgs};
+use crate::core::composite::TWO_COMMUNICATOR_RANKS;
 use crate::core::json::Json;
 use crate::figures::{figure34_trace, paper_session};
 use crate::harness::Session;
@@ -30,7 +31,7 @@ fn composite_pass(session: &Session) -> usize {
 /// `ats bench obs [reps] [nprocs]`.
 pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let reps = args.pos_or(0, 5usize)?.max(1);
-    let nprocs: usize = args.pos_or(1, 16)?;
+    let nprocs = args.ranks("nprocs", 16, TWO_COMMUNICATOR_RANKS)?;
 
     outln!("=== obs_overhead: figure-3.4 composite + analysis, {reps} reps ===\n");
     let off = paper_session(nprocs).build();

@@ -96,7 +96,7 @@ fn campaign(session: &Session, phase: &'static str) -> Result<(Vec<String>, Phas
 
 /// `ats bench store [nprocs] [jobs] [--cache-dir DIR]`.
 pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
-    let nprocs: usize = args.pos_or(0, 4)?;
+    let nprocs = args.ranks("nprocs", 4, 1)?;
     let jobs: usize = args.pos_or(1, 0)?;
     let dir = args.value("cache-dir").unwrap_or("artifacts/store-bench");
     // An honest cold pass starts from nothing.

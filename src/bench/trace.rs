@@ -11,6 +11,7 @@
 use super::best_of;
 use crate::analyzer::{analyze_path, analyze_path_streaming, AnalyzerConfig};
 use crate::cli::{cannot_write, failed, write_bench_doc, CliError, CommonArgs};
+use crate::core::composite::TWO_COMMUNICATOR_RANKS;
 use crate::core::json::Json;
 use crate::trace::binfmt;
 use ats_bench::stress::{peak_rss_bytes, write_stress, StressConfig};
@@ -125,7 +126,7 @@ fn run_stress(ranks: u32, mb: u64, reps: usize) -> Result<StressDoc, CliError> {
 /// `ats bench trace [nprocs] [reps] [--stress-ranks N] [--stress-mb N]`
 /// (defaults: 16 ranks, 5 reps, 64 stress ranks, 8 MB stress trace).
 pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
-    let nprocs: usize = args.pos_or(0, 16)?;
+    let nprocs = args.ranks("nprocs", 16, TWO_COMMUNICATOR_RANKS)?;
     let reps = args.pos_or(1, 5usize)?.max(1);
     let stress_ranks = args.value_or("stress-ranks", 64u64)?.clamp(2, 1 << 16) as u32;
     let stress_mb = args.value_or("stress-mb", 8u64)?;

@@ -12,6 +12,7 @@
 //! write fails the run with exit code 1, naming the path.
 
 use crate::harness::{Session, SessionBuilder};
+use crate::mpi::MAX_NPROCS;
 use crate::obs::ObsConfig;
 use crate::runtime::Json;
 use crate::trace::Trace;
@@ -190,6 +191,26 @@ impl CommonArgs {
                 .parse()
                 .map_err(|e| usage(format!("bad {name} `{v}`: {e}"))),
         }
+    }
+
+    /// The rank count `arg` (a positional's name, or `--flag`), or
+    /// `default` when absent. Every rank count passes this one check: at
+    /// least `min` (1, or the ranks the command's program needs) and at
+    /// most [`MAX_NPROCS`], so a bad count is a usage error before any
+    /// simulation starts.
+    pub fn ranks(&self, arg: &str, default: usize, min: usize) -> Result<usize, CliError> {
+        let n = match arg.strip_prefix("--") {
+            Some(flag) => self.value_or(flag, default)?,
+            None => {
+                let idx = self.names.iter().position(|n| *n == arg);
+                self.pos_or(idx.expect("a declared positional"), default)?
+            }
+        };
+        if (min..=MAX_NPROCS).contains(&n) {
+            return Ok(n);
+        }
+        let bound = format!("a rank count is at least {min} and at most {MAX_NPROCS}");
+        Err(usage(format!("bad {arg} `{n}`: {bound}")))
     }
 
     /// The positionals from `idx` on (a variadic tail like `key=value`).

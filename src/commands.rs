@@ -37,8 +37,7 @@ pub(crate) const COMMANDS: &[Command] = &[
     Command::new("catalog", catalog).about("the property-function catalog"),
     Command::new("generate", generate_cmd)
         .positionals(&["DIR"])
-        .bools(&["fortran"])
-        .about("write the single-property test programs (Rust, or Fortran) to DIR"),
+        .about("write the single-property test programs to DIR"),
     Command::new("run", run_cmd)
         .positionals(PROPERTY)
         .values(&[("procs", "N"), ("save", "FILE"), METRICS])
@@ -189,17 +188,13 @@ fn catalog(_: &CommonArgs) -> Result<bool, CliError> {
 
 fn generate_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     let dir = args.pos(0).unwrap_or_default();
-    let (language, programs) = if args.has("fortran") {
-        ("Fortran", generate::generate_all_fortran())
-    } else {
-        ("Rust", generate::generate_all())
-    };
+    let programs = generate::generate_all();
     std::fs::create_dir_all(dir).map_err(|e| failed(format!("cannot create {dir}: {e}")))?;
     for (name, src) in &programs {
         write_file(Path::new(dir).join(name), src)?;
     }
     outln!(
-        "generated {} {language} single-property programs in {dir}",
+        "generated {} Rust single-property programs in {dir}",
         programs.len()
     );
     Ok(true)
@@ -220,7 +215,7 @@ fn property_trace(args: &CommonArgs, idx: usize, session: &Session) -> Result<Tr
 }
 
 fn run_cmd(args: &CommonArgs) -> Result<bool, CliError> {
-    let session = args.session(Session::builder().procs(args.value_or("procs", 8)?))?;
+    let session = args.session(Session::builder().procs(args.ranks("--procs", 8, 1)?))?;
     let trace = property_trace(args, 0, &session)?;
     let mut artifacts = Vec::new();
     if let Some(path) = args.value("save") {
@@ -287,17 +282,14 @@ fn asl_cmd(args: &CommonArgs) -> Result<bool, CliError> {
     let set = asl::parse(&src).map_err(|e| failed(format!("{set_path}: {e}")))?;
     let trace = property_trace(args, 1, &Session::default())?;
     let ex = crate::analyzer::extract::extract(&trace);
-    let findings = asl::evaluate(&set, &ex, &trace).map_err(failed)?;
-    let totals = asl::totals(&findings);
+    let findings = set.evaluate(&ex, &trace).map_err(failed)?;
     outln!(
         "{} findings from {} declared properties:",
         findings.len(),
-        set.properties.len()
+        set.properties().len()
     );
-    let mut names: Vec<_> = totals.keys().collect();
-    names.sort();
-    for n in names {
-        outln!("  {:<28} total wait {}", n, totals[n]);
+    for (name, total) in set.totals(&findings) {
+        outln!("  {name:<28} total wait {total}");
     }
     Ok(true)
 }
@@ -431,7 +423,7 @@ fn score(_: &CommonArgs) -> Result<bool, CliError> {
 /// tool-side overhead with calibrated real work. A FAIL row fails the
 /// command.
 fn validate(args: &CommonArgs) -> Result<bool, CliError> {
-    let nprocs = args.pos_or(0, 4usize)?;
+    let nprocs = args.ranks("nprocs", 4, 1)?;
     outln!("=== E-over: semantics preservation + instrumentation overhead ===\n");
     outln!("validation suite ({nprocs} procs):");
     let mut all = true;
@@ -486,7 +478,7 @@ fn apps(_: &CommonArgs) -> Result<bool, CliError> {
 /// registry). Runs until killed.
 fn serve(args: &CommonArgs) -> Result<bool, CliError> {
     let mut builder = Session::builder()
-        .procs(args.value_or("procs", 4)?)
+        .procs(args.ranks("--procs", 4, 1)?)
         .jobs(args.value_or("jobs", 0)?)
         .threshold(args.value_or("threshold", 0.005)?)
         .obs(ObsConfig::fresh())

@@ -43,7 +43,7 @@ fn store_default_trace(
 /// monotonically (Kendall tau = 1), localized, with every severity above
 /// zero. Writes `BENCH_sweep.json` with the sweep's throughput.
 pub(crate) fn sweep_positive(args: &CommonArgs) -> Result<bool, CliError> {
-    let nprocs: usize = args.pos_or(0, 8)?;
+    let nprocs = args.ranks("nprocs", 8, 1)?;
     let jobs: usize = args.pos_or(1, 0)?;
     let session = args.session(Session::builder().procs(nprocs).jobs(jobs))?;
     let knobs = [0.005, 0.01, 0.02, 0.04, 0.08];
@@ -331,7 +331,8 @@ pub(crate) fn fuzz(args: &CommonArgs) -> Result<bool, CliError> {
     let count: usize = args.pos_or(0, 200)?;
     let seed = args.pos(1).map_or(Ok(0xA75_F022), parse_seed)?;
     let jobs: usize = args.pos_or(2, 0)?;
-    let nprocs: usize = args.value_or("nprocs", 8)?;
+    // A scenario needs a partner for its MPI phases.
+    let nprocs = args.ranks("--nprocs", 8, 2)?;
     let mut oracle = OracleConfig::default();
     if let Some(t) = args.parsed("threshold")? {
         oracle.analyzer = AnalyzerConfig::default().threshold(t);

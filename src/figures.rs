@@ -10,6 +10,7 @@
 
 use crate::analyzer::{analyze_path, AnalyzerConfig};
 use crate::cli::{failed, write_file, write_trace_artifact, CliError, CommonArgs};
+use crate::core::composite::TWO_COMMUNICATOR_RANKS;
 use crate::core::CompositeParams;
 use crate::harness::registry::{run_composite_all_mpi, run_composite_two_comms};
 use crate::harness::{timeline, ParamValues, Session, SessionBuilder};
@@ -91,7 +92,7 @@ fn write_outputs(
 /// single-property test program for `imbalance_at_mpi_barrier` with
 /// different parameters.
 pub(crate) fn figure32(args: &CommonArgs) -> Result<bool, CliError> {
-    let nprocs = args.pos_or(0, 8usize)?;
+    let nprocs = args.ranks("nprocs", 8, 1)?;
     let session = args
         .session(paper_session(nprocs).analyzer(AnalyzerConfig::default().with_setup_overhead()))?;
     outln!("=== Figure 3.2: single-property test program, two parameterizations ===");
@@ -122,7 +123,7 @@ pub(crate) fn figure32(args: &CommonArgs) -> Result<bool, CliError> {
 /// determine how many different performance properties can be detected
 /// by a performance tool".
 pub(crate) fn figure33(args: &CommonArgs) -> Result<bool, CliError> {
-    let session = args.session(paper_session(args.pos_or(0, 8)?))?;
+    let session = args.session(paper_session(args.ranks("nprocs", 8, 1)?))?;
     outln!("=== Figure 3.3: all MPI property functions in one program ===\n");
     let trace = figure33_trace(&session);
     out!("{}", timeline::render_text(&trace, 120));
@@ -154,7 +155,7 @@ pub(crate) fn figure33(args: &CommonArgs) -> Result<bool, CliError> {
 /// in parallel in different communicators (lower half: point-to-point
 /// set; upper half: collective set).
 pub(crate) fn figure34(args: &CommonArgs) -> Result<bool, CliError> {
-    let nprocs = args.pos_or(0, 16usize)?;
+    let nprocs = args.ranks("nprocs", 16, TWO_COMMUNICATOR_RANKS)?;
     let session = args.session(paper_session(nprocs))?;
     outln!("=== Figure 3.4: two communicators, different property sets in parallel ===");
     outln!(
@@ -186,7 +187,7 @@ pub(crate) fn figure34(args: &CommonArgs) -> Result<bool, CliError> {
 /// a stored ATSB trace (one `ats figure 34 --trace-dir` wrote, say)
 /// instead of re-executing the program.
 pub(crate) fn figure35(args: &CommonArgs) -> Result<bool, CliError> {
-    let nprocs_arg = args.pos_or(0, 16usize)?;
+    let nprocs_arg = args.ranks("nprocs", 16, TWO_COMMUNICATOR_RANKS)?;
     let session = args.session(paper_session(nprocs_arg))?;
     let (trace, report, nprocs) = match args.value("trace") {
         Some(path) => {

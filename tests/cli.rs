@@ -1,9 +1,9 @@
 //! The `ats` command line fails cleanly: an unknown flag, a malformed
-//! value or a missing value exits 2 naming it, an output path that cannot
-//! be written exits 1 naming the path, and nothing panics. A bad command
-//! line fails while it is checked, before any simulation, server or
-//! flood starts. Under `--metrics`, a command counts the trace bytes it
-//! wrote and read.
+//! value, a missing value or a rank count outside 1 to 8192 exits 2
+//! naming it, an output path that cannot be written exits 1 naming the
+//! path, and nothing panics. A bad command line fails while it is
+//! checked, before any simulation, server or flood starts. Under
+//! `--metrics`, a command counts the trace bytes it wrote and read.
 
 use std::process::{Command, Output};
 
@@ -53,6 +53,17 @@ fn parameters_outside_their_range_are_usage_errors() {
         2,
         "`r` is outside its range [1, 64]",
     );
+    // A distribution's seconds values obey the seconds range.
+    fails(
+        &[
+            "run",
+            "imbalance_at_mpi_barrier",
+            "df=linear:low=0,high=2e10",
+            "r=1",
+        ],
+        2,
+        "`df` is outside its range [0, 1]",
+    );
     // The distribution parser's own reason survives.
     fails(
         &["run", "imbalance_at_mpi_barrier", "df=cyclic2:low=1"],
@@ -69,6 +80,37 @@ fn parameters_outside_their_range_are_usage_errors() {
 /// A reader that hangs up ends the command without a panic. The pipe's
 /// read end is closed before `ats` starts: a reader that took one line
 /// first would leave room in the pipe buffer for the whole listing.
+#[test]
+fn rank_counts_are_checked_before_anything_runs() {
+    // At zero ranks each of these panicked inside a run; 8193 is one rank
+    // more than the widest world, and the two-communicator programs need
+    // two halves of two ranks.
+    for (args, arg, min) in [
+        (
+            &["run", "late_sender", "--procs", "0"][..],
+            "--procs `0`",
+            1,
+        ),
+        (&["figure", "32", "0"], "nprocs `0`", 1),
+        (&["figure", "35", "0"], "nprocs `0`", 4),
+        (&["sweep", "positive", "0"], "nprocs `0`", 1),
+        (&["validate", "0"], "nprocs `0`", 1),
+        (&["fuzz", "1", "1", "1", "--nprocs", "0"], "--nprocs `0`", 2),
+        (&["bench", "trace", "0"], "nprocs `0`", 4),
+        (&["bench", "store", "0"], "nprocs `0`", 1),
+        (&["bench", "obs", "1", "0"], "nprocs `0`", 4),
+        (
+            &["run", "late_sender", "--procs", "8193"],
+            "--procs `8193`",
+            1,
+        ),
+        (&["figure", "34", "3"], "nprocs `3`", 4),
+    ] {
+        let bound = format!("a rank count is at least {min} and at most 8192");
+        fails(args, 2, &format!("bad {arg}: {bound}"));
+    }
+}
+
 #[test]
 fn a_closed_stdout_ends_the_command_quietly() {
     let (reader, writer) = std::io::pipe().expect("a pipe");
@@ -151,6 +193,25 @@ fn deeply_nested_asl_fails_naming_the_property() {
             1,
             "Deep: expression nests deeper than 128 levels",
         );
+    }
+}
+
+#[test]
+fn asl_compile_and_evaluation_errors_name_the_property() {
+    let dir = ats_testutil::TempDir::new("ats-cli-asl-errors");
+    let path = dir.file("bad.asl");
+    for (body, reason) in [
+        ("WAIT nonsense;", "unknown variable `nonsense`"),
+        ("WAIT recv_posted * send_post;", "`*` of two times"),
+        (
+            "WAIT recv_exit * 1000000000000000000000;",
+            "arithmetic overflow",
+        ),
+    ] {
+        let set = format!("PROPERTY Bad OVER p2p_pair {{ {body} LOCATE receiver; }}");
+        std::fs::write(&path, set).unwrap();
+        let args = ["asl", path.to_str().unwrap(), "late_sender"];
+        fails(&args, 1, &format!("Bad: {reason}"));
     }
 }
 

@@ -68,16 +68,13 @@ fn span_totals_reconcile_with_wall_time() {
     // Every analyzer pass ran exactly once...
     assert_eq!(h.analyzer.extract_time.count(), 1);
     assert_eq!(h.analyzer.match_time.count(), 1);
+    assert_eq!(h.analyzer.detect_time.count(), 1);
     assert_eq!(h.analyzer.severity_time.count(), 1);
     // ...and the serial pass timings sum to no more than the elapsed wall
     // time (generous factor: coarse clocks can round individual spans up).
     let span_total = h.analyzer.extract_time.sum_secs()
         + h.analyzer.match_time.sum_secs()
-        + h.analyzer.late_sender_time.sum_secs()
-        + h.analyzer.late_receiver_time.sum_secs()
-        + h.analyzer.wrong_order_time.sum_secs()
-        + h.analyzer.collective_time.sum_secs()
-        + h.analyzer.critical_time.sum_secs()
+        + h.analyzer.detect_time.sum_secs()
         + h.analyzer.severity_time.sum_secs();
     assert!(
         span_total <= wall * 2.0 + 0.05,

@@ -142,3 +142,40 @@ fn serial_initialization_wait_is_serialwork_per_nonroot() {
         5,
     );
 }
+
+#[test]
+fn scan_wait_is_the_sum_of_gaps_to_each_prefix_maximum() {
+    // A descending shape: every member waits for the slowest below it.
+    assert_exact(
+        "imbalance_at_mpi_scan",
+        &["df=linear:low=0.03,high=0.002", "r=2"],
+        8,
+    );
+}
+
+#[test]
+fn region_join_wait_matches_the_team_distribution() {
+    assert_exact(
+        "imbalance_in_omp_pregion",
+        &["df=linear:low=0.002,high=0.026", "nthreads=6", "r=2"],
+        1,
+    );
+}
+
+#[test]
+fn late_scatter_wait_is_members_times_extra() {
+    assert_exact(
+        "late_scatter",
+        &["extrawork=0.021", "basework=0.004", "root=1", "r=3"],
+        6,
+    );
+}
+
+#[test]
+fn early_gather_wait_is_root_only_extra() {
+    assert_exact(
+        "early_gather",
+        &["baseextrawork=0.017", "rootwork=0.003", "root=3", "r=2"],
+        5,
+    );
+}
