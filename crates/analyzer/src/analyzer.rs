@@ -1,7 +1,7 @@
 //! The analysis driver.
 
 use crate::asl::default_property_set;
-use crate::extract::extract;
+use crate::extract::StreamExtractor;
 use crate::patterns;
 use crate::property::PropertyKind;
 use crate::report::AnalysisReport;
@@ -59,7 +59,11 @@ impl AnalyzerConfig {
 
 /// Run `f` as the span `name`, observing its duration into `h` when
 /// observability is on.
-fn timed<T>(h: Option<&ats_obs::Histogram>, name: &'static str, f: impl FnOnce() -> T) -> T {
+pub(crate) fn timed<T>(
+    h: Option<&ats_obs::Histogram>,
+    name: &'static str,
+    f: impl FnOnce() -> T,
+) -> T {
     match h {
         Some(h) => {
             let _t = h.span(name);
@@ -69,17 +73,25 @@ fn timed<T>(h: Option<&ats_obs::Histogram>, name: &'static str, f: impl FnOnce()
     }
 }
 
-/// Run the automatic analysis over a trace.
+/// Run the automatic analysis over a trace. An Exit that closes a region
+/// other than the innermost open one is skipped, as in
+/// [`extract`](crate::extract::extract); [`crate::analyze_path`] rejects
+/// a file that holds one.
 pub fn analyze(trace: &Trace, config: &AnalyzerConfig) -> AnalysisReport {
+    let ex = extract_pass(trace, config).finish();
+    detect_and_report(ex, trace, trace.total_alloc_time(), config)
+}
+
+/// Count one analysis of `trace` and run its extraction pass, timed.
+pub(crate) fn extract_pass(trace: &Trace, config: &AnalyzerConfig) -> StreamExtractor {
     let m = config.obs.as_ref().map(|o| &o.analyzer);
     if let Some(m) = m {
         m.analyses.inc();
         m.events_ingested.add(trace.num_events() as u64);
     }
-    let ex = timed(m.map(|m| &m.extract_time), "analyzer.extract", || {
-        extract(trace)
-    });
-    detect_and_report(ex, trace, trace.total_alloc_time(), config)
+    timed(m.map(|m| &m.extract_time), "analyzer.extract", || {
+        crate::extract::scan(trace)
+    })
 }
 
 /// Evaluate the default property set over an [`Extract`] and build the

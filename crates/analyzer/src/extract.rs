@@ -1,10 +1,20 @@
 //! First analysis pass: scan every location's event stream once and
 //! extract the typed operation records the property declarations range
 //! over.
+//!
+//! The scan classifies each region once, by name, when it starts:
+//! `MPI_Init` and `MPI_Finalize` are setup regions (a [`SetupRec`] per
+//! visit), `omp_critical` and `omp_lock` are critical constructs (a
+//! [`CriticalVisit`] per visit), their `_body` regions mark the
+//! acquisition, and every other region — including an id past the region
+//! table — is plain. An Enter or Exit then costs one table lookup, and a
+//! plain one only maintains the stack of open regions.
 
 use crate::callpath::{PathId, PathTable};
 use ats_runtime::{VDur, VTime};
-use ats_trace::{CollOp, Event, EventKind, LocationId, RegionId, RegionMeta, Trace};
+use ats_trace::{
+    CollOp, Event, EventKind, LocationId, RegionId, RegionMeta, Trace, WellformedError,
+};
 use std::collections::HashMap;
 
 /// A completed send call.
@@ -146,27 +156,59 @@ pub struct Extract {
     pub paths: PathTable,
 }
 
+/// What the extractor does at a region's Enter and Exit, decided once per
+/// region when the extraction starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RegionClass {
+    /// Only call paths: every region but the ones below.
+    Plain,
+    /// `MPI_Init` or `MPI_Finalize`: a [`SetupRec`] per visit.
+    Setup,
+    /// `omp_critical` or `omp_lock`: a [`CriticalVisit`] per visit.
+    Critical,
+    /// `omp_critical_body` or `omp_lock_body`: entry acquires the
+    /// innermost open visit.
+    CriticalBody,
+}
+
+/// The classes of the named regions; the first region of each name gets
+/// its class, every other region stays [`RegionClass::Plain`].
+const REGION_CLASSES: [(&str, RegionClass); 6] = [
+    ("MPI_Init", RegionClass::Setup),
+    ("MPI_Finalize", RegionClass::Setup),
+    ("omp_critical", RegionClass::Critical),
+    ("omp_lock", RegionClass::Critical),
+    ("omp_critical_body", RegionClass::CriticalBody),
+    ("omp_lock_body", RegionClass::CriticalBody),
+];
+
 /// Incremental extraction: feed one location's event stream at a time and
 /// collect the [`Extract`] at the end. Both analysis paths are built on
 /// this — [`extract`] drives it from a materialized [`Trace`], the
 /// streaming ingest drives it straight from decoded column blocks — so
 /// the two produce identical records (and, because locations arrive in
 /// the same sorted order, identical [`PathId`] interning).
+///
+/// Each region is classified once, in [`new`](Self::new): a plain Enter
+/// is two pushes, and a plain Exit with no open send or receive is two
+/// pops after one comparison. That comparison checks that the Exit closes
+/// the innermost open region; the first Exit that does not is skipped and
+/// kept, and both ingest paths turn it into an error.
 pub struct StreamExtractor {
     ex: Extract,
     coll_groups: HashMap<(u32, u64, CollOp), CollInstance>,
-    r_init: Option<RegionId>,
-    r_fin: Option<RegionId>,
-    /// (construct region, body region) pairs sharing the visit shape:
-    /// critical sections and explicit locks.
-    crit_pairs: [(Option<RegionId>, Option<RegionId>); 2],
+    /// Indexed by region id; ids past its end are plain.
+    classes: Vec<RegionClass>,
     /// Capacity hint for collective member vectors (= location count).
     n_locs: usize,
-    // Per-location scratch, reused across `scan_events` calls.
-    stack: Vec<(RegionId, VTime)>,
-    // Mirrors `stack`'s regions contiguously so call paths intern straight
-    // from a slice — no per-event Vec allocation on this hot path.
+    /// The first Exit that closed a region other than the innermost open
+    /// one.
+    malformed: Option<WellformedError>,
+    // Per-location scratch, reused across `scan_events` calls: the open
+    // regions, outermost first (call paths intern straight from this
+    // slice, so the hot path allocates nothing), and their entry times.
     path_stack: Vec<RegionId>,
+    entered: Vec<VTime>,
     // Sends posted in a still-open frame, waiting for the frame's exit
     // time: (depth of owning frame, partially-filled record).
     open_sends: Vec<(usize, SendRec)>,
@@ -180,24 +222,20 @@ impl StreamExtractor {
     /// Start an extraction over a trace whose region table is `regions`
     /// and which holds (about) `n_locations` locations.
     pub fn new(regions: &[RegionMeta], n_locations: usize) -> Self {
-        let find = |name: &str| {
-            regions
-                .iter()
-                .position(|m| m.name == name)
-                .map(|i| RegionId(i as u32))
-        };
+        let mut classes = vec![RegionClass::Plain; regions.len()];
+        for (name, class) in REGION_CLASSES {
+            if let Some(i) = regions.iter().position(|m| m.name == name) {
+                classes[i] = class;
+            }
+        }
         StreamExtractor {
             ex: Extract::default(),
             coll_groups: HashMap::new(),
-            r_init: find("MPI_Init"),
-            r_fin: find("MPI_Finalize"),
-            crit_pairs: [
-                (find("omp_critical"), find("omp_critical_body")),
-                (find("omp_lock"), find("omp_lock_body")),
-            ],
+            classes,
             n_locs: n_locations.max(1),
-            stack: Vec::new(),
+            malformed: None,
             path_stack: Vec::new(),
+            entered: Vec::new(),
             open_sends: Vec::new(),
             open_recvs: Vec::new(),
             open_criticals: Vec::new(),
@@ -212,55 +250,66 @@ impl StreamExtractor {
         self.coll_groups.reserve(n_collends / self.n_locs + 1);
     }
 
+    /// The first Exit fed so far that closed a region other than the
+    /// innermost open one (or with none open): such an Exit is skipped.
+    pub(crate) fn malformed(&self) -> Option<&WellformedError> {
+        self.malformed.as_ref()
+    }
+
     /// Scan one location's events (in stream order). Locations must be fed
     /// in ascending `LocationId` order for record and path-interning order
     /// to match [`extract`] over the equivalent materialized trace.
     pub fn scan_events(&mut self, loc: LocationId, events: impl IntoIterator<Item = Event>) {
-        let is_crit = |pairs: &[(Option<RegionId>, Option<RegionId>); 2], r: RegionId| {
-            pairs.iter().any(|(c, _)| *c == Some(r))
-        };
-        let is_crit_body = |pairs: &[(Option<RegionId>, Option<RegionId>); 2], r: RegionId| {
-            pairs.iter().any(|(_, b)| *b == Some(r))
-        };
-        self.stack.clear();
         self.path_stack.clear();
+        self.entered.clear();
         self.open_sends.clear();
         self.open_recvs.clear();
         self.open_criticals.clear();
 
-        for ev in events {
+        for (index, ev) in events.into_iter().enumerate() {
             match ev.kind {
                 EventKind::Enter { region } => {
-                    self.stack.push((region, ev.time));
                     self.path_stack.push(region);
-                    if is_crit_body(&self.crit_pairs, region) {
-                        if let Some((_, visit)) = self.open_criticals.last_mut() {
-                            visit.acquired = ev.time;
+                    self.entered.push(ev.time);
+                    match self.class(region) {
+                        RegionClass::Plain | RegionClass::Setup => {}
+                        RegionClass::CriticalBody => {
+                            if let Some((_, visit)) = self.open_criticals.last_mut() {
+                                visit.acquired = ev.time;
+                            }
                         }
-                    }
-                    if is_crit(&self.crit_pairs, region) {
-                        let path = self.ex.paths.intern(&self.path_stack);
-                        self.open_criticals.push((
-                            self.stack.len(),
-                            CriticalVisit {
-                                loc,
-                                path,
-                                arrive: ev.time,
-                                acquired: ev.time,
-                                released: ev.time,
-                            },
-                        ));
+                        RegionClass::Critical => {
+                            let path = self.ex.paths.intern(&self.path_stack);
+                            self.open_criticals.push((
+                                self.path_stack.len(),
+                                CriticalVisit {
+                                    loc,
+                                    path,
+                                    arrive: ev.time,
+                                    acquired: ev.time,
+                                    released: ev.time,
+                                },
+                            ));
+                        }
                     }
                 }
                 EventKind::Exit { region } => {
-                    let depth = self.stack.len();
+                    if self.path_stack.last() != Some(&region) {
+                        self.malformed
+                            .get_or_insert_with(|| WellformedError::UnbalancedExit {
+                                location: loc.to_string(),
+                                index,
+                            });
+                        continue;
+                    }
+                    let depth = self.path_stack.len();
+                    let class = self.class(region);
                     // Intern before popping: the current path (ending at
                     // `region`) is exactly the setup-record path below.
-                    let exit_path = (self.r_init == Some(region) || self.r_fin == Some(region))
+                    let setup_path = (class == RegionClass::Setup)
                         .then(|| self.ex.paths.intern(&self.path_stack));
-                    let (top, entered) = self.stack.pop().expect("wellformed trace");
                     self.path_stack.pop();
-                    debug_assert_eq!(top, region);
+                    let entered = self.entered.pop().expect("one entry time per open region");
                     // Flush operations owned by this frame.
                     while self.open_sends.last().is_some_and(|(d, _)| *d == depth) {
                         let (_, mut s) = self.open_sends.pop().expect("just checked");
@@ -274,14 +323,14 @@ impl StreamExtractor {
                         r.exit = ev.time;
                         self.ex.recvs.push(r);
                     }
-                    if is_crit(&self.crit_pairs, region) {
+                    if class == RegionClass::Critical {
                         if let Some((d, mut visit)) = self.open_criticals.pop() {
                             debug_assert_eq!(d, depth);
                             visit.released = ev.time;
                             self.ex.criticals.push(visit);
                         }
                     }
-                    if let Some(path) = exit_path {
+                    if let Some(path) = setup_path {
                         self.ex.setup.push(SetupRec {
                             loc,
                             path,
@@ -298,7 +347,7 @@ impl StreamExtractor {
                 } => {
                     let path = self.ex.paths.intern(&self.path_stack);
                     self.open_sends.push((
-                        self.stack.len(),
+                        self.path_stack.len(),
                         SendRec {
                             loc,
                             path,
@@ -321,7 +370,7 @@ impl StreamExtractor {
                 } => {
                     let path = self.ex.paths.intern(&self.path_stack);
                     self.open_recvs.push((
-                        self.stack.len(),
+                        self.path_stack.len(),
                         RecvRec {
                             loc,
                             path,
@@ -368,6 +417,11 @@ impl StreamExtractor {
         }
     }
 
+    fn class(&self, region: RegionId) -> RegionClass {
+        let class = self.classes.get(region.0 as usize);
+        class.copied().unwrap_or(RegionClass::Plain)
+    }
+
     /// Finalize: canonically sort the records and hand over the
     /// [`Extract`]. Sort keys are independent of the per-location feed
     /// order, so equal record sets yield equal extracts.
@@ -403,8 +457,14 @@ impl StreamExtractor {
     }
 }
 
-/// Scan the trace and build the [`Extract`].
+/// Scan the trace and build the [`Extract`]. An Exit that closes a region
+/// other than the innermost open one is skipped.
 pub fn extract(trace: &Trace) -> Extract {
+    scan(trace).finish()
+}
+
+/// Feed every location of `trace`, in order, to a fresh extractor.
+pub(crate) fn scan(trace: &Trace) -> StreamExtractor {
     let mut sx = StreamExtractor::new(&trace.regions, trace.num_locations());
     // Pre-size the record vectors from a cheap tag-counting pass so the
     // hot loop never reallocates.
@@ -423,7 +483,7 @@ pub fn extract(trace: &Trace) -> Extract {
     for lt in &trace.locations {
         sx.scan_events(lt.location, lt.events.iter().copied());
     }
-    sx.finish()
+    sx
 }
 
 #[cfg(test)]

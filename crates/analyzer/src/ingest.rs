@@ -3,7 +3,7 @@
 //! Two paths lead from bytes to a report:
 //!
 //! * **Materializing** ([`analyze_path`]): decode the whole trace into a
-//!   [`Trace`] first, then [`analyze`] it. Peak memory
+//!   [`Trace`] first, then [`analyze`](crate::analyze) it. Peak memory
 //!   is the full event-vector set — fine for experiment-sized traces, and
 //!   the caller keeps the `Trace` for rendering.
 //! * **Streaming** ([`analyze_path_streaming`] / [`analyze_stream`]): feed
@@ -12,16 +12,20 @@
 //!   operation records. Given the same trace bytes, the two paths produce
 //!   byte-identical reports — the materializing path doubles as the
 //!   streaming path's differential oracle.
+//!
+//! Both reject an Exit that closes a region other than the innermost open
+//! one, and both time the decode apart from extraction.
 
-use crate::analyzer::detect_and_report;
+use crate::analyzer::{detect_and_report, extract_pass, timed};
 use crate::extract::StreamExtractor;
-use crate::{analyze, AnalysisReport, AnalyzerConfig};
+use crate::{AnalysisReport, AnalyzerConfig};
 use ats_runtime::VDur;
 use ats_trace::binfmt::{read_binary, BlockReader};
 use ats_trace::io::TraceIoError;
 use ats_trace::{LocationId, Trace};
 use std::io::{BufRead, Read};
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Pass-through reader counting the bytes actually consumed, so ingestion
 /// metrics reflect what was read — not what a pre-read `stat` promised.
@@ -39,7 +43,9 @@ impl<R: Read> Read for CountRead<R> {
 }
 
 /// Read the ATSB trace at `path` and analyze it, returning both the trace
-/// and the report (rendering a report needs the trace).
+/// and the report (rendering a report needs the trace). An Exit that
+/// closes a region other than the innermost open one is a
+/// [`TraceIoError::Format`] naming the location and event.
 pub fn analyze_path(
     path: impl AsRef<Path>,
     config: &AnalyzerConfig,
@@ -49,12 +55,34 @@ pub fn analyze_path(
         inner: file,
         read: 0,
     };
-    let trace = read_binary(std::io::BufReader::new(&mut counted))?;
+    let decode_time = config.obs.as_ref().map(|o| &o.trace.decode_time);
+    let trace = timed(decode_time, "trace.decode", || {
+        read_binary(std::io::BufReader::new(&mut counted))
+    })?;
     if let Some(obs) = &config.obs {
         obs.analyzer.bytes_ingested.add(counted.read);
     }
-    let report = analyze(&trace, config);
+    let sx = extract_pass(&trace, config);
+    wellformed(&sx)?;
+    let report = detect_and_report(sx.finish(), &trace, trace.total_alloc_time(), config);
     Ok((trace, report))
+}
+
+/// The first malformed Exit the extractor skipped, as a format error.
+fn wellformed(sx: &StreamExtractor) -> Result<(), TraceIoError> {
+    match sx.malformed() {
+        Some(e) => Err(TraceIoError::Format(e.to_string())),
+        None => Ok(()),
+    }
+}
+
+/// Run `f`, adding its duration to `total` when there is one.
+fn clocked<T>(total: &mut Option<Duration>, f: impl FnOnce() -> T) -> T {
+    let Some(total) = total else { return f() };
+    let start = Instant::now();
+    let out = f();
+    *total += start.elapsed();
+    out
 }
 
 /// Counters from one streaming analysis pass.
@@ -95,11 +123,15 @@ pub fn analyze_stream<R: BufRead>(
     r: R,
     config: &AnalyzerConfig,
 ) -> Result<(AnalysisReport, StreamStats), TraceIoError> {
-    let m = config.obs.as_ref().map(|o| &o.analyzer);
-    if let Some(m) = m {
-        m.analyses.inc();
+    let obs = config.obs.as_ref();
+    if let Some(obs) = obs {
+        obs.analyzer.analyses.inc();
     }
-    let mut br = BlockReader::new(r)?;
+    // Decode and extraction interleave block by block: with metrics on,
+    // each adds up its own time, recorded once per analysis below.
+    let zero = obs.map(|_| Duration::ZERO);
+    let (mut decode, mut extract) = (zero, zero);
+    let mut br = clocked(&mut decode, || BlockReader::new(r))?;
     // The location count is an untrusted hint here — it only sizes
     // collective member vectors, so clamp it.
     let hint = br.n_locations().min(1 << 16) as usize;
@@ -107,29 +139,25 @@ pub fn analyze_stream<R: BufRead>(
     let mut stats = StreamStats::default();
     let mut total_alloc = VDur::ZERO;
     let mut last: Option<LocationId> = None;
-    let scan: Result<(), TraceIoError> = {
-        let timer = m.map(|m| m.extract_time.span("analyzer.extract"));
-        let r = (|| {
-            while let Some(block) = br.next_block()? {
-                let loc = block.location();
-                check_sorted(&mut last, loc)?;
-                stats.events += block.len() as u64;
-                stats.locations += 1;
-                if let (Some(s), Some(e)) = (block.start_time(), block.end_time()) {
-                    total_alloc += e - s;
-                }
-                sx.scan_events(loc, block.events());
-            }
-            Ok(())
-        })();
-        drop(timer);
-        r
-    };
-    scan?;
+    while let Some(block) = clocked(&mut decode, || br.next_block())? {
+        let loc = block.location();
+        check_sorted(&mut last, loc)?;
+        stats.events += block.len() as u64;
+        stats.locations += 1;
+        if let (Some(s), Some(e)) = (block.start_time(), block.end_time()) {
+            total_alloc += e - s;
+        }
+        clocked(&mut extract, || sx.scan_events(loc, block.events()));
+        wellformed(&sx)?;
+    }
     let (regions, comms) = br.take_tables();
-    stats.bytes = br.finish()?;
-    if let Some(m) = m {
-        m.events_ingested.add(stats.events);
+    stats.bytes = clocked(&mut decode, || br.finish())?;
+    if let Some(obs) = obs {
+        obs.trace.decode_time.observe(decode.unwrap_or_default());
+        obs.analyzer
+            .extract_time
+            .observe(extract.unwrap_or_default());
+        obs.analyzer.events_ingested.add(stats.events);
     }
     // A locationless shell trace supplies the tables detection needs
     // (call-path names, communicator membership) — `total_alloc` was
@@ -156,9 +184,12 @@ pub fn analyze_path_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze;
     use ats_core::{properties::mpi_coll, properties::mpi_p2p, BaseComm, Distr};
     use ats_mpi::SimConfig;
-    use ats_trace::binfmt::write_binary;
+    use ats_runtime::VTime;
+    use ats_trace::binfmt::{write_binary, BlockWriter};
+    use ats_trace::{Event, EventKind, LocationTrace, RegionId, RegionKind, RegionMeta};
 
     fn late_sender_trace() -> Trace {
         ats_mpi::run(SimConfig::with_procs(2), |p| {
@@ -257,5 +288,50 @@ mod tests {
         let err =
             analyze_path("/nonexistent/ats-trace.atsb", &AnalyzerConfig::default()).unwrap_err();
         assert!(matches!(err, TraceIoError::Io(_)));
+    }
+
+    #[test]
+    fn a_malformed_exit_is_a_format_error_on_both_paths() {
+        let (main, work) = (RegionId(0), RegionId(1));
+        let enter = |t, region| Event::new(VTime(t), EventKind::Enter { region });
+        let exit = |t, region| Event::new(VTime(t), EventKind::Exit { region });
+        let regions = ["main", "work"].map(|name| RegionMeta {
+            name: name.into(),
+            kind: RegionKind::User,
+        });
+        let dir = ats_testutil::TempDir::new("ats-ingest-malformed");
+        let path = dir.path().join("malformed.atsb");
+        for (rank_1, error) in [
+            (
+                vec![exit(1, work)],
+                "location 1: event 0 exits an unopened region",
+            ),
+            (
+                vec![enter(1, main), enter(2, work), exit(3, main), exit(4, work)],
+                "location 1: event 2 exits an unopened region",
+            ),
+        ] {
+            let file = std::fs::File::create(&path).unwrap();
+            let mut w = BlockWriter::new(file, &regions, &[], 2).unwrap();
+            for (rank, events) in [vec![enter(1, main), exit(2, main)], rank_1]
+                .into_iter()
+                .enumerate()
+            {
+                let location = LocationId::rank(rank as u32);
+                w.write_location(&LocationTrace { location, events })
+                    .unwrap();
+            }
+            w.finish().unwrap();
+            let config = AnalyzerConfig::default();
+            for err in [
+                analyze_path(&path, &config).map(|_| ()).unwrap_err(),
+                analyze_path_streaming(&path, &config)
+                    .map(|_| ())
+                    .unwrap_err(),
+            ] {
+                assert!(matches!(err, TraceIoError::Format(_)), "{err}");
+                assert_eq!(err.to_string(), format!("trace format error: {error}"));
+            }
+        }
     }
 }

@@ -23,6 +23,7 @@ use ats_trace::{
     CollOp, CommDef, Event, EventKind, LocationId, LocationTrace, RegionId, RegionKind, RegionMeta,
 };
 use std::io::Write;
+use std::num::NonZeroU64;
 
 /// Shape of one generated stress trace.
 #[derive(Debug, Clone, Copy)]
@@ -61,6 +62,17 @@ impl StressConfig {
         let target_events = mb * 1_000_000 / 4;
         cfg.reps = (target_events / per_rep.max(1)).max(1);
         cfg
+    }
+
+    /// The same shape with `inner` compute bursts per repetition and the
+    /// repetitions rescaled by `self.inner / inner` (at least one), so the
+    /// file keeps about its size.
+    pub fn with_inner(self, inner: NonZeroU64) -> Self {
+        StressConfig {
+            reps: (self.reps * self.inner / inner.get()).max(1),
+            inner: inner.get(),
+            ..self
+        }
     }
 
     /// Total events across all ranks.

@@ -44,12 +44,15 @@ pub struct MpiMetrics {
     pub sched_ready_depth_max: Gauge,
 }
 
-/// `trace`: the ATSB artifacts a session writes.
+/// `trace`: the ATSB artifacts a session writes and reads.
 #[derive(Debug, Default)]
 pub struct TraceMetrics {
     /// ATSB bytes written by the writers that hold the session's handle
     /// (store publishes, trace artifacts, the fuzz corpus).
     pub binary_bytes_encoded: Counter,
+    /// ATSB decode, once per analysis of an on-disk trace (recorded by
+    /// the analyzer's ingest paths).
+    pub decode_time: Histogram,
 }
 
 /// `harness::pool`: the bounded sweep worker pool.
@@ -425,6 +428,11 @@ impl Registry {
                 "ats_pool_task_time_seconds",
                 "Per-task execution time",
                 &self.pool.task_time,
+            ),
+            h(
+                "ats_trace_decode_seconds",
+                "ATSB decode per analysis",
+                &self.trace.decode_time,
             ),
             h(
                 "ats_analyzer_extract_seconds",

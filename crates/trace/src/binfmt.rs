@@ -39,6 +39,16 @@
 //! only cost a bounded pre-allocation before the byte stream runs dry),
 //! unknown tags / kinds / ops and trailing garbage are format errors.
 //!
+//! Columns decode in bulk. One cursor routine reads a column's `n`
+//! varints straight out of the reader's 64 KB buffer, applying the
+//! column's conversion to each value: the time column's running sum, the
+//! `u32` and `i32` range checks, the zigzag deltas. It keeps the read
+//! position in a local and writes it back once per buffered run. Only
+//! where fewer than ten bytes (one longest varint) remain buffered does a
+//! value go through the byte-by-byte path, which refills. Both paths give
+//! the same values, and the same errors at the same byte offsets, whatever
+//! sizes the underlying reads return.
+//!
 //! Two access paths share one decoding core:
 //!
 //! * [`decode`] / [`read_binary`] materialize a full [`Trace`] — the
@@ -85,6 +95,24 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
         v >>= 7;
     }
     buf.push(v as u8);
+}
+
+/// The varint at the start of `bytes`: its value and length, or why it is
+/// corrupt (which shows at its tenth byte).
+#[inline]
+fn varint_at(bytes: &[u8; MAX_VARINT]) -> Result<(u64, usize), &'static str> {
+    let mut v: u64 = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let low = (b & 0x7f) as u64;
+        if i == MAX_VARINT - 1 && low > 1 {
+            return Err("varint overflows u64");
+        }
+        v |= low << (7 * i);
+        if b & 0x80 == 0 {
+            return Ok((v, i + 1));
+        }
+    }
+    Err("varint longer than 10 bytes")
 }
 
 fn tag_of(kind: &EventKind) -> u8 {
@@ -324,6 +352,9 @@ const CURSOR_BUF: usize = 64 * 1024;
 /// The most bytes a `u64` varint occupies.
 const MAX_VARINT: usize = 10;
 
+/// Column values [`StreamCursor::column`] decodes before appending them.
+const STAGE: usize = 256;
+
 impl<R: Read> StreamCursor<R> {
     fn new(inner: R) -> Self {
         StreamCursor {
@@ -400,9 +431,14 @@ impl<R: Read> StreamCursor<R> {
         Ok(())
     }
 
+    /// One varint: decoded in place when the buffer holds a whole
+    /// varint's worth of bytes, else byte by byte across refills. Both
+    /// give the same value or error, at the same byte offset.
     fn varint(&mut self, what: &str) -> Result<u64, TraceIoError> {
-        if self.end - self.start >= MAX_VARINT {
-            return self.buffered_varint();
+        if let Some(bytes) = self.buf[self.start..self.end].first_chunk() {
+            let at = varint_at(bytes);
+            self.skip(at.map_or(MAX_VARINT, |(_, len)| len));
+            return at.map(|(v, _)| v).map_err(|why| self.fail(why));
         }
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
@@ -419,26 +455,60 @@ impl<R: Read> StreamCursor<R> {
         Err(self.fail("varint longer than 10 bytes"))
     }
 
-    /// [`varint`](Self::varint) decoded in place when the buffer holds a
-    /// whole varint's worth of bytes: the same value or error, at the same
-    /// byte offset, without a refill check per byte.
-    fn buffered_varint(&mut self) -> Result<u64, TraceIoError> {
-        let bytes = &self.buf[self.start..self.start + MAX_VARINT];
-        let mut v: u64 = 0;
-        for (i, &b) in bytes.iter().enumerate() {
-            let low = (b & 0x7f) as u64;
-            if i == MAX_VARINT - 1 && low > 1 {
-                self.skip(MAX_VARINT);
-                return Err(self.fail("varint overflows u64"));
+    /// Decode a column of `n` varints into `out` (cleared first), each
+    /// through `conv`: a value `conv` refuses fails as `what`, at the
+    /// offset after it. Values decode straight out of the buffer while a
+    /// whole varint's worth of bytes is buffered, with the read position
+    /// in a local that is written back once per buffered run; only a
+    /// buffer's last few bytes go through [`varint`](Self::varint)'s
+    /// byte path, which also refills. A run stages its values in a local
+    /// array and appends them to `out` at once.
+    fn column<T: Copy + Default>(
+        &mut self,
+        out: &mut Vec<T>,
+        n: usize,
+        what: &str,
+        mut conv: impl FnMut(u64) -> Option<T>,
+    ) -> Result<(), TraceIoError> {
+        out.clear();
+        out.reserve(clamped_cap(n, std::mem::size_of::<T>()));
+        let mut staged = [T::default(); STAGE];
+        while out.len() < n {
+            let want = (n - out.len()).min(STAGE);
+            let buf = &self.buf[..self.end];
+            let (mut pos, mut k) = (self.start, 0);
+            let mut bad = None;
+            while k < want {
+                let Some(bytes) = buf[pos..].first_chunk() else {
+                    break;
+                };
+                let (v, len) = match varint_at(bytes) {
+                    Ok(at) => at,
+                    Err(why) => {
+                        pos += MAX_VARINT;
+                        bad = Some(why);
+                        break;
+                    }
+                };
+                pos += len;
+                let Some(x) = conv(v) else {
+                    bad = Some(what);
+                    break;
+                };
+                staged[k] = x;
+                k += 1;
             }
-            v |= low << (7 * i);
-            if b & 0x80 == 0 {
-                self.skip(i + 1);
-                return Ok(v);
+            self.skip(pos - self.start);
+            if let Some(why) = bad {
+                return Err(self.fail(why));
+            }
+            out.extend_from_slice(&staged[..k]);
+            if k < want {
+                let v = self.varint(what)?;
+                out.push(conv(v).ok_or_else(|| self.fail(what))?);
             }
         }
-        self.skip(MAX_VARINT);
-        Err(self.fail("varint longer than 10 bytes"))
+        Ok(())
     }
 
     /// Consume `n` buffered bytes.
@@ -450,11 +520,6 @@ impl<R: Read> StreamCursor<R> {
     fn varint_u32(&mut self, what: &str) -> Result<u32, TraceIoError> {
         let v = self.varint(what)?;
         u32::try_from(v).map_err(|_| self.fail(what))
-    }
-
-    fn varint_i32(&mut self, what: &str) -> Result<i32, TraceIoError> {
-        let v = unzigzag(self.varint(what)?);
-        i32::try_from(v).map_err(|_| self.fail(what))
     }
 
     /// A varint element count. Unlike elements, counts cannot be validated
@@ -535,11 +600,12 @@ impl LocationBlock {
     /// Iterate the block's events in order, assembling each [`Event`] from
     /// the columns on the fly. Infallible: tags, ops and roots were
     /// validated during the block read.
+    #[inline]
     pub fn events(&self) -> BlockEvents<'_> {
         BlockEvents {
             b: self,
-            i: 0,
-            ir: 0,
+            tagged: self.tags.iter().zip(&self.times),
+            regions: self.regions.iter(),
             is: 0,
             iv: 0,
             ic: 0,
@@ -577,77 +643,24 @@ impl LocationBlock {
             }
         }
 
-        self.times.clear();
-        self.times.reserve(clamped_cap(n, 8));
         let mut prev = 0u64;
-        for _ in 0..n {
-            prev = prev.wrapping_add(unzigzag(cur.varint("time column")?) as u64);
-            self.times.push(prev);
-        }
-
-        fn col_u32<R: Read>(
-            cur: &mut StreamCursor<R>,
-            out: &mut Vec<u32>,
-            n: usize,
-            what: &str,
-        ) -> Result<(), TraceIoError> {
-            out.clear();
-            out.reserve(clamped_cap(n, 4));
-            for _ in 0..n {
-                out.push(cur.varint_u32(what)?);
-            }
-            Ok(())
-        }
-        fn col_u64<R: Read>(
-            cur: &mut StreamCursor<R>,
-            out: &mut Vec<u64>,
-            n: usize,
-            what: &str,
-        ) -> Result<(), TraceIoError> {
-            out.clear();
-            out.reserve(clamped_cap(n, 8));
-            for _ in 0..n {
-                out.push(cur.varint(what)?);
-            }
-            Ok(())
-        }
-        fn col_i32<R: Read>(
-            cur: &mut StreamCursor<R>,
-            out: &mut Vec<i32>,
-            n: usize,
-            what: &str,
-        ) -> Result<(), TraceIoError> {
-            out.clear();
-            out.reserve(clamped_cap(n, 4));
-            for _ in 0..n {
-                out.push(cur.varint_i32(what)?);
-            }
-            Ok(())
-        }
-        fn col_delta<R: Read>(
-            cur: &mut StreamCursor<R>,
-            out: &mut Vec<i64>,
-            n: usize,
-            what: &str,
-        ) -> Result<(), TraceIoError> {
-            out.clear();
-            out.reserve(clamped_cap(n, 8));
-            for _ in 0..n {
-                out.push(unzigzag(cur.varint(what)?));
-            }
-            Ok(())
-        }
-
-        col_u32(cur, &mut self.regions, n_region, "region column")?;
-        col_u32(cur, &mut self.send_to, n_send, "send-to column")?;
-        col_u32(cur, &mut self.send_comm, n_send, "send-comm column")?;
-        col_i32(cur, &mut self.send_tag, n_send, "send-tag column")?;
-        col_u64(cur, &mut self.send_bytes, n_send, "send-bytes column")?;
-        col_u32(cur, &mut self.recv_from, n_recv, "recv-from column")?;
-        col_u32(cur, &mut self.recv_comm, n_recv, "recv-comm column")?;
-        col_i32(cur, &mut self.recv_tag, n_recv, "recv-tag column")?;
-        col_u64(cur, &mut self.recv_bytes, n_recv, "recv-bytes column")?;
-        col_delta(cur, &mut self.recv_posted, n_recv, "recv-posted column")?;
+        cur.column(&mut self.times, n, "time column", |v| {
+            prev = prev.wrapping_add(unzigzag(v) as u64);
+            Some(prev)
+        })?;
+        let (raw, delta) = (Some, |v| Some(unzigzag(v)));
+        let small = |v: u64| u32::try_from(v).ok();
+        let tag = |v: u64| i32::try_from(unzigzag(v)).ok();
+        cur.column(&mut self.regions, n_region, "region column", small)?;
+        cur.column(&mut self.send_to, n_send, "send-to column", small)?;
+        cur.column(&mut self.send_comm, n_send, "send-comm column", small)?;
+        cur.column(&mut self.send_tag, n_send, "send-tag column", tag)?;
+        cur.column(&mut self.send_bytes, n_send, "send-bytes column", raw)?;
+        cur.column(&mut self.recv_from, n_recv, "recv-from column", small)?;
+        cur.column(&mut self.recv_comm, n_recv, "recv-comm column", small)?;
+        cur.column(&mut self.recv_tag, n_recv, "recv-tag column", tag)?;
+        cur.column(&mut self.recv_bytes, n_recv, "recv-bytes column", raw)?;
+        cur.column(&mut self.recv_posted, n_recv, "recv-posted column", delta)?;
         self.coll_op.clear();
         self.coll_op.reserve(clamped_cap(n_coll, 1));
         for _ in 0..n_coll {
@@ -656,7 +669,7 @@ impl LocationBlock {
                 TraceIoError::Format(format!("binary trace: unknown collective op code {code}"))
             })?);
         }
-        col_u32(cur, &mut self.coll_comm, n_coll, "coll-comm column")?;
+        cur.column(&mut self.coll_comm, n_coll, "coll-comm column", small)?;
         self.coll_root.clear();
         self.coll_root.reserve(clamped_cap(n_coll, 8));
         for _ in 0..n_coll {
@@ -670,9 +683,9 @@ impl LocationBlock {
                 })?),
             });
         }
-        col_u64(cur, &mut self.coll_seq, n_coll, "coll-seq column")?;
-        col_u64(cur, &mut self.coll_bytes, n_coll, "coll-bytes column")?;
-        col_delta(cur, &mut self.coll_entered, n_coll, "coll-entered column")?;
+        cur.column(&mut self.coll_seq, n_coll, "coll-seq column", raw)?;
+        cur.column(&mut self.coll_bytes, n_coll, "coll-bytes column", raw)?;
+        cur.column(&mut self.coll_entered, n_coll, "coll-entered column", delta)?;
         Ok(())
     }
 }
@@ -681,8 +694,10 @@ impl LocationBlock {
 /// [`LocationBlock::events`].
 pub struct BlockEvents<'a> {
     b: &'a LocationBlock,
-    i: usize,
-    ir: usize,
+    /// Tags and times walk together; an Enter or Exit also takes the next
+    /// region, so those two kinds cost no indexed bounds check.
+    tagged: std::iter::Zip<std::slice::Iter<'a, u8>, std::slice::Iter<'a, u64>>,
+    regions: std::slice::Iter<'a, u32>,
     is: usize,
     iv: usize,
     ic: usize,
@@ -691,20 +706,18 @@ pub struct BlockEvents<'a> {
 impl Iterator for BlockEvents<'_> {
     type Item = Event;
 
+    #[inline]
     fn next(&mut self) -> Option<Event> {
-        let t = *self.b.tags.get(self.i)?;
-        let time = VTime(self.b.times[self.i]);
-        self.i += 1;
+        let (&t, &time) = self.tagged.next()?;
+        let time = VTime(time);
         let kind = match t {
-            TAG_ENTER | TAG_EXIT => {
-                let region = RegionId(self.b.regions[self.ir]);
-                self.ir += 1;
-                if t == TAG_ENTER {
-                    EventKind::Enter { region }
-                } else {
-                    EventKind::Exit { region }
-                }
-            }
+            // The block read counted one region per Enter and Exit.
+            TAG_ENTER => EventKind::Enter {
+                region: RegionId(*self.regions.next()?),
+            },
+            TAG_EXIT => EventKind::Exit {
+                region: RegionId(*self.regions.next()?),
+            },
             TAG_SEND => {
                 let k = EventKind::Send {
                     to: self.b.send_to[self.is],
@@ -743,8 +756,7 @@ impl Iterator for BlockEvents<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.b.tags.len() - self.i;
-        (left, Some(left))
+        self.tagged.size_hint()
     }
 }
 
@@ -1453,5 +1465,126 @@ mod tests {
             varint_both_ways(&eleven),
             at_11("varint longer than 10 bytes")
         );
+    }
+
+    /// A reader whose reads return at most `sizes[0]`, `sizes[1]`, ...
+    /// bytes, the last size repeating: it puts the cursor's refills where
+    /// a test wants them.
+    struct Reads<'a> {
+        data: &'a [u8],
+        sizes: &'a [usize],
+    }
+
+    impl Read for Reads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let (&size, rest) = self.sizes.split_first().expect("a read size");
+            if !rest.is_empty() {
+                self.sizes = rest;
+            }
+            let k = size.min(buf.len()).min(self.data.len());
+            buf[..k].copy_from_slice(&self.data[..k]);
+            self.data = &self.data[k..];
+            Ok(k)
+        }
+    }
+
+    /// One byte, seven bytes, and exactly one cursor buffer then the rest.
+    const READ_SIZES: [&[usize]; 3] = [&[1], &[7], &[CURSOR_BUF, usize::MAX]];
+
+    #[test]
+    fn bulk_columns_match_the_byte_path_at_every_read_size() {
+        // The sample's blocks, then one whose time column crosses the
+        // first buffer's end with deltas of every varint length. Each
+        // longer region name shifts that crossing by one byte, so some
+        // time varint straddles it at each of its ten bytes.
+        let mut t = 0u64;
+        let long: Vec<Event> = (0..20_000u32)
+            .map(|i| {
+                t = t.wrapping_add((1u64 << (7 * (i % 10))) - 1 + i as u64);
+                let region = RegionId(i % 3);
+                Event::new(VTime(t), EventKind::Enter { region })
+            })
+            .collect();
+        for pad in 0..MAX_VARINT {
+            let mut tr = sample();
+            tr.regions[0].name = "w".repeat(pad + 1);
+            tr.locations.push(LocationTrace {
+                location: LocationId::rank(4),
+                events: long.clone(),
+            });
+            let data = encode(&tr);
+            assert!(data.len() > 2 * CURSOR_BUF);
+            assert_traces_equal(&decode(&data).unwrap(), &tr);
+            for sizes in READ_SIZES {
+                let back = read_binary(Reads { data: &data, sizes }).unwrap();
+                assert_traces_equal(&back, &tr);
+            }
+        }
+    }
+
+    /// A one-location file whose region column ends in `last`, which
+    /// starts `before` bytes before the first cursor buffer's end. Every
+    /// other value is a zero; the first time delta is written long-hand
+    /// where the event count alone cannot place `last`. A varint's worth
+    /// of zeros follows, so the bulk path can meet `last` too.
+    fn region_column_ending_in(last: &[u8], before: usize) -> Vec<u8> {
+        let start = CURSOR_BUF - before;
+        let mut buf = header();
+        put_varint(&mut buf, 0); // regions
+        put_varint(&mut buf, 0); // comms
+        put_varint(&mut buf, 1); // one location
+        put_varint(&mut buf, 0); // rank
+        put_varint(&mut buf, 0); // thread
+                                 // n tags, n time deltas (the first `spare` bytes longer) and n - 1
+                                 // region values fill the bytes from the 3-byte count to `start`.
+        let columns = start - (buf.len() + 3);
+        let (n, spare) = ((columns + 1) / 3, (columns + 1) % 3);
+        put_varint(&mut buf, n as u64);
+        buf.resize(buf.len() + n, TAG_ENTER);
+        buf.resize(buf.len() + spare, 0x80);
+        buf.resize(buf.len() + n + n - 1, 0);
+        assert_eq!(buf.len(), start);
+        buf.extend_from_slice(last);
+        buf.extend_from_slice(&[0; MAX_VARINT]);
+        buf
+    }
+
+    #[test]
+    fn column_errors_around_the_buffer_end_match_the_byte_path() {
+        let mut too_wide = Vec::new();
+        put_varint(&mut too_wide, 1 << 32);
+        let cases = [
+            (
+                [[0xff; 9].as_slice(), &[0x02]].concat(),
+                "varint overflows u64",
+            ),
+            (
+                [[0x80; 10].as_slice(), &[0]].concat(),
+                "varint longer than 10 bytes",
+            ),
+            (too_wide, "region column"),
+        ];
+        for (bad, what) in cases {
+            // The error is found at the varint's tenth byte, or after the
+            // whole value for one out of the column's range.
+            let len = bad.len().min(MAX_VARINT);
+            // From straddling the first buffer's end (`before < len`) to
+            // lying wholly inside it with a whole varint's bytes buffered,
+            // where the bulk path meets it.
+            for before in 1..=MAX_VARINT + 1 {
+                let data = region_column_ending_in(&bad, before);
+                let at = CURSOR_BUF - before + len;
+                let want = format!(
+                    "trace format error: binary trace: truncated or corrupt at byte {at}: {what}"
+                );
+                let by_byte = read_binary(OneByte(&data[..])).unwrap_err();
+                assert_eq!(by_byte.to_string(), want, "{what}, {before} before");
+                assert_eq!(decode(&data).unwrap_err().to_string(), want);
+                for sizes in READ_SIZES {
+                    let err = read_binary(Reads { data: &data, sizes }).unwrap_err();
+                    assert_eq!(err.to_string(), want, "{what}, {before} before, {sizes:?}");
+                }
+            }
+        }
     }
 }

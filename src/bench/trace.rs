@@ -128,7 +128,7 @@ fn run_stress(ranks: u32, mb: u64, reps: usize) -> Result<StressDoc, CliError> {
 pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs = args.ranks("nprocs", 16, TWO_COMMUNICATOR_RANKS)?;
     let reps = args.pos_or(1, 5usize)?.max(1);
-    let stress_ranks = args.value_or("stress-ranks", 64u64)?.clamp(2, 1 << 16) as u32;
+    let stress_ranks = args.ranks("--stress-ranks", 64, 2)? as u32;
     let stress_mb = args.value_or("stress-mb", 8u64)?;
     outln!("=== trace codec: ATSB on the figure-3.4 composite ===\n");
     let trace = crate::figures::figure34_trace(&crate::figures::paper_session(nprocs).build());

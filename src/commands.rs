@@ -20,6 +20,7 @@ use crate::trace::{EventKind, RegionId, Trace};
 use crate::{bench, experiments, figures};
 use ats_bench::stress::{write_stress, StressConfig};
 use std::io::Write;
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -391,10 +392,12 @@ fn dump_trace(path: &str, mut out: impl Write) -> Result<(), TraceIoError> {
 /// block, so peak memory stays at one rank's events whatever the size.
 fn trace_gen(args: &CommonArgs) -> Result<bool, CliError> {
     let path = args.pos(0).unwrap_or_default();
-    let ranks = args.value_or("ranks", 64u64)?.clamp(2, u32::MAX as u64) as u32;
-    let mb = args.value_or("mb", 32u64)?.max(1);
+    let ranks = args.ranks("--ranks", 64, 2)? as u32;
+    let mb = args.parsed("mb")?.map_or(32, NonZeroU64::get);
     let mut cfg = StressConfig::sized_mb(ranks, mb);
-    cfg.inner = args.value_or("inner", cfg.inner)?.max(1);
+    if let Some(inner) = args.parsed("inner")? {
+        cfg = cfg.with_inner(inner);
+    }
     let file = std::fs::File::create(path).map_err(|e| cannot_write(path, e))?;
     let start = Instant::now();
     let bytes =

@@ -82,10 +82,20 @@ fn parameters_outside_their_range_are_usage_errors() {
 /// first would leave room in the pipe buffer for the whole listing.
 #[test]
 fn rank_counts_are_checked_before_anything_runs() {
-    // At zero ranks each of these panicked inside a run; 8193 is one rank
-    // more than the widest world, and the two-communicator programs need
-    // two halves of two ranks.
+    // At zero ranks each of these panicked inside a run, or wrote a file
+    // of another size than the one asked for; 8193 is one rank more than
+    // the widest world, and the two-communicator programs need two halves
+    // of two ranks.
+    let dir = ats_testutil::TempDir::new("ats-cli-ranks");
+    let out = dir.file("t.atsb");
+    let out = out.to_str().unwrap();
     for (args, arg, min) in [
+        (&["trace", "gen", out, "--ranks", "0"][..], "--ranks `0`", 2),
+        (
+            &["bench", "trace", "--stress-ranks", "0"],
+            "--stress-ranks `0`",
+            2,
+        ),
         (
             &["run", "late_sender", "--procs", "0"][..],
             "--procs `0`",
@@ -109,6 +119,15 @@ fn rank_counts_are_checked_before_anything_runs() {
         let bound = format!("a rank count is at least {min} and at most 8192");
         fails(args, 2, &format!("bad {arg}: {bound}"));
     }
+    // A stress trace's size is checked the same way.
+    for flag in ["--mb", "--inner"] {
+        fails(
+            &["trace", "gen", out, flag, "0"],
+            2,
+            &format!("bad {flag} `0`"),
+        );
+    }
+    assert!(!dir.file("t.atsb").exists(), "no trace was written");
 }
 
 #[test]
@@ -230,6 +249,38 @@ fn help_prints_the_command_usage() {
 fn sample(text: &str, name: &str) -> Option<u64> {
     text.lines()
         .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+#[test]
+fn a_malformed_trace_fails_to_read() {
+    use ats::trace::binfmt::BlockWriter;
+    use ats::trace::{Event, EventKind, LocationId, LocationTrace, RegionId, RegionMeta};
+    let dir = ats_testutil::TempDir::new("ats-cli-malformed");
+    let file = dir.file("exit_first.atsb");
+    let region = RegionMeta {
+        name: "main".into(),
+        kind: ats::trace::RegionKind::User,
+    };
+    let out = std::fs::File::create(&file).unwrap();
+    let mut w = BlockWriter::new(out, &[region], &[], 1).unwrap();
+    let exit = EventKind::Exit {
+        region: RegionId(0),
+    };
+    w.write_location(&LocationTrace {
+        location: LocationId::rank(0),
+        events: vec![Event::new(ats::runtime::VTime(1), exit)],
+    })
+    .unwrap();
+    w.finish().unwrap();
+    let file = file.to_str().unwrap();
+    fails(
+        &["analyze", file],
+        1,
+        &format!(
+            "cannot read {file}: trace format error: \
+             location 0: event 0 exits an unopened region"
+        ),
+    );
 }
 
 #[test]

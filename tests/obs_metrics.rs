@@ -83,6 +83,50 @@ fn span_totals_reconcile_with_wall_time() {
 }
 
 #[test]
+fn decode_time_is_its_own_span_on_both_ingest_paths() {
+    use ats::analyzer::{analyze_path, analyze_path_streaming, AnalyzerConfig};
+    let trace = Session::builder()
+        .procs(4)
+        .build()
+        .run("late_sender", &late_sender_params())
+        .unwrap();
+    let dir = ats_testutil::TempDir::new("ats-obs-decode");
+    let file = dir.file("late_sender.atsb");
+    ats::trace::binfmt::write_binary(&trace, std::fs::File::create(&file).unwrap()).unwrap();
+    for streaming in [false, true] {
+        let obs = ats_obs::Handle::new();
+        let config = AnalyzerConfig::default().obs(obs.clone());
+        let started = std::time::Instant::now();
+        if streaming {
+            analyze_path_streaming(&file, &config).unwrap();
+        } else {
+            analyze_path(&file, &config).unwrap();
+        }
+        let wall = started.elapsed().as_secs_f64();
+        // One decode sample per analysis, beside one sample of each pass,
+        // and the serial spans sum to no more than the wall time (with
+        // the reconciliation test's allowance for coarse clocks).
+        let a = &obs.analyzer;
+        let spans = [
+            &obs.trace.decode_time,
+            &a.extract_time,
+            &a.match_time,
+            &a.detect_time,
+            &a.severity_time,
+        ];
+        assert!(
+            spans.iter().all(|h| h.count() == 1),
+            "streaming {streaming}"
+        );
+        let span_total: f64 = spans.iter().map(|h| h.sum_secs()).sum();
+        assert!(
+            span_total <= wall * 2.0 + 0.05,
+            "streaming {streaming}: span total {span_total}s vs wall {wall}s"
+        );
+    }
+}
+
+#[test]
 fn recording_does_not_change_traces() {
     let observed = fresh_session(1);
     let unobserved = Session::builder().procs(4).seed(0xDE7E_12A1).build();
