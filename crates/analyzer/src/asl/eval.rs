@@ -326,7 +326,7 @@ impl PropertySet {
     pub(crate) fn each_finding(
         &self,
         ex: &Extract,
-        pairs: &[MatchedPair],
+        pairs: &[MatchedPair<'_>],
         trace: &Trace,
         mut emit: impl FnMut(AslFinding),
     ) -> Result<(), AslError> {
@@ -384,14 +384,14 @@ impl PropertySet {
     /// The p2p part of [`Self::each_finding`].
     pub(crate) fn each_pair_finding(
         &self,
-        pairs: &[MatchedPair],
+        pairs: &[MatchedPair<'_>],
         emit: &mut impl FnMut(AslFinding),
     ) -> Result<(), AslError> {
         let over = |c: &Context| *c == Context::P2pPair;
         let early = EarlyArrivals::new(pairs);
         let mut slots = Vec::new();
         for p in pairs {
-            let (s, r) = (&p.send, &p.recv);
+            let (s, r) = (p.send, p.recv);
             let facts = [
                 ns(s.post),
                 ns(s.enter),

@@ -10,20 +10,21 @@ use ats_runtime::VTime;
 use ats_trace::LocationId;
 use std::collections::HashMap;
 
-/// A matched point-to-point message pair.
+/// A matched point-to-point message pair, borrowing its two records from
+/// the [`Extract`] they were matched in.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatchedPair {
+pub struct MatchedPair<'a> {
     /// Sender-side record.
-    pub send: SendRec,
+    pub send: &'a SendRec,
     /// Receiver-side record.
-    pub recv: RecvRec,
+    pub recv: &'a RecvRec,
 }
 
 /// Match sends to receives with MPI semantics: FIFO per
 /// `(communicator, source, destination, tag)`. Unmatched operations (none
 /// arise from the substrate, but a tool must tolerate truncated traces)
 /// are dropped.
-pub fn match_messages(ex: &Extract) -> Vec<MatchedPair> {
+pub fn match_messages(ex: &Extract) -> Vec<MatchedPair<'_>> {
     // Sends per `(comm, sender, receiver, tag)`. Each queue carries its own
     // consumption cursor, so pairing costs one hash lookup per receive
     // instead of two.
@@ -46,10 +47,7 @@ pub fn match_messages(ex: &Extract) -> Vec<MatchedPair> {
         let key = (r.comm, r.from, r.loc.rank, r.tag);
         if let Some((q, taken)) = send_q.get_mut(&key) {
             if let Some(s) = q.get(*taken) {
-                pairs.push(MatchedPair {
-                    send: **s,
-                    recv: *r,
-                });
+                pairs.push(MatchedPair { send: s, recv: r });
                 *taken += 1;
             }
         }
@@ -63,7 +61,7 @@ pub fn match_messages(ex: &Extract) -> Vec<MatchedPair> {
 pub(crate) struct EarlyArrivals(HashMap<LocationId, Coverage>);
 
 impl EarlyArrivals {
-    pub(crate) fn new(pairs: &[MatchedPair]) -> Self {
+    pub(crate) fn new(pairs: &[MatchedPair<'_>]) -> Self {
         let mut intervals: HashMap<LocationId, (Vec<u64>, Vec<u64>)> =
             HashMap::with_capacity(pairs.len().min(64));
         for p in pairs {
@@ -87,7 +85,7 @@ impl EarlyArrivals {
     /// interval on its receiver, summed — only messages matched later
     /// overlap it. It is `F(completion) − F(posted)` for the receiver's
     /// [`Coverage`] integral `F`, so a pass costs O(n log n) in the pairs.
-    pub(crate) fn overlap(&self, p: &MatchedPair) -> u128 {
+    pub(crate) fn overlap(&self, p: &MatchedPair<'_>) -> u128 {
         match self.0.get(&p.recv.loc) {
             Some(cov) if p.recv.posted < p.recv.completion => {
                 cov.below(p.recv.completion) - cov.below(p.recv.posted)
@@ -201,8 +199,11 @@ mod tests {
     /// A wrong-order charge: the receive's path, location, post and wait.
     type Charge = (PathId, LocationId, VTime, VDur);
 
+    /// One message's two records.
+    type Message = (SendRec, RecvRec);
+
     /// The default set's `MessagesWrongOrder` findings on `pairs`.
-    fn wrong_order(pairs: &[MatchedPair]) -> Vec<Charge> {
+    fn wrong_order(pairs: &[MatchedPair<'_>]) -> Vec<Charge> {
         let set = default_property_set();
         let mut out = Vec::new();
         set.each_pair_finding(pairs, &mut |f| {
@@ -217,7 +218,7 @@ mod tests {
     /// The quadratic scan the sweep replaced: every blocked receive against
     /// every pair on its receiver. Kept as the reference for degenerate
     /// intervals the catalog never produces.
-    fn wrong_order_scan(pairs: &[MatchedPair]) -> Vec<Charge> {
+    fn wrong_order_scan(pairs: &[MatchedPair<'_>]) -> Vec<Charge> {
         let mut by_receiver: HashMap<LocationId, Vec<usize>> = HashMap::new();
         for (i, p) in pairs.iter().enumerate() {
             by_receiver.entry(p.recv.loc).or_default().push(i);
@@ -250,10 +251,10 @@ mod tests {
 
     /// A message from `from` to `to`, sent at `sent`, whose receive is
     /// posted at `posted` and completes at `done`.
-    fn pair(from: u32, to: u32, tag: i32, sent: u64, posted: u64, done: u64) -> MatchedPair {
+    fn message(from: u32, to: u32, tag: i32, sent: u64, posted: u64, done: u64) -> Message {
         let path = PathId(tag as u32);
-        MatchedPair {
-            send: SendRec {
+        (
+            SendRec {
                 loc: LocationId::rank(from),
                 path,
                 enter: VTime(sent),
@@ -264,7 +265,7 @@ mod tests {
                 tag,
                 bytes: 8,
             },
-            recv: RecvRec {
+            RecvRec {
                 loc: LocationId::rank(to),
                 path,
                 enter: VTime(posted),
@@ -276,7 +277,25 @@ mod tests {
                 tag,
                 bytes: 8,
             },
+        )
+    }
+
+    /// An extract holding just `messages`' records, in order.
+    fn extract_of(messages: impl IntoIterator<Item = Message>) -> Extract {
+        let (sends, recvs) = messages.into_iter().unzip();
+        Extract {
+            sends,
+            recvs,
+            ..Extract::default()
         }
+    }
+
+    /// Each of `ex`'s sends paired with the receive at its index.
+    fn in_order(ex: &Extract) -> Vec<MatchedPair<'_>> {
+        let pairs = ex.sends.iter().zip(&ex.recvs);
+        pairs
+            .map(|(send, recv)| MatchedPair { send, recv })
+            .collect()
     }
 
     #[test]
@@ -285,17 +304,16 @@ mod tests {
             let receivers = c.int(1..5) as u64;
             // A narrow clock range makes equal timestamps common.
             let span = c.sized(2..64) as u64;
-            let pairs: Vec<MatchedPair> = (0..c.sized(1..160))
-                .map(|_| {
-                    let posted = c.below(span);
-                    let done = posted + if c.coin() { 0 } else { c.below(span) };
-                    // Sent before, at or after the receive is posted.
-                    let sent = c.below(2 * span);
-                    let from = c.below(2) as u32;
-                    let to = 2 + c.below(receivers) as u32;
-                    pair(from, to, c.int(0..3) as i32, sent, posted, done)
-                })
-                .collect();
+            let ex = extract_of((0..c.sized(1..160)).map(|_| {
+                let posted = c.below(span);
+                let done = posted + if c.coin() { 0 } else { c.below(span) };
+                // Sent before, at or after the receive is posted.
+                let sent = c.below(2 * span);
+                let from = c.below(2) as u32;
+                let to = 2 + c.below(receivers) as u32;
+                message(from, to, c.int(0..3) as i32, sent, posted, done)
+            }));
+            let pairs = in_order(&ex);
             assert_eq!(wrong_order(&pairs), wrong_order_scan(&pairs));
         });
     }
@@ -303,21 +321,15 @@ mod tests {
     /// One receiver whose "available but unread" intervals all overlap,
     /// like a long trace's busiest receiver: `n` sends go out first, then
     /// `n` receives each block for `2n` ticks.
-    fn overlapping(n: u64) -> Vec<MatchedPair> {
-        (0..n)
-            .map(|i| pair(0, 1, 0, i, n + 2 * i, 3 * n + 2 * i))
-            .collect()
+    fn overlapping(n: u64) -> Extract {
+        extract_of((0..n).map(|i| message(0, 1, 0, i, n + 2 * i, 3 * n + 2 * i)))
     }
 
     #[test]
     fn pass_steps_grow_at_most_n_log_n() {
         let count = |n| {
-            let pairs = overlapping(n);
-            let ex = Extract {
-                sends: pairs.iter().map(|p| p.send).collect(),
-                recvs: pairs.iter().map(|p| p.recv).collect(),
-                ..Extract::default()
-            };
+            let ex = overlapping(n);
+            let pairs = in_order(&ex);
             let (matched, matching) = steps(|| match_messages(&ex));
             assert_eq!(matched, pairs);
             let (swept, sweep) = steps(|| wrong_order(&pairs));

@@ -58,3 +58,27 @@ fn golden_file_itself_parses_as_v1() {
     assert!(!doc.findings.is_empty());
     assert!(doc.threshold > 0.0);
 }
+
+#[test]
+fn every_prefix_and_bit_flip_of_a_report_parses_or_fails() {
+    let json = golden_report_json();
+    let bytes = json.as_bytes();
+    // A body that is not UTF-8 never reaches the parser.
+    let parse = |b: &[u8]| std::str::from_utf8(b).map(|text| ReportDoc::parse(text).is_ok());
+    // Only the prefixes that keep the closing brace are whole.
+    let whole = json.rfind('}').unwrap() + 1;
+    for end in 0..=bytes.len() {
+        let want = Ok(end >= whole);
+        assert_eq!(parse(&bytes[..end]), want, "{end}-byte prefix");
+    }
+    let mut parsed = 0;
+    for at in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= 1 << bit;
+            parsed += usize::from(parse(&flipped).is_ok());
+        }
+    }
+    // Seven of each ASCII byte's eight flips stay UTF-8.
+    assert!(parsed > 6 * bytes.len(), "{parsed} parsed");
+}

@@ -25,6 +25,10 @@ use ats_trace::{
 use std::io::Write;
 use std::num::NonZeroU64;
 
+/// The largest trace size, in MB, that a command line may ask
+/// [`StressConfig::sized_mb`] for: 1 TB.
+pub const MAX_STRESS_MB: u64 = 1_000_000;
+
 /// Shape of one generated stress trace.
 #[derive(Debug, Clone, Copy)]
 pub struct StressConfig {
@@ -52,6 +56,7 @@ impl StressConfig {
     /// `ranks` ranks. The estimate assumes ~4 bytes per event on disk
     /// (tag byte + small varint deltas); the actual file lands within a
     /// few tens of percent, which is all throughput measurement needs.
+    /// A size whose byte count overflows `u64` saturates at `u64::MAX` bytes.
     pub fn sized_mb(ranks: u32, mb: u64) -> Self {
         let mut cfg = StressConfig {
             ranks,
@@ -59,7 +64,7 @@ impl StressConfig {
             inner: 128,
         };
         let per_rep = cfg.events_total().saturating_sub(2 * ranks as u64);
-        let target_events = mb * 1_000_000 / 4;
+        let target_events = mb.saturating_mul(1_000_000) / 4;
         cfg.reps = (target_events / per_rep.max(1)).max(1);
         cfg
     }
@@ -337,6 +342,16 @@ mod tests {
         let materialized = analyze(&trace, &config);
         assert!(!materialized.findings.is_empty(), "planted properties");
         assert_eq!(streamed.to_json(), materialized.to_json());
+    }
+
+    #[test]
+    fn a_size_past_the_byte_range_saturates() {
+        // One megabyte past `u64::MAX` bytes used to wrap to a 0.4 MB trace.
+        let largest = u64::MAX / 1_000_000;
+        let saturated = StressConfig::sized_mb(64, u64::MAX).reps;
+        assert_eq!(StressConfig::sized_mb(64, largest + 1).reps, saturated);
+        assert!(saturated >= StressConfig::sized_mb(64, largest).reps);
+        assert!(saturated > StressConfig::sized_mb(64, MAX_STRESS_MB).reps);
     }
 
     #[test]

@@ -418,6 +418,9 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
+/// Parse the string literal at `pos`. Each run of plain characters, up to
+/// the next quote, backslash or control byte, is scanned and validated
+/// once and appended whole, so a string costs time linear in its length.
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}", pos = *pos));
@@ -425,6 +428,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        let rest = &bytes[*pos..];
+        let run = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+        // The scan reads `run + 1` bytes, the validation `run`.
+        step(2 * run + 1);
+        // The run ends before an ASCII byte or at the end of the input,
+        // so it is whole characters of the input `&str`.
+        out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
@@ -470,17 +484,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(&b) if b < 0x20 => return Err("raw control character in string".into()),
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is &str, so boundaries
-                // are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => return Err("raw control character in string".into()),
         }
     }
+}
+
+/// Count `n` bytes examined by the string scanner, for the linearity guard
+/// in this module's tests; outside tests it compiles to nothing.
+#[inline(always)]
+fn step(n: usize) {
+    #[cfg(test)]
+    tests::STEPS.with(|s| s.set(s.get() + n as u64));
+    #[cfg(not(test))]
+    let _ = n;
 }
 
 fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
@@ -529,6 +545,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Bytes counted by [`step`] on this test thread.
+        pub(super) static STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn rendering_is_canonical_and_sorted() {
@@ -641,5 +662,74 @@ mod tests {
         );
         assert_eq!(doc.get("big").and_then(Json::as_u64), Some(u64::MAX));
         assert_eq!(doc.get("missing"), None);
+    }
+
+    #[test]
+    fn strings_parse_across_runs_escapes_and_errors() {
+        let ok = |s: &str| Ok(Json::Str(s.to_owned()));
+        let err = |e: &str| Err(e.to_owned());
+        let table = [
+            // Runs of 1-, 2-, 3- and 4-byte characters.
+            (r#""""#, ok("")),
+            (r#""a""#, ok("a")),
+            (r#""é""#, ok("é")),
+            (r#""日本""#, ok("日本")),
+            (r#""🙂""#, ok("🙂")),
+            ("\"del\u{7f}\"", ok("del\u{7f}")),
+            // Runs that meet escapes on either side.
+            (r#""é\n日\t🙂""#, ok("é\n日\t🙂")),
+            (r#""\"é\"""#, ok("\"é\"")),
+            (r#""\\🙂\/""#, ok("\\🙂/")),
+            (r#""\b\f\r""#, ok("\u{8}\u{c}\r")),
+            (r#""a\u00e9b""#, ok("aéb")),
+            (r#""日\u65e5""#, ok("日日")),
+            (r#""\u0000x""#, ok("\u{0}x")),
+            (r#""\u001f""#, ok("\u{1f}")),
+            // Surrogate pairs between runs.
+            (r#""é\ud83d\ude42é""#, ok("é🙂é")),
+            (r#""\ud83d\ude42\ud83d\ude42""#, ok("🙂🙂")),
+            (r#""\ud83d""#, err("lone high surrogate")),
+            (r#""é\ud83dé""#, err("lone high surrogate")),
+            (r#""\ud83d\n""#, err("lone high surrogate")),
+            (r#""\ud83d\u0041""#, err("invalid low surrogate")),
+            (r#""\ude42""#, err("invalid code point 0xde42")),
+            (r#""🙂\ud83d\uzzzz""#, err("bad \\u escape at byte 13")),
+            // Truncated and bad escapes, with byte offsets.
+            (r#""é\u12""#, err("truncated \\u escape")),
+            (r#""é\u12zz""#, err("bad \\u escape at byte 5")),
+            (r#""\u+041""#, err("bad \\u escape at byte 3")),
+            (r#""é\q""#, err("bad escape at byte 4")),
+            (r#""🙂\x""#, err("bad escape at byte 6")),
+            (r#""é\"#, err("bad escape at byte 4")),
+            (r#"{"k":"é\q"}"#, err("bad escape at byte 9")),
+            (r#"{"é\q":1}"#, err("bad escape at byte 5")),
+            // Raw control bytes end a run.
+            ("\"a\tb\"", err("raw control character in string")),
+            ("\"日\n\"", err("raw control character in string")),
+            ("\"\u{1}\"", err("raw control character in string")),
+            // Unterminated strings, and what follows a closed one.
+            (r#""ab"#, err("unterminated string")),
+            (r#""日本"#, err("unterminated string")),
+            (r#""a"x"#, err("trailing content at byte 3")),
+            (r#"{"é":"日"}"#, Ok(Json::obj().with("é", "日"))),
+        ];
+        for (text, want) in table {
+            assert_eq!(Json::parse(text), want, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn string_steps_grow_linearly() {
+        // Every kind of run and escape, repeated: 11 characters a unit.
+        let unit = r#"ab\u00e9é日\n🙂\ud83d\ude42\"x\\"#;
+        let count = |units: usize| {
+            let text = format!("\"{}\"", unit.repeat(units));
+            STEPS.with(|s| s.set(0));
+            let value = Json::parse(&text).unwrap();
+            assert_eq!(value.as_str().unwrap().chars().count(), 11 * units);
+            STEPS.with(|s| s.get())
+        };
+        let growth = count(1024) as f64 / count(256) as f64;
+        assert!(growth <= 4.5, "string scan steps grew {growth}x");
     }
 }

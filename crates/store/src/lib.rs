@@ -37,7 +37,7 @@ pub mod store;
 pub use ats_core::json::Json;
 pub use key::CacheKey;
 pub use mode::CacheMode;
-pub use store::{EntryDoc, FileMeta, Store, StoreStats, StoredEntry};
+pub use store::{Store, StoreStats, StoredEntry};
 
 use ats_core::Error;
 use std::path::Path;

@@ -43,30 +43,27 @@ use std::sync::Arc;
 const ENTRY_SCHEMA: &str = "ats-store-entry/1";
 
 /// Size and checksum of one stored artifact, as recorded in `entry.json`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileMeta {
+struct FileMeta {
     /// Artifact size in bytes.
-    pub bytes: u64,
+    bytes: u64,
     /// 128-bit content checksum ([`CacheKey::of_bytes`] of the artifact).
-    pub checksum: String,
+    checksum: String,
 }
 
-/// The per-entry manifest (`entry.json`): what the entry caches and how
-/// to verify it.
-#[derive(Debug, Clone)]
-pub struct EntryDoc {
+/// What a read takes from the per-entry manifest (`entry.json`): the key
+/// and how to verify each artifact. The manifest also records the full
+/// key-ingredients document the key was derived from, verbatim, so an
+/// entry is self-describing (and collisions, however unlikely, are
+/// detectable); no read needs it.
+struct EntryDoc {
     /// The entry's cache key (hex).
-    pub key: String,
-    /// The full key-ingredients document the key was derived from, kept
-    /// verbatim so an entry is self-describing (and collisions, however
-    /// unlikely, are detectable).
-    pub ingredients: Json,
+    key: String,
     /// Artifact name → size + checksum.
-    pub files: BTreeMap<String, FileMeta>,
+    files: BTreeMap<String, FileMeta>,
 }
 
 impl EntryDoc {
-    fn to_json(&self) -> Json {
+    fn to_json(&self, ingredients: &Json) -> Json {
         let mut files = Json::obj();
         for (name, meta) in &self.files {
             files.set(
@@ -79,7 +76,7 @@ impl EntryDoc {
         Json::obj()
             .with("schema", ENTRY_SCHEMA)
             .with("key", self.key.as_str())
-            .with("ingredients", self.ingredients.clone())
+            .with("ingredients", ingredients.clone())
             .with("files", files)
     }
 
@@ -93,7 +90,6 @@ impl EntryDoc {
             .and_then(Json::as_str)
             .ok_or("missing key")?
             .to_owned();
-        let ingredients = doc.get("ingredients").cloned().unwrap_or(Json::Null);
         let mut files = BTreeMap::new();
         for (name, meta) in doc
             .get("files")
@@ -115,23 +111,15 @@ impl EntryDoc {
                 },
             );
         }
-        Ok(EntryDoc {
-            key,
-            ingredients,
-            files,
-        })
+        Ok(EntryDoc { key, files })
     }
 }
 
 /// One verified, fully-loaded store entry.
 #[derive(Debug, Clone)]
 pub struct StoredEntry {
-    /// The entry's key.
-    pub key: CacheKey,
-    /// The ingredients document recorded at put time.
-    pub ingredients: Json,
     /// Artifact name → verified content.
-    pub files: BTreeMap<String, Vec<u8>>,
+    files: BTreeMap<String, Vec<u8>>,
     /// Total artifact bytes loaded.
     pub bytes: u64,
 }
@@ -238,12 +226,7 @@ impl Store {
             obs.store.hits.inc();
             obs.store.bytes_read.add(bytes);
         }
-        Ok(Some(StoredEntry {
-            key: *key,
-            ingredients: doc.ingredients,
-            files,
-            bytes,
-        }))
+        Ok(Some(StoredEntry { files, bytes }))
     }
 
     fn integrity_failure(&self) -> Option<StoredEntry> {
@@ -282,10 +265,9 @@ impl Store {
         }
         let doc = EntryDoc {
             key: key.hex(),
-            ingredients: ingredients.clone(),
             files: metas,
         };
-        write_atomic_json(&dir.join("entry.json"), &doc.to_json())?;
+        write_atomic_json(&dir.join("entry.json"), &doc.to_json(ingredients))?;
         if let Some(obs) = &self.obs {
             obs.store.puts.inc();
             obs.store.bytes_written.add(total);
@@ -367,7 +349,9 @@ mod tests {
         assert_eq!(entry.file("report.json"), Some(b"{}".as_slice()));
         assert_eq!(entry.file("trace.atsb"), Some(b"ATSB\x01".as_slice()));
         assert_eq!(entry.bytes, 7);
-        assert_eq!(entry.ingredients, ingredients(1));
+        let manifest = fs::read_to_string(entry_json(&dir, &key)).unwrap();
+        let manifest = Json::parse(&manifest).unwrap();
+        assert_eq!(manifest.get("ingredients"), Some(&ingredients(1)));
         assert_eq!(store.len(), 1);
         assert_eq!(
             store.stats(),
@@ -455,6 +439,45 @@ mod tests {
             .unwrap();
         assert!(store.get(&key).unwrap().is_some(), "the put repairs it");
         assert_eq!(obs.store.integrity_failures.get(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The key ingredients of one catalog configuration, as the
+    /// experiment engine records them.
+    const CATALOG_INGREDIENTS: &str = r#"{"analyzer":{"report_setup_overhead":false,"threshold":0.005,"version":3},"base":{"count":256,"dtype":"Float64"},"engine":"experiment","finalize_time_ns":0,"init_time_ns":0,"model":{"barrier_stage_ns":0,"chunk_dispatch_ns":0,"collective_stage_ns":0,"eager_threshold":65536,"fork_overhead_ns":0,"join_overhead_ns":0,"latency_ns":0,"lock_overhead_ns":0,"ns_per_byte":0.0,"recv_overhead_ns":0,"send_overhead_ns":0},"nprocs":8,"params":"nthreads=4 r=1 work=0.05","property":"balanced_omp_loop","schema":"ats-store-key/3","seed":175464173,"trace_format":"atsb"}"#;
+
+    #[test]
+    fn every_prefix_and_bit_flip_of_a_manifest_decodes_or_fails() {
+        let (dir, store) = tmp_store("flips");
+        let ingredients = Json::parse(CATALOG_INGREDIENTS).unwrap();
+        let key = CacheKey::of_value(&ingredients);
+        let files = [
+            ("report.json", b"{}".as_slice()),
+            ("row.json", b"{}"),
+            ("trace.atsb", b"ATSB"),
+        ];
+        store.put(&key, &ingredients, &files).unwrap();
+        let text = fs::read(entry_json(&dir, &key)).unwrap();
+        assert!(text.len() > 1000, "{} bytes", text.len());
+        // A manifest that is not UTF-8 never reaches the parser: `get`
+        // counts it as an integrity miss first.
+        let decode = |b: &[u8]| std::str::from_utf8(b).map(|t| EntryDoc::from_text(t).is_ok());
+        // Only the prefixes that keep the closing brace are whole.
+        let whole = text.iter().rposition(|&b| b == b'}').unwrap() + 1;
+        for end in 0..=text.len() {
+            let want = Ok(end >= whole);
+            assert_eq!(decode(&text[..end]), want, "{end}-byte prefix");
+        }
+        let mut decoded = 0;
+        for at in 0..text.len() {
+            for bit in 0..8 {
+                let mut flipped = text.clone();
+                flipped[at] ^= 1 << bit;
+                decoded += usize::from(decode(&flipped).is_ok());
+            }
+        }
+        // Seven of each ASCII byte's eight flips stay UTF-8.
+        assert!(decoded > 6 * text.len(), "{decoded} decoded");
         let _ = fs::remove_dir_all(&dir);
     }
 

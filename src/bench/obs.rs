@@ -16,6 +16,7 @@ use crate::core::json::Json;
 use crate::figures::{figure34_trace, paper_session};
 use crate::harness::Session;
 use crate::obs::ObsConfig;
+use std::num::NonZeroUsize;
 
 /// The gate: observability-on over observability-off wall time, in
 /// percent above 100.
@@ -30,7 +31,7 @@ fn composite_pass(session: &Session) -> usize {
 
 /// `ats bench obs [reps] [nprocs]`.
 pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
-    let reps = args.pos_or(0, 5usize)?.max(1);
+    let reps = args.pos_or(0, NonZeroUsize::new(5).unwrap())?.get();
     let nprocs = args.ranks("nprocs", 16, TWO_COMMUNICATOR_RANKS)?;
 
     outln!("=== obs_overhead: figure-3.4 composite + analysis, {reps} reps ===\n");

@@ -30,6 +30,7 @@ use crate::harness::Session;
 use crate::obs::ObsConfig;
 use crate::serve::{Client, ServeConfig, ServerHandle};
 use crate::store::CacheMode;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -89,7 +90,7 @@ fn live_connections_when(handle: &ServerHandle, done: impl Fn(usize) -> bool) ->
 /// `ats bench serve [clients] [rounds] [--cache-dir DIR] [--workers N]`.
 pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let clients: usize = args.pos_or(0, 1000)?;
-    let rounds = args.pos_or(1, 4usize)?.max(1);
+    let rounds = args.pos_or(1, NonZeroUsize::new(4).unwrap())?.get();
     let workers: usize = args.value_or("workers", 16)?;
     let dir = args.value("cache-dir").unwrap_or("artifacts/serve-bench");
     let _ = std::fs::remove_dir_all(dir);

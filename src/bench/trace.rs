@@ -15,6 +15,7 @@ use crate::core::composite::TWO_COMMUNICATOR_RANKS;
 use crate::core::json::Json;
 use crate::trace::binfmt;
 use ats_bench::stress::{peak_rss_bytes, write_stress, StressConfig};
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 /// The gate: streaming analysis events per second.
@@ -127,9 +128,9 @@ fn run_stress(ranks: u32, mb: u64, reps: usize) -> Result<StressDoc, CliError> {
 /// (defaults: 16 ranks, 5 reps, 64 stress ranks, 8 MB stress trace).
 pub(crate) fn run(args: &CommonArgs) -> Result<bool, CliError> {
     let nprocs = args.ranks("nprocs", 16, TWO_COMMUNICATOR_RANKS)?;
-    let reps = args.pos_or(1, 5usize)?.max(1);
+    let reps = args.pos_or(1, NonZeroUsize::new(5).unwrap())?.get();
     let stress_ranks = args.ranks("--stress-ranks", 64, 2)? as u32;
-    let stress_mb = args.value_or("stress-mb", 8u64)?;
+    let stress_mb = args.megabytes("stress-mb", 8, 0)?;
     outln!("=== trace codec: ATSB on the figure-3.4 composite ===\n");
     let trace = crate::figures::figure34_trace(&crate::figures::paper_session(nprocs).build());
     let events = trace.num_events();

@@ -16,6 +16,7 @@ use crate::mpi::MAX_NPROCS;
 use crate::obs::ObsConfig;
 use crate::runtime::Json;
 use crate::trace::Trace;
+use ats_bench::stress::MAX_STRESS_MB;
 use std::fmt::Display;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -211,6 +212,18 @@ impl CommonArgs {
         }
         let bound = format!("a rank count is at least {min} and at most {MAX_NPROCS}");
         Err(usage(format!("bad {arg} `{n}`: {bound}")))
+    }
+
+    /// The stress-trace size `--name` in MB, or `default` when absent: at
+    /// least `min` and at most [`MAX_STRESS_MB`], so a size whose byte
+    /// count would overflow is a usage error before any trace is written.
+    pub fn megabytes(&self, name: &str, default: u64, min: u64) -> Result<u64, CliError> {
+        let mb = self.value_or(name, default)?;
+        if (min..=MAX_STRESS_MB).contains(&mb) {
+            return Ok(mb);
+        }
+        let bound = format!("a stress trace takes {min} to {MAX_STRESS_MB} MB");
+        Err(usage(format!("bad --{name} `{mb}`: {bound}")))
     }
 
     /// The positionals from `idx` on (a variadic tail like `key=value`).

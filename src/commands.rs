@@ -20,7 +20,6 @@ use crate::trace::{EventKind, RegionId, Trace};
 use crate::{bench, experiments, figures};
 use ats_bench::stress::{write_stress, StressConfig};
 use std::io::Write;
-use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -393,7 +392,7 @@ fn dump_trace(path: &str, mut out: impl Write) -> Result<(), TraceIoError> {
 fn trace_gen(args: &CommonArgs) -> Result<bool, CliError> {
     let path = args.pos(0).unwrap_or_default();
     let ranks = args.ranks("--ranks", 64, 2)? as u32;
-    let mb = args.parsed("mb")?.map_or(32, NonZeroU64::get);
+    let mb = args.megabytes("mb", 32, 1)?;
     let mut cfg = StressConfig::sized_mb(ranks, mb);
     if let Some(inner) = args.parsed("inner")? {
         cfg = cfg.with_inner(inner);

@@ -1,9 +1,10 @@
 //! The `ats` command line fails cleanly: an unknown flag, a malformed
-//! value, a missing value or a rank count outside 1 to 8192 exits 2
-//! naming it, an output path that cannot be written exits 1 naming the
-//! path, and nothing panics. A bad command line fails while it is
-//! checked, before any simulation, server or flood starts. Under
-//! `--metrics`, a command counts the trace bytes it wrote and read.
+//! value, a missing value, a rank count outside 1 to 8192, a stress-trace
+//! size past 1,000,000 MB or a zero repetition count exits 2 naming it,
+//! an output path that cannot be written exits 1 naming the path, and
+//! nothing panics. A bad command line fails while it is checked, before
+//! any simulation, server or flood starts. Under `--metrics`, a command
+//! counts the trace bytes it wrote and read.
 
 use std::process::{Command, Output};
 
@@ -128,6 +129,31 @@ fn rank_counts_are_checked_before_anything_runs() {
         );
     }
     assert!(!dir.file("t.atsb").exists(), "no trace was written");
+}
+
+#[test]
+fn sizes_and_counts_are_checked_not_wrapped_or_raised() {
+    let dir = ats_testutil::TempDir::new("ats-cli-sizes");
+    let out = dir.file("t.atsb");
+    let out = out.to_str().unwrap();
+    // One megabyte past `u64::MAX` bytes: the byte count used to wrap, so
+    // `trace gen` wrote a 0.4 MB file and exited 0.
+    let past = "18446744073710";
+    fails(
+        &["trace", "gen", out, "--mb", past],
+        2,
+        &format!("bad --mb `{past}`: a stress trace takes 1 to 1000000 MB"),
+    );
+    fails(
+        &["bench", "trace", "--stress-mb", past],
+        2,
+        &format!("bad --stress-mb `{past}`: a stress trace takes 0 to 1000000 MB"),
+    );
+    assert!(!dir.file("t.atsb").exists(), "no trace was written");
+    // A count of zero used to be raised to one without a word.
+    fails(&["bench", "trace", "4", "0"], 2, "bad reps `0`");
+    fails(&["bench", "obs", "0"], 2, "bad reps `0`");
+    fails(&["bench", "serve", "10", "0"], 2, "bad rounds `0`");
 }
 
 #[test]
