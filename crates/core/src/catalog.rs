@@ -1,11 +1,19 @@
-//! The property catalog: machine-readable metadata about every property
-//! function in the suite.
+//! The property catalog: one record per property function in the suite.
 //!
-//! This is the information the paper's single-property test-program
-//! generator extracts from the C function signatures with PDT; here it is
-//! first-class data, consumed by `ats-harness` to generate runnable test
-//! programs, drive parameter sweeps, and score analyzer output against the
-//! *expected* finding and its location.
+//! A record holds what the paper's single-property test-program generator
+//! extracts from the C function signatures with PDT — the name and the
+//! typed parameters — plus what a correct tool must report and where, the
+//! program body that runs the function, and the closed-form wait that body
+//! programs. `ats-harness` runs and generates test programs, drives
+//! parameter sweeps and scores analyzer output from these records, and
+//! the fuzz oracle composes their waits.
+
+use crate::buffer::BaseComm;
+use crate::model::{imbalance_sum, prefix_imbalance_sum, progressive_series};
+use crate::params::ParamValues;
+use crate::properties::{hybrid, mpi_coll, mpi_p2p, negative, omp, sequential};
+use ats_mpi::{Comm, Proc};
+use ats_omp::Master;
 
 /// Which programming paradigm a property function exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,8 +89,19 @@ impl ParamSpec {
     }
 }
 
-/// Metadata for one property function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a catalog entry's program body runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Runner {
+    /// An MPI body: every rank of the communicator calls it with the same
+    /// parameters and message shape.
+    Mpi(fn(&ParamValues, &BaseComm, &mut Proc, &Comm)),
+    /// An OpenMP body: one master calls it and forks the entry's teams.
+    Omp(fn(&ParamValues, &mut dyn Master)),
+}
+
+/// One property function: its signature, its expected finding, its
+/// program body and the wait that body programs.
+#[derive(Debug, Clone, Copy)]
 pub struct PropertySpec {
     /// Function name (also the trace region the function frames).
     pub name: &'static str,
@@ -100,6 +119,13 @@ pub struct PropertySpec {
     /// Whether the function appears in the paper's prototype list
     /// (§3.1.5) or is an ATS-RS extension from the ASL catalog.
     pub in_paper_prototype: bool,
+    /// The program body.
+    pub runner: Runner,
+    /// Total wait in seconds the body programs with these parameters on a
+    /// communicator of this many ranks, under the zero machine model; zero
+    /// for a negative entry. An OpenMP body run as one team per member
+    /// rank waits once per member.
+    pub wait: fn(&ParamValues, usize) -> f64,
 }
 
 /// The parameters that set how much an entry programs: a positive
@@ -126,6 +152,18 @@ impl PropertySpec {
     }
 }
 
+/// A seconds parameter with the range `[0, 1]`.
+const fn seconds(name: &'static str, default: &'static str, help: &'static str) -> ParamSpec {
+    ParamSpec {
+        name,
+        kind: ParamKind::Seconds,
+        default,
+        min: "0",
+        max: "1",
+        help,
+    }
+}
+
 const P_REPS: ParamSpec = ParamSpec {
     name: "r",
     kind: ParamKind::Count,
@@ -142,38 +180,18 @@ const P_ROOT: ParamSpec = ParamSpec {
     max: "",
     help: "root rank (communicator-local)",
 };
-const P_BASEWORK: ParamSpec = ParamSpec {
-    name: "basework",
-    kind: ParamKind::Seconds,
-    default: "0.01",
-    min: "0",
-    max: "1",
-    help: "work performed by every rank",
-};
-const P_EXTRAWORK: ParamSpec = ParamSpec {
-    name: "extrawork",
-    kind: ParamKind::Seconds,
-    default: "0.04",
-    min: "0",
-    max: "1",
-    help: "additional work for the late side (the severity knob)",
-};
-const P_ROOTWORK: ParamSpec = ParamSpec {
-    name: "rootwork",
-    kind: ParamKind::Seconds,
-    default: "0.005",
-    min: "0",
-    max: "1",
-    help: "work performed by the root",
-};
-const P_BASEEXTRA: ParamSpec = ParamSpec {
-    name: "baseextrawork",
-    kind: ParamKind::Seconds,
-    default: "0.04",
-    min: "0",
-    max: "1",
-    help: "additional work for the non-root ranks (the severity knob)",
-};
+const P_BASEWORK: ParamSpec = seconds("basework", "0.01", "work performed by every rank");
+const P_EXTRAWORK: ParamSpec = seconds(
+    "extrawork",
+    "0.04",
+    "additional work for the late side (the severity knob)",
+);
+const P_ROOTWORK: ParamSpec = seconds("rootwork", "0.005", "work performed by the root");
+const P_BASEEXTRA: ParamSpec = seconds(
+    "baseextrawork",
+    "0.04",
+    "additional work for the non-root ranks (the severity knob)",
+);
 const P_DISTR: ParamSpec = ParamSpec {
     name: "df",
     kind: ParamKind::Distribution,
@@ -190,13 +208,29 @@ const P_NTHREADS: ParamSpec = ParamSpec {
     max: "16",
     help: "OpenMP team size",
 };
-const P_WORK: ParamSpec = ParamSpec {
-    name: "work",
-    kind: ParamKind::Seconds,
-    default: "0.01",
-    min: "0",
-    max: "1",
-    help: "balanced per-participant work",
+const P_OUTSIDEWORK: ParamSpec = seconds("outsidework", "0.0", "parallel work between visits");
+const P_WORK: ParamSpec = seconds("work", "0.01", "balanced per-participant work");
+
+/// A closed-form wait (see [`PropertySpec::wait`]).
+type Wait = fn(&ParamValues, usize) -> f64;
+
+/// One partner of each pair waits `extrawork` per repetition.
+const PAIRS_WAIT: Wait = |v, n| (n / 2) as f64 * v.seconds("extrawork") * v.count("r") as f64;
+/// Every member but the late one waits `extrawork` per repetition.
+const NONROOTS_WAIT: Wait = |v, n| (n as f64 - 1.0) * v.seconds("extrawork") * v.count("r") as f64;
+/// The early root alone waits `baseextrawork` per repetition.
+const ROOT_WAIT: Wait = |v, _| v.seconds("baseextrawork") * v.count("r") as f64;
+/// Each repetition collects every member's gap to the slowest.
+const BARRIER_WAIT: Wait = |v, n| v.count("r") as f64 * imbalance_sum(&v.distr("df"), n);
+/// Each member rank's team collects every thread's gap to the slowest.
+const TEAM_WAIT: Wait =
+    |v, n| n as f64 * v.count("r") as f64 * imbalance_sum(&v.distr("df"), v.count("nthreads"));
+/// Contenders are granted in arrival order: with `outsidework` 0, round
+/// 1 costs `b·t(t−1)/2` and each later round `b·t(t−1)`. The fuzz
+/// generator pins `outsidework` to 0.
+const CONTENTION_WAIT: Wait = |v, n| {
+    let t = v.count("nthreads") as f64;
+    n as f64 * v.seconds("bodywork") * t * (t - 1.0) * (v.count("r") as f64 - 0.5)
 };
 
 /// The full catalog.
@@ -210,6 +244,17 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("LateSender"),
         localized_at: "MPI_Recv",
         in_paper_prototype: true,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_p2p::late_sender(
+                p,
+                base,
+                v.seconds("basework"),
+                v.seconds("extrawork"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: PAIRS_WAIT,
     },
     PropertySpec {
         name: "late_receiver",
@@ -219,6 +264,17 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("LateReceiver"),
         localized_at: "MPI_Ssend",
         in_paper_prototype: true,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_p2p::late_receiver(
+                p,
+                base,
+                v.seconds("basework"),
+                v.seconds("extrawork"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: PAIRS_WAIT,
     },
     PropertySpec {
         name: "late_sender_at_wait",
@@ -226,40 +282,61 @@ pub const CATALOG: &[PropertySpec] = &[
         params: &[
             P_BASEWORK,
             P_EXTRAWORK,
-            ParamSpec {
-                name: "postwork",
-                kind: ParamKind::Seconds,
-                default: "0.01",
-                min: "0",
-                max: "1",
-                help: "work overlapped between MPI_Irecv and MPI_Wait",
-            },
+            seconds(
+                "postwork",
+                "0.01",
+                "work overlapped between MPI_Irecv and MPI_Wait",
+            ),
             P_REPS,
         ],
         description: "late sender surfacing at MPI_Wait after an overlapped MPI_Irecv",
         expected_property: Some("LateSender"),
         localized_at: "MPI_Wait",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_p2p::late_sender_at_wait(
+                p,
+                base,
+                v.seconds("basework"),
+                v.seconds("extrawork"),
+                v.seconds("postwork"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: |v, n| {
+            (n / 2) as f64
+                * v.count("r") as f64
+                * (v.seconds("extrawork") - v.seconds("postwork")).max(0.0)
+        },
     },
     PropertySpec {
         name: "messages_in_wrong_order",
         paradigm: Paradigm::MpiP2p,
         params: &[
             P_BASEWORK,
-            ParamSpec {
-                name: "delay",
-                kind: ParamKind::Seconds,
-                default: "0.04",
-                min: "0",
-                max: "1",
-                help: "gap between the early (wrong-order) and the awaited message",
-            },
+            seconds(
+                "delay",
+                "0.04",
+                "gap between the early (wrong-order) and the awaited message",
+            ),
             P_REPS,
         ],
         description: "receiver blocks for one message while a later one already waits unread",
         expected_property: Some("MessagesWrongOrder"),
         localized_at: "MPI_Recv",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_p2p::messages_in_wrong_order(
+                p,
+                base,
+                v.seconds("basework"),
+                v.seconds("delay"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: |v, n| (n / 2) as f64 * v.seconds("delay") * v.count("r") as f64,
     },
     // ---- MPI collective (paper prototype) ------------------------------
     PropertySpec {
@@ -270,6 +347,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("WaitAtBarrier"),
         localized_at: "MPI_Barrier",
         in_paper_prototype: true,
+        runner: Runner::Mpi(|v, _, p, c| {
+            mpi_coll::imbalance_at_mpi_barrier(p, &v.distr("df"), v.count("r"), c)
+        }),
+        wait: BARRIER_WAIT,
     },
     PropertySpec {
         name: "imbalance_at_mpi_alltoall",
@@ -279,6 +360,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("WaitAtNxN"),
         localized_at: "MPI_Alltoall",
         in_paper_prototype: true,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_coll::imbalance_at_mpi_alltoall(p, base, &v.distr("df"), v.count("r"), c)
+        }),
+        wait: BARRIER_WAIT,
     },
     PropertySpec {
         name: "late_broadcast",
@@ -288,6 +373,18 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("LateBroadcast"),
         localized_at: "MPI_Bcast",
         in_paper_prototype: true,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_coll::late_broadcast(
+                p,
+                base,
+                v.seconds("basework"),
+                v.seconds("extrawork"),
+                v.count("root"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: NONROOTS_WAIT,
     },
     PropertySpec {
         name: "late_scatter",
@@ -297,6 +394,18 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("LateScatter"),
         localized_at: "MPI_Scatter",
         in_paper_prototype: true,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_coll::late_scatter(
+                p,
+                base,
+                v.seconds("basework"),
+                v.seconds("extrawork"),
+                v.count("root"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: NONROOTS_WAIT,
     },
     PropertySpec {
         name: "late_scatterv",
@@ -306,6 +415,18 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("LateScatter"),
         localized_at: "MPI_Scatterv",
         in_paper_prototype: true,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_coll::late_scatterv(
+                p,
+                base,
+                v.seconds("basework"),
+                v.seconds("extrawork"),
+                v.count("root"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: NONROOTS_WAIT,
     },
     PropertySpec {
         name: "early_reduce",
@@ -315,6 +436,18 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("EarlyReduce"),
         localized_at: "MPI_Reduce",
         in_paper_prototype: true,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_coll::early_reduce(
+                p,
+                base,
+                v.seconds("rootwork"),
+                v.seconds("baseextrawork"),
+                v.count("root"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: ROOT_WAIT,
     },
     PropertySpec {
         name: "early_gather",
@@ -324,6 +457,18 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("EarlyGather"),
         localized_at: "MPI_Gather",
         in_paper_prototype: true,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_coll::early_gather(
+                p,
+                base,
+                v.seconds("rootwork"),
+                v.seconds("baseextrawork"),
+                v.count("root"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: ROOT_WAIT,
     },
     PropertySpec {
         name: "early_gatherv",
@@ -333,6 +478,18 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("EarlyGather"),
         localized_at: "MPI_Gatherv",
         in_paper_prototype: true,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_coll::early_gatherv(
+                p,
+                base,
+                v.seconds("rootwork"),
+                v.seconds("baseextrawork"),
+                v.count("root"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: ROOT_WAIT,
     },
     PropertySpec {
         name: "imbalance_at_mpi_allreduce",
@@ -342,6 +499,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("WaitAtNxN"),
         localized_at: "MPI_Allreduce",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_coll::imbalance_at_mpi_allreduce(p, base, &v.distr("df"), v.count("r"), c)
+        }),
+        wait: BARRIER_WAIT,
     },
     PropertySpec {
         name: "imbalance_at_mpi_scan",
@@ -363,6 +524,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("WaitAtNxN"),
         localized_at: "MPI_Scan",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, base, p, c| {
+            mpi_coll::imbalance_at_mpi_scan(p, base, &v.distr("df"), v.count("r"), c)
+        }),
+        wait: |v, n| v.count("r") as f64 * prefix_imbalance_sum(&v.distr("df"), n),
     },
     PropertySpec {
         name: "progressive_imbalance_at_mpi_barrier",
@@ -370,12 +535,12 @@ pub const CATALOG: &[PropertySpec] = &[
         params: &[
             P_DISTR,
             ParamSpec {
-                name: "growth",
-                kind: ParamKind::Seconds,
-                default: "0.5",
-                min: "0",
                 max: "4",
-                help: "per-iteration scale growth (iteration i runs at 1 + growth*i)",
+                ..seconds(
+                    "growth",
+                    "0.5",
+                    "per-iteration scale growth (iteration i runs at 1 + growth*i)",
+                )
             },
             P_REPS,
         ],
@@ -384,26 +549,50 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("WaitAtBarrier"),
         localized_at: "MPI_Barrier",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, _, p, c| {
+            mpi_coll::progressive_imbalance_at_mpi_barrier(
+                p,
+                &v.distr("df"),
+                v.seconds("growth"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: |v, n| {
+            progressive_series(v.seconds("growth"), v.count("r")) * imbalance_sum(&v.distr("df"), n)
+        },
     },
     PropertySpec {
         name: "growing_imbalance_at_mpi_barrier",
         paradigm: Paradigm::MpiCollective,
         params: &[
             P_BASEWORK,
-            ParamSpec {
-                name: "extrastep",
-                kind: ParamKind::Seconds,
-                default: "0.01",
-                min: "0",
-                max: "1",
-                help: "per-iteration increase of the heavy half's extra work",
-            },
+            seconds(
+                "extrastep",
+                "0.01",
+                "per-iteration increase of the heavy half's extra work",
+            ),
             P_REPS,
         ],
         description: "barrier imbalance whose waiting *fraction* grows over the run",
         expected_property: Some("WaitAtBarrier"),
         localized_at: "MPI_Barrier",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, _, p, c| {
+            mpi_coll::growing_imbalance_at_mpi_barrier(
+                p,
+                v.seconds("basework"),
+                v.seconds("extrastep"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: |v, n| {
+            // The light half (ceil(n/2) ranks) waits extrastep*(i+1) in
+            // iteration i: sum over i of (i+1) = r(r+1)/2.
+            let reps = v.count("r") as f64;
+            n.div_ceil(2) as f64 * v.seconds("extrastep") * reps * (reps + 1.0) / 2.0
+        },
     },
     // ---- OpenMP (paper prototype) ---------------------------------------
     PropertySpec {
@@ -414,6 +603,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("OmpImbalanceInRegion"),
         localized_at: "omp_parallel",
         in_paper_prototype: true,
+        runner: Runner::Omp(|v, m| {
+            omp::imbalance_in_omp_pregion(m, v.count("nthreads"), &v.distr("df"), v.count("r"))
+        }),
+        wait: TEAM_WAIT,
     },
     PropertySpec {
         name: "imbalance_at_omp_barrier",
@@ -423,6 +616,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("OmpWaitAtBarrier"),
         localized_at: "omp_barrier",
         in_paper_prototype: true,
+        runner: Runner::Omp(|v, m| {
+            omp::imbalance_at_omp_barrier(m, v.count("nthreads"), &v.distr("df"), v.count("r"))
+        }),
+        wait: TEAM_WAIT,
     },
     PropertySpec {
         name: "imbalance_in_omp_loop",
@@ -432,6 +629,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("OmpWaitAtBarrier"),
         localized_at: "omp_for",
         in_paper_prototype: true,
+        runner: Runner::Omp(|v, m| {
+            omp::imbalance_in_omp_loop(m, v.count("nthreads"), &v.distr("df"), v.count("r"))
+        }),
+        wait: TEAM_WAIT,
     },
     // ---- OpenMP extensions ----------------------------------------------
     PropertySpec {
@@ -442,82 +643,98 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("OmpWaitAtBarrier"),
         localized_at: "omp_sections",
         in_paper_prototype: false,
+        runner: Runner::Omp(|v, m| {
+            omp::imbalance_at_omp_sections(m, v.count("nthreads"), &v.distr("df"), v.count("r"))
+        }),
+        wait: TEAM_WAIT,
     },
     PropertySpec {
         name: "unparallelized_in_omp_single",
         paradigm: Paradigm::Omp,
         params: &[
             P_NTHREADS,
-            ParamSpec {
-                name: "singlework",
-                kind: ParamKind::Seconds,
-                default: "0.02",
-                min: "0",
-                max: "1",
-                help: "serialized work inside the single construct",
-            },
+            seconds(
+                "singlework",
+                "0.02",
+                "serialized work inside the single construct",
+            ),
             P_REPS,
         ],
         description: "the team idles while one thread executes a single construct",
         expected_property: Some("OmpWaitAtBarrier"),
         localized_at: "omp_single",
         in_paper_prototype: false,
+        runner: Runner::Omp(|v, m| {
+            omp::unparallelized_in_omp_single(
+                m,
+                v.count("nthreads"),
+                v.seconds("singlework"),
+                v.count("r"),
+            )
+        }),
+        wait: |v, n| {
+            n as f64
+                * v.count("r") as f64
+                * (v.count("nthreads") as f64 - 1.0)
+                * v.seconds("singlework")
+        },
     },
     PropertySpec {
         name: "unparallelized_in_omp_master",
         paradigm: Paradigm::Omp,
         params: &[
             P_NTHREADS,
-            ParamSpec {
-                name: "masterwork",
-                kind: ParamKind::Seconds,
-                default: "0.02",
-                min: "0",
-                max: "1",
-                help: "serialized work on the master thread",
-            },
-            ParamSpec {
-                name: "otherwork",
-                kind: ParamKind::Seconds,
-                default: "0.002",
-                min: "0",
-                max: "1",
-                help: "work on the non-master threads",
-            },
+            seconds("masterwork", "0.02", "serialized work on the master thread"),
+            seconds("otherwork", "0.002", "work on the non-master threads"),
             P_REPS,
         ],
         description: "master-only work leaving the team idle until the join",
         expected_property: Some("OmpImbalanceInRegion"),
         localized_at: "omp_parallel",
         in_paper_prototype: false,
+        runner: Runner::Omp(|v, m| {
+            omp::unparallelized_in_omp_master(
+                m,
+                v.count("nthreads"),
+                v.seconds("masterwork"),
+                v.seconds("otherwork"),
+                v.count("r"),
+            )
+        }),
+        wait: |v, n| {
+            n as f64
+                * v.count("r") as f64
+                * (v.count("nthreads") as f64 - 1.0)
+                * (v.seconds("masterwork") - v.seconds("otherwork")).max(0.0)
+        },
     },
     PropertySpec {
         name: "omp_critical_contention",
         paradigm: Paradigm::Omp,
         params: &[
             P_NTHREADS,
-            ParamSpec {
-                name: "bodywork",
-                kind: ParamKind::Seconds,
-                default: "0.01",
-                min: "0",
-                max: "1",
-                help: "time inside the critical section per visit",
-            },
-            ParamSpec {
-                name: "outsidework",
-                kind: ParamKind::Seconds,
-                default: "0.0",
-                min: "0",
-                max: "1",
-                help: "parallel work between visits",
-            },
+            seconds(
+                "bodywork",
+                "0.01",
+                "time inside the critical section per visit",
+            ),
+            P_OUTSIDEWORK,
             P_REPS,
         ],
         description: "all threads contend on one named critical section",
         expected_property: Some("OmpCriticalContention"),
         localized_at: "omp_critical",
         in_paper_prototype: false,
+        runner: Runner::Omp(|v, m| {
+            omp::omp_critical_contention(
+                m,
+                v.count("nthreads"),
+                v.seconds("bodywork"),
+                v.seconds("outsidework"),
+                v.count("r"),
+            )
+        }),
+        wait: CONTENTION_WAIT,
     },
     PropertySpec {
         name: "progressive_imbalance_at_omp_barrier",
@@ -526,12 +743,8 @@ pub const CATALOG: &[PropertySpec] = &[
             P_NTHREADS,
             P_DISTR,
             ParamSpec {
-                name: "growth",
-                kind: ParamKind::Seconds,
-                default: "0.5",
-                min: "0",
                 max: "4",
-                help: "per-iteration scale growth",
+                ..seconds("growth", "0.5", "per-iteration scale growth")
             },
             P_REPS,
         ],
@@ -539,34 +752,44 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("OmpWaitAtBarrier"),
         localized_at: "omp_barrier",
         in_paper_prototype: false,
+        runner: Runner::Omp(|v, m| {
+            omp::progressive_imbalance_at_omp_barrier(
+                m,
+                v.count("nthreads"),
+                &v.distr("df"),
+                v.seconds("growth"),
+                v.count("r"),
+            )
+        }),
+        wait: |v, n| {
+            n as f64
+                * progressive_series(v.seconds("growth"), v.count("r"))
+                * imbalance_sum(&v.distr("df"), v.count("nthreads"))
+        },
     },
     PropertySpec {
         name: "omp_lock_contention",
         paradigm: Paradigm::Omp,
         params: &[
             P_NTHREADS,
-            ParamSpec {
-                name: "bodywork",
-                kind: ParamKind::Seconds,
-                default: "0.01",
-                min: "0",
-                max: "1",
-                help: "time holding the lock per visit",
-            },
-            ParamSpec {
-                name: "outsidework",
-                kind: ParamKind::Seconds,
-                default: "0.0",
-                min: "0",
-                max: "1",
-                help: "parallel work between visits",
-            },
+            seconds("bodywork", "0.01", "time holding the lock per visit"),
+            P_OUTSIDEWORK,
             P_REPS,
         ],
         description: "all threads contend on one explicit lock object",
         expected_property: Some("OmpCriticalContention"),
         localized_at: "omp_lock",
         in_paper_prototype: false,
+        runner: Runner::Omp(|v, m| {
+            omp::omp_lock_contention(
+                m,
+                v.count("nthreads"),
+                v.seconds("bodywork"),
+                v.seconds("outsidework"),
+                v.count("r"),
+            )
+        }),
+        wait: CONTENTION_WAIT,
     },
     // ---- Hybrid ----------------------------------------------------------
     PropertySpec {
@@ -577,6 +800,22 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("WaitAtBarrier"),
         localized_at: "MPI_Barrier",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, _, p, c| {
+            hybrid::omp_imbalance_at_mpi_barrier(
+                p,
+                v.count("nthreads"),
+                &hybrid::CATALOG_RANK_SCALE,
+                &v.distr("df"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: |v, n| {
+            // Rank i's team finishes at maxv * scale_i.
+            let team = v.distr("df").values(v.count("nthreads"), 1.0);
+            let maxv = team.iter().cloned().fold(0.0, f64::max);
+            v.count("r") as f64 * maxv * imbalance_sum(&hybrid::CATALOG_RANK_SCALE, n)
+        },
     },
     PropertySpec {
         name: "mpi_in_omp_serial",
@@ -586,6 +825,18 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("LateSender"),
         localized_at: "MPI_Recv",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, base, p, c| {
+            hybrid::mpi_in_omp_serial(
+                p,
+                base,
+                v.count("nthreads"),
+                v.seconds("basework"),
+                v.seconds("extrawork"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: PAIRS_WAIT,
     },
     // ---- Sequential -------------------------------------------------------
     PropertySpec {
@@ -596,6 +847,16 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("WaitAtBarrier"),
         localized_at: "MPI_Barrier",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, _, p, c| {
+            sequential::serial_initialization(
+                p,
+                v.count("root"),
+                v.seconds("extrawork"),
+                v.seconds("basework"),
+                c,
+            )
+        }),
+        wait: |v, n| (n as f64 - 1.0) * v.seconds("extrawork"),
     },
     PropertySpec {
         name: "dominating_sequential_phases",
@@ -605,6 +866,17 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: Some("WaitAtBarrier"),
         localized_at: "MPI_Barrier",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, _, p, c| {
+            sequential::dominating_sequential_phases(
+                p,
+                v.count("root"),
+                v.seconds("extrawork"),
+                v.seconds("basework"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: NONROOTS_WAIT,
     },
     // ---- Negative ----------------------------------------------------------
     PropertySpec {
@@ -615,6 +887,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: None,
         localized_at: "MPI_Barrier",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, _, p, c| {
+            negative::balanced_mpi_barrier(p, v.seconds("work"), v.count("r"), c)
+        }),
+        wait: |_, _| 0.0,
     },
     PropertySpec {
         name: "balanced_mpi_p2p",
@@ -624,6 +900,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: None,
         localized_at: "MPI_Recv",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, base, p, c| {
+            negative::balanced_mpi_p2p(p, base, v.seconds("work"), v.count("r"), c)
+        }),
+        wait: |_, _| 0.0,
     },
     PropertySpec {
         name: "balanced_ring",
@@ -633,6 +913,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: None,
         localized_at: "MPI_Recv",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, base, p, c| {
+            negative::balanced_ring(p, base, v.seconds("work"), v.count("r"), c)
+        }),
+        wait: |_, _| 0.0,
     },
     PropertySpec {
         name: "balanced_mpi_collectives",
@@ -642,6 +926,17 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: None,
         localized_at: "MPI_Bcast",
         in_paper_prototype: false,
+        runner: Runner::Mpi(|v, base, p, c| {
+            negative::balanced_mpi_collectives(
+                p,
+                base,
+                v.seconds("work"),
+                v.count("root"),
+                v.count("r"),
+                c,
+            )
+        }),
+        wait: |_, _| 0.0,
     },
     PropertySpec {
         name: "balanced_omp_region",
@@ -651,6 +946,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: None,
         localized_at: "omp_parallel",
         in_paper_prototype: false,
+        runner: Runner::Omp(|v, m| {
+            negative::balanced_omp_region(m, v.count("nthreads"), v.seconds("work"), v.count("r"))
+        }),
+        wait: |_, _| 0.0,
     },
     PropertySpec {
         name: "balanced_omp_loop",
@@ -660,6 +959,10 @@ pub const CATALOG: &[PropertySpec] = &[
         expected_property: None,
         localized_at: "omp_for",
         in_paper_prototype: false,
+        runner: Runner::Omp(|v, m| {
+            negative::balanced_omp_loop(m, v.count("nthreads"), v.seconds("work"), 4, v.count("r"))
+        }),
+        wait: |_, _| 0.0,
     },
 ];
 

@@ -44,6 +44,8 @@ pub mod error;
 pub mod hybrid;
 /// The canonical JSON model, defined in `ats-runtime`.
 pub use ats_runtime::json;
+mod model;
+pub mod params;
 pub mod pattern;
 pub mod properties;
 pub mod work;
@@ -55,5 +57,6 @@ pub use distribution::Distr;
 pub use error::{Error, ErrorKind};
 pub use hybrid::{with_omp, HybridMaster};
 pub use json::Json;
+pub use params::{ParamValue, ParamValues};
 pub use pattern::{sendrecv, shift, Dir, PatternMode};
 pub use work::{par_do_mpi_work, par_do_omp_work};

@@ -3,12 +3,12 @@
 //! The paper's generated test programs "read the necessary property
 //! parameters from the command line"; this module is that command line:
 //! `key=value` tokens validated against the catalog's
-//! [`ParamSpec`](ats_core::ParamSpec)s — each value's kind and declared
+//! [`ParamSpec`](crate::ParamSpec)s — each value's kind and declared
 //! range, which for a distribution bounds every seconds value it names —
 //! with defaults filled in.
 
-use ats_core::error::quote;
-use ats_core::{Distr, ParamKind, PropertySpec};
+use crate::error::quote;
+use crate::{Distr, ParamKind, PropertySpec};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -186,11 +186,6 @@ impl ParamValues {
             .collect::<Vec<_>>()
             .join(" ")
     }
-
-    /// Iterate entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &ParamValue)> {
-        self.values.iter()
-    }
 }
 
 /// Parse `s` under `kind`, or say why it does not parse.
@@ -216,7 +211,7 @@ fn parse_value(kind: ParamKind, s: &str) -> Result<ParamValue, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ats_core::catalog;
+    use crate::catalog;
 
     #[test]
     fn defaults_fill_everything() {

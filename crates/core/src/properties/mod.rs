@@ -44,7 +44,11 @@ pub(crate) fn frame_mpi<R>(p: &mut Proc, name: &str, body: impl FnOnce(&mut Proc
 }
 
 /// Open a property frame on an OpenMP master.
-pub(crate) fn frame_omp<M: Master, R>(m: &mut M, name: &str, body: impl FnOnce(&mut M) -> R) -> R {
+pub(crate) fn frame_omp<M: Master + ?Sized, R>(
+    m: &mut M,
+    name: &str,
+    body: impl FnOnce(&mut M) -> R,
+) -> R {
     let id = m.collector().intern(name, RegionKind::Property);
     let t = m.clock();
     m.local_mut().enter(t, id);

@@ -82,7 +82,7 @@ pub fn balanced_mpi_collectives(
 
 /// Balanced parallel region + barrier: the negative twin of the OpenMP
 /// imbalance properties.
-pub fn balanced_omp_region<M: Master>(m: &mut M, nthreads: usize, work: f64, r: usize) {
+pub fn balanced_omp_region<M: Master + ?Sized>(m: &mut M, nthreads: usize, work: f64, r: usize) {
     frame_omp(m, "balanced_omp_region", |m| {
         let df = Distr::same(work);
         parallel(m, nthreads, |th| {
@@ -95,7 +95,7 @@ pub fn balanced_omp_region<M: Master>(m: &mut M, nthreads: usize, work: f64, r: 
 }
 
 /// A balanced statically-scheduled loop.
-pub fn balanced_omp_loop<M: Master>(
+pub fn balanced_omp_loop<M: Master + ?Sized>(
     m: &mut M,
     nthreads: usize,
     work_per_iter: f64,

@@ -26,7 +26,12 @@ use ats_runtime::VDur;
 /// *Imbalance in Parallel Region*: each repetition forks a team whose
 /// threads perform distribution-shaped work; the join makes the imbalance
 /// visible as master-side idle time.
-pub fn imbalance_in_omp_pregion<M: Master>(m: &mut M, nthreads: usize, df: &Distr, r: usize) {
+pub fn imbalance_in_omp_pregion<M: Master + ?Sized>(
+    m: &mut M,
+    nthreads: usize,
+    df: &Distr,
+    r: usize,
+) {
     frame_omp(m, "imbalance_in_omp_pregion", |m| {
         for _ in 0..r {
             parallel(m, nthreads, |th| {
@@ -39,7 +44,12 @@ pub fn imbalance_in_omp_pregion<M: Master>(m: &mut M, nthreads: usize, df: &Dist
 /// *Imbalance at OpenMP Barrier* (the paper's fully-listed example): one
 /// parallel region; inside, `r` iterations of shaped work followed by an
 /// explicit barrier.
-pub fn imbalance_at_omp_barrier<M: Master>(m: &mut M, nthreads: usize, df: &Distr, r: usize) {
+pub fn imbalance_at_omp_barrier<M: Master + ?Sized>(
+    m: &mut M,
+    nthreads: usize,
+    df: &Distr,
+    r: usize,
+) {
     frame_omp(m, "imbalance_at_omp_barrier", |m| {
         parallel(m, nthreads, |th| {
             for _ in 0..r {
@@ -53,7 +63,7 @@ pub fn imbalance_at_omp_barrier<M: Master>(m: &mut M, nthreads: usize, df: &Dist
 /// *Progressive Imbalance at OpenMP Barrier*: per-iteration scale factor,
 /// the shared-memory twin of
 /// [`crate::properties::mpi_coll::progressive_imbalance_at_mpi_barrier`].
-pub fn progressive_imbalance_at_omp_barrier<M: Master>(
+pub fn progressive_imbalance_at_omp_barrier<M: Master + ?Sized>(
     m: &mut M,
     nthreads: usize,
     df: &Distr,
@@ -73,7 +83,7 @@ pub fn progressive_imbalance_at_omp_barrier<M: Master>(
 /// *Imbalance in OpenMP Loop*: a statically-scheduled worksharing loop
 /// with one iteration per thread, where iteration `i` costs `df(i)` — the
 /// implicit barrier at loop end collects the waits.
-pub fn imbalance_in_omp_loop<M: Master>(m: &mut M, nthreads: usize, df: &Distr, r: usize) {
+pub fn imbalance_in_omp_loop<M: Master + ?Sized>(m: &mut M, nthreads: usize, df: &Distr, r: usize) {
     frame_omp(m, "imbalance_in_omp_loop", |m| {
         parallel(m, nthreads, |th| {
             let n = th.num_threads();
@@ -88,7 +98,12 @@ pub fn imbalance_in_omp_loop<M: Master>(m: &mut M, nthreads: usize, df: &Distr, 
 
 /// *Imbalance at OpenMP Sections* — extension: one section per thread,
 /// with section `i` costing `df(i)`.
-pub fn imbalance_at_omp_sections<M: Master>(m: &mut M, nthreads: usize, df: &Distr, r: usize) {
+pub fn imbalance_at_omp_sections<M: Master + ?Sized>(
+    m: &mut M,
+    nthreads: usize,
+    df: &Distr,
+    r: usize,
+) {
     frame_omp(m, "imbalance_at_omp_sections", |m| {
         parallel(m, nthreads, |th| {
             let n = th.num_threads();
@@ -119,7 +134,7 @@ fn shaped_sections<'t>(th: &mut ats_omp::OmpThread<'t>, costs: Vec<VDur>) {
 /// *Serialization in `single`* — extension (ASL: "unparallelized code in
 /// single region"): all threads idle at the implicit barrier while thread
 /// 0 executes `singlework` seconds.
-pub fn unparallelized_in_omp_single<M: Master>(
+pub fn unparallelized_in_omp_single<M: Master + ?Sized>(
     m: &mut M,
     nthreads: usize,
     singlework: f64,
@@ -137,7 +152,7 @@ pub fn unparallelized_in_omp_single<M: Master>(
 /// *Serialization in `master`* — extension: the master computes
 /// `masterwork` while the team computes only `otherwork`; the join
 /// collects the idle time.
-pub fn unparallelized_in_omp_master<M: Master>(
+pub fn unparallelized_in_omp_master<M: Master + ?Sized>(
     m: &mut M,
     nthreads: usize,
     masterwork: f64,
@@ -160,7 +175,7 @@ pub fn unparallelized_in_omp_master<M: Master>(
 /// enters the same named critical section for `bodywork` seconds, with
 /// `outsidework` seconds of parallel work between visits. With
 /// `outsidework < (nthreads − 1) · bodywork` the lock is the bottleneck.
-pub fn omp_critical_contention<M: Master>(
+pub fn omp_critical_contention<M: Master + ?Sized>(
     m: &mut M,
     nthreads: usize,
     bodywork: f64,
@@ -180,7 +195,7 @@ pub fn omp_critical_contention<M: Master>(
 /// *Lock Contention* — extension: all threads hammer one explicit lock
 /// object (`omp_set_lock` style), the lock-based twin of
 /// [`omp_critical_contention`].
-pub fn omp_lock_contention<M: Master>(
+pub fn omp_lock_contention<M: Master + ?Sized>(
     m: &mut M,
     nthreads: usize,
     bodywork: f64,

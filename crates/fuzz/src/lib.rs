@@ -18,9 +18,9 @@
 //!   byte-stable single text line;
 //! * [`generator`] — seeded scenario generation (same seed ⇒ the
 //!   byte-identical scenario, at any worker count);
-//! * [`model`] — closed-form nominal-wait models per catalog property;
 //! * [`oracle`] — execution on the simulator plus report scoring
-//!   (missed / spurious / wait-out-of-band violations);
+//!   against each catalog record's closed-form wait (missed / spurious /
+//!   wait-out-of-band violations);
 //! * [`shrink`](mod@shrink) — greedy minimization of violating scenarios;
 //! * [`corpus`] — persistence and replay of minimized witnesses;
 //! * [`campaign`] — pool-parallel fuzzing runs with aggregate stats.
@@ -28,7 +28,6 @@
 pub mod campaign;
 pub mod corpus;
 pub mod generator;
-pub mod model;
 pub mod oracle;
 pub mod scenario;
 pub mod shrink;

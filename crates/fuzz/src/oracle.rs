@@ -1,9 +1,9 @@
 //! Scenario execution and the compositional ground-truth oracle.
 //!
-//! Every generated scenario carries its own ground truth: the catalog
-//! says what each positive phase must be reported as and where, the
-//! closed-form models in [`crate::model`] say how much waiting time it
-//! programs on its group, and padding phases program exactly zero wait.
+//! Every generated scenario carries its own ground truth: each phase's
+//! catalog record says what it must be reported as and where, and its
+//! closed-form [`wait`](ats_core::PropertySpec::wait) says how much
+//! waiting time it programs on its group (exactly zero for padding).
 //! The oracle executes the scenario (every phase wrapped in a `fzNN`
 //! trace region), runs the analyzer, and scores the report against that
 //! composed prediction. Three things are violations:
@@ -24,10 +24,9 @@
 //! produces `Missed` violations: the mechanism the oracle/shrinker
 //! integration test uses to prove the loop is live.
 
-use crate::model;
-use crate::scenario::{region_name, Phase, Scenario, Split, SYNC_REGION};
+use crate::scenario::{region_name, Scenario, Split, SYNC_REGION};
 use ats_analyzer::{analyze, AnalysisReport, AnalyzerConfig};
-use ats_core::{BaseComm, Error};
+use ats_core::{BaseComm, Error, ParamValues, PropertySpec};
 use ats_harness::{run_in_comm, RunOpts};
 use ats_trace::{RegionKind, Trace};
 
@@ -104,19 +103,15 @@ impl Violation {
 }
 
 /// The oracle's per-phase prediction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Prediction {
     /// Global phase index.
     pub phase: usize,
     /// Trace region wrapping the phase.
     pub region: String,
-    /// Catalog property-function name.
-    pub property: String,
-    /// Analyzer property a correct tool must report (`None` = padding,
-    /// which must stay finding-free).
-    pub expected: Option<String>,
-    /// Call region the finding must be localized at.
-    pub localized_at: String,
+    /// The phase's catalog record: what a correct tool must report
+    /// (nothing, for padding) and where.
+    pub spec: &'static PropertySpec,
     /// Communicator size the phase runs on.
     pub group_size: usize,
     /// Programmed total wait in seconds (0 for padding).
@@ -129,58 +124,61 @@ fn predict(sc: &Scenario) -> Result<Vec<Prediction>, Error> {
     sc.validate()?;
     let mut out = Vec::with_capacity(sc.num_phases());
     for (idx, slot_idx, ph) in sc.indexed_phases() {
-        let spec = ats_core::catalog::find(&ph.property).expect("validated");
+        let (spec, v) = ph.resolve()?;
         let group_size = sc.slots[slot_idx].split.group_size(ph.group, sc.nprocs);
-        let v = ph.param_values()?;
-        let nominal_wait = model::nominal_wait(&ph.property, &v, group_size).unwrap_or(0.0);
         out.push(Prediction {
             phase: idx,
             region: region_name(idx),
-            property: ph.property.clone(),
-            expected: spec.expected_property.map(str::to_owned),
-            localized_at: spec.localized_at.to_owned(),
+            spec,
             group_size,
-            nominal_wait,
+            nominal_wait: (spec.wait)(&v, group_size),
         });
     }
     Ok(out)
 }
+
+/// A phase's catalog record and parameters, resolved before the ranks
+/// start.
+type Resolved = (&'static PropertySpec, ParamValues);
 
 /// Execute a scenario into a trace: one `ats_mpi::run` with every phase
 /// wrapped in its `fzNN` region and a world barrier (inside the
 /// [`SYNC_REGION`]) realigning all clocks between slots.
 pub fn execute(sc: &Scenario, opts: &RunOpts) -> Result<Trace, Error> {
     sc.validate()?;
-    let sc = sc.clone();
+    let phases = sc
+        .indexed_phases()
+        .into_iter()
+        .map(|(_, _, ph)| ph.resolve())
+        .collect::<Result<Vec<Resolved>, Error>>()?;
     let base = opts.base;
     let cfg = opts.clone().procs(sc.nprocs).sim_config();
-    Ok(ats_mpi::run(cfg, move |p| run_rank(&sc, &base, p)))
+    Ok(ats_mpi::run(cfg, |p| run_rank(sc, &phases, &base, p)))
 }
 
-fn run_rank(sc: &Scenario, base: &BaseComm, p: &mut ats_mpi::Proc) {
+fn run_rank(sc: &Scenario, phases: &[Resolved], base: &BaseComm, p: &mut ats_mpi::Proc) {
     let world = p.comm_world();
     let mut idx = 0usize;
     for slot in &sc.slots {
-        match slot.split {
-            Split::Whole => {
-                for ph in &slot.phases {
-                    run_phase(idx, ph, base, p, &world);
-                    idx += 1;
-                }
-            }
+        let (color, comm) = match slot.split {
+            Split::Whole => (0, world.clone()),
             split => {
                 let color = split.color(p.rank(), sc.nprocs);
                 // Collective over the world: every rank participates.
                 let sub = p
                     .comm_split(color as i64, p.rank() as i64, &world)
                     .expect("non-negative color");
-                for ph in &slot.phases {
-                    if ph.group == color {
-                        run_phase(idx, ph, base, p, &sub);
-                    }
-                    idx += 1;
-                }
+                (color, sub)
             }
+        };
+        for ph in &slot.phases {
+            if ph.group == color {
+                let ((spec, v), region) = (&phases[idx], region_name(idx));
+                p.enter_region(&region, RegionKind::User);
+                run_in_comm(spec, v, base, p, &comm);
+                p.exit_region(&region);
+            }
+            idx += 1;
         }
         // Realign all clocks so the next slot starts synchronized. Groups
         // finish at different times, so this barrier legitimately
@@ -191,12 +189,19 @@ fn run_rank(sc: &Scenario, base: &BaseComm, p: &mut ats_mpi::Proc) {
     }
 }
 
-fn run_phase(idx: usize, ph: &Phase, base: &BaseComm, p: &mut ats_mpi::Proc, c: &ats_mpi::Comm) {
-    let region = region_name(idx);
-    let v = ph.param_values().expect("validated");
-    p.enter_region(&region, RegionKind::User);
-    run_in_comm(&ph.property, &v, base, p, c);
-    p.exit_region(&region);
+/// Multiplicative tolerance band `(lo, hi)` for catalog entry `name`: a
+/// measured wait `w` is in band iff `lo * nominal <= w <= hi * nominal`.
+fn band(name: &str) -> (f64, f64) {
+    match name {
+        // The analyzer may split the programmed delay between the
+        // wrong-order and plain late-sender classifications, or measure
+        // the wait from the MPI_Wait entry rather than the post time.
+        "messages_in_wrong_order" | "late_sender_at_wait" => (0.1, 10.0),
+        // Hybrid: thread-level imbalance adds secondary waits around the
+        // modeled rank-level barrier wait.
+        "omp_imbalance_at_mpi_barrier" | "mpi_in_omp_serial" => (0.1, 10.0),
+        _ => (0.2, 5.0),
+    }
 }
 
 /// Score an analysis report against the predictions. `total_alloc_secs`
@@ -213,7 +218,7 @@ pub fn score(
         // property frame nests below it), so this matches exactly the
         // findings inside this phase.
         let tag = format!("{}/", pred.region);
-        match &pred.expected {
+        match pred.spec.expected_property {
             None => {
                 let spurious: Vec<String> = report
                     .findings
@@ -233,38 +238,38 @@ pub fn score(
                         kind: ViolationKind::Spurious,
                         phase: pred.phase,
                         region: pred.region.clone(),
-                        property: pred.property.clone(),
+                        property: pred.spec.name.to_owned(),
                         detail: format!("padding phase has findings: {}", spurious.join("; ")),
                     });
                 }
             }
             Some(expected) => {
-                let matching = report.findings_at(expected, &tag, &pred.localized_at);
+                let matching = report.findings_at(expected, &tag, pred.spec.localized_at);
                 let predicted_severity = if total_alloc_secs > 0.0 {
                     pred.nominal_wait / total_alloc_secs
                 } else {
                     0.0
                 };
-                let band = model::band(&pred.property);
+                let (band_lo, band_hi) = band(pred.spec.name);
                 // Demand presence only when even the most conservative
-                // in-band attribution (band.lo of the nominal) still
+                // in-band attribution (band_lo of the nominal) still
                 // clears the tool's threshold — wide-band properties may
                 // legitimately attribute only part of the programmed wait.
                 let must_detect = predicted_severity
                     >= cfg.presence_factor * cfg.expected_threshold
-                    && predicted_severity * band.lo >= cfg.expected_threshold;
+                    && predicted_severity * band_lo >= cfg.expected_threshold;
                 if matching.is_empty() {
                     if must_detect {
                         out.push(Violation {
                             kind: ViolationKind::Missed,
                             phase: pred.phase,
                             region: pred.region.clone(),
-                            property: pred.property.clone(),
+                            property: pred.spec.name.to_owned(),
                             detail: format!(
                                 "no {expected} at {}/{} despite predicted severity {:.4} \
                                  (threshold {:.4}, nominal wait {:.4}s over {} ranks)",
                                 pred.region,
-                                pred.localized_at,
+                                pred.spec.localized_at,
                                 predicted_severity,
                                 cfg.expected_threshold,
                                 pred.nominal_wait,
@@ -274,13 +279,13 @@ pub fn score(
                     }
                 } else if must_detect {
                     let measured: f64 = matching.iter().map(|f| f.wait.as_secs()).sum();
-                    let (lo, hi) = (band.lo * pred.nominal_wait, band.hi * pred.nominal_wait);
+                    let (lo, hi) = (band_lo * pred.nominal_wait, band_hi * pred.nominal_wait);
                     if measured < lo || measured > hi {
                         out.push(Violation {
                             kind: ViolationKind::WaitOutOfBand,
                             phase: pred.phase,
                             region: pred.region.clone(),
-                            property: pred.property.clone(),
+                            property: pred.spec.name.to_owned(),
                             detail: format!(
                                 "{expected} wait {measured:.4}s outside [{lo:.4}, {hi:.4}] \
                                  (nominal {:.4}s)",
@@ -335,7 +340,7 @@ pub fn violations_of(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Slot;
+    use crate::scenario::{Phase, Slot};
 
     fn phase(group: usize, property: &str, params: &[(&str, &str)]) -> Phase {
         Phase {
@@ -389,12 +394,12 @@ mod tests {
         assert_eq!(preds[0].group_size, 4, "stride2 over 8 ranks");
         // 4-rank group -> 2 pairs * 0.04 * 2 reps.
         assert!((preds[0].nominal_wait - 0.16).abs() < 1e-12);
-        assert_eq!(preds[1].expected, None, "padding predicts nothing");
+        assert_eq!(preds[1].spec.expected_property, None, "padding");
         assert_eq!(preds[1].nominal_wait, 0.0);
         assert_eq!(preds[2].group_size, 8);
         // (8-1) * 0.03 * 2.
         assert!((preds[2].nominal_wait - 0.42).abs() < 1e-12);
-        assert_eq!(preds[2].localized_at, "MPI_Bcast");
+        assert_eq!(preds[2].spec.localized_at, "MPI_Bcast");
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //! value always prints the same bytes — the property the determinism
 //! gate in CI checks.
 
-use ats_core::catalog::{self, Paradigm};
+use ats_core::catalog::{self, Paradigm, PropertySpec};
 use ats_core::error::quote;
-use ats_core::Error;
-use ats_harness::ParamValues;
+use ats_core::{Error, ParamValues};
 use ats_mpi::MAX_NPROCS;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -122,9 +121,9 @@ pub struct Phase {
 }
 
 impl Phase {
-    /// Resolve the stored strings into typed [`ParamValues`] (defaults
-    /// filled in for unset parameters).
-    pub fn param_values(&self) -> Result<ParamValues, Error> {
+    /// Resolve the phase's catalog record, and its stored strings into
+    /// typed [`ParamValues`] (defaults filled in for unset parameters).
+    pub fn resolve(&self) -> Result<(&'static PropertySpec, ParamValues), Error> {
         let spec =
             catalog::find(&self.property).ok_or_else(|| Error::unknown_property(&self.property))?;
         let args: Vec<String> = self
@@ -133,8 +132,9 @@ impl Phase {
             .map(|(k, v)| format!("{k}={v}"))
             .collect();
         let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-        ParamValues::from_args(spec, &refs)
-            .map_err(|e| Error::invalid_param(format!("{}: {e}", self.property)))
+        let v = ParamValues::from_args(spec, &refs)
+            .map_err(|e| Error::invalid_param(format!("{}: {e}", self.property)))?;
+        Ok((spec, v))
     }
 
     /// True if this phase is a well-tuned padding phase (a catalog
@@ -242,8 +242,8 @@ impl Scenario {
                     )));
                 }
                 seen.push(ph.group);
-                let v = ph
-                    .param_values()
+                let (_, v) = ph
+                    .resolve()
                     .map_err(|e| Error::scenario(format!("slot {si}: {e}")))?;
                 v.check_root(slot.split.group_size(ph.group, self.nprocs))
                     .map_err(|e| Error::scenario(format!("slot {si}: {}: {e}", ph.property)))?;

@@ -9,12 +9,11 @@
 //! configuration.
 
 use crate::cache::{self, row_from_json, row_to_json};
-use crate::params::{ParamValue, ParamValues};
 use crate::pool;
 use crate::registry::{run_single, spec_of, RunOpts};
 use ats_analyzer::{analyze, AnalyzerConfig};
 use ats_core::catalog::PropertySpec;
-use ats_core::Error;
+use ats_core::{Error, ParamValue, ParamValues};
 use ats_store::{Cache, CacheKey, Json};
 use ats_trace::{PoolStats, TracePool};
 use std::time::Instant;

@@ -3,9 +3,10 @@
 //! Test-program generation, experiment management, rendering and
 //! validation — the outer ring of the ATS framework.
 //!
-//! * [`params`] / [`registry`]: typed command-line-style parameters and
-//!   the dispatcher that turns any catalog entry into an executed test
-//!   program (the runtime half of the paper's PDT-based generator);
+//! * [`registry`]: runs any catalog record's program body from typed
+//!   command-line-style parameters ([`ParamValues`], defined in
+//!   `ats-core` beside the catalog and re-exported here) into an executed
+//!   test program (the runtime half of the paper's PDT-based generator);
 //! * [`generate`]: the source-code half — emits standalone Rust `main`s
 //!   for single-property test programs from the catalog signatures;
 //! * [`experiment`]: parameter sweeps and result tables (the ZENTURIO
@@ -30,7 +31,6 @@ pub mod cache;
 pub mod correctness;
 pub mod experiment;
 pub mod generate;
-pub mod params;
 pub mod pool;
 pub mod profile;
 pub mod registry;
@@ -39,8 +39,8 @@ pub mod session;
 pub mod timeline;
 pub mod validation;
 
+pub use ats_core::{ParamValue, ParamValues};
 pub use correctness::SuiteSummary;
 pub use experiment::{Experiment, ExperimentRow, ExperimentStats, Sweep};
-pub use params::{ParamValue, ParamValues};
 pub use registry::{run_in_comm, run_single, spec_of, RunOpts};
 pub use session::{Session, SessionBuilder};

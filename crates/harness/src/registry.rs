@@ -3,12 +3,11 @@
 //!
 //! This is the runtime half of the paper's single-property test-program
 //! generator: where the C prototype generates a `main` per property with
-//! PDT, ATS-RS binds every catalog entry to a typed dispatcher so any
+//! PDT, every ATS-RS catalog record carries its own program body, so any
 //! property can be executed from a command-line-style specification.
 
-use crate::params::ParamValues;
-use ats_core::catalog::{self, Paradigm, PropertySpec};
-use ats_core::{composite, properties, with_omp, BaseComm, CompositeParams, Error};
+use ats_core::catalog::{self, Paradigm, PropertySpec, Runner};
+use ats_core::{composite, with_omp, BaseComm, CompositeParams, Error, ParamValues};
 use ats_mpi::SimConfig;
 use ats_omp::OmpConfig;
 use ats_runtime::{MachineModel, VDur};
@@ -139,273 +138,37 @@ pub fn spec_of(name: &str) -> Result<&'static PropertySpec, Error> {
 /// does after parsing its command line.
 pub fn run_single(name: &str, params: &ParamValues, opts: &RunOpts) -> Result<Trace, Error> {
     let spec = spec_of(name)?;
-    let p = params.clone();
     let base = opts.base;
-    let trace = match spec.paradigm {
-        Paradigm::Omp => {
-            // Pure shared-memory program.
-            ats_omp::run_omp(opts.omp_config(), move |m| dispatch_omp(name, &p, m))
+    let trace = match (spec.paradigm, spec.runner) {
+        // Pure shared-memory program.
+        (Paradigm::Omp, Runner::Omp(body)) => {
+            ats_omp::run_omp(opts.omp_config(), |m| body(params, m))
         }
-        _ => ats_mpi::run(opts.sim_config(), move |proc| {
-            dispatch_mpi(name, &p, &base, proc)
+        _ => ats_mpi::run(opts.sim_config(), |p| {
+            let world = p.comm_world();
+            run_in_comm(spec, params, &base, p, &world);
         }),
     };
     Ok(trace)
 }
 
-fn dispatch_omp<M: ats_omp::Master>(name: &str, v: &ParamValues, m: &mut M) {
-    use properties::{negative, omp};
-    match name {
-        "imbalance_in_omp_pregion" => {
-            omp::imbalance_in_omp_pregion(m, v.count("nthreads"), &v.distr("df"), v.count("r"))
-        }
-        "imbalance_at_omp_barrier" => {
-            omp::imbalance_at_omp_barrier(m, v.count("nthreads"), &v.distr("df"), v.count("r"))
-        }
-        "progressive_imbalance_at_omp_barrier" => omp::progressive_imbalance_at_omp_barrier(
-            m,
-            v.count("nthreads"),
-            &v.distr("df"),
-            v.seconds("growth"),
-            v.count("r"),
-        ),
-        "imbalance_in_omp_loop" => {
-            omp::imbalance_in_omp_loop(m, v.count("nthreads"), &v.distr("df"), v.count("r"))
-        }
-        "imbalance_at_omp_sections" => {
-            omp::imbalance_at_omp_sections(m, v.count("nthreads"), &v.distr("df"), v.count("r"))
-        }
-        "unparallelized_in_omp_single" => omp::unparallelized_in_omp_single(
-            m,
-            v.count("nthreads"),
-            v.seconds("singlework"),
-            v.count("r"),
-        ),
-        "unparallelized_in_omp_master" => omp::unparallelized_in_omp_master(
-            m,
-            v.count("nthreads"),
-            v.seconds("masterwork"),
-            v.seconds("otherwork"),
-            v.count("r"),
-        ),
-        "omp_critical_contention" => omp::omp_critical_contention(
-            m,
-            v.count("nthreads"),
-            v.seconds("bodywork"),
-            v.seconds("outsidework"),
-            v.count("r"),
-        ),
-        "omp_lock_contention" => omp::omp_lock_contention(
-            m,
-            v.count("nthreads"),
-            v.seconds("bodywork"),
-            v.seconds("outsidework"),
-            v.count("r"),
-        ),
-        "balanced_omp_region" => {
-            negative::balanced_omp_region(m, v.count("nthreads"), v.seconds("work"), v.count("r"))
-        }
-        "balanced_omp_loop" => {
-            negative::balanced_omp_loop(m, v.count("nthreads"), v.seconds("work"), 4, v.count("r"))
-        }
-        other => unreachable!("OMP dispatch for non-OMP property {other}"),
-    }
-}
-
-fn dispatch_mpi(name: &str, v: &ParamValues, base: &BaseComm, p: &mut ats_mpi::Proc) {
-    let c = p.comm_world();
-    run_in_comm(name, v, base, p, &c);
-}
-
-/// Execute property `name` on an arbitrary communicator inside a running
-/// simulated rank. This is the composition primitive: scenario builders
-/// (hand-written composites, the fuzzer) split the world into groups and
-/// place catalog properties on the resulting sub-communicators. Every
-/// rank of `c` must call this with the same arguments; ranks outside `c`
-/// must not call it. OMP-paradigm properties run a per-rank thread team
-/// (the hybrid harness mode) and use `c` only for placement.
-///
-/// Panics if `name` has no catalog entry — validate with [`spec_of`]
-/// before entering the simulation closure.
+/// Execute catalog entry `spec` on an arbitrary communicator inside a
+/// running simulated rank. This is the composition primitive: scenario
+/// builders (hand-written composites, the fuzzer) split the world into
+/// groups and place catalog properties on the resulting sub-communicators.
+/// Every rank of `c` must call this with the same arguments; ranks outside
+/// `c` must not call it. An OpenMP body runs one thread team per rank (the
+/// hybrid harness mode) and uses `c` only for placement.
 pub fn run_in_comm(
-    name: &str,
+    spec: &PropertySpec,
     v: &ParamValues,
     base: &BaseComm,
     p: &mut ats_mpi::Proc,
     c: &ats_mpi::Comm,
 ) {
-    use properties::{hybrid, mpi_coll, mpi_p2p, negative, sequential};
-    let c = c.clone();
-    match name {
-        "late_sender" => mpi_p2p::late_sender(
-            p,
-            base,
-            v.seconds("basework"),
-            v.seconds("extrawork"),
-            v.count("r"),
-            &c,
-        ),
-        "late_receiver" => mpi_p2p::late_receiver(
-            p,
-            base,
-            v.seconds("basework"),
-            v.seconds("extrawork"),
-            v.count("r"),
-            &c,
-        ),
-        "late_sender_at_wait" => mpi_p2p::late_sender_at_wait(
-            p,
-            base,
-            v.seconds("basework"),
-            v.seconds("extrawork"),
-            v.seconds("postwork"),
-            v.count("r"),
-            &c,
-        ),
-        "imbalance_at_mpi_barrier" => {
-            mpi_coll::imbalance_at_mpi_barrier(p, &v.distr("df"), v.count("r"), &c)
-        }
-        "growing_imbalance_at_mpi_barrier" => mpi_coll::growing_imbalance_at_mpi_barrier(
-            p,
-            v.seconds("basework"),
-            v.seconds("extrastep"),
-            v.count("r"),
-            &c,
-        ),
-        "progressive_imbalance_at_mpi_barrier" => mpi_coll::progressive_imbalance_at_mpi_barrier(
-            p,
-            &v.distr("df"),
-            v.seconds("growth"),
-            v.count("r"),
-            &c,
-        ),
-        "messages_in_wrong_order" => mpi_p2p::messages_in_wrong_order(
-            p,
-            base,
-            v.seconds("basework"),
-            v.seconds("delay"),
-            v.count("r"),
-            &c,
-        ),
-        "imbalance_at_mpi_alltoall" => {
-            mpi_coll::imbalance_at_mpi_alltoall(p, base, &v.distr("df"), v.count("r"), &c)
-        }
-        "imbalance_at_mpi_allreduce" => {
-            mpi_coll::imbalance_at_mpi_allreduce(p, base, &v.distr("df"), v.count("r"), &c)
-        }
-        "imbalance_at_mpi_scan" => {
-            mpi_coll::imbalance_at_mpi_scan(p, base, &v.distr("df"), v.count("r"), &c)
-        }
-        "late_broadcast" => mpi_coll::late_broadcast(
-            p,
-            base,
-            v.seconds("basework"),
-            v.seconds("extrawork"),
-            v.count("root"),
-            v.count("r"),
-            &c,
-        ),
-        "late_scatter" => mpi_coll::late_scatter(
-            p,
-            base,
-            v.seconds("basework"),
-            v.seconds("extrawork"),
-            v.count("root"),
-            v.count("r"),
-            &c,
-        ),
-        "late_scatterv" => mpi_coll::late_scatterv(
-            p,
-            base,
-            v.seconds("basework"),
-            v.seconds("extrawork"),
-            v.count("root"),
-            v.count("r"),
-            &c,
-        ),
-        "early_reduce" => mpi_coll::early_reduce(
-            p,
-            base,
-            v.seconds("rootwork"),
-            v.seconds("baseextrawork"),
-            v.count("root"),
-            v.count("r"),
-            &c,
-        ),
-        "early_gather" => mpi_coll::early_gather(
-            p,
-            base,
-            v.seconds("rootwork"),
-            v.seconds("baseextrawork"),
-            v.count("root"),
-            v.count("r"),
-            &c,
-        ),
-        "early_gatherv" => mpi_coll::early_gatherv(
-            p,
-            base,
-            v.seconds("rootwork"),
-            v.seconds("baseextrawork"),
-            v.count("root"),
-            v.count("r"),
-            &c,
-        ),
-        "omp_imbalance_at_mpi_barrier" => hybrid::omp_imbalance_at_mpi_barrier(
-            p,
-            v.count("nthreads"),
-            &hybrid::CATALOG_RANK_SCALE,
-            &v.distr("df"),
-            v.count("r"),
-            &c,
-        ),
-        "mpi_in_omp_serial" => hybrid::mpi_in_omp_serial(
-            p,
-            base,
-            v.count("nthreads"),
-            v.seconds("basework"),
-            v.seconds("extrawork"),
-            v.count("r"),
-            &c,
-        ),
-        "serial_initialization" => sequential::serial_initialization(
-            p,
-            v.count("root"),
-            v.seconds("extrawork"),
-            v.seconds("basework"),
-            &c,
-        ),
-        "dominating_sequential_phases" => sequential::dominating_sequential_phases(
-            p,
-            v.count("root"),
-            v.seconds("extrawork"),
-            v.seconds("basework"),
-            v.count("r"),
-            &c,
-        ),
-        "balanced_mpi_barrier" => {
-            negative::balanced_mpi_barrier(p, v.seconds("work"), v.count("r"), &c)
-        }
-        "balanced_mpi_p2p" => {
-            negative::balanced_mpi_p2p(p, base, v.seconds("work"), v.count("r"), &c)
-        }
-        "balanced_ring" => negative::balanced_ring(p, base, v.seconds("work"), v.count("r"), &c),
-        "balanced_mpi_collectives" => negative::balanced_mpi_collectives(
-            p,
-            base,
-            v.seconds("work"),
-            v.count("root"),
-            v.count("r"),
-            &c,
-        ),
-        // OMP-paradigm properties (including the OMP negative cases) can
-        // also run inside an MPI rank — the hybrid harness mode.
-        "balanced_omp_region" | "balanced_omp_loop" => {
-            with_omp(p, |m| dispatch_omp(name, v, m));
-        }
-        other if catalog::find(other).map(|s| s.paradigm) == Some(Paradigm::Omp) => {
-            with_omp(p, |m| dispatch_omp(other, v, m));
-        }
-        other => unreachable!("MPI dispatch for unknown property {other}"),
+    match spec.runner {
+        Runner::Mpi(body) => body(v, base, p, c),
+        Runner::Omp(body) => with_omp(p, |m| body(v, m)),
     }
 }
 
@@ -438,7 +201,7 @@ mod tests {
         for spec in ats_core::CATALOG {
             // Shrink work so the full sweep is fast.
             let mut params = ParamValues::defaults(spec);
-            params.set("r", crate::params::ParamValue::Count(1));
+            params.set("r", ats_core::ParamValue::Count(1));
             let trace = run_single(spec.name, &params, &opts)
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             assert!(
@@ -495,8 +258,9 @@ mod tests {
         // finding under the even half's property frame only.
         let opts = RunOpts::default().procs(8);
         let spec = spec_of("late_sender").unwrap();
+        let balanced = spec_of("balanced_mpi_barrier").unwrap();
         let pos = ParamValues::defaults(spec);
-        let neg = ParamValues::defaults(spec_of("balanced_mpi_barrier").unwrap());
+        let neg = ParamValues::defaults(balanced);
         let base = opts.base;
         let trace = ats_mpi::run(opts.sim_config(), move |p| {
             let world = p.comm_world();
@@ -505,9 +269,9 @@ mod tests {
                 .comm_split(color, p.rank() as i64, &world)
                 .expect("non-negative color");
             if color == 0 {
-                run_in_comm("late_sender", &pos, &base, p, &sub);
+                run_in_comm(spec, &pos, &base, p, &sub);
             } else {
-                run_in_comm("balanced_mpi_barrier", &neg, &base, p, &sub);
+                run_in_comm(balanced, &neg, &base, p, &sub);
             }
             p.barrier(&world);
         });

@@ -23,10 +23,9 @@
 //! ```
 
 use crate::experiment::Experiment;
-use crate::params::ParamValues;
 use crate::registry::{run_single, RunOpts};
 use ats_analyzer::{analyze, AnalysisReport, AnalyzerConfig};
-use ats_core::Error;
+use ats_core::{Error, ParamValues};
 use ats_obs::{build_manifest, prometheus, Handle, ObsConfig, RunManifest};
 use ats_store::{Cache, CacheMode, Json, Store};
 use ats_trace::Trace;

@@ -117,16 +117,6 @@ impl Mailbox {
         self.ws.notify_all(at);
     }
 
-    /// Number of queued messages (diagnostics only).
-    pub fn len(&self) -> usize {
-        unpoison(self.queue.lock()).len()
-    }
-
-    /// True if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        unpoison(self.queue.lock()).is_empty()
-    }
-
     /// Remove and return the envelope matching `spec` with the earliest
     /// virtual send post (see [`Mailbox::take_match_any`]), blocking until
     /// one arrives. `now` is the receiver's virtual clock at the blocking
@@ -172,6 +162,11 @@ mod tests {
     use ats_runtime::sched;
     use ats_testutil::{panics_alike_on_both_carriers, run_as_tasks, CARRIERS};
 
+    /// Number of queued messages.
+    fn depth(mb: &Mailbox) -> usize {
+        unpoison(mb.queue.lock()).len()
+    }
+
     fn env(comm: u32, src: u32, tag: i32) -> Envelope {
         Envelope {
             comm,
@@ -195,7 +190,7 @@ mod tests {
         };
         let first = mb.take_match(spec, VTime::ZERO);
         assert_eq!(first.send_post, VTime(1));
-        assert_eq!(mb.len(), 1);
+        assert_eq!(depth(&mb), 1);
     }
 
     #[test]
@@ -212,7 +207,7 @@ mod tests {
             VTime::ZERO,
         );
         assert_eq!(got.tag, 9);
-        assert_eq!(mb.len(), 1, "the tag-5 message stays queued");
+        assert_eq!(depth(&mb), 1, "the tag-5 message stays queued");
     }
 
     #[test]
@@ -228,7 +223,7 @@ mod tests {
         // The comm-7 message is older, but a comm-8 receive must skip it.
         assert_eq!(mb.take_match(spec(8), VTime::ZERO).comm, 8);
         assert_eq!(mb.take_match(spec(7), VTime::ZERO).comm, 7);
-        assert!(mb.is_empty());
+        assert_eq!(depth(&mb), 0);
     }
 
     #[test]
@@ -297,7 +292,7 @@ mod tests {
             (1, 1),
             "earliest virtual send wins, whichever spec it satisfies"
         );
-        assert_eq!(mb.len(), 1);
+        assert_eq!(depth(&mb), 1);
     }
 
     #[test]

@@ -384,7 +384,11 @@ impl Master for OmpThread<'_> {
 /// # Panics
 /// Panics outside a scheduler task; a member's panic fails the whole run
 /// with that member's payload.
-pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThread) + Sync) {
+pub fn parallel<M: Master + ?Sized>(
+    m: &mut M,
+    nthreads: usize,
+    body: impl Fn(&mut OmpThread) + Sync,
+) {
     assert!(nthreads >= 1, "a team needs at least one thread");
     let model = m.model().clone();
     let collector = m.collector().clone();

@@ -6,15 +6,10 @@
 use ats::harness::{run_single, ParamValue, ParamValues, RunOpts};
 use ats::trace::Trace;
 
-/// Catalog entries whose traces must be bit-identical across repeated runs.
-fn deterministic_entries() -> impl Iterator<Item = &'static ats::core::PropertySpec> {
-    ats::core::CATALOG.iter()
-}
-
 #[test]
 fn every_catalog_trace_is_bit_reproducible() {
     let opts = RunOpts::default().procs(4);
-    for spec in deterministic_entries() {
+    for spec in ats::core::CATALOG {
         let mut params = ParamValues::defaults(spec);
         params.set("r", ParamValue::Count(2));
         let a = run_single(spec.name, &params, &opts).unwrap();
@@ -88,11 +83,12 @@ fn seeds_do_not_leak_into_virtual_time() {
 }
 
 /// Carrier parity: the coroutine and the OS-thread carrier run one
-/// scheduler core, so a catalog sample — OpenMP teams and hybrid entries
-/// included — gives byte-identical ATSB traces and identical analyzer
-/// reports on both. MPI and hybrid entries run on `ats::mpi::run` with
-/// the carrier set; a pure OpenMP program runs inline inside a lone task
-/// of the carrier, and its team inherits that task's carrier.
+/// scheduler core, so every catalog entry — OpenMP teams and hybrid
+/// entries included — gives byte-identical ATSB traces and identical
+/// analyzer reports on both. MPI-bodied entries and the OpenMP negatives
+/// run on `ats::mpi::run` with the carrier set; a pure OpenMP program runs
+/// inline inside a lone task of the carrier, and its team inherits that
+/// task's carrier.
 #[test]
 fn event_and_thread_backends_produce_identical_atsb_bytes() {
     use ats::analyzer::{analyze, AnalyzerConfig};
@@ -100,22 +96,8 @@ fn event_and_thread_backends_produce_identical_atsb_bytes() {
     use ats::harness::run_in_comm;
     use ats::mpi::SimBackend;
     use ats_testutil::run_as_tasks;
-    let sample = [
-        "late_sender",
-        "late_receiver",
-        "imbalance_at_mpi_barrier",
-        "late_broadcast",
-        "early_reduce",
-        "messages_in_wrong_order",
-        "imbalance_at_mpi_alltoall",
-        "balanced_ring",
-        "omp_critical_contention",
-        "omp_lock_contention",
-        "imbalance_in_omp_loop",
-        "omp_imbalance_at_mpi_barrier",
-    ];
-    for name in sample {
-        let spec = ats::core::catalog::find(name).unwrap();
+    for spec in ats::core::CATALOG {
+        let name = spec.name;
         let mut params = ParamValues::defaults(spec);
         params.set("r", ParamValue::Count(2));
         let opts = RunOpts::default().procs(8);
@@ -125,7 +107,7 @@ fn event_and_thread_backends_produce_identical_atsb_bytes() {
             }
             _ => ats::mpi::run(opts.sim_config().backend(carrier), |p| {
                 let world = p.comm_world();
-                run_in_comm(name, &params, &opts.base, p, &world);
+                run_in_comm(spec, &params, &opts.base, p, &world);
             }),
         };
         let event = run_on(SimBackend::Event);
