@@ -24,9 +24,9 @@
 //! produces `Missed` violations: the mechanism the oracle/shrinker
 //! integration test uses to prove the loop is live.
 
-use crate::scenario::{region_name, Scenario, Split, SYNC_REGION};
+use crate::scenario::{region_name, Resolved, Scenario, Split, SYNC_REGION};
 use ats_analyzer::{analyze, AnalysisReport, AnalyzerConfig};
-use ats_core::{BaseComm, Error, ParamValues, PropertySpec};
+use ats_core::{BaseComm, Error, PropertySpec};
 use ats_harness::{run_in_comm, RunOpts};
 use ats_trace::{RegionKind, Trace};
 
@@ -119,41 +119,38 @@ pub struct Prediction {
 }
 
 /// Compose the catalog's expectations with the scenario's topology into
-/// one prediction per phase. The scenario must be valid.
-fn predict(sc: &Scenario) -> Result<Vec<Prediction>, Error> {
-    sc.validate()?;
-    let mut out = Vec::with_capacity(sc.num_phases());
-    for (idx, slot_idx, ph) in sc.indexed_phases() {
-        let (spec, v) = ph.resolve()?;
-        let group_size = sc.slots[slot_idx].split.group_size(ph.group, sc.nprocs);
-        out.push(Prediction {
-            phase: idx,
-            region: region_name(idx),
-            spec,
-            group_size,
-            nominal_wait: (spec.wait)(&v, group_size),
-        });
-    }
-    Ok(out)
+/// one prediction per phase, from the phases [`Scenario::resolve`]
+/// returned.
+fn predict(sc: &Scenario, phases: &[Resolved]) -> Vec<Prediction> {
+    sc.indexed_phases()
+        .into_iter()
+        .zip(phases)
+        .map(|((idx, slot_idx, ph), (spec, v))| {
+            let group_size = sc.slots[slot_idx].split.group_size(ph.group, sc.nprocs);
+            Prediction {
+                phase: idx,
+                region: region_name(idx),
+                spec,
+                group_size,
+                nominal_wait: (spec.wait)(v, group_size),
+            }
+        })
+        .collect()
 }
-
-/// A phase's catalog record and parameters, resolved before the ranks
-/// start.
-type Resolved = (&'static PropertySpec, ParamValues);
 
 /// Execute a scenario into a trace: one `ats_mpi::run` with every phase
 /// wrapped in its `fzNN` region and a world barrier (inside the
 /// [`SYNC_REGION`]) realigning all clocks between slots.
 pub fn execute(sc: &Scenario, opts: &RunOpts) -> Result<Trace, Error> {
-    sc.validate()?;
-    let phases = sc
-        .indexed_phases()
-        .into_iter()
-        .map(|(_, _, ph)| ph.resolve())
-        .collect::<Result<Vec<Resolved>, Error>>()?;
+    let phases = sc.resolve()?;
+    Ok(execute_phases(sc, &phases, opts))
+}
+
+/// [`execute`] over the phases [`Scenario::resolve`] returned.
+fn execute_phases(sc: &Scenario, phases: &[Resolved], opts: &RunOpts) -> Trace {
     let base = opts.base;
     let cfg = opts.clone().procs(sc.nprocs).sim_config();
-    Ok(ats_mpi::run(cfg, |p| run_rank(sc, &phases, &base, p)))
+    ats_mpi::run(cfg, |p| run_rank(sc, phases, &base, p))
 }
 
 fn run_rank(sc: &Scenario, phases: &[Resolved], base: &BaseComm, p: &mut ats_mpi::Proc) {
@@ -315,8 +312,9 @@ pub struct OracleRun {
 
 /// Execute `sc`, analyze it with `cfg.analyzer`, and score the report.
 pub fn check(sc: &Scenario, cfg: &OracleConfig, opts: &RunOpts) -> Result<OracleRun, Error> {
-    let predictions = predict(sc)?;
-    let trace = execute(sc, opts)?;
+    let phases = sc.resolve()?;
+    let predictions = predict(sc, &phases);
+    let trace = execute_phases(sc, &phases, opts);
     let report = analyze(&trace, &cfg.analyzer);
     let total = trace.total_alloc_time().as_secs();
     let violations = score(&predictions, &report, total, cfg);
@@ -388,7 +386,8 @@ mod tests {
 
     #[test]
     fn predictions_compose_catalog_and_topology() {
-        let preds = predict(&two_comm_scenario()).unwrap();
+        let sc = two_comm_scenario();
+        let preds = predict(&sc, &sc.resolve().unwrap());
         assert_eq!(preds.len(), 3);
         assert_eq!(preds[0].region, "fz00");
         assert_eq!(preds[0].group_size, 4, "stride2 over 8 ranks");

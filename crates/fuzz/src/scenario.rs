@@ -108,6 +108,10 @@ impl FromStr for Split {
     }
 }
 
+/// A phase's catalog record and parameters, resolved before the ranks
+/// start.
+pub(crate) type Resolved = (&'static PropertySpec, ParamValues);
+
 /// One property-function invocation placed on one group of a slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
@@ -200,6 +204,13 @@ impl Scenario {
     /// inside their group, and every group of at least two ranks (MPI
     /// properties need a partner). Returns the first problem found.
     pub fn validate(&self) -> Result<(), Error> {
+        self.resolve().map(|_| ())
+    }
+
+    /// [`Scenario::validate`], returning what it resolved: each phase's
+    /// catalog record and parameters, in global phase order (as
+    /// [`Scenario::indexed_phases`] lists them).
+    pub(crate) fn resolve(&self) -> Result<Vec<Resolved>, Error> {
         if self.nprocs == 0 {
             return Err(Error::scenario("nprocs must be positive"));
         }
@@ -212,6 +223,7 @@ impl Scenario {
         if self.slots.is_empty() {
             return Err(Error::scenario("scenario has no slots"));
         }
+        let mut resolved = Vec::with_capacity(self.num_phases());
         for (si, slot) in self.slots.iter().enumerate() {
             let groups = slot.split.num_groups();
             if groups == 0 || groups > self.nprocs {
@@ -242,14 +254,15 @@ impl Scenario {
                     )));
                 }
                 seen.push(ph.group);
-                let (_, v) = ph
+                let (spec, v) = ph
                     .resolve()
                     .map_err(|e| Error::scenario(format!("slot {si}: {e}")))?;
                 v.check_root(slot.split.group_size(ph.group, self.nprocs))
                     .map_err(|e| Error::scenario(format!("slot {si}: {}: {e}", ph.property)))?;
+                resolved.push((spec, v));
             }
         }
-        Ok(())
+        Ok(resolved)
     }
 
     /// Parse one spec line: the text form, with surrounding whitespace

@@ -20,8 +20,8 @@
 //! either carrier, pooled or not) is what makes replaying a cached row
 //! provably equivalent to re-executing it.
 //!
-//! The full ingredients document is stored verbatim next to each entry
-//! (`entry.json`), so every cached artifact is self-describing.
+//! The full ingredients document is stored verbatim at the end of each
+//! entry, so every cached artifact is self-describing.
 
 use crate::experiment::ExperimentRow;
 use crate::registry::RunOpts;

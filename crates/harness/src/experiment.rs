@@ -321,7 +321,7 @@ impl Experiment {
             );
             let hash = CacheKey::of_value(&key_doc);
             if let Some(entry) = cache
-                .lookup(&hash)
+                .lookup_file(&hash, cache::ROW_FILE)
                 .map_err(|e| e.in_config(&self.property, &params_cli))?
             {
                 // A verified entry missing or corrupting its row document
@@ -396,6 +396,8 @@ impl Experiment {
                 // Persist the full result set: the replayable row, the
                 // analyzer report (the byte-identity artifact) and the
                 // binary trace. Encoding costs are only paid in `rw` mode.
+                // The row goes first, so a replay reads it with the
+                // entry's header.
                 let row_bytes = row_to_json(&row).render();
                 let report_bytes = report.to_json();
                 let trace_bytes = ats_trace::binfmt::encode(&trace);

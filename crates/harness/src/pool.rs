@@ -14,14 +14,18 @@
 
 use ats_runtime::SimBackend;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 use std::time::Instant;
 
-/// The host's available parallelism (1 if it cannot be queried).
+/// The host's available parallelism (1 if it cannot be queried), read
+/// once per process: the query reads cgroup files, and every sweep asks.
 pub fn auto_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static JOBS: OnceLock<usize> = OnceLock::new();
+    *JOBS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// The thread budget of the oversubscription guard.

@@ -1,8 +1,8 @@
 //! A small, self-contained JSON value — the suite's canonical document
 //! representation.
 //!
-//! The suite's wire and on-disk documents (the store's `entry.json`
-//! manifests, the key-ingredient documents its cache keys hash, the
+//! The suite's wire and on-disk documents (the store's stored rows,
+//! the key-ingredient documents its cache keys hash, the
 //! `ats-report/1` analyzer wire schema, every `ats-serve` response body)
 //! must render *canonically*: the same content always produces the same
 //! bytes, on every platform, forever — a cache key is only as stable as
@@ -17,11 +17,11 @@
 //! * floats render via Rust's shortest-round-trip `Display`, so
 //!   `parse(render(x)) == x` for every finite `f64`;
 //! * rendering is compact (no whitespace) for hashing, with a pretty
-//!   variant for the human-inspected manifests.
+//!   variant for the human-inspected run manifests.
 //!
 //! The parser accepts standard JSON (objects, arrays, strings with
 //! escapes and surrogate pairs, numbers, booleans, null) and is the read
-//! path for store manifests, corpus specs and service requests. It is the
+//! path for stored rows, corpus specs and service requests. It is the
 //! suite's only JSON serializer: run manifests, bench documents and
 //! reports all render through it. (It lives in `ats-runtime`, the bottom
 //! of the crate graph, so `ats-obs` can build manifests with it;

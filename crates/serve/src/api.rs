@@ -195,14 +195,16 @@ struct AnalyzeOut {
 }
 
 /// Run (or replay) one scenario, returning the frozen `ats-report/1`
-/// bytes. Read-through: a hit returns the stored `report.json` verbatim;
-/// a miss executes, analyzes, and publishes report + ATSB trace.
+/// bytes. Read-through: a hit reads, verifies and returns only the
+/// stored `report.json`, verbatim; a miss executes, analyzes, and
+/// publishes report + ATSB trace (the report first, where a hit's one
+/// read of the entry's header finds it).
 fn run_scenario(state: &AppState, sc: &Scenario) -> Result<AnalyzeOut, Error> {
     sc.validate()?;
     let opts = state.session.opts();
     let key = wire::scenario_key(sc, opts, state.session.analyzer_config());
     if let Some(cache) = state.session.result_cache() {
-        if let Some(entry) = cache.lookup(&key)? {
+        if let Some(entry) = cache.lookup_file(&key, REPORT_FILE)? {
             if let Some(bytes) = entry.file(REPORT_FILE) {
                 return Ok(AnalyzeOut {
                     key,
@@ -350,7 +352,7 @@ fn artifact(state: &AppState, path: &str) -> Result<(&'static str, Vec<u8>), (u1
     };
     let entry = cache
         .store
-        .get(&key)
+        .get_file(&key, file)
         .map_err(|e| (500, e))?
         .ok_or_else(|| (404, Error::request(format!("unknown cache key `{hex}`"))))?;
     let bytes = entry

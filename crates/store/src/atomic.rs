@@ -1,20 +1,17 @@
 //! Atomic file writes: temp file + rename, in the destination directory.
 //!
-//! Every artifact the store (and the fuzz corpus) persists goes through
-//! [`write_atomic`]: bytes land in a uniquely-named `.tmp` sibling first
-//! and are renamed into place only once fully written, so a reader can
-//! never observe a truncated file and an interrupted campaign leaves at
-//! worst an orphaned temp file, never a corrupt artifact. The temp file
+//! Every entry the store (and every file the fuzz corpus) persists goes
+//! through [`write_atomic`]: bytes land in a uniquely-named `.tmp` sibling
+//! first and are renamed into place only once fully written, so a reader
+//! can never observe a truncated file and an interrupted campaign leaves
+//! at worst an orphaned temp file, never a corrupt entry. The temp file
 //! lives in the *destination* directory because `rename(2)` is only
 //! atomic within one filesystem.
 //!
 //! The contract stops there: a write is atomic for concurrent readers
-//! and for a killed process, but not durable across power loss. Nothing
-//! is `fsync`ed, so after an operating-system crash a renamed file may be
-//! missing or torn. The store reads such a file as a miss (a torn one as
-//! a counted integrity miss) and re-executes it; see `store.rs`.
+//! and for a killed process, but nothing is `fsync`ed, so it is not
+//! durable across power loss (see the store's crash contract).
 
-use crate::Json;
 use ats_core::Error;
 use std::fs;
 use std::path::Path;
@@ -53,11 +50,6 @@ pub fn write_atomic(dest: &Path, bytes: &[u8]) -> Result<(), Error> {
         let _ = fs::remove_file(&tmp);
     }
     finish
-}
-
-/// Atomically write a [`Json`] document, pretty-rendered.
-pub fn write_atomic_json(dest: &Path, doc: &Json) -> Result<(), Error> {
-    write_atomic(dest, doc.render_pretty().as_bytes())
 }
 
 #[cfg(test)]
@@ -107,17 +99,6 @@ mod tests {
         let got = fs::read(&dest).unwrap();
         assert_eq!(got.len(), 64);
         assert!(got.iter().all(|&x| x == got[0]), "torn write: {got:?}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn json_helper_round_trips() {
-        let dir = tmp_dir("json");
-        let dest = dir.join("doc.json");
-        write_atomic_json(&dest, &Json::obj().with("n", 3u64)).unwrap();
-        let text = String::from_utf8(fs::read(&dest).unwrap()).unwrap();
-        let doc = Json::parse(&text).unwrap();
-        assert_eq!(doc.get("n").and_then(Json::as_u64), Some(3));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -47,8 +47,9 @@ impl CacheKey {
         CacheKey::of_bytes(value.render().as_bytes())
     }
 
-    /// The 32-character lowercase hex spelling (directory name in the
-    /// store's object tree).
+    /// The 32-character lowercase hex spelling (an entry's file name in
+    /// the store's object tree, under a shard directory named by its
+    /// first two characters).
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)
     }
@@ -61,13 +62,6 @@ impl CacheKey {
         let hi = u64::from_str_radix(&s[..16], 16).ok()?;
         let lo = u64::from_str_radix(&s[16..], 16).ok()?;
         Some(CacheKey { hi, lo })
-    }
-
-    /// The two-character shard prefix (first hex byte): object
-    /// directories are fanned out under `objects/<shard>/` so no single
-    /// directory accumulates every entry.
-    pub fn shard(&self) -> String {
-        self.hex()[..2].to_owned()
     }
 }
 
@@ -86,7 +80,6 @@ mod tests {
         let k = CacheKey::of_bytes(b"some ingredients");
         assert_eq!(k.hex().len(), 32);
         assert_eq!(CacheKey::from_hex(&k.hex()), Some(k));
-        assert_eq!(k.shard(), &k.hex()[..2]);
         assert!(CacheKey::from_hex("xyz").is_none());
         assert!(CacheKey::from_hex(&"0".repeat(31)).is_none());
     }

@@ -16,13 +16,13 @@
 //!
 //! * [`Json`] — the suite's self-contained canonical JSON model (sorted
 //!   object keys, exact integers, shortest-round-trip floats; defined in
-//!   `ats-runtime`, re-exported as [`ats_core::json`] and here), so key bytes and
-//!   manifests never depend on an external serializer's formatting;
+//!   `ats-runtime`, re-exported as [`ats_core::json`] and here), so key
+//!   bytes never depend on an external serializer's formatting;
 //! * [`CacheKey`] — a stable 128-bit hash (two-lane [`hash::xxh64`]) of a
 //!   canonical JSON ingredients document;
-//! * [`Store`] — the sharded on-disk object tree with per-entry
-//!   manifests, checksums and atomic commit; the tree is the store's one
-//!   record of what it holds;
+//! * [`Store`] — the sharded on-disk object tree, one checksummed file
+//!   per entry committed by one rename, of which a lookup reads only what
+//!   its caller uses; the tree is the store's one record of what it holds;
 //! * [`CacheMode`] / [`Cache`] — the `off`/`ro`/`rw` policy knob that
 //!   experiment sweeps and the campaign service thread through;
 //! * [`atomic`] — temp-file + rename write primitives, also used by the
@@ -81,6 +81,16 @@ impl Cache {
         self.store.get(key)
     }
 
+    /// Like [`Cache::lookup`], but read and verify only the artifact
+    /// `name` (see [`Store::get_file`]): what a replay that uses one
+    /// artifact asks for.
+    pub fn lookup_file(&self, key: &CacheKey, name: &str) -> Result<Option<StoredEntry>, Error> {
+        if !self.mode.reads() {
+            return Ok(None);
+        }
+        self.store.get_file(key, name)
+    }
+
     /// Persist `files` under `key` if the mode allows writes. Returns
     /// bytes written (0 when writes are disabled).
     pub fn publish(
@@ -115,9 +125,11 @@ mod tests {
         assert!(rw.publish(&key, &ing, &[("row.json", b"r")]).unwrap() > 0);
         assert!(rw.lookup(&key).unwrap().is_some());
         assert!(ro.lookup(&key).unwrap().is_some(), "ro sees rw's entry");
+        assert!(ro.lookup_file(&key, "row.json").unwrap().is_some());
 
         let off = Cache::open(&dir, CacheMode::Off).unwrap();
         assert!(off.lookup(&key).unwrap().is_none(), "off never reads");
+        assert!(off.lookup_file(&key, "row.json").unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,133 +1,139 @@
 //! The on-disk content-addressed store.
 //!
-//! Layout under the store root (by convention `artifacts/store/`):
+//! Each entry is one file, `<root>/objects/<kk>/<key-hex>.entry` (kk =
+//! first hex byte of the key; the root is by convention
+//! `artifacts/store/`):
 //!
 //! ```text
-//! <root>/
-//!   objects/<kk>/<key-hex>/         # kk = first hex byte of the key
-//!     report.json  trace.atsb  …    # the entry's artifacts
-//!     entry.json                    # manifest: ingredients + checksums
+//! ats-store-entry/2 <key> <name> <offset> <size> <checksum> … <header checksum>\n
+//! <the artifacts, in the order put><the key-ingredients document>
 //! ```
 //!
-//! The object tree is the store's only record of what it holds: there is
-//! no index, so every handle on a root sees every committed entry, and
-//! [`Store::len`] and [`Store::stats`] scan the tree when called.
+//! Offsets count from the end of the header line. Each checksum is the
+//! [`CacheKey::of_bytes`] of an artifact, the last one of the line before
+//! it. The ingredients are canonical JSON, so they hash to the key; no
+//! read parses them. The object tree is the store's only record of what
+//! it holds: there is no index, and [`Store::len`] and [`Store::stats`]
+//! scan the tree when called.
 //!
-//! Commit protocol: artifacts are written first (each atomically, temp +
-//! rename), `entry.json` last. An entry *exists* iff its `entry.json`
-//! does, so a reader can never observe a half-written entry: either the
-//! manifest is absent (miss) or it names only fully-renamed files.
+//! Commit protocol: an entry is written whole to a temp file and renamed
+//! into place ([`write_atomic`]); the rename is the commit point.
 //!
-//! Integrity: `entry.json` records the size and 128-bit checksum of every
-//! artifact; [`Store::get`] re-hashes what it reads and treats any
-//! mismatch as a miss (counted in the observability registry), never as
-//! silently-trusted data.
+//! Integrity: a lookup reads and verifies the header, then reads and
+//! verifies only the artifacts its caller asked for; a mismatch is a miss
+//! (counted in the observability registry), never trusted data. The
+//! header is untrusted input: each offset and size is checked against the
+//! file's length before a buffer is allocated for it.
 //!
 //! Crash contract: a write is atomic for concurrent readers but not
 //! durable across power loss ([`write_atomic`] renames without `fsync`).
-//! After a crash an entry may be missing or torn. A missing entry is a
-//! miss; a torn one (a manifest or artifact that fails to parse or
-//! verify) is a counted integrity miss, which a `rw` campaign
-//! re-executes and overwrites.
+//! A missing entry is a miss; a torn one is a counted integrity miss for
+//! a caller that reads the torn part, which a `rw` campaign re-executes
+//! and overwrites.
 
-use crate::atomic::{write_atomic, write_atomic_json};
+use crate::atomic::write_atomic;
 use crate::key::CacheKey;
 use crate::Json;
 use ats_core::Error;
-use std::collections::BTreeMap;
-use std::fs;
+use std::fmt::Write as _;
+use std::fs::{self, File};
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::str::SplitAsciiWhitespace;
 use std::sync::Arc;
 
-/// Schema tag of `entry.json` documents.
-const ENTRY_SCHEMA: &str = "ats-store-entry/1";
+/// Schema tag that opens every entry's header line.
+const ENTRY_SCHEMA: &str = "ats-store-entry/2";
+/// File-name suffix of an entry in its shard directory.
+const ENTRY_SUFFIX: &str = ".entry";
+/// Bytes the first read of an entry takes: its header, which must fit,
+/// and with it the first artifact of a small entry.
+const FIRST_READ: u64 = 4096;
 
-/// Size and checksum of one stored artifact, as recorded in `entry.json`.
-struct FileMeta {
-    /// Artifact size in bytes.
-    bytes: u64,
-    /// 128-bit content checksum ([`CacheKey::of_bytes`] of the artifact).
-    checksum: String,
+/// The artifact groups of the header line at the start of `head`, and
+/// the header's length, if the line's checksum, schema and key verify
+/// and every group is whole.
+fn parse_header<'h>(head: &'h [u8], key: &CacheKey) -> Option<(SplitAsciiWhitespace<'h>, u64)> {
+    let end = head.iter().position(|&b| b == b'\n')?;
+    let (signed, checksum) = std::str::from_utf8(&head[..end]).ok()?.rsplit_once(' ')?;
+    let mut tokens = signed.split_ascii_whitespace();
+    let verified = CacheKey::from_hex(checksum)? == CacheKey::of_bytes(signed.as_bytes())
+        && tokens.next()? == ENTRY_SCHEMA
+        && CacheKey::from_hex(tokens.next()?)? == *key
+        && artifacts(tokens.clone()).count() * 4 == tokens.clone().count();
+    verified.then_some((tokens, end as u64 + 1))
 }
 
-/// What a read takes from the per-entry manifest (`entry.json`): the key
-/// and how to verify each artifact. The manifest also records the full
-/// key-ingredients document the key was derived from, verbatim, so an
-/// entry is self-describing (and collisions, however unlikely, are
-/// detectable); no read needs it.
-struct EntryDoc {
-    /// The entry's cache key (hex).
-    key: String,
-    /// Artifact name → size + checksum.
-    files: BTreeMap<String, FileMeta>,
+/// The `name offset size checksum` groups of `tokens`, up to the first
+/// that is not whole.
+fn artifacts(
+    mut tokens: SplitAsciiWhitespace<'_>,
+) -> impl Iterator<Item = (&str, u64, u64, CacheKey)> {
+    std::iter::from_fn(move || {
+        let name = tokens.next()?;
+        let offset = tokens.next()?.parse().ok()?;
+        let size = tokens.next()?.parse().ok()?;
+        Some((name, offset, size, CacheKey::from_hex(tokens.next()?)?))
+    })
 }
 
-impl EntryDoc {
-    fn to_json(&self, ingredients: &Json) -> Json {
-        let mut files = Json::obj();
-        for (name, meta) in &self.files {
-            files.set(
-                name,
-                Json::obj()
-                    .with("bytes", meta.bytes)
-                    .with("checksum", meta.checksum.as_str()),
-            );
+/// The first [`FIRST_READ`] bytes of an entry file, and its length.
+fn read_head(file: &File) -> Option<(Vec<u8>, u64)> {
+    let len = file.metadata().ok()?.len();
+    Some((read_exact(file, len.min(FIRST_READ))?, len))
+}
+
+/// The next `len` bytes of `file`, which the caller has checked it holds.
+fn read_exact(mut file: &File, len: u64) -> Option<Vec<u8>> {
+    let mut buf = vec![0; usize::try_from(len).ok()?];
+    file.read_exact(&mut buf).ok()?;
+    Some(buf)
+}
+
+/// The verified artifacts of an entry file that `only` names (every one
+/// for `None`), or `None` if its header or one of them fails to verify.
+fn read_entry(
+    mut file: &File,
+    key: &CacheKey,
+    only: Option<&str>,
+) -> Option<Vec<(String, Vec<u8>)>> {
+    let (head, len) = read_head(file)?;
+    let (groups, start) = parse_header(&head, key)?;
+    let mut files = Vec::new();
+    for (name, offset, size, checksum) in artifacts(groups) {
+        if only.is_some_and(|n| n != name) {
+            continue;
         }
-        Json::obj()
-            .with("schema", ENTRY_SCHEMA)
-            .with("key", self.key.as_str())
-            .with("ingredients", ingredients.clone())
-            .with("files", files)
+        // Checked against the file before a buffer is allocated for it.
+        let end = start + offset.checked_add(size).filter(|&end| end <= len - start)?;
+        let bytes = if end <= head.len() as u64 {
+            head[(start + offset) as usize..end as usize].to_vec()
+        } else {
+            file.seek(SeekFrom::Start(start + offset)).ok()?;
+            read_exact(file, size)?
+        };
+        if CacheKey::of_bytes(&bytes) != checksum {
+            return None;
+        }
+        files.push((name.to_owned(), bytes));
     }
-
-    fn from_text(text: &str) -> Result<EntryDoc, String> {
-        let doc = Json::parse(text)?;
-        if doc.get("schema").and_then(Json::as_str) != Some(ENTRY_SCHEMA) {
-            return Err("unrecognized entry schema".into());
-        }
-        let key = doc
-            .get("key")
-            .and_then(Json::as_str)
-            .ok_or("missing key")?
-            .to_owned();
-        let mut files = BTreeMap::new();
-        for (name, meta) in doc
-            .get("files")
-            .and_then(Json::as_obj)
-            .ok_or("missing files")?
-        {
-            files.insert(
-                name.clone(),
-                FileMeta {
-                    bytes: meta
-                        .get("bytes")
-                        .and_then(Json::as_u64)
-                        .ok_or("missing bytes")?,
-                    checksum: meta
-                        .get("checksum")
-                        .and_then(Json::as_str)
-                        .ok_or("missing checksum")?
-                        .to_owned(),
-                },
-            );
-        }
-        Ok(EntryDoc { key, files })
-    }
+    Some(files)
 }
 
-/// One verified, fully-loaded store entry.
+/// Verified artifacts read from one store entry.
 #[derive(Debug, Clone)]
 pub struct StoredEntry {
-    /// Artifact name → verified content.
-    files: BTreeMap<String, Vec<u8>>,
+    /// Artifact name → verified content, in file order.
+    files: Vec<(String, Vec<u8>)>,
     /// Total artifact bytes loaded.
     pub bytes: u64,
 }
 
 impl StoredEntry {
-    /// The named artifact's bytes, if present.
+    /// The named artifact's bytes, if it was read.
     pub fn file(&self, name: &str) -> Option<&[u8]> {
-        self.files.get(name).map(|v| v.as_slice())
+        let (_, bytes) = self.files.iter().find(|(n, _)| n == name)?;
+        Some(bytes)
     }
 }
 
@@ -169,59 +175,47 @@ impl Store {
         self
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
+    fn entry_path(&self, key: &CacheKey) -> PathBuf {
+        let hex = key.hex();
+        let shard = self.root.join("objects").join(&hex[..2]);
+        shard.join(hex + ENTRY_SUFFIX)
     }
 
-    fn entry_dir(&self, key: &CacheKey) -> PathBuf {
-        self.root.join("objects").join(key.shard()).join(key.hex())
-    }
-
-    /// Load and verify the entry under `key`. `Ok(None)` means *miss*:
-    /// absent, or present but failing to parse or verify (a manifest that
-    /// is not UTF-8 or not an entry document, a size or checksum
-    /// mismatch; counted as an integrity failure in the observability
-    /// registry — a caching engine re-executes and, in `rw` mode,
-    /// overwrites the damaged entry). `Err` is left for a manifest the
-    /// store cannot read at all.
+    /// Read and verify every artifact of the entry under `key`.
+    /// `Ok(None)` means *miss*: absent, or present but failing to verify
+    /// (counted as an integrity failure in the observability registry — a
+    /// caching engine re-executes and, in `rw` mode, overwrites the
+    /// damaged entry). `Err` is left for an entry the store cannot open.
     pub fn get(&self, key: &CacheKey) -> Result<Option<StoredEntry>, Error> {
-        let dir = self.entry_dir(key);
-        let manifest = dir.join("entry.json");
-        let doc_bytes = match fs::read(&manifest) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+        self.read(key, None)
+    }
+
+    /// [`Store::get`], reading and verifying only the artifact `name`; a
+    /// verified entry without it is a hit that holds no file.
+    pub fn get_file(&self, key: &CacheKey, name: &str) -> Result<Option<StoredEntry>, Error> {
+        self.read(key, Some(name))
+    }
+
+    fn read(&self, key: &CacheKey, only: Option<&str>) -> Result<Option<StoredEntry>, Error> {
+        let path = self.entry_path(key);
+        let files = match File::open(&path) {
+            Ok(file) => read_entry(&file, key, only),
+            Err(e) if e.kind() == ErrorKind::NotFound => {
                 if let Some(obs) = &self.obs {
                     obs.store.misses.inc();
                 }
                 return Ok(None);
             }
-            Err(e) => return Err(Error::store(format!("read {}: {e}", manifest.display()))),
+            Err(e) => return Err(Error::store(format!("read {}: {e}", path.display()))),
         };
-        let Some(doc) = std::str::from_utf8(&doc_bytes)
-            .ok()
-            .and_then(|text| EntryDoc::from_text(text).ok())
-        else {
-            return Ok(self.integrity_failure());
-        };
-        if doc.key != key.hex() {
-            return Ok(self.integrity_failure());
-        }
-        let mut files = BTreeMap::new();
-        let mut bytes = 0u64;
-        for (name, meta) in &doc.files {
-            let content = match fs::read(dir.join(name)) {
-                Ok(c) => c,
-                Err(_) => return Ok(self.integrity_failure()),
-            };
-            if content.len() as u64 != meta.bytes
-                || CacheKey::of_bytes(&content).hex() != meta.checksum
-            {
-                return Ok(self.integrity_failure());
+        let Some(files) = files else {
+            if let Some(obs) = &self.obs {
+                obs.store.integrity_failures.inc();
+                obs.store.misses.inc();
             }
-            bytes += content.len() as u64;
-            files.insert(name.clone(), content);
-        }
+            return Ok(None);
+        };
+        let bytes = files.iter().map(|(_, b)| b.len() as u64).sum();
         if let Some(obs) = &self.obs {
             obs.store.hits.inc();
             obs.store.bytes_read.add(bytes);
@@ -229,16 +223,9 @@ impl Store {
         Ok(Some(StoredEntry { files, bytes }))
     }
 
-    fn integrity_failure(&self) -> Option<StoredEntry> {
-        if let Some(obs) = &self.obs {
-            obs.store.integrity_failures.inc();
-            obs.store.misses.inc();
-        }
-        None
-    }
-
-    /// Commit `files` under `key`. Artifacts are written atomically, the
-    /// `entry.json` manifest last (the commit point). Re-putting an
+    /// Commit `files` under `key`, laid out in the order given (a small
+    /// first artifact shares the header's read). The entry is written
+    /// whole and renamed into place (the commit point). Re-putting an
     /// existing key replaces it. Returns total artifact bytes written.
     pub fn put(
         &self,
@@ -246,28 +233,38 @@ impl Store {
         ingredients: &Json,
         files: &[(&str, &[u8])],
     ) -> Result<u64, Error> {
-        let dir = self.entry_dir(key);
-        let mut metas = BTreeMap::new();
+        let mut header = format!("{ENTRY_SCHEMA} {key}");
         let mut total = 0u64;
-        for (name, content) in files {
-            if name.is_empty() || name.contains(['/', '\\']) || *name == "entry.json" {
-                return Err(Error::store(format!("invalid artifact name `{name}`")));
+        for (i, (name, content)) in files.iter().enumerate() {
+            // A name is one header token, and stays a valid file name.
+            if name.is_empty()
+                || name.contains(|c: char| matches!(c, '/' | '\\') || c.is_whitespace())
+                || files[..i].iter().any(|(n, _)| n == name)
+            {
+                return Err(Error::store(format!(
+                    "invalid or repeated artifact name `{name}`"
+                )));
             }
-            write_atomic(&dir.join(name), content)?;
-            metas.insert(
-                (*name).to_owned(),
-                FileMeta {
-                    bytes: content.len() as u64,
-                    checksum: CacheKey::of_bytes(content).hex(),
-                },
-            );
+            let checksum = CacheKey::of_bytes(content);
+            let _ = write!(header, " {name} {total} {} {checksum}", content.len());
             total += content.len() as u64;
         }
-        let doc = EntryDoc {
-            key: key.hex(),
-            files: metas,
-        };
-        write_atomic_json(&dir.join("entry.json"), &doc.to_json(ingredients))?;
+        let checksum = CacheKey::of_bytes(header.as_bytes());
+        let _ = writeln!(header, " {checksum}");
+        if header.len() as u64 > FIRST_READ {
+            return Err(Error::store(format!(
+                "an entry header of {} bytes exceeds {FIRST_READ}",
+                header.len()
+            )));
+        }
+        let ingredients = ingredients.render();
+        let mut entry = header.into_bytes();
+        entry.reserve_exact(total as usize + ingredients.len());
+        for (_, content) in files {
+            entry.extend_from_slice(content);
+        }
+        entry.extend_from_slice(ingredients.as_bytes());
+        write_atomic(&self.entry_path(key), &entry)?;
         if let Some(obs) = &self.obs {
             obs.store.puts.inc();
             obs.store.bytes_written.add(total);
@@ -286,8 +283,8 @@ impl Store {
     }
 
     /// Aggregate statistics over the committed entries: those whose
-    /// `entry.json` parses. Scans the object tree, reading each manifest
-    /// but no artifact; an unreadable directory counts as empty.
+    /// header verifies. Scans the object tree, reading each header but no
+    /// artifact; an unreadable directory counts as empty.
     pub fn stats(&self) -> StoreStats {
         let mut stats = StoreStats::default();
         let Ok(shards) = fs::read_dir(self.root.join("objects")) else {
@@ -298,14 +295,22 @@ impl Store {
                 continue;
             };
             for entry in entries.filter_map(|e| e.ok()) {
-                let Ok(text) = fs::read_to_string(entry.path().join("entry.json")) else {
+                let name = entry.file_name();
+                let Some(key) = name.to_str().and_then(|n| n.strip_suffix(ENTRY_SUFFIX)) else {
                     continue;
                 };
-                let Ok(doc) = EntryDoc::from_text(&text) else {
+                let file = File::open(entry.path()).ok();
+                let Some((head, _)) = file.as_ref().and_then(read_head) else {
+                    continue;
+                };
+                let Some((groups, _)) =
+                    CacheKey::from_hex(key).and_then(|k| parse_header(&head, &k))
+                else {
                     continue;
                 };
                 stats.entries += 1;
-                stats.bytes += doc.files.values().map(|m| m.bytes).sum::<u64>();
+                let sizes = artifacts(groups).map(|(_, _, size, _)| size);
+                stats.bytes = sizes.fold(stats.bytes, u64::saturating_add);
             }
         }
         stats
@@ -315,6 +320,58 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc_probe::largest_allocation;
+
+    /// The test binary's allocator: the system's, watched so that a test
+    /// can bound the largest single allocation a read makes.
+    mod alloc_probe {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static LARGEST: Cell<usize> = const { Cell::new(0) };
+        }
+
+        struct Probe;
+
+        fn note(size: usize) {
+            let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+        }
+
+        // SAFETY: every call forwards to `System` unchanged; the probe
+        // only records sizes in a thread-local that never allocates.
+        unsafe impl GlobalAlloc for Probe {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                unsafe { System.alloc_zeroed(layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                unsafe { System.dealloc(ptr, layout) }
+            }
+        }
+
+        #[global_allocator]
+        static PROBE: Probe = Probe;
+
+        /// `f`'s result and the largest single allocation it made on
+        /// this thread.
+        pub(super) fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+            LARGEST.with(|l| l.set(0));
+            let out = f();
+            (out, LARGEST.with(Cell::get))
+        }
+    }
 
     fn tmp_store(tag: &str) -> (PathBuf, Store) {
         let dir = std::env::temp_dir().join(format!("ats-store-{}-{tag}", std::process::id()));
@@ -323,41 +380,74 @@ mod tests {
         (dir, store)
     }
 
+    fn observed(store: Store) -> (Store, ats_obs::Handle) {
+        let obs = ats_obs::Handle::new();
+        (store.with_obs(Some(obs.clone())), obs)
+    }
+
     fn ingredients(n: u64) -> Json {
         Json::obj().with("schema", "test").with("n", n)
     }
 
+    fn entry_file(dir: &Path, key: &CacheKey) -> PathBuf {
+        dir.join("objects")
+            .join(&key.hex()[..2])
+            .join(format!("{key}{ENTRY_SUFFIX}"))
+    }
+
+    fn position(haystack: &[u8], needle: &[u8]) -> usize {
+        haystack
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("present")
+    }
+
+    /// A stored row as the experiment engine writes it.
+    const ROW: &str = r#"{"detected_severity":0.0,"detected_wait_secs":0.0,"events":264,"localized":true,"nprocs":8,"params":"nthreads=4 r=1 work=0.05","property":"balanced_omp_loop","unexpected_findings":0}"#;
+
     #[test]
     fn put_get_round_trip_with_integrity() {
         let (dir, store) = tmp_store("roundtrip");
+        let (store, obs) = observed(store);
         let key = CacheKey::of_value(&ingredients(1));
         assert!(store.get(&key).unwrap().is_none());
 
-        let written = store
-            .put(
-                &key,
-                &ingredients(1),
-                &[
-                    ("report.json", b"{}".as_slice()),
-                    ("trace.atsb", b"ATSB\x01"),
-                ],
-            )
-            .unwrap();
-        assert_eq!(written, 2 + 5);
+        let files = [
+            ("row.json", ROW.as_bytes()),
+            ("report.json", b"{}"),
+            ("trace.atsb", b"ATSB\x01"),
+        ];
+        let written = store.put(&key, &ingredients(1), &files).unwrap();
+        let total = (ROW.len() + 2 + 5) as u64;
+        assert_eq!(written, total);
 
         let entry = store.get(&key).unwrap().expect("hit");
-        assert_eq!(entry.file("report.json"), Some(b"{}".as_slice()));
-        assert_eq!(entry.file("trace.atsb"), Some(b"ATSB\x01".as_slice()));
-        assert_eq!(entry.bytes, 7);
-        let manifest = fs::read_to_string(entry_json(&dir, &key)).unwrap();
-        let manifest = Json::parse(&manifest).unwrap();
-        assert_eq!(manifest.get("ingredients"), Some(&ingredients(1)));
+        for (name, content) in files {
+            assert_eq!(entry.file(name), Some(content), "{name}");
+        }
+        assert_eq!(entry.bytes, total);
+        assert_eq!(obs.store.bytes_read.get(), total);
+        // A row lookup reads the row alone, and counts only its bytes.
+        let row = store.get_file(&key, "row.json").unwrap().expect("hit");
+        assert_eq!(row.file("row.json"), Some(ROW.as_bytes()));
+        assert_eq!(row.file("report.json"), None, "not read");
+        assert_eq!(row.bytes, ROW.len() as u64);
+        assert_eq!(obs.store.bytes_read.get(), total + ROW.len() as u64);
+        // A verified entry without the artifact is a hit that holds none.
+        let other = store.get_file(&key, "other.json").unwrap().expect("hit");
+        assert_eq!((other.file("other.json"), other.bytes), (None, 0));
+        assert_eq!(obs.store.hits.get(), 3);
+        // The file ends in the canonical ingredients, which hash to the key.
+        let file = fs::read(entry_file(&dir, &key)).unwrap();
+        let tail = ingredients(1).render();
+        assert!(file.ends_with(tail.as_bytes()));
+        assert_eq!(CacheKey::of_bytes(tail.as_bytes()), key);
         assert_eq!(store.len(), 1);
         assert_eq!(
             store.stats(),
             StoreStats {
                 entries: 1,
-                bytes: 7
+                bytes: total
             }
         );
         let _ = fs::remove_dir_all(&dir);
@@ -366,77 +456,100 @@ mod tests {
     #[test]
     fn corrupted_artifacts_are_misses_not_data() {
         let (dir, store) = tmp_store("corrupt");
-        let obs = ats_obs::Handle::new();
-        let store = store.with_obs(Some(obs.clone()));
+        let (store, obs) = observed(store);
         let key = CacheKey::of_value(&ingredients(2));
-        store
-            .put(&key, &ingredients(2), &[("report.json", b"payload")])
-            .unwrap();
-        // Flip a byte on disk.
-        let path = dir
-            .join("objects")
-            .join(key.shard())
-            .join(key.hex())
-            .join("report.json");
-        fs::write(&path, b"pAyload").unwrap();
-        assert!(store.get(&key).unwrap().is_none(), "corruption must miss");
-        assert_eq!(obs.store.integrity_failures.get(), 1);
-        // Truncation misses too.
-        fs::write(&path, b"pay").unwrap();
-        assert!(store.get(&key).unwrap().is_none());
-        assert_eq!(obs.store.integrity_failures.get(), 2);
-        // A fresh put repairs the entry.
-        store
-            .put(&key, &ingredients(2), &[("report.json", b"payload")])
-            .unwrap();
-        assert!(store.get(&key).unwrap().is_some());
-        let _ = fs::remove_dir_all(&dir);
-    }
+        // The trace ends past the first read, so it is read on its own.
+        let trace: Vec<u8> = (0..2 * FIRST_READ).map(|i| (i % 251) as u8).collect();
+        let files = [
+            ("row.json", b"row".as_slice()),
+            ("report.json", b"payload"),
+            ("trace.atsb", &trace),
+        ];
+        let put = || store.put(&key, &ingredients(2), &files).unwrap();
+        put();
+        let path = entry_file(&dir, &key);
+        let good = fs::read(&path).unwrap();
+        let report = position(&good, b"payload");
+        let failures = || obs.store.integrity_failures.get();
+        let reads = |name: &str| store.get_file(&key, name).unwrap().is_some();
 
-    fn entry_json(dir: &Path, key: &CacheKey) -> PathBuf {
-        dir.join("objects")
-            .join(key.shard())
-            .join(key.hex())
-            .join("entry.json")
+        // A flipped byte misses for the callers that read it, and only them.
+        for (at, damaged) in [
+            (report + 1, "report.json"),
+            (good.len() - 300, "trace.atsb"),
+        ] {
+            let mut flipped = good.clone();
+            flipped[at] ^= 0x20;
+            fs::write(&path, &flipped).unwrap();
+            let before = failures();
+            for (name, _) in files {
+                assert_eq!(
+                    reads(name),
+                    name != damaged,
+                    "{name} with {damaged} flipped"
+                );
+            }
+            assert!(store.get(&key).unwrap().is_none(), "reading all misses");
+            assert_eq!(failures(), before + 2);
+        }
+        // So does a truncated one, read from the header's read or past it.
+        for (end, torn) in [
+            (report + 3, "report.json"),
+            (good.len() - 300, "trace.atsb"),
+        ] {
+            fs::write(&path, &good[..end]).unwrap();
+            let before = failures();
+            let kept = files.iter().position(|(n, _)| *n == torn).unwrap();
+            for (i, (name, _)) in files.iter().enumerate() {
+                assert_eq!(reads(name), i < kept, "{name} with {torn} torn");
+            }
+            assert_eq!(failures(), before + (files.len() - kept) as u64);
+        }
+        // A fresh put repairs the entry.
+        put();
+        let entry = store.get(&key).unwrap().expect("repaired");
+        assert_eq!(entry.file("trace.atsb"), Some(trace.as_slice()));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_manifest_is_a_counted_miss_that_a_put_repairs() {
         let (dir, store) = tmp_store("torn");
-        let obs = ats_obs::Handle::new();
-        let store = store.with_obs(Some(obs.clone()));
+        let (store, obs) = observed(store);
         let key = CacheKey::of_value(&ingredients(3));
-        store
-            .put(&key, &ingredients(3), &[("row.json", b"row")])
-            .unwrap();
-        // A crash before the manifest reached the disk leaves it torn.
-        let manifest = entry_json(&dir, &key);
-        let text = fs::read(&manifest).unwrap();
-        fs::write(&manifest, &text[..text.len() / 2]).unwrap();
-        assert!(store.get(&key).unwrap().is_none(), "a torn manifest misses");
+        let put = || {
+            store
+                .put(&key, &ingredients(3), &[("row.json", b"row")])
+                .unwrap()
+        };
+        put();
+        // A crash before the entry reached the disk can leave its header torn.
+        let path = entry_file(&dir, &key);
+        let text = fs::read(&path).unwrap();
+        let header = position(&text, b"\n");
+        fs::write(&path, &text[..header / 2]).unwrap();
+        assert!(
+            store.get_file(&key, "row.json").unwrap().is_none(),
+            "a torn header misses"
+        );
         assert_eq!(obs.store.integrity_failures.get(), 1);
         assert_eq!(store.len(), 0, "a torn entry is not committed");
-        store
-            .put(&key, &ingredients(3), &[("row.json", b"row")])
-            .unwrap();
+        put();
         let entry = store.get(&key).unwrap().expect("the put repairs it");
         assert_eq!(entry.file("row.json"), Some(b"row".as_slice()));
         assert_eq!(obs.store.integrity_failures.get(), 1);
-        // A manifest byte flipped to 0xFF is no longer UTF-8: a counted
-        // miss too, never an error that stops a campaign from repairing it.
-        let mut text = fs::read(&manifest).unwrap();
-        let mid = text.len() / 2;
-        text[mid] = 0xFF;
-        fs::write(&manifest, &text).unwrap();
+        // A header byte flipped to 0xFF is no longer UTF-8: a counted miss
+        // too, never an error that stops a campaign from repairing it.
+        let mut text = fs::read(&path).unwrap();
+        text[header / 2] = 0xFF;
+        fs::write(&path, &text).unwrap();
         assert!(
-            store.get(&key).unwrap().is_none(),
-            "a non-UTF-8 manifest misses"
+            store.get_file(&key, "row.json").unwrap().is_none(),
+            "a non-UTF-8 header misses"
         );
         assert_eq!(obs.store.integrity_failures.get(), 2);
         assert_eq!(store.len(), 0);
-        store
-            .put(&key, &ingredients(3), &[("row.json", b"row")])
-            .unwrap();
+        put();
         assert!(store.get(&key).unwrap().is_some(), "the put repairs it");
         assert_eq!(obs.store.integrity_failures.get(), 2);
         let _ = fs::remove_dir_all(&dir);
@@ -449,35 +562,133 @@ mod tests {
     #[test]
     fn every_prefix_and_bit_flip_of_a_manifest_decodes_or_fails() {
         let (dir, store) = tmp_store("flips");
+        let (store, obs) = observed(store);
         let ingredients = Json::parse(CATALOG_INGREDIENTS).unwrap();
         let key = CacheKey::of_value(&ingredients);
         let files = [
-            ("report.json", b"{}".as_slice()),
-            ("row.json", b"{}"),
+            ("row.json", ROW.as_bytes()),
+            ("report.json", b"{}"),
             ("trace.atsb", b"ATSB"),
         ];
         store.put(&key, &ingredients, &files).unwrap();
-        let text = fs::read(entry_json(&dir, &key)).unwrap();
-        assert!(text.len() > 1000, "{} bytes", text.len());
-        // A manifest that is not UTF-8 never reaches the parser: `get`
-        // counts it as an integrity miss first.
-        let decode = |b: &[u8]| std::str::from_utf8(b).map(|t| EntryDoc::from_text(t).is_ok());
-        // Only the prefixes that keep the closing brace are whole.
-        let whole = text.iter().rposition(|&b| b == b'}').unwrap() + 1;
-        for end in 0..=text.len() {
-            let want = Ok(end >= whole);
-            assert_eq!(decode(&text[..end]), want, "{end}-byte prefix");
+        let path = entry_file(&dir, &key);
+        let whole = fs::read(&path).unwrap();
+        assert!(
+            whole.ends_with(CATALOG_INGREDIENTS.as_bytes()),
+            "canonical tail"
+        );
+        // A miss allocates for the entry's path; beyond that, a read may
+        // allocate no more than the file holds.
+        let (_, floor) = largest_allocation(|| store.get(&CacheKey::of_bytes(b"absent")));
+        let mut hits = 0;
+        let mut check = |bytes: &[u8], what: &str| {
+            fs::write(&path, bytes).unwrap();
+            for only in [
+                None,
+                Some("row.json"),
+                Some("report.json"),
+                Some("trace.atsb"),
+            ] {
+                let misses = obs.store.misses.get();
+                let (got, largest) = largest_allocation(|| store.read(&key, only).unwrap());
+                let bound = bytes.len().max(floor);
+                assert!(largest <= bound, "{what}, {only:?}: allocated {largest}");
+                let Some(entry) = got else {
+                    assert_eq!(obs.store.misses.get(), misses + 1, "{what}, {only:?}");
+                    continue;
+                };
+                hits += 1;
+                for (name, content) in files {
+                    if only.is_none_or(|n| n == name) {
+                        assert_eq!(entry.file(name), Some(content), "{what}, {only:?}");
+                    }
+                }
+            }
+        };
+        // Every prefix: whatever it still holds whole reads back exactly.
+        for end in 0..=whole.len() {
+            check(&whole[..end], &format!("{end}-byte prefix"));
         }
-        let mut decoded = 0;
-        for at in 0..text.len() {
+        // Every bit flip: a damaged header or artifact is a counted miss.
+        for at in 0..whole.len() {
             for bit in 0..8 {
-                let mut flipped = text.clone();
+                let mut flipped = whole.clone();
                 flipped[at] ^= 1 << bit;
-                decoded += usize::from(decode(&flipped).is_ok());
+                check(&flipped, &format!("bit {bit} of byte {at} flipped"));
             }
         }
-        // Seven of each ASCII byte's eight flips stay UTF-8.
-        assert!(decoded > 6 * text.len(), "{decoded} decoded");
+        // The ingredients are never read: every prefix that keeps the
+        // artifacts and every flip inside the tail still hits, four reads
+        // each.
+        let tail = ingredients.render().len();
+        assert!(hits >= 4 * (tail + 8 * tail), "{hits} hits");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_header_claiming_more_than_the_file_holds_is_a_counted_miss() {
+        let (dir, store) = tmp_store("claims");
+        let (store, obs) = observed(store);
+        let key = CacheKey::of_value(&ingredients(4));
+        let path = entry_file(&dir, &key);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let (_, floor) = largest_allocation(|| store.get(&CacheKey::of_bytes(b"absent")));
+        let checksum = CacheKey::of_bytes(b"row");
+        let claims = [
+            (0, 4),
+            (1, 3),
+            (0, 1 << 40),
+            (1 << 40, 3),
+            (u64::MAX, 1),
+            (0, u64::MAX),
+        ];
+        for (offset, size) in claims {
+            let signed = format!("{ENTRY_SCHEMA} {key} row.json {offset} {size} {checksum}");
+            let file = format!("{signed} {}\nrow", CacheKey::of_bytes(signed.as_bytes()));
+            fs::write(&path, &file).unwrap();
+            let (got, largest) = largest_allocation(|| store.get_file(&key, "row.json").unwrap());
+            assert!(got.is_none(), "offset {offset}, size {size}");
+            assert!(largest <= file.len().max(floor), "allocated {largest}");
+        }
+        assert_eq!(obs.store.integrity_failures.get(), claims.len() as u64);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_in_the_earlier_layout_is_a_miss_that_a_put_replaces() {
+        let (dir, store) = tmp_store("layout");
+        let (store, obs) = observed(store);
+        let key = CacheKey::of_value(&ingredients(5));
+        // The earlier layout: a directory per entry, its artifacts beside
+        // an `entry.json` manifest.
+        let old = dir.join("objects").join(&key.hex()[..2]).join(key.hex());
+        fs::create_dir_all(&old).unwrap();
+        fs::write(old.join("row.json"), b"row").unwrap();
+        let manifest = Json::obj()
+            .with("schema", "ats-store-entry/1")
+            .with("key", key.hex())
+            .with("ingredients", ingredients(5))
+            .with(
+                "files",
+                Json::obj().with(
+                    "row.json",
+                    Json::obj()
+                        .with("bytes", 3u64)
+                        .with("checksum", CacheKey::of_bytes(b"row").hex()),
+                ),
+            );
+        fs::write(old.join("entry.json"), manifest.render_pretty()).unwrap();
+        assert!(store.get_file(&key, "row.json").unwrap().is_none());
+        assert!(store.get(&key).unwrap().is_none());
+        let counts = || (obs.store.misses.get(), obs.store.integrity_failures.get());
+        assert_eq!(counts(), (2, 0), "plain misses");
+        assert_eq!(store.len(), 0);
+        store
+            .put(&key, &ingredients(5), &[("row.json", b"row")])
+            .unwrap();
+        let hit = store.get_file(&key, "row.json").unwrap().expect("hit");
+        assert_eq!(hit.file("row.json"), Some(b"row".as_slice()));
+        assert_eq!(store.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -502,10 +713,13 @@ mod tests {
             }
         );
         assert_eq!(store.len(), 4);
-        // A directory without a parseable manifest is not an entry.
-        let torn = entry_json(&dir, &CacheKey::of_value(&ingredients(9)));
+        // A file without a verified header is not an entry, and neither is
+        // a temp file or anything else in a shard.
+        let torn = entry_file(&dir, &CacheKey::of_value(&ingredients(9)));
         fs::create_dir_all(torn.parent().unwrap()).unwrap();
-        fs::write(&torn, b"{\"schema\": \"ats-st").unwrap();
+        fs::write(&torn, format!("{ENTRY_SCHEMA} ")).unwrap();
+        fs::write(torn.with_extension("entry.1.2.tmp"), b"").unwrap();
+        fs::create_dir_all(torn.with_extension("")).unwrap();
         assert_eq!(store.len(), 4);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -537,12 +751,21 @@ mod tests {
     fn invalid_artifact_names_are_rejected() {
         let (dir, store) = tmp_store("names");
         let key = CacheKey::of_bytes(b"k");
-        for bad in ["", "a/b", "entry.json", "..\\x"] {
+        for bad in ["", "a/b", "..\\x", "a b", "row\n"] {
             assert!(
                 store.put(&key, &ingredients(0), &[(bad, b"x")]).is_err(),
                 "{bad:?} accepted"
             );
         }
+        let twice = [("row.json", b"x".as_slice()), ("row.json", b"y")];
+        assert!(store.put(&key, &ingredients(0), &twice).is_err());
+        let many: Vec<String> = (0..100).map(|i| format!("artifact-{i}.json")).collect();
+        let many: Vec<(&str, &[u8])> = many.iter().map(|n| (n.as_str(), b"x".as_slice())).collect();
+        assert!(
+            store.put(&key, &ingredients(0), &many).is_err(),
+            "a header past the first read is refused"
+        );
+        assert!(store.get(&key).unwrap().is_none(), "nothing was written");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -3,10 +3,10 @@
 //! results, every instrumented subsystem shows up in the exports, and
 //! each count lands in the registry of the session that recorded it.
 
-use ats::harness::cache::TRACE_FILE;
-use ats::harness::experiment::Sweep;
+use ats::harness::cache::{self, TRACE_FILE};
+use ats::harness::experiment::{ExperimentRow, Sweep};
 use ats::harness::{ParamValues, Session};
-use ats::store::CacheMode;
+use ats::store::{CacheMode, Store};
 use ats_fuzz::campaign::{run_campaign, FuzzConfig};
 use ats_obs::ObsConfig;
 use std::path::Path;
@@ -186,15 +186,21 @@ fn manifest_config_excludes_execution_details() {
 }
 
 /// Total size of the `trace.atsb` artifacts in the store rooted at `root`.
-fn stored_trace_bytes(root: &Path) -> u64 {
-    let mut total = 0;
-    for shard in std::fs::read_dir(root.join("objects")).unwrap() {
-        for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
-            let atsb = entry.unwrap().path().join(TRACE_FILE);
-            total += std::fs::metadata(atsb).unwrap().len();
-        }
-    }
-    total
+/// Bytes of the traces a sweep published, read back through a store
+/// handle on `root` under each of its rows' keys.
+fn stored_trace_bytes(root: &Path, session: &Session, rows: &[ExperimentRow]) -> u64 {
+    let store = Store::open(root).unwrap();
+    rows.iter()
+        .map(|row| {
+            let (opts, analyzer) = (session.opts(), session.analyzer_config());
+            let key = cache::config_key(&row.property, &row.params, row.nprocs, opts, analyzer);
+            let entry = store
+                .get_file(&key, TRACE_FILE)
+                .unwrap()
+                .expect("published");
+            entry.file(TRACE_FILE).expect("a trace").len() as u64
+        })
+        .sum()
 }
 
 #[test]
@@ -216,18 +222,18 @@ fn encoded_bytes_belong_to_the_session_that_published_them() {
     };
     let first_dir = ats_testutil::TempDir::new("ats-obs-publish-first");
     let first = rw_session(first_dir.path());
-    sweep(&first);
+    let rows = sweep(&first);
     let encoded = first.obs().unwrap().trace.binary_bytes_encoded.get();
     assert!(encoded > 0, "a cold rw sweep publishes traces");
-    assert_eq!(encoded, stored_trace_bytes(first_dir.path()));
+    assert_eq!(encoded, stored_trace_bytes(first_dir.path(), &first, &rows));
 
     // A second session's publishes count in its own registry only.
     let second_dir = ats_testutil::TempDir::new("ats-obs-publish-second");
     let second = rw_session(second_dir.path());
-    sweep(&second);
+    let rows = sweep(&second);
     assert_eq!(
         second.obs().unwrap().trace.binary_bytes_encoded.get(),
-        stored_trace_bytes(second_dir.path())
+        stored_trace_bytes(second_dir.path(), &second, &rows)
     );
     assert_eq!(
         first.obs().unwrap().trace.binary_bytes_encoded.get(),
