@@ -11,6 +11,15 @@
 //! interpretation are listed once, in [`execution_key_doc`], which the
 //! campaign service's key documents build on too.
 //!
+//! A key document is `{"execution": .., "run": ..}`: the shared
+//! execution half, and the engine's own run half (here schema, engine,
+//! property, parameters, process count and seed). `execution` sorts
+//! before `run`, so the canonical rendering is a prefix that only the
+//! execution half sets, then the run half, then `}`. A [`KeyPrefix`]
+//! renders that prefix once, so an engine that derives many keys under
+//! one execution (a sweep, a server) renders and hashes only each run
+//! half.
+//!
 //! Knobs that only change how fast a result is computed — `jobs`,
 //! `trace_pool`, `obs` — are deliberately **excluded**, and so is the
 //! scheduler's carrier, which the platform picks. No work mode is
@@ -32,7 +41,7 @@ use ats_store::{CacheKey, Json};
 
 /// Schema tag of experiment-engine key-ingredient documents. Bump on any
 /// change to the document layout itself.
-pub const KEY_SCHEMA: &str = "ats-store-key/3";
+pub const KEY_SCHEMA: &str = "ats-store-key/4";
 
 /// Artifact name of the cached row document.
 pub const ROW_FILE: &str = "row.json";
@@ -44,9 +53,8 @@ pub const TRACE_FILE: &str = "trace.atsb";
 /// The key ingredients every engine shares: how the simulated machine
 /// behaves (machine model, message shape, init/finalize costs), how the
 /// result is interpreted (analyzer version and configuration) and the
-/// trace format. Each key document adds what it
-/// runs to this object ([`config_key_doc`], and the campaign service's
-/// scenario keys).
+/// trace format. It is the `execution` half of every key document
+/// ([`config_key_doc`], and the campaign service's scenario keys).
 pub fn execution_key_doc(opts: &RunOpts, analyzer: &AnalyzerConfig) -> Json {
     Json::obj()
         .with("model", model_json(&opts.model))
@@ -68,6 +76,47 @@ pub fn execution_key_doc(opts: &RunOpts, analyzer: &AnalyzerConfig) -> Json {
         .with("trace_format", "atsb")
 }
 
+/// The rendered start of every key document under one execution:
+/// `{"execution":` + the canonical [`execution_key_doc`] + `,"run":`.
+#[derive(Debug, Clone)]
+pub struct KeyPrefix(String);
+
+impl KeyPrefix {
+    /// Render the execution half of `opts` and `analyzer` once.
+    pub fn new(opts: &RunOpts, analyzer: &AnalyzerConfig) -> KeyPrefix {
+        let mut text = String::from("{\"execution\":");
+        execution_key_doc(opts, analyzer).render_into(&mut text);
+        text.push_str(",\"run\":");
+        KeyPrefix(text)
+    }
+
+    /// The key of the document `{"execution": .., "run": run}`: the
+    /// canonical rendering's hash, without rendering the execution half.
+    pub fn key(&self, run: &Json) -> CacheKey {
+        let mut doc = String::with_capacity(self.0.len() + 256);
+        doc.push_str(&self.0);
+        run.render_into(&mut doc);
+        doc.push('}');
+        CacheKey::of_bytes(doc.as_bytes())
+    }
+}
+
+/// The `run` half of an experiment configuration's key document.
+pub(crate) fn config_run_doc(
+    property: &str,
+    params_cli: &str,
+    nprocs: usize,
+    opts: &RunOpts,
+) -> Json {
+    Json::obj()
+        .with("schema", KEY_SCHEMA)
+        .with("engine", "experiment")
+        .with("property", property)
+        .with("params", params_cli)
+        .with("nprocs", nprocs)
+        .with("seed", opts.seed)
+}
+
 /// The canonical key-ingredients document for one experiment
 /// configuration. Everything that determines the result bytes is in
 /// here; nothing that merely schedules the work is.
@@ -78,17 +127,15 @@ pub fn config_key_doc(
     opts: &RunOpts,
     analyzer: &AnalyzerConfig,
 ) -> Json {
-    execution_key_doc(opts, analyzer)
-        .with("schema", KEY_SCHEMA)
-        .with("engine", "experiment")
-        .with("property", property)
-        .with("params", params_cli)
-        .with("nprocs", nprocs)
-        .with("seed", opts.seed)
+    Json::obj()
+        .with("execution", execution_key_doc(opts, analyzer))
+        .with("run", config_run_doc(property, params_cli, nprocs, opts))
 }
 
-/// The cache key for one experiment configuration
-/// (see [`config_key_doc`]).
+/// The cache key for one experiment configuration: the hash of
+/// [`config_key_doc`]'s canonical rendering. It renders the execution
+/// half on every call; an engine that derives many keys holds a
+/// [`KeyPrefix`] instead.
 pub fn config_key(
     property: &str,
     params_cli: &str,
@@ -96,9 +143,7 @@ pub fn config_key(
     opts: &RunOpts,
     analyzer: &AnalyzerConfig,
 ) -> CacheKey {
-    CacheKey::of_value(&config_key_doc(
-        property, params_cli, nprocs, opts, analyzer,
-    ))
+    KeyPrefix::new(opts, analyzer).key(&config_run_doc(property, params_cli, nprocs, opts))
 }
 
 /// Every [`MachineModel`] field, exactly (virtual durations in integer
@@ -343,10 +388,43 @@ mod tests {
             &RunOpts::default(),
             &AnalyzerConfig::default(),
         );
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(KEY_SCHEMA));
-        assert_eq!(doc.get("trace_format").and_then(Json::as_str), Some("atsb"));
-        assert!(doc.get("jobs").is_none(), "jobs must not be an ingredient");
-        assert!(doc.get("backend").is_none(), "the carrier is no ingredient");
+        let run = doc.get("run").expect("a run half");
+        let execution = doc.get("execution").expect("an execution half");
+        assert_eq!(doc.as_obj().map(|m| m.len()), Some(2));
+        assert_eq!(run.get("schema").and_then(Json::as_str), Some(KEY_SCHEMA));
+        assert_eq!(
+            execution.get("trace_format").and_then(Json::as_str),
+            Some("atsb")
+        );
+        for half in [run, execution] {
+            assert!(half.get("jobs").is_none(), "jobs must not be an ingredient");
+            assert!(
+                half.get("backend").is_none(),
+                "the carrier is no ingredient"
+            );
+        }
+    }
+
+    /// A key comes from the rendered prefix and the run half; the stored
+    /// document renders whole. Both must hash the same bytes, for any
+    /// parameter text, machine model and analyzer configuration.
+    #[test]
+    fn key_documents_hash_to_their_keys() {
+        let hot = AnalyzerConfig {
+            threshold: 0.0625,
+            ..AnalyzerConfig::default()
+        };
+        for opts in [RunOpts::default(), RunOpts::default().realistic()] {
+            for analyzer in [&AnalyzerConfig::default(), &hot] {
+                for params in ["r=3", "a=\"q\" b=\\ c=\u{1}\t\u{7f}é", ""] {
+                    let doc = config_key_doc("late_sender", params, 8, &opts, analyzer);
+                    let key = config_key("late_sender", params, 8, &opts, analyzer);
+                    assert_eq!(CacheKey::of_value(&doc), key, "{params:?}");
+                    let run = config_run_doc("late_sender", params, 8, &opts);
+                    assert_eq!(KeyPrefix::new(&opts, analyzer).key(&run), key);
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! them, analyzes every trace, and collects one [`ExperimentRow`] per
 //! configuration.
 
-use crate::cache::{self, row_from_json, row_to_json};
+use crate::cache::{self, row_from_json, row_to_json, KeyPrefix};
 use crate::pool;
 use crate::registry::{run_single, spec_of, RunOpts};
 use ats_analyzer::{analyze, AnalyzerConfig};
@@ -229,9 +229,14 @@ impl Experiment {
         )
         .min(configs.len().max(1));
         let started = Instant::now();
+        // Every configuration's key shares the sweep's execution half.
+        let prefix = self
+            .cache
+            .as_ref()
+            .map(|_| KeyPrefix::new(&self.opts, &self.analyzer));
         let replayed: Vec<(Result<Replay, Error>, f64)> = configs
             .iter()
-            .map(|&(nprocs, combo)| timed(|| self.replay(spec, nprocs, combo)))
+            .map(|&(nprocs, combo)| timed(|| self.replay(prefix.as_ref(), spec, nprocs, combo)))
             .collect();
         let misses: Vec<&Miss> = replayed
             .iter()
@@ -294,11 +299,12 @@ impl Experiment {
     }
 
     /// The replay step for one configuration: build its parameters and,
-    /// with a cache, its key, then probe the store once. A verified entry
-    /// whose row decodes is a hit; anything else is a miss for
-    /// [`Experiment::run_config`] to execute.
+    /// with a cache (and the sweep's key prefix), its key, then probe the
+    /// store once. A verified entry whose row decodes is a hit; anything
+    /// else is a miss for [`Experiment::run_config`] to execute.
     fn replay(
         &self,
+        prefix: Option<&KeyPrefix>,
         spec: &'static PropertySpec,
         nprocs: usize,
         combo: &[(String, ParamValue)],
@@ -309,17 +315,11 @@ impl Experiment {
         }
         let params_cli = params.to_cli();
         let mut key = None;
-        if let Some(cache) = &self.cache {
+        if let (Some(cache), Some(prefix)) = (&self.cache, prefix) {
             // The key is computed *before* simulating: a hit replays the
             // stored row without paying for the run at all.
-            let key_doc = cache::config_key_doc(
-                &self.property,
-                &params_cli,
-                nprocs,
-                &self.opts,
-                &self.analyzer,
-            );
-            let hash = CacheKey::of_value(&key_doc);
+            let run = cache::config_run_doc(&self.property, &params_cli, nprocs, &self.opts);
+            let hash = prefix.key(&run);
             if let Some(entry) = cache
                 .lookup_file(&hash, cache::ROW_FILE)
                 .map_err(|e| e.in_config(&self.property, &params_cli))?
@@ -338,7 +338,7 @@ impl Experiment {
                     });
                 }
             }
-            key = Some((hash, key_doc));
+            key = Some(hash);
         }
         Ok(Replay::Miss(Miss {
             nprocs,
@@ -391,7 +391,7 @@ impl Experiment {
             events,
         };
         let mut bytes_written = 0;
-        if let (Some(cache), Some((key, key_doc))) = (&self.cache, &miss.key) {
+        if let (Some(cache), Some(key)) = (&self.cache, &miss.key) {
             if cache.mode.writes() {
                 // Persist the full result set: the replayable row, the
                 // analyzer report (the byte-identity artifact) and the
@@ -404,10 +404,17 @@ impl Experiment {
                 if let Some(obs) = &self.opts.obs {
                     obs.trace.binary_bytes_encoded.add(trace_bytes.len() as u64);
                 }
+                let key_doc = cache::config_key_doc(
+                    &self.property,
+                    &miss.params_cli,
+                    miss.nprocs,
+                    &self.opts,
+                    &self.analyzer,
+                );
                 bytes_written = cache
                     .publish(
                         key,
-                        key_doc,
+                        &key_doc,
                         &[
                             (cache::ROW_FILE, row_bytes.as_bytes()),
                             (cache::REPORT_FILE, report_bytes.as_bytes()),
@@ -441,9 +448,8 @@ struct Miss {
     nprocs: usize,
     params: ParamValues,
     params_cli: String,
-    /// The cache key and the ingredients document it hashes (`None`
-    /// without a cache).
-    key: Option<(CacheKey, Json)>,
+    /// The cache key (`None` without a cache).
+    key: Option<CacheKey>,
 }
 
 /// `f`'s result and its wall time in seconds.

@@ -11,7 +11,7 @@ use ats_analyzer::AnalyzerConfig;
 use ats_core::json::Json;
 use ats_core::{Error, ErrorKind};
 use ats_fuzz::Scenario;
-use ats_harness::cache::execution_key_doc;
+use ats_harness::cache::{execution_key_doc, KeyPrefix};
 use ats_harness::RunOpts;
 use ats_store::CacheKey;
 
@@ -22,7 +22,7 @@ pub const ROW_SCHEMA: &str = "ats-serve-row/1";
 /// Schema tag of error bodies.
 pub const ERROR_SCHEMA: &str = "ats-serve-error/1";
 /// Schema tag of the service's cache-key ingredient documents.
-pub const KEY_SCHEMA: &str = "ats-serve-key/3";
+pub const KEY_SCHEMA: &str = "ats-serve-key/4";
 
 /// An error body: the stable `ats_core::ErrorKind` discriminant plus the
 /// rendered message.
@@ -53,22 +53,32 @@ pub fn status_of(kind: ErrorKind) -> u16 {
     }
 }
 
-/// The key-ingredients document for one scenario under one session
-/// configuration: everything that determines the report bytes (scenario
-/// text form, plus the execution model, analyzer version + config and
-/// trace format of [`execution_key_doc`]), nothing that merely schedules
-/// the work — the same contract as
-/// [`ats_harness::cache::config_key_doc`].
-pub fn scenario_key_doc(sc: &Scenario, opts: &RunOpts, analyzer: &AnalyzerConfig) -> Json {
-    execution_key_doc(opts, analyzer)
+/// The `run` half of a scenario's key document: the scenario's text
+/// form, under the service's schema tag.
+pub(crate) fn scenario_run_doc(sc: &Scenario) -> Json {
+    Json::obj()
         .with("schema", KEY_SCHEMA)
         .with("engine", "serve")
         .with("scenario", sc.to_string())
 }
 
-/// The cache key for one scenario (see [`scenario_key_doc`]).
+/// The key-ingredients document for one scenario under one session
+/// configuration: everything that determines the report bytes (scenario
+/// text form, plus the execution model, analyzer version + config and
+/// trace format of [`execution_key_doc`]), nothing that merely schedules
+/// the work — the same contract and the same `{execution, run}` layout
+/// as [`ats_harness::cache::config_key_doc`].
+pub fn scenario_key_doc(sc: &Scenario, opts: &RunOpts, analyzer: &AnalyzerConfig) -> Json {
+    Json::obj()
+        .with("execution", execution_key_doc(opts, analyzer))
+        .with("run", scenario_run_doc(sc))
+}
+
+/// The cache key for one scenario (see [`scenario_key_doc`]). It renders
+/// the execution half on every call; the server holds a [`KeyPrefix`]
+/// instead.
 pub fn scenario_key(sc: &Scenario, opts: &RunOpts, analyzer: &AnalyzerConfig) -> CacheKey {
-    CacheKey::of_value(&scenario_key_doc(sc, opts, analyzer))
+    KeyPrefix::new(opts, analyzer).key(&scenario_run_doc(sc))
 }
 
 /// One streamed campaign row (returned as a single JSONL line).
@@ -201,7 +211,32 @@ mod tests {
             base
         );
         let doc = scenario_key_doc(&sc, &opts, &analyzer);
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(KEY_SCHEMA));
+        let run = doc.get("run").expect("a run half");
+        assert_eq!(run.get("schema").and_then(Json::as_str), Some(KEY_SCHEMA));
+    }
+
+    /// The server keys a scenario through its rendered prefix, and a miss
+    /// stores [`scenario_key_doc`]: both must hash the same bytes.
+    #[test]
+    fn scenario_key_documents_hash_to_their_keys() {
+        let mut odd = sample_scenario();
+        let params = &mut odd.slots[0].phases[0].params;
+        params.insert("note".into(), "\"q\" \\ \u{1}\n".into());
+        let hot = AnalyzerConfig {
+            threshold: 0.0625,
+            ..AnalyzerConfig::default()
+        };
+        for opts in [RunOpts::default(), RunOpts::default().realistic()] {
+            for analyzer in [&AnalyzerConfig::default(), &hot] {
+                for sc in [&sample_scenario(), &odd] {
+                    let key = scenario_key(sc, &opts, analyzer);
+                    let doc = scenario_key_doc(sc, &opts, analyzer);
+                    assert_eq!(CacheKey::of_value(&doc), key, "{sc}");
+                    let prefix = KeyPrefix::new(&opts, analyzer);
+                    assert_eq!(prefix.key(&scenario_run_doc(sc)), key);
+                }
+            }
+        }
     }
 
     /// The service and the experiment engine describe one execution with
@@ -214,6 +249,7 @@ mod tests {
         let serve = scenario_key_doc(&sample_scenario(), &opts, &analyzer);
         let experiment =
             ats_harness::cache::config_key_doc("late_sender", "r=3", 8, &opts, &analyzer);
+        let execution = serve.get("execution").expect("an execution half");
         for field in [
             "model",
             "base",
@@ -222,11 +258,13 @@ mod tests {
             "analyzer",
             "trace_format",
         ] {
-            assert!(serve.get(field).is_some(), "{field}");
-            assert_eq!(serve.get(field), experiment.get(field), "{field}");
+            assert!(execution.get(field).is_some(), "{field}");
         }
-        assert!(serve.get("work_mode").is_none());
-        assert!(serve.get("backend").is_none());
+        assert_eq!(Some(execution), experiment.get("execution"));
+        for half in [execution, serve.get("run").expect("a run half")] {
+            assert!(half.get("work_mode").is_none());
+            assert!(half.get("backend").is_none());
+        }
     }
 
     #[test]

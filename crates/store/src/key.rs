@@ -51,12 +51,25 @@ impl CacheKey {
     /// the store's object tree, under a shard directory named by its
     /// first two characters).
     pub fn hex(&self) -> String {
-        format!("{:016x}{:016x}", self.hi, self.lo)
+        self.to_string()
     }
 
-    /// Parse the [`CacheKey::hex`] spelling back.
+    /// The [`CacheKey::hex`] spelling's bytes, without an allocation.
+    pub(crate) fn hex_digits(&self) -> [u8; 32] {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut digits = [0; 32];
+        let bits = (u128::from(self.hi) << 64) | u128::from(self.lo);
+        for (i, digit) in digits.iter_mut().enumerate() {
+            *digit = HEX[(bits >> (124 - 4 * i)) as usize & 0xf];
+        }
+        digits
+    }
+
+    /// Parse the [`CacheKey::hex`] spelling back: exactly 32 lowercase
+    /// hex digits, so that a key has one spelling.
     pub fn from_hex(s: &str) -> Option<CacheKey> {
-        if s.len() != 32 {
+        let lowercase_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+        if s.len() != 32 || !s.bytes().all(lowercase_hex) {
             return None;
         }
         let hi = u64::from_str_radix(&s[..16], 16).ok()?;
@@ -67,7 +80,8 @@ impl CacheKey {
 
 impl fmt::Display for CacheKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.hex())
+        let digits = self.hex_digits();
+        f.write_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
     }
 }
 
@@ -82,6 +96,27 @@ mod tests {
         assert_eq!(CacheKey::from_hex(&k.hex()), Some(k));
         assert!(CacheKey::from_hex("xyz").is_none());
         assert!(CacheKey::from_hex(&"0".repeat(31)).is_none());
+        assert_eq!(
+            CacheKey::from_hex("0123456789abcdef0011223344556677").map(|k| k.hex()),
+            Some("0123456789abcdef0011223344556677".to_owned())
+        );
+    }
+
+    /// A key has one spelling: what [`CacheKey::hex`] writes.
+    #[test]
+    fn from_hex_accepts_only_the_lowercase_spelling() {
+        let hex = CacheKey::of_bytes(b"spelling").hex();
+        assert!(hex.bytes().any(|b| b.is_ascii_alphabetic()), "{hex}");
+        for bad in [
+            hex.to_uppercase(),
+            format!("+{}", &hex[1..]),
+            format!("{}+{}", &hex[..16], &hex[17..]),
+            hex[1..].to_owned(),
+            format!("{hex}0"),
+            format!(" {}", &hex[1..]),
+        ] {
+            assert_eq!(CacheKey::from_hex(&bad), None, "{bad}");
+        }
     }
 
     #[test]

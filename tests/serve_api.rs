@@ -207,6 +207,38 @@ fn artifacts_are_fetchable_by_key_and_unknown_keys_are_404() {
     server.shutdown();
 }
 
+/// A key has one spelling in a URL: the lowercase hex the service
+/// returns. Any other spelling of a stored key is malformed, not a hit.
+#[test]
+fn artifact_keys_are_spelled_only_in_lowercase() {
+    let dir = TempDir::new("serve-key-spelling");
+    let server = default_boot(&dir);
+    let mut client = Client::new(server.addr());
+    let out = client.analyze(SPEC).expect("analyze");
+    assert!(
+        out.key.bytes().any(|b| b.is_ascii_lowercase()),
+        "{}",
+        out.key
+    );
+    for key in [out.key.to_uppercase(), format!("+{}", &out.key[1..])] {
+        let resp = client
+            .request(
+                "GET",
+                &format!("/v1/artifacts/{key}/report.json"),
+                None,
+                b"",
+            )
+            .expect("transport ok");
+        assert_eq!(resp.status, 400, "{key}: {}", resp.text());
+        assert!(
+            resp.text().contains("malformed cache key"),
+            "{}",
+            resp.text()
+        );
+    }
+    server.shutdown();
+}
+
 #[test]
 fn full_admission_queue_sheds_new_connections_with_429() {
     let dir = TempDir::new("serve-shed");

@@ -6,7 +6,7 @@
 use ats::harness::cache::row_to_json;
 use ats::harness::experiment::{Experiment, Sweep};
 use ats::harness::{ExperimentRow, RunOpts, Session};
-use ats::store::{Cache, CacheMode};
+use ats::store::{Cache, CacheKey, CacheMode, Json};
 use std::path::PathBuf;
 
 fn store_dir(tag: &str) -> PathBuf {
@@ -159,5 +159,63 @@ fn sessions_share_the_store_across_modes() {
     assert_eq!((warm.cache_mode, warm.cache_hits), ("ro", 2));
     assert_eq!(warm.cache_bytes_written, 0, "ro never writes");
     assert_eq!(rendered(&cold_rows), rendered(&warm_rows));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Engines derive a key from a rendered prefix and store the key's
+/// ingredients rendered whole, through two code paths. Every entry that a
+/// `rw` sweep and a serve miss write must end in ingredients that hash to
+/// the key its file is named by.
+#[test]
+fn stored_ingredients_hash_to_their_entry_names() {
+    let dir = store_dir("ingredients");
+    let session = Session::builder()
+        .procs(2)
+        .realistic()
+        .analyzer(ats::analyzer::AnalyzerConfig::default().threshold(0.02))
+        .cache(CacheMode::ReadWrite)
+        .cache_dir(&dir)
+        .build();
+    let (_, cold) = session
+        .experiment("late_sender")
+        .sweep(Sweep::seconds("extrawork", [0.005, 0.01]))
+        .run_with_stats()
+        .unwrap();
+    assert_eq!(cold.cache_misses, 2);
+    let server = ats::serve::start(session, ats::serve::ServeConfig::default()).unwrap();
+    let out = ats::serve::Client::new(server.addr())
+        .analyze("seed=7 nprocs=2 | whole g0:late_sender r=1")
+        .unwrap();
+    assert!(!out.cached);
+    server.shutdown();
+
+    let mut schemas = Vec::new();
+    for shard in std::fs::read_dir(dir.join("objects")).unwrap() {
+        for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap();
+            let key = CacheKey::from_hex(name.strip_suffix(".entry").unwrap()).unwrap();
+            let file = std::fs::read(&path).unwrap();
+            // `schema key (name offset size checksum)… checksum\n`, the
+            // artifacts, then the ingredients.
+            let end = file.iter().position(|&b| b == b'\n').unwrap();
+            let header: Vec<&str> = std::str::from_utf8(&file[..end])
+                .unwrap()
+                .split(' ')
+                .collect();
+            let groups = header[2..header.len() - 1].chunks(4);
+            let artifacts: usize = groups.map(|g| g[2].parse::<usize>().unwrap()).sum();
+            let tail = &file[end + 1 + artifacts..];
+            assert_eq!(CacheKey::of_bytes(tail), key, "{}", path.display());
+            let doc = Json::parse(std::str::from_utf8(tail).unwrap()).unwrap();
+            let run = doc.get("run").and_then(|r| r.get("schema"));
+            schemas.push(run.and_then(Json::as_str).unwrap().to_owned());
+        }
+    }
+    schemas.sort();
+    assert_eq!(
+        schemas,
+        ["ats-serve-key/4", "ats-store-key/4", "ats-store-key/4"]
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
