@@ -252,6 +252,70 @@ mod tests {
         }
     }
 
+    /// Assert that the one OpenMP barrier `trace` records on an initial
+    /// thread at `location` carries an id that no other team or
+    /// communicator of the trace carries, and that the analyzer stays
+    /// silent.
+    fn assert_initial_barrier_is_a_team_of_one(trace: &Trace, location: LocationId) {
+        use ats_trace::{CollOp, EventKind};
+        let records: Vec<(LocationId, CollOp, u32)> = trace
+            .locations
+            .iter()
+            .flat_map(|l| l.events.iter().map(move |e| (l.location, e)))
+            .filter_map(|(loc, e)| match e.kind {
+                EventKind::CollEnd { op, comm, .. } => Some((loc, op, comm)),
+                _ => None,
+            })
+            .collect();
+        // Member 0 of each forked team records at `location` too, but its
+        // team's other member carries the same id.
+        let alone: Vec<u32> = records
+            .iter()
+            .filter(|(loc, op, _)| *loc == location && *op == CollOp::OmpBarrier)
+            .map(|&(_, _, comm)| comm)
+            .filter(|&comm| records.iter().filter(|r| r.2 == comm).count() == 1)
+            .collect();
+        assert_eq!(alone.len(), 1, "{location:?}: {records:?}");
+        assert!(trace.comms.iter().all(|c| c.id != alone[0]), "{alone:?}");
+        let report = analyze(trace, &AnalyzerConfig::default());
+        assert!(report.is_clean(), "{:?}", report.findings);
+    }
+
+    #[test]
+    fn a_barrier_on_an_initial_thread_is_a_team_of_one() {
+        use ats_omp::{parallel, run_omp, OmpConfig};
+        let trace = run_omp(
+            OmpConfig {
+                model: ats_runtime::MachineModel::zero(),
+                ..Default::default()
+            },
+            |m| {
+                parallel(m, 2, |th| th.barrier());
+                m.do_work(VDur::from_millis(5));
+                m.barrier();
+                parallel(m, 2, |th| th.barrier());
+            },
+        );
+        assert_initial_barrier_is_a_team_of_one(&trace, LocationId::rank(0));
+
+        // Each rank's initial thread: one rank reaches its barrier 5 ms
+        // after the other, so a shared id would make a 5 ms wait.
+        let trace = ats_mpi::run(cfg(2), |p| {
+            let c = p.comm_world();
+            p.barrier(&c);
+            with_omp(p, |m| {
+                if m.location().rank == 1 {
+                    m.do_work(VDur::from_millis(5));
+                }
+                m.barrier();
+                parallel(m, 2, |th| th.barrier());
+            });
+        });
+        for rank in 0..2 {
+            assert_initial_barrier_is_a_team_of_one(&trace, LocationId::rank(rank));
+        }
+    }
+
     #[test]
     fn omp_properties_detected() {
         let df = Distr::linear(0.002, 0.020);

@@ -13,7 +13,7 @@ use crate::model::{imbalance_sum, prefix_imbalance_sum, progressive_series};
 use crate::params::ParamValues;
 use crate::properties::{hybrid, mpi_coll, mpi_p2p, negative, omp, sequential};
 use ats_mpi::{Comm, Proc};
-use ats_omp::Master;
+use ats_omp::OmpThread;
 
 /// Which programming paradigm a property function exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,8 +95,9 @@ pub enum Runner {
     /// An MPI body: every rank of the communicator calls it with the same
     /// parameters and message shape.
     Mpi(fn(&ParamValues, &BaseComm, &mut Proc, &Comm)),
-    /// An OpenMP body: one master calls it and forks the entry's teams.
-    Omp(fn(&ParamValues, &mut dyn Master)),
+    /// An OpenMP body: one initial thread calls it and forks the entry's
+    /// teams.
+    Omp(fn(&ParamValues, &mut OmpThread<'_>)),
 }
 
 /// One property function: its signature, its expected finding, its

@@ -2,85 +2,35 @@
 //!
 //! The paper's composite tests combine "performance property functions
 //! from different parallel programming paradigms in the same program".
-//! [`with_omp`] adapts a simulated MPI rank into an [`ats_omp::Master`], so
+//! [`with_omp`] gives a simulated MPI rank its OpenMP initial thread, so
 //! OpenMP parallel regions (and the OpenMP property functions) can run
-//! *inside* an MPI rank: the team forks at the rank's virtual clock, its
+//! *inside* an MPI rank: teams fork at the rank's virtual clock, their
 //! members become tasks of the rank's own scheduler run, thread events
 //! land in per-`(rank, thread)` trace locations, and the rank's clock
-//! resumes at the join.
+//! resumes at the last join.
 
 use ats_mpi::Proc;
-use ats_omp::{CriticalSpace, Master};
-use ats_runtime::{MachineModel, VTime, WorkMode};
-use ats_trace::{LocalTrace, LocationId, TraceCollector};
-use std::sync::atomic::AtomicU32;
-use std::sync::Arc;
+use ats_omp::{OmpThread, TeamShared};
+use ats_trace::LocationId;
 
-/// An MPI rank acting as the master of OpenMP parallel regions.
-pub struct HybridMaster<'a> {
-    proc: &'a mut Proc,
-    criticals: Arc<CriticalSpace>,
-}
-
-impl Master for HybridMaster<'_> {
-    fn rank(&self) -> u32 {
-        self.proc.rank() as u32
-    }
-    fn location(&self) -> LocationId {
-        LocationId::rank(self.proc.rank() as u32)
-    }
-    fn clock(&self) -> VTime {
-        self.proc.clock()
-    }
-    fn set_clock(&mut self, t: VTime) {
-        self.proc.set_clock(t);
-    }
-    fn collector(&self) -> &TraceCollector {
-        self.proc.collector()
-    }
-    fn local_mut(&mut self) -> &mut LocalTrace {
-        self.proc.local_mut()
-    }
-    fn model(&self) -> &MachineModel {
-        self.proc.model()
-    }
-    fn work_mode(&self) -> WorkMode {
-        self.proc.work_mode()
-    }
-    fn seed(&self) -> u64 {
-        self.proc.seed()
-    }
-    fn sync_ids(&self) -> Arc<AtomicU32> {
-        self.proc.sync_ids()
-    }
-    fn thread_ids(&self) -> Arc<AtomicU32> {
-        self.proc.thread_ids()
-    }
-    fn criticals(&self) -> Arc<CriticalSpace> {
-        self.criticals.clone()
-    }
-}
-
-impl<'a> HybridMaster<'a> {
-    /// Direct access to the underlying rank (for MPI calls between
-    /// parallel regions).
-    pub fn proc(&mut self) -> &mut Proc {
-        self.proc
-    }
-}
-
-/// Run `f` with the rank adapted into an OpenMP master. The rank's clock
-/// advances through any parallel regions `f` opens.
+/// Run `f` on the rank's initial thread: thread 0 of an implicit team of
+/// one, which records into the rank's event stream from the rank's clock
+/// on. The rank's clock then moves to the thread's, past any parallel
+/// regions `f` opened.
 ///
 /// Named critical sections live for the duration of this call — two
 /// regions inside one `with_omp` contend on the same names, separate
 /// `with_omp` calls do not.
-pub fn with_omp<R>(p: &mut Proc, f: impl FnOnce(&mut HybridMaster<'_>) -> R) -> R {
-    let mut master = HybridMaster {
-        proc: p,
-        criticals: Arc::new(CriticalSpace::new()),
-    };
-    f(&mut master)
+pub fn with_omp<R>(p: &mut Proc, f: impl FnOnce(&mut OmpThread<'_>) -> R) -> R {
+    let team = TeamShared::implicit(p.model().clone(), p.seed(), p.sync_ids(), p.thread_ids());
+    let location = LocationId::rank(p.rank() as u32);
+    let (clock, collector, work_mode) = (p.clock(), p.collector().clone(), p.work_mode());
+    let mut initial =
+        OmpThread::initial(&team, location, clock, p.local_mut(), collector, work_mode);
+    let out = f(&mut initial);
+    let clock = initial.clock();
+    p.set_clock(clock);
+    out
 }
 
 #[cfg(test)]

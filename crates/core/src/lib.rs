@@ -55,7 +55,7 @@ pub use catalog::{Paradigm, ParamKind, ParamSpec, PropertySpec, CATALOG};
 pub use composite::CompositeParams;
 pub use distribution::Distr;
 pub use error::{Error, ErrorKind};
-pub use hybrid::{with_omp, HybridMaster};
+pub use hybrid::with_omp;
 pub use json::Json;
 pub use params::{ParamValue, ParamValues};
 pub use pattern::{sendrecv, shift, Dir, PatternMode};

@@ -32,7 +32,7 @@ pub mod omp;
 pub mod sequential;
 
 use ats_mpi::Proc;
-use ats_omp::Master;
+use ats_omp::OmpThread;
 use ats_trace::RegionKind;
 
 /// Open a property frame on an MPI rank.
@@ -43,17 +43,15 @@ pub(crate) fn frame_mpi<R>(p: &mut Proc, name: &str, body: impl FnOnce(&mut Proc
     out
 }
 
-/// Open a property frame on an OpenMP master.
-pub(crate) fn frame_omp<M: Master + ?Sized, R>(
-    m: &mut M,
+/// Open a property frame on the OpenMP thread that forks the property's
+/// teams.
+pub(crate) fn frame_omp<'t, R>(
+    m: &mut OmpThread<'t>,
     name: &str,
-    body: impl FnOnce(&mut M) -> R,
+    body: impl FnOnce(&mut OmpThread<'t>) -> R,
 ) -> R {
-    let id = m.collector().intern(name, RegionKind::Property);
-    let t = m.clock();
-    m.local_mut().enter(t, id);
+    m.enter_region(name, RegionKind::Property);
     let out = body(m);
-    let t = m.clock();
-    m.local_mut().exit(t, id);
+    m.exit_region(name);
     out
 }

@@ -11,7 +11,7 @@ use crate::distribution::Distr;
 use crate::pattern::{sendrecv, shift, Dir, PatternMode};
 use crate::work::{par_do_mpi_work, par_do_omp_work};
 use ats_mpi::{Comm, Datatype, Proc, ReduceOp};
-use ats_omp::{parallel, Master, Schedule};
+use ats_omp::{parallel, OmpThread, Schedule};
 use ats_runtime::VDur;
 
 /// Balanced work + barrier: the negative twin of
@@ -82,7 +82,7 @@ pub fn balanced_mpi_collectives(
 
 /// Balanced parallel region + barrier: the negative twin of the OpenMP
 /// imbalance properties.
-pub fn balanced_omp_region<M: Master + ?Sized>(m: &mut M, nthreads: usize, work: f64, r: usize) {
+pub fn balanced_omp_region(m: &mut OmpThread<'_>, nthreads: usize, work: f64, r: usize) {
     frame_omp(m, "balanced_omp_region", |m| {
         let df = Distr::same(work);
         parallel(m, nthreads, |th| {
@@ -95,8 +95,8 @@ pub fn balanced_omp_region<M: Master + ?Sized>(m: &mut M, nthreads: usize, work:
 }
 
 /// A balanced statically-scheduled loop.
-pub fn balanced_omp_loop<M: Master + ?Sized>(
-    m: &mut M,
+pub fn balanced_omp_loop(
+    m: &mut OmpThread<'_>,
     nthreads: usize,
     work_per_iter: f64,
     iters_per_thread: usize,

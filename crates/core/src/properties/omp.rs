@@ -13,25 +13,21 @@
 //! `single`/`master` serialization, and critical-section and lock
 //! contention.
 //!
-//! All functions take any [`Master`] — a standalone program, an MPI rank
-//! (hybrid), or an enclosing thread (nested parallelism) — plus the team
-//! size, which in the C original is implicit in `OMP_NUM_THREADS`.
+//! All functions take the [`OmpThread`] that forks their teams — a
+//! standalone program's initial thread, an MPI rank's (hybrid), or an
+//! enclosing team's member (nested parallelism) — plus the team size,
+//! which in the C original is implicit in `OMP_NUM_THREADS`.
 
 use super::frame_omp;
 use crate::distribution::Distr;
 use crate::work::par_do_omp_work;
-use ats_omp::{parallel, Master, Schedule};
+use ats_omp::{parallel, OmpThread, Schedule};
 use ats_runtime::VDur;
 
 /// *Imbalance in Parallel Region*: each repetition forks a team whose
 /// threads perform distribution-shaped work; the join makes the imbalance
 /// visible as master-side idle time.
-pub fn imbalance_in_omp_pregion<M: Master + ?Sized>(
-    m: &mut M,
-    nthreads: usize,
-    df: &Distr,
-    r: usize,
-) {
+pub fn imbalance_in_omp_pregion(m: &mut OmpThread<'_>, nthreads: usize, df: &Distr, r: usize) {
     frame_omp(m, "imbalance_in_omp_pregion", |m| {
         for _ in 0..r {
             parallel(m, nthreads, |th| {
@@ -44,12 +40,7 @@ pub fn imbalance_in_omp_pregion<M: Master + ?Sized>(
 /// *Imbalance at OpenMP Barrier* (the paper's fully-listed example): one
 /// parallel region; inside, `r` iterations of shaped work followed by an
 /// explicit barrier.
-pub fn imbalance_at_omp_barrier<M: Master + ?Sized>(
-    m: &mut M,
-    nthreads: usize,
-    df: &Distr,
-    r: usize,
-) {
+pub fn imbalance_at_omp_barrier(m: &mut OmpThread<'_>, nthreads: usize, df: &Distr, r: usize) {
     frame_omp(m, "imbalance_at_omp_barrier", |m| {
         parallel(m, nthreads, |th| {
             for _ in 0..r {
@@ -63,8 +54,8 @@ pub fn imbalance_at_omp_barrier<M: Master + ?Sized>(
 /// *Progressive Imbalance at OpenMP Barrier*: per-iteration scale factor,
 /// the shared-memory twin of
 /// [`crate::properties::mpi_coll::progressive_imbalance_at_mpi_barrier`].
-pub fn progressive_imbalance_at_omp_barrier<M: Master + ?Sized>(
-    m: &mut M,
+pub fn progressive_imbalance_at_omp_barrier(
+    m: &mut OmpThread<'_>,
     nthreads: usize,
     df: &Distr,
     growth: f64,
@@ -83,7 +74,7 @@ pub fn progressive_imbalance_at_omp_barrier<M: Master + ?Sized>(
 /// *Imbalance in OpenMP Loop*: a statically-scheduled worksharing loop
 /// with one iteration per thread, where iteration `i` costs `df(i)` — the
 /// implicit barrier at loop end collects the waits.
-pub fn imbalance_in_omp_loop<M: Master + ?Sized>(m: &mut M, nthreads: usize, df: &Distr, r: usize) {
+pub fn imbalance_in_omp_loop(m: &mut OmpThread<'_>, nthreads: usize, df: &Distr, r: usize) {
     frame_omp(m, "imbalance_in_omp_loop", |m| {
         parallel(m, nthreads, |th| {
             let n = th.num_threads();
@@ -98,12 +89,7 @@ pub fn imbalance_in_omp_loop<M: Master + ?Sized>(m: &mut M, nthreads: usize, df:
 
 /// *Imbalance at OpenMP Sections* — extension: one section per thread,
 /// with section `i` costing `df(i)`.
-pub fn imbalance_at_omp_sections<M: Master + ?Sized>(
-    m: &mut M,
-    nthreads: usize,
-    df: &Distr,
-    r: usize,
-) {
+pub fn imbalance_at_omp_sections(m: &mut OmpThread<'_>, nthreads: usize, df: &Distr, r: usize) {
     frame_omp(m, "imbalance_at_omp_sections", |m| {
         parallel(m, nthreads, |th| {
             let n = th.num_threads();
@@ -117,16 +103,16 @@ pub fn imbalance_at_omp_sections<M: Master + ?Sized>(
 }
 
 /// A boxed section body pinned to the team lifetime.
-type SectionBody<'t> = Box<dyn FnMut(&mut ats_omp::OmpThread<'t>)>;
+type SectionBody<'t> = Box<dyn FnMut(&mut OmpThread<'t>)>;
 
 /// Run one fixed-cost section per team member (helper that pins the
 /// section closures to the thread's team lifetime).
-fn shaped_sections<'t>(th: &mut ats_omp::OmpThread<'t>, costs: Vec<VDur>) {
+fn shaped_sections<'t>(th: &mut OmpThread<'t>, costs: Vec<VDur>) {
     let mut bodies: Vec<SectionBody<'t>> = costs
         .into_iter()
-        .map(|c| Box::new(move |th: &mut ats_omp::OmpThread<'t>| th.do_work(c)) as SectionBody<'t>)
+        .map(|c| Box::new(move |th: &mut OmpThread<'t>| th.do_work(c)) as SectionBody<'t>)
         .collect();
-    let mut refs: Vec<&mut dyn FnMut(&mut ats_omp::OmpThread<'t>)> =
+    let mut refs: Vec<&mut dyn FnMut(&mut OmpThread<'t>)> =
         bodies.iter_mut().map(|b| b.as_mut() as _).collect();
     th.sections(&mut refs);
 }
@@ -134,8 +120,8 @@ fn shaped_sections<'t>(th: &mut ats_omp::OmpThread<'t>, costs: Vec<VDur>) {
 /// *Serialization in `single`* — extension (ASL: "unparallelized code in
 /// single region"): all threads idle at the implicit barrier while thread
 /// 0 executes `singlework` seconds.
-pub fn unparallelized_in_omp_single<M: Master + ?Sized>(
-    m: &mut M,
+pub fn unparallelized_in_omp_single(
+    m: &mut OmpThread<'_>,
     nthreads: usize,
     singlework: f64,
     r: usize,
@@ -152,8 +138,8 @@ pub fn unparallelized_in_omp_single<M: Master + ?Sized>(
 /// *Serialization in `master`* — extension: the master computes
 /// `masterwork` while the team computes only `otherwork`; the join
 /// collects the idle time.
-pub fn unparallelized_in_omp_master<M: Master + ?Sized>(
-    m: &mut M,
+pub fn unparallelized_in_omp_master(
+    m: &mut OmpThread<'_>,
     nthreads: usize,
     masterwork: f64,
     otherwork: f64,
@@ -175,8 +161,8 @@ pub fn unparallelized_in_omp_master<M: Master + ?Sized>(
 /// enters the same named critical section for `bodywork` seconds, with
 /// `outsidework` seconds of parallel work between visits. With
 /// `outsidework < (nthreads − 1) · bodywork` the lock is the bottleneck.
-pub fn omp_critical_contention<M: Master + ?Sized>(
-    m: &mut M,
+pub fn omp_critical_contention(
+    m: &mut OmpThread<'_>,
     nthreads: usize,
     bodywork: f64,
     outsidework: f64,
@@ -195,8 +181,8 @@ pub fn omp_critical_contention<M: Master + ?Sized>(
 /// *Lock Contention* — extension: all threads hammer one explicit lock
 /// object (`omp_set_lock` style), the lock-based twin of
 /// [`omp_critical_contention`].
-pub fn omp_lock_contention<M: Master + ?Sized>(
-    m: &mut M,
+pub fn omp_lock_contention(
+    m: &mut OmpThread<'_>,
     nthreads: usize,
     bodywork: f64,
     outsidework: f64,

@@ -121,8 +121,9 @@ impl Proc {
 
     // ----- hybrid (MPI × OpenMP) integration surface ----------------------
     //
-    // These accessors exist so `ats-core` can adapt a rank into an
-    // `ats_omp::Master` without coupling the two substrate crates.
+    // These accessors exist so `ats-core` can give a rank its OpenMP
+    // initial thread (`ats_core::with_omp`) without coupling the two
+    // substrate crates.
 
     /// The rank's event stream (hybrid glue only).
     pub fn local_mut(&mut self) -> &mut LocalTrace {

@@ -26,9 +26,13 @@
 //! depends on host thread order, and a stuck barrier is reported as a
 //! deadlock at once.
 //!
-//! Anything that can host a region implements [`Master`] — the standalone
-//! [`SeqMaster`], a simulated MPI rank (via `ats-core`'s hybrid wrapper),
-//! or an [`OmpThread`] itself (nested parallelism).
+//! Every team forks from an [`OmpThread`]. As in OpenMP, code outside any
+//! parallel region runs on the initial thread, thread 0 of an implicit
+//! team of one: [`run_omp`] runs a standalone program on one at location
+//! `(0, 0)`, and `ats-core`'s `with_omp` gives an MPI rank one
+//! ([`OmpThread::initial`] on a [`TeamShared::implicit`] team) that
+//! borrows the rank's event stream and clock. A team member forks nested
+//! teams the same way.
 //!
 //! ```
 //! use ats_omp::{run_omp, parallel, OmpConfig, Schedule};
@@ -47,6 +51,6 @@ pub mod master;
 pub mod team;
 pub mod thread;
 
-pub use master::{run_omp, Master, OmpConfig, SeqMaster};
-pub use team::{CriticalSpace, TeamShared, VirtualMutex};
+pub use master::{run_omp, OmpConfig};
+pub use team::{TeamShared, VirtualMutex};
 pub use thread::{parallel, OmpThread, Schedule};

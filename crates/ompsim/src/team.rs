@@ -10,15 +10,15 @@ use ats_runtime::exchange::ExchangeSlot;
 use ats_runtime::sched::{self, WaitSet};
 use ats_runtime::{unpoison, MachineModel, VDur, VTime};
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU32;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Everything the members of one parallel region share.
+/// Everything the members of one team share: a parallel region's team,
+/// or the implicit team of one that a process's initial thread forms.
 #[derive(Debug)]
 pub struct TeamShared {
-    /// Run-unique id of this team (used as the `comm` field of OpenMP
-    /// pseudo-collective trace events).
-    pub id: u32,
+    /// Run-unique id of this team (see [`TeamShared::id`]).
+    id: OnceLock<u32>,
     /// Number of threads.
     pub size: usize,
     /// Barrier/fork/join rendezvous carrying entry clocks.
@@ -41,6 +41,67 @@ pub struct TeamShared {
 }
 
 impl TeamShared {
+    fn new(
+        size: usize,
+        model: MachineModel,
+        seed: u64,
+        criticals: Arc<CriticalSpace>,
+        sync_ids: Arc<AtomicU32>,
+        thread_ids: Arc<AtomicU32>,
+    ) -> Self {
+        TeamShared {
+            id: OnceLock::new(),
+            size,
+            barrier: ExchangeSlot::new(size),
+            reduction: ExchangeSlot::new(size),
+            loops: Mutex::new(HashMap::new()),
+            model,
+            criticals,
+            sync_ids,
+            thread_ids,
+            seed,
+        }
+    }
+
+    /// The implicit team of one that a process's initial thread forms.
+    /// Every team forked from it draws its id from `sync_ids` and its
+    /// members' trace locations from `thread_ids`; its named critical
+    /// sections are its own. Its id is taken only when a construct on it
+    /// first records one.
+    pub fn implicit(
+        model: MachineModel,
+        seed: u64,
+        sync_ids: Arc<AtomicU32>,
+        thread_ids: Arc<AtomicU32>,
+    ) -> Self {
+        let criticals = Arc::new(CriticalSpace::new());
+        TeamShared::new(1, model, seed, criticals, sync_ids, thread_ids)
+    }
+
+    /// A team of `size` forked by a member of `parent`: it inherits the
+    /// parent's model, seed, critical sections and id allocators, and
+    /// takes its id at once.
+    pub(crate) fn forked(parent: &TeamShared, size: usize) -> Self {
+        let team = TeamShared::new(
+            size,
+            parent.model.clone(),
+            parent.seed,
+            parent.criticals.clone(),
+            parent.sync_ids.clone(),
+            parent.thread_ids.clone(),
+        );
+        team.id();
+        team
+    }
+
+    /// Run-unique id of this team: the `comm` field of its OpenMP
+    /// pseudo-collective trace events.
+    pub(crate) fn id(&self) -> u32 {
+        *self
+            .id
+            .get_or_init(|| self.sync_ids.fetch_add(1, Ordering::Relaxed))
+    }
+
     /// Barrier exit time given all entries: last arriver plus a
     /// log2-stage combining tree.
     pub fn barrier_exit(&self, entries: &[VTime]) -> VTime {

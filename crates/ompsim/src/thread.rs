@@ -1,40 +1,40 @@
 //! Parallel regions and the per-thread handle.
 //!
-//! [`parallel`] forks a team off any [`Master`], hands each member an
-//! [`OmpThread`], and joins them back with OpenMP fork/join virtual-time
-//! semantics: members start at `master clock + fork_overhead`, and the
-//! master resumes at `max(member end clocks) + join_overhead` — so any
-//! imbalance among the members becomes master-visible idle time, which is
-//! precisely the paper's *Imbalance in Parallel Region* property.
+//! Every team forks from an [`OmpThread`]: a program's initial thread
+//! (thread 0 of an implicit team of one, on which code outside any
+//! parallel region runs) or a member of an enclosing team (nested
+//! parallelism). [`parallel`] hands each member of the new team an
+//! [`OmpThread`] and joins them back with OpenMP fork/join virtual-time
+//! semantics: members start at `clock + fork_overhead`, and the forking
+//! thread resumes at `max(member end clocks) + join_overhead` — so any
+//! imbalance among the members becomes idle time on the forking thread,
+//! which is precisely the paper's *Imbalance in Parallel Region* property.
 //!
-//! The master runs member 0 itself; every other member is a task spawned
-//! into the master's scheduler run (`ats_runtime::sched::scope`), with the
+//! The forking thread runs member 0 itself; every other member is a task
+//! spawned into its scheduler run (`ats_runtime::sched::scope`), with the
 //! run's carrier and stack size, so teams — nested ones included — are
 //! ordered by the same virtual-time scheduler as MPI ranks. MPI calls
-//! belong in serial regions, where only the master runs — see
+//! belong in serial regions, where only the initial thread runs — see
 //! `mpi_in_omp_serial`.
 
-use crate::master::Master;
-use crate::team::{dynamic_chunks, guided_chunks, CriticalSpace, TeamShared};
-use ats_runtime::exchange::ExchangeSlot;
+use crate::team::{dynamic_chunks, guided_chunks, TeamShared};
 use ats_runtime::sched;
-use ats_runtime::{MachineModel, VDur, VTime, WorkEngine, WorkMode};
+use ats_runtime::{VDur, VTime, WorkEngine, WorkMode};
 use ats_trace::{CollOp, LocalTrace, LocationId, RegionId, RegionKind, TraceCollector};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
 
-/// Where a member's events go: spawned members own their stream, the
-/// master (thread 0) borrows the master's.
-enum LocalSink<'t> {
-    Owned(Option<LocalTrace>),
+/// Where a thread's events go: a spawned member and `run_omp`'s initial
+/// thread own their stream; member 0 of a team borrows its forking
+/// thread's, and `ats-core`'s hybrid initial thread borrows its rank's.
+pub(crate) enum LocalSink<'t> {
+    Owned(LocalTrace),
     Borrowed(&'t mut LocalTrace),
 }
 
 impl LocalSink<'_> {
     fn get(&mut self) -> &mut LocalTrace {
         match self {
-            LocalSink::Owned(l) => l.as_mut().expect("owned sink already submitted"),
+            LocalSink::Owned(l) => l,
             LocalSink::Borrowed(l) => l,
         }
     }
@@ -52,7 +52,8 @@ pub enum Schedule {
     Guided(usize),
 }
 
-/// A member of a parallel-region team.
+/// A thread of an OpenMP team: a parallel region's member, or a
+/// program's initial thread.
 pub struct OmpThread<'t> {
     tid: usize,
     location: LocationId,
@@ -66,6 +67,52 @@ pub struct OmpThread<'t> {
 }
 
 impl<'t> OmpThread<'t> {
+    /// Thread `tid` of `team`, at `location`, from `clock` on.
+    pub(crate) fn new(
+        tid: usize,
+        team: &'t TeamShared,
+        location: LocationId,
+        clock: VTime,
+        local: LocalSink<'t>,
+        collector: TraceCollector,
+        work_mode: WorkMode,
+    ) -> Self {
+        let stream = ((location.rank as u64) << 32) | location.thread as u64;
+        OmpThread {
+            tid,
+            location,
+            clock,
+            team,
+            local,
+            engine: WorkEngine::new(work_mode, team.seed, stream),
+            r_work: collector.intern("do_work", RegionKind::Work),
+            collector,
+            construct_seq: 0,
+        }
+    }
+
+    /// The initial thread of an MPI rank: thread 0 of the implicit team
+    /// `team` (see [`TeamShared::implicit`]), at `location`, recording
+    /// into the rank's stream `local` from `clock` on.
+    pub fn initial(
+        team: &'t TeamShared,
+        location: LocationId,
+        clock: VTime,
+        local: &'t mut LocalTrace,
+        collector: TraceCollector,
+        work_mode: WorkMode,
+    ) -> Self {
+        let local = LocalSink::Borrowed(local);
+        OmpThread::new(0, team, location, clock, local, collector, work_mode)
+    }
+
+    /// Submit an owned event stream to the run's collector.
+    pub(crate) fn finish(self) {
+        if let LocalSink::Owned(local) = self.local {
+            self.collector.submit(local);
+        }
+    }
+
     /// This thread's id within its team (`omp_get_thread_num`).
     pub fn thread_num(&self) -> usize {
         self.tid
@@ -135,9 +182,15 @@ impl<'t> OmpThread<'t> {
             .exchange(self.tid, entry, entry, "omp barrier");
         let exit = self.team.barrier_exit(&entries);
         self.clock = exit;
-        self.local
-            .get()
-            .coll_end(exit, CollOp::OmpBarrier, self.team.id, None, seq, 0, entry);
+        self.local.get().coll_end(
+            exit,
+            CollOp::OmpBarrier,
+            self.team.id(),
+            None,
+            seq,
+            0,
+            entry,
+        );
         self.local.get().exit(exit, r);
     }
 
@@ -159,7 +212,7 @@ impl<'t> OmpThread<'t> {
         self.local.get().coll_end(
             exit,
             CollOp::OmpBarrier,
-            self.team.id,
+            self.team.id(),
             None,
             // Reduction rounds share the team id but use their own slot;
             // offset the sequence space so instances never collide with
@@ -334,150 +387,64 @@ impl<'t> OmpThread<'t> {
     }
 }
 
-impl Master for OmpThread<'_> {
-    fn rank(&self) -> u32 {
-        self.location.rank
-    }
-    fn location(&self) -> LocationId {
-        self.location
-    }
-    fn clock(&self) -> VTime {
-        self.clock
-    }
-    fn set_clock(&mut self, t: VTime) {
-        assert!(t >= self.clock, "clock may not move backwards");
-        self.clock = t;
-    }
-    fn collector(&self) -> &TraceCollector {
-        &self.collector
-    }
-    fn local_mut(&mut self) -> &mut LocalTrace {
-        self.local.get()
-    }
-    fn model(&self) -> &MachineModel {
-        &self.team.model
-    }
-    fn work_mode(&self) -> WorkMode {
-        self.engine.mode()
-    }
-    fn seed(&self) -> u64 {
-        self.team.seed
-    }
-    fn sync_ids(&self) -> Arc<AtomicU32> {
-        self.team.sync_ids.clone()
-    }
-    fn thread_ids(&self) -> Arc<AtomicU32> {
-        self.team.thread_ids.clone()
-    }
-    fn criticals(&self) -> Arc<CriticalSpace> {
-        self.team.criticals.clone()
-    }
-}
-
-/// Fork a team of `nthreads` (including the master as thread 0), run
+/// Fork a team of `nthreads` from `m` (which runs as thread 0), run
 /// `body` on every member, and join.
 ///
 /// Spawned members receive fresh trace locations `(rank, base + k)` from
-/// the master's thread-id allocator; the master keeps its own location, so
-/// its in-region events nest inside its `omp_parallel` frame.
+/// the process's thread-id allocator; thread 0 keeps `m`'s location, so
+/// its in-region events nest inside `m`'s `omp_parallel` frame.
 ///
 /// # Panics
 /// Panics outside a scheduler task; a member's panic fails the whole run
 /// with that member's payload.
-pub fn parallel<M: Master + ?Sized>(
-    m: &mut M,
-    nthreads: usize,
-    body: impl Fn(&mut OmpThread) + Sync,
-) {
+pub fn parallel(m: &mut OmpThread<'_>, nthreads: usize, body: impl Fn(&mut OmpThread) + Sync) {
     assert!(nthreads >= 1, "a team needs at least one thread");
-    let model = m.model().clone();
-    let collector = m.collector().clone();
-    let rank = m.rank();
-    let seed = m.seed();
-    let work_mode = m.work_mode();
-    let master_loc = m.location();
-    let r_par = collector.intern("omp_parallel", RegionKind::OmpParallel);
-    let r_work = collector.intern("do_work", RegionKind::Work);
-
-    let t0 = m.clock();
-    m.local_mut().enter(t0, r_par);
-    // Forked threads inherit the master's open call path (as OPARI-style
-    // instrumentation does), so their waits can be localized to the
-    // enclosing property frame / user phase.
-    let inherited: Vec<RegionId> = m.local_mut().open_stack().to_vec();
-    let start = t0 + model.fork_overhead;
-
-    let team = TeamShared {
-        id: m.alloc_sync_id(),
-        size: nthreads,
-        barrier: ExchangeSlot::new(nthreads),
-        reduction: ExchangeSlot::new(nthreads),
-        loops: Mutex::new(HashMap::new()),
-        model: model.clone(),
-        criticals: m.criticals(),
-        sync_ids: m.sync_ids(),
-        thread_ids: m.thread_ids(),
-        seed,
-    };
+    let r_par = m.collector.intern("omp_parallel", RegionKind::OmpParallel);
+    let t0 = m.clock;
+    m.local.get().enter(t0, r_par);
+    // Forked threads inherit the forking thread's open call path (as
+    // OPARI-style instrumentation does), so their waits can be localized
+    // to the enclosing property frame / user phase.
+    let inherited: Vec<RegionId> = m.local.get().open_stack().to_vec();
+    let team = TeamShared::forked(m.team, nthreads);
+    let start = t0 + team.model.fork_overhead;
     let base = if nthreads > 1 {
         team.thread_ids
             .fetch_add(nthreads as u32 - 1, Ordering::Relaxed)
     } else {
         0
     };
-
-    let mk_engine =
-        |thread_id: u32| WorkEngine::new(work_mode, seed, ((rank as u64) << 32) | thread_id as u64);
+    let (rank, work_mode) = (m.location.rank, m.engine.mode());
 
     let join_time = sched::scope(|s| {
         for tid in 1..nthreads {
             let loc = LocationId::new(rank, base + (tid as u32) - 1);
-            let collector = collector.clone();
+            let collector = m.collector.clone();
             let (team, body, inherited) = (&team, &body, &inherited);
-            let engine = mk_engine(loc.thread);
             s.spawn(start, move || {
                 let mut local = collector.local(loc);
                 for r in inherited {
                     local.enter(start, *r);
                 }
-                let mut th = OmpThread {
-                    tid,
-                    location: loc,
-                    clock: start,
-                    team,
-                    local: LocalSink::Owned(Some(local)),
-                    engine,
-                    collector: collector.clone(),
-                    construct_seq: 0,
-                    r_work,
-                };
+                let local = LocalSink::Owned(local);
+                let mut th = OmpThread::new(tid, team, loc, start, local, collector, work_mode);
                 body(&mut th);
                 let join = join_team(&mut th);
                 for r in inherited.iter().rev() {
                     th.local.get().exit(join, *r);
                 }
-                if let LocalSink::Owned(l) = &mut th.local {
-                    collector.submit(l.take().expect("not yet submitted"));
-                }
+                th.finish();
             });
         }
-        let mut th0 = OmpThread {
-            tid: 0,
-            location: master_loc,
-            clock: start,
-            team: &team,
-            local: LocalSink::Borrowed(m.local_mut()),
-            engine: mk_engine(master_loc.thread),
-            collector: collector.clone(),
-            construct_seq: 0,
-            r_work,
-        };
+        let local = LocalSink::Borrowed(m.local.get());
+        let collector = m.collector.clone();
+        let mut th0 = OmpThread::new(0, &team, m.location, start, local, collector, work_mode);
         body(&mut th0);
         join_team(&mut th0)
     });
-    m.set_clock(join_time + model.join_overhead);
-    let t_end = m.clock();
-    m.local_mut().exit(t_end, r_par);
+    m.clock = join_time + team.model.join_overhead;
+    let t_end = m.clock;
+    m.local.get().exit(t_end, r_par);
 }
 
 /// The implicit barrier ending a parallel region: exchange end clocks,
@@ -489,7 +456,7 @@ fn join_team(th: &mut OmpThread<'_>) -> VTime {
     th.clock = join;
     th.local
         .get()
-        .coll_end(join, CollOp::OmpJoin, th.team.id, None, seq, 0, entry);
+        .coll_end(join, CollOp::OmpJoin, th.team.id(), None, seq, 0, entry);
     join
 }
 
@@ -501,6 +468,7 @@ mod tests {
     use ats_testutil::{panic_message, panics_alike_on_both_carriers, run_as_tasks, CARRIERS};
     use ats_trace::{check_wellformed, TraceStats};
     use std::panic::AssertUnwindSafe;
+    use std::sync::Mutex;
 
     fn zero_cfg() -> OmpConfig {
         OmpConfig {
@@ -774,7 +742,7 @@ mod tests {
             parallel(m, 2, |th| th.do_work(VDur::from_millis(1)));
         });
         assert!(check_wellformed(&trace).is_empty());
-        // Master location 0 plus one spawned location per region.
+        // The initial thread's location plus one spawned location per region.
         assert_eq!(trace.num_locations(), 3);
         let master = trace.location(LocationId::rank(0)).unwrap();
         let regions: Vec<_> = master
@@ -787,7 +755,7 @@ mod tests {
 
     #[test]
     fn omp_traces_are_deterministic() {
-        let program = |m: &mut crate::master::SeqMaster| {
+        let program = |m: &mut OmpThread| {
             parallel(m, 4, |th| {
                 th.do_work(VDur::from_millis(th.thread_num() as u64 + 1));
                 th.barrier();
