@@ -10,23 +10,12 @@
 
 use std::io::{self, Read, Write};
 
-/// Hard framing limits, applied before any body is buffered.
-#[derive(Debug, Clone, Copy)]
-pub struct Limits {
-    /// Maximum request-line + header bytes.
-    pub max_head: usize,
-    /// Maximum request-body bytes.
-    pub max_body: usize,
-}
+/// Maximum request-head bytes: the request line, the header lines and
+/// the blank line that ends them.
+pub const MAX_HEAD: usize = 16 * 1024;
 
-impl Default for Limits {
-    fn default() -> Self {
-        Limits {
-            max_head: 16 * 1024,
-            max_body: 4 * 1024 * 1024,
-        }
-    }
-}
+/// Maximum request-body bytes, checked before any body is buffered.
+pub const MAX_BODY: usize = 4 * 1024 * 1024;
 
 /// A parsed request.
 #[derive(Debug)]
@@ -65,7 +54,7 @@ pub enum HttpError {
     Eof,
     /// Malformed request line or headers.
     BadRequest(String),
-    /// Head or body over the configured [`Limits`].
+    /// Head over [`MAX_HEAD`] or body over [`MAX_BODY`].
     TooLarge(String),
     /// The peer stalled past the socket timeout.
     Timeout,
@@ -85,22 +74,19 @@ impl From<io::Error> for HttpError {
 /// Read one request from `stream`. `leftover` carries bytes read past the
 /// previous request on a keep-alive connection; on return it holds any
 /// bytes past this one.
-pub fn read_request(
-    stream: &mut impl Read,
-    leftover: &mut Vec<u8>,
-    limits: &Limits,
-) -> Result<Request, HttpError> {
+pub fn read_request(stream: &mut impl Read, leftover: &mut Vec<u8>) -> Result<Request, HttpError> {
     let mut buf = std::mem::take(leftover);
     let mut chunk = [0u8; 4096];
+    let too_large = || HttpError::TooLarge(format!("request head over {MAX_HEAD} bytes"));
     let head_end = loop {
         if let Some(pos) = find_head_end(&buf) {
+            if pos + 4 > MAX_HEAD {
+                return Err(too_large());
+            }
             break pos;
         }
-        if buf.len() > limits.max_head {
-            return Err(HttpError::TooLarge(format!(
-                "request head over {} bytes",
-                limits.max_head
-            )));
+        if buf.len() > MAX_HEAD {
+            return Err(too_large());
         }
         let n = stream.read(&mut chunk)?;
         if n == 0 {
@@ -155,10 +141,9 @@ pub fn read_request(
         })
         .transpose()?
         .unwrap_or(0);
-    if content_length > limits.max_body {
+    if content_length > MAX_BODY {
         return Err(HttpError::TooLarge(format!(
-            "request body of {content_length} bytes over {}",
-            limits.max_body
+            "request body of {content_length} bytes over {MAX_BODY}"
         )));
     }
 
@@ -181,7 +166,8 @@ pub fn read_request(
     })
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
+/// Where the first head in `buf` ends: the offset of its `\r\n\r\n`.
+pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
@@ -276,11 +262,7 @@ mod tests {
 
     fn parse(bytes: &[u8]) -> Result<Request, HttpError> {
         let mut leftover = Vec::new();
-        read_request(
-            &mut io::Cursor::new(bytes.to_vec()),
-            &mut leftover,
-            &Limits::default(),
-        )
+        read_request(&mut io::Cursor::new(bytes.to_vec()), &mut leftover)
     }
 
     #[test]
@@ -301,12 +283,12 @@ mod tests {
         let two = b"GET /healthz HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n";
         let mut leftover = Vec::new();
         let mut cur = io::Cursor::new(two.to_vec());
-        let first = read_request(&mut cur, &mut leftover, &Limits::default()).unwrap();
+        let first = read_request(&mut cur, &mut leftover).unwrap();
         assert_eq!(first.path, "/healthz");
-        let second = read_request(&mut cur, &mut leftover, &Limits::default()).unwrap();
+        let second = read_request(&mut cur, &mut leftover).unwrap();
         assert_eq!(second.path, "/metrics");
         assert!(matches!(
-            read_request(&mut cur, &mut leftover, &Limits::default()),
+            read_request(&mut cur, &mut leftover),
             Err(HttpError::Eof)
         ));
     }
@@ -332,6 +314,35 @@ mod tests {
         let mut head = b"GET /x HTTP/1.1\r\n".to_vec();
         head.extend(std::iter::repeat_n(b'a', 20 * 1024));
         assert!(matches!(parse(&head), Err(HttpError::TooLarge(_))));
+    }
+
+    #[test]
+    fn head_limit_holds_wherever_the_terminator_lands() {
+        // A head of `len` bytes, terminator included, followed by a body.
+        let head = |len: usize| {
+            let mut h = b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 2\r\nX-Pad: ".to_vec();
+            h.resize(len - 4, b'a');
+            h.extend_from_slice(b"\r\n\r\nok");
+            h
+        };
+        for len in [MAX_HEAD - 1, MAX_HEAD, MAX_HEAD + 1, MAX_HEAD + 100] {
+            let bytes = head(len);
+            // Streamed in 4 KiB reads, or already buffered from the
+            // previous request on the connection.
+            let streamed = parse(&bytes);
+            let mut leftover = bytes.clone();
+            let buffered = read_request(&mut io::empty(), &mut leftover);
+            for got in [streamed, buffered] {
+                match got {
+                    Ok(req) => {
+                        assert!(len <= MAX_HEAD, "{len}-byte head accepted");
+                        assert_eq!(req.body, b"ok");
+                    }
+                    Err(HttpError::TooLarge(_)) => assert!(len > MAX_HEAD, "{len}"),
+                    Err(e) => panic!("{len}: {e:?}"),
+                }
+            }
+        }
     }
 
     #[test]

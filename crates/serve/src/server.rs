@@ -25,7 +25,7 @@
 //! same admission, timeout and drain behavior.
 
 use crate::api::{self, AppState};
-use crate::http::{self, HttpError, Limits};
+use crate::http::{self, HttpError};
 use crate::tenant::TenantGov;
 use ats_core::Error;
 use ats_harness::Session;
@@ -59,8 +59,6 @@ pub struct ServeConfig {
     pub tenant_inflight: usize,
     /// Socket read/write timeout bounding one request exchange.
     pub request_timeout: Duration,
-    /// HTTP framing limits.
-    pub limits: Limits,
 }
 
 impl Default for ServeConfig {
@@ -71,7 +69,6 @@ impl Default for ServeConfig {
             workers: 0,
             tenant_inflight: 256,
             request_timeout: Duration::from_secs(10),
-            limits: Limits::default(),
         }
     }
 }
@@ -92,7 +89,6 @@ struct Conn {
 #[derive(Debug)]
 struct Inner {
     state: AppState,
-    limits: Limits,
     max_conns: usize,
     shutdown: AtomicBool,
     /// Live (admitted, not yet closed) connections.
@@ -202,7 +198,6 @@ pub fn start(session: Session, config: ServeConfig) -> io::Result<ServerHandle> 
         poller.add_level(wake_r.as_raw_fd(), WAKE_TOKEN)?;
         let inner = Arc::new(Inner {
             state,
-            limits: config.limits,
             max_conns: config.max_conns.max(1),
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
@@ -246,7 +241,6 @@ pub fn start(session: Session, config: ServeConfig) -> io::Result<ServerHandle> 
         let _ = workers;
         let inner = Arc::new(Inner {
             state,
-            limits: config.limits,
             max_conns: config.max_conns.max(1),
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
@@ -445,7 +439,7 @@ enum Outcome {
 
 /// Read and answer exactly one request (or one framing error) on `conn`.
 fn serve_one(inner: &Inner, conn: &mut Conn) -> Outcome {
-    match http::read_request(&mut conn.stream, &mut conn.leftover, &inner.limits) {
+    match http::read_request(&mut conn.stream, &mut conn.leftover) {
         Ok(req) => {
             if let Some(h) = inner.obs() {
                 h.serve.requests.inc();
@@ -459,7 +453,7 @@ fn serve_one(inner: &Inner, conn: &mut Conn) -> Outcome {
             }
             if !keep || inner.shutdown.load(Ordering::SeqCst) {
                 Outcome::Close
-            } else if has_full_head(&conn.leftover) {
+            } else if http::find_head_end(&conn.leftover).is_some() {
                 Outcome::Continue
             } else {
                 Outcome::Park
@@ -498,10 +492,6 @@ fn serve_one(inner: &Inner, conn: &mut Conn) -> Outcome {
         }
         Err(HttpError::Io(_)) => Outcome::Close,
     }
-}
-
-fn has_full_head(buf: &[u8]) -> bool {
-    buf.len() >= 4 && buf.windows(4).any(|w| w == b"\r\n\r\n")
 }
 
 /// Fallback engine: one thread per connection, same admission and drain
