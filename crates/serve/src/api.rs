@@ -206,9 +206,9 @@ struct AnalyzeOut {
 /// bytes. Read-through: a hit reads, verifies and returns only the
 /// stored `report.json`, verbatim; a miss executes, analyzes, and
 /// publishes report + ATSB trace (the report first, where a hit's one
-/// read of the entry's header finds it).
+/// read of the entry's header finds it). Each handler has validated `sc`
+/// already.
 fn run_scenario(state: &AppState, sc: &Scenario) -> Result<AnalyzeOut, Error> {
-    sc.validate()?;
     let opts = state.session.opts();
     let key = state.keys.key(&wire::scenario_run_doc(sc));
     if let Some(cache) = state.session.result_cache() {
@@ -252,6 +252,7 @@ fn analyze(state: &AppState, req: &Request) -> Result<AnalyzeOut, Error> {
         return Err(Error::scenario("empty scenario spec"));
     }
     let sc = Scenario::parse_line(spec)?;
+    sc.validate()?;
     run_scenario(state, &sc)
 }
 
