@@ -186,23 +186,37 @@ fn gather_roundtrip_expect(rank: usize, _size: usize) -> Vec<i64> {
     vec![rank as i64 * 3 + 7]
 }
 
+/// One kernel's verdict: `body` runs with instrumentation off, then on,
+/// and both outputs are compared with `expected` and with each other.
+fn compare<T: PartialEq>(name: &str, expected: T, body: impl Fn(bool) -> T) -> KernelResult {
+    let plain = body(false);
+    let instrumented = body(true);
+    KernelResult {
+        name: name.to_owned(),
+        correct_plain: plain == expected,
+        correct_instrumented: instrumented == expected,
+        outputs_equal: plain == instrumented,
+    }
+}
+
 /// Run the full validation suite: every kernel, instrumented and
 /// uninstrumented, outputs compared.
 pub fn run_validation(nprocs: usize) -> Vec<KernelResult> {
-    let mut results = Vec::new();
-    for (name, kernel, expect) in kernels() {
-        let config = SimConfig::with_procs(nprocs);
-        let (_, plain) = ats_mpi::run_collect(config.clone().uninstrumented(), kernel);
-        let (_, instrumented) = ats_mpi::run_collect(config, kernel);
-        let expected: Vec<Vec<i64>> = (0..nprocs).map(|r| expect(r, nprocs)).collect();
-        results.push(KernelResult {
-            name: name.to_owned(),
-            correct_plain: plain == expected,
-            correct_instrumented: instrumented == expected,
-            outputs_equal: plain == instrumented,
-        });
-    }
-    results
+    kernels()
+        .into_iter()
+        .map(|(name, kernel, expect)| {
+            let expected: Vec<Vec<i64>> = (0..nprocs).map(|r| expect(r, nprocs)).collect();
+            compare(name, expected, |instrumented| {
+                let config = SimConfig::with_procs(nprocs);
+                let config = if instrumented {
+                    config
+                } else {
+                    config.uninstrumented()
+                };
+                ats_mpi::run_collect(config, kernel).1
+            })
+        })
+        .collect()
 }
 
 /// Shared-memory validation: OpenMP-substrate kernels with closed-form
@@ -215,6 +229,10 @@ pub fn run_omp_validation(nthreads: usize) -> Vec<KernelResult> {
     use std::sync::atomic::{AtomicI64, Ordering};
     use std::sync::Mutex;
 
+    let config = |instrumented| OmpConfig {
+        instrumented,
+        ..Default::default()
+    };
     let mut results = Vec::new();
 
     // Kernel 1: worksharing sum of 0..N over all schedules.
@@ -224,92 +242,54 @@ pub fn run_omp_validation(nthreads: usize) -> Vec<KernelResult> {
         ("omp_sum_guided", Schedule::Guided(2)),
     ] {
         let n = 100usize;
-        let expected = vec![vec![(n as i64 - 1) * n as i64 / 2]];
-        let body = move |instrumented: bool| -> Vec<i64> {
-            let total = AtomicI64::new(0);
-            let config = OmpConfig {
-                instrumented,
-                ..Default::default()
-            };
-            run_omp(config, |m| {
-                parallel(m, nthreads, |th| {
-                    th.for_loop(n, schedule, |_, i| {
-                        total.fetch_add(i as i64, Ordering::Relaxed);
+        results.push(compare(
+            label,
+            (n as i64 - 1) * n as i64 / 2,
+            |instrumented| {
+                let total = AtomicI64::new(0);
+                run_omp(config(instrumented), |m| {
+                    parallel(m, nthreads, |th| {
+                        th.for_loop(n, schedule, |_, i| {
+                            total.fetch_add(i as i64, Ordering::Relaxed);
+                        });
                     });
                 });
-            });
-            vec![total.load(Ordering::Relaxed)]
-        };
-        let plain = vec![body(false)];
-        let instrumented = vec![body(true)];
-        results.push(KernelResult {
-            name: label.to_owned(),
-            correct_plain: plain == expected,
-            correct_instrumented: instrumented == expected,
-            outputs_equal: plain == instrumented,
-        });
+                total.into_inner()
+            },
+        ));
     }
 
     // Kernel 2: team reduction.
-    {
-        let expected = vec![vec![(nthreads * (nthreads + 1) / 2) as i64]];
-        let body = move |instrumented: bool| -> Vec<i64> {
-            let out = Mutex::new(0i64);
-            let config = OmpConfig {
-                instrumented,
-                ..Default::default()
-            };
-            run_omp(config, |m| {
-                parallel(m, nthreads, |th| {
-                    let sum = th.team_reduce((th.thread_num() + 1) as f64, |a, b| a + b);
-                    if th.thread_num() == 0 {
-                        *unpoison(out.lock()) = sum as i64;
-                    }
-                });
+    let expected = (nthreads * (nthreads + 1) / 2) as i64;
+    results.push(compare("omp_team_reduce", expected, |instrumented| {
+        let out = Mutex::new(0i64);
+        run_omp(config(instrumented), |m| {
+            parallel(m, nthreads, |th| {
+                let sum = th.team_reduce((th.thread_num() + 1) as f64, |a, b| a + b);
+                if th.thread_num() == 0 {
+                    *unpoison(out.lock()) = sum as i64;
+                }
             });
-            let value = *unpoison(out.lock());
-            vec![value]
-        };
-        let plain = vec![body(false)];
-        let instrumented = vec![body(true)];
-        results.push(KernelResult {
-            name: "omp_team_reduce".to_owned(),
-            correct_plain: plain == expected,
-            correct_instrumented: instrumented == expected,
-            outputs_equal: plain == instrumented,
         });
-    }
+        unpoison(out.into_inner())
+    }));
 
     // Kernel 3: critical-section counter (serialization correctness).
-    {
-        let reps = 5usize;
-        let expected = vec![vec![(nthreads * reps) as i64]];
-        let body = move |instrumented: bool| -> Vec<i64> {
-            let counter = AtomicI64::new(0);
-            let config = OmpConfig {
-                instrumented,
-                ..Default::default()
-            };
-            run_omp(config, |m| {
-                parallel(m, nthreads, |th| {
-                    for _ in 0..reps {
-                        th.critical("vcount", |_| {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
+    let reps = 5usize;
+    let expected = (nthreads * reps) as i64;
+    results.push(compare("omp_critical_count", expected, |instrumented| {
+        let counter = AtomicI64::new(0);
+        run_omp(config(instrumented), |m| {
+            parallel(m, nthreads, |th| {
+                for _ in 0..reps {
+                    th.critical("vcount", |_| {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
             });
-            vec![counter.load(Ordering::Relaxed)]
-        };
-        let plain = vec![body(false)];
-        let instrumented = vec![body(true)];
-        results.push(KernelResult {
-            name: "omp_critical_count".to_owned(),
-            correct_plain: plain == expected,
-            correct_instrumented: instrumented == expected,
-            outputs_equal: plain == instrumented,
         });
-    }
+        counter.into_inner()
+    }));
 
     results
 }
