@@ -592,7 +592,7 @@ mod tests {
 
     /// The key ingredients of one catalog configuration, as the
     /// experiment engine records them.
-    const CATALOG_INGREDIENTS: &str = r#"{"analyzer":{"report_setup_overhead":false,"threshold":0.005,"version":3},"base":{"count":256,"dtype":"Float64"},"engine":"experiment","finalize_time_ns":0,"init_time_ns":0,"model":{"barrier_stage_ns":0,"chunk_dispatch_ns":0,"collective_stage_ns":0,"eager_threshold":65536,"fork_overhead_ns":0,"join_overhead_ns":0,"latency_ns":0,"lock_overhead_ns":0,"ns_per_byte":0.0,"recv_overhead_ns":0,"send_overhead_ns":0},"nprocs":8,"params":"nthreads=4 r=1 work=0.05","property":"balanced_omp_loop","schema":"ats-store-key/3","seed":175464173,"trace_format":"atsb"}"#;
+    const CATALOG_INGREDIENTS: &str = r#"{"execution":{"analyzer":{"report_setup_overhead":false,"threshold":0.005,"version":3},"base":{"count":256,"dtype":"Float64"},"finalize_time_ns":0,"init_time_ns":0,"model":{"barrier_stage_ns":0,"chunk_dispatch_ns":0,"collective_stage_ns":0,"eager_threshold":65536,"fork_overhead_ns":0,"join_overhead_ns":0,"latency_ns":0,"lock_overhead_ns":0,"ns_per_byte":0.0,"recv_overhead_ns":0,"send_overhead_ns":0},"trace_format":"atsb"},"run":{"engine":"experiment","nprocs":8,"params":"nthreads=4 r=1 work=0.05","property":"balanced_omp_loop","schema":"ats-store-key/4","seed":175464173}}"#;
 
     #[test]
     fn every_prefix_and_bit_flip_of_a_manifest_decodes_or_fails() {
