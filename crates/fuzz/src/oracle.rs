@@ -17,7 +17,7 @@
 //!   waiting time falls outside the property's tolerance band around the
 //!   programmed nominal wait.
 //!
-//! The oracle scores against its *own* `expected_threshold` — the
+//! The oracle scores against its *own* expected threshold — the
 //! detection contract the tool claims — independent of the
 //! [`AnalyzerConfig`] actually used to run. Handing it a deliberately
 //! mis-calibrated analyzer (threshold far above any finding) therefore
@@ -30,30 +30,22 @@ use ats_core::{BaseComm, Error, PropertySpec};
 use ats_harness::{run_in_comm, RunOpts};
 use ats_trace::{RegionKind, Trace};
 
+/// The severity threshold the tool *claims* to detect at. Presence is
+/// only demanded when a phase's predicted severity clears this with
+/// margin (see `PRESENCE_FACTOR`), so honest borderline phases never
+/// flap, while a sabotaged analyzer still yields `Missed`.
+const EXPECTED_THRESHOLD: f64 = 0.005;
+
+/// Multiple of `EXPECTED_THRESHOLD` a predicted severity must reach
+/// before the oracle demands detection.
+const PRESENCE_FACTOR: f64 = 3.0;
+
 /// Oracle configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OracleConfig {
     /// The analyzer configuration the scenario is scored with — the tool
     /// under test.
     pub analyzer: AnalyzerConfig,
-    /// The severity threshold the tool *claims* to detect at. Presence is
-    /// only demanded when a phase's predicted severity clears this with
-    /// margin (see `presence_factor`), so honest borderline phases never
-    /// flap, while a sabotaged analyzer still yields `Missed`.
-    pub expected_threshold: f64,
-    /// Multiple of `expected_threshold` a predicted severity must reach
-    /// before the oracle demands detection.
-    pub presence_factor: f64,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            analyzer: AnalyzerConfig::default(),
-            expected_threshold: 0.005,
-            presence_factor: 3.0,
-        }
-    }
 }
 
 /// Kinds of oracle violations.
@@ -207,7 +199,6 @@ pub fn score(
     predictions: &[Prediction],
     report: &AnalysisReport,
     total_alloc_secs: f64,
-    cfg: &OracleConfig,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     for pred in predictions {
@@ -252,9 +243,8 @@ pub fn score(
                 // in-band attribution (band_lo of the nominal) still
                 // clears the tool's threshold — wide-band properties may
                 // legitimately attribute only part of the programmed wait.
-                let must_detect = predicted_severity
-                    >= cfg.presence_factor * cfg.expected_threshold
-                    && predicted_severity * band_lo >= cfg.expected_threshold;
+                let must_detect = predicted_severity >= PRESENCE_FACTOR * EXPECTED_THRESHOLD
+                    && predicted_severity * band_lo >= EXPECTED_THRESHOLD;
                 if matching.is_empty() {
                     if must_detect {
                         out.push(Violation {
@@ -268,7 +258,7 @@ pub fn score(
                                 pred.region,
                                 pred.spec.localized_at,
                                 predicted_severity,
-                                cfg.expected_threshold,
+                                EXPECTED_THRESHOLD,
                                 pred.nominal_wait,
                                 pred.group_size
                             ),
@@ -317,7 +307,7 @@ pub fn check(sc: &Scenario, cfg: &OracleConfig, opts: &RunOpts) -> Result<Oracle
     let trace = execute_phases(sc, &phases, opts);
     let report = analyze(&trace, &cfg.analyzer);
     let total = trace.total_alloc_time().as_secs();
-    let violations = score(&predictions, &report, total, cfg);
+    let violations = score(&predictions, &report, total);
     Ok(OracleRun {
         trace,
         report,
@@ -445,7 +435,6 @@ mod tests {
     fn miscalibrated_analyzer_yields_missed_violations() {
         let cfg = OracleConfig {
             analyzer: AnalyzerConfig::default().threshold(0.9),
-            ..OracleConfig::default()
         };
         let violations = violations_of(&two_comm_scenario(), &cfg, &RunOpts::default()).unwrap();
         assert!(
@@ -485,7 +474,6 @@ mod tests {
         };
         let cfg = OracleConfig {
             analyzer: AnalyzerConfig::default().threshold(0.9),
-            ..OracleConfig::default()
         };
         let violations = violations_of(&sc, &cfg, &RunOpts::default()).unwrap();
         assert!(violations.is_empty(), "{violations:#?}");

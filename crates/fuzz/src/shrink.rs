@@ -189,7 +189,6 @@ mod tests {
     fn broken_oracle() -> OracleConfig {
         OracleConfig {
             analyzer: AnalyzerConfig::default().threshold(0.9),
-            ..OracleConfig::default()
         }
     }
 

@@ -47,9 +47,9 @@
 //! assert_eq!(trace.num_locations(), 4);
 //! ```
 
-pub mod master;
-pub mod team;
-pub mod thread;
+mod master;
+mod team;
+mod thread;
 
 pub use master::{run_omp, OmpConfig};
 pub use team::{TeamShared, VirtualMutex};

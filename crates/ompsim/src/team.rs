@@ -20,24 +20,24 @@ pub struct TeamShared {
     /// Run-unique id of this team (see [`TeamShared::id`]).
     id: OnceLock<u32>,
     /// Number of threads.
-    pub size: usize,
+    pub(crate) size: usize,
     /// Barrier/fork/join rendezvous carrying entry clocks.
-    pub barrier: ExchangeSlot<VTime>,
+    pub(crate) barrier: ExchangeSlot<VTime>,
     /// Reduction rendezvous carrying `(entry clock, contribution)` pairs.
-    pub reduction: ExchangeSlot<(VTime, f64)>,
+    pub(crate) reduction: ExchangeSlot<(VTime, f64)>,
     /// Worksharing dispensers, keyed by the team-local construct sequence
     /// number (threads reach constructs in identical SPMD order).
-    pub loops: Mutex<HashMap<u64, Arc<DynSched>>>,
+    pub(crate) loops: Mutex<HashMap<u64, Arc<DynSched>>>,
     /// Cost model.
-    pub model: MachineModel,
+    pub(crate) model: MachineModel,
     /// Named critical sections (shared with nested teams).
-    pub criticals: Arc<CriticalSpace>,
+    pub(crate) criticals: Arc<CriticalSpace>,
     /// Sync-id allocator shared with nested teams.
-    pub sync_ids: Arc<AtomicU32>,
+    pub(crate) sync_ids: Arc<AtomicU32>,
     /// Trace-location thread-id allocator shared with nested teams.
-    pub thread_ids: Arc<AtomicU32>,
+    pub(crate) thread_ids: Arc<AtomicU32>,
     /// RNG root seed inherited by team members.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl TeamShared {
@@ -104,13 +104,13 @@ impl TeamShared {
 
     /// Barrier exit time given all entries: last arriver plus a
     /// log2-stage combining tree.
-    pub fn barrier_exit(&self, entries: &[VTime]) -> VTime {
+    pub(crate) fn barrier_exit(&self, entries: &[VTime]) -> VTime {
         let latest = entries.iter().copied().max().unwrap_or(VTime::ZERO);
         latest + self.model.barrier_stage * self.model.tree_stages(entries.len()) as u64
     }
 
     /// Fetch or create the dispenser for worksharing construct `seq`.
-    pub fn dispenser(
+    pub(crate) fn dispenser(
         &self,
         seq: u64,
         chunks: impl FnOnce() -> Vec<(usize, usize)>,
@@ -131,7 +131,7 @@ impl TeamShared {
 /// chunk execution is serialized — harmless in virtual-work mode, and
 /// documented as the cost of reproducibility in real-work mode.
 #[derive(Debug)]
-pub struct DynSched {
+pub(crate) struct DynSched {
     m: Mutex<DsState>,
     ws: WaitSet,
 }
@@ -149,7 +149,7 @@ struct DsState {
 
 /// One grant from the dispenser: a chunk of iterations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Chunk {
+pub(crate) struct Chunk {
     /// First iteration index.
     pub start: usize,
     /// One past the last iteration index.
@@ -178,7 +178,7 @@ impl DynSched {
     /// are a single atomic step, so a thread is always either *executing*
     /// (dispenser reserved) or *waiting with a current clock*; there is no
     /// window in which another thread could steal its greedy turn.
-    pub fn acquire(&self, tid: usize, clock: VTime) -> Option<Chunk> {
+    pub(crate) fn acquire(&self, tid: usize, clock: VTime) -> Option<Chunk> {
         let mut st = unpoison(self.m.lock());
         st.arrived += 1;
         self.request(st, tid, clock)
@@ -186,7 +186,7 @@ impl DynSched {
 
     /// Atomically report completion of the previous chunk (ending at
     /// `new_clock`) and request the next one.
-    pub fn finish_and_acquire(&self, tid: usize, new_clock: VTime) -> Option<Chunk> {
+    pub(crate) fn finish_and_acquire(&self, tid: usize, new_clock: VTime) -> Option<Chunk> {
         let mut st = unpoison(self.m.lock());
         debug_assert!(st.executing, "finish_and_acquire without a granted chunk");
         st.executing = false;
@@ -231,7 +231,7 @@ impl DynSched {
 }
 
 /// Compute dynamic-schedule chunk ranges: fixed `chunk` iterations each.
-pub fn dynamic_chunks(iters: usize, chunk: usize) -> Vec<(usize, usize)> {
+pub(crate) fn dynamic_chunks(iters: usize, chunk: usize) -> Vec<(usize, usize)> {
     assert!(chunk > 0, "chunk size must be positive");
     let mut out = Vec::new();
     let mut i = 0;
@@ -244,7 +244,11 @@ pub fn dynamic_chunks(iters: usize, chunk: usize) -> Vec<(usize, usize)> {
 
 /// Compute guided-schedule chunk ranges: each grant takes
 /// `ceil(remaining / nthreads)` iterations, never below `min_chunk`.
-pub fn guided_chunks(iters: usize, nthreads: usize, min_chunk: usize) -> Vec<(usize, usize)> {
+pub(crate) fn guided_chunks(
+    iters: usize,
+    nthreads: usize,
+    min_chunk: usize,
+) -> Vec<(usize, usize)> {
     assert!(min_chunk > 0, "minimum chunk size must be positive");
     assert!(nthreads > 0, "need at least one thread");
     let mut out = Vec::new();
@@ -262,18 +266,18 @@ pub fn guided_chunks(iters: usize, nthreads: usize, min_chunk: usize) -> Vec<(us
 /// name. Entering a critical section serializes contenders in virtual time
 /// (`start = max(arrival, previous holder's release)`).
 #[derive(Debug, Default)]
-pub struct CriticalSpace {
+pub(crate) struct CriticalSpace {
     locks: Mutex<HashMap<String, Arc<VirtualMutex>>>,
 }
 
 impl CriticalSpace {
     /// Create an empty space.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Fetch or create the mutex for `name`.
-    pub fn named(&self, name: &str) -> Arc<VirtualMutex> {
+    pub(crate) fn named(&self, name: &str) -> Arc<VirtualMutex> {
         unpoison(self.locks.lock())
             .entry(name.to_owned())
             .or_insert_with(|| Arc::new(VirtualMutex::new()))

@@ -56,105 +56,56 @@ impl AppState {
 /// Handle one parsed request: write exactly one response to `stream`,
 /// return whether the connection may be kept alive.
 pub fn handle(state: &AppState, req: &Request, stream: &mut impl Write) -> io::Result<bool> {
-    let keep = !req.wants_close();
+    let mut reply = Reply {
+        state,
+        stream,
+        keep: !req.wants_close(),
+    };
     let tenant = req.header("x-ats-tenant").unwrap_or(DEFAULT_TENANT);
+    let json = "application/json";
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => respond(state, stream, 200, "text/plain", &[], b"ok\n", keep),
+        ("GET", "/healthz") => reply.send(200, "text/plain", &[], b"ok\n"),
         ("GET", "/v1/version") => {
             let body = wire::version_doc().render_pretty();
-            respond(
-                state,
-                stream,
-                200,
-                "application/json",
-                &[],
-                body.as_bytes(),
-                keep,
-            )
+            reply.send(200, json, &[], body.as_bytes())
         }
         ("GET", "/metrics") => match state.session.prometheus() {
-            Some(text) => respond(
-                state,
-                stream,
-                200,
-                "text/plain; version=0.0.4",
-                &[],
-                text.as_bytes(),
-                keep,
-            ),
-            None => error_response(
-                state,
-                stream,
+            Some(text) => reply.send(200, "text/plain; version=0.0.4", &[], text.as_bytes()),
+            None => reply.error(
                 404,
                 &Error::request("observability is disabled in this session"),
-                keep,
             ),
         },
         ("POST", "/v1/analyze") => {
             let Some(_permit) = state.gov.admit(tenant) else {
-                return over_budget(state, stream, tenant, keep);
+                return reply.over_budget(tenant);
             };
             match analyze(state, req) {
                 Ok(out) => {
                     let cache_state = if out.cached { "hit" } else { "miss" };
                     let hex = out.key.hex();
-                    respond(
-                        state,
-                        stream,
-                        200,
-                        "application/json",
-                        &[("x-ats-key", hex.as_str()), ("x-ats-cache", cache_state)],
-                        &out.report,
-                        keep,
-                    )
+                    let extra = [("x-ats-key", hex.as_str()), ("x-ats-cache", cache_state)];
+                    reply.send(200, json, &extra, &out.report)
                 }
-                Err(e) => error_response(state, stream, wire::status_of(e.kind()), &e, keep),
+                Err(e) => reply.fail(&e),
             }
         }
         ("POST", "/v1/campaign") => {
             let Some(_permit) = state.gov.admit(tenant) else {
-                return over_budget(state, stream, tenant, keep);
+                return reply.over_budget(tenant);
             };
-            campaign(state, req, stream, keep)
+            campaign(req, reply)
         }
         ("GET", path) if path.starts_with("/v1/artifacts/") => match artifact(state, path) {
-            Ok((content_type, bytes)) => {
-                respond(state, stream, 200, content_type, &[], &bytes, keep)
-            }
-            Err((status, e)) => error_response(state, stream, status, &e, keep),
+            Ok((content_type, bytes)) => reply.send(200, content_type, &[], &bytes),
+            Err((status, e)) => reply.error(status, &e),
         },
         (_, "/healthz" | "/v1/version" | "/metrics" | "/v1/analyze" | "/v1/campaign") => {
-            error_response(
-                state,
-                stream,
-                405,
-                &Error::request(format!("method {} not allowed here", req.method)),
-                keep,
-            )
+            let e = Error::request(format!("method {} not allowed here", req.method));
+            reply.error(405, &e)
         }
-        (_, path) => error_response(
-            state,
-            stream,
-            404,
-            &Error::request(format!("no route `{path}`")),
-            keep,
-        ),
+        (_, path) => reply.error(404, &Error::request(format!("no route `{path}`"))),
     }
-}
-
-fn over_budget(
-    state: &AppState,
-    stream: &mut impl Write,
-    tenant: &str,
-    keep: bool,
-) -> io::Result<bool> {
-    error_response(
-        state,
-        stream,
-        429,
-        &Error::request(format!("tenant `{tenant}` is over its concurrency budget")),
-        keep,
-    )
 }
 
 /// Write an `ats-serve-error/1` body with `status`.
@@ -165,35 +116,57 @@ pub fn error_response(
     err: &Error,
     keep: bool,
 ) -> io::Result<bool> {
-    let body = wire::error_body(err);
-    respond(
+    Reply {
         state,
         stream,
-        status,
-        "application/json",
-        &[],
-        body.as_bytes(),
         keep,
-    )
+    }
+    .error(status, err)
 }
 
-fn respond(
-    state: &AppState,
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    extra: &[(&str, &str)],
-    body: &[u8],
+/// Where one request's response goes: its stream, counted in the
+/// session's registry, and whether the connection stays open after it.
+struct Reply<'a, W> {
+    state: &'a AppState,
+    stream: &'a mut W,
     keep: bool,
-) -> io::Result<bool> {
-    if let Some(h) = state.obs() {
-        if status >= 400 {
-            h.serve.errors.inc();
+}
+
+impl<W: Write> Reply<'_, W> {
+    /// Write a complete sized response.
+    fn send(
+        &mut self,
+        status: u16,
+        content_type: &str,
+        extra: &[(&str, &str)],
+        body: &[u8],
+    ) -> io::Result<bool> {
+        if let Some(h) = self.state.obs() {
+            if status >= 400 {
+                h.serve.errors.inc();
+            }
+            h.serve.bytes_out.add(body.len() as u64);
         }
-        h.serve.bytes_out.add(body.len() as u64);
+        http::write_response(self.stream, status, content_type, extra, body, self.keep)?;
+        Ok(self.keep)
     }
-    http::write_response(stream, status, content_type, extra, body, keep)?;
-    Ok(keep)
+
+    /// Write an `ats-serve-error/1` body with `status`.
+    fn error(&mut self, status: u16, err: &Error) -> io::Result<bool> {
+        let body = wire::error_body(err);
+        self.send(status, "application/json", &[], body.as_bytes())
+    }
+
+    /// An error body with the status of `err`'s kind.
+    fn fail(&mut self, err: &Error) -> io::Result<bool> {
+        self.error(wire::status_of(err.kind()), err)
+    }
+
+    /// A 429 for a tenant over its in-flight budget; the connection stays.
+    fn over_budget(&mut self, tenant: &str) -> io::Result<bool> {
+        let e = Error::request(format!("tenant `{tenant}` is over its concurrency budget"));
+        self.error(429, &e)
+    }
 }
 
 struct AnalyzeOut {
@@ -260,18 +233,10 @@ fn analyze(state: &AppState, req: &Request) -> Result<AnalyzeOut, Error> {
 /// line fails the whole request with 400 before the stream starts), then
 /// execute in pool-parallel batches, writing one `ats-serve-row/1` JSONL
 /// line per scenario in input order as each batch completes.
-fn campaign(
-    state: &AppState,
-    req: &Request,
-    stream: &mut impl Write,
-    keep: bool,
-) -> io::Result<bool> {
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(t) => t,
-        Err(_) => {
-            let e = Error::scenario("campaign body is not UTF-8");
-            return error_response(state, stream, wire::status_of(e.kind()), &e, keep);
-        }
+fn campaign(req: &Request, mut reply: Reply<'_, impl Write>) -> io::Result<bool> {
+    let state = reply.state;
+    let Ok(text) = std::str::from_utf8(&req.body) else {
+        return reply.fail(&Error::scenario("campaign body is not UTF-8"));
     };
     let mut scenarios = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -281,24 +246,18 @@ fn campaign(
         match Scenario::parse_line(line).and_then(|sc| sc.validate().map(|()| sc)) {
             Ok(sc) => scenarios.push(sc),
             Err(e) => {
-                let e = Error::scenario(format!("line {}: {e}", i + 1));
-                return error_response(state, stream, wire::status_of(e.kind()), &e, keep);
+                return reply.fail(&Error::scenario(format!("line {}: {e}", i + 1)));
             }
         }
     }
     if scenarios.is_empty() {
-        let e = Error::scenario("campaign has no scenarios");
-        return error_response(state, stream, wire::status_of(e.kind()), &e, keep);
+        return reply.fail(&Error::scenario("campaign has no scenarios"));
     }
 
     let count = scenarios.len().to_string();
-    http::start_chunked(
-        stream,
-        200,
-        "application/jsonl",
-        &[("x-ats-count", count.as_str())],
-        keep,
-    )?;
+    let (stream, keep) = (reply.stream, reply.keep);
+    let extra = [("x-ats-count", count.as_str())];
+    http::start_chunked(stream, 200, "application/jsonl", &extra, keep)?;
     let max_nprocs = scenarios.iter().map(|s| s.nprocs).max().unwrap_or(1);
     let jobs = state
         .gov

@@ -8,10 +8,10 @@
 //! through this type, so the client-visible contract is tested, not just the
 //! server's framing.
 
+use crate::http::{self, HttpError};
 use crate::wire::RowDoc;
 use ats_core::json::Json;
 use ats_core::Error;
-use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -29,10 +29,7 @@ pub struct Response {
 impl Response {
     /// First value of header `name` (lowercase).
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        http::header(&self.headers, name)
     }
 
     /// Body as UTF-8 (lossy).
@@ -86,14 +83,10 @@ impl Client {
         self
     }
 
-    fn connect(&mut self) -> io::Result<()> {
-        let stream = TcpStream::connect(self.addr)?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        self.stream = Some(stream);
+    /// Drop the connection: the next request opens a new one.
+    fn disconnect(&mut self) {
+        self.stream = None;
         self.leftover.clear();
-        Ok(())
     }
 
     /// Issue one request and decode the response. Reconnects and retries
@@ -105,34 +98,16 @@ impl Client {
         content_type: Option<&str>,
         body: &[u8],
     ) -> Result<Response, Error> {
-        for _attempt in 0..2 {
-            let reused = self.stream.is_some();
-            if !reused {
-                self.connect()
-                    .map_err(|e| Error::request(format!("connect {}: {e}", self.addr)))?;
-            }
-            match self.try_once(method, path, content_type, body) {
-                Ok(resp) => {
-                    if resp
-                        .header("connection")
-                        .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-                    {
-                        self.stream = None;
-                        self.leftover.clear();
-                    }
-                    return Ok(resp);
-                }
-                Err(e) => {
-                    self.stream = None;
-                    self.leftover.clear();
-                    if !reused {
-                        return Err(Error::request(format!("{method} {path}: {e}")));
-                    }
-                    // Stale keep-alive connection: retry on a fresh one.
-                }
-            }
+        let reused = self.stream.is_some();
+        let exchange = |client: &mut Client| {
+            client.start(method, path, content_type, body)?;
+            client.finish()
+        };
+        match exchange(self) {
+            // Stale keep-alive connection: retry on a fresh one.
+            Err(_) if reused => exchange(self),
+            done => done,
         }
-        unreachable!("second attempt always runs on a fresh connection")
     }
 
     /// Write one request without reading its response. The load driver's
@@ -147,70 +122,45 @@ impl Client {
         body: &[u8],
     ) -> Result<(), Error> {
         if self.stream.is_none() {
-            self.connect()
-                .map_err(|e| Error::request(format!("connect {}: {e}", self.addr)))?;
+            let stream = TcpStream::connect(self.addr).and_then(|s| {
+                s.set_nodelay(true).ok();
+                s.set_read_timeout(Some(self.timeout))?;
+                s.set_write_timeout(Some(self.timeout))?;
+                Ok(s)
+            });
+            let stream = stream.map_err(|e| Error::request(format!("connect {}: {e}", self.addr)));
+            self.stream = Some(stream?);
         }
-        self.write_request(method, path, content_type, body)
-            .map_err(|e| Error::request(format!("{method} {path}: {e}")))
+        let extra = content_type
+            .map(|ct| ("content-type", ct))
+            .into_iter()
+            .chain(self.tenant.as_deref().map(|t| ("x-ats-tenant", t)));
+        let stream = self.stream.as_mut().expect("connected");
+        http::write_request(stream, method, path, self.addr, extra, body).map_err(|e| {
+            self.disconnect();
+            Error::request(format!("{method} {path}: {e}"))
+        })
     }
 
-    /// Read the response to a request written with [`Client::start`].
+    /// Read the response to a request written with [`Client::start`];
+    /// drop the connection after a failure, or when the server closes it.
     pub fn finish(&mut self) -> Result<Response, Error> {
-        let stream = self
-            .stream
-            .as_mut()
-            .ok_or_else(|| Error::request("no request in flight"))?;
-        let resp = read_response(stream, &mut self.leftover)
-            .map_err(|e| Error::request(format!("read response: {e}")))?;
-        if resp
-            .header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-        {
-            self.stream = None;
-            self.leftover.clear();
+        let in_flight = self.stream.as_mut();
+        let stream = in_flight.ok_or_else(|| Error::request("no request in flight"))?;
+        let resp = http::read_response(stream, &mut self.leftover);
+        let keep = resp.as_ref().is_ok_and(|r| !http::wants_close(&r.headers));
+        if !keep {
+            self.disconnect();
         }
-        Ok(resp)
-    }
-
-    fn try_once(
-        &mut self,
-        method: &str,
-        path: &str,
-        content_type: Option<&str>,
-        body: &[u8],
-    ) -> io::Result<Response> {
-        self.write_request(method, path, content_type, body)?;
-        let stream = self.stream.as_mut().expect("connected");
-        read_response(stream, &mut self.leftover)
-    }
-
-    fn write_request(
-        &mut self,
-        method: &str,
-        path: &str,
-        content_type: Option<&str>,
-        body: &[u8],
-    ) -> io::Result<()> {
-        let mut head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\n",
-            self.addr,
-            body.len()
-        );
-        if let Some(ct) = content_type {
-            head.push_str("content-type: ");
-            head.push_str(ct);
-            head.push_str("\r\n");
-        }
-        if let Some(t) = &self.tenant {
-            head.push_str("x-ats-tenant: ");
-            head.push_str(t);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
-        let stream = self.stream.as_mut().expect("connected");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body)?;
-        stream.flush()
+        resp.map_err(|e| {
+            let why = match e {
+                HttpError::Eof => "connection closed".to_owned(),
+                HttpError::BadRequest(msg) | HttpError::TooLarge(msg) => msg,
+                HttpError::Timeout => "timed out".to_owned(),
+                HttpError::Io(e) => e.to_string(),
+            };
+            Error::request(format!("read response: {why}"))
+        })
     }
 
     /// `GET /healthz`, expecting 200.
@@ -256,11 +206,10 @@ impl Client {
             .filter(|l| !l.trim().is_empty())
             .map(|line| {
                 RowDoc::parse(line).map_err(|_| match Json::parse(line.trim()) {
-                    Ok(v) => Error::request(format!(
-                        "row error: {} (kind {})",
-                        v.get("error").and_then(Json::as_str).unwrap_or("?"),
-                        v.get("kind").and_then(Json::as_str).unwrap_or("?"),
-                    )),
+                    Ok(v) => {
+                        let (message, kind) = (field(&v, "error"), field(&v, "kind"));
+                        Error::request(format!("row error: {message} (kind {kind})"))
+                    }
                     Err(e) => Error::request(format!("undecodable row line: {e}")),
                 })
             })
@@ -281,16 +230,7 @@ fn expect_status<R: std::borrow::Borrow<Response>>(resp: R, want: u16) -> Result
         return Ok(resp);
     }
     let (kind, message) = match Json::parse(r.text().trim()) {
-        Ok(v) => (
-            v.get("kind")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_owned(),
-            v.get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_owned(),
-        ),
+        Ok(v) => (field(&v, "kind"), field(&v, "error")),
         Err(_) => ("?".to_owned(), r.text()),
     };
     Err(Error::request(format!(
@@ -299,118 +239,19 @@ fn expect_status<R: std::borrow::Borrow<Response>>(resp: R, want: u16) -> Result
     )))
 }
 
-/// Decode one response (status line, headers, sized or chunked body).
-/// `leftover` carries bytes past this response on a keep-alive socket.
-fn read_response(stream: &mut impl Read, leftover: &mut Vec<u8>) -> io::Result<Response> {
-    let mut buf = std::mem::take(leftover);
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        fill(stream, &mut buf)?;
-    };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| bad("non-UTF-8 response head"))?
-        .to_owned();
-    let mut rest = buf.split_off(head_end + 4);
-
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line
-            .split_once(':')
-            .ok_or_else(|| bad("malformed header"))?;
-        headers.push((k.trim().to_ascii_lowercase(), v.trim().to_owned()));
-    }
-    let find = |name: &str| {
-        headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    };
-
-    let body = if find("transfer-encoding").is_some_and(|v| v.contains("chunked")) {
-        decode_chunked(stream, &mut rest)?
-    } else {
-        let len: usize = find("content-length")
-            .unwrap_or("0")
-            .parse()
-            .map_err(|_| bad("bad content-length"))?;
-        while rest.len() < len {
-            fill(stream, &mut rest)?;
-        }
-        let tail = rest.split_off(len);
-        let body = rest;
-        rest = tail;
-        body
-    };
-    *leftover = rest;
-    Ok(Response {
-        status,
-        headers,
-        body,
-    })
-}
-
-fn decode_chunked(stream: &mut impl Read, rest: &mut Vec<u8>) -> io::Result<Vec<u8>> {
-    let mut body = Vec::new();
-    loop {
-        let line = take_line(stream, rest)?;
-        let size = usize::from_str_radix(line.trim(), 16).map_err(|_| bad("bad chunk size"))?;
-        if size == 0 {
-            // Consume the terminating CRLF after the zero chunk.
-            let _ = take_line(stream, rest)?;
-            return Ok(body);
-        }
-        while rest.len() < size + 2 {
-            fill(stream, rest)?;
-        }
-        body.extend_from_slice(&rest[..size]);
-        rest.drain(..size + 2);
-    }
-}
-
-fn take_line(stream: &mut impl Read, rest: &mut Vec<u8>) -> io::Result<String> {
-    loop {
-        if let Some(pos) = rest.windows(2).position(|w| w == b"\r\n") {
-            let line =
-                String::from_utf8(rest[..pos].to_vec()).map_err(|_| bad("non-UTF-8 line"))?;
-            rest.drain(..pos + 2);
-            return Ok(line);
-        }
-        fill(stream, rest)?;
-    }
-}
-
-fn fill(stream: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<()> {
-    let mut chunk = [0u8; 4096];
-    let n = stream.read(&mut chunk)?;
-    if n == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed mid-response",
-        ));
-    }
-    buf.extend_from_slice(&chunk[..n]);
-    Ok(())
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
+/// Member `name` of an `ats-serve-error/1` document, `?` when absent.
+fn field(doc: &Json, name: &str) -> String {
+    doc.get(name)
+        .and_then(Json::as_str)
+        .unwrap_or("?")
+        .to_owned()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::read_response;
+    use std::io;
 
     #[test]
     fn decodes_sized_and_chunked_responses() {

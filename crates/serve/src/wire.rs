@@ -128,33 +128,27 @@ impl RowDoc {
                 "unsupported row schema `{schema}` (expected `{ROW_SCHEMA}`)"
             )));
         }
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| Error::request(format!("row missing `{name}`")))
-        };
         Ok(RowDoc {
-            scenario: field("scenario")?
-                .as_str()
-                .ok_or_else(|| Error::request("`scenario` must be a string"))?
-                .to_owned(),
-            key: field("key")?
-                .as_str()
-                .ok_or_else(|| Error::request("`key` must be a string"))?
-                .to_owned(),
-            cached: field("cached")?
-                .as_bool()
-                .ok_or_else(|| Error::request("`cached` must be a bool"))?,
-            findings: field("findings")?
-                .as_u64()
-                .ok_or_else(|| Error::request("`findings` must be a count"))?,
-            max_severity: field("max_severity")?
-                .as_f64()
-                .ok_or_else(|| Error::request("`max_severity` must be a number"))?,
-            total_wait_ns: field("total_wait_ns")?
-                .as_u64()
-                .ok_or_else(|| Error::request("`total_wait_ns` must be a count"))?,
+            scenario: member(&v, "scenario", Json::as_str, "a string")?.to_owned(),
+            key: member(&v, "key", Json::as_str, "a string")?.to_owned(),
+            cached: member(&v, "cached", Json::as_bool, "a bool")?,
+            findings: member(&v, "findings", Json::as_u64, "a count")?,
+            max_severity: member(&v, "max_severity", Json::as_f64, "a number")?,
+            total_wait_ns: member(&v, "total_wait_ns", Json::as_u64, "a count")?,
         })
     }
+}
+
+/// Member `name` of a row, read by `read`, or an error naming what it must be.
+fn member<'v, T>(
+    v: &'v Json,
+    name: &str,
+    read: impl Fn(&'v Json) -> Option<T>,
+    must_be: &str,
+) -> Result<T, Error> {
+    let missing = || Error::request(format!("row missing `{name}`"));
+    let m = v.get(name).ok_or_else(missing)?;
+    read(m).ok_or_else(|| Error::request(format!("`{name}` must be {must_be}")))
 }
 
 /// The `GET /v1/version` document.

@@ -59,7 +59,6 @@ fn honest_analyzer_survives_two_hundred_scenarios() {
 fn broken_analyzer_is_caught_shrunk_persisted_and_reproduced() {
     let broken = OracleConfig {
         analyzer: AnalyzerConfig::default().threshold(0.9),
-        ..OracleConfig::default()
     };
     let opts = RunOpts::default();
     let gen_cfg = GenConfig::default();
