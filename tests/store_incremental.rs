@@ -219,3 +219,39 @@ fn stored_ingredients_hash_to_their_entry_names() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The names entries are stored under, pinned. A key that moves makes
+/// every stored configuration run again without a word, so a change to
+/// how keys are rendered or where their prefix comes from must leave this
+/// test passing unchanged. A deliberate key change (a key schema or
+/// `ANALYSIS_VERSION` bump) pins the new keys here and says so in CHANGES.
+#[test]
+fn keys_are_pinned() {
+    const CONFIG_KEY: &str = "37823bc17027d5a6c7a8f007bf4cb75d";
+    let (opts, analyzer) = (RunOpts::default(), ats::analyzer::AnalyzerConfig::default());
+    let params = "basework=0.01 extrawork=0.04 r=3";
+    let key = ats::harness::cache::config_key("late_sender", params, 8, &opts, &analyzer);
+    assert_eq!(key.hex(), CONFIG_KEY);
+    let scenario = "seed=7 nprocs=2 | whole g0:late_sender r=1"
+        .parse()
+        .unwrap();
+    let key = ats::serve::wire::scenario_key(&scenario, &opts, &analyzer);
+    assert_eq!(key.hex(), "f66a1968e72bd163819f124d7407b5a5");
+
+    // A default session's one configuration of `late_sender` is the
+    // configuration above, so its entry is named by the same key.
+    let dir = store_dir("pinned");
+    let session = Session::builder()
+        .cache(CacheMode::ReadWrite)
+        .cache_dir(&dir)
+        .build();
+    let (rows, stats) = session.experiment("late_sender").run_with_stats().unwrap();
+    assert_eq!((stats.cache_misses, rows[0].params.as_str()), (1, params));
+    let names: Vec<String> = std::fs::read_dir(dir.join("objects"))
+        .unwrap()
+        .flat_map(|shard| std::fs::read_dir(shard.unwrap().path()).unwrap())
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert_eq!(names, [format!("{CONFIG_KEY}.entry")]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
