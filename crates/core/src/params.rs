@@ -10,7 +10,7 @@
 use crate::error::quote;
 use crate::{Distr, ParamKind, PropertySpec};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One parsed parameter value.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,13 +178,17 @@ impl ParamValues {
         }
     }
 
-    /// Render back to the command-line syntax (sorted by key).
+    /// Render back to the command-line syntax (sorted by key), every
+    /// `key=value` written into one string.
     pub fn to_cli(&self) -> String {
-        self.values
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ")
+        let mut cli = String::new();
+        for (k, v) in &self.values {
+            if !cli.is_empty() {
+                cli.push(' ');
+            }
+            let _ = write!(cli, "{k}={v}");
+        }
+        cli
     }
 }
 

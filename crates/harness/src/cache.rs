@@ -16,9 +16,8 @@
 //! property, parameters, process count and seed). `execution` sorts
 //! before `run`, so the canonical rendering is a prefix that only the
 //! execution half sets, then the run half, then `}`. A [`KeyPrefix`]
-//! renders that prefix once, so an engine that derives many keys under
-//! one execution (a sweep, a server) renders and hashes only each run
-//! half.
+//! renders that prefix once: a session renders it when it is built, and
+//! its experiments and its server render and hash only each run half.
 //!
 //! Knobs that only change how fast a result is computed — `jobs`,
 //! `trace_pool`, `obs` — are deliberately **excluded**, and so is the
@@ -38,6 +37,7 @@ use ats_analyzer::AnalyzerConfig;
 use ats_core::Error;
 use ats_runtime::MachineModel;
 use ats_store::{CacheKey, Json};
+use std::sync::Arc;
 
 /// Schema tag of experiment-engine key-ingredient documents. Bump on any
 /// change to the document layout itself.
@@ -78,8 +78,9 @@ pub fn execution_key_doc(opts: &RunOpts, analyzer: &AnalyzerConfig) -> Json {
 
 /// The rendered start of every key document under one execution:
 /// `{"execution":` + the canonical [`execution_key_doc`] + `,"run":`.
+/// Clones share the rendered text.
 #[derive(Debug, Clone)]
-pub struct KeyPrefix(String);
+pub struct KeyPrefix(Arc<str>);
 
 impl KeyPrefix {
     /// Render the execution half of `opts` and `analyzer` once.
@@ -87,7 +88,7 @@ impl KeyPrefix {
         let mut text = String::from("{\"execution\":");
         execution_key_doc(opts, analyzer).render_into(&mut text);
         text.push_str(",\"run\":");
-        KeyPrefix(text)
+        KeyPrefix(text.into())
     }
 
     /// The key of the document `{"execution": .., "run": run}`: the

@@ -115,25 +115,28 @@ pub struct ExperimentStats {
     pub cache_bytes_written: u64,
 }
 
-/// A family of runs over one property.
+/// A family of runs over one property, set up through its builders.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     /// Property function name.
-    pub property: String,
+    property: String,
     /// Axes (cartesian product).
-    pub sweeps: Vec<Sweep>,
+    sweeps: Vec<Sweep>,
     /// Process-count axis. Empty = use `opts.nprocs` only. When set, the
     /// grid is the *outer* loop of the cartesian product.
-    pub procs_grid: Vec<usize>,
+    procs_grid: Vec<usize>,
     /// Execution options.
-    pub opts: RunOpts,
+    opts: RunOpts,
     /// Analyzer configuration.
-    pub analyzer: AnalyzerConfig,
+    analyzer: AnalyzerConfig,
     /// Result cache (`None` = no caching). In `ro`/`rw` modes each
     /// configuration's key is computed *before* simulating; hits replay
     /// the stored row on the calling thread, only misses reach the worker
     /// pool and execute (and, in `rw`, publish).
-    pub cache: Option<Cache>,
+    cache: Option<Cache>,
+    /// The rendered execution half of `opts` and `analyzer`, handed over
+    /// by the session that built them (`None` = render it per run).
+    prefix: Option<KeyPrefix>,
 }
 
 impl Experiment {
@@ -147,6 +150,7 @@ impl Experiment {
             opts: RunOpts::default(),
             analyzer: AnalyzerConfig::default(),
             cache: None,
+            prefix: None,
         }
     }
 
@@ -162,15 +166,26 @@ impl Experiment {
         self
     }
 
-    /// Builder: set run options.
+    /// Builder: set run options (dropping a key prefix rendered from the
+    /// old ones).
     pub fn opts(mut self, opts: RunOpts) -> Self {
         self.opts = opts;
+        self.prefix = None;
         self
     }
 
-    /// Builder: set the analyzer configuration.
+    /// Builder: set the analyzer configuration (dropping a key prefix
+    /// rendered from the old one).
     pub fn analyzer(mut self, analyzer: AnalyzerConfig) -> Self {
         self.analyzer = analyzer;
+        self.prefix = None;
+        self
+    }
+
+    /// Builder: `prefix`, rendered from the experiment's current options
+    /// and analyzer, so runs do not render it again.
+    pub(crate) fn prefix(mut self, prefix: KeyPrefix) -> Self {
+        self.prefix = Some(prefix);
         self
     }
 
@@ -229,14 +244,19 @@ impl Experiment {
         )
         .min(configs.len().max(1));
         let started = Instant::now();
-        // Every configuration's key shares the sweep's execution half.
-        let prefix = self
-            .cache
-            .as_ref()
-            .map(|_| KeyPrefix::new(&self.opts, &self.analyzer));
+        // Every configuration's key shares one execution half, and its
+        // parameters start from the entry's defaults.
+        let prefix = self.cache.as_ref().map(|_| {
+            self.prefix
+                .clone()
+                .unwrap_or_else(|| KeyPrefix::new(&self.opts, &self.analyzer))
+        });
+        let defaults = ParamValues::defaults(spec);
         let replayed: Vec<(Result<Replay, Error>, f64)> = configs
             .iter()
-            .map(|&(nprocs, combo)| timed(|| self.replay(prefix.as_ref(), spec, nprocs, combo)))
+            .map(|&(nprocs, combo)| {
+                timed(|| self.replay(prefix.as_ref(), &defaults, nprocs, combo))
+            })
             .collect();
         let misses: Vec<&Miss> = replayed
             .iter()
@@ -298,18 +318,19 @@ impl Experiment {
         Ok((rows, stats))
     }
 
-    /// The replay step for one configuration: build its parameters and,
-    /// with a cache (and the sweep's key prefix), its key, then probe the
-    /// store once. A verified entry whose row decodes is a hit; anything
-    /// else is a miss for [`Experiment::run_config`] to execute.
+    /// The replay step for one configuration: build its parameters over
+    /// the entry's `defaults` and, with a cache (and the key prefix), its
+    /// key, then probe the store once. A verified entry whose row decodes
+    /// is a hit; anything else is a miss for [`Experiment::run_config`] to
+    /// execute.
     fn replay(
         &self,
         prefix: Option<&KeyPrefix>,
-        spec: &'static PropertySpec,
+        defaults: &ParamValues,
         nprocs: usize,
         combo: &[(String, ParamValue)],
     ) -> Result<Replay, Error> {
-        let mut params = ParamValues::defaults(spec);
+        let mut params = defaults.clone();
         for (name, value) in combo {
             params.set(name, value.clone());
         }

@@ -22,6 +22,7 @@
 //! assert!(report.severity_of("LateSender") > 0.0);
 //! ```
 
+use crate::cache::KeyPrefix;
 use crate::experiment::Experiment;
 use crate::registry::{run_single, RunOpts};
 use ats_analyzer::{analyze, AnalysisReport, AnalyzerConfig};
@@ -120,9 +121,10 @@ impl SessionBuilder {
 
     /// Materialize the session: resolve the observability handle once and
     /// inject it into the run options, the analyzer config and the
-    /// result cache. Opening the store cannot fail the build: an
-    /// unopenable store root degrades to cache-off (campaigns must run
-    /// even when the cache directory is unavailable).
+    /// result cache, and render the key prefix once. Opening the store
+    /// cannot fail the build: an unopenable store root degrades to
+    /// cache-off (campaigns must run even when the cache directory is
+    /// unavailable).
     pub fn build(self) -> Session {
         let handle = self.obs.handle();
         let mut opts = self.opts;
@@ -140,9 +142,12 @@ impl SessionBuilder {
                 mode: self.cache_mode,
             })
         };
+        // Rendered with or without a cache: a server derives keys anyway.
+        let prefix = KeyPrefix::new(&opts, &analyzer);
         Session {
             opts,
             analyzer,
+            prefix,
             handle,
             cache,
             started: Instant::now(),
@@ -157,6 +162,9 @@ impl SessionBuilder {
 pub struct Session {
     opts: RunOpts,
     analyzer: AnalyzerConfig,
+    /// The execution half of every key, rendered from `opts` and
+    /// `analyzer`.
+    prefix: KeyPrefix,
     handle: Option<Handle>,
     cache: Option<Cache>,
     started: Instant,
@@ -183,6 +191,12 @@ impl Session {
     /// The analyzer configuration this session analyzes with.
     pub fn analyzer_config(&self) -> &AnalyzerConfig {
         &self.analyzer
+    }
+
+    /// The rendered execution half of every key this session derives:
+    /// its experiments and its server hash only each run half under it.
+    pub fn key_prefix(&self) -> &KeyPrefix {
+        &self.prefix
     }
 
     /// The shared observability handle (`None` when observability is
@@ -219,11 +233,13 @@ impl Session {
     }
 
     /// An [`Experiment`] over `property` pre-seeded with this session's
-    /// run options, analyzer configuration and result cache.
+    /// run options, analyzer configuration, key prefix and result cache.
+    /// Replacing its options or analyzer drops the prefix.
     pub fn experiment(&self, property: &str) -> Experiment {
         let exp = Experiment::new(property)
             .opts(self.opts.clone())
-            .analyzer(self.analyzer.clone());
+            .analyzer(self.analyzer.clone())
+            .prefix(self.prefix.clone());
         match &self.cache {
             Some(c) => exp.cache(c.clone()),
             None => exp,
@@ -269,6 +285,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache;
 
     fn late_sender_params() -> ParamValues {
         ParamValues::defaults(crate::registry::spec_of("late_sender").unwrap())
@@ -353,5 +370,42 @@ mod tests {
             .run_with_stats()
             .unwrap();
         assert_eq!((warm.cache_mode, warm.cache_hits), ("ro", 1));
+    }
+
+    /// An experiment whose options or analyzer replace the session's
+    /// must key its entries under the replacement: a stale prefix would
+    /// replay rows computed under another machine model or analyzer.
+    #[test]
+    fn replaced_options_key_under_the_replacement() {
+        for realistic in [true, false] {
+            let dir = ats_testutil::TempDir::new("ats-session-replaced");
+            let session = Session::builder()
+                .cache(CacheMode::ReadWrite)
+                .cache_dir(dir.path())
+                .build();
+            let exp = session.experiment("late_sender");
+            let (opts, analyzer) = (session.opts().clone(), session.analyzer_config().clone());
+            let (exp, opts, analyzer) = if realistic {
+                let opts = RunOpts::default().realistic();
+                (exp.opts(opts.clone()), opts, analyzer)
+            } else {
+                let analyzer = analyzer.threshold(0.25);
+                (exp.analyzer(analyzer.clone()), opts, analyzer)
+            };
+            let (rows, stats) = exp.run_with_stats().unwrap();
+            assert_eq!(stats.cache_misses, 1);
+            let key = |opts: &RunOpts, analyzer: &AnalyzerConfig| {
+                let row = &rows[0];
+                cache::config_key(&row.property, &row.params, row.nprocs, opts, analyzer)
+            };
+            let replaced = key(&opts, &analyzer);
+            assert_ne!(replaced, key(session.opts(), session.analyzer_config()));
+            let names: Vec<String> = std::fs::read_dir(dir.path().join("objects"))
+                .unwrap()
+                .flat_map(|shard| std::fs::read_dir(shard.unwrap().path()).unwrap())
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .collect();
+            assert_eq!(names, [format!("{}.entry", replaced.hex())]);
+        }
     }
 }

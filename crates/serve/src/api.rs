@@ -20,7 +20,7 @@ use crate::wire::{self, RowDoc};
 use ats_analyzer::ReportDoc;
 use ats_core::Error;
 use ats_fuzz::{oracle, Scenario};
-use ats_harness::cache::{KeyPrefix, REPORT_FILE, TRACE_FILE};
+use ats_harness::cache::{REPORT_FILE, TRACE_FILE};
 use ats_harness::pool::run_indexed;
 use ats_harness::Session;
 use ats_store::CacheKey;
@@ -37,17 +37,9 @@ pub struct AppState {
     pub session: Session,
     /// Per-tenant budgets.
     pub gov: TenantGov,
-    /// The session's rendered key prefix: every scenario key shares it.
-    keys: KeyPrefix,
 }
 
 impl AppState {
-    /// The state for `session` under `gov`.
-    pub(crate) fn new(session: Session, gov: TenantGov) -> AppState {
-        let keys = KeyPrefix::new(session.opts(), session.analyzer_config());
-        AppState { session, gov, keys }
-    }
-
     fn obs(&self) -> Option<&ats_obs::Handle> {
         self.session.obs()
     }
@@ -183,7 +175,7 @@ struct AnalyzeOut {
 /// already.
 fn run_scenario(state: &AppState, sc: &Scenario) -> Result<AnalyzeOut, Error> {
     let opts = state.session.opts();
-    let key = state.keys.key(&wire::scenario_run_doc(sc));
+    let key = state.session.key_prefix().key(&wire::scenario_run_doc(sc));
     if let Some(cache) = state.session.result_cache() {
         if let Some(entry) = cache.lookup_file(&key, REPORT_FILE)? {
             if let Some(bytes) = entry.file(REPORT_FILE) {

@@ -9,6 +9,7 @@
 //! as [`HttpError`], so the server can answer with the right status.
 
 use crate::client::Response;
+use ats_core::error::quote;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -95,11 +96,11 @@ pub fn read_request(stream: &mut impl Read, leftover: &mut Vec<u8>) -> Result<Re
         match (parts.next(), parts.next(), parts.next()) {
             (Some(m), Some(p), Some(v)) if !m.is_empty() && p.starts_with('/') => {
                 if !v.starts_with("HTTP/1.") {
-                    return Err(bad(format!("unsupported protocol `{v}`")));
+                    return Err(bad(format!("unsupported protocol {}", quote(v))));
                 }
                 Ok((m.to_owned(), p.to_owned()))
             }
-            _ => Err(bad(format!("malformed request line `{line}`"))),
+            _ => Err(bad(format!("malformed request line {}", quote(line)))),
         }
     })?;
     let len = content_length(&headers)?;
@@ -125,7 +126,7 @@ pub(crate) fn read_response(
 ) -> Result<Response, HttpError> {
     let (status, headers) = read_head(stream, leftover, "response head", |line| {
         let status = line.split(' ').nth(1).and_then(|s| s.parse().ok());
-        status.ok_or_else(|| bad(format!("malformed status line `{line}`")))
+        status.ok_or_else(|| bad(format!("malformed status line {}", quote(line))))
     })?;
     let body = if header(&headers, "transfer-encoding").is_some_and(|v| v.contains("chunked")) {
         read_chunked(stream, leftover)?
@@ -155,7 +156,7 @@ fn read_head<T>(
     for line in lines.filter(|l| !l.is_empty()) {
         let (name, value) = line
             .split_once(':')
-            .ok_or_else(|| bad(format!("malformed header `{line}`")))?;
+            .ok_or_else(|| bad(format!("malformed header {}", quote(line))))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
     }
     *buf = buf.split_off(end + 4);
@@ -197,7 +198,7 @@ pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
 fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
     let len = header(headers, "content-length").unwrap_or("0");
     len.parse()
-        .map_err(|_| bad(format!("bad content-length `{len}`")))
+        .map_err(|_| bad(format!("bad content-length {}", quote(len))))
 }
 
 /// Read a `what` of `len` bytes that starts with the bytes in `buf`, and

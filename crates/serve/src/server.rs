@@ -181,7 +181,7 @@ pub fn start(session: Session, config: ServeConfig) -> io::Result<ServerHandle> 
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let gov = TenantGov::new(config.tenant_inflight);
-    let state = AppState::new(session, gov);
+    let state = AppState { session, gov };
     let workers = if config.workers == 0 {
         default_workers()
     } else {

@@ -121,6 +121,34 @@ fn a_deeply_nested_body_is_a_400_and_the_server_keeps_answering() {
 /// simulates, is a 400 before anything runs. A team of zero threads used
 /// to panic the worker that ran it, so a one-worker server must still
 /// answer the next request.
+/// A request the server cannot frame gets a 400 that quotes at most 64
+/// bytes of it: a 10,000-byte header line without a colon is not echoed
+/// whole.
+#[test]
+fn a_long_malformed_header_gets_a_short_400() {
+    use std::io::{Read, Write};
+    let dir = TempDir::new("serve-long-header");
+    let server = default_boot(&dir);
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut request = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    request.resize(request.len() + 10_000, b'a');
+    request.extend_from_slice(b"\r\n\r\n");
+    stream.write_all(&request).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").unwrap();
+    assert!(head.starts_with("HTTP/1.1 400 "), "{head}");
+    assert!(body.len() < 200, "{}-byte body", body.len());
+    assert!(body.contains("malformed header `aaaa"), "{body}");
+    Client::new(server.addr())
+        .healthz()
+        .expect("the server keeps answering");
+    server.shutdown();
+}
+
 #[test]
 fn out_of_range_scenarios_are_400_and_the_worker_survives() {
     let dir = TempDir::new("serve-range");
